@@ -9,9 +9,12 @@ use mccs_collectives::{CollectiveSchedule, RingOrder, ScheduleKey};
 use mccs_control::flow_policy::{ffa, JobFlows};
 use mccs_control::{optimal_rings, ChannelPolicy};
 use mccs_core::world::WorldScheduleCache;
-use mccs_netsim::maxmin::{allocate, FlowDemand};
+use mccs_netsim::maxmin::{
+    allocate, allocate_with_priority, allocate_with_priority_into, FlowDemand, SolverScratch,
+};
 use mccs_netsim::{FlowSpec, Network};
 use mccs_sim::{Bandwidth, Bytes, EventQueue, Nanos, Rng};
+use mccs_topology::graph::Endpoint;
 use mccs_topology::presets::{self, SpineLeafConfig};
 use mccs_topology::GpuId;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -63,6 +66,80 @@ fn bench_maxmin(c: &mut Criterion) {
     c.bench_function("maxmin/200flows-64links", |b| {
         b.iter(|| allocate(std::hint::black_box(&flows), std::hint::black_box(&caps)))
     });
+
+    // The solver the network runs (`allocate_with_priority_into`, scratch
+    // reused) at both ends of the sizes it sees: one 8-rank tenant's ring
+    // alone on the fabric, and the problem `mccsbench`'s `svc_concurrent`
+    // solves on every flow start and finish — 1,024 GPUs, every NIC
+    // sending one flow to the next rack, all coupled through the 8:1
+    // oversubscribed spine (leaf-spine links carry the cross-tenant
+    // penalty, so ECMP collisions spread the shares over many levels).
+    let cfg = SpineLeafConfig {
+        spines: 8,
+        leaves: 16,
+        hosts_per_leaf: 8,
+        gpus_per_host: 8,
+        nic_bandwidth: Bandwidth::gbps(100.0),
+        leaf_spine_bandwidth: Bandwidth::gbps(100.0),
+    };
+    let topo = presets::spine_leaf(&cfg);
+    let nics = topo.nics().len() as u32;
+    let per_rack = (cfg.hosts_per_leaf * cfg.gpus_per_host) as u32;
+    let spine_flow = |src: u32| {
+        let (src, dst) = (
+            mccs_topology::NicId(src),
+            mccs_topology::NicId((src + per_rack) % nics),
+        );
+        let route = topo.ecmp_route(src, dst, u64::from(src.0).wrapping_mul(0x9E37_79B9));
+        FlowDemand::fair(route.links.iter().map(|l| l.index()).collect(), None)
+    };
+    let spine_caps: Vec<Bandwidth> = topo
+        .links()
+        .iter()
+        .map(|l| match (&l.from, &l.to) {
+            (Endpoint::Switch(_), Endpoint::Switch(_)) => l.bandwidth * 0.7,
+            _ => l.bandwidth,
+        })
+        .collect();
+    let cases = [
+        (
+            "maxmin/tenant-8flows",
+            (0..8).map(|r| spine_flow(r * per_rack)).collect(),
+        ),
+        (
+            "maxmin/spine-1024flows",
+            (0..nics).map(spine_flow).collect::<Vec<_>>(),
+        ),
+    ];
+    let mut scratch = SolverScratch::default();
+    let mut rates = Vec::new();
+    for (name, flows) in &cases {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                allocate_with_priority_into(
+                    std::hint::black_box(flows),
+                    &spine_caps,
+                    &mut scratch,
+                    &mut rates,
+                );
+                std::hint::black_box(&rates);
+            })
+        });
+        c.bench_function(&format!("{name}/oracle"), |b| {
+            b.iter(|| allocate_with_priority(std::hint::black_box(flows), &spine_caps))
+        });
+        let median = |name: &str| {
+            c.results()
+                .iter()
+                .find(|r| r.name == name)
+                .expect("benched above")
+                .median_ns
+        };
+        println!(
+            "{name} indexed fill vs rescanning oracle: {:.1}x",
+            median(&format!("{name}/oracle")) / median(name)
+        );
+    }
 }
 
 fn bench_ring_builder(c: &mut Criterion) {
@@ -224,11 +301,13 @@ fn bench_flow_churn(c: &mut Criterion) {
 }
 
 fn bench_churn_steady_state(c: &mut Criterion) {
-    // The amortized hot path: the SAME traffic shape recurs (iterating
-    // collectives, TS pause/resume cycles), so the incremental solver's
-    // remap cache hits and the reusable scratch keeps the whole
-    // re-solve allocation-free in steady state. The from-scratch oracle
-    // rebuilds its flow x link problem on every membership event.
+    // The steady-state re-solve: one flow joins and leaves a standing
+    // population (iterating collectives, TS pause/resume cycles). The
+    // incremental path gathers the touched component, builds its
+    // problem and water-fills it in reused buffers, so what is left to
+    // allocate per cycle is the flow itself (its route, its index
+    // entries). The from-scratch oracle rebuilds its flow x link
+    // problem over every flow on every membership event.
     let cfg = SpineLeafConfig::paper_large_scale();
     let topo = Arc::new(presets::spine_leaf(&cfg));
     let racks = cfg.leaves as u64;
@@ -253,8 +332,8 @@ fn bench_churn_steady_state(c: &mut Criterion) {
             tenant: (rng.below(8)) as u32,
         }
     };
-    // The recurring flow: pinned route so every recurrence has an
-    // identical structural signature.
+    // The recurring flow: pinned route so every cycle solves the same
+    // two problems.
     let recurring = FlowSpec {
         src: mccs_topology::NicId(0),
         dst: mccs_topology::NicId(1),
@@ -274,7 +353,7 @@ fn bench_churn_steady_state(c: &mut Criterion) {
         for _ in 0..n {
             net.start_flow(Nanos::ZERO, population_spec(&mut rng));
         }
-        // Warm the remap cache for both component shapes (with and
+        // Grow the reused buffers to both problem sizes (with and
         // without the recurring flow).
         for _ in 0..2 {
             let id = net.start_flow(Nanos::ZERO, recurring);

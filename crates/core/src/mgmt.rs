@@ -212,7 +212,7 @@ impl<'a> Management<'a> {
             .map(|l| (l.id, self.world.net.link_utilization(l.id)))
             .filter(|&(_, u)| u > 0.0)
             .collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("utilization is finite"));
+        v.sort_by(|a, b| b.1.total_cmp(&a.1));
         v
     }
 

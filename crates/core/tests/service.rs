@@ -946,6 +946,51 @@ fn management_sees_link_utilization() {
     assert!(cluster.mgmt().hottest_link().is_none());
 }
 
+/// Utilization is relative to what a link can carry *now*: browned-out
+/// links that are full top the list, they do not hide at their degrade
+/// fraction below healthy links that are merely busy.
+#[test]
+fn degraded_links_become_the_hottest() {
+    let mut cluster = testbed_cluster(22);
+    let gpus = [GpuId(0), GpuId(4)];
+    spawn_app(
+        &mut cluster,
+        "brownout",
+        CommunicatorId(1),
+        &gpus,
+        all_reduce_sum(),
+        Bytes::mib(256),
+        1,
+    );
+    cluster.run_until(Nanos::from_millis(30));
+    // Both ranks' NIC uplinks (one per direction of the ring): no route
+    // avoids them, whatever recovery does.
+    let topo = Arc::clone(&cluster.world.topo);
+    let mut uplinks = gpus.map(|g| topo.nic(topo.nic_of_gpu(g)).uplink);
+    uplinks.sort();
+    for link in uplinks {
+        cluster.inject_fault(mccs_netsim::FaultEvent::LinkDegrade { link, milli: 400 });
+    }
+    cluster.run_until(Nanos::from_millis(31));
+    let busy = cluster.mgmt().link_utilization();
+    let mut hottest = [busy[0].0, busy[1].0];
+    hottest.sort();
+    assert_eq!(hottest, uplinks, "{busy:?}");
+    assert!((busy[0].1 - 1.0).abs() < 1e-6, "{busy:?}");
+    assert!((busy[1].1 - 1.0).abs() < 1e-6, "{busy:?}");
+    // Every healthy link on the two paths idles at the degrade fraction.
+    assert!(
+        busy[2..].iter().all(|&(_, u)| (u - 0.4).abs() < 1e-6),
+        "{busy:?}"
+    );
+    assert_eq!(
+        cluster.mgmt().hottest_link().map(|(l, _)| l),
+        Some(busy[0].0)
+    );
+    cluster.run_until_quiescent(Nanos::from_secs(30));
+    assert!(cluster.mgmt().hottest_link().is_none());
+}
+
 #[test]
 fn deterministic_across_identical_runs() {
     let run = || {

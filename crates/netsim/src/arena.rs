@@ -5,11 +5,8 @@
 //! digest canonical — but the hot state no longer lives in a
 //! `BTreeMap<FlowId, FlowState>`. Instead an id indexes an O(1) flat
 //! translation table (`id_slot`) into a `Vec`-backed slot arena with a LIFO
-//! free list. Each slot carries a **generation tag**, bumped whenever the
-//! slot is freed *or* its flow is structurally edited (re-pinned), so any
-//! cache keyed by `(slot, generation)` — notably the solver's remap cache —
-//! can prove in O(1) that a slot still holds the exact flow it was built
-//! for, even after crash/restart churn recycles the slot.
+//! free list. Slots are recycled, ids never are: a dead id translates to
+//! `DEAD` forever, so nothing can reach a recycled slot through it.
 //!
 //! The map-backed representation is kept as a switchable oracle
 //! ([`FlowStore::set_map_backed`]); both representations allocate identical
@@ -24,14 +21,11 @@ use crate::flow::FlowId;
 /// Sentinel in the id→slot table: id is dead (or was never born).
 const DEAD: u32 = u32::MAX;
 
-/// Dense slot arena with a free list and per-slot generation tags.
+/// Dense slot arena with a free list.
 #[derive(Debug)]
 pub(crate) struct FlowArena<T> {
-    /// Slot-indexed flow state (struct-of-arrays split point: the state
-    /// itself stays one struct; the arrays are slots/gens).
+    /// Slot-indexed flow state.
     slots: Vec<Option<T>>,
-    /// Per-slot generation, bumped on free and on structural edits.
-    gens: Vec<u32>,
     /// Recycled slot indices, LIFO.
     free: Vec<u32>,
     /// `id.0 -> slot` translation; `DEAD` for finished/cancelled ids.
@@ -46,7 +40,6 @@ impl<T> Default for FlowArena<T> {
     fn default() -> Self {
         FlowArena {
             slots: Vec::new(),
-            gens: Vec::new(),
             free: Vec::new(),
             id_slot: Vec::new(),
             floor: 0,
@@ -67,14 +60,13 @@ impl<T> FlowArena<T> {
             self.id_slot.resize(idx + 1, DEAD);
         }
         if let Some(slot) = self.slot_of(id) {
-            // Replacing a live id in place keeps the slot and generation.
+            // Replacing a live id in place keeps the slot.
             return self.slots[slot as usize].replace(value);
         }
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
                 self.slots.push(None);
-                self.gens.push(0);
                 (self.slots.len() - 1) as u32
             }
         };
@@ -89,7 +81,6 @@ impl<T> FlowArena<T> {
         self.id_slot[id.0 as usize] = DEAD;
         let out = self.slots[slot as usize].take();
         debug_assert!(out.is_some(), "live id pointed at an empty slot");
-        self.gens[slot as usize] = self.gens[slot as usize].wrapping_add(1);
         self.free.push(slot);
         self.len -= 1;
         // Advance the dead-prefix watermark (amortized O(1)): ordered
@@ -241,30 +232,6 @@ impl<T> FlowStore<T> {
         out.clear();
         self.for_each_ordered(|id, _| out.push(id));
     }
-
-    /// `(generation << 32) | slot` for a live id — an O(1) witness that a
-    /// slot still holds the exact flow a cache entry was built against.
-    /// `None` in map-backed mode (no slots exist), which forces caches to
-    /// take their slow verification path: the oracle stays the oracle.
-    pub(crate) fn stamp(&self, id: FlowId) -> Option<u64> {
-        match self {
-            FlowStore::Arena(a) => {
-                let slot = a.slot_of(id)?;
-                Some((u64::from(a.gens[slot as usize]) << 32) | u64::from(slot))
-            }
-            FlowStore::Map(_) => None,
-        }
-    }
-
-    /// Bump a live flow's generation after a structural edit (re-pin):
-    /// stamp-keyed caches must stop trusting their fast path for it.
-    pub(crate) fn bump_generation(&mut self, id: FlowId) {
-        if let FlowStore::Arena(a) = self {
-            if let Some(slot) = a.slot_of(id) {
-                a.gens[slot as usize] = a.gens[slot as usize].wrapping_add(1);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -288,19 +255,17 @@ mod tests {
     }
 
     #[test]
-    fn slot_reuse_bumps_generation() {
+    fn recycled_slot_is_unreachable_through_the_dead_id() {
         let mut s: FlowStore<u32> = FlowStore::default();
-        s.insert(FlowId(0), 0);
-        let stamp0 = s.stamp(FlowId(0)).unwrap();
+        s.insert(FlowId(0), 10);
         s.remove(FlowId(0));
-        s.insert(FlowId(1), 1);
-        let stamp1 = s.stamp(FlowId(1)).unwrap();
-        // Same recycled slot, different generation.
-        assert_eq!(stamp0 & 0xffff_ffff, stamp1 & 0xffff_ffff);
-        assert_ne!(stamp0, stamp1);
-        // Structural edit bumps too.
-        s.bump_generation(FlowId(1));
-        assert_ne!(s.stamp(FlowId(1)).unwrap(), stamp1);
+        // Lands on the slot id 0 just freed.
+        s.insert(FlowId(1), 11);
+        assert_eq!(s.get(FlowId(0)), None);
+        assert!(!s.contains(FlowId(0)));
+        assert_eq!(s.remove(FlowId(0)), None);
+        assert_eq!(s.get(FlowId(1)), Some(&11));
+        assert_eq!(s.len(), 1);
     }
 
     #[test]
@@ -340,11 +305,9 @@ mod tests {
         s.set_map_backed(true);
         assert!(s.is_map_backed());
         assert_eq!(s.len(), 8);
-        assert_eq!(s.stamp(FlowId(4)), None, "oracle has no slots");
         s.set_map_backed(false);
         assert_eq!(s.len(), 8);
         assert_eq!(s.get(FlowId(4)), Some(&104));
-        assert!(s.stamp(FlowId(4)).is_some());
         assert!(!s.contains(FlowId(3)));
     }
 }

@@ -41,9 +41,9 @@ impl FlowDemand {
     }
 }
 
-/// Reusable scratch for [`allocate_with_priority_into`]: the frozen /
-/// remaining / active-count vectors and the class-partition index lists
-/// that [`allocate`] and [`allocate_with_priority`] would otherwise
+/// Reusable scratch for [`allocate_with_priority_into`]: the per-link and
+/// per-flow working vectors of the fill and the class-partition index
+/// lists that [`allocate`] and [`allocate_with_priority`] would otherwise
 /// allocate afresh on every solve. Hold one per solver and thread it
 /// through repeated solves; steady-state churn then allocates nothing.
 #[derive(Debug, Default)]
@@ -55,9 +55,35 @@ pub struct SolverScratch {
 
 #[derive(Debug, Default)]
 struct FillBuffers {
-    frozen: Vec<bool>,
+    /// Per link: capacity not yet handed to a frozen flow (kept only for
+    /// links that two or more flows of the subset cross).
     remaining: Vec<f64>,
-    active_count: Vec<usize>,
+    /// Per link: unfrozen flows crossing it.
+    active_count: Vec<u32>,
+    /// Per link: where it sits in `active` and `share`, or [`PRIVATE`].
+    place: Vec<u32>,
+    /// Per shared link: the first of its entries in `members`, or [`END`].
+    head: Vec<u32>,
+    /// Shared link -> subset slots crossing it, as per-link chains of
+    /// `(slot, next entry)` in descending slot order.
+    members: Vec<(u32, u32)>,
+    /// Shared links that still have unfrozen flows...
+    active: Vec<u32>,
+    /// ...and their shares (`remaining / active_count`, re-divided whenever
+    /// a freeze changes either operand — so always exactly the bits a
+    /// rescan would compute), dense for the per-round minimum scan.
+    share: Vec<f64>,
+    /// This round's links at the level.
+    hot: Vec<u32>,
+    /// One bit per subset slot: not yet frozen.
+    live: Vec<u64>,
+    /// One bit per subset slot: may freeze this round.
+    cand: Vec<u64>,
+    /// Per slot: the least of the flow's cap and the capacities of its
+    /// private links — what binds it whatever the other flows do.
+    bound: Vec<f64>,
+    /// `(bound, slot)` of the flows with a finite bound, ascending.
+    bounded: Vec<(f64, u32)>,
 }
 
 /// Scratch-reusing equivalent of [`allocate_with_priority`]: writes one
@@ -110,11 +136,52 @@ pub fn allocate_with_priority_into(
     water_fill(flows, &scratch.lo_idx, &mut scratch.fill, out);
 }
 
+/// Relative slack within which a share or cap counts as "at the level".
+const AT_LEVEL: f64 = 1.0 + 1e-12;
+
+/// End of a link's member chain.
+const END: u32 = u32::MAX;
+
+/// `place` of a link that only one flow of the subset crosses.
+const PRIVATE: u32 = u32::MAX;
+
 /// Progressive filling over the subset `subset` of `flows`, against the
 /// per-link capacities pre-loaded into `buf.remaining` (consumed). Writes
-/// `out[i]` for each `i` in `subset`; other slots are untouched. The loop
-/// body is the same arithmetic in the same order as [`allocate`], so a
-/// subset fill is bit-identical to `allocate` over the filtered clone.
+/// `out[i]` for each `i` in `subset`; other slots are untouched.
+///
+/// Bit-identical to [`allocate`] over the filtered clone, at a cost of
+/// O(flows × links touched) plus one pass over the still-active shared
+/// links per round, instead of O(rounds × (flows × links)). [`allocate`]
+/// rescans every link and every unfrozen flow each round, dividing as it
+/// goes; this fill reaches the same freezes through an index:
+///
+/// * A link that a single flow of the subset crosses (its NIC and host
+///   links, typically: most of a spine-leaf problem's links) has the share
+///   `capacity / 1` until that flow freezes and never matters after, so it
+///   acts exactly like a cap on the flow. Caps and private capacities fold
+///   into one per-flow `bound`, sorted once; the least unfrozen bound joins
+///   the level and flows whose bound is at the level are candidates.
+/// * A shared link's share (`remaining / active_count`) is cached and
+///   re-divided only when a freeze changes the link, so every comparison
+///   sees the bits the rescan would have computed at that moment. The
+///   shares of the links that still have unfrozen flows sit densely in
+///   one vector, so finding the round's level is a linear pass over a
+///   shrinking list of `f64`s.
+/// * A flow can only freeze in a round if its bound or one of its links'
+///   shares is within [`AT_LEVEL`] of the level. That same pass collects
+///   those links, their members come from per-link chains built after a
+///   counting pass, and the candidates — a bit per slot — are visited in
+///   ascending slot order: the rescan's order, so the `remaining[l] - r`
+///   subtractions happen in the same sequence and round the same way.
+/// * A freeze moves the shares of the flow's other links. One that drops
+///   to the level mid-round (rounding can do that) adds its later members
+///   to the round's candidates; one that rises above it (a link with
+///   hundreds of members drifts by more than the slack before it is
+///   fully frozen) makes its remaining candidates fail the re-check and
+///   wait for the next round — both exactly as in the rescan.
+///
+/// Relies on capacities and caps being finite and non-negative
+/// ([`Bandwidth::bps`]'s contract): shares are then never NaN or `-0.0`.
 fn water_fill(
     flows: &[FlowDemand],
     subset: &[usize],
@@ -124,87 +191,206 @@ fn water_fill(
     if subset.is_empty() {
         return;
     }
-    let nl = buf.remaining.len();
-    buf.frozen.clear();
-    buf.frozen.resize(subset.len(), false);
-    buf.active_count.clear();
-    buf.active_count.resize(nl, 0);
+    let FillBuffers {
+        remaining,
+        active_count,
+        place,
+        head,
+        members,
+        active,
+        share,
+        hot,
+        live,
+        cand,
+        bound,
+        bounded,
+    } = buf;
+    let nl = remaining.len();
+    let words = subset.len().div_ceil(64);
+    live.clear();
+    live.resize(words, !0);
+    live[words - 1] = !0 >> (words * 64 - subset.len());
+    cand.clear();
+    cand.resize(words, 0);
+    active_count.clear();
+    active_count.resize(nl, 0);
+    place.clear();
+    place.resize(nl, PRIVATE);
+    // Only read for shared links, which are written when placed.
+    head.resize(nl, END);
+    active.clear();
+    share.clear();
+    members.clear();
+    bound.clear();
+    bounded.clear();
     for &i in subset {
         for &l in &flows[i].links {
-            buf.active_count[l] += 1;
+            active_count[l] += 1;
         }
     }
-    let fallback_cap = buf.remaining.iter().copied().fold(0.0_f64, f64::max);
-
-    let mut unfrozen = subset.len();
-    while unfrozen > 0 {
-        let mut level = f64::INFINITY;
-        for l in 0..nl {
-            if buf.active_count[l] > 0 {
-                level = level.min(buf.remaining[l] / buf.active_count[l] as f64);
-            }
-        }
-        for (slot, &i) in subset.iter().enumerate() {
-            if buf.frozen[slot] {
+    let mut linkless = false;
+    for (slot, &i) in subset.iter().enumerate() {
+        let f = &flows[i];
+        linkless |= f.links.is_empty();
+        let mut b = f.cap.map_or(f64::INFINITY, |c| c.as_bps());
+        for &l in &f.links {
+            if active_count[l] == 1 {
+                b = b.min(remaining[l]);
                 continue;
             }
-            if let Some(cap) = flows[i].cap {
-                level = level.min(cap.as_bps());
+            if place[l] == PRIVATE {
+                place[l] = active.len() as u32;
+                active.push(l as u32);
+                share.push(remaining[l] / active_count[l] as f64);
+                head[l] = END;
+            }
+            members.push((slot as u32, head[l]));
+            head[l] = members.len() as u32 - 1;
+        }
+        bound.push(b);
+        if b < f64::INFINITY {
+            bounded.push((b, slot as u32));
+        }
+    }
+    bounded.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    // Only link-free flows ever see the fallback.
+    let fallback_cap = if linkless {
+        remaining.iter().copied().fold(0.0_f64, f64::max)
+    } else {
+        0.0
+    };
+
+    let mut unfrozen = subset.len();
+    let mut first_bounded = 0;
+    while unfrozen > 0 {
+        // The tightest constraint this round: a shared link's fair share
+        // or an unfrozen flow's bound. `hot` collects every link within
+        // the slack of the running minimum — a superset of those within
+        // the slack of the final level, filtered below.
+        let mut level = f64::INFINITY;
+        let mut slack = f64::INFINITY;
+        hot.clear();
+        for (&l, &share) in active.iter().zip(share.iter()) {
+            if share <= slack {
+                hot.push(l);
+                if share < level {
+                    level = share;
+                    slack = level * AT_LEVEL;
+                }
             }
         }
+        while bounded
+            .get(first_bounded)
+            .is_some_and(|&(_, slot)| !is_set(live, slot as usize))
+        {
+            first_bounded += 1;
+        }
+        if let Some(&(b, _)) = bounded.get(first_bounded) {
+            level = level.min(b);
+        }
         if !level.is_finite() {
+            // Only link-free flows remain: give them their cap / fallback.
             for (slot, &i) in subset.iter().enumerate() {
-                if !buf.frozen[slot] {
+                if is_set(live, slot) {
                     out[i] = flows[i].cap.unwrap_or(Bandwidth::bps(fallback_cap));
-                    buf.frozen[slot] = true;
                 }
             }
             break;
         }
         level = level.max(0.0);
+        let slack = level * AT_LEVEL;
+
+        for &l in hot.iter() {
+            if share[place[l as usize] as usize] <= slack {
+                let mut at = head[l as usize];
+                while at != END {
+                    let (slot, next) = members[at as usize];
+                    set(cand, slot as usize);
+                    at = next;
+                }
+            }
+        }
+        for &(b, slot) in &bounded[first_bounded..] {
+            if b > slack {
+                break;
+            }
+            set(cand, slot as usize);
+        }
 
         let mut froze_any = false;
-        for (slot, &i) in subset.iter().enumerate() {
-            if buf.frozen[slot] {
-                continue;
-            }
-            let f = &flows[i];
-            let capped = f.cap.is_some_and(|c| c.as_bps() <= level * (1.0 + 1e-12));
-            let bottlenecked = f
-                .links
-                .iter()
-                .any(|&l| buf.remaining[l] / buf.active_count[l] as f64 <= level * (1.0 + 1e-12));
-            if capped || bottlenecked {
-                let r = if capped {
-                    f.cap.expect("checked").as_bps().min(level)
-                } else {
-                    level
+        for w in 0..words {
+            // Re-read each time: a freeze may add later slots of this word.
+            while cand[w] != 0 {
+                let bit = cand[w].trailing_zeros() as usize;
+                cand[w] &= cand[w] - 1;
+                let slot = w * 64 + bit;
+                if !is_set(live, slot) {
+                    continue;
+                }
+                let f = &flows[subset[slot]];
+                if bound[slot] > slack
+                    && !f.links.iter().any(|&l| {
+                        let k = place[l];
+                        k != PRIVATE && share[k as usize] <= slack
+                    })
+                {
+                    continue;
+                }
+                let r = match f.cap {
+                    Some(cap) if cap.as_bps() <= slack => cap.as_bps().min(level),
+                    _ => level,
                 };
-                out[i] = Bandwidth::bps(r.max(0.0));
-                buf.frozen[slot] = true;
+                out[subset[slot]] = Bandwidth::bps(r.max(0.0));
+                live[w] &= !(1 << bit);
                 unfrozen -= 1;
                 froze_any = true;
                 for &l in &f.links {
-                    buf.remaining[l] = (buf.remaining[l] - r).max(0.0);
-                    buf.active_count[l] -= 1;
+                    if place[l] == PRIVATE {
+                        continue;
+                    }
+                    let k = place[l] as usize;
+                    remaining[l] = (remaining[l] - r).max(0.0);
+                    active_count[l] -= 1;
+                    if active_count[l] == 0 {
+                        active.swap_remove(k);
+                        share.swap_remove(k);
+                        if let Some(&moved) = active.get(k) {
+                            place[moved as usize] = k as u32;
+                        }
+                        continue;
+                    }
+                    let was_hot = share[k] <= slack;
+                    share[k] = remaining[l] / active_count[l] as f64;
+                    if !was_hot && share[k] <= slack {
+                        let mut at = head[l];
+                        while at != END && members[at as usize].0 as usize > slot {
+                            let (later, next) = members[at as usize];
+                            set(cand, later as usize);
+                            at = next;
+                        }
+                    }
                 }
             }
         }
         debug_assert!(froze_any, "progressive filling stalled");
         if !froze_any {
+            // Numerical corner: freeze everything at the level to terminate.
             for (slot, &i) in subset.iter().enumerate() {
-                if !buf.frozen[slot] {
+                if is_set(live, slot) {
                     out[i] = Bandwidth::bps(level);
-                    buf.frozen[slot] = true;
-                    for &l in &flows[i].links {
-                        buf.remaining[l] = (buf.remaining[l] - level).max(0.0);
-                        buf.active_count[l] -= 1;
-                    }
                 }
             }
             break;
         }
     }
+}
+
+fn is_set(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] >> (i % 64) & 1 != 0
+}
+
+fn set(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
 }
 
 /// Two-class allocation: guaranteed flows water-fill first (among
@@ -381,22 +567,28 @@ pub(crate) fn check_invariants_with_priority(
     check_invariants(&lo, &lo_caps, &lo_rates);
 }
 
-/// The max-min invariants the property tests check (feasibility, cap
-/// respect, bottleneck justification) — reusable by other modules' tests.
+/// The max-min *definition* the property tests check — reusable by other
+/// modules' tests, and independent of how any solver gets there:
+/// feasibility, cap respect, and bottleneck justification (every flow is
+/// at its cap or crosses a saturated link on which no flow has a larger
+/// rate). Linear in flows × links, so the 1,024-flow cases can afford it.
 #[cfg(test)]
 pub(crate) fn check_invariants(flows: &[FlowDemand], caps: &[Bandwidth], rates: &[Bandwidth]) {
-    let tol = 1e-6; // bps tolerance relative to multi-Gbps scales
-                    // 1. feasibility
+    let tol = 1e-6; // relative, plus 1 bps absolute at multi-Gbps scales
+    let mut load = vec![0.0_f64; caps.len()];
+    let mut max_rate = vec![0.0_f64; caps.len()];
+    for (f, r) in flows.iter().zip(rates) {
+        for &l in &f.links {
+            load[l] += r.as_bps();
+            max_rate[l] = max_rate[l].max(r.as_bps());
+        }
+    }
+    // 1. feasibility
     for (l, cap) in caps.iter().enumerate() {
-        let load: f64 = flows
-            .iter()
-            .zip(rates)
-            .filter(|(f, _)| f.links.contains(&l))
-            .map(|(_, r)| r.as_bps())
-            .sum();
         assert!(
-            load <= cap.as_bps() * (1.0 + tol) + 1.0,
-            "link {l} overloaded: {load} > {}",
+            load[l] <= cap.as_bps() * (1.0 + tol) + 1.0,
+            "link {l} overloaded: {} > {}",
+            load[l],
             cap.as_bps()
         );
     }
@@ -417,18 +609,8 @@ pub(crate) fn check_invariants(flows: &[FlowDemand], caps: &[Bandwidth], rates: 
             continue;
         }
         let justified = f.links.iter().any(|&l| {
-            let load: f64 = flows
-                .iter()
-                .zip(rates)
-                .filter(|(g, _)| g.links.contains(&l))
-                .map(|(_, r)| r.as_bps())
-                .sum();
-            let saturated = load >= caps[l].as_bps() * (1.0 - 1e-6) - 1.0;
-            let maximal = flows
-                .iter()
-                .zip(rates)
-                .filter(|(g, _)| g.links.contains(&l))
-                .all(|(_, r)| r.as_bps() <= rates[i].as_bps() * (1.0 + 1e-6) + 1.0);
+            let saturated = load[l] >= caps[l].as_bps() * (1.0 - tol) - 1.0;
+            let maximal = max_rate[l] <= rates[i].as_bps() * (1.0 + tol) + 1.0;
             saturated && maximal
         });
         assert!(justified, "flow {i} is neither capped nor bottlenecked");
@@ -553,6 +735,165 @@ mod tests {
         check_invariants(&flows, &caps, &rates);
     }
 
+    /// A spine-leaf-shaped problem of `nf` six-link flows (host, NIC and
+    /// leaf uplinks on the way up, their mirror images on the way down)
+    /// over 16 leaves x 8 spines: every capacity is scaled by its own
+    /// random factor so nearly every link is its own bottleneck level, a
+    /// few links are down (zero capacity), and a share of the flows is
+    /// capped and/or guaranteed.
+    fn spine_leaf_problem(seed: u64, nf: usize) -> (Vec<FlowDemand>, Vec<Bandwidth>) {
+        const LEAVES: usize = 16;
+        const SPINES: usize = 8;
+        const NICS_PER_LEAF: usize = 16;
+        const NICS_PER_HOST: usize = 4;
+        let nics = LEAVES * NICS_PER_LEAF;
+        let hosts = nics / NICS_PER_HOST;
+        let (nic_up, nic_down) = (0, nics);
+        let (host_up, host_down) = (2 * nics, 2 * nics + hosts);
+        let leaf_up = 2 * nics + 2 * hosts;
+        let leaf_down = leaf_up + LEAVES * SPINES;
+        let mut rng = mccs_sim::Rng::seed_from(seed);
+        let caps: Vec<Bandwidth> = (0..leaf_down + LEAVES * SPINES)
+            .map(|_| {
+                if rng.chance(0.01) {
+                    Bandwidth::ZERO
+                } else {
+                    gbps(100.0 * rng.uniform(0.3, 1.0))
+                }
+            })
+            .collect();
+        let flows = (0..nf)
+            .map(|_| {
+                let src = rng.index(nics);
+                let dst = (src + NICS_PER_LEAF + rng.index(nics - 2 * NICS_PER_LEAF)) % nics;
+                let spine = rng.index(SPINES);
+                let links = vec![
+                    host_up + src / NICS_PER_HOST,
+                    nic_up + src,
+                    leaf_up + (src / NICS_PER_LEAF) * SPINES + spine,
+                    leaf_down + (dst / NICS_PER_LEAF) * SPINES + spine,
+                    nic_down + dst,
+                    host_down + dst / NICS_PER_HOST,
+                ];
+                let guaranteed = rng.chance(0.1);
+                let cap = (guaranteed || rng.chance(0.2)).then(|| gbps(rng.uniform(1.0, 40.0)));
+                FlowDemand {
+                    links,
+                    cap,
+                    guaranteed,
+                }
+            })
+            .collect();
+        (flows, caps)
+    }
+
+    fn assert_bits_match_oracle(
+        flows: &[FlowDemand],
+        caps: &[Bandwidth],
+        scratch: &mut SolverScratch,
+    ) -> Vec<Bandwidth> {
+        let oracle = allocate_with_priority(flows, caps);
+        let mut out = Vec::new();
+        allocate_with_priority_into(flows, caps, scratch, &mut out);
+        assert_eq!(out.len(), oracle.len());
+        for (i, (x, y)) in out.iter().zip(&oracle).enumerate() {
+            assert_eq!(
+                x.as_bps().to_bits(),
+                y.as_bps().to_bits(),
+                "flow {i}: indexed fill {x:?} vs oracle {y:?}"
+            );
+        }
+        out
+    }
+
+    /// One link with hundreds of members does not freeze in one round:
+    /// each `remaining - level` subtraction rounds, the share of the
+    /// shrinking remainder drifts past the 1e-12 slack, and the tail of
+    /// the link freezes in later rounds at slightly different levels. The
+    /// indexed fill must reproduce that drift bit for bit.
+    #[test]
+    fn one_link_freezing_across_rounds_matches_oracle() {
+        // 70 Gbps is a 100G link under the cross-tenant penalty.
+        let caps = [gbps(70.0), gbps(400.0)];
+        // 600 flows on link 0; every third one also crosses link 1.
+        let flows: Vec<FlowDemand> = (0..600)
+            .map(|i| demand(if i % 3 == 0 { &[0, 1] } else { &[0] }))
+            .collect();
+        let rates = assert_bits_match_oracle(&flows, &caps, &mut SolverScratch::default());
+        let distinct: std::collections::BTreeSet<u64> =
+            rates.iter().map(|r| r.as_bps().to_bits()).collect();
+        assert!(
+            distinct.len() > 1,
+            "expected the link to freeze over several rounds"
+        );
+        check_invariants(&flows, &caps, &rates);
+    }
+
+    /// Links only one flow of a class crosses never enter the fill's link
+    /// index: they bind that flow like a cap. Exercise every way that can
+    /// matter — differing private capacities, a down private link, a cap
+    /// below and above the private bound, one link listed twice, and a
+    /// link that is private among the guaranteed flows but shared among
+    /// the fair ones.
+    #[test]
+    fn private_links_bind_like_caps() {
+        let caps = [
+            gbps(100.0),     // 0: shared by seven fair flows
+            gbps(7.0),       // 1: private, below the fair share
+            gbps(80.0),      // 2: private, above it
+            Bandwidth::ZERO, // 3: private and down
+            gbps(30.0),      // 4: listed twice by one flow
+            gbps(50.0),      // 5: one guaranteed flow, two fair ones
+            gbps(9.0),       // 6: private, under a tighter cap
+            gbps(60.0),      // 7: private, under a looser cap
+        ];
+        let capped = |links: &[usize], cap: f64| FlowDemand::fair(links.to_vec(), Some(gbps(cap)));
+        let flows = vec![
+            demand(&[0, 1]),
+            demand(&[0, 2]),
+            demand(&[0, 3]),
+            demand(&[0, 4, 4]),
+            capped(&[0, 6], 3.0),
+            capped(&[0, 7], 90.0),
+            demand(&[0, 5]),
+            demand(&[5]),
+            FlowDemand {
+                links: vec![5],
+                cap: Some(gbps(20.0)),
+                guaranteed: true,
+            },
+        ];
+        let mut scratch = SolverScratch::default();
+        let rates = assert_bits_match_oracle(&flows, &caps, &mut scratch);
+        check_invariants_with_priority(&flows, &caps, &rates);
+        assert_eq!(rates[0], gbps(7.0));
+        assert_eq!(rates[2], Bandwidth::ZERO);
+        assert_eq!(rates[4], gbps(3.0));
+        assert_eq!(rates[8], gbps(20.0));
+        // All-private problems have no shared link at all.
+        let alone = [
+            demand(&[1]),
+            demand(&[2, 4]),
+            capped(&[0], 5.0),
+            demand(&[3]),
+        ];
+        let rates = assert_bits_match_oracle(&alone, &caps, &mut scratch);
+        check_invariants(&alone, &caps, &rates);
+        assert_eq!(rates, [gbps(7.0), gbps(30.0), gbps(5.0), Bandwidth::ZERO]);
+    }
+
+    #[test]
+    fn scratch_survives_large_small_large() {
+        let mut scratch = SolverScratch::default();
+        let (big, big_caps) = spine_leaf_problem(7, 1024);
+        let small = [demand(&[0]), demand(&[0, 1]), demand(&[1])];
+        let small_caps = [gbps(10.0), gbps(8.0)];
+        let first = assert_bits_match_oracle(&big, &big_caps, &mut scratch);
+        assert_bits_match_oracle(&small, &small_caps, &mut scratch);
+        let again = assert_bits_match_oracle(&big, &big_caps, &mut scratch);
+        assert_eq!(first, again);
+    }
+
     mod proptests {
         use super::*;
         use proptest::prelude::*;
@@ -633,6 +974,25 @@ mod tests {
                         prop_assert_eq!(x.as_bps(), y.as_bps());
                     }
                 }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// At the sizes the multi-tenant runs solve (hundreds of
+            /// coupled flows, dozens of distinct bottleneck levels) the
+            /// indexed fill matches the rescanning oracle bit for bit,
+            /// and the result satisfies the max-min definition itself.
+            #[test]
+            fn spine_leaf_sized_problems_match_oracle_and_definition(
+                seed in any::<u64>(),
+                nf in 256usize..=1024,
+            ) {
+                let (flows, caps) = spine_leaf_problem(seed, nf);
+                let rates =
+                    assert_bits_match_oracle(&flows, &caps, &mut SolverScratch::default());
+                check_invariants_with_priority(&flows, &caps, &rates);
             }
         }
     }

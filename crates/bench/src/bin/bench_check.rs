@@ -416,18 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_workers_metadata_is_compared() {
-        // Worker count is record metadata, not a wall-clock field: a
-        // baseline regenerated under a different `MCCS_SIM_WORKERS` must
-        // be flagged, not silently accepted.
-        let base = Reader::flatten(r#"{"bench":"x","sim_workers":1,"jct":2.0}"#).expect("valid");
-        let cand = Reader::flatten(r#"{"bench":"x","sim_workers":8,"jct":2.0}"#).expect("valid");
-        let v = diff(&base, &cand, 0.05);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].starts_with("sim_workers:"), "{}", v[0]);
-    }
-
-    #[test]
     fn wall_clock_fields_are_skipped() {
         let base = Reader::flatten(r#"{"wall_clock_s":1.0,"jct":2.0}"#).expect("valid");
         let cand = Reader::flatten(r#"{"wall_clock_s":9.0,"jct":2.0}"#).expect("valid");

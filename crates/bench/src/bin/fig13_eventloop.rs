@@ -106,8 +106,6 @@ struct RunStats {
     polls: u64,
     wasted: u64,
     wakes: u64,
-    waves: u64,
-    max_group: u64,
     wall_s: f64,
 }
 
@@ -123,13 +121,12 @@ impl RunStats {
     }
 }
 
-fn run(naive: bool, workers: usize) -> RunStats {
+fn run(naive: bool) -> RunStats {
     let mut cluster = Cluster::new(
         Arc::new(spine_leaf(&topology())),
         ClusterConfig::with_seed(SEED),
     );
     cluster.set_naive_scheduler(naive);
-    cluster.set_sim_workers(workers);
     for t in 0..TENANTS {
         let gpus = tenant_gpus(t);
         let ranks = gpus
@@ -155,8 +152,6 @@ fn run(naive: bool, workers: usize) -> RunStats {
         polls: s.polls,
         wasted: s.wasted_polls,
         wakes: s.wakes,
-        waves: s.waves,
-        max_group: s.max_group,
         wall_s,
     }
 }
@@ -174,28 +169,11 @@ fn main() {
         SIZE,
     );
 
-    let wake = run(false, 1);
-    let naive = run(true, 1);
-    // The same workload on the 8-worker wave pool: digest AND efficiency
-    // counters must be byte-identical to the sequential wake run — the
-    // pool only adds the wave/group gauges.
-    let pooled = run(false, 8);
+    let wake = run(false);
+    let naive = run(true);
     assert_eq!(
         wake.digest, naive.digest,
         "schedulers must be observably equivalent"
-    );
-    assert_eq!(
-        wake.digest, pooled.digest,
-        "8-worker pool must be observably invisible"
-    );
-    assert_eq!(
-        (wake.polls, wake.wasted, wake.wakes),
-        (pooled.polls, pooled.wasted, pooled.wakes),
-        "worker pool must not change scheduler counters"
-    );
-    assert!(
-        pooled.waves > 0 && pooled.max_group > 0,
-        "parallel run must report wave gauges"
     );
     assert_eq!(
         wake.useful(),
@@ -212,11 +190,9 @@ fn main() {
         "wasted_polls",
         "wasted_per_useful",
         "wakes",
-        "waves",
-        "max_group",
         "wall_clock_s",
     ];
-    let rows: Vec<Vec<String>> = [("wake", &wake), ("wake-8w", &pooled), ("naive", &naive)]
+    let rows: Vec<Vec<String>> = [("wake", &wake), ("naive", &naive)]
         .iter()
         .map(|(name, s)| {
             vec![
@@ -225,8 +201,6 @@ fn main() {
                 s.wasted.to_string(),
                 format!("{:.4}", s.wasted_ratio()),
                 s.wakes.to_string(),
-                s.waves.to_string(),
-                s.max_group.to_string(),
                 format!("{:.3}", s.wall_s),
             ]
         })
@@ -258,7 +232,6 @@ fn main() {
             "\"gpus\":128,\"tenants\":{TENANTS},\"iters\":{ITERS},\"useful_polls\":{},\
              \"wake\":{{\"polls\":{},\"wasted_polls\":{},\"wasted_per_useful\":{:.6},\"wakes\":{},\"wall_clock_s\":{:.4}}},\
              \"naive\":{{\"polls\":{},\"wasted_polls\":{},\"wasted_per_useful\":{:.6},\"wakes\":{},\"wall_clock_s\":{:.4}}},\
-             \"pooled_8w\":{{\"polls\":{},\"waves\":{},\"max_group\":{},\"digest_equal\":true,\"wall_clock_s\":{:.4}}},\
              \"step_throughput_gain\":{step_gain:.4},\"wasted_poll_ratio_reduction\":{wasted_reduction:.4},\
              \"wall_clock_speedup\":{:.4}",
             wake.useful(),
@@ -272,10 +245,6 @@ fn main() {
             naive.wasted_ratio(),
             naive.wakes,
             naive.wall_s,
-            pooled.polls,
-            pooled.waves,
-            pooled.max_group,
-            pooled.wall_s,
             naive.wall_s / wake.wall_s,
         ),
     );

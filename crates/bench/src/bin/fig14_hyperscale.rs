@@ -10,29 +10,18 @@
 //! is a churn event that re-solves only its rack component plus the
 //! touched spine links.
 //!
-//! Four records are asserted, not just reported:
+//! Three records are asserted, not just reported:
 //!
 //! * **digest equality** — the run repeats with every netsim fast path
 //!   disabled ([`Cluster::set_netsim_oracle`]: map-backed flow storage,
 //!   global from-scratch solve) and the observable digests must match
 //!   byte for byte;
-//! * **sharded vs. global equivalence** — a six-member sweep crosses
-//!   {single-queue oracle, per-rack sharded} event queues with
-//!   {1, 2, 8} simulation workers, in process, and every member's digest
-//!   and poll count must equal the solo run's byte for byte;
 //! * **step-throughput floor** — engine polls retired per wall-clock
 //!   second on the fast run (conservative: an order of magnitude under a
 //!   release-build laptop, but it catches an accidental O(world) step);
 //! * **peak-memory floor** — peak live heap of the fast run, measured by
 //!   a counting global allocator. Dense arenas size with the *live* flow
 //!   window and the link count, not with total flows ever started.
-//!
-//! The sweep members run *concurrently* as independent clusters on the
-//! deterministic worker pool, and the wall-clock overlap (summed member
-//! walls over sweep wall) is asserted ≥ 4x: with six interleaving
-//! members the ratio clears the floor even on a single hardware core,
-//! and a member that serializes the whole sweep (a rogue global lock)
-//! drags it under.
 //!
 //! Run: `cargo run --release -p mccs-bench --bin fig14_hyperscale`
 
@@ -42,7 +31,7 @@ use mccs_bench::scale::{plan_jobs, ScaleConfig};
 use mccs_collectives::op::all_reduce_sum;
 use mccs_core::config::RouteMap;
 use mccs_core::{Cluster, ClusterConfig};
-use mccs_sim::{Bandwidth, Bytes, Nanos, Workers};
+use mccs_sim::{Bandwidth, Bytes, Nanos};
 use mccs_topology::presets::{spine_leaf, SpineLeafConfig};
 use mccs_workloads::Placement;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -115,8 +104,6 @@ const MIN_POLLS_PER_SEC: f64 = 2_000.0;
 /// this means some table started scaling with total-flows-ever or with
 /// GPUs², which is exactly what the dense arenas forbid.
 const MAX_PEAK_HEAP_MIB: f64 = 256.0;
-/// Wall-clock overlap floor for the six-member sharded × workers sweep.
-const MIN_SWEEP_OVERLAP: f64 = 4.0;
 
 /// 16 spines × 40 leaves × 32 hosts × 8 GPUs = 10,240 GPUs.
 fn topology() -> SpineLeafConfig {
@@ -153,22 +140,15 @@ struct RunStats {
     wall_s: f64,
     peak_heap_mib: f64,
     virtual_s: f64,
-    sim_shards: usize,
 }
 
-/// One soak. `shards` is the event-queue layout: `1` pins the
-/// single-queue global oracle, `0` resolves to the per-rack auto layout
-/// (one shard per rack plus the shared shard 0 — 41 on this fabric,
-/// spanning proxies, transports and every tenant's frontends).
-fn run(oracle: bool, workers: usize, shards: usize) -> RunStats {
+fn run(oracle: bool) -> RunStats {
     let topo = Arc::new(spine_leaf(&topology()));
     let cfg = workload();
     let planned = plan_jobs(&topo, &cfg);
     assert_eq!(planned.len(), JOBS, "every job must place");
     let mut cluster = Cluster::new(Arc::clone(&topo), ClusterConfig::library_mode(SEED));
     cluster.set_netsim_oracle(oracle);
-    cluster.set_sim_workers(workers);
-    cluster.set_sim_shards(shards);
     let mut apps = Vec::new();
     for job in &planned {
         let phases = vec![
@@ -210,7 +190,6 @@ fn run(oracle: bool, workers: usize, shards: usize) -> RunStats {
         wall_s,
         peak_heap_mib,
         virtual_s: cluster.now().as_secs_f64(),
-        sim_shards: cluster.sim_shards(),
     }
 }
 
@@ -225,46 +204,12 @@ fn main() {
         world.spines, world.leaves, world.hosts_per_leaf, world.gpus_per_host,
     );
 
-    let fast = run(false, 1, 0);
-    let oracle = run(true, 1, 0);
+    let fast = run(false);
+    let oracle = run(true);
     assert_eq!(
         fast.digest, oracle.digest,
         "arena + hierarchical solve diverged from the map-backed global oracle"
     );
-
-    // Sharded × worker sweep, itself dispatched on the deterministic
-    // worker pool: six more fast runs crossing {global single-queue,
-    // per-rack sharded} event queues with {1, 2, 8} simulation workers
-    // execute *concurrently* as independent clusters. Each member's
-    // digest and poll count must equal the solo run's byte for byte —
-    // the in-process analogue of CI's MCCS_SIM_WORKERS ×
-    // MCCS_SIM_SHARDED matrix, and the sharded-vs-global comparison the
-    // shard layout is gated on. The overlap ratio (summed member walls
-    // over sweep wall) is asserted against `MIN_SWEEP_OVERLAP`: six
-    // interleaving members clear 4x even on one hardware core, unless
-    // something serializes the members. Peak-heap counters are global,
-    // so sweep members don't report memory.
-    const SWEEP: [(usize, usize); 6] = [(1, 1), (1, 2), (1, 8), (0, 1), (0, 2), (0, 8)];
-    let t0 = Instant::now();
-    let sweep = Workers::new(SWEEP.len()).run(SWEEP.len(), |i| {
-        let (shards, workers) = SWEEP[i];
-        run(false, workers, shards)
-    });
-    let sweep_wall_s = t0.elapsed().as_secs_f64();
-    let member_sum_s: f64 = sweep.iter().map(|s| s.wall_s).sum();
-    for (s, (shards, w)) in sweep.iter().zip(SWEEP) {
-        let layout = if shards == 1 { "global" } else { "sharded" };
-        assert_eq!(
-            s.digest, fast.digest,
-            "digest moved at sim_workers={w} ({layout} queues): \
-             the pool and the shard layout must be observably invisible"
-        );
-        assert_eq!(
-            s.polls, fast.polls,
-            "poll count moved at sim_workers={w} ({layout} queues)"
-        );
-    }
-    let sweep_overlap = member_sum_s / sweep_wall_s;
 
     let polls_per_sec = fast.polls as f64 / fast.wall_s;
     let headers = [
@@ -299,11 +244,6 @@ fn main() {
         oracle.wall_s,
         oracle.wall_s / fast.wall_s
     );
-    println!(
-        "sharded x worker sweep {{global,sharded({})}}x{{1,2,8}}: digests equal; \
-         {:.2}s concurrent vs {:.2}s summed ({sweep_overlap:.1}x overlap, floor {MIN_SWEEP_OVERLAP}x)",
-        fast.sim_shards, sweep_wall_s, member_sum_s,
-    );
 
     // The floors are part of the record: regenerating this figure on a
     // regression fails CI before bench_check even diffs.
@@ -316,25 +256,15 @@ fn main() {
         "peak heap {:.1} MiB over the {MAX_PEAK_HEAP_MIB} MiB ceiling",
         fast.peak_heap_mib
     );
-    assert!(
-        sweep_overlap >= MIN_SWEEP_OVERLAP,
-        "sweep overlap {sweep_overlap:.2}x under the {MIN_SWEEP_OVERLAP}x floor: \
-         the six members are serializing instead of interleaving"
-    );
 
     write_bench_json(
         "fig14_hyperscale",
         &format!(
-            "\"gpus\":{gpus},\"jobs\":{JOBS},\"iters\":{ITERS},\"sim_shards\":{},\
+            "\"gpus\":{gpus},\"jobs\":{JOBS},\"iters\":{ITERS},\
              \"fast\":{{\"polls\":{},\"virtual_s\":{:.6},\"peak_heap_mib\":{:.2},\"wall_clock_s\":{:.4}}},\
              \"oracle\":{{\"polls\":{},\"virtual_s\":{:.6},\"peak_heap_mib\":{:.2},\"wall_clock_s\":{:.4}}},\
-             \"shard_worker_sweep\":{{\"shard_members\":[1,{}],\"worker_members\":[1,2,8],\
-             \"digest_equal\":true,\
-             \"wall_clock_member_sum_s\":{member_sum_s:.4},\"wall_clock_sweep_s\":{sweep_wall_s:.4},\
-             \"wall_clock_overlap\":{sweep_overlap:.4},\"wall_clock_overlap_floor\":{MIN_SWEEP_OVERLAP}}},\
              \"wall_clock_polls_per_s\":{polls_per_sec:.1},\
              \"wall_clock_speedup_vs_oracle\":{:.4}",
-            fast.sim_shards,
             fast.polls,
             fast.virtual_s,
             fast.peak_heap_mib,
@@ -343,7 +273,6 @@ fn main() {
             oracle.virtual_s,
             oracle.peak_heap_mib,
             oracle.wall_s,
-            fast.sim_shards,
             oracle.wall_s / fast.wall_s,
         ),
     );

@@ -85,17 +85,11 @@ pub fn json_rows(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Write the machine-readable record of a figure run to
-/// `results/BENCH_<bench>.json`:
-/// `{"bench":"<bench>","sim_workers":N,<body>}`. The worker count the
-/// figure ran with is part of the record's metadata so `bench_check`
-/// flags a baseline regenerated under a different pool size — figures
-/// must be digest-invariant in `MCCS_SIM_WORKERS`, and comparing records
-/// from different counts is exactly how that is enforced. Creates
+/// `results/BENCH_<bench>.json`: `{"bench":"<bench>",<body>}`. Creates
 /// `results/` if needed; failure to write is reported, not fatal (the
 /// human-readable report already went to stdout).
 pub fn write_bench_json(bench: &str, body: &str) {
-    let workers = mccs_sim::par::workers_from_env();
-    let json = format!("{{\"bench\":\"{bench}\",\"sim_workers\":{workers},{body}}}\n");
+    let json = format!("{{\"bench\":\"{bench}\",{body}}}\n");
     let out = format!("results/BENCH_{bench}.json");
     let write = || -> std::io::Result<()> {
         std::fs::create_dir_all("results")?;

@@ -9,7 +9,7 @@
 
 use crate::world::{resources, EndpointPort, World};
 use mccs_shim::{AppProgram, AppStatus, ShimApi, ShimSession};
-use mccs_sim::{Engine, Footprint, Poll, Wake, WakeSet};
+use mccs_sim::{Engine, Poll, Wake, WakeSet};
 
 /// The engine driving one tenant rank.
 pub struct AppEngine {
@@ -30,13 +30,6 @@ impl AppEngine {
 }
 
 impl Engine<World> for AppEngine {
-    // No `plan` implementation, deliberately: the app engine's step is
-    // dominated by driving an opaque `Box<dyn AppProgram>` through its
-    // session — tenant code the engine cannot inspect, whose every call
-    // both reads and mutates program state (and draws from the
-    // endpoint's RNG for IPC latency sampling). There is no pure read
-    // phase to hoist, so the engine stays on the in-place path and the
-    // pool spawns it `Local` rather than `Par`.
     fn progress(&mut self, w: &mut World) -> Poll {
         let ep = &mut w.endpoints[self.endpoint];
         let gpu = ep.gpu;
@@ -75,22 +68,6 @@ impl Engine<World> for AppEngine {
             ws.watch(resources::endpoint_cmd_space(self.endpoint as u32));
         }
         ws.build()
-    }
-
-    /// A rank touches exactly its own endpoint queues and its GPU's
-    /// device streams: the full wake/signal surface of `progress`
-    /// (commands pushed, completions popped, back-pressure space,
-    /// device work launched). World-global effects (RNG, allocators)
-    /// are excluded by the parallel-executor contract: the slot-order
-    /// merge serializes them regardless of grouping.
-    fn footprint(&self, w: &World) -> Footprint {
-        let ep = self.endpoint as u32;
-        Footprint::Resources(vec![
-            resources::endpoint_cmd(ep),
-            resources::endpoint_comp(ep),
-            resources::endpoint_cmd_space(ep),
-            resources::device_activity(w.endpoints[self.endpoint].gpu.index() as u32),
-        ])
     }
 
     fn name(&self) -> String {

@@ -8,12 +8,12 @@ use crate::mgmt::Management;
 use crate::proxy::ProxyEngine;
 use crate::recovery::{RecoveryEngine, RecoveryPolicy};
 use crate::transport::TransportEngine;
-use crate::world::{resources, Endpoint, World};
+use crate::world::{Endpoint, World};
 use mccs_device::DeviceConfig;
 use mccs_ipc::{AppId, IpcConfig, LatencyQueue};
 use mccs_netsim::{FaultEvent, FaultPlan};
 use mccs_shim::AppProgram;
-use mccs_sim::{EngineId, Nanos, ResourceId, RuntimePool};
+use mccs_sim::{Nanos, RuntimePool};
 use mccs_topology::{GpuId, Topology};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -63,103 +63,41 @@ pub struct ClusterHang {
     pub live_engines: Vec<String>,
 }
 
-/// Rack index → event shard: rack r lives on shard r+1 (shard 0 is the
-/// shared/global bucket — controller, recovery, cross-rack resources),
-/// clamped to the shared shard when the pool has fewer shards than racks.
-/// Mirrors `World::rack_shard` so pool and event-queue attribution agree.
-fn rack_to_shard(rack: u32, shards: usize) -> usize {
-    let s = rack as usize + 1;
-    if s < shards {
-        s
-    } else {
-        0
-    }
-}
-
 /// A full simulated deployment: topology + service + tenants.
 pub struct Cluster {
     /// The shared world (public for experiment harnesses and tests).
     pub world: World,
     pool: RuntimePool<World>,
     next_app: u32,
-    /// Per-engine home rack, kept so a reshard can replay the attribution
-    /// at the new shard count (rack→shard clamps differently per count).
-    engine_racks: Vec<(EngineId, u32)>,
-    /// Per-resource home rack, same replay purpose.
-    resource_racks: Vec<(ResourceId, u32)>,
 }
 
 impl Cluster {
     /// Build a cluster over `topo`: one proxy engine per GPU, one
     /// transport engine per NIC, no tenants yet.
     pub fn new(topo: Arc<Topology>, cfg: ClusterConfig) -> Self {
-        let sim_workers = cfg.service.sim_workers;
-        let sim_shards = cfg.service.sim_shards;
-        let mut world = World::new(
+        let world = World::new(
             Arc::clone(&topo),
             cfg.device,
             cfg.ipc,
             cfg.service,
             cfg.seed,
         );
-        world.net.set_workers(sim_workers);
         let mut pool: RuntimePool<World> = RuntimePool::new();
-        pool.set_workers(sim_workers);
-        // Resolve the shard count: 0 = auto (one shard per rack plus the
-        // shared shard 0), anything else explicit. 1 is the single-queue
-        // oracle path.
-        let shards = if sim_shards == 0 {
-            topo.rack_count() + 1
-        } else {
-            sim_shards
-        };
-        pool.set_shards(shards);
-        world.set_event_shards(shards);
-        let mut engine_racks: Vec<(EngineId, u32)> = Vec::new();
-        let mut resource_racks: Vec<(ResourceId, u32)> = Vec::new();
         if cfg.service_engines {
             for gpu in topo.gpus() {
-                let rack = topo.rack_of(topo.host_of_gpu(gpu.id)).index() as u32;
-                let id = pool.spawn_par(Box::new(ProxyEngine::new(gpu.id)));
-                engine_racks.push((id, rack));
-                resource_racks.push((resources::proxy_inbox(gpu.id.0), rack));
-                resource_racks.push((resources::device_activity(gpu.id.0), rack));
+                pool.spawn(Box::new(ProxyEngine::new(gpu.id)));
             }
             for nic in topo.nics() {
-                let rack = topo.rack_of(nic.host).index() as u32;
-                let id = pool.spawn_par(Box::new(TransportEngine::new(nic.id)));
-                engine_racks.push((id, rack));
-                resource_racks.push((resources::transport_inbox(nic.id.0), rack));
-                resource_racks.push((resources::transport_flow(nic.id.0), rack));
+                pool.spawn(Box::new(TransportEngine::new(nic.id)));
             }
             // The failure monitor. Polls Idle instantly unless a fault
             // plan is installed, so fault-free runs pay nothing for it.
-            // Lives on the shared shard 0 — its work is cross-rack.
             pool.spawn(Box::new(RecoveryEngine::new()));
         }
-        let mut cluster = Cluster {
+        Cluster {
             world,
             pool,
             next_app: 0,
-            engine_racks,
-            resource_racks,
-        };
-        cluster.apply_shard_attribution();
-        cluster
-    }
-
-    /// Replay every recorded engine/resource home-rack assignment against
-    /// the pool's current shard count (rack r → shard r+1, clamped to the
-    /// shared shard 0 when out of range).
-    fn apply_shard_attribution(&mut self) {
-        let shards = self.pool.shards();
-        for &(id, rack) in &self.engine_racks {
-            self.pool
-                .assign_engine_shard(id, rack_to_shard(rack, shards));
-        }
-        for &(r, rack) in &self.resource_racks {
-            self.pool
-                .set_resource_shard(r.kind(), r.index(), rack_to_shard(rack, shards));
         }
     }
 
@@ -172,7 +110,6 @@ impl Cluster {
         self.next_app += 1;
         self.world.app_names.push(name.to_owned());
         let cap = self.world.ipc.queue_capacity;
-        let shards = self.pool.shards();
         let mut per_host: BTreeMap<mccs_topology::HostId, Vec<usize>> = BTreeMap::new();
         for (rank, (gpu, program)) in ranks.into_iter().enumerate() {
             let endpoint = self.world.endpoints.len();
@@ -192,34 +129,11 @@ impl Cluster {
                 .entry(self.world.topo.host_of_gpu(gpu))
                 .or_default()
                 .push(endpoint);
-            let rack = self
-                .world
-                .topo
-                .rack_of(self.world.topo.host_of_gpu(gpu))
-                .index() as u32;
-            let id = self.pool.spawn(Box::new(AppEngine::new(endpoint, program)));
-            self.engine_racks.push((id, rack));
-            self.pool
-                .assign_engine_shard(id, rack_to_shard(rack, shards));
-            let e = endpoint as u32;
-            for r in [
-                resources::endpoint_cmd(e),
-                resources::endpoint_comp(e),
-                resources::endpoint_cmd_space(e),
-            ] {
-                self.resource_racks.push((r, rack));
-                self.pool
-                    .set_resource_shard(r.kind(), r.index(), rack_to_shard(rack, shards));
-            }
+            self.pool.spawn(Box::new(AppEngine::new(endpoint, program)));
         }
         for (host, endpoints) in per_host {
-            let rack = self.world.topo.rack_of(host).index() as u32;
-            let id = self
-                .pool
-                .spawn_par(Box::new(FrontendEngine::new(app, host, endpoints)));
-            self.engine_racks.push((id, rack));
             self.pool
-                .assign_engine_shard(id, rack_to_shard(rack, shards));
+                .spawn(Box::new(FrontendEngine::new(app, host, endpoints)));
         }
         app
     }
@@ -398,10 +312,6 @@ impl Cluster {
         s.polls = self.pool.poll_count();
         s.wasted_polls = self.pool.wasted_poll_count();
         s.wakes = self.pool.wake_count();
-        s.waves = self.pool.wave_count();
-        s.max_group = self.pool.max_group_size();
-        s.planned_polls = self.pool.planned_poll_count();
-        s.dropped_plans = self.pool.dropped_plan_count();
     }
 
     /// Toggle the pool between the wake-driven scheduler and the naive
@@ -416,50 +326,16 @@ impl Cluster {
         self.pool.is_naive()
     }
 
-    /// Set the worker count for both parallel simulation paths: the
-    /// wave-partitioned engine scheduler and the netsim per-component
-    /// solves. Digests are bit-identical at every count (the parallel
-    /// executor merges deterministically); only wall-clock and the
-    /// `waves`/`max_group` gauges change.
-    pub fn set_sim_workers(&mut self, workers: usize) {
-        self.pool.set_workers(workers);
-        self.world.net.set_workers(workers);
-    }
-
-    /// The configured simulation worker count.
+    /// Always 1: the scheduler is single-threaded. `mccsbench` (frozen
+    /// under `mccsbench/`) is the only caller.
     pub fn sim_workers(&self) -> usize {
-        self.pool.workers()
+        1
     }
 
-    /// Re-shard the event loop: ready set, waiter tables, timer heaps and
-    /// the world event queue all split to `shards` (0 = auto, one shard
-    /// per rack plus the shared shard 0; 1 = the single-queue oracle).
-    /// Engine and resource home-rack attributions are replayed at the new
-    /// count. Digest-identical at every count by construction — sharding
-    /// only changes step cost, like `set_sim_workers` only changes
-    /// wall-clock.
-    pub fn set_sim_shards(&mut self, shards: usize) {
-        let resolved = if shards == 0 {
-            self.world.topo.rack_count() + 1
-        } else {
-            shards
-        };
-        self.pool.set_shards(resolved);
-        self.world.set_event_shards(resolved);
-        self.apply_shard_attribution();
-    }
-
-    /// The resolved event-loop shard count.
+    /// Always 1: one event queue. `mccsbench` (frozen under `mccsbench/`)
+    /// is the only caller.
     pub fn sim_shards(&self) -> usize {
-        self.pool.shards()
-    }
-
-    /// Per-shard cumulative `(polls, wasted_polls)` tallies — the shards'
-    /// contributions whose ascending-shard merge produces the scheduler
-    /// totals. Diagnostics only; digest-excluded like every scheduler
-    /// counter.
-    pub fn per_shard_polls(&self) -> Vec<(u64, u64)> {
-        self.pool.per_shard_polls()
+        1
     }
 
     /// Put the network simulator in (or out of) full-oracle mode: map-backed

@@ -156,19 +156,6 @@ pub struct ServiceConfig {
     /// Capacity of the bounded health push channel; subscribers that fall
     /// further behind than this resync from a snapshot.
     pub health_channel_capacity: usize,
-    /// Worker threads for the parallel simulation paths (wave-partitioned
-    /// engine scheduling and per-component max-min solves). `1` is the
-    /// fully sequential path; any count produces bit-identical digests —
-    /// the pool only changes wall-clock. Defaults to `MCCS_SIM_WORKERS`
-    /// (or 1 when unset).
-    pub sim_workers: usize,
-    /// Event-loop shards for the per-rack scheduler split (ready set,
-    /// waiter tables, timer heaps, world event queue). `0` = auto: one
-    /// shard per rack plus the shared shard 0. `1` is the single-queue
-    /// oracle. Any count is digest-identical by construction — sharding
-    /// only changes step cost. Defaults to `MCCS_SIM_SHARDS` /
-    /// `MCCS_SIM_SHARDED=0` (auto when unset).
-    pub sim_shards: usize,
 }
 
 impl Default for ServiceConfig {
@@ -186,8 +173,6 @@ impl Default for ServiceConfig {
             degradation: DegradationPolicy::default(),
             controller_checkpoint_interval: Nanos::from_millis(5),
             health_channel_capacity: crate::health::DEFAULT_HEALTH_CHANNEL_CAPACITY,
-            sim_workers: mccs_sim::par::workers_from_env(),
-            sim_shards: mccs_sim::par::shards_from_env().unwrap_or(0),
         }
     }
 }

@@ -8,19 +8,8 @@
 use crate::messages::ProxyMsg;
 use crate::world::{resources, World};
 use mccs_ipc::{AppId, ErrorCode, ShimCommand, ShimCompletion};
-use mccs_sim::{Engine, EnginePlan, Footprint, Poll, Wake, WakeSet};
+use mccs_sim::{Engine, Poll, Wake, WakeSet};
 use mccs_topology::{GpuId, HostId};
-
-/// The frontend's plan-phase output: the validation context its visible
-/// commands will be checked against. The app→GPU assignment is fixed at
-/// `add_app` time and never mutated by engines, so a set computed against
-/// the frozen wave view is valid for the whole commit — the frontend's
-/// per-command `gpu_allowed` scan over every world endpoint collapses to
-/// a sorted-set probe.
-struct FrontendPlan {
-    /// GPUs assigned to this frontend's application, sorted.
-    allowed_gpus: Vec<GpuId>,
-}
 
 /// The per-(application, host) frontend engine.
 pub struct FrontendEngine {
@@ -28,9 +17,6 @@ pub struct FrontendEngine {
     host: HostId,
     /// Endpoint indices this frontend serves (the app's ranks on `host`).
     endpoints: Vec<usize>,
-    /// Allowed-GPU set from the current commit's plan (cleared after each
-    /// `progress_planned`; `None` = validate by scanning the world).
-    planned_allowed: Option<Vec<GpuId>>,
 }
 
 impl FrontendEngine {
@@ -40,16 +26,12 @@ impl FrontendEngine {
             app,
             host,
             endpoints,
-            planned_allowed: None,
         }
     }
 
     fn gpu_allowed(&self, w: &World, endpoint: usize, gpu: GpuId) -> bool {
         // Tenant isolation: an app may only touch GPUs assigned to it.
         let _ = endpoint;
-        if let Some(allowed) = &self.planned_allowed {
-            return allowed.binary_search(&gpu).is_ok();
-        }
         w.endpoints
             .iter()
             .any(|e| e.app == self.app && e.gpu == gpu)
@@ -191,42 +173,6 @@ impl Engine<World> for FrontendEngine {
         }
     }
 
-    /// Read phase: pre-compute the validation context for the visible
-    /// command prefix — the app's allowed-GPU set, normally re-scanned
-    /// from every world endpoint per `MemAlloc`/`CommInit`. Planned only
-    /// when at least one served endpoint has a visible command, so idle
-    /// frontends contribute nothing to the wave's plan fan-out.
-    fn plan(&self, w: &World) -> Option<EnginePlan> {
-        let any_visible = self
-            .endpoints
-            .iter()
-            .any(|&e| w.endpoints[e].cmd.peek(w.clock).is_some());
-        if !any_visible {
-            return None;
-        }
-        let mut allowed_gpus: Vec<GpuId> = w
-            .endpoints
-            .iter()
-            .filter(|e| e.app == self.app)
-            .map(|e| e.gpu)
-            .collect();
-        allowed_gpus.sort_unstable();
-        allowed_gpus.dedup();
-        Some(EnginePlan::new(FrontendPlan { allowed_gpus }))
-    }
-
-    /// Commit phase: validate popped commands against the plan's
-    /// allowed-GPU set instead of rescanning the world, then clear it —
-    /// the set is only guaranteed for this commit's frozen view.
-    fn progress_planned(&mut self, w: &mut World, plan: EnginePlan) -> Poll {
-        if let Some(p) = plan.downcast::<FrontendPlan>() {
-            self.planned_allowed = Some(p.allowed_gpus);
-        }
-        let poll = self.progress(w);
-        self.planned_allowed = None;
-        poll
-    }
-
     fn wake_when(&self, w: &World) -> Wake {
         // One command-queue resource per served endpoint, plus the
         // earliest not-yet-visible head as a deadline (pushes signal at
@@ -237,23 +183,6 @@ impl Engine<World> for FrontendEngine {
             ws.deadline_opt(w.endpoints[endpoint].cmd.next_visible());
         }
         ws.build()
-    }
-
-    /// A frontend touches the queues of the endpoints it serves (pops
-    /// commands, frees back-pressure space, pushes error completions)
-    /// and the proxy inboxes of those endpoints' GPUs, to which it
-    /// forwards the decoded requests.
-    fn footprint(&self, w: &World) -> Footprint {
-        let mut rs = Vec::with_capacity(self.endpoints.len() * 4);
-        for &endpoint in &self.endpoints {
-            rs.push(resources::endpoint_cmd(endpoint as u32));
-            rs.push(resources::endpoint_cmd_space(endpoint as u32));
-            rs.push(resources::endpoint_comp(endpoint as u32));
-            rs.push(resources::proxy_inbox(
-                w.endpoints[endpoint].gpu.index() as u32
-            ));
-        }
-        Footprint::Resources(rs)
     }
 
     fn name(&self) -> String {

@@ -218,18 +218,6 @@ pub struct SchedulerStats {
     pub wasted_polls: u64,
     /// Parked engines readied by a resource signal or deadline.
     pub wakes: u64,
-    /// Conflict-partition waves built by the parallel scheduler (0 on the
-    /// sequential path, which skips partitioning entirely).
-    pub waves: u64,
-    /// Largest conflict group seen in any wave — the unit of work the
-    /// pool cannot split further.
-    pub max_group: u64,
-    /// Polls that committed a pre-computed plan (the effect-buffer
-    /// protocol's concurrent read phase) instead of planning inline.
-    pub planned_polls: u64,
-    /// Plans computed but voided before commit (a mid-sweep joiner
-    /// invalidated the frozen view they were derived from).
-    pub dropped_plans: u64,
 }
 
 /// Default capacity of the bounded health push channel.

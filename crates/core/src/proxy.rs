@@ -30,7 +30,7 @@ use mccs_collectives::{CollectiveOp, CollectiveSchedule, EdgeTask, ScheduleKey};
 use mccs_device::{EventId, StreamId, StreamOp};
 use mccs_ipc::{AppId, CollectiveRequest, CommunicatorId, ErrorCode, ShimCompletion};
 use mccs_netsim::RouteChoice;
-use mccs_sim::{Bytes, Engine, EnginePlan, Footprint, Nanos, Poll, Wake, WakeSet};
+use mccs_sim::{Bytes, Engine, Nanos, Poll, Wake, WakeSet};
 use mccs_topology::GpuId;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -184,15 +184,6 @@ pub fn buffer_demands(op: CollectiveOp, size: Bytes, n: usize, rank: usize) -> (
 /// The per-GPU proxy engine.
 pub struct ProxyEngine {
     gpu: GpuId,
-}
-
-/// The proxy's plan-phase output: schedules derived off-thread for
-/// cache-missing pending launches. Derivation is a pure function of the
-/// [`ScheduleKey`] inputs (topology, op, size, canonical rings), so a
-/// stale plan can only ever insert the exact value the serial path would
-/// have derived — committing one is never wrong, at worst redundant.
-struct ProxyPlan {
-    schedules: Vec<(ScheduleKey, CollectiveSchedule)>,
 }
 
 impl ProxyEngine {
@@ -983,60 +974,6 @@ impl Engine<World> for ProxyEngine {
         }
     }
 
-    /// Read phase: pre-derive collective schedules for this GPU's pending
-    /// launches that would miss the world schedule cache. This is the
-    /// proxy's expensive pure computation — ring canonicalization and
-    /// chunk/edge derivation — hoisted onto worker threads. Everything
-    /// read here (communicator queues, configs, the cache index) is
-    /// frozen for the wave; everything mutated by `progress` (sequence
-    /// numbers, queues, trace, RNG) stays in the commit phase.
-    fn plan(&self, w: &World) -> Option<EnginePlan> {
-        if !w.svc.cache_schedules {
-            return None;
-        }
-        let mut schedules: Vec<(ScheduleKey, CollectiveSchedule)> = Vec::new();
-        for &comm in w.comms_on_gpu(self.gpu) {
-            let rank = &w.comms[&(comm, self.gpu)];
-            // The next launch on this rank uses the queue head under the
-            // rank's current rings. Over-approximating launch readiness is
-            // fine: the derivation is keyed and cached, so at worst we
-            // derive one poll early.
-            let Some(p) = rank.queue.front() else {
-                continue;
-            };
-            let key =
-                ScheduleKey::for_ring(&w.topo, p.coll.op, p.coll.size, &rank.config.channel_rings);
-            if w.schedule_cache.contains(&key) || schedules.iter().any(|(k, _)| *k == key) {
-                continue;
-            }
-            let s = CollectiveSchedule::ring(
-                &w.topo,
-                p.coll.op,
-                p.coll.size,
-                &rank.config.channel_rings,
-            );
-            schedules.push((key, s));
-        }
-        if schedules.is_empty() {
-            None
-        } else {
-            Some(EnginePlan::new(ProxyPlan { schedules }))
-        }
-    }
-
-    /// Commit phase: publish the off-thread derivations into the world
-    /// cache (no-ops for keys that got there first), then run the normal
-    /// in-place `progress` — whose `launch_tasks` now hits the cache
-    /// where the serial path would have derived inline.
-    fn progress_planned(&mut self, w: &mut World, plan: EnginePlan) -> Poll {
-        if let Some(p) = plan.downcast::<ProxyPlan>() {
-            for (key, schedule) in p.schedules {
-                w.schedule_cache.insert_derived(key, schedule);
-            }
-        }
-        self.progress(w)
-    }
-
     fn wake_when(&self, w: &World) -> Wake {
         let plan = w.fault_plan.is_some();
         // Frozen on a crashed host: only a health event (HostUp) can
@@ -1084,34 +1021,6 @@ impl Engine<World> for ProxyEngine {
             ws.watch(resources::device_activity(self.gpu.index() as u32));
         }
         ws.build()
-    }
-
-    /// A proxy touches its inbox, its GPU's device streams, its ranks'
-    /// completion queues, the shared progress resource of every
-    /// communicator it hosts (which transitively groups the proxies of
-    /// one communicator — they genuinely exchange barrier gossip), the
-    /// health channel, and the transport inboxes of its host's NICs,
-    /// where launched inter-host edges are sent.
-    fn footprint(&self, w: &World) -> Footprint {
-        let host = w.topo.host_of_gpu(self.gpu);
-        let mut rs = vec![
-            resources::proxy_inbox(self.gpu.index() as u32),
-            resources::device_activity(self.gpu.index() as u32),
-            resources::fault_plan_installed(),
-            resources::health_channel(),
-        ];
-        for &comm in w.comms_on_gpu(self.gpu) {
-            rs.push(resources::progress(comm));
-            rs.push(resources::endpoint_comp(
-                w.comms[&(comm, self.gpu)].endpoint as u32,
-            ));
-        }
-        for nic in w.topo.nics() {
-            if nic.host == host {
-                rs.push(resources::transport_inbox(nic.id.index() as u32));
-            }
-        }
-        Footprint::Resources(rs)
     }
 
     fn name(&self) -> String {

@@ -47,7 +47,7 @@ use std::collections::BTreeSet;
 /// communicator after a failure. Returning `None` means no healthy
 /// strategy exists (the recovery engine then lets the per-collective
 /// attempt cap fail the stalled work to the tenants).
-pub trait RecoveryPolicy: Send + Sync {
+pub trait RecoveryPolicy: Send {
     /// Propose `(channel_rings, routes)` for `comm` given the current
     /// (failed-under) configuration. Implementations read link health from
     /// `w.net` / `w.health`.

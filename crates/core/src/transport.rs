@@ -29,7 +29,7 @@ use crate::qos::TrafficWindows;
 use crate::world::{resources, World};
 use mccs_ipc::{AppId, CommunicatorId};
 use mccs_netsim::{FlowId, FlowSpec, RouteChoice};
-use mccs_sim::{Bandwidth, Bytes, Engine, EnginePlan, Footprint, Nanos, Poll, Wake, WakeSet};
+use mccs_sim::{Bandwidth, Bytes, Engine, Nanos, Poll, Wake, WakeSet};
 use mccs_topology::{NicId, RouteId};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -71,17 +71,6 @@ struct RetryEntry {
     exclude: Option<RouteId>,
 }
 
-/// The transport's plan-phase output: flow specs pre-assembled from the
-/// visible inbox prefix. Spec assembly is a pure function of the message
-/// fields and this NIC's identity — independent of window state, the
-/// active table, and everything else that can move between plan and
-/// commit — so a planned spec is usable whenever its send actually
-/// starts, and harmlessly dropped otherwise.
-struct TransportPlan {
-    /// `(token, spec)` per visible `Send`, in inbox order.
-    specs: Vec<(u64, FlowSpec)>,
-}
-
 /// The per-NIC transport engine.
 pub struct TransportEngine {
     nic: NicId,
@@ -98,9 +87,6 @@ pub struct TransportEngine {
     retries: Vec<(Nanos, RetryEntry)>,
     /// Next stall-sweep instant already armed (plan-gated machinery).
     next_stall_check: Option<Nanos>,
-    /// Flow specs pre-assembled by the current commit's plan, consumed by
-    /// `start_flow` by token match (cleared after each `progress_planned`).
-    planned_specs: Vec<(u64, FlowSpec)>,
 }
 
 impl TransportEngine {
@@ -114,7 +100,6 @@ impl TransportEngine {
             scheduled_wake: None,
             retries: Vec::new(),
             next_stall_check: None,
-            planned_specs: Vec::new(),
         }
     }
 
@@ -170,29 +155,15 @@ impl TransportEngine {
     }
 
     fn start_flow(&mut self, w: &mut World, flow: ActiveFlow, route: RouteChoice) {
-        // Consume a plan-phase spec when one was assembled for this token;
-        // the routing is overwritten with the caller's choice so retries
-        // (which re-pin) can never start on a stale planned route.
-        let spec = match self
-            .planned_specs
-            .iter()
-            .position(|(t, _)| *t == flow.token)
-        {
-            Some(i) => {
-                let mut spec = self.planned_specs.swap_remove(i).1;
-                spec.routing = route;
-                spec
-            }
-            None => FlowSpec {
-                src: self.nic,
-                dst: flow.dst_nic,
-                bytes: Some(flow.bytes),
-                routing: route,
-                rate_cap: None,
-                tag: flow.token,
-                guaranteed: false,
-                tenant: flow.app.0,
-            },
+        let spec = FlowSpec {
+            src: self.nic,
+            dst: flow.dst_nic,
+            bytes: Some(flow.bytes),
+            routing: route,
+            rate_cap: None,
+            tag: flow.token,
+            guaranteed: false,
+            tenant: flow.app.0,
         };
         let now = w.clock;
         let id = w.net.start_flow(now, spec);
@@ -606,64 +577,6 @@ impl Engine<World> for TransportEngine {
         }
     }
 
-    /// Read phase (fault-free path only): decode the visible inbox prefix
-    /// and pre-assemble the flow spec for every `Send` in it. With a
-    /// fault plan installed the transport's step interleaves timer-driven
-    /// machinery whose inputs move between plan and commit, so it stays
-    /// on the in-place path there.
-    fn plan(&self, w: &World) -> Option<EnginePlan> {
-        if w.fault_plan.is_some() {
-            return None;
-        }
-        let mut specs: Vec<(u64, FlowSpec)> = Vec::new();
-        for msg in w.transport_inbox[self.nic.index()].visible(w.clock) {
-            let TransportMsg::Send {
-                app,
-                token,
-                src_nic,
-                dst_nic,
-                bytes,
-                route,
-                ..
-            } = *msg
-            else {
-                continue;
-            };
-            debug_assert_eq!(src_nic, self.nic, "send routed to the wrong transport");
-            specs.push((
-                token,
-                FlowSpec {
-                    src: self.nic,
-                    dst: dst_nic,
-                    bytes: Some(bytes),
-                    routing: route,
-                    rate_cap: None,
-                    tag: token,
-                    guaranteed: false,
-                    tenant: app.0,
-                },
-            ));
-        }
-        if specs.is_empty() {
-            None
-        } else {
-            Some(EnginePlan::new(TransportPlan { specs }))
-        }
-    }
-
-    /// Commit phase: stash the pre-assembled specs for `start_flow` to
-    /// consume by token, run the normal in-place step, then drop whatever
-    /// was not consumed (a send pended behind a closed QoS window starts
-    /// on a later poll and re-assembles its spec in place).
-    fn progress_planned(&mut self, w: &mut World, plan: EnginePlan) -> Poll {
-        if let Some(p) = plan.downcast::<TransportPlan>() {
-            self.planned_specs = p.specs;
-        }
-        let poll = self.progress(w);
-        self.planned_specs.clear();
-        poll
-    }
-
     fn wake_when(&self, w: &World) -> Wake {
         let plan = w.fault_plan.is_some();
         // Frozen on a crashed host: only a health event (HostUp) matters.
@@ -693,29 +606,6 @@ impl Engine<World> for TransportEngine {
             }
         }
         ws.build()
-    }
-
-    /// A transport touches its own inbox and flow-notice resources, the
-    /// health channel, the plan-install latch, and — through token
-    /// completions and failure reports — the progress resources of the
-    /// communicators whose flows it currently carries. The netsim itself
-    /// (flow starts/kills) is world-global state the executor's
-    /// slot-order merge serializes, so it does not appear here.
-    fn footprint(&self, _w: &World) -> Footprint {
-        let idx = self.nic.index() as u32;
-        let mut rs = vec![
-            resources::transport_inbox(idx),
-            resources::transport_flow(idx),
-            resources::fault_plan_installed(),
-            resources::health_channel(),
-        ];
-        let mut comms: Vec<CommunicatorId> = self.active.values().map(|f| f.comm).collect();
-        comms.sort_unstable();
-        comms.dedup();
-        for comm in comms {
-            rs.push(resources::progress(comm));
-        }
-        Footprint::Resources(rs)
     }
 
     fn name(&self) -> String {

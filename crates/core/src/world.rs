@@ -18,7 +18,7 @@ use mccs_device::{
 use mccs_ipc::{AppId, CommunicatorId, IpcConfig, LatencyQueue, ShimCommand, ShimCompletion};
 use mccs_netsim::{ControlFault, FaultEvent, FaultPlan, FlowCompletion, FlowId, Network};
 use mccs_shim::ShimPort;
-use mccs_sim::{Nanos, ResourceId, Rng, ShardedEventQueue, WakeSource};
+use mccs_sim::{EventQueue, Nanos, ResourceId, Rng, WakeSource};
 use mccs_topology::{GpuId, LinkId, NicId, Topology};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
@@ -279,29 +279,6 @@ impl WorldScheduleCache {
         s
     }
 
-    /// Whether `key` is already cached. Read-only — safe from the wave
-    /// scheduler's concurrent plan phase, where engines probe the cache
-    /// against the frozen world view to decide what to pre-derive.
-    pub fn contains(&self, key: &ScheduleKey) -> bool {
-        self.by_key.contains_key(key)
-    }
-
-    /// Insert a schedule derived off-thread (the plan phase). A no-op if
-    /// `key` is already present — derivation is a pure function of the
-    /// key, so a concurrent/stale plan can only ever insert the same
-    /// value the serial path would have derived. Counts as a miss (the
-    /// derivation did happen, just not on the scheduler thread).
-    pub fn insert_derived(&mut self, key: ScheduleKey, schedule: CollectiveSchedule) {
-        if self.by_key.contains_key(&key) {
-            return;
-        }
-        self.misses += 1;
-        if self.by_key.len() >= SCHEDULE_CACHE_LIMIT {
-            self.by_key.clear();
-        }
-        self.by_key.insert(key, Arc::new(schedule));
-    }
-
     /// (hits, misses) since construction — benchmark/test probe.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
@@ -419,14 +396,8 @@ pub struct World {
     pub ipc: IpcConfig,
     /// Service tuning knobs.
     pub svc: ServiceConfig,
-    /// Scheduled wake-ups, sharded by rack bucket (shard 0 is the
-    /// shared/global bucket; rack *r* maps to shard *r + 1*). With one
-    /// shard this is exactly the old global queue; with more, racks with
-    /// no mutual work keep their pending wakes apart and `next_time`
-    /// becomes a k-way min over the shard heads. Pop order between
-    /// same-instant wakes on different shards is unobservable — the
-    /// payload is a bare [`WorldEvent::Wake`] tick.
-    pub events: ShardedEventQueue<WorldEvent>,
+    /// Scheduled wake-ups.
+    pub events: EventQueue<WorldEvent>,
     /// Tenant rank endpoints.
     pub endpoints: Vec<Endpoint>,
     /// Per-GPU proxy inboxes.
@@ -658,7 +629,7 @@ impl World {
             rng: Rng::seed_from(seed),
             ipc,
             svc,
-            events: ShardedEventQueue::default(),
+            events: EventQueue::new(),
             endpoints: Vec::new(),
             proxy_inbox: (0..gpu_count).map(|_| LatencyQueue::new(cap)).collect(),
             transport_inbox: (0..nic_count).map(|_| LatencyQueue::new(cap)).collect(),
@@ -1025,8 +996,7 @@ impl World {
             self.proxy_inbox[gpu.index()]
                 .push(now, lat, msg)
                 .unwrap_or_else(|_| panic!("proxy inbox overflow on {gpu}"));
-            let shard = self.gpu_event_shard(gpu);
-            self.schedule_wake_on(shard, now + lat);
+            self.schedule_wake(now + lat);
             self.signals
                 .push(resources::proxy_inbox(gpu.index() as u32));
         }
@@ -1053,48 +1023,9 @@ impl World {
         }
     }
 
-    /// Schedule a payload-free wake-up on the shared/global shard.
+    /// Schedule a payload-free wake-up.
     pub fn schedule_wake(&mut self, at: Nanos) {
-        self.events.schedule_on(0, at, WorldEvent::Wake);
-    }
-
-    /// Schedule a payload-free wake-up on a specific rack shard
-    /// (out-of-range shards clamp to the shared bucket inside the queue).
-    pub fn schedule_wake_on(&mut self, shard: usize, at: Nanos) {
-        self.events.schedule_on(shard, at, WorldEvent::Wake);
-    }
-
-    // ---- event sharding ----------------------------------------------------
-
-    /// Number of event-queue shards (1 = the global single-queue oracle).
-    pub fn event_shards(&self) -> usize {
-        self.events.shards()
-    }
-
-    /// Re-shard the wake-event queue. Pending wakes keep their firing
-    /// times (they all land in the shared bucket; only *future* wakes
-    /// route by rack), so observable behaviour is unchanged.
-    pub fn set_event_shards(&mut self, n: usize) {
-        self.events.set_shards(n);
-    }
-
-    /// The event shard of a GPU: its host's rack bucket.
-    pub fn gpu_event_shard(&self, gpu: GpuId) -> usize {
-        self.rack_shard(self.topo.rack_of(self.topo.host_of_gpu(gpu)))
-    }
-
-    /// The event shard of a NIC: its host's rack bucket.
-    pub fn nic_event_shard(&self, nic: NicId) -> usize {
-        self.rack_shard(self.topo.rack_of(self.topo.nics()[nic.index()].host))
-    }
-
-    fn rack_shard(&self, rack: mccs_topology::RackId) -> usize {
-        let s = rack.index() + 1;
-        if s < self.events.shards() {
-            s
-        } else {
-            0
-        }
+        self.events.schedule(at, WorldEvent::Wake);
     }
 
     // ---- collective progress ------------------------------------------------
@@ -1211,8 +1142,7 @@ impl World {
         self.proxy_inbox[gpu.index()]
             .push(now, lat, msg)
             .unwrap_or_else(|_| panic!("proxy inbox overflow on {gpu}"));
-        let shard = self.gpu_event_shard(gpu);
-        self.schedule_wake_on(shard, now + lat);
+        self.schedule_wake(now + lat);
         self.signals
             .push(resources::proxy_inbox(gpu.index() as u32));
     }
@@ -1224,8 +1154,7 @@ impl World {
         self.transport_inbox[nic.index()]
             .push(now, lat, msg)
             .unwrap_or_else(|_| panic!("transport inbox overflow on {nic}"));
-        let shard = self.nic_event_shard(nic);
-        self.schedule_wake_on(shard, now + lat);
+        self.schedule_wake(now + lat);
         self.signals
             .push(resources::transport_inbox(nic.index() as u32));
     }
@@ -1238,8 +1167,7 @@ impl World {
             .comp
             .push(now, lat, completion)
             .unwrap_or_else(|_| panic!("completion queue overflow on endpoint {endpoint}"));
-        let shard = self.gpu_event_shard(self.endpoints[endpoint].gpu);
-        self.schedule_wake_on(shard, now + lat);
+        self.schedule_wake(now + lat);
         self.signals.push(resources::endpoint_comp(endpoint as u32));
     }
 
@@ -1270,8 +1198,7 @@ impl World {
         self.proxy_inbox[gpu.index()]
             .push(now, lat, msg)
             .unwrap_or_else(|_| panic!("proxy inbox overflow on {gpu}"));
-        let shard = self.gpu_event_shard(gpu);
-        self.schedule_wake_on(shard, now + lat);
+        self.schedule_wake(now + lat);
         self.signals
             .push(resources::proxy_inbox(gpu.index() as u32));
     }
@@ -1318,15 +1245,6 @@ impl WakeSource for World {
     }
 }
 
-/// The concurrent engine plan phase reads `&World` from worker threads;
-/// this assertion keeps the world `Sync` (compile error here means some
-/// field regained non-thread-safe interior mutability).
-#[allow(dead_code)]
-fn _assert_world_sync() {
-    fn is_sync<T: Sync>() {}
-    is_sync::<World>();
-}
-
 /// A borrow of the world scoped to one endpoint, implementing the tenant's
 /// [`ShimPort`]. Constructed per poll by the app engine.
 pub struct EndpointPort<'a> {
@@ -1349,12 +1267,7 @@ impl ShimPort for EndpointPort<'_> {
         let lat = cfg.sample_command_latency(&mut ep.rng);
         match ep.cmd.push(now, lat, cmd) {
             Ok(()) => {
-                let shard = self
-                    .world
-                    .gpu_event_shard(self.world.endpoints[self.idx].gpu);
-                self.world
-                    .events
-                    .schedule_on(shard, now + lat, WorldEvent::Wake);
+                self.world.schedule_wake(now + lat);
                 self.world
                     .signals
                     .push(resources::endpoint_cmd(self.idx as u32));
@@ -1414,10 +1327,7 @@ impl ShimPort for EndpointPort<'_> {
     }
 
     fn schedule_wake(&mut self, at: Nanos) {
-        let shard = self
-            .world
-            .gpu_event_shard(self.world.endpoints[self.idx].gpu);
-        self.world.schedule_wake_on(shard, at);
+        self.world.schedule_wake(at);
         let ep = &mut self.world.endpoints[self.idx];
         ep.next_app_wake = Some(ep.next_app_wake.map_or(at, |t| t.min(at)));
     }

@@ -346,229 +346,6 @@ fn doubled_run_digest_is_stable() {
     );
 }
 
-/// Run one scenario on the parallel wave scheduler with a given worker
-/// count; returns the digest and the synced scheduler stats.
-fn run_workers(
-    workers: usize,
-    seed: u64,
-    policy: DegradationPolicy,
-    tenants: &[Tenant],
-    plan: Option<&dyn Fn(&Cluster) -> FaultPlan>,
-) -> (u64, mccs_core::health::SchedulerStats) {
-    let mut cluster = build_cluster(seed, policy, tenants);
-    cluster.set_sim_workers(workers);
-    assert_eq!(cluster.sim_workers(), workers.max(1));
-    if let Some(make) = plan {
-        let plan = make(&cluster);
-        cluster.install_fault_plan(plan);
-    }
-    cluster.run_until_quiescent(Nanos::from_secs(120));
-    (cluster.observable_digest(), cluster.scheduler_stats())
-}
-
-#[test]
-fn worker_counts_digest_equal() {
-    // The ISSUE's core gate: the worker pool is observably invisible.
-    // Digests AND the poll/wasted/wake efficiency counters must be
-    // byte-identical at 1, 2 and 8 workers, on a healthy run, an
-    // idle-heavy run, and a fault scenario exercising recovery.
-    let mut idle = two_tenants(Bytes::mib(8), 3);
-    idle[1].sleep_until = Some(Nanos::from_millis(40));
-    let crash_plan = |c: &Cluster| {
-        let host = c.world.topo.host_of_gpu(GpuId(6));
-        FaultPlan::new()
-            .degrade_group(Nanos::from_millis(4), &spine0_links(c), 500)
-            .at(Nanos::from_millis(6), FaultEvent::CrashHost(host))
-            .at(Nanos::from_millis(9), FaultEvent::RestartHost(host))
-            .drop_control(19)
-    };
-    type Scenario<'a> = (
-        &'a str,
-        u64,
-        Vec<Tenant>,
-        Option<&'a dyn Fn(&Cluster) -> FaultPlan>,
-    );
-    let scenarios: Vec<Scenario> = vec![
-        ("healthy", 7, two_tenants(Bytes::mib(16), 4), None),
-        ("idle_heavy", 42, idle, None),
-        (
-            "crash_churn",
-            21,
-            two_tenants(Bytes::mib(16), 4),
-            Some(&crash_plan),
-        ),
-    ];
-    for (what, seed, tenants, plan) in scenarios {
-        let (base, stats1) = run_workers(1, seed, DegradationPolicy::default(), &tenants, plan);
-        assert_eq!(
-            stats1.waves, 0,
-            "{what}: sequential path must skip wave partitioning"
-        );
-        for workers in [2, 8] {
-            let (digest, stats) =
-                run_workers(workers, seed, DegradationPolicy::default(), &tenants, plan);
-            assert_eq!(
-                base, digest,
-                "{what}: digest moved at sim_workers={workers} (seed {seed})"
-            );
-            assert_eq!(
-                (stats1.polls, stats1.wasted_polls, stats1.wakes),
-                (stats.polls, stats.wasted_polls, stats.wakes),
-                "{what}: efficiency counters moved at sim_workers={workers}"
-            );
-            assert!(
-                stats.waves > 0 && stats.max_group > 0,
-                "{what}: parallel pool must report wave gauges"
-            );
-        }
-    }
-}
-
-#[test]
-fn doubled_run_digest_stable_under_parallel_pool() {
-    // The in-process analogue of CI's parallel-equivalence doubled-run
-    // diff: two identical runs on the 8-worker pool, byte-for-byte.
-    let tenants = two_tenants(Bytes::mib(16), 4);
-    let plan = |c: &Cluster| {
-        let host = c.world.topo.host_of_gpu(GpuId(6));
-        FaultPlan::new()
-            .at(Nanos::from_millis(5), FaultEvent::CrashHost(host))
-            .at(Nanos::from_millis(9), FaultEvent::RestartHost(host))
-            .at(
-                Nanos::from_millis(12),
-                FaultEvent::LinkDown(spine0_links(c)[0]),
-            )
-    };
-    let (first, _) = run_workers(8, 51, DegradationPolicy::default(), &tenants, Some(&plan));
-    let (second, _) = run_workers(8, 51, DegradationPolicy::default(), &tenants, Some(&plan));
-    assert_eq!(
-        first, second,
-        "doubled 8-worker run diverged: the parallel pool leaks nondeterminism"
-    );
-}
-
-/// Run one scenario at an explicit `(shards, workers)` point; returns the
-/// digest and the synced scheduler stats. `shards == 1` is the global
-/// single-queue oracle; the default (env unset) resolves to racks + 1.
-fn run_sharded(
-    shards: usize,
-    workers: usize,
-    seed: u64,
-    tenants: &[Tenant],
-    plan: Option<&dyn Fn(&Cluster) -> FaultPlan>,
-) -> (u64, mccs_core::health::SchedulerStats) {
-    let mut cluster = build_cluster(seed, DegradationPolicy::default(), tenants);
-    cluster.set_sim_shards(shards);
-    cluster.set_sim_workers(workers);
-    assert_eq!(cluster.sim_shards(), shards.max(1));
-    if let Some(make) = plan {
-        let plan = make(&cluster);
-        cluster.install_fault_plan(plan);
-    }
-    cluster.run_until_quiescent(Nanos::from_secs(120));
-    (cluster.observable_digest(), cluster.scheduler_stats())
-}
-
-#[test]
-fn sharded_vs_global_digests_match() {
-    // The ISSUE 10 gate: the per-rack sharded event loop is observably
-    // invisible. {global (1 shard), auto (racks+1), oversharded (16)} ×
-    // workers {1, 2, 8} must agree on digests AND efficiency counters, on
-    // a healthy run, an idle-heavy run, and a crash/recovery scenario.
-    let mut idle = two_tenants(Bytes::mib(8), 3);
-    idle[1].sleep_until = Some(Nanos::from_millis(40));
-    let crash_plan = |c: &Cluster| {
-        let host = c.world.topo.host_of_gpu(GpuId(6));
-        FaultPlan::new()
-            .degrade_group(Nanos::from_millis(4), &spine0_links(c), 500)
-            .at(Nanos::from_millis(6), FaultEvent::CrashHost(host))
-            .at(Nanos::from_millis(9), FaultEvent::RestartHost(host))
-            .drop_control(19)
-    };
-    type Scenario<'a> = (
-        &'a str,
-        u64,
-        Vec<Tenant>,
-        Option<&'a dyn Fn(&Cluster) -> FaultPlan>,
-    );
-    let scenarios: Vec<Scenario> = vec![
-        ("healthy", 7, two_tenants(Bytes::mib(16), 4), None),
-        ("idle_heavy", 42, idle, None),
-        (
-            "crash_churn",
-            21,
-            two_tenants(Bytes::mib(16), 4),
-            Some(&crash_plan),
-        ),
-    ];
-    for (what, seed, tenants, plan) in scenarios {
-        let (global, gstats) = run_sharded(1, 1, seed, &tenants, plan);
-        for shards in [3, 16] {
-            for workers in [1, 2, 8] {
-                let (digest, stats) = run_sharded(shards, workers, seed, &tenants, plan);
-                assert_eq!(
-                    global, digest,
-                    "{what}: digest moved at shards={shards} workers={workers} (seed {seed})"
-                );
-                assert_eq!(
-                    (gstats.polls, gstats.wasted_polls, gstats.wakes),
-                    (stats.polls, stats.wasted_polls, stats.wakes),
-                    "{what}: efficiency counters moved at shards={shards} workers={workers}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn per_shard_tallies_sum_to_the_totals() {
-    // The satellite counter contract: per-shard poll tallies, merged in
-    // ascending shard order, reproduce the scheduler totals exactly —
-    // and with the auto shard count, rack-resident engines actually land
-    // on rack shards (shard 0 is not the whole story).
-    let tenants = two_tenants(Bytes::mib(8), 2);
-    let mut cluster = build_cluster(7, DegradationPolicy::default(), &tenants);
-    cluster.set_sim_shards(0); // auto: racks + 1 = 3 on the testbed
-    assert_eq!(cluster.sim_shards(), 3);
-    cluster.run_until_quiescent(Nanos::from_secs(120));
-    let stats = cluster.scheduler_stats();
-    let shards = cluster.per_shard_polls();
-    assert_eq!(shards.len(), 3);
-    let polls: u64 = shards.iter().map(|(p, _)| p).sum();
-    let wasted: u64 = shards.iter().map(|(_, w)| w).sum();
-    assert_eq!((polls, wasted), (stats.polls, stats.wasted_polls));
-    assert!(
-        shards[1].0 > 0 && shards[2].0 > 0,
-        "rack shards must carry polls, not just the shared shard: {shards:?}"
-    );
-}
-
-#[test]
-fn cross_shard_wake_deadline_is_not_masked_at_cluster_level() {
-    // Regression: a wake scheduled on one rack's event shard must be seen
-    // by `World::next_time`'s k-way min even when every other shard is
-    // quiet — a shard-local next_time would mask it and the cluster would
-    // report quiescence with a live deadline pending.
-    let tenants = two_tenants(Bytes::mib(4), 1);
-    let mut cluster = build_cluster(11, DegradationPolicy::default(), &tenants);
-    cluster.run_until_quiescent(Nanos::from_secs(120));
-    assert_eq!(cluster.world.next_time(), None, "quiesced");
-    let shards = cluster.world.event_shards();
-    assert!(shards >= 3, "testbed resolves to racks + 1 shards");
-    let t = cluster.now() + Nanos::from_micros(10);
-    cluster.world.schedule_wake_on(shards - 1, t);
-    assert_eq!(
-        cluster.world.next_time(),
-        Some(t),
-        "a lone wake on the last shard must surface through next_time"
-    );
-    cluster.run_until_quiescent(Nanos::from_secs(120));
-    assert!(
-        cluster.now() >= t,
-        "the clock must advance through the wake"
-    );
-}
-
 #[test]
 fn wake_scheduler_wastes_fewer_polls() {
     // Not a digest property, but the reason the scheduler exists: on an
@@ -615,42 +392,5 @@ proptest! {
         let (wake, _) = run_one(false, seed, DegradationPolicy::default(), &tenants, plan_ref);
         let (naive, _) = run_one(true, seed, DegradationPolicy::default(), &tenants, plan_ref);
         prop_assert_eq!(wake, naive, "random workload diverged (seed {})", seed);
-    }
-
-    /// Random workloads produce byte-identical digests across shard
-    /// counts {1, 4, 16} × worker counts {1, 8} — the full sharded ×
-    /// concurrent grid against the single-queue sequential baseline.
-    #[test]
-    fn random_workloads_digest_equal_across_shard_grid(
-        seed in 0u64..1_000_000,
-        ta in (1u64..16, 1usize..4),
-        tb in (1u64..16, 1usize..4),
-        sleep_ms in proptest::option::of(1u64..60),
-        fault_ms in proptest::option::of(2u64..30),
-    ) {
-        let (mib_a, iters_a) = ta;
-        let (mib_b, iters_b) = tb;
-        let mut tenants = two_tenants(Bytes::mib(mib_a), iters_a);
-        tenants[1].size = Bytes::mib(mib_b);
-        tenants[1].iters = iters_b;
-        tenants[1].sleep_until = sleep_ms.map(Nanos::from_millis);
-        let plan = fault_ms.map(|ms| {
-            move |c: &Cluster| {
-                FaultPlan::new().at(Nanos::from_millis(ms), FaultEvent::LinkDown(spine0_links(c)[0]))
-            }
-        });
-        let plan_ref: Option<&dyn Fn(&Cluster) -> FaultPlan> =
-            plan.as_ref().map(|p| p as &dyn Fn(&Cluster) -> FaultPlan);
-        let (base, _) = run_sharded(1, 1, seed, &tenants, plan_ref);
-        for shards in [4usize, 16] {
-            for workers in [1usize, 8] {
-                let (digest, _) = run_sharded(shards, workers, seed, &tenants, plan_ref);
-                prop_assert_eq!(
-                    base, digest,
-                    "random workload diverged at shards={} workers={} (seed {})",
-                    shards, workers, seed
-                );
-            }
-        }
     }
 }

@@ -61,17 +61,6 @@ impl<T> LatencyQueue<T> {
             .and_then(|(t, item)| (*t <= now).then_some(item))
     }
 
-    /// Iterate the prefix of items visible at `now`, oldest first,
-    /// without consuming them. Read-only — safe for the wave scheduler's
-    /// concurrent plan phase, where an engine pre-decodes what its next
-    /// `pop` loop will drain from a frozen world view.
-    pub fn visible(&self, now: Nanos) -> impl Iterator<Item = &T> {
-        self.items
-            .iter()
-            .take_while(move |&&(t, _)| t <= now)
-            .map(|(_, item)| item)
-    }
-
     /// When the next item becomes visible (`None` when empty). Drives the
     /// simulation's wake-up scheduling.
     pub fn next_visible(&self) -> Option<Nanos> {

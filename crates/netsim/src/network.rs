@@ -30,8 +30,9 @@ use crate::flow::{FlowCompletion, FlowId, FlowSpec, RouteChoice};
 use crate::maxmin::{
     allocate_with_priority, allocate_with_priority_into, FlowDemand, SolverScratch,
 };
-use mccs_sim::{Bandwidth, Bytes, Nanos, Workers};
+use mccs_sim::{Bandwidth, Bytes, Nanos};
 use mccs_topology::{LinkId, Route, RouteId, Topology};
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -154,12 +155,10 @@ pub struct Network {
     /// completion index of the incremental path. Entries are invalidated
     /// lazily: a pushed entry goes stale when its flow leaves or its
     /// prediction is superseded (generation mismatch), and stale heads
-    /// are popped on the next peek. A `Mutex` (never contended — the
-    /// simulator is single-writer) because
+    /// are popped on the next peek. `RefCell` because
     /// [`next_completion_time`](Network::next_completion_time) is a
-    /// `&self` query that must be able to discard stale heads, and the
-    /// network must stay `Sync` for the concurrent engine plan phase.
-    completions: std::sync::Mutex<BinaryHeap<Reverse<(Nanos, FlowId, u64)>>>,
+    /// `&self` query that must be able to discard stale heads.
+    completions: RefCell<BinaryHeap<Reverse<(Nanos, FlowId, u64)>>>,
     /// Per-link fault state. `None` (the default) means the whole fabric
     /// is healthy and no fault bookkeeping runs at all — the zero-overhead
     /// guarantee for fault-free simulations.
@@ -171,10 +170,6 @@ pub struct Network {
     gather: Gather,
     /// Reusable buffer of [`Self::reap`].
     due: Vec<FlowId>,
-    /// Worker pool for multi-component solves: disjoint components are
-    /// independent pure allocation problems, solved concurrently and
-    /// merged in component order (bit-identical at any worker count).
-    workers: Workers,
 }
 
 /// Scratch state for the incremental solve path: the demand/cap/rate
@@ -417,26 +412,12 @@ impl Network {
             incremental: std::env::var_os("MCCS_NETSIM_ORACLE").is_none(),
             racks,
             hierarchical: std::env::var_os("MCCS_NETSIM_GLOBAL_SOLVE").is_none(),
-            completions: std::sync::Mutex::new(BinaryHeap::new()),
+            completions: RefCell::new(BinaryHeap::new()),
             link_faults: None,
             solver: NetSolver::default(),
             gather: Gather::default(),
             due: Vec::new(),
-            workers: Workers::new(mccs_sim::par::workers_from_env()),
         }
-    }
-
-    /// Set the worker count for multi-component rate solves. Disjoint
-    /// connected components are independent pure allocation problems, so
-    /// solving them on a pool is bit-identical to solving them in order —
-    /// `1` (the default) keeps everything on the calling thread.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = Workers::new(workers);
-    }
-
-    /// The configured solve worker count.
-    pub fn workers(&self) -> usize {
-        self.workers.count()
     }
 
     /// Override the cross-tenant sharing penalty (0.0 = fluid).
@@ -461,7 +442,7 @@ impl Network {
         if enabled && !self.incremental {
             // Rebuild the completion index from the current predictions
             // (no entries were pushed while the oracle path ran).
-            let heap = self.completions.get_mut().expect("completion heap lock");
+            let heap = self.completions.get_mut();
             heap.clear();
             self.flows.for_each_ordered(|id, f| {
                 if let (true, Some(t)) = (f.active(), f.predicted) {
@@ -833,7 +814,7 @@ impl Network {
             });
             return min;
         }
-        let mut heap = self.completions.lock().expect("completion heap lock");
+        let mut heap = self.completions.borrow_mut();
         while let Some(&Reverse((t, id, gen))) = heap.peek() {
             if self
                 .flows
@@ -932,7 +913,7 @@ impl Network {
             // are discarded for free on the way. Cost is O(due · log F),
             // not O(F).
             let flows = &self.flows;
-            let heap = self.completions.get_mut().expect("completion heap lock");
+            let heap = self.completions.get_mut();
             while let Some(&Reverse((t, id, gen))) = heap.peek() {
                 if t > clock {
                     break;
@@ -1119,8 +1100,11 @@ impl Network {
                 self.affected_components();
             }
             if self.gather.len > 0 {
+                // Each affected group is its own max-min problem.
                 let groups = std::mem::take(&mut self.gather.groups);
-                self.solve_components(&groups[..self.gather.len]);
+                for ids in &groups[..self.gather.len] {
+                    self.solve_for(ids);
+                }
                 self.gather.groups = groups;
             }
         } else {
@@ -1133,48 +1117,6 @@ impl Network {
             });
             self.solve_for(&all);
         }
-    }
-
-    /// Solve each affected group as its own max-min problem. With one
-    /// group or one worker, groups go through the sequential path one by
-    /// one. Otherwise the per-group problems are *filled* sequentially in
-    /// group order, solved concurrently on the worker pool —
-    /// [`allocate_with_priority_into`] is a pure function of the demands
-    /// and caps; scratch-independence is pinned by the
-    /// `scratch_reuse_matches_oracle` proptest — and the rates applied in
-    /// group order. Decomposition, fill order and apply order are
-    /// identical at every worker count, so rates (and therefore digests)
-    /// are bit-identical by construction; the pool only changes
-    /// wall-clock.
-    fn solve_components(&mut self, comps: &[Vec<FlowId>]) {
-        if comps.len() <= 1 || self.workers.count() == 1 || !self.incremental {
-            for ids in comps {
-                self.solve_for(ids);
-            }
-            return;
-        }
-        let mut s = std::mem::take(&mut self.solver);
-        let mut problems: Vec<(Vec<FlowDemand>, Vec<Bandwidth>)> = Vec::with_capacity(comps.len());
-        for ids in comps {
-            self.fill_problem(ids, &mut s);
-            problems.push((s.demands.clone(), s.caps.clone()));
-        }
-        let solved: Vec<Vec<Bandwidth>> = self.workers.run(problems.len(), |i| {
-            let (demands, caps) = &problems[i];
-            let mut scratch = SolverScratch::default();
-            let mut rates = Vec::with_capacity(demands.len());
-            allocate_with_priority_into(demands, caps, &mut scratch, &mut rates);
-            rates
-        });
-        // Groups are disjoint and closed, so applying rates after all
-        // fills is indistinguishable from the interleaved sequential
-        // fill/solve/apply: a fill never reads another group's flows.
-        for (ids, rates) in comps.iter().zip(&solved) {
-            for (&id, &rate) in ids.iter().zip(rates.iter()) {
-                self.set_rate_and_predict(id, rate);
-            }
-        }
-        self.solver = s;
     }
 
     /// Max-min solve restricted to `ids` (which must be a union of
@@ -1223,10 +1165,7 @@ impl Network {
         let gen = f.gen;
         if indexed {
             if let Some(t) = p {
-                self.completions
-                    .get_mut()
-                    .expect("completion heap lock")
-                    .push(Reverse((t, id, gen)));
+                self.completions.get_mut().push(Reverse((t, id, gen)));
             }
         }
     }
@@ -1876,19 +1815,16 @@ mod tests {
         assert_eq!(done[0].finished_at, Nanos::ZERO);
     }
 
-    /// The worker pool only changes wall-clock: rates and completion
-    /// instants are bit-identical at every worker count, in both the
-    /// per-link-BFS and rack-partitioned decompositions. Exercises
-    /// multi-component churn (disjoint rack-local flows plus cross-rack
-    /// couplers starting, finishing and dying) so waves genuinely carry
-    /// more than one component to the pool.
+    /// The decomposition only changes how much is re-solved: rates and
+    /// completion instants are bit-identical between the per-link-BFS and
+    /// rack-partitioned gathers. Exercises multi-component churn (disjoint
+    /// rack-local flows plus cross-rack couplers starting, finishing and
+    /// dying) so one event genuinely re-solves more than one component.
     #[test]
-    fn worker_count_is_invisible_in_rates() {
-        let drive = |workers: usize, hierarchical: bool| -> Vec<(u64, u64)> {
+    fn hierarchical_gather_is_invisible_in_rates() {
+        let drive = |hierarchical: bool| -> Vec<(u64, u64)> {
             let mut net = testbed_net();
             net.set_hierarchical(hierarchical);
-            net.set_workers(workers);
-            assert_eq!(net.workers(), workers.max(1));
             let mut log: Vec<(u64, u64)> = Vec::new();
             let mut now = Nanos::ZERO;
             let mut live: Vec<FlowId> = Vec::new();
@@ -1917,17 +1853,9 @@ mod tests {
             }
             log
         };
-        for hierarchical in [false, true] {
-            let seq = drive(1, hierarchical);
-            assert!(!seq.is_empty());
-            for n in [2, 8] {
-                assert_eq!(
-                    seq,
-                    drive(n, hierarchical),
-                    "workers={n} hierarchical={hierarchical}"
-                );
-            }
-        }
+        let global = drive(false);
+        assert!(!global.is_empty());
+        assert_eq!(global, drive(true));
     }
 
     mod proptests {

@@ -107,107 +107,31 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// An [`EventQueue`] split into per-rack shards.
-///
-/// Each shard is its own `(time, seq)` min-queue; `next_time` is a k-way
-/// min over the shard heads and `pop_due` drains the shards in ascending
-/// shard order at each due instant. Determinism: embedders that need a
-/// total order across shards must not depend on cross-shard FIFO — within
-/// the simulator the event payload is a bare wake tick, so the pop order
-/// between same-instant events on different shards is unobservable, and
-/// within one shard the FIFO tie-break is exactly the single-queue one.
-/// With one shard this *is* the single-queue oracle, field for field.
-pub struct ShardedEventQueue<E> {
-    shards: Vec<EventQueue<E>>,
-}
-
-impl<E> Default for ShardedEventQueue<E> {
-    fn default() -> Self {
-        Self::new(1)
-    }
-}
+/// An [`EventQueue`] behind the shard-taking signatures `mccsbench`
+/// (frozen under `mccsbench/`, its only caller) still uses: the shard
+/// argument is ignored, so its `sim.eventq_ns_per_event` probe measures
+/// the queue the world actually runs on.
+pub struct ShardedEventQueue<E>(EventQueue<E>);
 
 impl<E> ShardedEventQueue<E> {
-    /// A queue with `n` shards (clamped to at least 1).
-    pub fn new(n: usize) -> Self {
-        ShardedEventQueue {
-            shards: (0..n.max(1)).map(|_| EventQueue::new()).collect(),
-        }
+    /// An empty queue (`n` is ignored).
+    pub fn new(_n: usize) -> Self {
+        ShardedEventQueue(EventQueue::new())
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
+    /// [`EventQueue::schedule`] (`shard` is ignored).
+    pub fn schedule_on(&mut self, _shard: usize, at: Nanos, payload: E) {
+        self.0.schedule(at, payload);
     }
 
-    /// Re-shard to `n` queues: pending events are drained in global
-    /// `(time, seq-per-shard)` order and re-scheduled round-robin-free —
-    /// everything lands on shard 0 and the embedder re-routes future
-    /// events by its own attribution. (Pending events keep their firing
-    /// times, so observable behaviour is unchanged.)
-    pub fn set_shards(&mut self, n: usize) {
-        let n = n.max(1);
-        if n == self.shards.len() {
-            return;
-        }
-        let mut pending: Vec<(Nanos, E)> = Vec::new();
-        for shard in &mut self.shards {
-            while let Some(e) = shard.pop() {
-                pending.push(e);
-            }
-        }
-        pending.sort_by_key(|(t, _)| *t);
-        self.shards = (0..n).map(|_| EventQueue::new()).collect();
-        for (t, payload) in pending {
-            self.shards[0].schedule(t, payload);
-        }
-    }
-
-    /// Schedule `payload` at `at` on `shard` (out-of-range shards clamp
-    /// to 0, the shared/global bucket).
-    pub fn schedule_on(&mut self, shard: usize, at: Nanos, payload: E) {
-        let shard = if shard < self.shards.len() { shard } else { 0 };
-        self.shards[shard].schedule(at, payload);
-    }
-
-    /// Earliest firing time across every shard head — the k-way min that
-    /// replaces the global heap peek.
+    /// [`EventQueue::next_time`].
     pub fn next_time(&self) -> Option<Nanos> {
-        self.shards.iter().filter_map(EventQueue::next_time).min()
+        self.0.next_time()
     }
 
-    /// Pop one due event, scanning shards in ascending order. Returns
-    /// the globally earliest due event's time (ties resolved to the
-    /// lowest shard — deterministic, and unobservable when payloads are
-    /// bare wake ticks).
+    /// [`EventQueue::pop_due`].
     pub fn pop_due(&mut self, now: Nanos) -> Option<(Nanos, E)> {
-        let best = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, q)| q.next_time().map(|t| (t, i)))
-            .min()?;
-        if best.0 > now {
-            return None;
-        }
-        self.shards[best.1].pop_due(now)
-    }
-
-    /// Total pending events across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(EventQueue::len).sum()
-    }
-
-    /// Whether no events are pending on any shard.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(EventQueue::is_empty)
-    }
-
-    /// Drop every pending event on every shard.
-    pub fn clear(&mut self) {
-        for shard in &mut self.shards {
-            shard.clear();
-        }
+        self.0.pop_due(now)
     }
 }
 
@@ -258,59 +182,5 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.clear();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn sharded_next_time_is_kway_min() {
-        let mut q: ShardedEventQueue<()> = ShardedEventQueue::new(4);
-        assert_eq!(q.next_time(), None);
-        q.schedule_on(2, Nanos(30), ());
-        q.schedule_on(0, Nanos(50), ());
-        assert_eq!(q.next_time(), Some(Nanos(30)), "min over shard heads");
-        q.schedule_on(3, Nanos(10), ());
-        assert_eq!(q.next_time(), Some(Nanos(10)));
-        assert_eq!(q.len(), 3);
-    }
-
-    #[test]
-    fn sharded_pop_due_drains_globally_earliest_first() {
-        let mut q: ShardedEventQueue<u32> = ShardedEventQueue::new(3);
-        q.schedule_on(1, Nanos(20), 1);
-        q.schedule_on(2, Nanos(10), 2);
-        q.schedule_on(0, Nanos(30), 0);
-        assert_eq!(q.pop_due(Nanos(5)), None, "nothing due yet");
-        assert_eq!(q.pop_due(Nanos(100)), Some((Nanos(10), 2)));
-        assert_eq!(q.pop_due(Nanos(100)), Some((Nanos(20), 1)));
-        assert_eq!(q.pop_due(Nanos(100)), Some((Nanos(30), 0)));
-        assert_eq!(q.pop_due(Nanos(100)), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn sharded_same_instant_ties_resolve_to_lowest_shard() {
-        let mut q: ShardedEventQueue<u32> = ShardedEventQueue::new(3);
-        q.schedule_on(2, Nanos(10), 2);
-        q.schedule_on(1, Nanos(10), 1);
-        assert_eq!(q.pop_due(Nanos(10)), Some((Nanos(10), 1)));
-        assert_eq!(q.pop_due(Nanos(10)), Some((Nanos(10), 2)));
-    }
-
-    #[test]
-    fn sharded_out_of_range_shard_clamps_to_global() {
-        let mut q: ShardedEventQueue<()> = ShardedEventQueue::new(2);
-        q.schedule_on(99, Nanos(5), ());
-        assert_eq!(q.next_time(), Some(Nanos(5)));
-        assert_eq!(q.pop_due(Nanos(5)), Some((Nanos(5), ())));
-    }
-
-    #[test]
-    fn reshard_keeps_pending_events() {
-        let mut q: ShardedEventQueue<u32> = ShardedEventQueue::new(1);
-        q.schedule_on(0, Nanos(20), 2);
-        q.schedule_on(0, Nanos(10), 1);
-        q.set_shards(4);
-        assert_eq!(q.len(), 2, "pending events survive the reshard");
-        assert_eq!(q.pop_due(Nanos(100)), Some((Nanos(10), 1)));
-        assert_eq!(q.pop_due(Nanos(100)), Some((Nanos(20), 2)));
     }
 }

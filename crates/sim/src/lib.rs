@@ -26,19 +26,11 @@
 //! * [`waker`] — [`Wake`] conditions, [`ResourceId`]s and the
 //!   [`WakeSource`] contract contexts implement so parked engines can be
 //!   woken by exactly the events they wait on.
-//! * [`conflict`] — conflict-set construction over declared engine
-//!   [`Footprint`]s: rounds partition into waves of disjoint groups the
-//!   parallel scheduler may run concurrently.
-//! * [`par`] — the deterministic [`Workers`] pool (index-ordered batch
-//!   merge) and the [`par::ParSet`] wave executor for engines that
-//!   buffer their effects.
 //! * [`timeline`] — time-series recording for the timeline figures (7, 10).
 //! * [`stats`] — means, percentiles and confidence intervals for reporting.
 
-pub mod conflict;
 pub mod engine;
 pub mod event;
-pub mod par;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -46,10 +38,8 @@ pub mod timeline;
 pub mod units;
 pub mod waker;
 
-pub use conflict::{partition, Footprint, Wave};
-pub use engine::{Engine, EngineId, EnginePlan, Poll, RuntimePool};
+pub use engine::{Engine, EngineId, Poll, RuntimePool};
 pub use event::{EventQueue, ShardedEventQueue};
-pub use par::Workers;
 pub use rng::Rng;
 pub use stats::Summary;
 pub use time::Nanos;

@@ -240,10 +240,8 @@ fn bench_flow_churn(c: &mut Criterion) {
     // cancelled against a standing population of N concurrent flows.
     // The population models the paper's steady state — many jobs' ring
     // flows under compact placement, so each flow is rack-local and the
-    // flow×link graph decomposes into rack-sized connected components.
-    // The incremental allocator re-solves only the component the change
-    // touches; the from-scratch oracle re-solves all N flows on every
-    // membership event.
+    // flow×link graph decomposes into rack-sized connected components,
+    // of which a membership event re-solves only the one it touches.
     let cfg = SpineLeafConfig::paper_large_scale();
     let topo = Arc::new(presets::spine_leaf(&cfg));
     let racks = cfg.leaves as u64;
@@ -270,44 +268,26 @@ fn bench_flow_churn(c: &mut Criterion) {
         }
     };
     for &n in &[10usize, 100, 1000] {
-        for &(label, incremental) in &[("incremental", true), ("from-scratch", false)] {
-            let mut rng = Rng::seed_from(0xC0FFEE ^ n as u64);
-            let mut net = Network::new(Arc::clone(&topo));
-            net.set_incremental(incremental);
-            for _ in 0..n {
-                net.start_flow(Nanos::ZERO, random_spec(&mut rng));
-            }
-            c.bench_function(&format!("churn/{n}flows/{label}"), |b| {
-                b.iter(|| {
-                    let id = net.start_flow(Nanos::ZERO, random_spec(&mut rng));
-                    net.cancel_flow(Nanos::ZERO, id);
-                })
-            });
+        let mut rng = Rng::seed_from(0xC0FFEE ^ n as u64);
+        let mut net = Network::new(Arc::clone(&topo));
+        for _ in 0..n {
+            net.start_flow(Nanos::ZERO, random_spec(&mut rng));
         }
-    }
-    for &n in &[10usize, 100, 1000] {
-        let median = |label: &str| {
-            c.results()
-                .iter()
-                .find(|r| r.name == format!("churn/{n}flows/{label}"))
-                .expect("benched above")
-                .median_ns
-        };
-        println!(
-            "churn/{n}flows incremental speedup: {:.1}x",
-            median("from-scratch") / median("incremental")
-        );
+        c.bench_function(&format!("churn/{n}flows"), |b| {
+            b.iter(|| {
+                let id = net.start_flow(Nanos::ZERO, random_spec(&mut rng));
+                net.cancel_flow(Nanos::ZERO, id);
+            })
+        });
     }
 }
 
 fn bench_churn_steady_state(c: &mut Criterion) {
     // The steady-state re-solve: one flow joins and leaves a standing
     // population (iterating collectives, TS pause/resume cycles). The
-    // incremental path gathers the touched component, builds its
-    // problem and water-fills it in reused buffers, so what is left to
-    // allocate per cycle is the flow itself (its route, its index
-    // entries). The from-scratch oracle rebuilds its flow x link
-    // problem over every flow on every membership event.
+    // re-solve gathers the touched component, builds its problem and
+    // water-fills it in reused buffers, so what is left to allocate per
+    // cycle is the flow itself (its route, its index entries).
     let cfg = SpineLeafConfig::paper_large_scale();
     let topo = Arc::new(presets::spine_leaf(&cfg));
     let racks = cfg.leaves as u64;
@@ -345,48 +325,33 @@ fn bench_churn_steady_state(c: &mut Criterion) {
         tenant: 0,
     };
     let n = 1000usize;
-    let mut allocs = Vec::new();
-    for &(label, incremental) in &[("incremental", true), ("from-scratch", false)] {
-        let mut rng = Rng::seed_from(0xBEEF ^ n as u64);
-        let mut net = Network::new(Arc::clone(&topo));
-        net.set_incremental(incremental);
-        for _ in 0..n {
-            net.start_flow(Nanos::ZERO, population_spec(&mut rng));
-        }
-        // Grow the reused buffers to both problem sizes (with and
-        // without the recurring flow).
-        for _ in 0..2 {
+    let mut rng = Rng::seed_from(0xBEEF ^ n as u64);
+    let mut net = Network::new(Arc::clone(&topo));
+    for _ in 0..n {
+        net.start_flow(Nanos::ZERO, population_spec(&mut rng));
+    }
+    // Grow the reused buffers to both problem sizes (with and
+    // without the recurring flow).
+    for _ in 0..2 {
+        let id = net.start_flow(Nanos::ZERO, recurring);
+        net.cancel_flow(Nanos::ZERO, id);
+    }
+    c.bench_function(&format!("churn-hot/{n}flows"), |b| {
+        b.iter(|| {
+            let id = net.start_flow(Nanos::ZERO, recurring);
+            net.cancel_flow(Nanos::ZERO, id);
+        })
+    });
+    let cycles = 100u64;
+    let count = allocations(|| {
+        for _ in 0..cycles {
             let id = net.start_flow(Nanos::ZERO, recurring);
             net.cancel_flow(Nanos::ZERO, id);
         }
-        c.bench_function(&format!("churn-hot/{n}flows/{label}"), |b| {
-            b.iter(|| {
-                let id = net.start_flow(Nanos::ZERO, recurring);
-                net.cancel_flow(Nanos::ZERO, id);
-            })
-        });
-        let cycles = 100u64;
-        let count = allocations(|| {
-            for _ in 0..cycles {
-                let id = net.start_flow(Nanos::ZERO, recurring);
-                net.cancel_flow(Nanos::ZERO, id);
-            }
-        });
-        allocs.push((label, count as f64 / cycles as f64));
-    }
-    for (label, per_cycle) in &allocs {
-        println!("churn-hot/{n}flows/{label}: {per_cycle:.1} allocations/cycle");
-    }
-    let median = |label: &str| {
-        c.results()
-            .iter()
-            .find(|r| r.name == format!("churn-hot/{n}flows/{label}"))
-            .expect("benched above")
-            .median_ns
-    };
+    });
     println!(
-        "churn-hot/{n}flows incremental speedup: {:.1}x",
-        median("from-scratch") / median("incremental")
+        "churn-hot/{n}flows: {:.1} allocations/cycle",
+        count as f64 / cycles as f64
     );
 }
 
@@ -428,15 +393,12 @@ fn bench_schedule_cache(c: &mut Criterion) {
 
 fn bench_completion_index(c: &mut Criterion) {
     // Draining a large bounded-flow population: the indexed completion
-    // heap finds the next finisher in O(log F) amortized; the oracle
-    // rescans every stored prediction per step, so a full drain is
-    // O(F^2) in the scan alone.
+    // heap finds the next finisher in O(log F) amortized.
     let topo = Arc::new(presets::spine_leaf(&SpineLeafConfig::paper_large_scale()));
     let n = 1000usize;
-    let build = |incremental: bool| {
+    let build = || {
         let mut rng = Rng::seed_from(0xD1A1 ^ n as u64);
         let mut net = Network::new(Arc::clone(&topo));
-        net.set_incremental(incremental);
         for i in 0..n {
             // Rack-local bounded flows with staggered sizes so the drain
             // produces ~n distinct completion instants.
@@ -458,29 +420,16 @@ fn bench_completion_index(c: &mut Criterion) {
         }
         net
     };
-    for &(label, incremental) in &[("indexed", true), ("oracle", false)] {
-        c.bench_function(&format!("completions/{n}flows-drain/{label}"), |b| {
-            b.iter_batched(
-                || build(incremental),
-                |mut net| {
-                    let done = net.advance_to(Nanos::from_secs(600));
-                    assert_eq!(done.len(), n);
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
-    let median = |label: &str| {
-        c.results()
-            .iter()
-            .find(|r| r.name == format!("completions/{n}flows-drain/{label}"))
-            .expect("benched above")
-            .median_ns
-    };
-    println!(
-        "completions/{n}flows indexed speedup: {:.1}x",
-        median("oracle") / median("indexed")
-    );
+    c.bench_function(&format!("completions/{n}flows-drain"), |b| {
+        b.iter_batched(
+            build,
+            |mut net| {
+                let done = net.advance_to(Nanos::from_secs(600));
+                assert_eq!(done.len(), n);
+            },
+            BatchSize::LargeInput,
+        )
+    });
 }
 
 fn bench_scheduler_event_loop(c: &mut Criterion) {

@@ -315,8 +315,7 @@ impl Cluster {
     }
 
     /// Toggle the pool between the wake-driven scheduler and the naive
-    /// round-robin oracle (equivalence tests; mirrors
-    /// `Network::set_incremental`).
+    /// round-robin oracle (equivalence tests).
     pub fn set_naive_scheduler(&mut self, naive: bool) {
         self.pool.set_naive(naive);
     }
@@ -336,18 +335,6 @@ impl Cluster {
     /// is the only caller.
     pub fn sim_shards(&self) -> usize {
         1
-    }
-
-    /// Put the network simulator in (or out of) full-oracle mode: map-backed
-    /// flow storage, no rack-partitioned solving, from-scratch rate
-    /// recomputation. One switch for differential runs — every fast path
-    /// the netsim grew (arenas, hierarchical solve, dirty-link
-    /// incrementality) is disabled together so a digest mismatch can be
-    /// attributed to *some* fast path before bisecting further.
-    pub fn set_netsim_oracle(&mut self, oracle: bool) {
-        self.world.net.set_map_storage(oracle);
-        self.world.net.set_hierarchical(!oracle);
-        self.world.net.set_incremental(!oracle);
     }
 
     /// Scheduler efficiency counters (polls, wasted polls, wakes),

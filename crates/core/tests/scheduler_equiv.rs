@@ -254,62 +254,6 @@ fn fault_battery_digests_match() {
     );
 }
 
-/// Run one scenario with the netsim either on its fast paths (arena
-/// storage, rack-hierarchical solve, incremental recompute — the default)
-/// or in full-oracle mode, and return the observable digest.
-fn run_netsim_mode(
-    oracle: bool,
-    seed: u64,
-    tenants: &[Tenant],
-    plan: Option<&dyn Fn(&Cluster) -> FaultPlan>,
-) -> u64 {
-    let mut cluster = build_cluster(seed, DegradationPolicy::default(), tenants);
-    cluster.set_netsim_oracle(oracle);
-    if let Some(make) = plan {
-        let plan = make(&cluster);
-        cluster.install_fault_plan(plan);
-    }
-    cluster.run_until_quiescent(Nanos::from_secs(120));
-    cluster.observable_digest()
-}
-
-#[test]
-fn netsim_fast_paths_digest_match_oracle() {
-    // Arena-indexed storage + hierarchical max-min vs map-backed storage
-    // + from-scratch global solve: byte-identical digests on a healthy
-    // workload, an idle-heavy one, and a crash/restart plan that recycles
-    // arena slots mid-run.
-    let healthy = two_tenants(Bytes::mib(16), 4);
-    assert_eq!(
-        run_netsim_mode(false, 7, &healthy, None),
-        run_netsim_mode(true, 7, &healthy, None),
-        "healthy: netsim fast paths diverged from the full oracle"
-    );
-    let mut idle = two_tenants(Bytes::mib(8), 3);
-    idle[1].sleep_until = Some(Nanos::from_millis(40));
-    assert_eq!(
-        run_netsim_mode(false, 42, &idle, None),
-        run_netsim_mode(true, 42, &idle, None),
-        "idle_heavy: netsim fast paths diverged from the full oracle"
-    );
-    let churn = two_tenants(Bytes::mib(16), 4);
-    let crash_plan = |c: &Cluster| {
-        let host = c.world.topo.host_of_gpu(GpuId(6));
-        FaultPlan::new()
-            .at(Nanos::from_millis(5), FaultEvent::CrashHost(host))
-            .at(Nanos::from_millis(9), FaultEvent::RestartHost(host))
-            .at(
-                Nanos::from_millis(12),
-                FaultEvent::LinkDown(spine0_links(c)[0]),
-            )
-    };
-    assert_eq!(
-        run_netsim_mode(false, 51, &churn, Some(&crash_plan)),
-        run_netsim_mode(true, 51, &churn, Some(&crash_plan)),
-        "crash_churn: netsim fast paths diverged from the full oracle"
-    );
-}
-
 #[test]
 fn doubled_run_digest_is_stable() {
     // Two runs in the same process: every `HashMap` in the stack gets a

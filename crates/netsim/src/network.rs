@@ -10,31 +10,30 @@
 //! Recomputation is **incremental**: a membership change re-solves only
 //! the flows that share a link — transitively — with the changed flow's
 //! links. Connected components of the flow×link graph are independent
-//! max-min problems, so disjoint flows keep their rates untouched. The
-//! from-scratch path ([`allocate_with_priority`] over every active flow)
-//! remains available via [`Network::set_incremental`] as the oracle.
+//! max-min problems, so the one rule is: *a flow is re-solved, accrued and
+//! re-predicted exactly when an event touches its own sharing component*.
+//! Disjoint flows keep their rates, their accrual anchors and their
+//! predictions untouched. The from-scratch solve
+//! ([`allocate_with_priority`](crate::maxmin::allocate_with_priority) over
+//! every active flow) lives in this module's tests as the reference the
+//! stored rates are checked against.
 //!
 //! Completion times are **indexed**: each rate assignment stores the
-//! flow's predicted finish instant and (in incremental mode) pushes it
-//! onto a lazily-invalidated min-heap, so
-//! [`next_completion_time`](Network::next_completion_time) is O(log F)
-//! amortized instead of a scan of every flow, and per-flow byte progress
-//! is accrued lazily — only when a flow's own rate changes or it is
-//! inspected — so advancing past K completions among F flows costs
-//! O((K + changed) · log F) rather than O(K·F). The oracle path scans
-//! the same stored predictions linearly, which keeps the two modes
-//! byte-identical by construction.
+//! flow's predicted finish instant and pushes it onto a lazily-invalidated
+//! min-heap, so [`next_completion_time`](Network::next_completion_time)
+//! is O(log F) amortized instead of a scan of every flow, and per-flow
+//! byte progress is accrued lazily — only when a flow's own rate is
+//! re-solved or it is inspected — so advancing past K completions among F
+//! flows costs O((K + changed) · log F) rather than O(K·F).
 
 use crate::arena::FlowStore;
 use crate::flow::{FlowCompletion, FlowId, FlowSpec, RouteChoice};
-use crate::maxmin::{
-    allocate_with_priority, allocate_with_priority_into, FlowDemand, SolverScratch,
-};
+use crate::maxmin::{allocate_with_priority_into, FlowDemand, SolverScratch};
 use mccs_sim::{Bandwidth, Bytes, Nanos};
 use mccs_topology::{LinkId, Route, RouteId, Topology};
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 #[derive(Clone, Debug)]
@@ -117,8 +116,7 @@ impl FlowState {
 /// The flow-level network simulator.
 pub struct Network {
     topo: Arc<Topology>,
-    /// Arena-indexed flow state (dense slots); the `BTreeMap` oracle
-    /// representation stays switchable for CI.
+    /// Arena-indexed flow state (dense slots).
     flows: FlowStore<FlowState>,
     next_id: u64,
     /// Time up to which every flow's progress has been accrued.
@@ -139,23 +137,11 @@ pub struct Network {
     /// rate solve, in marking order with repeats. The next solve covers
     /// exactly the connected components these links belong to.
     dirty_links: Vec<usize>,
-    /// When false, every solve is from scratch over all active flows (the
-    /// oracle path for tests and benchmarks).
-    incremental: bool,
-    /// Rack-partitioned solve index: per-link rack buckets, per-bucket
-    /// active flow lists, and the bucket coupling graph maintained by
-    /// multi-rack flows (see [`Self::affected_flows_rack`]).
-    racks: RackIndex,
-    /// When true (the default), incremental re-solves find their flow set
-    /// through the rack-bucket closure instead of the per-link BFS. The
-    /// global BFS stays available via [`Self::set_hierarchical`] as the
-    /// oracle CI compares against.
-    hierarchical: bool,
     /// Min-heap of `(predicted finish, flow, generation)` — the
-    /// completion index of the incremental path. Entries are invalidated
-    /// lazily: a pushed entry goes stale when its flow leaves or its
-    /// prediction is superseded (generation mismatch), and stale heads
-    /// are popped on the next peek. `RefCell` because
+    /// completion index. Entries are invalidated lazily: a pushed entry
+    /// goes stale when its flow leaves or its prediction is superseded
+    /// (generation mismatch), and stale heads are popped on the next
+    /// peek. `RefCell` because
     /// [`next_completion_time`](Network::next_completion_time) is a
     /// `&self` query that must be able to discard stale heads.
     completions: RefCell<BinaryHeap<Reverse<(Nanos, FlowId, u64)>>>,
@@ -163,8 +149,8 @@ pub struct Network {
     /// is healthy and no fault bookkeeping runs at all — the zero-overhead
     /// guarantee for fault-free simulations.
     link_faults: Option<LinkFaults>,
-    /// Reusable problem-build and solver buffers for the incremental
-    /// path. Taken out of `self` for the duration of a solve.
+    /// Reusable problem-build and solver buffers. Taken out of `self`
+    /// for the duration of a solve.
     solver: NetSolver,
     /// Reusable buffers of the component gather.
     gather: Gather,
@@ -172,11 +158,14 @@ pub struct Network {
     due: Vec<FlowId>,
 }
 
-/// Scratch state for the incremental solve path: the demand/cap/rate
-/// buffers, [`SolverScratch`] and the topology-link -> compact-link remap
-/// are reused across solves, so a steady-state solve allocates nothing.
+/// Scratch state of the solve: the demand/cap/rate buffers,
+/// [`SolverScratch`] and the topology-link -> compact-link remap are
+/// reused across solves, so a steady-state solve allocates nothing.
 #[derive(Default)]
 struct NetSolver {
+    /// `demands[..ids.len()]` is the problem being solved; the entries
+    /// beyond keep their link vectors for the next, larger component
+    /// (sizes vary event to event now that a group is one component).
     demands: Vec<FlowDemand>,
     caps: Vec<Bandwidth>,
     rates: Vec<Bandwidth>,
@@ -220,15 +209,15 @@ impl EpochSet {
     }
 }
 
-/// Buffers of the component gather ([`Network::affected_components`] and
-/// its rack variant), reused so a gather allocates nothing once warm.
+/// Buffers of the component gather ([`Network::affected_components`]),
+/// reused so a gather allocates nothing once warm.
 #[derive(Default)]
 struct Gather {
     /// `groups[..len]` are this solve's components, each in ascending id
     /// order; the vectors beyond keep their capacity for the next solve.
     groups: Vec<Vec<FlowId>>,
     len: usize,
-    /// Links (global BFS) or rack buckets (rack closure) already walked.
+    /// Links already walked.
     seen: EpochSet,
     frontier: Vec<u32>,
 }
@@ -257,118 +246,6 @@ impl Gather {
     }
 }
 
-/// The rack-partitioned solve index. Built once from the topology; the
-/// per-bucket membership mirrors `link_flows` exactly (active flows only).
-///
-/// Soundness: every link belongs to exactly one bucket and a flow is
-/// listed in every bucket its route touches, so two flows sharing a link
-/// share a bucket. The transitive closure over `adj` (edges contributed by
-/// multi-bucket flows) is therefore closed under the flow-coupling
-/// relation — a union of true flow×link connected components, which the
-/// water-filling solver treats identically to solving each component
-/// alone.
-struct RackIndex {
-    /// Link index -> bucket (`0` = shared/global, `r + 1` = rack `r`).
-    link_bucket: Vec<u32>,
-    /// Bucket -> active flows with at least one link in it, sorted by id.
-    flows: Vec<Vec<FlowId>>,
-    /// Bucket coupling graph: neighbor bucket -> number of flows joining
-    /// the pair. Edges disappear when their count drops to zero.
-    adj: Vec<BTreeMap<u32, u32>>,
-    /// Flows whose routes touch more distinct buckets than the inline
-    /// bound tracks (never happens on leaf-spine fabrics). They couple
-    /// everything: while any exist, bucket structure is ignored and the
-    /// closure is the full active set — conservative, still sound.
-    global: Vec<FlowId>,
-}
-
-/// Distinct buckets tracked per flow before falling back to the global
-/// list. Leaf-spine routes touch at most two racks (plus bucket 0).
-const MAX_FLOW_BUCKETS: usize = 8;
-
-impl RackIndex {
-    fn new(topo: &Topology) -> Self {
-        let link_bucket = topo.link_rack_buckets();
-        let buckets = link_bucket.iter().copied().max().unwrap_or(0) as usize + 1;
-        RackIndex {
-            link_bucket,
-            flows: vec![Vec::new(); buckets],
-            adj: vec![BTreeMap::new(); buckets],
-            global: Vec::new(),
-        }
-    }
-
-    /// The distinct buckets a route touches, in first-touch order.
-    /// `None` signals inline-bound overflow (handled via `global`).
-    fn route_buckets(&self, links: &[LinkId]) -> Option<([u32; MAX_FLOW_BUCKETS], usize)> {
-        let mut set = [0u32; MAX_FLOW_BUCKETS];
-        let mut n = 0usize;
-        for l in links {
-            let b = self.link_bucket[l.index()];
-            if !set[..n].contains(&b) {
-                if n == MAX_FLOW_BUCKETS {
-                    return None;
-                }
-                set[n] = b;
-                n += 1;
-            }
-        }
-        Some((set, n))
-    }
-
-    /// Register an active flow's coupling (mirror of `index_insert`).
-    fn couple(&mut self, id: FlowId, links: &[LinkId]) {
-        let Some((set, n)) = self.route_buckets(links) else {
-            let pos = self.global.binary_search(&id).unwrap_err();
-            self.global.insert(pos, id);
-            return;
-        };
-        for &b in &set[..n] {
-            let list = &mut self.flows[b as usize];
-            if let Err(pos) = list.binary_search(&id) {
-                list.insert(pos, id);
-            }
-        }
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let (a, b) = (set[i], set[j]);
-                *self.adj[a as usize].entry(b).or_insert(0) += 1;
-                *self.adj[b as usize].entry(a).or_insert(0) += 1;
-            }
-        }
-    }
-
-    /// Unregister an active flow's coupling (mirror of `index_remove`).
-    fn decouple(&mut self, id: FlowId, links: &[LinkId]) {
-        let Some((set, n)) = self.route_buckets(links) else {
-            if let Ok(pos) = self.global.binary_search(&id) {
-                self.global.remove(pos);
-            }
-            return;
-        };
-        for &b in &set[..n] {
-            let list = &mut self.flows[b as usize];
-            if let Ok(pos) = list.binary_search(&id) {
-                list.remove(pos);
-            }
-        }
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let (a, b) = (set[i], set[j]);
-                for (x, y) in [(a, b), (b, a)] {
-                    let m = &mut self.adj[x as usize];
-                    if let Some(c) = m.get_mut(&y) {
-                        *c -= 1;
-                        if *c == 0 {
-                            m.remove(&y);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Lazily-allocated per-link fault state (only once a fault is injected).
 #[derive(Clone, Debug)]
 struct LinkFaults {
@@ -380,28 +257,12 @@ struct LinkFaults {
 
 impl Network {
     /// A quiet network over `topo` at time zero.
-    ///
-    /// Incremental rate recomputation is on by default; setting the
-    /// `MCCS_NETSIM_ORACLE` environment variable flips the default to the
-    /// from-scratch oracle solver (CI's oracle-equivalence job runs whole
-    /// test suites that way without touching call sites). Explicit
-    /// [`set_incremental`](Network::set_incremental) calls still win.
-    /// Further oracle toggles: `MCCS_NETSIM_MAP_STORE` defaults flow
-    /// storage to the map-backed representation, `MCCS_NETSIM_GLOBAL_SOLVE`
-    /// defaults the incremental path to the global per-link BFS instead of
-    /// the rack-bucket closure.
     pub fn new(topo: Arc<Topology>) -> Self {
         let capacities = topo.links().iter().map(|l| l.bandwidth).collect();
-        let racks = RackIndex::new(&topo);
         let link_count = topo.links().len();
-        let flows = if std::env::var_os("MCCS_NETSIM_MAP_STORE").is_some() {
-            FlowStore::map_backed()
-        } else {
-            FlowStore::default()
-        };
         Network {
             topo,
-            flows,
+            flows: FlowStore::default(),
             next_id: 0,
             clock: Nanos::ZERO,
             capacities,
@@ -409,9 +270,6 @@ impl Network {
             link_flows: vec![Vec::new(); link_count],
             active_count: 0,
             dirty_links: Vec::new(),
-            incremental: std::env::var_os("MCCS_NETSIM_ORACLE").is_none(),
-            racks,
-            hierarchical: std::env::var_os("MCCS_NETSIM_GLOBAL_SOLVE").is_none(),
             completions: RefCell::new(BinaryHeap::new()),
             link_faults: None,
             solver: NetSolver::default(),
@@ -431,52 +289,6 @@ impl Network {
             }
         }
         self.recompute_rates();
-    }
-
-    /// Toggle incremental rate recomputation (on by default). With it off
-    /// every membership change re-solves the full active flow set and
-    /// completions come from a linear scan of the stored predictions —
-    /// the oracle the incremental path (and its completion heap) is
-    /// tested against.
-    pub fn set_incremental(&mut self, enabled: bool) {
-        if enabled && !self.incremental {
-            // Rebuild the completion index from the current predictions
-            // (no entries were pushed while the oracle path ran).
-            let heap = self.completions.get_mut();
-            heap.clear();
-            self.flows.for_each_ordered(|id, f| {
-                if let (true, Some(t)) = (f.active(), f.predicted) {
-                    heap.push(Reverse((t, id, f.gen)));
-                }
-            });
-        }
-        self.incremental = enabled;
-    }
-
-    /// Toggle the rack-partitioned incremental solve (on by default).
-    /// With it off, incremental re-solves fall back to the global
-    /// per-link BFS — the oracle the bucket closure is compared against.
-    /// The rack index is maintained either way, so this is free to flip
-    /// mid-run.
-    pub fn set_hierarchical(&mut self, enabled: bool) {
-        self.hierarchical = enabled;
-    }
-
-    /// Whether the rack-partitioned incremental solve is in use.
-    pub fn hierarchical(&self) -> bool {
-        self.hierarchical
-    }
-
-    /// Switch flow storage between the dense arena (default, `false`) and
-    /// the map-backed oracle representation (`true`). Every observable is
-    /// byte-identical between the two; CI flips this and checks digests.
-    pub fn set_map_storage(&mut self, map: bool) {
-        self.flows.set_map_backed(map);
-    }
-
-    /// Whether the map-backed oracle storage is in use.
-    pub fn map_storage(&self) -> bool {
-        self.flows.is_map_backed()
     }
 
     /// The topology this network runs on.
@@ -800,20 +612,9 @@ impl Network {
 
     /// When the earliest bounded flow will finish at current rates.
     ///
-    /// Incremental mode peeks the completion heap, discarding stale heads
-    /// (O(log F) amortized — each pushed entry is popped at most once).
-    /// Oracle mode scans the same stored predictions linearly, so the two
-    /// modes agree byte-for-byte.
+    /// Peeks the completion heap, discarding stale heads (O(log F)
+    /// amortized — each pushed entry is popped at most once).
     pub fn next_completion_time(&self) -> Option<Nanos> {
-        if !self.incremental {
-            let mut min: Option<Nanos> = None;
-            self.flows.for_each_ordered(|_, f| {
-                if let (true, Some(t)) = (f.active(), f.predicted) {
-                    min = Some(min.map_or(t, |m| m.min(t)));
-                }
-            });
-            return min;
-        }
         let mut heap = self.completions.borrow_mut();
         while let Some(&Reverse((t, id, gen))) = heap.peek() {
             if self
@@ -862,7 +663,7 @@ impl Network {
     }
 
     /// Aggregate allocated rate over a link right now. Summation order is
-    /// the canonical id order (identical across storage representations).
+    /// the canonical id order.
     pub fn link_load(&self, link: LinkId) -> Bandwidth {
         let mut total = 0.0f64;
         for &id in &self.link_flows[link.index()] {
@@ -908,30 +709,21 @@ impl Network {
         let clock = self.clock;
         let mut due = std::mem::take(&mut self.due);
         due.clear();
-        if self.incremental {
-            // Pop every heap entry due by now; generation-stale entries
-            // are discarded for free on the way. Cost is O(due · log F),
-            // not O(F).
-            let flows = &self.flows;
-            let heap = self.completions.get_mut();
-            while let Some(&Reverse((t, id, gen))) = heap.peek() {
-                if t > clock {
-                    break;
-                }
-                heap.pop();
-                if flows.get(id).is_some_and(|f| f.active() && f.gen == gen) {
-                    due.push(id);
-                }
+        // Pop every heap entry due by now; generation-stale entries are
+        // discarded for free on the way. Cost is O(due · log F), not O(F).
+        let flows = &self.flows;
+        let heap = self.completions.get_mut();
+        while let Some(&Reverse((t, id, gen))) = heap.peek() {
+            if t > clock {
+                break;
             }
-        } else {
-            self.flows.for_each_ordered(|id, f| {
-                if f.active() && f.predicted.is_some_and(|t| t <= clock) {
-                    due.push(id);
-                }
-            });
+            heap.pop();
+            if flows.get(id).is_some_and(|f| f.active() && f.gen == gen) {
+                due.push(id);
+            }
         }
-        // Heap order is (time, id); the oracle scans in id order. Completions
-        // in one reap batch share `finished_at`, so id order is canonical.
+        // Heap order is (time, id), but completions in one reap batch share
+        // `finished_at`, so id order is canonical.
         due.sort_unstable();
         for &id in &due {
             self.index_remove(id);
@@ -965,7 +757,6 @@ impl Network {
             self.dirty_links.push(idx);
         }
         self.active_count += 1;
-        self.racks.couple(id, &links);
     }
 
     /// Remove a flow from the link index, marking its links dirty.
@@ -985,7 +776,6 @@ impl Network {
             self.dirty_links.push(idx);
         }
         self.active_count -= 1;
-        self.racks.decouple(id, &links);
     }
 
     /// The flows sharing a link — transitively — with any dirty link,
@@ -1031,114 +821,27 @@ impl Network {
         self.dirty_links.clear();
     }
 
-    /// Hierarchical variant of [`Self::affected_components`]: dirty links
-    /// map to rack buckets, and each unseen dirty bucket seeds a
-    /// fixed-point closure over the bucket coupling graph (edges =
-    /// cross-rack flows stitching racks at their spine hops); each closed
-    /// bucket set contributes one group — the union of its buckets' flow
-    /// lists. A rack-local churn event thus re-solves its rack component
-    /// plus whatever spine coupling exists — not a per-link BFS over the
-    /// whole touched traffic. Each closure is a coarsening of the true
-    /// flow×link components (see [`RackIndex`]), and distinct closures
-    /// share no flow (a flow spanning two closures would couple them), so
-    /// every group is a union of components and rates match the global
-    /// path.
-    fn affected_components_rack(&mut self) {
-        let g = &mut self.gather;
-        g.len = 0;
-        if self.dirty_links.is_empty() {
-            return;
-        }
-        if !self.racks.global.is_empty() {
-            // A bucket-overflow flow couples every bucket it touches and
-            // we stopped tracking which: collapse to the full active set.
-            self.dirty_links.clear();
-            let all = g.open();
-            self.flows.for_each_ordered(|id, f| {
-                if f.active() {
-                    all.push(id);
-                }
-            });
-            g.close();
-            return;
-        }
-        g.seen.reset(self.racks.flows.len());
-        self.dirty_links.sort_unstable();
-        let mut grouped = 0usize;
-        for &idx in &self.dirty_links {
-            let b = self.racks.link_bucket[idx];
-            if !g.seen.insert(b as usize) {
-                continue;
-            }
-            g.frontier.clear();
-            g.frontier.push(b);
-            g.open();
-            while let Some(b) = g.frontier.pop() {
-                g.groups[g.len].extend_from_slice(&self.racks.flows[b as usize]);
-                for &n in self.racks.adj[b as usize].keys() {
-                    if g.seen.insert(n as usize) {
-                        g.frontier.push(n);
-                    }
-                }
-            }
-            grouped += g.close();
-            // Every active flow is in some group already: later seeds'
-            // buckets hold only flows these groups have, by closure
-            // disjointness.
-            if grouped == self.active_count {
-                break;
-            }
-        }
-        self.dirty_links.clear();
-    }
-
     fn recompute_rates(&mut self) {
-        if self.incremental {
-            if self.hierarchical {
-                self.affected_components_rack();
-            } else {
-                self.affected_components();
+        self.affected_components();
+        if self.gather.len > 0 {
+            // Each affected component is its own max-min problem.
+            let groups = std::mem::take(&mut self.gather.groups);
+            for ids in &groups[..self.gather.len] {
+                self.solve_for(ids);
             }
-            if self.gather.len > 0 {
-                // Each affected group is its own max-min problem.
-                let groups = std::mem::take(&mut self.gather.groups);
-                for ids in &groups[..self.gather.len] {
-                    self.solve_for(ids);
-                }
-                self.gather.groups = groups;
-            }
-        } else {
-            self.dirty_links.clear();
-            let mut all = Vec::with_capacity(self.active_count);
-            self.flows.for_each_ordered(|id, f| {
-                if f.active() {
-                    all.push(id);
-                }
-            });
-            self.solve_for(&all);
+            self.gather.groups = groups;
         }
     }
 
-    /// Max-min solve restricted to `ids` (which must be a union of
-    /// connected components — or the full active set).
-    ///
-    /// The incremental path reuses the [`NetSolver`] scratch (demand /
+    /// Max-min solve restricted to `ids`, one connected component in
+    /// ascending id order. Reuses the [`NetSolver`] scratch (demand /
     /// capacity / rate buffers, link remap, [`SolverScratch`]) so a
-    /// steady-state solve allocates nothing. The from-scratch oracle path
-    /// (`set_incremental(false)`) keeps the original allocating pipeline
-    /// so equivalence tests compare genuinely independent code.
+    /// steady-state solve allocates nothing.
     fn solve_for(&mut self, ids: &[FlowId]) {
-        if !self.incremental {
-            let (demands, compact_caps) = self.build_problem(ids);
-            let rates = allocate_with_priority(&demands, &compact_caps);
-            for (&id, rate) in ids.iter().zip(rates) {
-                self.set_rate_and_predict(id, rate);
-            }
-            return;
-        }
         let mut s = std::mem::take(&mut self.solver);
         self.fill_problem(ids, &mut s);
-        allocate_with_priority_into(&s.demands, &s.caps, &mut s.scratch, &mut s.rates);
+        let demands = &s.demands[..ids.len()];
+        allocate_with_priority_into(demands, &s.caps, &mut s.scratch, &mut s.rates);
         for (&id, &rate) in ids.iter().zip(&s.rates) {
             self.set_rate_and_predict(id, rate);
         }
@@ -1152,7 +855,6 @@ impl Network {
     /// entry carrying the old one — and the new instant is pushed.
     fn set_rate_and_predict(&mut self, id: FlowId, rate: Bandwidth) {
         let clock = self.clock;
-        let indexed = self.incremental;
         let f = self.flows.get_mut(id).expect("listed above");
         f.accrue_to(clock);
         f.rate = rate;
@@ -1163,22 +865,22 @@ impl Network {
         f.predicted = p;
         f.gen += 1;
         let gen = f.gen;
-        if indexed {
-            if let Some(t) = p {
-                self.completions.get_mut().push(Reverse((t, id, gen)));
-            }
+        if let Some(t) = p {
+            self.completions.get_mut().push(Reverse((t, id, gen)));
         }
     }
 
-    /// Fill `s.demands` / `s.caps` for `ids` — the same problem, link for
-    /// link, as [`Self::build_problem`], written into reused buffers.
+    /// Fill `s.demands` / `s.caps` for `ids`, written into reused buffers.
     /// Topology links get compact indices in first-touch order through a
-    /// dense remap; per-link capacities (fault state, sharing penalty)
-    /// are read fresh on every build.
+    /// dense remap, so the allocator's cost is proportional to the traffic
+    /// touched by a change, not to the whole fabric; per-link capacities
+    /// (fault state, sharing penalty) are read fresh on every build.
     fn fill_problem(&self, ids: &[FlowId], s: &mut NetSolver) {
         s.builds += 1;
-        s.demands
-            .resize_with(ids.len(), || FlowDemand::fair(Vec::new(), None));
+        if s.demands.len() < ids.len() {
+            s.demands
+                .resize_with(ids.len(), || FlowDemand::fair(Vec::new(), None));
+        }
         s.mapped.reset(self.link_flows.len());
         s.compact.resize(self.link_flows.len(), 0);
         s.caps.clear();
@@ -1187,6 +889,9 @@ impl Network {
             let f = self.flow(id);
             debug_assert!(f.active(), "solving for a paused flow");
             let tenant = f.spec.tenant;
+            // Guaranteed (background) flows model aggregate external
+            // traffic whose cost is already its bandwidth share; only
+            // tenant collective flows trigger the cross-tenant penalty.
             let counts_for_sharing = !f.spec.guaranteed;
             d.links.clear();
             for l in f.route.links.iter() {
@@ -1219,7 +924,7 @@ impl Network {
     }
 
     /// `(0, problems built)`. The component remap cache these counted
-    /// hits and misses of is gone — every incremental solve builds its
+    /// hits and misses of is gone — every solve builds its
     /// problem directly, which the benchmark's `netsim.remap_hits` /
     /// `netsim.remap_misses` rows keep reporting through this function.
     pub fn remap_cache_stats(&self) -> (u64, u64) {
@@ -1231,26 +936,23 @@ impl Network {
     pub fn remap_fast_hits(&self) -> u64 {
         0
     }
+}
 
-    /// Build the allocation problem for `ids`. Remaps to the compact set
-    /// of links those flows actually cross: the allocator's cost is then
-    /// proportional to the traffic touched by a change, not to the whole
-    /// fabric (the 768-GPU cluster has ~14k links but a few hundred busy
-    /// ones at any instant).
+/// The from-scratch reference: no dirty set, no component gather, no
+/// reused buffers, no completion heap.
+#[cfg(test)]
+impl Network {
+    /// The allocation problem for `ids`, built the allocating way
+    /// (hash-mapped link remap) independently of [`Self::fill_problem`].
     fn build_problem(&self, ids: &[FlowId]) -> (Vec<FlowDemand>, Vec<Bandwidth>) {
-        let mut compact: HashMap<usize, usize> = HashMap::new();
+        let mut compact: std::collections::HashMap<usize, usize> = Default::default();
         let mut compact_caps: Vec<Bandwidth> = Vec::new();
         // (first tenant seen, shared across tenants?) per compact link
         let mut link_tenants: Vec<(u32, bool)> = Vec::new();
         let mut demands = Vec::new();
         for &id in ids {
             let f = self.flow(id);
-            debug_assert!(f.active(), "solving for a paused flow");
             let tenant = f.spec.tenant;
-            // Guaranteed (background) flows model aggregate external
-            // traffic whose cost is already its bandwidth share; only
-            // tenant collective flows trigger the cross-tenant penalty.
-            let counts_for_sharing = !f.spec.guaranteed;
             let links: Vec<usize> = f
                 .route
                 .links
@@ -1264,7 +966,7 @@ impl Network {
                     })
                 })
                 .collect();
-            if counts_for_sharing {
+            if !f.spec.guaranteed {
                 for &cl in &links {
                     match link_tenants[cl].0 {
                         u32::MAX => link_tenants[cl].0 = tenant,
@@ -1287,6 +989,47 @@ impl Network {
             }
         }
         (demands, compact_caps)
+    }
+
+    /// Check the incrementally maintained state against a from-scratch
+    /// solve of every active flow at once: stored rates within 1e-9
+    /// relative + 1e-3 bps of [`allocate_with_priority`]'s (a union of
+    /// components water-fills to the per-component rates up to the last
+    /// ulp) and valid by the max-min definition in their own right,
+    /// paused flows at zero, and the completion heap's head equal to a
+    /// linear scan of the stored predictions.
+    fn assert_matches_reference(&self) {
+        let mut ids = Vec::new();
+        self.flows.for_each_ordered(|id, f| {
+            if f.active() {
+                ids.push(id);
+            }
+        });
+        assert_eq!(ids.len(), self.active_count, "active count drifted");
+        let (demands, caps) = self.build_problem(&ids);
+        let stored: Vec<Bandwidth> = ids.iter().map(|&id| self.flow(id).rate).collect();
+        let reference = crate::maxmin::allocate_with_priority(&demands, &caps);
+        for ((&id, got), want) in ids.iter().zip(&stored).zip(reference) {
+            let (got, want) = (got.as_bps(), want.as_bps());
+            assert!(
+                (got - want).abs() <= want.abs() * 1e-9 + 1e-3,
+                "{id:?}: stored rate {got} vs from-scratch {want}"
+            );
+        }
+        crate::maxmin::check_invariants_with_priority(&demands, &caps, &stored);
+        let mut earliest: Option<Nanos> = None;
+        self.flows.for_each_ordered(|id, f| {
+            if !f.active() {
+                assert_eq!(f.rate, Bandwidth::ZERO, "paused {id:?} holds bandwidth");
+                assert_eq!(f.predicted, None, "paused {id:?} predicts a finish");
+            } else {
+                assert_eq!(f.predicted, f.predict(), "stale prediction on {id:?}");
+                if let Some(t) = f.predicted {
+                    earliest = Some(earliest.map_or(t, |m| m.min(t)));
+                }
+            }
+        });
+        assert_eq!(self.next_completion_time(), earliest, "completion heap");
     }
 }
 
@@ -1690,36 +1433,28 @@ mod tests {
 
     /// Two solves over the identical membership with a capacity change in
     /// between: nothing about the problem's shape changed, and the second
-    /// solve must still see the new capacity — bit for bit what a
-    /// from-scratch network computes.
+    /// solve must still see the new capacity — bit for bit what a fresh
+    /// network that saw the degrade before its first solve computes.
     #[test]
     fn degrade_between_identical_memberships_is_seen_by_the_next_solve() {
+        let specs = [
+            FlowSpec::ecmp(nic(0), nic(2), Bytes::gib(1), 0),
+            FlowSpec::ecmp(nic(1), nic(2), Bytes::gib(1), 1),
+        ];
         let mut net = testbed_net();
-        net.set_incremental(true);
-        let mut oracle = testbed_net();
-        oracle.set_incremental(false);
-        let mut ids = Vec::new();
-        for n in [&mut net, &mut oracle] {
-            let a = n.start_flow(
-                Nanos::ZERO,
-                FlowSpec::ecmp(nic(0), nic(2), Bytes::gib(1), 0),
-            );
-            let b = n.start_flow(
-                Nanos::ZERO,
-                FlowSpec::ecmp(nic(1), nic(2), Bytes::gib(1), 1),
-            );
-            ids = vec![a, b];
-        }
+        let ids = specs.map(|spec| net.start_flow(Nanos::ZERO, spec));
         let link = net.flow_route(ids[0]).expect("present").links[0];
         for (fraction, a_gbps) in [(0.5, 25.0), (0.25, 12.5), (1.0, 25.0)] {
             net.set_link_degrade(Nanos::ZERO, link, fraction);
-            oracle.set_link_degrade(Nanos::ZERO, link, fraction);
             // a's uplink is 50G x fraction; it shares b's 50G downlink.
             assert!((net.flow_rate(ids[0]).as_gbps() - a_gbps).abs() < 1e-6);
-            for &id in &ids {
+            let mut fresh = testbed_net();
+            fresh.set_link_degrade(Nanos::ZERO, link, fraction);
+            let fresh_ids = specs.map(|spec| fresh.start_flow(Nanos::ZERO, spec));
+            for (&id, &fresh_id) in ids.iter().zip(&fresh_ids) {
                 assert_eq!(
                     net.flow_rate(id).as_bps().to_bits(),
-                    oracle.flow_rate(id).as_bps().to_bits(),
+                    fresh.flow_rate(fresh_id).as_bps().to_bits(),
                     "{id:?} at degrade {fraction}"
                 );
             }
@@ -1733,53 +1468,37 @@ mod tests {
     #[test]
     fn recycled_slot_never_inherits_the_dead_flows_links() {
         let mut net = testbed_net();
-        net.set_incremental(true);
-        net.set_map_storage(false);
-        let mut oracle = testbed_net();
-        oracle.set_incremental(false);
-        oracle.set_map_storage(true);
-        let drive = |net: &mut Network| -> Vec<FlowId> {
-            let mut live = Vec::new();
-            // Two cross-rack flows from host 0 plus one bystander.
-            live.push(net.start_flow(
+        // Two cross-rack flows from host 0 plus one bystander.
+        let mut live = vec![
+            net.start_flow(
                 Nanos::ZERO,
                 FlowSpec::ecmp(nic(0), nic(4), Bytes::gib(1), 3).with_tenant(0),
-            ));
-            live.push(net.start_flow(
+            ),
+            net.start_flow(
                 Nanos::ZERO,
                 FlowSpec::ecmp(nic(1), nic(5), Bytes::gib(1), 4).with_tenant(0),
-            ));
-            live.push(net.start_flow(
+            ),
+            net.start_flow(
                 Nanos::ZERO,
                 FlowSpec::ecmp(nic(2), nic(6), Bytes::gib(1), 5).with_tenant(1),
-            ));
-            // Host 0 crashes: both its NICs' flows die, freeing slots 0/1.
-            for n in [0u32, 1] {
-                net.kill_flows_touching_nic(Nanos::from_millis(1), nic(n));
-            }
-            live.retain(|&id| net.contains(id));
-            // Restart re-allocates onto the recycled slots with different
-            // routes and tenants than the slots' previous occupants.
-            live.push(net.start_flow(
-                Nanos::from_millis(2),
-                FlowSpec::ecmp(nic(0), nic(2), Bytes::gib(1), 6).with_tenant(2),
-            ));
-            live.push(net.start_flow(
-                Nanos::from_millis(2),
-                FlowSpec::ecmp(nic(1), nic(3), Bytes::gib(1), 7).with_tenant(2),
-            ));
-            live
-        };
-        let live = drive(&mut net);
-        let live_o = drive(&mut oracle);
-        assert_eq!(live, live_o, "sequential ids are storage-independent");
-        for &id in &live {
-            let (r, ro) = (net.flow_rate(id).as_bps(), oracle.flow_rate(id).as_bps());
-            assert!(
-                (r - ro).abs() <= ro.abs() * 1e-9 + 1e-3,
-                "stale slot data for {id:?}: arena {r} vs oracle {ro}"
-            );
+            ),
+        ];
+        // Host 0 crashes: both its NICs' flows die, freeing slots 0/1.
+        for n in [0u32, 1] {
+            net.kill_flows_touching_nic(Nanos::from_millis(1), nic(n));
         }
+        live.retain(|&id| net.contains(id));
+        // Restart re-allocates onto the recycled slots with different
+        // routes and tenants than the slots' previous occupants.
+        live.push(net.start_flow(
+            Nanos::from_millis(2),
+            FlowSpec::ecmp(nic(0), nic(2), Bytes::gib(1), 6).with_tenant(2),
+        ));
+        live.push(net.start_flow(
+            Nanos::from_millis(2),
+            FlowSpec::ecmp(nic(1), nic(3), Bytes::gib(1), 7).with_tenant(2),
+        ));
+        net.assert_matches_reference();
         // Nothing may be left on the links only the dead flows crossed.
         let dead_route = net.topo.ecmp_route(nic(0), nic(4), 3);
         for &l in dead_route.links.iter() {
@@ -1795,15 +1514,8 @@ mod tests {
         let last = *live.last().expect("flows live");
         let link = net.flow_route(last).expect("present").links[0];
         net.set_link_degrade(Nanos::from_millis(3), link, 0.5);
-        oracle.set_link_degrade(Nanos::from_millis(3), link, 0.5);
-        let (r, ro) = (
-            net.flow_rate(last).as_bps(),
-            oracle.flow_rate(last).as_bps(),
-        );
-        assert!(
-            (r - ro).abs() <= ro.abs() * 1e-9 + 1e-3,
-            "post-degrade divergence on a recycled slot: {r} vs {ro}"
-        );
+        assert!((net.flow_rate(last).as_gbps() - 25.0).abs() < 1e-6);
+        net.assert_matches_reference();
     }
 
     #[test]
@@ -1815,52 +1527,191 @@ mod tests {
         assert_eq!(done[0].finished_at, Nanos::ZERO);
     }
 
-    /// The decomposition only changes how much is re-solved: rates and
-    /// completion instants are bit-identical between the per-link-BFS and
-    /// rack-partitioned gathers. Exercises multi-component churn (disjoint
-    /// rack-local flows plus cross-rack couplers starting, finishing and
-    /// dying) so one event genuinely re-solves more than one component.
+    /// Component locality, the rule the re-solve follows: a flow is
+    /// re-solved, accrued and re-predicted exactly when an event touches
+    /// its own sharing component. Two flows sharing spine 0 go through
+    /// start / degrade / finish / cancel; a cross-rack flow over spine 1
+    /// and rack-local flows — sharing no link with them — churn alongside
+    /// in one of the two runs. Rates and completion instants of the first
+    /// component are bit-identical either way. Its sizes are multiples of
+    /// 25 bytes, which finish on a whole nanosecond at 50, 25 and
+    /// 12.5 Gbps — exactly where `predict`'s `ceil` turns the last-ulp
+    /// noise of one extra accrual into a 1 ns shift.
     #[test]
-    fn hierarchical_gather_is_invisible_in_rates() {
-        let drive = |hierarchical: bool| -> Vec<(u64, u64)> {
+    fn disjoint_components_are_invisible_to_each_other() {
+        // Component-1 flows carry a non-zero tag.
+        fn record(done: Vec<FlowCompletion>, finished: &mut Vec<u64>, log: &mut Vec<u64>) {
+            for c in done.iter().filter(|c| c.tag != 0) {
+                finished.push(c.tag);
+                log.push(c.finished_at.as_nanos());
+            }
+        }
+        // Odd multiples of 25 B (see above); a gather widened to every
+        // active flow shifts their finish by 1 ns.
+        let (a_bytes, b_bytes) = (Bytes::new(25_001_225), Bytes::new(4_002_275));
+        let drive = |neighbours: bool| -> Vec<u64> {
+            let us = Nanos::from_micros;
             let mut net = testbed_net();
-            net.set_hierarchical(hierarchical);
-            let mut log: Vec<(u64, u64)> = Vec::new();
-            let mut now = Nanos::ZERO;
-            let mut live: Vec<FlowId> = Vec::new();
-            for step in 0u64..40 {
-                let (s, t) = ((step % 7) as u32, ((step * 3 + 1) % 8) as u32);
-                if s != t {
-                    let spec = FlowSpec::ecmp(nic(s), nic(t), Bytes::mib(1 + step % 16), step)
-                        .with_tenant((step % 3) as u32);
-                    live.push(net.start_flow(now, spec));
+            let (mut log, mut finished) = (Vec::new(), Vec::new());
+            let a = net.start_flow(
+                Nanos::ZERO,
+                FlowSpec::pinned(nic(0), nic(4), a_bytes, RouteId(0)).with_tag(1),
+            );
+            let b = net.start_flow(
+                Nanos::ZERO,
+                FlowSpec::pinned(nic(2), nic(6), b_bytes, RouteId(0)).with_tag(2),
+            );
+            let spine0 = net.flow_route(a).expect("present").links[1];
+            let x = neighbours.then(|| {
+                net.start_flow(
+                    Nanos::ZERO,
+                    FlowSpec::pinned(nic(1), nic(5), Bytes::mib(7), RouteId(1)),
+                )
+            });
+            let mut c = None;
+            for step in 0..8u64 {
+                let now = us(500 * step);
+                record(net.advance_to(now), &mut finished, &mut log);
+                match step {
+                    1 => net.set_link_degrade(now, spine0, 0.5),
+                    5 => net.set_link_degrade(now, spine0, 1.0),
+                    6 => {
+                        let spec = FlowSpec::pinned(nic(0), nic(6), Bytes::mib(64), RouteId(0));
+                        c = Some(net.start_flow(now, spec.with_tag(3)));
+                    }
+                    7 => net.cancel_flow(now, c.take().expect("started at step 6")),
+                    _ => {}
                 }
-                if step % 5 == 4 && !live.is_empty() {
-                    let id = live.remove((step as usize * 7) % live.len());
-                    if net.contains(id) {
-                        net.cancel_flow(now, id);
+                for id in [Some(a), Some(b), c].into_iter().flatten() {
+                    log.push(net.flow_rate(id).as_bps().to_bits());
+                }
+                if let Some(x) = x {
+                    let now = now + us(130);
+                    record(net.advance_to(now), &mut finished, &mut log);
+                    let spine1 = net.topo.pinned_route(nic(1), nic(5), RouteId(1)).links[1];
+                    match step {
+                        0 => net.set_link_degrade(now, spine1, 0.3),
+                        2 => net.cancel_flow(now, x),
+                        _ => {}
+                    }
+                    // Rack-local flows finishing at odd instants all
+                    // through the step.
+                    for k in 0..6u64 {
+                        let bytes = Bytes::new(100_003 + 7_919 * (6 * step + k));
+                        let (s, t) = [(3, 1), (5, 7)][(k % 2) as usize];
+                        net.start_flow(now, FlowSpec::ecmp(nic(s), nic(t), bytes, k));
                     }
                 }
-                now += Nanos::from_micros(200 + (step % 9) * 130);
-                for c in net.advance_to(now) {
-                    log.push((c.id.0, c.finished_at.as_nanos()));
-                }
-                live.retain(|&id| net.contains(id));
-                for &id in &live {
-                    // Exact bit pattern, not approximate equality.
-                    log.push((id.0, net.flow_rate(id).as_bps().to_bits()));
-                }
+                net.assert_matches_reference();
             }
+            record(net.advance_to(Nanos::from_secs(1)), &mut finished, &mut log);
+            assert_eq!(finished, [2, 1], "b finishes under the degrade, a last");
+            assert_eq!(net.flow_count(), 0);
             log
         };
-        let global = drive(false);
-        assert!(!global.is_empty());
-        assert_eq!(global, drive(true));
+        assert_eq!(drive(false), drive(true));
     }
 
     mod proptests {
         use super::*;
+        use mccs_topology::presets::{spine_leaf, SpineLeafConfig};
         use proptest::prelude::*;
+
+        /// One network under random churn on racks 0 and 1 of a
+        /// three-rack testbed (NICs 0..8; rack 2 holds NICs 8..12).
+        struct Churn {
+            net: Network,
+            now: Nanos,
+            /// (id, src, dst) of churn flows not yet finished or removed.
+            live: Vec<(FlowId, u32, u32)>,
+        }
+
+        impl Default for Churn {
+            fn default() -> Self {
+                let topo = spine_leaf(&SpineLeafConfig {
+                    spines: 2,
+                    leaves: 3,
+                    hosts_per_leaf: 2,
+                    gpus_per_host: 2,
+                    nic_bandwidth: Bandwidth::gbps(50.0),
+                    leaf_spine_bandwidth: Bandwidth::gbps(50.0),
+                });
+                Churn {
+                    net: Network::new(Arc::new(topo)),
+                    now: Nanos::ZERO,
+                    live: Vec::new(),
+                }
+            }
+        }
+
+        impl Churn {
+            /// Apply the `i`-th operation (flows it starts are tagged
+            /// `i`); returns `(tag, finish instant)` of what completed.
+            fn apply(&mut self, i: usize, &(kind, a, b, c, d): &Op) -> Vec<(u64, Nanos)> {
+                let (net, now) = (&mut self.net, self.now);
+                let pick = (c as usize) % self.live.len().max(1);
+                match kind {
+                    0..=3 if a != b => {
+                        let spec = if kind == 3 {
+                            // capped, guaranteed background traffic
+                            let rate = Bandwidth::gbps(5.0 + (c % 40) as f64);
+                            FlowSpec::background(nic(a), nic(b), rate, d)
+                        } else {
+                            // Multiples of 25 B: whole-nanosecond finishes
+                            // at 50/25/12.5 Gbps, where a stray accrual
+                            // shows (see the locality test above).
+                            let bytes = Bytes::new(1_000_025 * (1 + c % 64));
+                            FlowSpec::ecmp(nic(a), nic(b), bytes, d).with_tenant(a % 3)
+                        };
+                        let id = net.start_flow(now, spec.with_tag(i as u64));
+                        self.live.push((id, a, b));
+                    }
+                    4 if !self.live.is_empty() => {
+                        net.cancel_flow(now, self.live.remove(pick).0);
+                    }
+                    5 if !self.live.is_empty() => {
+                        net.set_paused(now, self.live[pick].0, d % 2 == 0);
+                    }
+                    6 => {
+                        self.now += Nanos::from_micros(1 + c % 2000);
+                        let done = net.advance_to(self.now);
+                        self.live.retain(|&(id, _, _)| net.contains(id));
+                        return done.iter().map(|x| (x.tag, x.finished_at)).collect();
+                    }
+                    7 if !self.live.is_empty() => {
+                        // repin a cross-rack flow onto an explicit spine
+                        let (id, s, t) = self.live[pick];
+                        if (s < 4) != (t < 4) {
+                            net.repin_flow(now, id, RouteId((d % 2) as u32));
+                        }
+                    }
+                    8 => {
+                        // Host crash: everything touching one NIC dies,
+                        // freeing arena slots for the next starts.
+                        net.kill_flows_touching_nic(now, nic(a));
+                        self.live.retain(|&(id, _, _)| net.contains(id));
+                    }
+                    9 if !self.live.is_empty() => {
+                        let links = &net.flow_route(self.live[pick].0).expect("live").links;
+                        let link = links[(d >> 2) as usize % links.len()];
+                        net.set_link_degrade(now, link, [0.0, 0.25, 0.5, 1.0][(d % 4) as usize]);
+                    }
+                    _ => {}
+                }
+                Vec::new()
+            }
+
+            /// Bit patterns of the churn flows' rates, in `live` order.
+            fn rate_bits(&self) -> Vec<u64> {
+                self.live
+                    .iter()
+                    .map(|&(id, _, _)| self.net.flow_rate(id).as_bps().to_bits())
+                    .collect()
+            }
+        }
+
+        /// `(kind, a, b, c, d)` — see [`Churn::apply`].
+        type Op = (u8, u32, u32, u64, u64);
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
@@ -1890,226 +1741,36 @@ mod tests {
             }
 
             /// Incremental dirty-link recomputation matches the
-            /// from-scratch oracle over random flow-churn sequences
-            /// (starts, cancels, pauses, repins, completions, tenants and
-            /// capped background flows all mixed), and the incremental
-            /// net's rates satisfy the max-min invariants after every op.
+            /// from-scratch reference over random flow-churn sequences
+            /// (starts, cancels, pauses, repins, completions, NIC kills
+            /// recycling arena slots, link degrades, tenants and capped
+            /// background flows all mixed) and the max-min definition
+            /// after every op. With `bystander` set, a
+            /// second run gets an unrelated component injected before
+            /// that op: the churn flows' rates and completion instants
+            /// must not notice, bit for bit.
             #[test]
             fn incremental_matches_from_scratch_under_churn(
                 ops in proptest::collection::vec(
-                    (0u8..8, 0u32..8, 0u32..8, 0u64..64, any::<u64>()), 1..32)
+                    (0u8..10, 0u32..8, 0u32..8, 0u64..64, any::<u64>()), 1..32),
+                bystander in proptest::option::of(0usize..32),
             ) {
-                let mut inc = testbed_net();
-                inc.set_incremental(true);
-                let mut full = testbed_net();
-                full.set_incremental(false);
-                let mut now = Nanos::ZERO;
-                // (id, src, dst) of flows not yet finished or cancelled
-                let mut live: Vec<(FlowId, u32, u32)> = Vec::new();
-                for &(kind, a, b, c, d) in &ops {
-                    match kind {
-                        0..=2 => {
-                            let (s, t) = (a % 8, b % 8);
-                            if s == t { continue; }
-                            let spec = FlowSpec::ecmp(nic(s), nic(t), Bytes::mib(1 + c % 64), d)
-                                .with_tenant(a % 3);
-                            let i1 = inc.start_flow(now, spec);
-                            let i2 = full.start_flow(now, spec);
-                            prop_assert_eq!(i1, i2);
-                            live.push((i1, s, t));
-                        }
-                        3 => {
-                            // capped, guaranteed background traffic
-                            let (s, t) = (a % 8, b % 8);
-                            if s == t { continue; }
-                            let rate = Bandwidth::gbps(5.0 + (c % 40) as f64);
-                            let spec = FlowSpec::background(nic(s), nic(t), rate, d);
-                            let i1 = inc.start_flow(now, spec);
-                            let i2 = full.start_flow(now, spec);
-                            prop_assert_eq!(i1, i2);
-                            live.push((i1, s, t));
-                        }
-                        4 => {
-                            if live.is_empty() { continue; }
-                            let (id, _, _) = live.remove((c as usize) % live.len());
-                            inc.cancel_flow(now, id);
-                            full.cancel_flow(now, id);
-                        }
-                        5 => {
-                            if live.is_empty() { continue; }
-                            let (id, _, _) = live[(c as usize) % live.len()];
-                            let paused = d % 2 == 0;
-                            inc.set_paused(now, id, paused);
-                            full.set_paused(now, id, paused);
-                        }
-                        6 => {
-                            now += Nanos::from_micros(1 + c % 2000);
-                            let done_inc = inc.advance_to(now);
-                            let done_full = full.advance_to(now);
-                            let t_inc: BTreeMap<FlowId, Nanos> =
-                                done_inc.iter().map(|x| (x.id, x.finished_at)).collect();
-                            let t_full: BTreeMap<FlowId, Nanos> =
-                                done_full.iter().map(|x| (x.id, x.finished_at)).collect();
-                            prop_assert_eq!(
-                                t_inc.keys().collect::<Vec<_>>(),
-                                t_full.keys().collect::<Vec<_>>()
-                            );
-                            for (id, ti) in &t_inc {
-                                let tf = t_full[id];
-                                prop_assert!(
-                                    ti.as_nanos().abs_diff(tf.as_nanos()) <= 1,
-                                    "completion time diverged for {:?}: {} vs {}", id, ti, tf
-                                );
-                            }
-                            live.retain(|(id, _, _)| inc.contains(*id));
-                        }
-                        _ => {
-                            // repin a cross-rack flow onto an explicit spine
-                            if live.is_empty() { continue; }
-                            let (id, s, t) = live[(c as usize) % live.len()];
-                            if (s < 4) == (t < 4) { continue; }
-                            let route = RouteId((d % 2) as u32);
-                            inc.repin_flow(now, id, route);
-                            full.repin_flow(now, id, route);
-                        }
-                    }
-                    // 1. Every live flow's rate matches the oracle.
-                    for &(id, _, _) in &live {
-                        let ri = inc.flow_rate(id).as_bps();
-                        let rf = full.flow_rate(id).as_bps();
-                        prop_assert!(
-                            (ri - rf).abs() <= rf.abs() * 1e-9 + 1e-3,
-                            "rate diverged for {:?}: incremental {} vs full {}", id, ri, rf
-                        );
-                    }
-                    // 2. The incremental rates are a valid max-min
-                    // allocation in their own right.
-                    let mut ids: Vec<FlowId> = Vec::new();
-                    inc.flows.for_each_ordered(|i, f| {
-                        if f.active() {
-                            ids.push(i);
-                        }
-                    });
-                    let (demands, caps) = inc.build_problem(&ids);
-                    let rates: Vec<Bandwidth> =
-                        ids.iter().map(|&i| inc.flow_rate(i)).collect();
-                    crate::maxmin::check_invariants_with_priority(&demands, &caps, &rates);
-                }
-            }
+                let mut run = Churn::default();
+                let mut twin = bystander.map(|_| Churn::default());
+                for (i, op) in ops.iter().enumerate() {
+                    let done = run.apply(i, op);
+                    run.net.assert_matches_reference();
 
-            /// Storage representation (arena vs map) and solver scope
-            /// (rack-hierarchical vs global dirty-link BFS vs full
-            /// from-scratch) are interchangeable: identical flow ids,
-            /// rates and completion times over random churn, including
-            /// crash-driven slot recycling (`kill_flows_touching_nic`).
-            #[test]
-            fn storage_and_solver_modes_match_under_churn(
-                ops in proptest::collection::vec(
-                    (0u8..8, 0u32..8, 0u32..8, 0u64..64, any::<u64>()), 1..24)
-            ) {
-                // The default fast path: dense arenas + rack-partitioned solve.
-                let mut fast = testbed_net();
-                fast.set_incremental(true);
-                fast.set_map_storage(false);
-                fast.set_hierarchical(true);
-                // Map-backed storage with the global dirty-link BFS.
-                let mut mapg = testbed_net();
-                mapg.set_incremental(true);
-                mapg.set_map_storage(true);
-                mapg.set_hierarchical(false);
-                // The from-scratch oracle.
-                let mut full = testbed_net();
-                full.set_incremental(false);
-                let mut now = Nanos::ZERO;
-                let mut live: Vec<(FlowId, u32, u32)> = Vec::new();
-                for &(kind, a, b, c, d) in &ops {
-                    match kind {
-                        0..=3 => {
-                            let (s, t) = (a % 8, b % 8);
-                            if s == t { continue; }
-                            let spec = FlowSpec::ecmp(nic(s), nic(t), Bytes::mib(1 + c % 64), d)
-                                .with_tenant(a % 3);
-                            let mut ids = Vec::new();
-                            for n in [&mut fast, &mut mapg, &mut full] {
-                                ids.push(n.start_flow(now, spec));
-                            }
-                            prop_assert!(ids.windows(2).all(|w| w[0] == w[1]),
-                                "ids diverged across modes: {:?}", ids);
-                            live.push((ids[0], s, t));
-                        }
-                        4 => {
-                            if live.is_empty() { continue; }
-                            let (id, _, _) = live.remove((c as usize) % live.len());
-                            for n in [&mut fast, &mut mapg, &mut full] {
-                                n.cancel_flow(now, id);
-                            }
-                        }
-                        5 => {
-                            // Host crash: everything touching one NIC dies,
-                            // freeing arena slots for the next starts.
-                            let victim = nic(a % 8);
-                            for n in [&mut fast, &mut mapg, &mut full] {
-                                n.kill_flows_touching_nic(now, victim);
-                            }
-                            live.retain(|(id, _, _)| fast.contains(*id));
-                        }
-                        6 => {
-                            now += Nanos::from_micros(1 + c % 2000);
-                            let mut done: Vec<Vec<(FlowId, Nanos)>> = Vec::new();
-                            for n in [&mut fast, &mut mapg, &mut full] {
-                                done.push(
-                                    n.advance_to(now).iter()
-                                        .map(|x| (x.id, x.finished_at)).collect(),
-                                );
-                            }
-                            prop_assert_eq!(
-                                done[0].iter().map(|x| x.0).collect::<Vec<_>>(),
-                                done[1].iter().map(|x| x.0).collect::<Vec<_>>()
-                            );
-                            for (i, &(id, t0)) in done[0].iter().enumerate() {
-                                let t1 = done[1][i].1;
-                                prop_assert!(
-                                    t0.as_nanos().abs_diff(t1.as_nanos()) <= 1,
-                                    "completion diverged for {:?}: {} vs {}", id, t0, t1
-                                );
-                            }
-                            // Oracle completions may reorder within a tick
-                            // relative to the incremental nets only through
-                            // ±1ns rounding; compare as sets.
-                            let k2: BTreeMap<FlowId, Nanos> = done[2].iter().copied().collect();
-                            for &(id, t0) in &done[0] {
-                                let t2 = k2.get(&id).copied();
-                                prop_assert!(t2.is_some(), "oracle missed completion {:?}", id);
-                                prop_assert!(
-                                    t0.as_nanos().abs_diff(t2.unwrap().as_nanos()) <= 1,
-                                    "oracle completion diverged for {:?}", id
-                                );
-                            }
-                            live.retain(|(id, _, _)| fast.contains(*id));
-                        }
-                        _ => {
-                            if live.is_empty() { continue; }
-                            let (id, s, t) = live[(c as usize) % live.len()];
-                            if (s < 4) == (t < 4) { continue; }
-                            let route = RouteId((d % 2) as u32);
-                            for n in [&mut fast, &mut mapg, &mut full] {
-                                n.repin_flow(now, id, route);
-                            }
+                    let Some(twin) = twin.as_mut() else { continue };
+                    if bystander == Some(i) {
+                        // Rack 2 (NICs 8..12) is out of every op's reach.
+                        for (s, t) in [(8, 10), (9, 10), (11, 8)] {
+                            let spec = FlowSpec::ecmp(nic(s), nic(t), Bytes::mib(2 + s as u64), 0);
+                            twin.net.start_flow(twin.now, spec.with_tenant(s));
                         }
                     }
-                    for &(id, _, _) in &live {
-                        let r0 = fast.flow_rate(id).as_bps();
-                        let r1 = mapg.flow_rate(id).as_bps();
-                        let r2 = full.flow_rate(id).as_bps();
-                        prop_assert!(
-                            (r0 - r1).abs() <= r1.abs() * 1e-9 + 1e-3,
-                            "rate diverged for {:?}: hier {} vs global {}", id, r0, r1
-                        );
-                        prop_assert!(
-                            (r0 - r2).abs() <= r2.abs() * 1e-9 + 1e-3,
-                            "rate diverged for {:?}: hier {} vs oracle {}", id, r0, r2
-                        );
-                    }
+                    prop_assert_eq!(twin.apply(i, op), done);
+                    prop_assert_eq!(twin.rate_bits(), run.rate_bits());
                 }
             }
 

@@ -238,33 +238,6 @@ impl Topology {
         &self.switch_out[sw.index()]
     }
 
-    /// Per-link solver bucket for rack-partitioned rate solves: bucket `0`
-    /// is the shared/global bucket (links not attributable to one rack —
-    /// e.g. spine-to-spine hops in a switch ring); bucket `r + 1` holds
-    /// the links attributable to rack `r`. A NIC endpoint resolves to its
-    /// host's rack; a switch endpoint resolves to the switch's rack (set
-    /// for leaf switches). A leaf↔spine link therefore lands in the leaf's
-    /// rack, so any two flows sharing *any* link always share at least one
-    /// bucket — the property that makes bucket-granularity components a
-    /// sound coarsening of flow×link connected components.
-    pub fn link_rack_buckets(&self) -> Vec<u32> {
-        let rack_of_ep = |ep: &Endpoint| -> Option<RackId> {
-            match ep {
-                Endpoint::Nic(n) => Some(self.rack_of(self.nic(*n).host)),
-                Endpoint::Switch(s) => self.switch(*s).rack,
-            }
-        };
-        self.links
-            .iter()
-            .map(|l| match (rack_of_ep(&l.from), rack_of_ep(&l.to)) {
-                (Some(a), Some(b)) if a != b => 0,
-                (Some(a), _) => a.index() as u32 + 1,
-                (_, Some(b)) => b.index() as u32 + 1,
-                (None, None) => 0,
-            })
-            .collect()
-    }
-
     /// Total NIC count per host (uniform clusters); panics on empty cluster.
     pub fn nics_per_host(&self) -> usize {
         self.hosts.first().expect("empty cluster").nics.len()

@@ -31,11 +31,11 @@
 use mccs_collectives::{CollectiveOp, CollectiveSchedule, EdgeTask, RingOrder};
 use mccs_core::cluster::Cluster;
 use mccs_core::config::{CollectiveConfig, RouteMap};
-use mccs_core::world::{FlowOwner, World};
+use mccs_core::world::{resources, FlowOwner, World};
 use mccs_device::{StreamId, StreamOp};
 use mccs_ipc::{AppId, CommunicatorId};
 use mccs_netsim::{FlowSpec, RouteChoice};
-use mccs_sim::{Bytes, Engine, Nanos, Poll, Rng};
+use mccs_sim::{Bytes, Engine, Nanos, Poll, ResourceId, Rng};
 use mccs_topology::GpuId;
 use std::collections::HashMap;
 
@@ -154,6 +154,11 @@ impl BaselineJob {
         let app = cluster.register_app_name(name);
         let comm = CommunicatorId(BASELINE_COMM_BASE + u64::from(app.0));
         let owner = cluster.world.alloc_external_owner();
+        if start_at > cluster.world.clock {
+            cluster
+                .world
+                .signal_at(start_at, resources::external(owner));
+        }
         let topo = &cluster.world.topo;
         let channel_rings: Vec<RingOrder> = match &cfg.ring {
             RingChoice::RankOrder => {
@@ -319,7 +324,6 @@ impl Engine<World> for BaselineJob {
             match self.state {
                 JobState::Idle => {
                     if w.clock < self.start_at {
-                        w.schedule_wake(self.start_at);
                         break;
                     }
                     self.started_at.get_or_insert(w.clock);
@@ -335,12 +339,12 @@ impl Engine<World> for BaselineJob {
                     match phase {
                         Phase::Compute(d) => {
                             let until = w.clock + d;
-                            w.schedule_wake(until);
+                            w.signal_at(until, resources::external(self.owner));
                             self.state = JobState::Computing { until };
                         }
                         Phase::Collective { .. } => {
                             let at = w.clock + self.launch_overhead;
-                            w.schedule_wake(at);
+                            w.signal_at(at, resources::external(self.owner));
                             self.state = JobState::LaunchingAt {
                                 at,
                                 issued: w.clock,
@@ -387,6 +391,13 @@ impl Engine<World> for BaselineJob {
         } else {
             Poll::Idle
         }
+    }
+
+    fn wake_when(&self, _: &World, on: &mut Vec<ResourceId>) {
+        // Own timers and inter-host flow completions; intra-host tasks
+        // complete on device streams, seen as collective progress.
+        on.push(resources::external(self.owner));
+        on.push(resources::progress(self.comm));
     }
 
     fn name(&self) -> String {
@@ -538,9 +549,78 @@ mod tests {
             1,
             Nanos::from_millis(50),
         );
+        // An idle poll has no observable effect: the start timer is armed
+        // once, not by every poll before the start (the oracle polls every
+        // engine on every call).
+        c.set_naive_scheduler(true);
+        c.poll_once();
+        let pending = c.world.events.len();
+        c.poll_once();
+        assert_eq!(c.world.events.len(), pending);
         c.run_until_quiescent(Nanos::from_secs(10));
         let tl = c.mgmt().timeline(app);
         assert!(tl[0].issued_at >= Nanos::from_millis(50));
+    }
+
+    /// Three staggered jobs — two GPUs on each of two hosts (intra- and
+    /// inter-host tasks), one host (intra-host only), one GPU per host
+    /// (inter-host only) — stepped to quiescence under one scheduler.
+    /// Returns the observable digest with `(clock, useful polls)` folded
+    /// in after every step, and the wasted polls.
+    fn run_staggered(naive: bool) -> ((u64, u64), u64) {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let topo = Arc::new(presets::testbed());
+        let mut c = Cluster::new(topo, ClusterConfig::library_mode(7));
+        c.set_naive_scheduler(naive);
+        for (gpus, mib, start_ms) in [
+            (vec![0, 1, 2, 3], 8, 0),
+            (vec![4, 5], 4, 2),
+            (vec![0, 2, 4, 6], 16, 5),
+        ] {
+            let gpus = gpus.into_iter().map(GpuId).collect();
+            let mut phases = allreduce_phases(Bytes::mib(mib));
+            phases.insert(0, Phase::Compute(Nanos::from_micros(300)));
+            let start_at = Nanos::from_millis(start_ms);
+            BaselineJob::spawn(
+                &mut c,
+                "job",
+                BaselineConfig::default(),
+                gpus,
+                phases,
+                3,
+                start_at,
+            );
+        }
+        let mut steps = DefaultHasher::new();
+        loop {
+            let next = c.step();
+            let stats = c.scheduler_stats();
+            (c.now(), stats.polls - stats.wasted_polls).hash(&mut steps);
+            match next {
+                Some(t) => assert!(t <= Nanos::from_secs(10), "still active at {t}"),
+                None => break,
+            }
+        }
+        assert_eq!(c.live_engines(), 0, "a job is stranded");
+        (
+            (c.observable_digest(), steps.finish()),
+            c.scheduler_stats().wasted_polls,
+        )
+    }
+
+    #[test]
+    fn schedulers_agree_step_by_step_on_library_jobs() {
+        // A job waits on its own doorbell (timers, inter-host flow
+        // completions) and on its collective's progress (intra-host tasks
+        // complete on device streams); a wake lost on either moves useful
+        // work to a later instant, or strands the job.
+        let (wake, wake_wasted) = run_staggered(false);
+        let (naive, naive_wasted) = run_staggered(true);
+        assert_eq!(wake, naive, "(digest, per-step fold), wake vs naive");
+        assert!(
+            wake_wasted * 2 < naive_wasted,
+            "wake {wake_wasted}, naive {naive_wasted}"
+        );
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!
 //! * **no lost collective** — every job's timeline holds all its
 //!   iterations;
-//! * **step-throughput floor** — engine polls retired per wall-clock
-//!   second (conservative: an order of magnitude under a release-build
-//!   laptop, but it catches an accidental O(world) step);
+//! * **poll ceiling** — total engine polls at most twice the useful
+//!   ones (a job is polled when something it waits on happened, plus the
+//!   trailing idle poll that parks it): machine-independent, and it
+//!   catches a job that is polled every step of a 10k-GPU world;
 //! * **peak-memory ceiling** — peak live heap, measured by a counting
 //!   global allocator. Dense arenas size with the *live* flow window and
 //!   the link count, not with total flows ever started.
@@ -95,10 +96,10 @@ const ITERS: usize = 4;
 const COLLECTIVE: Bytes = Bytes::mib(8);
 const CHANNELS: usize = 2;
 
-/// Acceptance floors. Throughput is wall-clock-derived and deliberately
-/// an order of magnitude under a release-build laptop; it exists to catch
-/// an accidental O(world)-per-step regression, not to benchmark hardware.
-const MIN_POLLS_PER_SEC: f64 = 2_000.0;
+/// Poll ceiling, as a multiple of the useful polls: every burst of useful
+/// polls ends in one idle poll (poll-until-idle), so 2 is the worst case
+/// of a precise wake list; wall-clock is reported, not gated.
+const MAX_POLLS_PER_USEFUL: u64 = 2;
 /// Peak live heap ceiling. The 10k-GPU world (topology, queues, arenas)
 /// plus the live flow window fits comfortably; blowing this means some
 /// table started scaling with total-flows-ever or with GPUs², which is
@@ -136,6 +137,7 @@ fn workload() -> ScaleConfig {
 
 struct RunStats {
     polls: u64,
+    useful_polls: u64,
     wall_s: f64,
     peak_heap_mib: f64,
     virtual_s: f64,
@@ -182,8 +184,10 @@ fn run() -> RunStats {
         let tl = cluster.mgmt().timeline(*app);
         assert_eq!(tl.len(), ITERS, "job {id} lost collectives");
     }
+    let sched = cluster.scheduler_stats();
     RunStats {
-        polls: cluster.scheduler_stats().polls,
+        polls: sched.polls,
+        useful_polls: sched.polls - sched.wasted_polls,
         wall_s,
         peak_heap_mib,
         virtual_s: cluster.now().as_secs_f64(),
@@ -202,7 +206,6 @@ fn main() {
     );
 
     let stats = run();
-    let polls_per_sec = stats.polls as f64 / stats.wall_s;
     print_table(
         &["polls", "virtual_s", "peak_heap_mib", "wall_clock_s"],
         &[vec![
@@ -212,17 +215,22 @@ fn main() {
             format!("{:.3}", stats.wall_s),
         ]],
     );
-    println!("\nstep throughput: {polls_per_sec:.0} polls/s (floor {MIN_POLLS_PER_SEC})");
+    println!(
+        "\npolls: {} for {} useful (ceiling {MAX_POLLS_PER_USEFUL}x)",
+        stats.polls, stats.useful_polls
+    );
     println!(
         "peak live heap:  {:.1} MiB (ceiling {MAX_PEAK_HEAP_MIB})",
         stats.peak_heap_mib
     );
 
-    // The floors are part of the record: regenerating this figure on a
+    // The gates are part of the record: regenerating this figure on a
     // regression fails CI before bench_check even diffs.
     assert!(
-        polls_per_sec >= MIN_POLLS_PER_SEC,
-        "step throughput {polls_per_sec:.0} polls/s under the {MIN_POLLS_PER_SEC} floor"
+        stats.polls <= MAX_POLLS_PER_USEFUL * stats.useful_polls,
+        "{} polls for {} useful ones: over the {MAX_POLLS_PER_USEFUL}x ceiling",
+        stats.polls,
+        stats.useful_polls
     );
     assert!(
         stats.peak_heap_mib <= MAX_PEAK_HEAP_MIB,
@@ -235,7 +243,7 @@ fn main() {
         &format!(
             "\"gpus\":{gpus},\"jobs\":{JOBS},\"iters\":{ITERS},\
              \"polls\":{},\"virtual_s\":{:.6},\"peak_heap_mib\":{:.2},\
-             \"wall_clock_s\":{:.4},\"wall_clock_polls_per_s\":{polls_per_sec:.1}",
+             \"wall_clock_s\":{:.4}",
             stats.polls, stats.virtual_s, stats.peak_heap_mib, stats.wall_s,
         ),
     );

@@ -9,7 +9,7 @@
 
 use crate::world::{resources, EndpointPort, World};
 use mccs_shim::{AppProgram, AppStatus, ShimApi, ShimSession};
-use mccs_sim::{Engine, Poll, Wake, WakeSet};
+use mccs_sim::{Engine, Poll, ResourceId};
 
 /// The engine driving one tenant rank.
 pub struct AppEngine {
@@ -31,13 +31,7 @@ impl AppEngine {
 
 impl Engine<World> for AppEngine {
     fn progress(&mut self, w: &mut World) -> Poll {
-        let ep = &mut w.endpoints[self.endpoint];
-        let gpu = ep.gpu;
-        // A due program timer is consumed by this poll; the program
-        // re-arms it if it blocks on time again.
-        if ep.next_app_wake.is_some_and(|t| t <= w.clock) {
-            ep.next_app_wake = None;
-        }
+        let gpu = w.endpoints[self.endpoint].gpu;
         let mut port = EndpointPort {
             world: w,
             idx: self.endpoint,
@@ -50,24 +44,20 @@ impl Engine<World> for AppEngine {
         }
     }
 
-    fn wake_when(&self, w: &World) -> Wake {
-        let ep = &w.endpoints[self.endpoint];
-        let mut ws = WakeSet::new();
-        // Completions from the service, and their head-visibility lag.
-        ws.watch(resources::endpoint_comp(self.endpoint as u32));
-        ws.deadline_opt(ep.comp.next_visible());
+    fn wake_when(&self, w: &World, on: &mut Vec<ResourceId>) {
+        // Visible completions from the service, and the timers the
+        // program arms (SleepUntil-style waits signal the same resource).
+        on.push(resources::endpoint_comp(self.endpoint as u32));
         // Programs also block on device streams (compute kernels, event
         // waits); the fabric attributes activity per GPU, so watch only
         // this rank's device.
-        ws.watch(resources::device_activity(ep.gpu.index() as u32));
-        // Program-armed timers (SleepUntil-style waits).
-        ws.deadline_opt(ep.next_app_wake);
+        let gpu = w.endpoints[self.endpoint].gpu;
+        on.push(resources::device_activity(gpu.index() as u32));
         // Under command-queue back-pressure the session holds unsent
         // commands; the frontend signals when it frees space.
         if self.session.has_unsent() {
-            ws.watch(resources::endpoint_cmd_space(self.endpoint as u32));
+            on.push(resources::endpoint_cmd_space(self.endpoint as u32));
         }
-        ws.build()
     }
 
     fn name(&self) -> String {

@@ -123,7 +123,6 @@ impl Cluster {
                 cmd: LatencyQueue::new(cap),
                 comp: LatencyQueue::new(cap),
                 rng,
-                next_app_wake: None,
             });
             per_host
                 .entry(self.world.topo.host_of_gpu(gpu))

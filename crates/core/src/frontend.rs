@@ -8,7 +8,7 @@
 use crate::messages::ProxyMsg;
 use crate::world::{resources, World};
 use mccs_ipc::{AppId, ErrorCode, ShimCommand, ShimCompletion};
-use mccs_sim::{Engine, Poll, Wake, WakeSet};
+use mccs_sim::{Engine, Poll, ResourceId};
 use mccs_topology::{GpuId, HostId};
 
 /// The per-(application, host) frontend engine.
@@ -173,16 +173,14 @@ impl Engine<World> for FrontendEngine {
         }
     }
 
-    fn wake_when(&self, w: &World) -> Wake {
-        // One command-queue resource per served endpoint, plus the
-        // earliest not-yet-visible head as a deadline (pushes signal at
-        // push time; visibility lags by the sampled IPC latency).
-        let mut ws = WakeSet::new();
-        for &endpoint in &self.endpoints {
-            ws.watch(resources::endpoint_cmd(endpoint as u32));
-            ws.deadline_opt(w.endpoints[endpoint].cmd.next_visible());
-        }
-        ws.build()
+    fn wake_when(&self, _: &World, on: &mut Vec<ResourceId>) {
+        // One command-queue resource per served endpoint, signalled when
+        // a pushed command turns visible.
+        on.extend(
+            self.endpoints
+                .iter()
+                .map(|&endpoint| resources::endpoint_cmd(endpoint as u32)),
+        );
     }
 
     fn name(&self) -> String {

@@ -30,7 +30,7 @@ use mccs_collectives::{CollectiveOp, CollectiveSchedule, EdgeTask, ScheduleKey};
 use mccs_device::{EventId, StreamId, StreamOp};
 use mccs_ipc::{AppId, CollectiveRequest, CommunicatorId, ErrorCode, ShimCompletion};
 use mccs_netsim::RouteChoice;
-use mccs_sim::{Bytes, Engine, Nanos, Poll, Wake, WakeSet};
+use mccs_sim::{Bytes, Engine, Nanos, Poll, ResourceId};
 use mccs_topology::GpuId;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -59,6 +59,9 @@ pub struct Inflight {
     pub launched_at: Option<Nanos>,
     /// Stall reports already escalated to the recovery engine.
     pub stall_reports: u32,
+    /// The liveness deadline a timer is pending for (armed once, not per
+    /// idle poll; a plan installed mid-collective arms it on first sight).
+    pub liveness_armed: Option<Nanos>,
 }
 
 /// Reconfiguration protocol state (Figure 4).
@@ -127,6 +130,9 @@ pub struct CommRank {
     /// When this rank last sent its barrier gossip (`Some` only while in
     /// the barrier). Drives the plan-gated gossip re-send timer.
     pub barrier_since: Option<Nanos>,
+    /// The gossip re-send deadline a timer is pending for (armed once, not
+    /// per idle poll; a plan installed mid-barrier arms it on first sight).
+    pub gossip_armed: Option<Nanos>,
     /// The complete entry set of the last barrier this rank finished:
     /// `(epoch, entries)`. Lets a rank that has already applied a
     /// reconfiguration answer a peer still stuck gathering it — a peer
@@ -192,6 +198,11 @@ impl ProxyEngine {
         ProxyEngine { gpu }
     }
 
+    /// What this proxy's own timers signal: its inbox, always watched.
+    fn doorbell(&self) -> ResourceId {
+        resources::proxy_inbox(self.gpu.index() as u32)
+    }
+
     fn handle_msg(&mut self, w: &mut World, msg: ProxyMsg) {
         match msg {
             ProxyMsg::RegisterRank {
@@ -223,6 +234,7 @@ impl ProxyEngine {
                         resume_at: Nanos::ZERO,
                         pending_gossip: Vec::new(),
                         barrier_since: None,
+                        gossip_armed: None,
                         last_barrier: None,
                         controller_incarnation: 0,
                     },
@@ -432,7 +444,9 @@ impl ProxyEngine {
         rank.barrier_since = Some(w.clock);
         if w.fault_plan.is_some() {
             // Arm the gossip re-send timer (control messages can be lost).
-            w.schedule_wake(w.clock + w.svc.gossip_retry);
+            let deadline = w.clock + w.svc.gossip_retry;
+            w.signal_at(deadline, self.doorbell());
+            rank.gossip_armed = Some(deadline);
         }
         // Contribute to the AllGather: send own view to the next rank.
         // The merged view subsumes any held gossip, and it circulates the
@@ -673,10 +687,13 @@ impl ProxyEngine {
                                 seq: inf.seq,
                                 at: w.clock,
                             });
-                            w.schedule_wake(w.clock + w.svc.liveness_timeout);
+                            let next = w.clock + w.svc.liveness_timeout;
+                            w.signal_at(next, self.doorbell());
+                            inf.liveness_armed = Some(next);
                             progressed = true;
-                        } else {
-                            w.schedule_wake(deadline);
+                        } else if inf.liveness_armed != Some(deadline) {
+                            w.signal_at(deadline, self.doorbell());
+                            inf.liveness_armed = Some(deadline);
                         }
                     }
                 }
@@ -753,7 +770,7 @@ impl ProxyEngine {
                 // ring shape, so the new config keys new entries and the
                 // old shape's entries simply age out.)
                 rank.resume_at = w.clock + w.svc.reconnect_delay;
-                w.schedule_wake(rank.resume_at);
+                w.signal_at(rank.resume_at, self.doorbell());
                 progressed = true;
             }
         }
@@ -783,10 +800,13 @@ impl ProxyEngine {
                     rank.barrier_since = Some(w.clock);
                     w.health.counters.gossip_resends += 1;
                     w.send_control(next_gpu, gossip);
-                    w.schedule_wake(w.clock + w.svc.gossip_retry);
+                    let next = w.clock + w.svc.gossip_retry;
+                    w.signal_at(next, self.doorbell());
+                    rank.gossip_armed = Some(next);
                     progressed = true;
-                } else {
-                    w.schedule_wake(deadline);
+                } else if rank.gossip_armed != Some(deadline) {
+                    w.signal_at(deadline, self.doorbell());
+                    rank.gossip_armed = Some(deadline);
                 }
             }
         }
@@ -808,6 +828,7 @@ impl ProxyEngine {
                         launched: false,
                         launched_at: None,
                         stall_reports: 0,
+                        liveness_armed: None,
                     });
                     progressed = true;
                 }
@@ -974,53 +995,28 @@ impl Engine<World> for ProxyEngine {
         }
     }
 
-    fn wake_when(&self, w: &World) -> Wake {
+    fn wake_when(&self, w: &World, on: &mut Vec<ResourceId>) {
         let plan = w.fault_plan.is_some();
         // Frozen on a crashed host: only a health event (HostUp) can
         // change anything this engine would do.
         if plan && w.health.is_host_down(w.topo.host_of_gpu(self.gpu)) {
-            return Wake::on(vec![resources::health_channel()]);
+            on.push(resources::health_channel());
+            return;
         }
-        let mut ws = WakeSet::new();
-        ws.watch(resources::proxy_inbox(self.gpu.index() as u32));
-        ws.deadline_opt(w.proxy_inbox[self.gpu.index()].next_visible());
+        // Visible messages and this proxy's own timers.
+        on.push(self.doorbell());
         if !plan {
-            // Installing a plan arms the liveness/gossip timers below.
-            ws.watch(resources::fault_plan_installed());
+            // Installing a plan arms the liveness/gossip timers.
+            on.push(resources::fault_plan_installed());
         }
-        let mut hosts_comms = false;
-        for &comm in w.comms_on_gpu(self.gpu) {
-            let rank = &w.comms[&(comm, self.gpu)];
-            hosts_comms = true;
-            // Token completions, failures, and aborts for this comm.
-            ws.watch(resources::progress(comm));
-            // Reconnect gate after an applied reconfiguration.
-            if w.clock < rank.resume_at {
-                ws.deadline(rank.resume_at);
-            }
-            if plan {
-                // Gossip re-send while the barrier AllGather is stalled.
-                if let Some(since) = rank.barrier_since {
-                    ws.deadline(since + w.svc.gossip_retry);
-                }
-                // Liveness check for a launched, unfinished collective.
-                if let Some(inf) = &rank.inflight {
-                    if let (true, Some(at)) = (inf.launched, inf.launched_at) {
-                        let grace = w
-                            .svc
-                            .liveness_timeout
-                            .mul_f64(f64::from(inf.stall_reports + 1));
-                        ws.deadline(at + grace);
-                    }
-                }
-            }
-        }
-        if hosts_comms {
+        let comms = w.comms_on_gpu(self.gpu);
+        // Token completions, failures, and aborts per communicator.
+        on.extend(comms.iter().map(|&comm| resources::progress(comm)));
+        if !comms.is_empty() {
             // Dependency events and comm-event records complete on device
             // streams, which carry no per-comm attribution.
-            ws.watch(resources::device_activity(self.gpu.index() as u32));
+            on.push(resources::device_activity(self.gpu.index() as u32));
         }
-        ws.build()
     }
 
     fn name(&self) -> String {

@@ -39,7 +39,7 @@ use crate::health::{FailureEvent, HealthDelivery, HealthSubscription};
 use crate::world::{resources, DrainObligation, World};
 use mccs_collectives::{op::all_reduce_sum, CollectiveSchedule, EdgeTask, RingOrder};
 use mccs_ipc::CommunicatorId;
-use mccs_sim::{Bytes, Engine, Poll, Wake};
+use mccs_sim::{Bytes, Engine, Poll, ResourceId};
 use mccs_topology::{GpuId, NicId, RouteId};
 use std::collections::BTreeSet;
 
@@ -753,21 +753,19 @@ impl Engine<World> for RecoveryEngine {
         outcome
     }
 
-    fn wake_when(&self, w: &World) -> Wake {
+    fn wake_when(&self, w: &World, on: &mut Vec<ResourceId>) {
         if w.fault_plan.is_none() {
             // Inert until a plan arrives; `install_fault_plan` signals.
-            Wake::on(vec![resources::fault_plan_installed()])
+            on.push(resources::fault_plan_installed());
         } else if w.controller.down {
             // Parked until the restart signal.
-            Wake::on(vec![resources::controller_status()])
+            on.push(resources::controller_status());
         } else {
             // Driven by health-channel pushes; controller status is
             // watched too so a same-instant crash+restart pair still
             // triggers the reconciliation poll.
-            Wake::on(vec![
-                resources::health_channel(),
-                resources::controller_status(),
-            ])
+            on.push(resources::health_channel());
+            on.push(resources::controller_status());
         }
     }
 

@@ -29,7 +29,7 @@ use crate::qos::TrafficWindows;
 use crate::world::{resources, World};
 use mccs_ipc::{AppId, CommunicatorId};
 use mccs_netsim::{FlowId, FlowSpec, RouteChoice};
-use mccs_sim::{Bandwidth, Bytes, Engine, Nanos, Poll, Wake, WakeSet};
+use mccs_sim::{Bandwidth, Bytes, Engine, Nanos, Poll, ResourceId};
 use mccs_topology::{NicId, RouteId};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -108,6 +108,11 @@ impl TransportEngine {
         self.active.len()
     }
 
+    /// What this transport's own timers signal: its inbox, always watched.
+    fn doorbell(&self) -> ResourceId {
+        resources::transport_inbox(self.nic.index() as u32)
+    }
+
     fn app_open(&self, app: AppId, now: mccs_sim::Nanos) -> bool {
         self.windows.get(&app).is_none_or(|w| w.is_open(now))
     }
@@ -116,7 +121,7 @@ impl TransportEngine {
         if let Some(win) = self.windows.get(&app) {
             let b = win.next_boundary(w.clock);
             if self.scheduled_wake != Some(b) {
-                w.schedule_wake(b);
+                w.signal_at(b, self.doorbell());
                 self.scheduled_wake = Some(b);
             }
         }
@@ -198,7 +203,7 @@ impl TransportEngine {
             w.clock + backoff
         };
         if due > w.clock {
-            w.schedule_wake(due);
+            w.signal_at(due, self.doorbell());
         }
         // A retry due *now* needs no wake: this poll round keeps polling
         // until every engine idles, and `run_due_retries` picks it up on
@@ -338,7 +343,7 @@ impl TransportEngine {
         }
         if !self.active.is_empty() || !self.retries.is_empty() {
             let next = now + w.svc.flow_timeout;
-            w.schedule_wake(next);
+            w.signal_at(next, self.doorbell());
             self.next_stall_check = Some(next);
         } else {
             self.next_stall_check = None;
@@ -577,35 +582,21 @@ impl Engine<World> for TransportEngine {
         }
     }
 
-    fn wake_when(&self, w: &World) -> Wake {
+    fn wake_when(&self, w: &World, on: &mut Vec<ResourceId>) {
         let plan = w.fault_plan.is_some();
         // Frozen on a crashed host: only a health event (HostUp) matters.
         if plan && w.health.is_host_down(w.topo.nics()[self.nic.index()].host) {
-            return Wake::on(vec![resources::health_channel()]);
+            on.push(resources::health_channel());
+            return;
         }
-        let mut ws = WakeSet::new();
-        let idx = self.nic.index();
-        // Commands from proxies, and flow completions / kill notices
-        // routed to this NIC by the world.
-        ws.watch(resources::transport_inbox(idx as u32));
-        ws.watch(resources::transport_flow(idx as u32));
-        ws.deadline_opt(w.transport_inbox[idx].next_visible());
+        // Commands from proxies and this transport's own timers, and flow
+        // completions / kill notices routed to this NIC by the world.
+        on.push(self.doorbell());
+        on.push(resources::transport_flow(self.nic.index() as u32));
         if !plan {
-            // Installing a plan arms the retry/stall timers below.
-            ws.watch(resources::fault_plan_installed());
-        } else {
-            // Backoff-delayed restarts and the recurring stall sweep.
-            ws.deadline_opt(self.retries.iter().map(|(t, _)| *t).min());
-            ws.deadline_opt(self.next_stall_check);
+            // Installing a plan arms the retry/stall timers.
+            on.push(resources::fault_plan_installed());
         }
-        // QoS window boundaries, mirrored from `enforce_windows`' arming
-        // condition: boundaries only matter while something is gated.
-        if !self.windows.is_empty() && (!self.active.is_empty() || !self.pending.is_empty()) {
-            for win in self.windows.values() {
-                ws.deadline(win.next_boundary(w.clock));
-            }
-        }
-        ws.build()
     }
 
     fn name(&self) -> String {

@@ -25,29 +25,35 @@ use std::sync::Arc;
 
 /// The world's wake-resource keying: every queue, channel, and event
 /// stream an engine can block on maps to a [`ResourceId`] here. Engines
-/// declare these in `wake_when`; the world raises the matching signal at
-/// each produce site, and the [`RuntimePool`](mccs_sim::RuntimePool)
-/// readies exactly the parked engines that watch them.
+/// declare these in `wake_when`; the world raises the matching signal when
+/// what is waited for is there (a queue's when a pushed message turns
+/// visible, not at push time), and the
+/// [`RuntimePool`](mccs_sim::RuntimePool) readies exactly the parked
+/// engines that watch them.
 pub mod resources {
     use mccs_ipc::CommunicatorId;
     use mccs_sim::ResourceId;
 
-    /// Shim -> service command queue of one endpoint gained a message.
+    /// Shim -> service command queue of one endpoint has a message visible.
     pub const fn endpoint_cmd(endpoint: u32) -> ResourceId {
         ResourceId::new(1, endpoint)
     }
 
-    /// Service -> shim completion queue of one endpoint gained a message.
+    /// Service -> shim completion queue of one endpoint has a message
+    /// visible, or a timer the rank's program armed came due.
     pub const fn endpoint_comp(endpoint: u32) -> ResourceId {
         ResourceId::new(2, endpoint)
     }
 
-    /// A GPU's proxy inbox gained a message.
+    /// A GPU's proxy inbox has a message visible, or one of the proxy's
+    /// own timers (reconnect gate, gossip re-send, liveness) came due.
     pub const fn proxy_inbox(gpu: u32) -> ResourceId {
         ResourceId::new(3, gpu)
     }
 
-    /// A NIC's transport inbox gained a message.
+    /// A NIC's transport inbox has a message visible, or one of the
+    /// transport's own timers (retry backoff, stall sweep, window
+    /// boundary) came due.
     pub const fn transport_inbox(nic: u32) -> ResourceId {
         ResourceId::new(4, nic)
     }
@@ -96,13 +102,12 @@ pub mod resources {
     pub const fn controller_status() -> ResourceId {
         ResourceId::new(11, 0)
     }
-}
 
-/// Scheduled wake-ups (payload-free: advancing time re-polls every engine).
-#[derive(Clone, Copy, Debug)]
-pub enum WorldEvent {
-    /// Re-poll engines at this time (window boundaries, retries).
-    Wake,
+    /// An external (library-mode) engine's doorbell: one of its flows
+    /// completed, or a timer it armed came due.
+    pub const fn external(owner: u32) -> ResourceId {
+        ResourceId::new(12, owner)
+    }
 }
 
 /// Who gets a flow's completion event.
@@ -184,9 +189,6 @@ pub struct Endpoint {
     pub comp: LatencyQueue<ShimCompletion>,
     /// Tenant-local randomness.
     pub rng: Rng,
-    /// Earliest program-armed timer (`ShimPort::schedule_wake`) not yet
-    /// reached — the app engine mirrors it as its wake deadline.
-    pub next_app_wake: Option<Nanos>,
 }
 
 /// Cluster-wide completion tracking for one collective — the flow-level
@@ -396,8 +398,8 @@ pub struct World {
     pub ipc: IpcConfig,
     /// Service tuning knobs.
     pub svc: ServiceConfig,
-    /// Scheduled wake-ups.
-    pub events: EventQueue<WorldEvent>,
+    /// The one timer structure: resources to signal at their instants.
+    pub events: EventQueue<ResourceId>,
     /// Tenant rank endpoints.
     pub endpoints: Vec<Endpoint>,
     /// Per-GPU proxy inboxes.
@@ -714,8 +716,8 @@ impl World {
     ///
     /// Only the event schedule and the self-timing substrates (network,
     /// devices, fault plan) are consulted: every queue push pairs with a
-    /// `schedule_wake` at its visibility time, so a queue head that is
-    /// not yet visible is always covered by a pending event. The debug
+    /// [`signal_at`](Self::signal_at) its visibility time, so a queue head
+    /// that is not yet visible is always covered by a pending event. The debug
     /// assertion checks that invariant against the exhaustive scan on
     /// every call in debug builds.
     pub fn next_time(&self) -> Option<Nanos> {
@@ -820,6 +822,7 @@ impl World {
                     self.transport_flow_events[nic].push(c);
                 }
                 FlowOwner::External(owner) => {
+                    self.signals.push(resources::external(owner));
                     self.external_flow_events.entry(owner).or_default().push(c)
                 }
             }
@@ -835,7 +838,9 @@ impl World {
         for gpu in self.devices.take_touched_gpus() {
             self.signals.push(resources::device_activity(gpu));
         }
-        while self.events.pop_due(t).is_some() {}
+        while let Some((_, r)) = self.events.pop_due(t) {
+            self.signals.push(r);
+        }
         self.clock = t;
     }
 
@@ -991,14 +996,8 @@ impl World {
     /// `t - send_time` on each ordinal.
     pub fn release_control(&mut self) {
         self.control_held = false;
-        let now = self.clock;
         for (gpu, lat, msg) in std::mem::take(&mut self.held_control) {
-            self.proxy_inbox[gpu.index()]
-                .push(now, lat, msg)
-                .unwrap_or_else(|_| panic!("proxy inbox overflow on {gpu}"));
-            self.schedule_wake(now + lat);
-            self.signals
-                .push(resources::proxy_inbox(gpu.index() as u32));
+            self.push_to_proxy(gpu, lat, msg);
         }
     }
 
@@ -1023,9 +1022,17 @@ impl World {
         }
     }
 
-    /// Schedule a payload-free wake-up.
-    pub fn schedule_wake(&mut self, at: Nanos) {
-        self.events.schedule(at, WorldEvent::Wake);
+    /// Signal `resource` when the clock reaches `at` — the one way to wait
+    /// on time: a message's visibility instant signals the receiving
+    /// queue, an engine's timer signals its own doorbell. An `at` already
+    /// reached signals at once. Either way the event is queued, so the
+    /// clock stops for it ([`Self::next_time`]): the naive scheduler
+    /// ignores signals and only ever sees time through those stops.
+    pub fn signal_at(&mut self, at: Nanos, resource: ResourceId) {
+        if at <= self.clock {
+            self.signals.push(resource);
+        }
+        self.events.schedule(at, resource);
     }
 
     // ---- collective progress ------------------------------------------------
@@ -1135,16 +1142,20 @@ impl World {
 
     // ---- messaging helpers -------------------------------------------------
 
-    /// Push to a GPU's proxy inbox with one internal engine hop of latency.
-    pub fn send_to_proxy(&mut self, gpu: GpuId, msg: ProxyMsg) {
-        let lat = self.ipc.sample_hop_latency(&mut self.rng);
+    /// Queue `msg` for `gpu`'s proxy, visible — and signalled — `lat` from
+    /// now.
+    fn push_to_proxy(&mut self, gpu: GpuId, lat: Nanos, msg: ProxyMsg) {
         let now = self.clock;
         self.proxy_inbox[gpu.index()]
             .push(now, lat, msg)
             .unwrap_or_else(|_| panic!("proxy inbox overflow on {gpu}"));
-        self.schedule_wake(now + lat);
-        self.signals
-            .push(resources::proxy_inbox(gpu.index() as u32));
+        self.signal_at(now + lat, resources::proxy_inbox(gpu.index() as u32));
+    }
+
+    /// Push to a GPU's proxy inbox with one internal engine hop of latency.
+    pub fn send_to_proxy(&mut self, gpu: GpuId, msg: ProxyMsg) {
+        let lat = self.ipc.sample_hop_latency(&mut self.rng);
+        self.push_to_proxy(gpu, lat, msg);
     }
 
     /// Push to a NIC's transport inbox with one internal engine hop.
@@ -1154,9 +1165,7 @@ impl World {
         self.transport_inbox[nic.index()]
             .push(now, lat, msg)
             .unwrap_or_else(|_| panic!("transport inbox overflow on {nic}"));
-        self.schedule_wake(now + lat);
-        self.signals
-            .push(resources::transport_inbox(nic.index() as u32));
+        self.signal_at(now + lat, resources::transport_inbox(nic.index() as u32));
     }
 
     /// Push a completion back to a tenant endpoint.
@@ -1167,8 +1176,7 @@ impl World {
             .comp
             .push(now, lat, completion)
             .unwrap_or_else(|_| panic!("completion queue overflow on endpoint {endpoint}"));
-        self.schedule_wake(now + lat);
-        self.signals.push(resources::endpoint_comp(endpoint as u32));
+        self.signal_at(now + lat, resources::endpoint_comp(endpoint as u32));
     }
 
     /// Deliver a control-plane message to a proxy with control-channel
@@ -1194,13 +1202,7 @@ impl World {
             self.held_control.push((gpu, lat, msg));
             return;
         }
-        let now = self.clock;
-        self.proxy_inbox[gpu.index()]
-            .push(now, lat, msg)
-            .unwrap_or_else(|_| panic!("proxy inbox overflow on {gpu}"));
-        self.schedule_wake(now + lat);
-        self.signals
-            .push(resources::proxy_inbox(gpu.index() as u32));
+        self.push_to_proxy(gpu, lat, msg);
     }
 
     /// The send ordinal the *next* control message will get — what a
@@ -1233,10 +1235,6 @@ impl World {
 }
 
 impl WakeSource for World {
-    fn now(&self) -> Nanos {
-        self.clock
-    }
-
     fn drain_signals(&mut self, into: &mut Vec<ResourceId>) {
         if self.health.take_signal() {
             self.signals.push(resources::health_channel());
@@ -1267,10 +1265,8 @@ impl ShimPort for EndpointPort<'_> {
         let lat = cfg.sample_command_latency(&mut ep.rng);
         match ep.cmd.push(now, lat, cmd) {
             Ok(()) => {
-                self.world.schedule_wake(now + lat);
                 self.world
-                    .signals
-                    .push(resources::endpoint_cmd(self.idx as u32));
+                    .signal_at(now + lat, resources::endpoint_cmd(self.idx as u32));
                 true
             }
             Err(_) => false,
@@ -1327,9 +1323,8 @@ impl ShimPort for EndpointPort<'_> {
     }
 
     fn schedule_wake(&mut self, at: Nanos) {
-        self.world.schedule_wake(at);
-        let ep = &mut self.world.endpoints[self.idx];
-        ep.next_app_wake = Some(ep.next_app_wake.map_or(at, |t| t.min(at)));
+        self.world
+            .signal_at(at, resources::endpoint_comp(self.idx as u32));
     }
 }
 
@@ -1412,23 +1407,62 @@ mod tests {
         w.complete_token(999, Nanos::ZERO);
     }
 
+    fn drain(w: &mut World) -> Vec<ResourceId> {
+        let mut out = Vec::new();
+        w.drain_signals(&mut out);
+        out
+    }
+
     #[test]
-    fn next_time_sees_queued_messages() {
+    fn signal_at_raises_its_resource_when_the_clock_gets_there() {
         let mut w = world();
+        let r = resources::external(3);
+        let at = Nanos::from_micros(10);
+        w.signal_at(at, r);
+        assert_eq!(w.next_time(), Some(at));
+        w.advance_to(Nanos::from_micros(9));
+        assert_eq!(drain(&mut w), vec![], "not before its instant");
+        w.advance_to(at);
+        assert_eq!(drain(&mut w), vec![r], "exactly at its instant");
         assert_eq!(w.next_time(), None);
+        // Already due: raised at once, and the clock still gets its stop.
+        w.signal_at(at, r);
+        assert_eq!(drain(&mut w), vec![r]);
+        assert_eq!(w.next_time(), Some(at + Nanos(1)));
+    }
+
+    #[test]
+    fn a_message_is_one_event_and_polls_its_receiver_at_visibility() {
+        use crate::proxy::ProxyEngine;
+        use mccs_sim::RuntimePool;
+        let mut w = world();
+        let mut pool: RuntimePool<World> = RuntimePool::new();
+        pool.set_naive(false);
+        pool.spawn(Box::new(ProxyEngine::new(GpuId(0))));
+        pool.poll(&mut w);
+        assert_eq!(w.next_time(), None);
+        let parked = pool.poll_count();
+        let config = CollectiveConfig::default_for(&w.topo, &[GpuId(0), GpuId(2)]);
+        let comm = CommunicatorId(9);
         w.send_to_proxy(
             GpuId(0),
-            ProxyMsg::CommDestroy {
-                endpoint: 0,
-                req: 0,
-                comm: CommunicatorId(0),
+            ProxyMsg::Reconfigure {
+                comm,
+                incarnation: 0,
+                config,
             },
         );
+        // Nothing is visible at push time, so nobody is polled for it.
+        pool.poll(&mut w);
+        assert_eq!(pool.poll_count(), parked);
         let t = w.next_time().expect("queued message");
         assert!(t > Nanos::ZERO);
+        assert_eq!(w.next_time_exhaustive(), Some(t));
         w.advance_to(t);
-        // message is visible now, not in the future
-        assert!(w.proxy_inbox[0].pop(w.clock).is_some());
+        pool.poll(&mut w);
+        assert_eq!(w.health.counters.reconfig_rejects, 1, "taken and handled");
+        // The poll that takes the message, and the idle one that parks.
+        assert_eq!(pool.poll_count() - parked, 2);
     }
 
     #[test]

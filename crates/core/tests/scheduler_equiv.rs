@@ -3,9 +3,12 @@
 //! quiescent oracle ([`Cluster::set_naive_scheduler`]). Every scenario
 //! runs twice — once per scheduler — and compares
 //! [`Cluster::observable_digest`] byte-for-byte: the full per-rank trace,
-//! the failure-event log, and the health counters. Scheduler efficiency
-//! counters are deliberately outside the digest (they differ by design —
-//! that difference is the whole point of the wake scheduler).
+//! the failure-event log, and the health counters — and, folded in after
+//! every step, the clock and the useful polls so far: a wake that arrives
+//! late moves useful work to a later instant and is caught there, even
+//! when the final digest would have come out the same. Wasted polls stay
+//! outside the comparison (they differ by design — that difference is the
+//! whole point of the wake scheduler).
 //!
 //! CI additionally re-runs the entire core fault battery under
 //! `MCCS_SIM_NAIVE_POOL=1` in the oracle-equivalence job, so the naive
@@ -20,6 +23,7 @@ use mccs_sim::{Bytes, Nanos};
 use mccs_topology::graph::Endpoint;
 use mccs_topology::{presets, GpuId, LinkId, SwitchRole};
 use proptest::prelude::*;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
 
 /// One rank of an iterated all-reduce job, optionally with an idle phase
@@ -140,28 +144,38 @@ fn spine0_links(cluster: &Cluster) -> Vec<LinkId> {
 }
 
 /// Run one configuration under one scheduler to quiescence and return the
-/// observable digest plus the wasted-poll count (for efficiency sanity).
+/// observable digest with the per-step `(clock, useful polls)` fold, plus
+/// the wasted-poll count (for efficiency sanity).
 fn run_one(
     naive: bool,
     seed: u64,
     policy: DegradationPolicy,
     tenants: &[Tenant],
     plan: Option<&dyn Fn(&Cluster) -> FaultPlan>,
-) -> (u64, u64) {
+) -> ((u64, u64), u64) {
     let mut cluster = build_cluster(seed, policy, tenants);
     cluster.set_naive_scheduler(naive);
     if let Some(make) = plan {
         let plan = make(&cluster);
         cluster.install_fault_plan(plan);
     }
-    cluster.run_until_quiescent(Nanos::from_secs(120));
+    let mut steps = DefaultHasher::new();
+    loop {
+        let next = cluster.step();
+        let stats = cluster.scheduler_stats();
+        (cluster.world.clock, stats.polls - stats.wasted_polls).hash(&mut steps);
+        match next {
+            Some(t) => assert!(t <= Nanos::from_secs(120), "still active at {t}"),
+            None => break,
+        }
+    }
     (
-        cluster.observable_digest(),
+        (cluster.observable_digest(), steps.finish()),
         cluster.scheduler_stats().wasted_polls,
     )
 }
 
-/// Assert wake and naive schedulers agree on a scenario's digest.
+/// Assert wake and naive schedulers agree on a scenario, step by step.
 fn assert_equivalent(
     what: &str,
     seed: u64,
@@ -304,6 +318,26 @@ fn wake_scheduler_wastes_fewer_polls() {
         "wake scheduler should waste well under half the oracle's polls \
          (wake {wake_wasted} vs naive {naive_wasted})"
     );
+}
+
+#[test]
+fn idle_polls_leave_the_event_queue_alone() {
+    // An idle poll has no observable effect, a pending timer included.
+    // The oracle polls every engine on every call, so re-polling at one
+    // instant must not grow the event queue — here with proxies holding a
+    // launched collective under an installed plan (liveness timer armed).
+    let tenants = two_tenants(Bytes::mib(64), 1);
+    let mut cluster = build_cluster(7, DegradationPolicy::default(), &tenants);
+    cluster.set_naive_scheduler(true);
+    cluster.install_fault_plan(FaultPlan::new());
+    cluster.run_until(Nanos::from_millis(3));
+    let launched = |r: &mccs_core::proxy::CommRank| r.inflight.as_ref().is_some_and(|i| i.launched);
+    assert!(cluster.world.comms.values().any(launched), "mid-collective");
+    let pending = cluster.world.events.len();
+    for _ in 0..3 {
+        cluster.poll_once();
+    }
+    assert_eq!(cluster.world.events.len(), pending);
 }
 
 proptest! {

@@ -11,10 +11,10 @@
 //! Two schedulers share that contract:
 //!
 //! * **Wake-driven** (default, [`RuntimePool::poll_ready`]): engines that
-//!   return [`Poll::Idle`] declare a [`Wake`] condition — resources to
-//!   watch, an optional virtual-time deadline — and are parked until a
-//!   matching signal or the deadline readies them. Each scheduler call
-//!   costs O(ready work), not O(live engines).
+//!   return [`Poll::Idle`] declare the resources they wait on and are
+//!   parked until one of them is signalled. Each scheduler call costs
+//!   O(ready work), not O(live engines). The pool has no clock: a timed
+//!   wait is a resource the embedder signals when its time comes.
 //! * **Naive round-robin** ([`RuntimePool::poll_until_quiescent`]): every
 //!   live engine is re-polled every pass until a full pass is idle. Kept as
 //!   the oracle the wake-driven scheduler is differentially tested against
@@ -28,16 +28,15 @@
 //! so engines perform their observable actions in exactly the same order
 //! under both schedulers. The invariants this rests on — engines returning
 //! `Idle` have no observable effect, and every idle→ready transition is
-//! covered by a signal, a deadline, or [`Wake::Any`] — are enforced by the
+//! covered by a signal on a declared resource — are enforced by the
 //! digest-equivalence battery in the service crate.
 //!
 //! The context type `Cx` is chosen by the embedder (the MCCS service uses a
 //! `World` holding the simulated network, devices and IPC queues); this
 //! crate stays agnostic of what engines act upon.
 
-use crate::waker::{ResourceId, Wake, WakeSource};
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use crate::waker::{ResourceId, WakeSource};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// Identifies an engine within a [`RuntimePool`].
@@ -76,15 +75,11 @@ pub trait Engine<Cx: ?Sized> {
     /// Advance the engine's state machine as far as currently possible.
     fn progress(&mut self, cx: &mut Cx) -> Poll;
 
-    /// What must happen for this engine to be worth polling again, asked
-    /// immediately after `progress` returns [`Poll::Idle`]. The default —
-    /// [`Wake::Any`] — reproduces naive scheduling for this engine (it is
-    /// re-polled once per scheduler round whenever anything progresses),
-    /// so unported engines stay correct, just not cheap.
-    fn wake_when(&self, cx: &Cx) -> Wake {
-        let _ = cx;
-        Wake::Any
-    }
+    /// What must be signalled for this engine to be worth polling again,
+    /// asked immediately after `progress` returns [`Poll::Idle`]: push
+    /// every resource to wait on into `on` (handed over empty). A signal
+    /// on any of them readies the engine; an empty list parks it forever.
+    fn wake_when(&self, cx: &Cx, on: &mut Vec<ResourceId>);
 
     /// Diagnostic label.
     fn name(&self) -> String {
@@ -98,14 +93,10 @@ struct Slot<Cx: ?Sized> {
     /// indices held by the wake bookkeeping remain stable).
     engine: Option<Box<dyn Engine<Cx>>>,
     finished: bool,
-    /// Bumped every (re-)park and unpark; a timer whose recorded epoch no
-    /// longer matches is stale and discarded lazily.
-    park_epoch: u64,
     /// Resources this slot is currently registered on (cleared on wake so
-    /// waiter lists stay bounded by live registrations).
+    /// waiter lists stay bounded by live registrations). The buffer is the
+    /// one `wake_when` fills, reused across parks.
     registered: Vec<ResourceId>,
-    /// Parked with [`Wake::Any`] (member of the pool's any-set).
-    parked_any: bool,
     /// Spin-guard bookkeeping: polls issued during the current scheduler
     /// call (reset lazily via the call stamp).
     call_stamp: u64,
@@ -224,13 +215,8 @@ pub struct RuntimePool<Cx: ?Sized> {
     call_seq: u64,
     /// Engines to poll in the next round/call, in ascending slot order.
     ready: BTreeSet<usize>,
-    /// Slots parked with [`Wake::Any`]; polled once per round like the
-    /// naive scheduler would.
-    any_parked: BTreeSet<usize>,
     /// resource id → slots registered on it.
     waiters: WaiterTable,
-    /// (deadline, park epoch, slot) min-heap; stale epochs discarded lazily.
-    timers: BinaryHeap<Reverse<(crate::Nanos, u64, usize)>>,
     /// Scratch for draining context signals without reallocating.
     signal_scratch: Vec<ResourceId>,
     /// Slots that returned [`Poll::Progressed`] in the current pass/round
@@ -260,9 +246,7 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
             wakes: 0,
             call_seq: 0,
             ready: BTreeSet::new(),
-            any_parked: BTreeSet::new(),
             waiters: WaiterTable::default(),
-            timers: BinaryHeap::new(),
             signal_scratch: Vec::new(),
             round_progressed: Vec::new(),
         }
@@ -279,15 +263,11 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
         if !naive {
             for (i, slot) in self.slots.iter_mut().enumerate() {
                 if !slot.finished {
-                    slot.park_epoch += 1;
                     slot.registered.clear();
-                    slot.parked_any = false;
                     self.ready.insert(i);
                 }
             }
-            self.any_parked.clear();
             self.waiters.clear();
-            self.timers.clear();
         }
     }
 
@@ -307,9 +287,7 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
             id,
             engine: Some(engine),
             finished: false,
-            park_epoch: 0,
             registered: Vec::new(),
-            parked_any: false,
             call_stamp: 0,
             call_polls: 0,
         });
@@ -416,34 +394,20 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
     }
 
     /// Wake-driven scheduler: poll only engines that are ready — newly
-    /// spawned, signalled since the last call, past their deadline, or
-    /// parked with [`Wake::Any`] — in rounds that mirror the naive passes.
-    /// Returns the number of engines that finished during this call.
+    /// spawned or signalled since they parked — in rounds that mirror the
+    /// naive passes. Returns the number of engines that finished during
+    /// this call.
     pub fn poll_ready(&mut self, cx: &mut Cx) -> usize
     where
         Cx: WakeSource,
     {
         self.call_seq += 1;
-        let now = cx.now();
-        // Release timers that have come due.
-        while let Some(&Reverse((t, epoch, idx))) = self.timers.peek() {
-            if t > now {
-                break;
-            }
-            self.timers.pop();
-            if !self.slots[idx].finished && self.slots[idx].park_epoch == epoch {
-                self.wake(idx, None, None);
-            }
-        }
         // Absorb signals raised since the last scheduler call.
         self.absorb_signals(cx, None, None);
 
         let mut finished_now = 0;
         loop {
-            // Round set: explicitly readied engines plus every Any-parked
-            // engine (the naive scheduler polls those each pass too).
             let mut round = std::mem::take(&mut self.ready);
-            round.extend(self.any_parked.iter().copied());
             if round.is_empty() {
                 break;
             }
@@ -462,11 +426,8 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
                 // The engine is about to run: whatever parked state it held
                 // is consumed (it re-declares on its next Idle).
                 self.clear_registrations(idx);
-                self.any_parked.remove(&idx);
                 {
                     let slot = &mut self.slots[idx];
-                    slot.park_epoch += 1;
-                    slot.parked_any = false;
                     if slot.call_stamp != self.call_seq {
                         slot.call_stamp = self.call_seq;
                         slot.call_polls = 0;
@@ -536,46 +497,16 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
             .collect()
     }
 
-    /// Park `idx` according to its declared wake condition.
-    fn park(&mut self, idx: usize, cx: &Cx)
-    where
-        Cx: WakeSource,
-    {
-        let now = cx.now();
-        let wake = self.slots[idx]
-            .engine
+    /// Park `idx` on the resources it declares.
+    fn park(&mut self, idx: usize, cx: &Cx) {
+        let slot = &mut self.slots[idx];
+        debug_assert!(slot.registered.is_empty(), "cleared before the poll");
+        slot.engine
             .as_ref()
             .expect("live engine")
-            .wake_when(cx);
-        match wake {
-            Wake::Any => {
-                self.slots[idx].parked_any = true;
-                self.any_parked.insert(idx);
-            }
-            Wake::On {
-                resources,
-                deadline,
-            } => {
-                match deadline {
-                    Some(d) if d <= now => {
-                        // The deadline is already due: the naive scheduler
-                        // would simply poll again next pass, so stay ready
-                        // (the round loop still terminates — a round of
-                        // pure idles exits regardless of the ready set).
-                        self.ready.insert(idx);
-                        return;
-                    }
-                    Some(d) => {
-                        let epoch = self.slots[idx].park_epoch;
-                        self.timers.push(Reverse((d, epoch, idx)));
-                    }
-                    None => {}
-                }
-                for r in &resources {
-                    self.waiters.push(*r, idx);
-                }
-                self.slots[idx].registered = resources;
-            }
+            .wake_when(cx, &mut slot.registered);
+        for r in &slot.registered {
+            self.waiters.push(*r, idx);
         }
     }
 
@@ -600,39 +531,26 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
                 if self.slots[idx].finished || self.slots[idx].registered.is_empty() {
                     continue;
                 }
-                self.wake(idx, cursor, round.as_deref_mut());
+                // Parked → ready.
+                self.clear_registrations(idx);
+                self.wakes += 1;
+                match (cursor, round.as_deref_mut()) {
+                    (Some(c), Some(round)) if idx > c => round.insert(idx),
+                    _ => self.ready.insert(idx),
+                };
             }
         }
         self.signal_scratch = sigs;
     }
 
-    /// Transition a parked slot to ready: clear its registrations, bump
-    /// its epoch (invalidating any timer), and queue it for polling.
-    fn wake(&mut self, idx: usize, cursor: Option<usize>, round: Option<&mut BTreeSet<usize>>) {
-        self.clear_registrations(idx);
-        let slot = &mut self.slots[idx];
-        slot.park_epoch += 1;
-        if slot.parked_any {
-            slot.parked_any = false;
-            self.any_parked.remove(&idx);
-        }
-        self.wakes += 1;
-        match (cursor, round) {
-            (Some(c), Some(round)) if idx > c => {
-                round.insert(idx);
-            }
-            _ => {
-                self.ready.insert(idx);
-            }
-        }
-    }
-
-    /// Remove `idx` from every waiter list it registered on.
+    /// Remove `idx` from every waiter list it registered on (the slot's
+    /// buffer keeps its capacity for the next park).
     fn clear_registrations(&mut self, idx: usize) {
-        let regs = std::mem::take(&mut self.slots[idx].registered);
-        for r in &regs {
+        let regs = &mut self.slots[idx].registered;
+        for r in regs.iter() {
             self.waiters.remove_slot(*r, idx);
         }
+        regs.clear();
     }
 
     /// Names of live engines, for debugging deadlocks.
@@ -648,7 +566,6 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Nanos;
 
     /// Counts down; progresses once per poll until it finishes.
     struct Countdown {
@@ -664,6 +581,7 @@ mod tests {
             *total += 1;
             Poll::Progressed
         }
+        fn wake_when(&self, _: &u32, _: &mut Vec<ResourceId>) {}
         fn name(&self) -> String {
             format!("countdown({})", self.left)
         }
@@ -683,6 +601,7 @@ mod tests {
                 Poll::Idle
             }
         }
+        fn wake_when(&self, _: &u32, _: &mut Vec<ResourceId>) {}
     }
 
     #[test]
@@ -741,6 +660,7 @@ mod tests {
             fn progress(&mut self, _: &mut u32) -> Poll {
                 Poll::Progressed
             }
+            fn wake_when(&self, _: &u32, _: &mut Vec<ResourceId>) {}
         }
         let mut pool: RuntimePool<u32> = RuntimePool::new();
         pool.spawn(Box::new(Spin));
@@ -754,6 +674,7 @@ mod tests {
             fn progress(&mut self, _: &mut u32) -> Poll {
                 Poll::Progressed
             }
+            fn wake_when(&self, _: &u32, _: &mut Vec<ResourceId>) {}
             fn name(&self) -> String {
                 "spinner-under-test".to_owned()
             }
@@ -777,19 +698,15 @@ mod tests {
 
     // ---- wake-driven scheduler ---------------------------------------------
 
-    /// Minimal context for wake-driven tests: a clock, a signal buffer and
-    /// a shared scratch counter engines communicate through.
+    /// Minimal context for wake-driven tests: a signal buffer and a shared
+    /// scratch counter engines communicate through.
     #[derive(Default)]
     struct TestCx {
-        now: Nanos,
         signals: Vec<ResourceId>,
         total: u32,
     }
 
     impl WakeSource for TestCx {
-        fn now(&self) -> Nanos {
-            self.now
-        }
         fn drain_signals(&mut self, into: &mut Vec<ResourceId>) {
             into.append(&mut self.signals);
         }
@@ -812,6 +729,7 @@ mod tests {
             cx.signals.push(RES_A);
             Poll::Progressed
         }
+        fn wake_when(&self, _: &TestCx, _: &mut Vec<ResourceId>) {}
     }
 
     /// Finishes once the counter reaches a threshold; parks on a resource.
@@ -840,26 +758,8 @@ mod tests {
                 Poll::Idle
             }
         }
-        fn wake_when(&self, _: &TestCx) -> Wake {
-            Wake::on(vec![self.resource])
-        }
-    }
-
-    /// Finishes once the clock reaches a deadline; parks on that deadline.
-    struct DeadlineWaiter {
-        at: Nanos,
-    }
-
-    impl Engine<TestCx> for DeadlineWaiter {
-        fn progress(&mut self, cx: &mut TestCx) -> Poll {
-            if cx.now >= self.at {
-                Poll::Finished
-            } else {
-                Poll::Idle
-            }
-        }
-        fn wake_when(&self, _: &TestCx) -> Wake {
-            Wake::at(self.at)
+        fn wake_when(&self, _: &TestCx, on: &mut Vec<ResourceId>) {
+            on.push(self.resource);
         }
     }
 
@@ -928,61 +828,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_wakes_engine_when_time_reaches_it() {
-        let mut pool: RuntimePool<TestCx> = RuntimePool::new();
-        pool.set_naive(false);
-        pool.spawn(Box::new(DeadlineWaiter {
-            at: Nanos::from_micros(10),
-        }));
-        let mut cx = TestCx::default();
-        assert_eq!(pool.poll_ready(&mut cx), 0);
-        cx.now = Nanos::from_micros(5);
-        assert_eq!(pool.poll_ready(&mut cx), 0, "deadline not due yet");
-        assert_eq!(pool.live(), 1);
-        cx.now = Nanos::from_micros(10);
-        assert_eq!(pool.poll_ready(&mut cx), 1);
-        assert_eq!(pool.live(), 0);
-    }
-
-    #[test]
-    fn any_parked_engines_follow_naive_semantics() {
-        // WaitFor-style engine with no wake_when: defaults to Wake::Any and
-        // must still observe progress made by other engines.
-        struct AnyWaiter {
-            threshold: u32,
-        }
-        impl Engine<TestCx> for AnyWaiter {
-            fn progress(&mut self, cx: &mut TestCx) -> Poll {
-                if cx.total >= self.threshold {
-                    Poll::Finished
-                } else {
-                    Poll::Idle
-                }
-            }
-        }
-        struct QuietCountdown {
-            left: u32,
-        }
-        impl Engine<TestCx> for QuietCountdown {
-            fn progress(&mut self, cx: &mut TestCx) -> Poll {
-                if self.left == 0 {
-                    return Poll::Finished;
-                }
-                self.left -= 1;
-                cx.total += 1;
-                // Note: no signal — only Wake::Any engines may observe this.
-                Poll::Progressed
-            }
-        }
-        let mut pool: RuntimePool<TestCx> = RuntimePool::new();
-        pool.set_naive(false);
-        pool.spawn(Box::new(AnyWaiter { threshold: 4 }));
-        pool.spawn(Box::new(QuietCountdown { left: 4 }));
-        let mut cx = TestCx::default();
-        assert_eq!(pool.poll_ready(&mut cx), 2);
-    }
-
-    #[test]
     fn wake_driven_skips_idle_engines_that_naive_repolls() {
         // 1 worker + N parked waiters: the naive scheduler pays N wasted
         // polls per pass, the wake-driven one only the initial park.
@@ -1036,6 +881,7 @@ mod tests {
             fn progress(&mut self, _: &mut TestCx) -> Poll {
                 Poll::Progressed
             }
+            fn wake_when(&self, _: &TestCx, _: &mut Vec<ResourceId>) {}
         }
         let mut pool: RuntimePool<TestCx> = RuntimePool::new();
         pool.set_naive(false);

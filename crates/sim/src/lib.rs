@@ -23,9 +23,9 @@
 //! * [`engine`] — the [`Engine`] trait, [`Poll`] status and [`RuntimePool`]
 //!   cooperative scheduler (wake-driven by default, with the naive
 //!   round-robin poller kept as a differential-testing oracle).
-//! * [`waker`] — [`Wake`] conditions, [`ResourceId`]s and the
-//!   [`WakeSource`] contract contexts implement so parked engines can be
-//!   woken by exactly the events they wait on.
+//! * [`waker`] — [`ResourceId`]s and the [`WakeSource`] contract contexts
+//!   implement so parked engines can be woken by exactly the signals they
+//!   wait on (timed waits included — the pool itself has no clock).
 //! * [`timeline`] — time-series recording for the timeline figures (7, 10).
 //! * [`stats`] — means, percentiles and confidence intervals for reporting.
 
@@ -45,4 +45,4 @@ pub use stats::Summary;
 pub use time::Nanos;
 pub use timeline::TimeSeries;
 pub use units::{Bandwidth, Bytes};
-pub use waker::{ResourceId, Wake, WakeSet, WakeSource};
+pub use waker::{ResourceId, WakeSource};

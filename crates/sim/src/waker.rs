@@ -1,21 +1,19 @@
-//! Wake conditions and resource signalling for wake-driven scheduling.
+//! Resource signalling for wake-driven scheduling.
 //!
 //! The naive [`crate::RuntimePool`] scheduler re-polls every live engine on
 //! every pass until a whole pass is idle — O(engines × passes) per step even
 //! when a single message moved. Real executors park idle tasks and wake them
 //! through wakers; this module is the virtual-time equivalent. An engine
-//! returning [`crate::Poll::Idle`] declares a [`Wake`] condition: a set of
-//! [`ResourceId`]s (mailboxes, queues, flow-event channels — whatever the
-//! embedder keys them to) plus an optional virtual-time deadline. The
-//! embedding context implements [`WakeSource`] so the pool can collect the
-//! resource signals raised since the last poll and translate them into
-//! ready engines.
+//! returning [`crate::Poll::Idle`] declares the [`ResourceId`]s it waits on
+//! (mailboxes, queues, flow-event channels, its own timer doorbell —
+//! whatever the embedder keys them to), and the embedding context
+//! implements [`WakeSource`] so the pool can collect the resource signals
+//! raised since the last poll and translate them into ready engines.
 //!
-//! Engines that do not (yet) declare wake conditions keep the default
-//! [`Wake::Any`], which reproduces the naive semantics exactly: the engine
-//! is re-polled once per scheduler pass whenever anything else progresses.
-
-use crate::time::Nanos;
+//! Time is not a wake condition of its own: the pool has no clock. A timed
+//! wait is a signal the embedder raises when its clock reaches the instant
+//! (the MCCS world's `signal_at`), so "wake me at `t`" and "wake me when a
+//! message is visible" are the same thing — a resource in the list.
 
 /// An opaque resource an engine can wait on. The embedder chooses the
 /// encoding; [`ResourceId::new`] packs a 32-bit kind with a 32-bit index,
@@ -40,111 +38,15 @@ impl ResourceId {
     }
 }
 
-/// What must happen for a parked engine to be worth polling again.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub enum Wake {
-    /// Re-poll whenever anything in the pool progresses (naive semantics;
-    /// the default for engines that have not been taught to declare their
-    /// dependencies).
-    #[default]
-    Any,
-    /// Poll again when any of `resources` is signalled, or when virtual
-    /// time reaches `deadline` — whichever happens first. An empty
-    /// resource set with no deadline parks the engine forever (it can
-    /// still never progress, so this is behaviourally identical to the
-    /// naive scheduler polling it Idle until the end of time).
-    On {
-        /// Resources whose signal readies the engine.
-        resources: Vec<ResourceId>,
-        /// Virtual time at which the engine becomes ready regardless.
-        deadline: Option<Nanos>,
-    },
-}
-
-impl Wake {
-    /// Wake on any of the given resources, no deadline.
-    pub fn on(resources: Vec<ResourceId>) -> Self {
-        Wake::On {
-            resources,
-            deadline: None,
-        }
-    }
-
-    /// Wake at a virtual-time deadline only.
-    pub fn at(deadline: Nanos) -> Self {
-        Wake::On {
-            resources: Vec::new(),
-            deadline: Some(deadline),
-        }
-    }
-
-    /// Park forever (nothing can ready this engine again).
-    pub fn never() -> Self {
-        Wake::On {
-            resources: Vec::new(),
-            deadline: None,
-        }
-    }
-}
-
-/// Incremental builder for the common engine pattern "watch these queues,
-/// and also wake me at the earliest of several timers".
-#[derive(Clone, Debug, Default)]
-pub struct WakeSet {
-    resources: Vec<ResourceId>,
-    deadline: Option<Nanos>,
-}
-
-impl WakeSet {
-    /// An empty set (parks forever unless extended).
-    pub fn new() -> Self {
-        WakeSet::default()
-    }
-
-    /// Watch a resource.
-    pub fn watch(&mut self, r: ResourceId) -> &mut Self {
-        self.resources.push(r);
-        self
-    }
-
-    /// Arm (or tighten) the deadline: the earliest deadline wins.
-    pub fn deadline(&mut self, t: Nanos) -> &mut Self {
-        self.deadline = Some(match self.deadline {
-            Some(d) => d.min(t),
-            None => t,
-        });
-        self
-    }
-
-    /// Arm the deadline if `t` is present.
-    pub fn deadline_opt(&mut self, t: Option<Nanos>) -> &mut Self {
-        if let Some(t) = t {
-            self.deadline(t);
-        }
-        self
-    }
-
-    /// Finish the build.
-    pub fn build(self) -> Wake {
-        Wake::On {
-            resources: self.resources,
-            deadline: self.deadline,
-        }
-    }
-}
-
 /// The side of the embedding context the wake-driven scheduler talks to:
-/// the current virtual time (for deadline release) and the stream of
-/// resource signals raised since the last drain (for waiter release).
+/// the stream of resource signals raised since the last drain.
 ///
 /// Signals are level-less edge events: the context appends a
 /// [`ResourceId`] whenever something becomes available on that resource
-/// (a queue push, a flow completion, a health event). Duplicate signals
-/// are fine — the pool dedupes when readying engines.
+/// (a queued message turning visible, a flow completion, a health event,
+/// a timer coming due). Duplicate signals are fine — the pool dedupes when
+/// readying engines.
 pub trait WakeSource {
-    /// Current virtual time.
-    fn now(&self) -> Nanos;
-
     /// Move every signal raised since the last drain into `into`
     /// (appending; the implementation clears its own buffer).
     fn drain_signals(&mut self, into: &mut Vec<ResourceId>);
@@ -161,42 +63,5 @@ mod tests {
         assert_eq!(r.index(), 42);
         assert_ne!(ResourceId::new(7, 42), ResourceId::new(8, 42));
         assert_ne!(ResourceId::new(7, 42), ResourceId::new(7, 43));
-    }
-
-    #[test]
-    fn wake_set_keeps_earliest_deadline() {
-        let mut ws = WakeSet::new();
-        ws.watch(ResourceId::new(1, 0));
-        ws.deadline(Nanos::from_micros(10));
-        ws.deadline(Nanos::from_micros(5));
-        ws.deadline_opt(None);
-        ws.deadline_opt(Some(Nanos::from_micros(7)));
-        let Wake::On {
-            resources,
-            deadline,
-        } = ws.build()
-        else {
-            panic!("expected Wake::On")
-        };
-        assert_eq!(resources, vec![ResourceId::new(1, 0)]);
-        assert_eq!(deadline, Some(Nanos::from_micros(5)));
-    }
-
-    #[test]
-    fn wake_helpers() {
-        assert_eq!(
-            Wake::at(Nanos::from_micros(1)),
-            Wake::On {
-                resources: vec![],
-                deadline: Some(Nanos::from_micros(1))
-            }
-        );
-        assert_eq!(
-            Wake::never(),
-            Wake::On {
-                resources: vec![],
-                deadline: None
-            }
-        );
     }
 }

@@ -37,10 +37,11 @@ impl FailoverPolicy {
     fn place(w: &World, load: &mut HashMap<usize, f64>, src: NicId, dst: NicId) -> Option<RouteId> {
         let policy = w.svc.degradation;
         let demand = w.topo.nic(src).bandwidth.as_bps();
+        let paths = w.topo.route_set(src, dst);
         let mut best: Option<(f64, f64, RouteId)> = None;
         for pass in 0..2 {
-            for p in w.topo.ecmp_paths(src, dst).iter() {
-                let weight = w.net.route_weight(src, dst, p.id);
+            for id in paths.ids() {
+                let weight = w.net.route_weight(src, dst, id);
                 let eligible = if pass == 0 {
                     policy.usable_weight(weight) > 0.0
                 } else {
@@ -50,14 +51,14 @@ impl FailoverPolicy {
                     continue;
                 }
                 let (mut worst, mut total) = (0.0_f64, 0.0_f64);
-                for l in p.links.iter() {
-                    let cap = w.net.link_effective_capacity(*l).as_bps();
+                for l in paths.links(id) {
+                    let cap = w.net.link_effective_capacity(l).as_bps();
                     let u = (load.get(&l.index()).copied().unwrap_or(0.0) + demand) / cap;
                     worst = worst.max(u);
                     total += u;
                 }
                 if best.is_none_or(|(bw, bt, _)| worst < bw || (worst == bw && total < bt)) {
-                    best = Some((worst, total, p.id));
+                    best = Some((worst, total, id));
                 }
             }
             if best.is_some() {
@@ -65,7 +66,7 @@ impl FailoverPolicy {
             }
         }
         let (_, _, id) = best?;
-        for l in w.topo.pinned_route(src, dst, id).links.iter() {
+        for l in paths.links(id) {
             *load.entry(l.index()).or_default() += demand;
         }
         Some(id)

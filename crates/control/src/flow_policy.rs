@@ -83,32 +83,24 @@ fn best_fit_with_demand(
     demand: f64,
     allowed: impl Fn(RouteId) -> bool,
 ) -> RouteId {
-    let paths = topo.ecmp_paths(src, dst);
+    let paths = topo.route_set(src, dst);
     let mut best: Option<(f64, RouteId)> = None;
-    for p in paths.iter() {
-        if !allowed(p.id) {
-            continue;
-        }
-        let score = p
-            .links
-            .iter()
+    for id in paths.ids().filter(|&id| allowed(id)) {
+        let score = paths
+            .links(id)
             .map(|l| {
-                let cap = topo.link(*l).bandwidth.as_bps();
+                let cap = topo.link(l).bandwidth.as_bps();
                 (load.get(&l.index()).copied().unwrap_or(0.0) + demand) / cap
             })
             .fold(0.0_f64, f64::max);
         if best.is_none_or(|(s, _)| score < s) {
-            best = Some((score, p.id));
+            best = Some((score, id));
         }
     }
-    let (_, id) = best.unwrap_or_else(|| {
-        // Every path reserved away: fall back to the full set (the paper's
-        // PFA degrades to FFA rather than starving a tenant).
-        let p = &paths[0];
-        (0.0, p.id)
-    });
-    let route = topo.pinned_route(src, dst, id);
-    for l in route.links.iter() {
+    // Every path reserved away: fall back to the full set (the paper's
+    // PFA degrades to FFA rather than starving a tenant).
+    let id = best.map_or(RouteId(0), |(_, id)| id);
+    for l in paths.links(id) {
         *load.entry(l.index()).or_default() += demand;
     }
     id
@@ -218,8 +210,7 @@ impl IncrementalFfa {
                 continue;
             };
             let demand = topo.nic(src).bandwidth.as_bps() / per_nic[&src] as f64;
-            let route = topo.pinned_route(src, dst, id);
-            for l in route.links.iter() {
+            for l in topo.route_set(src, dst).links(id) {
                 let e = self.load.entry(l.index()).or_default();
                 *e = (*e - demand).max(0.0);
             }

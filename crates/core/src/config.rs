@@ -1,6 +1,7 @@
 //! Provider-side configuration: per-communicator collective strategy and
 //! service tuning knobs.
 
+use crate::error::ServiceError;
 use mccs_collectives::RingOrder;
 use mccs_ipc::CommunicatorId;
 use mccs_sim::Nanos;
@@ -45,6 +46,28 @@ impl RouteMap {
     /// Iterate over all pins.
     pub fn iter(&self) -> impl Iterator<Item = (&(usize, NicId, NicId), &RouteId)> {
         self.map.iter()
+    }
+
+    /// Check every pin against the fabric: its NIC pair must have a route
+    /// set and the pinned id must be one of it. Pins arrive from outside
+    /// the service (controller, mgmt caller, recovery policy), so a bad
+    /// one is an `InvalidArgument` here rather than a panic at the next
+    /// flow start.
+    pub fn validate(&self, topo: &Topology) -> Result<(), ServiceError> {
+        let nics = topo.nics().len();
+        for (&(channel, src, dst), &id) in &self.map {
+            if src.index() >= nics || dst.index() >= nics {
+                return Err(ServiceError::invalid_argument(format!(
+                    "route pin for channel {channel} names an unknown NIC ({src}->{dst})"
+                )));
+            }
+            topo.try_route_set(src, dst)
+                .and_then(|set| set.try_links(id).map(drop))
+                .map_err(|e| {
+                    ServiceError::invalid_argument(format!("route pin for channel {channel}: {e}"))
+                })?;
+        }
+        Ok(())
     }
 }
 

@@ -128,7 +128,8 @@ pub enum FailureEvent {
         at: Nanos,
     },
     /// A proxy rejected a reconfiguration request (unknown communicator,
-    /// wrong epoch, or mid-barrier) instead of panicking.
+    /// wrong epoch, mid-barrier, or a route pin no route answers to)
+    /// instead of panicking.
     ReconfigRejected {
         /// The communicator named by the request.
         comm: CommunicatorId,

@@ -352,10 +352,7 @@ impl ProxyEngine {
         let Some(rank) = w.comms.get(&key) else {
             // A corrective Req can race a teardown; count it rather than
             // bring the service down.
-            w.health.counters.reconfig_rejects += 1;
-            w.health
-                .record(FailureEvent::ReconfigRejected { comm, at: w.clock });
-            return;
+            return reject_reconfig(w, comm);
         };
         if incarnation < rank.controller_incarnation {
             // A dead controller incarnation's command arriving late —
@@ -374,7 +371,14 @@ impl ProxyEngine {
         }
         let rank = w.comms.get(&key).expect("rank just looked up");
         match &rank.reconfig {
-            ReconfigState::Normal if config.epoch == rank.config.epoch + 1 => {}
+            ReconfigState::Normal if config.epoch == rank.config.epoch + 1 => {
+                // A pin no route answers to would panic the first flow
+                // started under it. Every rank sees the same pins, so all
+                // of them refuse the epoch together.
+                if config.routes.validate(&w.topo).is_err() {
+                    return reject_reconfig(w, comm);
+                }
+            }
             ReconfigState::Barrier { new_config, .. }
             | ReconfigState::Draining { new_config, .. }
                 if new_config.epoch == config.epoch =>
@@ -389,10 +393,7 @@ impl ProxyEngine {
                 // (the recovery engine and the controller both correcting);
                 // without one the controller is misbehaving, but either way
                 // the safe response is to drop the request and count it.
-                w.health.counters.reconfig_rejects += 1;
-                w.health
-                    .record(FailureEvent::ReconfigRejected { comm, at: w.clock });
-                return;
+                return reject_reconfig(w, comm);
             }
         }
         self.begin_barrier(w, comm, config, BTreeMap::new());
@@ -861,6 +862,13 @@ impl ProxyEngine {
         }
         progressed
     }
+}
+
+/// Drop a reconfiguration request: counted and recorded, never a panic.
+fn reject_reconfig(w: &mut World, comm: CommunicatorId) {
+    w.health.counters.reconfig_rejects += 1;
+    w.health
+        .record(FailureEvent::ReconfigRejected { comm, at: w.clock });
 }
 
 /// Report a cleanly failed collective to the tenant (recovery exhausted).

@@ -192,14 +192,14 @@ pub fn comm_min_route_weight(w: &World, comm: CommunicatorId) -> f64 {
             else {
                 continue;
             };
-            let route = match cfg.routes.get(ch.channel, src_nic, dst_nic) {
-                Some(r) => w.topo.pinned_route(src_nic, dst_nic, r),
-                None => {
-                    let h = cfg.ecmp_hash(comm, ch.channel, src_nic, dst_nic);
-                    w.topo.ecmp_route(src_nic, dst_nic, h)
-                }
-            };
-            for &l in route.links.iter() {
+            let paths = w.topo.route_set(src_nic, dst_nic);
+            let id = cfg
+                .routes
+                .get(ch.channel, src_nic, dst_nic)
+                .unwrap_or_else(|| {
+                    paths.ecmp_id(cfg.ecmp_hash(comm, ch.channel, src_nic, dst_nic))
+                });
+            for l in paths.links(id) {
                 min = min.min(w.net.link_weight(l));
             }
         }

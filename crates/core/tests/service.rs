@@ -280,6 +280,53 @@ fn reconfiguration_is_safe_and_epochs_agree() {
     assert!(saw_epoch1, "no collective ran under the new configuration");
 }
 
+#[test]
+fn reconfiguration_with_an_unroutable_pin_is_rejected() {
+    // The testbed has two equal-cost routes between racks. A route map
+    // pinning a third used to be accepted and panic the first flow started
+    // under it; now every rank refuses the epoch and the job runs on.
+    let mut cluster = testbed_cluster(6);
+    let comm = CommunicatorId(3);
+    let gpus = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
+    let iters = 6;
+    spawn_app(
+        &mut cluster,
+        "badpin",
+        comm,
+        &gpus,
+        all_reduce_sum(),
+        Bytes::mib(32),
+        iters,
+    );
+    cluster.run_until(Nanos::from_millis(40));
+    let topo = Arc::clone(cluster.world.net.topology());
+    let (n0, n1) = (topo.nic_of_gpu(GpuId(2)), topo.nic_of_gpu(GpuId(4)));
+    assert_eq!(topo.path_diversity(n0, n1), 2);
+    let mut routes = RouteMap::ecmp();
+    routes.pin(0, n0, n1, RouteId(2));
+    let err = routes.validate(&topo).expect_err("id 2 of 2 routes");
+    assert_eq!(err.code, mccs_ipc::ErrorCode::InvalidArgument);
+    assert!(err.message.contains("out of range"), "{err}");
+    let mut unroutable = RouteMap::ecmp();
+    unroutable.pin(0, n0, n0, RouteId(0));
+    let err = unroutable.validate(&topo).expect_err("self route");
+    assert!(err.message.contains("itself"), "{err}");
+
+    let info = cluster.mgmt().communicator(comm).expect("registered");
+    cluster.mgmt().reconfigure(comm, info.rings.clone(), routes);
+    cluster.run_until_quiescent(Nanos::from_secs(30));
+
+    assert_eq!(
+        cluster.world.health.counters.reconfig_rejects,
+        gpus.len() as u64,
+        "one rejection per rank"
+    );
+    let info = cluster.mgmt().communicator(comm).expect("registered");
+    assert_eq!(info.epoch, 0, "the bad epoch was never entered");
+    assert_eq!(cluster.mgmt().timeline(mccs_ipc::AppId(0)).len(), iters);
+    assert_epochs_agree(&mut cluster, mccs_ipc::AppId(0), gpus.len());
+}
+
 /// Check the Figure 4 safety property on a completed run: every sequence
 /// number executed under one epoch on all `ranks` ranks.
 fn assert_epochs_agree(cluster: &mut Cluster, app: mccs_ipc::AppId, ranks: usize) {

@@ -450,8 +450,10 @@ impl Network {
         dst: mccs_topology::NicId,
         id: RouteId,
     ) -> bool {
-        let route = self.topo.pinned_route(src, dst, id);
-        route.links.iter().all(|&l| self.link_up(l))
+        self.topo
+            .route_set(src, dst)
+            .links(id)
+            .all(|l| self.link_up(l))
     }
 
     /// Remaining capacity fraction of a link: 1.0 healthy, 0.0 down, the
@@ -483,11 +485,10 @@ impl Network {
         if self.link_faults.is_none() {
             return 1.0;
         }
-        let route = self.topo.pinned_route(src, dst, id);
-        route
-            .links
-            .iter()
-            .map(|&l| self.link_weight(l))
+        self.topo
+            .route_set(src, dst)
+            .links(id)
+            .map(|l| self.link_weight(l))
             .fold(1.0, f64::min)
     }
 
@@ -507,9 +508,8 @@ impl Network {
         tenant: u32,
         exclude: Option<FlowId>,
     ) -> Bandwidth {
-        let route = self.topo.pinned_route(src, dst, id);
         let mut share = f64::INFINITY;
-        for &l in route.links.iter() {
+        for l in self.topo.route_set(src, dst).links(id) {
             let idx = l.index();
             let mut others = 0usize;
             let mut mixed = false;

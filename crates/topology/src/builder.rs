@@ -145,9 +145,13 @@ impl TopologyBuilder {
     /// not hold — a builder bug, not a user error.
     pub fn build(self) -> Topology {
         let mut switch_out = vec![Vec::new(); self.switches.len()];
+        let mut switch_in = vec![Vec::new(); self.switches.len()];
         for link in &self.links {
             if let Endpoint::Switch(sw) = link.from {
                 switch_out[sw.index()].push(link.id);
+                if let Endpoint::Switch(peer) = link.to {
+                    switch_in[peer.index()].push(link.id);
+                }
             }
         }
         let topo = Topology {
@@ -159,7 +163,8 @@ impl TopologyBuilder {
             rack_pods: self.rack_pods,
             rack_hosts: self.rack_hosts,
             switch_out,
-            route_cache: Default::default(),
+            switch_in,
+            route_memo: Default::default(),
         };
         if let Err(e) = topo.validate() {
             panic!("TopologyBuilder produced an invalid topology: {e}");

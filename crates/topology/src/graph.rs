@@ -118,8 +118,12 @@ pub struct Topology {
     /// Outgoing switch-to-switch / switch-to-nic adjacency:
     /// for each switch, the links leaving it.
     pub(crate) switch_out: Vec<Vec<LinkId>>,
-    /// Memoized equal-cost path sets (see `routing`).
-    pub(crate) route_cache: crate::routing::RouteCache,
+    /// Incoming switch-to-switch adjacency: for each switch, the links
+    /// arriving from another switch, in id order (NIC uplinks are not
+    /// listed — no switch path enters through one).
+    pub(crate) switch_in: Vec<Vec<LinkId>>,
+    /// Memoized switch-level path segments (see `routing`).
+    pub(crate) route_memo: crate::routing::RouteMemo,
 }
 
 impl Topology {
@@ -238,9 +242,9 @@ impl Topology {
         &self.switch_out[sw.index()]
     }
 
-    /// Total NIC count per host (uniform clusters); panics on empty cluster.
-    pub fn nics_per_host(&self) -> usize {
-        self.hosts.first().expect("empty cluster").nics.len()
+    /// Links arriving at a switch from another switch.
+    pub fn switch_in_links(&self, sw: SwitchId) -> &[LinkId] {
+        &self.switch_in[sw.index()]
     }
 
     /// Total GPU count.
@@ -252,7 +256,8 @@ impl Topology {
     ///
     /// Verifies: id/index density, NIC up/downlink endpoints, GPU-NIC
     /// affinity pointing at the same host, rack membership consistency,
-    /// and switch adjacency covering exactly the switch-sourced links.
+    /// switch adjacency covering exactly the switch-sourced links, and the
+    /// in-link index covering exactly the switch-to-switch links.
     pub fn validate(&self) -> Result<(), String> {
         for (i, h) in self.hosts.iter().enumerate() {
             if h.id.index() != i {
@@ -306,6 +311,25 @@ impl Topology {
         let adj_total: usize = self.switch_out.iter().map(Vec::len).sum();
         if switch_sourced != adj_total {
             return Err("switch adjacency incomplete".into());
+        }
+        for (i, inc) in self.switch_in.iter().enumerate() {
+            for &l in inc {
+                let link = self.link(l);
+                if link.to != Endpoint::Switch(SwitchId(i as u32))
+                    || !matches!(link.from, Endpoint::Switch(_))
+                {
+                    return Err(format!("in-link index of sw{i} lists foreign {l}"));
+                }
+            }
+        }
+        let switch_to_switch = self
+            .links
+            .iter()
+            .filter(|l| matches!((l.from, l.to), (Endpoint::Switch(_), Endpoint::Switch(_))))
+            .count();
+        let in_total: usize = self.switch_in.iter().map(Vec::len).sum();
+        if switch_to_switch != in_total {
+            return Err("switch in-link index incomplete".into());
         }
         Ok(())
     }

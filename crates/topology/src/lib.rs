@@ -31,4 +31,4 @@ pub use builder::TopologyBuilder;
 pub use graph::{Gpu, Host, Link, Nic, Switch, SwitchRole, Topology};
 pub use ids::{GpuId, HostId, LinkId, NicId, PodId, RackId, SwitchId};
 pub use locality::{Locality, LocalityMap};
-pub use routing::{Route, RouteId};
+pub use routing::{Route, RouteError, RouteId, RouteSet};

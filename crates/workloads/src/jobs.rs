@@ -7,8 +7,7 @@
 //! the same rack whenever possible."
 
 use mccs_sim::{Nanos, Rng};
-use mccs_topology::{GpuId, RackId, Topology};
-use std::collections::BTreeSet;
+use mccs_topology::{GpuId, HostId, RackId, Topology};
 
 /// Placement strategy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -51,28 +50,47 @@ pub fn poisson_jobs(count: usize, mean_gap: Nanos, sizes: &[usize], rng: &mut Rn
 /// Tracks which GPUs are free and places jobs.
 #[derive(Debug)]
 pub struct PlacementMap {
-    free: BTreeSet<GpuId>,
-    total: usize,
+    /// Whether each GPU is free, by GPU index.
+    free: Vec<bool>,
+    free_count: usize,
+    /// Owning host of each GPU (`release` has no topology at hand).
+    host_of: Vec<HostId>,
+    /// Free GPUs per host: a host is free when this equals its GPU count.
+    host_free: Vec<usize>,
+    /// GPU count of the smallest host, which sizes a job's host demand so
+    /// the chosen hosts always hold enough GPUs.
+    gpus_per_host: usize,
 }
 
 impl PlacementMap {
     /// All GPUs free.
     pub fn new(topo: &Topology) -> Self {
-        let free: BTreeSet<GpuId> = topo.gpus().iter().map(|g| g.id).collect();
+        let host_free: Vec<usize> = topo.hosts().iter().map(|h| h.gpus.len()).collect();
         PlacementMap {
-            total: free.len(),
-            free,
+            free: vec![true; topo.gpu_count()],
+            free_count: topo.gpu_count(),
+            host_of: topo.gpus().iter().map(|g| g.host).collect(),
+            gpus_per_host: host_free.iter().copied().min().expect("empty cluster"),
+            host_free,
         }
     }
 
     /// Free GPU count.
     pub fn free_count(&self) -> usize {
-        self.free.len()
+        self.free_count
     }
 
     /// Total GPU count.
     pub fn total(&self) -> usize {
-        self.total
+        self.free.len()
+    }
+
+    /// Mark a free GPU busy.
+    fn take(&mut self, gpu: GpuId) {
+        assert!(self.free[gpu.index()], "{gpu} taken twice");
+        self.free[gpu.index()] = false;
+        self.free_count -= 1;
+        self.host_free[self.host_of[gpu.index()].index()] -= 1;
     }
 
     /// Try to place a job of `size` GPUs; on success the GPUs are marked
@@ -92,13 +110,12 @@ impl PlacementMap {
         if size == 0 {
             return Some(Vec::new());
         }
-        let gph = topo.nics_per_host();
-        let hosts_needed = size.div_ceil(gph);
-        // Hosts whose every GPU is free.
+        let hosts_needed = size.div_ceil(self.gpus_per_host);
+        // Hosts whose every GPU is free, in host-id order.
         let mut free_hosts: Vec<_> = topo
             .hosts()
             .iter()
-            .filter(|h| h.gpus.iter().all(|g| self.free.contains(g)))
+            .filter(|h| self.host_free[h.id.index()] == h.gpus.len())
             .map(|h| h.id)
             .collect();
         if free_hosts.len() < hosts_needed {
@@ -136,8 +153,8 @@ impl PlacementMap {
             .take(size)
             .collect();
         debug_assert_eq!(chosen.len(), size);
-        for g in &chosen {
-            self.free.remove(g);
+        for &g in &chosen {
+            self.take(g);
         }
         Some(chosen)
     }
@@ -145,7 +162,10 @@ impl PlacementMap {
     /// Return a finished job's GPUs to the pool.
     pub fn release(&mut self, gpus: &[GpuId]) {
         for &g in gpus {
-            assert!(self.free.insert(g), "double release of {g}");
+            assert!(!self.free[g.index()], "double release of {g}");
+            self.free[g.index()] = true;
+            self.free_count += 1;
+            self.host_free[self.host_of[g.index()].index()] += 1;
         }
     }
 }
@@ -154,6 +174,7 @@ impl PlacementMap {
 mod tests {
     use super::*;
     use mccs_topology::presets::{self, SpineLeafConfig};
+    use std::collections::BTreeSet;
 
     fn big_topo() -> Topology {
         presets::spine_leaf(&SpineLeafConfig::paper_large_scale())
@@ -202,7 +223,7 @@ mod tests {
                 .take(16)
                 .collect();
             for g in rack_gpus {
-                map.free.remove(&g);
+                map.take(g);
             }
         }
         let _ = &mut rng;
@@ -255,6 +276,95 @@ mod tests {
             .place(&topo, 8, Placement::Random, &mut rng)
             .expect("all");
         assert!(map.place(&topo, 1, Placement::Compact, &mut rng).is_none());
+    }
+
+    /// `place` as it was before the per-host free counters: the free-host
+    /// list rebuilt by probing a `BTreeSet` of free GPUs for every GPU of
+    /// every host, hosts sized by the first host's NIC count.
+    fn reference_place(
+        free: &mut BTreeSet<GpuId>,
+        topo: &Topology,
+        size: usize,
+        strategy: Placement,
+        rng: &mut Rng,
+    ) -> Option<Vec<GpuId>> {
+        let gph = topo.hosts()[0].nics.len();
+        let hosts_needed = size.div_ceil(gph);
+        let mut free_hosts: Vec<_> = topo
+            .hosts()
+            .iter()
+            .filter(|h| h.gpus.iter().all(|g| free.contains(g)))
+            .map(|h| h.id)
+            .collect();
+        if free_hosts.len() < hosts_needed {
+            return None;
+        }
+        let chosen_hosts: Vec<_> = match strategy {
+            Placement::Random => rng
+                .sample_indices(free_hosts.len(), hosts_needed)
+                .into_iter()
+                .map(|i| free_hosts[i])
+                .collect(),
+            Placement::Compact => {
+                let mut per_rack: Vec<(RackId, Vec<_>)> = (0..topo.rack_count())
+                    .map(|r| {
+                        let rack = RackId(r as u32);
+                        let hosts: Vec<_> = free_hosts
+                            .iter()
+                            .copied()
+                            .filter(|&h| topo.rack_of(h) == rack)
+                            .collect();
+                        (rack, hosts)
+                    })
+                    .collect();
+                per_rack.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
+                free_hosts = per_rack.into_iter().flat_map(|(_, h)| h).collect();
+                free_hosts.truncate(hosts_needed);
+                free_hosts
+            }
+        };
+        let chosen: Vec<GpuId> = chosen_hosts
+            .iter()
+            .flat_map(|&h| topo.host(h).gpus.clone())
+            .take(size)
+            .collect();
+        for g in &chosen {
+            free.remove(g);
+        }
+        Some(chosen)
+    }
+
+    #[test]
+    fn placements_match_the_gpu_set_reference() {
+        // 96 hosts, jobs of 3..=40 GPUs (partial hosts included), ~60 %
+        // places: the fabric fills up, refuses, and drains again.
+        let topo = big_topo();
+        for strategy in [Placement::Random, Placement::Compact] {
+            let mut map = PlacementMap::new(&topo);
+            let mut free: BTreeSet<GpuId> = topo.gpus().iter().map(|g| g.id).collect();
+            let (mut rng, mut ref_rng) = (Rng::seed_from(7), Rng::seed_from(7));
+            let mut steps = Rng::seed_from(8);
+            let mut running: Vec<Vec<GpuId>> = Vec::new();
+            let mut refused = 0;
+            for _ in 0..500 {
+                if running.is_empty() || steps.index(10) < 6 {
+                    let size = 3 + steps.index(38);
+                    let got = map.place(&topo, size, strategy, &mut rng);
+                    let want = reference_place(&mut free, &topo, size, strategy, &mut ref_rng);
+                    assert_eq!(got, want, "{strategy:?} size {size}");
+                    match got {
+                        Some(gpus) => running.push(gpus),
+                        None => refused += 1,
+                    }
+                } else {
+                    let gpus = running.swap_remove(steps.index(running.len()));
+                    map.release(&gpus);
+                    free.extend(gpus);
+                }
+                assert_eq!(map.free_count(), free.len());
+            }
+            assert!(refused > 0, "{strategy:?} never filled the fabric");
+        }
     }
 
     #[test]

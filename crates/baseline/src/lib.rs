@@ -34,7 +34,7 @@ use mccs_core::config::{CollectiveConfig, RouteMap};
 use mccs_core::world::{resources, FlowOwner, World};
 use mccs_device::{StreamId, StreamOp};
 use mccs_ipc::{AppId, CommunicatorId};
-use mccs_netsim::{FlowSpec, RouteChoice};
+use mccs_netsim::FlowSpec;
 use mccs_sim::{Bytes, Engine, Nanos, Poll, ResourceId, Rng};
 use mccs_topology::GpuId;
 use std::collections::HashMap;
@@ -113,12 +113,10 @@ pub struct BaselineJob {
     app: AppId,
     comm: CommunicatorId,
     owner: u32,
-    /// Membership, retained for management-style inspection in tests.
-    #[allow(dead_code)]
-    gpus: Vec<GpuId>,
-    channel_rings: Vec<RingOrder>,
-    routes: RouteMap,
-    config_epoch_hash: CollectiveConfig,
+    /// Rings and route pins, fixed at init. A library job is never
+    /// reconfigured, so `epoch` only feeds the connection hashes and
+    /// carries the trial salt ([`BaselineConfig::hash_salt`]).
+    config: CollectiveConfig,
     launch_overhead: Nanos,
     phases: Vec<Phase>,
     iterations: usize,
@@ -139,6 +137,11 @@ impl BaselineJob {
     /// Build and register a baseline job on `cluster`. The job starts
     /// executing at `start_at` (virtual time) and runs `iterations` copies
     /// of `phases`. Returns the app id used for traces.
+    ///
+    /// # Panics
+    /// Panics on an input the job could not run as given: no GPUs,
+    /// iterations or channels, an explicit ring that is not a permutation
+    /// of `gpus`, or a route pin the fabric has no route for.
     pub fn spawn(
         cluster: &mut Cluster,
         name: &str,
@@ -151,6 +154,22 @@ impl BaselineJob {
         assert!(!gpus.is_empty(), "job needs GPUs");
         assert!(iterations > 0, "job needs at least one iteration");
         assert!(cfg.channels > 0, "job needs at least one channel");
+        if let RingChoice::Explicit(rings) = &cfg.ring {
+            assert!(!rings.is_empty(), "explicit ring set empty");
+            let mut members = gpus.clone();
+            members.sort_unstable();
+            for (i, ring) in rings.iter().enumerate() {
+                let mut order = ring.gpus().to_vec();
+                order.sort_unstable();
+                assert!(
+                    order == members,
+                    "explicit ring {i} is not a permutation of the job's GPUs"
+                );
+            }
+        }
+        if let Err(e) = cfg.routes.validate(&cluster.world.topo) {
+            panic!("invalid route pins: {e}");
+        }
         let app = cluster.register_app_name(name);
         let comm = CommunicatorId(BASELINE_COMM_BASE + u64::from(app.0));
         let owner = cluster.world.alloc_external_owner();
@@ -164,12 +183,9 @@ impl BaselineJob {
             RingChoice::RankOrder => {
                 vec![RingOrder::nccl_default(topo, &gpus); cfg.channels]
             }
-            RingChoice::Explicit(rings) => {
-                assert!(!rings.is_empty(), "explicit ring set empty");
-                (0..cfg.channels)
-                    .map(|c| rings[c % rings.len()].clone())
-                    .collect()
-            }
+            RingChoice::Explicit(rings) => (0..cfg.channels)
+                .map(|c| rings[c % rings.len()].clone())
+                .collect(),
             RingChoice::RandomHosts => {
                 let mut rng = cluster.world.rng.fork();
                 vec![random_host_ring(topo, &gpus, &mut rng); cfg.channels]
@@ -184,21 +200,16 @@ impl BaselineJob {
         // Connection hashes are derived through the same deterministic
         // function the service uses, seeded by the communicator id —
         // fixed at init, exactly like NCCL's connections.
-        // The `epoch` field only feeds the connection-hash derivation here,
-        // so the trial salt rides in it.
-        let config_epoch_hash = CollectiveConfig {
+        let config = CollectiveConfig {
             epoch: cfg.hash_salt,
-            channel_rings: channel_rings.clone(),
-            routes: cfg.routes.clone(),
+            channel_rings,
+            routes: cfg.routes,
         };
         let job = BaselineJob {
             app,
             comm,
             owner,
-            gpus,
-            channel_rings,
-            routes: cfg.routes,
-            config_epoch_hash,
+            config,
             launch_overhead: cfg.launch_overhead,
             phases,
             iterations,
@@ -230,7 +241,7 @@ impl BaselineJob {
     ) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let schedule = CollectiveSchedule::ring(&w.topo, op, size, &self.channel_rings);
+        let schedule = CollectiveSchedule::ring(&w.topo, op, size, &self.config.channel_rings);
         let mut tasks = Vec::new();
         for ch in &schedule.channels {
             for task in &ch.tasks {
@@ -261,14 +272,9 @@ impl BaselineJob {
                     bytes,
                     ..
                 } => {
-                    let routing = match self.routes.get(channel, src_nic, dst_nic) {
-                        Some(r) => RouteChoice::Pinned(r),
-                        None => RouteChoice::Ecmp {
-                            hash: self
-                                .config_epoch_hash
-                                .ecmp_hash(self.comm, channel, src_nic, dst_nic),
-                        },
-                    };
+                    let routing = self
+                        .config
+                        .route_choice(self.comm, channel, src_nic, dst_nic);
                     let now = w.clock;
                     let id = w.net.start_flow(
                         now,
@@ -293,11 +299,7 @@ impl BaselineJob {
 
 /// A uniformly random host-level ring (GPUs stay host-contiguous — even a
 /// topology-oblivious library keeps the intra-host segment together).
-pub fn random_host_ring(
-    topo: &mccs_topology::Topology,
-    gpus: &[GpuId],
-    rng: &mut Rng,
-) -> RingOrder {
+fn random_host_ring(topo: &mccs_topology::Topology, gpus: &[GpuId], rng: &mut Rng) -> RingOrder {
     use std::collections::BTreeMap;
     let mut by_host: BTreeMap<mccs_topology::HostId, Vec<GpuId>> = BTreeMap::new();
     for &g in gpus {
@@ -410,7 +412,7 @@ mod tests {
     use super::*;
     use mccs_collectives::op::all_reduce_sum;
     use mccs_core::ClusterConfig;
-    use mccs_topology::presets;
+    use mccs_topology::{presets, RouteId};
     use std::sync::Arc;
 
     fn cluster() -> Cluster {
@@ -620,6 +622,97 @@ mod tests {
         assert!(
             wake_wasted * 2 < naive_wasted,
             "wake {wake_wasted}, naive {naive_wasted}"
+        );
+    }
+
+    #[test]
+    fn a_route_pin_moves_its_connection_onto_the_pinned_route() {
+        // One GPU on each rack of the two-spine testbed: the g0 -> g4
+        // connection has two routes, one per spine. The routes carrying it
+        // are those whose every link is loaded while the collective runs
+        // (links are directed, so the g4 -> g0 connection loads none of
+        // them).
+        let (g0, g4) = (GpuId(0), GpuId(4));
+        let carrying = |routes: RouteMap| -> Vec<RouteId> {
+            let mut c = cluster();
+            let topo = Arc::clone(&c.world.topo);
+            let set = topo.route_set(topo.nic_of_gpu(g0), topo.nic_of_gpu(g4));
+            let app = BaselineJob::spawn(
+                &mut c,
+                "pinned",
+                BaselineConfig {
+                    channels: 1,
+                    routes,
+                    ..Default::default()
+                },
+                vec![g0, g4],
+                allreduce_phases(Bytes::mib(64)),
+                1,
+                Nanos::ZERO,
+            );
+            c.run_until(Nanos::from_millis(1));
+            let loaded = set
+                .ids()
+                .filter(|&id| {
+                    set.links(id)
+                        .all(|l| c.world.net.link_load(l).as_bps() > 0.0)
+                })
+                .collect();
+            c.run_until_quiescent(Nanos::from_secs(10));
+            assert_eq!(c.mgmt().timeline(app).len(), 1, "collective completed");
+            loaded
+        };
+        let ecmp = carrying(RouteMap::ecmp());
+        assert_eq!(ecmp.len(), 1, "one route carries an unpinned connection");
+        let other = RouteId(1 - ecmp[0].0);
+        let topo = presets::testbed();
+        let mut routes = RouteMap::ecmp();
+        routes.pin(0, topo.nic_of_gpu(g0), topo.nic_of_gpu(g4), other);
+        assert_eq!(carrying(routes), vec![other]);
+    }
+
+    #[test]
+    #[should_panic(expected = "explicit ring 0 is not a permutation of the job's GPUs")]
+    fn an_explicit_ring_over_other_gpus_is_refused_at_spawn() {
+        let mut c = cluster();
+        BaselineJob::spawn(
+            &mut c,
+            "job",
+            BaselineConfig {
+                ring: RingChoice::Explicit(vec![RingOrder::new(vec![GpuId(0), GpuId(2)])]),
+                ..Default::default()
+            },
+            vec![GpuId(0), GpuId(4)],
+            allreduce_phases(Bytes::mib(1)),
+            1,
+            Nanos::ZERO,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "route pin for channel 0")]
+    fn an_unroutable_route_pin_is_refused_at_spawn() {
+        let mut c = cluster();
+        let topo = presets::testbed();
+        let mut routes = RouteMap::ecmp();
+        // The testbed has two spines, hence two routes between racks.
+        routes.pin(
+            0,
+            topo.nic_of_gpu(GpuId(0)),
+            topo.nic_of_gpu(GpuId(4)),
+            RouteId(2),
+        );
+        BaselineJob::spawn(
+            &mut c,
+            "job",
+            BaselineConfig {
+                routes,
+                ..Default::default()
+            },
+            vec![GpuId(0), GpuId(4)],
+            allreduce_phases(Bytes::mib(1)),
+            1,
+            Nanos::ZERO,
         );
     }
 

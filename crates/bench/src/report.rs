@@ -1,16 +1,8 @@
 //! Terminal table and CSV rendering for the figure regenerators.
 
-use mccs_sim::stats::Summary;
-
 /// Format a bandwidth in GB/s with two decimals.
 pub fn fmt_gbps(v: f64) -> String {
     format!("{v:.2}")
-}
-
-/// Format `mean [p5, p95]` of a summary, in the summary's units.
-pub fn fmt_summary(s: &Summary) -> String {
-    let (lo, hi) = s.p95_interval();
-    format!("{:.2} [{:.2},{:.2}]", s.mean(), lo, hi)
 }
 
 /// Print an aligned table: `headers` then `rows`.
@@ -121,10 +113,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_formatting() {
-        let s = Summary::new([1.0, 2.0, 3.0]);
-        let f = fmt_summary(&s);
-        assert!(f.starts_with("2.00 ["));
+    fn gbps_formatting() {
         assert_eq!(fmt_gbps(4.1666), "4.17");
     }
 

@@ -3,8 +3,8 @@
 //! The algorithm layer shared by the MCCS service (`mccs-core`) and the
 //! NCCL-like baseline (`mccs-baseline`): operation semantics, ring
 //! construction, per-edge transfer schedules with multi-channel splitting,
-//! tree algorithms, bandwidth accounting (NCCL-tests definitions), and the
-//! cross-rack traffic analysis behind the paper's Figure 3.
+//! bandwidth accounting (NCCL-tests definitions), and the cross-rack
+//! traffic analysis behind the paper's Figure 3.
 //!
 //! ## Byte accounting
 //!
@@ -19,8 +19,6 @@
 //!   order), and validation.
 //! * [`schedule`] — per-edge transfer schedules with channel splitting and
 //!   NIC assignment.
-//! * [`tree`] — tree algorithms (the paper notes these are a
-//!   straightforward addition; included for completeness).
 //! * [`bandwidth`] — algorithm/bus bandwidth conversions.
 //! * [`crossrack`] — cross-rack flow counting and ratios (Figure 3).
 
@@ -29,7 +27,6 @@ pub mod crossrack;
 pub mod op;
 pub mod ring;
 pub mod schedule;
-pub mod tree;
 
 pub use bandwidth::{algo_bandwidth, bus_bandwidth, bus_factor};
 pub use op::{CollectiveOp, DataType, ReduceKind};

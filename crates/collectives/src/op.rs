@@ -33,11 +33,6 @@ impl DataType {
             DataType::Float64 | DataType::Int64 => 8,
         }
     }
-
-    /// `count` elements as bytes.
-    pub fn bytes_for(self, count: u64) -> Bytes {
-        Bytes::new(count * self.size())
-    }
 }
 
 /// Reduction operators for reducing collectives.
@@ -107,16 +102,6 @@ impl CollectiveOp {
         Bytes::new(per_edge.round() as u64)
     }
 
-    /// Whether the op performs elementwise reduction (needs reduce kernels).
-    pub fn is_reducing(self) -> bool {
-        matches!(
-            self,
-            CollectiveOp::AllReduce(_)
-                | CollectiveOp::ReduceScatter(_)
-                | CollectiveOp::Reduce { .. }
-        )
-    }
-
     /// Short name as printed in reports ("allreduce", ...).
     pub fn name(self) -> &'static str {
         match self {
@@ -147,7 +132,7 @@ mod tests {
     #[test]
     fn datatype_sizes() {
         assert_eq!(DataType::Float32.size(), 4);
-        assert_eq!(DataType::Float16.bytes_for(1000), Bytes::new(2000));
+        assert_eq!(DataType::Float16.size(), 2);
     }
 
     #[test]
@@ -183,18 +168,6 @@ mod tests {
         let b64 = all_reduce_sum().ring_edge_bytes(s, 64);
         assert!(b2 < b8 && b8 < b64);
         assert!(b64.as_u64() < 2 * s.as_u64(), "bounded by 2S");
-    }
-
-    #[test]
-    fn reducing_classification() {
-        assert!(all_reduce_sum().is_reducing());
-        assert!(CollectiveOp::Reduce {
-            root: 0,
-            kind: ReduceKind::Max
-        }
-        .is_reducing());
-        assert!(!CollectiveOp::AllGather.is_reducing());
-        assert!(!CollectiveOp::Broadcast { root: 2 }.is_reducing());
     }
 
     #[test]

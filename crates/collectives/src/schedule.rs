@@ -48,27 +48,6 @@ pub enum EdgeTask {
     },
 }
 
-impl EdgeTask {
-    /// Bytes this task moves.
-    pub fn bytes(&self) -> Bytes {
-        match *self {
-            EdgeTask::IntraHost { bytes, .. } | EdgeTask::InterHost { bytes, .. } => bytes,
-        }
-    }
-
-    /// The producing GPU.
-    pub fn from_gpu(&self) -> GpuId {
-        match *self {
-            EdgeTask::IntraHost { from, .. } | EdgeTask::InterHost { from, .. } => from,
-        }
-    }
-
-    /// Whether the task crosses hosts.
-    pub fn is_inter_host(&self) -> bool {
-        matches!(self, EdgeTask::InterHost { .. })
-    }
-}
-
 /// One channel's ring and edge tasks.
 #[derive(Clone, Debug)]
 pub struct ChannelSchedule {
@@ -78,13 +57,6 @@ pub struct ChannelSchedule {
     pub share: Bytes,
     /// Edge transfers, in ring order.
     pub tasks: Vec<EdgeTask>,
-}
-
-impl ChannelSchedule {
-    /// Inter-host tasks only.
-    pub fn network_tasks(&self) -> impl Iterator<Item = &EdgeTask> {
-        self.tasks.iter().filter(|t| t.is_inter_host())
-    }
 }
 
 /// A fully resolved collective execution plan.
@@ -165,22 +137,15 @@ impl CollectiveSchedule {
         }
     }
 
-    /// Total bytes crossing the network (all channels).
-    pub fn total_network_bytes(&self) -> Bytes {
-        self.channels
-            .iter()
-            .flat_map(|c| c.network_tasks())
-            .map(EdgeTask::bytes)
-            .sum()
-    }
-
     /// All tasks whose producing GPU is `gpu` — the work one proxy engine
     /// owns.
     pub fn tasks_from_gpu(&self, gpu: GpuId) -> Vec<(usize, EdgeTask)> {
         self.channels
             .iter()
             .flat_map(|c| c.tasks.iter().map(move |t| (c.channel, *t)))
-            .filter(|(_, t)| t.from_gpu() == gpu)
+            .filter(|(_, t)| match *t {
+                EdgeTask::IntraHost { from, .. } | EdgeTask::InterHost { from, .. } => from == gpu,
+            })
             .collect()
     }
 
@@ -293,7 +258,7 @@ fn channel_nic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::all_reduce_sum;
+    use crate::op::{all_reduce_sum, ReduceKind};
     use mccs_topology::presets;
 
     fn topo() -> Topology {
@@ -306,6 +271,14 @@ mod tests {
         RingOrder::new((0..8).map(GpuId).collect())
     }
 
+    fn is_inter_host(t: &EdgeTask) -> bool {
+        matches!(t, EdgeTask::InterHost { .. })
+    }
+
+    fn network_tasks(ch: &ChannelSchedule) -> impl Iterator<Item = &EdgeTask> {
+        ch.tasks.iter().filter(|t| is_inter_host(t))
+    }
+
     #[test]
     fn single_channel_four_ranks() {
         let t = topo();
@@ -315,9 +288,11 @@ mod tests {
         assert_eq!(s.channels.len(), 1);
         let ch = &s.channels[0];
         assert_eq!(ch.tasks.len(), 4);
-        assert!(ch.tasks.iter().all(EdgeTask::is_inter_host));
-        // 2(n-1)/n * 8MiB = 12MiB per edge
-        assert!(ch.tasks.iter().all(|t| t.bytes() == Bytes::mib(12)));
+        // 2(n-1)/n * 8MiB = 12MiB per edge, every edge across hosts
+        assert!(ch
+            .tasks
+            .iter()
+            .all(|t| matches!(t, EdgeTask::InterHost { bytes, .. } if *bytes == Bytes::mib(12))));
         assert_eq!(s.task_count(), 4);
     }
 
@@ -331,11 +306,11 @@ mod tests {
             assert_eq!(ch.share, Bytes::mib(8));
             // 8 edges: 4 intra-host (within each host), 4 inter-host
             assert_eq!(ch.tasks.len(), 8);
-            assert_eq!(ch.network_tasks().count(), 4);
+            assert_eq!(network_tasks(ch).count(), 4);
         }
         // channel 0 and channel 1 use different NICs per host
         let nic_of = |ch: &ChannelSchedule| -> Vec<NicId> {
-            ch.network_tasks()
+            network_tasks(ch)
                 .map(|t| match *t {
                     EdgeTask::InterHost { src_nic, .. } => src_nic,
                     _ => unreachable!(),
@@ -353,9 +328,8 @@ mod tests {
         // 2 GPUs on one host: no network tasks at all.
         let ring = RingOrder::new(vec![GpuId(0), GpuId(1)]);
         let s = CollectiveSchedule::ring(&t, all_reduce_sum(), Bytes::mib(4), &[ring]);
-        assert_eq!(s.total_network_bytes(), Bytes::ZERO);
         assert_eq!(s.channels[0].tasks.len(), 2);
-        assert!(s.channels[0].tasks.iter().all(|t| !t.is_inter_host()));
+        assert_eq!(network_tasks(&s.channels[0]).count(), 0);
     }
 
     #[test]
@@ -367,11 +341,11 @@ mod tests {
         // one task per channel.
         let tasks = s.tasks_from_gpu(GpuId(1));
         assert_eq!(tasks.len(), 2);
-        assert!(tasks.iter().all(|(_, t)| t.is_inter_host()));
+        assert!(tasks.iter().all(|(_, t)| is_inter_host(t)));
         // GPU 0's edge g0->g1 is intra-host: one per channel.
         let tasks = s.tasks_from_gpu(GpuId(0));
         assert_eq!(tasks.len(), 2);
-        assert!(tasks.iter().all(|(_, t)| !t.is_inter_host()));
+        assert!(tasks.iter().all(|(_, t)| !is_inter_host(t)));
     }
 
     #[test]
@@ -389,7 +363,6 @@ mod tests {
         let ring = RingOrder::new(vec![GpuId(3)]);
         let s = CollectiveSchedule::ring(&t, all_reduce_sum(), Bytes::mib(1), &[ring]);
         assert_eq!(s.task_count(), 0);
-        assert_eq!(s.total_network_bytes(), Bytes::ZERO);
     }
 
     #[test]
@@ -441,6 +414,53 @@ mod tests {
         );
     }
 
+    /// The world-wide schedule cache is transparent exactly when equal
+    /// keys mean equal per-GPU work. Checks that over every rotation of
+    /// `ring` and of its reversal, each used on all `channels` channels:
+    /// for every pair with equal keys, every GPU's tasks are equal.
+    /// Returns how many pairs of distinct rotations shared a key.
+    fn assert_equal_keys_mean_equal_tasks(
+        t: &Topology,
+        op: CollectiveOp,
+        size: Bytes,
+        ring: &RingOrder,
+        channels: usize,
+    ) -> usize {
+        let rotations: Vec<(ScheduleKey, CollectiveSchedule)> = [ring.clone(), ring.reversed()]
+            .iter()
+            .flat_map(|r| {
+                (0..r.len()).map(move |i| {
+                    let mut gpus = r.gpus().to_vec();
+                    gpus.rotate_left(i);
+                    vec![RingOrder::new(gpus); channels]
+                })
+            })
+            .map(|rings| {
+                (
+                    ScheduleKey::for_ring(t, op, size, &rings),
+                    CollectiveSchedule::ring(t, op, size, &rings),
+                )
+            })
+            .collect();
+        let mut shared = 0;
+        for (i, (ka, sa)) in rotations.iter().enumerate() {
+            for (kb, sb) in &rotations[i + 1..] {
+                if ka != kb {
+                    continue;
+                }
+                shared += 1;
+                for &g in ring.gpus() {
+                    assert_eq!(
+                        sa.tasks_from_gpu(g),
+                        sb.tasks_from_gpu(g),
+                        "equal keys, different work for {g:?}: {ka:?}"
+                    );
+                }
+            }
+        }
+        shared
+    }
+
     #[test]
     fn equal_keys_mean_equal_per_gpu_tasks() {
         let t = topo();
@@ -452,10 +472,50 @@ mod tests {
             ScheduleKey::for_ring(&t, op, size, std::slice::from_ref(&a)),
             ScheduleKey::for_ring(&t, op, size, std::slice::from_ref(&b))
         );
-        let sa = CollectiveSchedule::ring(&t, op, size, &[a]);
-        let sb = CollectiveSchedule::ring(&t, op, size, &[b]);
-        for g in [0, 1, 4, 5] {
-            assert_eq!(sa.tasks_from_gpu(GpuId(g)), sb.tasks_from_gpu(GpuId(g)));
+        assert!(assert_equal_keys_mean_equal_tasks(&t, op, size, &a, 1) > 0);
+    }
+
+    /// Two spines, two leaves, two hosts of four GPUs per leaf: 16 GPUs.
+    fn small_spine_leaf() -> Topology {
+        presets::spine_leaf(&presets::SpineLeafConfig {
+            spines: 2,
+            leaves: 2,
+            hosts_per_leaf: 2,
+            gpus_per_host: 4,
+            nic_bandwidth: mccs_sim::Bandwidth::gbps(100.0),
+            leaf_spine_bandwidth: mccs_sim::Bandwidth::gbps(100.0),
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn equal_keys_mean_equal_per_gpu_tasks_on_random_rings(
+            spine_leaf in proptest::arbitrary::any::<bool>(),
+            n in 2usize..=16,
+            channels in 1usize..=4,
+            op in 0usize..5,
+            chunks in 1u64..=1 << 20,
+            seed in proptest::arbitrary::any::<u64>(),
+        ) {
+            let t = if spine_leaf { small_spine_leaf() } else { topo() };
+            let n = n.min(t.gpu_count());
+            let mut gpus: Vec<GpuId> = (0..t.gpu_count() as u32).map(GpuId).collect();
+            mccs_sim::Rng::seed_from(seed).shuffle(&mut gpus);
+            gpus.truncate(n);
+            let root = seed as usize % n;
+            let op = [
+                all_reduce_sum(),
+                CollectiveOp::AllGather,
+                CollectiveOp::ReduceScatter(ReduceKind::Sum),
+                CollectiveOp::Broadcast { root },
+                CollectiveOp::Reduce { root, kind: ReduceKind::Sum },
+            ][op];
+            // A multiple of the channel count plus 0..channels-1 bytes.
+            let remainder = (seed >> 32) % channels as u64;
+            let size = Bytes::new(chunks * channels as u64 + remainder);
+            assert_equal_keys_mean_equal_tasks(&t, op, size, &RingOrder::new(gpus), channels);
         }
     }
 
@@ -470,7 +530,7 @@ mod tests {
         let nics: Vec<NicId> = s
             .channels
             .iter()
-            .flat_map(|c| c.network_tasks())
+            .flat_map(network_tasks)
             .map(|t| match *t {
                 EdgeTask::InterHost { src_nic, .. } => src_nic,
                 _ => unreachable!(),

@@ -320,7 +320,7 @@ impl<'c> ChaosDriver<'c> {
     // ---- topology helpers ----------------------------------------------
 
     /// The leaf switch serving `rack`.
-    pub fn leaf_of_rack(&self, rack: RackId) -> SwitchId {
+    fn leaf_of_rack(&self, rack: RackId) -> SwitchId {
         self.cluster
             .world
             .topo
@@ -333,7 +333,7 @@ impl<'c> ChaosDriver<'c> {
 
     /// All switch-to-switch links touching `rack`'s leaf (both
     /// directions), in topology order.
-    pub fn uplinks_of_rack(&self, rack: RackId) -> Vec<LinkId> {
+    fn uplinks_of_rack(&self, rack: RackId) -> Vec<LinkId> {
         let leaf = self.leaf_of_rack(rack);
         self.cluster
             .world

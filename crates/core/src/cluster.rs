@@ -6,7 +6,7 @@ use crate::config::ServiceConfig;
 use crate::frontend::FrontendEngine;
 use crate::mgmt::Management;
 use crate::proxy::ProxyEngine;
-use crate::recovery::{RecoveryEngine, RecoveryPolicy};
+use crate::recovery::RecoveryEngine;
 use crate::transport::TransportEngine;
 use crate::world::{Endpoint, World};
 use mccs_device::DeviceConfig;
@@ -159,12 +159,6 @@ impl Cluster {
     /// support.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
         self.world.install_fault_plan(plan);
-    }
-
-    /// Install a controller recovery policy consulted for corrective
-    /// configurations after failures (default: the built-in detour policy).
-    pub fn set_recovery_policy(&mut self, policy: Box<dyn RecoveryPolicy>) {
-        self.world.recovery_policy = Some(policy);
     }
 
     /// Current virtual time.

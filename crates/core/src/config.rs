@@ -4,6 +4,7 @@
 use crate::error::ServiceError;
 use mccs_collectives::RingOrder;
 use mccs_ipc::CommunicatorId;
+use mccs_netsim::RouteChoice;
 use mccs_sim::Nanos;
 use mccs_topology::{GpuId, NicId, RouteId, Topology};
 use std::collections::BTreeMap;
@@ -122,6 +123,23 @@ impl CollectiveConfig {
         }
         h
     }
+
+    /// How the connection `(channel, src, dst)` of `comm` is routed: its
+    /// pin if it has one, otherwise ECMP under [`ecmp_hash`](Self::ecmp_hash).
+    pub fn route_choice(
+        &self,
+        comm: CommunicatorId,
+        channel: usize,
+        src: NicId,
+        dst: NicId,
+    ) -> RouteChoice {
+        match self.routes.get(channel, src, dst) {
+            Some(id) => RouteChoice::Pinned(id),
+            None => RouteChoice::Ecmp {
+                hash: self.ecmp_hash(comm, channel, src, dst),
+            },
+        }
+    }
 }
 
 fn max_gpus_per_host(topo: &Topology, world: &[GpuId]) -> usize {
@@ -144,11 +162,6 @@ pub struct ServiceConfig {
     /// Time to tear down and re-establish peer connections when a
     /// reconfiguration is applied.
     pub reconnect_delay: Nanos,
-    /// Cache derived collective schedules per `(op, size)` and epoch,
-    /// shared across the ranks of a communicator, so steady-state
-    /// iterations skip ring/chunk re-derivation. Semantically transparent;
-    /// exposed as a switch so tests can compare against the uncached path.
-    pub cache_schedules: bool,
     /// How long a transport waits for a flow making no progress before
     /// retrying it on another route. Only checked when a fault plan is
     /// installed — with none, no timers are armed at all.
@@ -187,7 +200,6 @@ impl Default for ServiceConfig {
             control_ring_latency: Nanos::from_micros(30),
             control_jitter_frac: 0.5,
             reconnect_delay: Nanos::from_micros(500),
-            cache_schedules: true,
             flow_timeout: Nanos::from_millis(2),
             flow_max_retries: 4,
             liveness_timeout: Nanos::from_millis(20),
@@ -338,5 +350,31 @@ mod tests {
         assert_eq!(r.get(1, NicId(1), NicId(5)), None);
         assert_eq!(r.len(), 1);
         assert_eq!(r.iter().count(), 1);
+    }
+
+    #[test]
+    fn route_choice_is_the_pin_else_ecmp() {
+        let topo = presets::testbed();
+        let world: Vec<GpuId> = (0..8).map(GpuId).collect();
+        let mut cfg = CollectiveConfig::default_for(&topo, &world);
+        cfg.routes.pin(0, NicId(1), NicId(5), RouteId(1));
+        let c = CommunicatorId(3);
+        assert_eq!(
+            cfg.route_choice(c, 0, NicId(1), NicId(5)),
+            RouteChoice::Pinned(RouteId(1))
+        );
+        // The same NIC pair on another channel is not pinned.
+        assert_eq!(
+            cfg.route_choice(c, 1, NicId(1), NicId(5)),
+            RouteChoice::Ecmp {
+                hash: cfg.ecmp_hash(c, 1, NicId(1), NicId(5))
+            }
+        );
+        assert_eq!(
+            cfg.route_choice(c, 0, NicId(0), NicId(4)),
+            RouteChoice::Ecmp {
+                hash: cfg.ecmp_hash(c, 0, NicId(0), NicId(4))
+            }
+        );
     }
 }

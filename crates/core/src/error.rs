@@ -50,14 +50,6 @@ impl ServiceError {
         }
     }
 
-    /// A failure caused by another rank (`ncclRemoteError`).
-    pub fn remote(message: impl Into<String>) -> Self {
-        ServiceError {
-            code: ErrorCode::RemoteError,
-            message: message.into(),
-        }
-    }
-
     /// The error completion for request `req`.
     pub fn completion(self, req: u64) -> ShimCompletion {
         ShimCompletion::Error {

@@ -8,11 +8,12 @@
 //! [`HealthChannel`]: subscribers ([`RecoveryEngine`], the controller's
 //! health monitor) consume per-event deliveries instead of polling, and
 //! a subscriber that falls behind the ring gets a snapshot-resync marker
-//! rather than silently missing events. The polling accessors
-//! (`links_down()`, `events()`, the counters) remain as a compatibility
-//! shim over the same state. With no fault plan installed nothing ever
-//! writes here, so an all-default registry doubles as the zero-overhead
-//! regression check.
+//! rather than silently missing events. The read accessors
+//! (`links_down()`, `hosts_down()`, `events()`, the counters) are the
+//! state itself as `Management`, the observable digest and the explorer
+//! read it; the channel is how a reacting subscriber learns what changed.
+//! With no fault plan installed nothing ever writes here, so an
+//! all-default registry doubles as the zero-overhead regression check.
 //!
 //! [`RecoveryEngine`]: crate::recovery::RecoveryEngine
 
@@ -236,8 +237,6 @@ pub struct HealthChannel {
     /// Sequence number of `buf[0]`.
     base_seq: u64,
     capacity: usize,
-    /// Total events dropped off the front (observability).
-    overflows: u64,
 }
 
 impl Default for HealthChannel {
@@ -254,7 +253,6 @@ impl HealthChannel {
             buf: VecDeque::with_capacity(capacity.min(64)),
             base_seq: 0,
             capacity,
-            overflows: 0,
         }
     }
 
@@ -263,16 +261,10 @@ impl HealthChannel {
         self.base_seq + self.buf.len() as u64
     }
 
-    /// Events dropped to overflow so far.
-    pub fn overflows(&self) -> u64 {
-        self.overflows
-    }
-
     fn publish(&mut self, event: FailureEvent) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.base_seq += 1;
-            self.overflows += 1;
         }
         self.buf.push_back(event);
     }
@@ -431,11 +423,6 @@ impl HealthRegistry {
         std::mem::take(&mut self.signal)
     }
 
-    /// Whether this link is currently believed down.
-    pub fn is_link_down(&self, link: LinkId) -> bool {
-        self.links_down.contains(&link)
-    }
-
     /// Whether this host is currently crashed.
     pub fn is_host_down(&self, host: HostId) -> bool {
         self.hosts_down.contains(&host)
@@ -449,11 +436,6 @@ impl HealthRegistry {
     /// Hosts currently down.
     pub fn hosts_down(&self) -> impl Iterator<Item = HostId> + '_ {
         self.hosts_down.iter().copied()
-    }
-
-    /// Whether this link currently runs below line rate.
-    pub fn is_link_degraded(&self, link: LinkId) -> bool {
-        self.links_degraded.contains_key(&link)
     }
 
     /// Links currently degraded, with remaining milli-capacity.
@@ -506,11 +488,6 @@ impl HealthRegistry {
         HealthDelivery::Events(out)
     }
 
-    /// Events dropped off the bounded channel so far.
-    pub fn channel_overflows(&self) -> u64 {
-        self.channel.overflows()
-    }
-
     /// True when nothing was ever recorded — the invariant a run without
     /// a fault plan must preserve.
     pub fn is_quiet(&self) -> bool {
@@ -532,10 +509,10 @@ mod tests {
         assert!(h.is_quiet());
         h.link_down(LinkId(3), Nanos::from_micros(1));
         h.link_down(LinkId(3), Nanos::from_micros(2));
-        assert!(h.is_link_down(LinkId(3)));
+        assert!(h.links_down().eq([LinkId(3)]));
         assert_eq!(h.events().len(), 1, "duplicate down not re-logged");
         h.link_up(LinkId(3), Nanos::from_micros(5));
-        assert!(!h.is_link_down(LinkId(3)));
+        assert_eq!(h.links_down().count(), 0);
         h.host_down(HostId(1), Nanos::from_micros(6));
         assert!(h.is_host_down(HostId(1)));
         assert_eq!(h.events().len(), 3);
@@ -555,13 +532,12 @@ mod tests {
         h.link_degraded(LinkId(2), 500, Nanos::from_micros(1));
         h.link_degraded(LinkId(2), 500, Nanos::from_micros(2));
         assert_eq!(h.events().len(), 1, "same fraction not re-logged");
-        assert!(h.is_link_degraded(LinkId(2)));
+        assert!(h.links_degraded().eq([(LinkId(2), 500)]));
         assert_eq!(h.counters.links_degraded, 1);
         h.link_degraded(LinkId(2), 250, Nanos::from_micros(3));
         assert_eq!(h.events().len(), 2, "deeper degrade is news");
         assert_eq!(h.counters.links_degraded, 1);
         h.link_degraded(LinkId(2), 1000, Nanos::from_micros(4));
-        assert!(!h.is_link_degraded(LinkId(2)));
         assert_eq!(h.counters.links_degraded, 0);
         assert_eq!(h.links_degraded().count(), 0);
         assert!(!h.is_quiet(), "the event log remembers the brownout");
@@ -631,6 +607,5 @@ mod tests {
             }
             d => panic!("expected events, got {d:?}"),
         }
-        assert_eq!(h.channel_overflows(), 51);
     }
 }

@@ -73,15 +73,6 @@ impl<'a> Management<'a> {
         self.communicators().into_iter().find(|c| c.comm == comm)
     }
 
-    /// The current configuration of a communicator (rank 0's copy).
-    pub fn config_of(&self, comm: CommunicatorId) -> Option<CollectiveConfig> {
-        self.world
-            .comms
-            .iter()
-            .find(|((c, _), _)| *c == comm)
-            .map(|(_, r)| r.config.clone())
-    }
-
     /// Issue a runtime reconfiguration: new channel rings and flow routes.
     /// The epoch is advanced automatically; delivery to each rank's proxy
     /// carries independent control-plane jitter (the Figure 4 hazard the
@@ -278,9 +269,9 @@ impl<'a> Management<'a> {
         self.world.controller.incarnation
     }
 
-    /// The full failure-event log, in occurrence order. (Compatibility
-    /// shim over the push channel — controllers should prefer
-    /// [`subscribe_health`](Management::subscribe_health).)
+    /// The full failure-event log, in occurrence order. A controller that
+    /// reacts to events should [`subscribe_health`](Management::subscribe_health)
+    /// instead, which delivers only what is new.
     pub fn failure_events(&self) -> &[FailureEvent] {
         self.world.health.events()
     }
@@ -297,15 +288,6 @@ impl<'a> Management<'a> {
     /// behind the ring.
     pub fn poll_health(&self, sub: &mut HealthSubscription) -> HealthDelivery {
         self.world.health.poll(sub)
-    }
-
-    /// Resolve an application id by the name given at `add_app`.
-    pub fn app_by_name(&self, name: &str) -> Option<AppId> {
-        self.world
-            .app_names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| AppId(i as u32))
     }
 
     /// Direct read access to the world (experiment harnesses).

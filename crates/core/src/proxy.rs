@@ -29,7 +29,6 @@ use crate::world::{resources, World};
 use mccs_collectives::{CollectiveOp, CollectiveSchedule, EdgeTask, ScheduleKey};
 use mccs_device::{EventId, StreamId, StreamOp};
 use mccs_ipc::{AppId, CollectiveRequest, CommunicatorId, ErrorCode, ShimCompletion};
-use mccs_netsim::RouteChoice;
 use mccs_sim::{Bytes, Engine, Nanos, Poll, ResourceId};
 use mccs_topology::GpuId;
 use std::collections::{BTreeMap, VecDeque};
@@ -153,7 +152,7 @@ impl CommRank {
     }
 
     /// The GPU of the next rank around the control ring.
-    pub fn next_rank_gpu(&self) -> GpuId {
+    fn next_rank_gpu(&self) -> GpuId {
         self.world_gpus[(self.rank + 1) % self.size()]
     }
 }
@@ -164,7 +163,7 @@ impl CommRank {
 /// asymmetric: `Broadcast` reads the send buffer only at the root (every
 /// rank receives), and `Reduce` writes the recv buffer only at the root
 /// (every rank sends).
-pub fn buffer_demands(op: CollectiveOp, size: Bytes, n: usize, rank: usize) -> (Bytes, Bytes) {
+fn buffer_demands(op: CollectiveOp, size: Bytes, n: usize, rank: usize) -> (Bytes, Bytes) {
     let n = n.max(1) as u64;
     match op {
         CollectiveOp::AllReduce(_) => (size, size),
@@ -912,18 +911,14 @@ fn ensure_stream(rank: &mut CommRank, channel: usize, w: &mut World) -> StreamId
 /// and keeps hitting the old entry.
 fn launch_tasks(rank: &mut CommRank, w: &mut World, p: &PendingCollective) {
     let epoch = rank.config.epoch;
-    let local = if w.svc.cache_schedules {
-        let topo = Arc::clone(&w.topo);
-        let key = ScheduleKey::for_ring(&topo, p.coll.op, p.coll.size, &rank.config.channel_rings);
-        w.schedule_cache
-            .get_or_derive(key, || {
-                CollectiveSchedule::ring(&topo, p.coll.op, p.coll.size, &rank.config.channel_rings)
-            })
-            .tasks_from_gpu(rank.gpu)
-    } else {
-        CollectiveSchedule::ring(&w.topo, p.coll.op, p.coll.size, &rank.config.channel_rings)
-            .tasks_from_gpu(rank.gpu)
-    };
+    let topo = Arc::clone(&w.topo);
+    let key = ScheduleKey::for_ring(&topo, p.coll.op, p.coll.size, &rank.config.channel_rings);
+    let local = w
+        .schedule_cache
+        .get_or_derive(key, || {
+            CollectiveSchedule::ring(&topo, p.coll.op, p.coll.size, &rank.config.channel_rings)
+        })
+        .tasks_from_gpu(rank.gpu);
     let tokens = w.register_launch(p.coll.comm, p.seq, epoch, rank.size(), local.len());
     w.trace
         .launched(p.coll.comm, rank.rank, p.seq, rank.config.epoch, w.clock);
@@ -947,14 +942,9 @@ fn launch_tasks(rank: &mut CommRank, w: &mut World, p: &PendingCollective) {
                 bytes,
                 ..
             } => {
-                let route = match rank.config.routes.get(channel, src_nic, dst_nic) {
-                    Some(r) => RouteChoice::Pinned(r),
-                    None => RouteChoice::Ecmp {
-                        hash: rank
-                            .config
-                            .ecmp_hash(p.coll.comm, channel, src_nic, dst_nic),
-                    },
-                };
+                let route = rank
+                    .config
+                    .route_choice(p.coll.comm, channel, src_nic, dst_nic);
                 w.send_to_transport(
                     src_nic,
                     TransportMsg::Send {

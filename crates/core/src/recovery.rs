@@ -39,6 +39,7 @@ use crate::health::{FailureEvent, HealthDelivery, HealthSubscription};
 use crate::world::{resources, DrainObligation, World};
 use mccs_collectives::{op::all_reduce_sum, CollectiveSchedule, EdgeTask, RingOrder};
 use mccs_ipc::CommunicatorId;
+use mccs_netsim::RouteChoice;
 use mccs_sim::{Bytes, Engine, Poll, ResourceId};
 use mccs_topology::{GpuId, NicId, RouteId};
 use std::collections::BTreeSet;
@@ -193,12 +194,10 @@ pub fn comm_min_route_weight(w: &World, comm: CommunicatorId) -> f64 {
                 continue;
             };
             let paths = w.topo.route_set(src_nic, dst_nic);
-            let id = cfg
-                .routes
-                .get(ch.channel, src_nic, dst_nic)
-                .unwrap_or_else(|| {
-                    paths.ecmp_id(cfg.ecmp_hash(comm, ch.channel, src_nic, dst_nic))
-                });
+            let id = match cfg.route_choice(comm, ch.channel, src_nic, dst_nic) {
+                RouteChoice::Pinned(id) => id,
+                RouteChoice::Ecmp { hash } => paths.ecmp_id(hash),
+            };
             for l in paths.links(id) {
                 min = min.min(w.net.link_weight(l));
             }

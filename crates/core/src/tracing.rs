@@ -44,26 +44,6 @@ impl TraceRecord {
     pub fn latency(&self) -> Option<Nanos> {
         self.completed_at.map(|c| c - self.issued_at)
     }
-
-    /// Issue-to-clean-failure duration, if the service failed this
-    /// collective back to the tenant. A failed collective still cost the
-    /// tenant this much wall-clock — JCT reports must count it, not
-    /// silently drop the record.
-    pub fn failure_latency(&self) -> Option<Nanos> {
-        self.failed_at.map(|f| f - self.issued_at)
-    }
-
-    /// The duration to whichever terminal outcome this collective
-    /// reached, tagged with whether it failed: `(duration, failed)`.
-    /// `None` while still in flight.
-    pub fn outcome_latency(&self) -> Option<(Nanos, bool)> {
-        match (self.completed_at, self.failed_at) {
-            (Some(c), None) => Some((c - self.issued_at, false)),
-            (None, Some(f)) => Some((f - self.issued_at, true)),
-            (None, None) => None,
-            (Some(_), Some(_)) => unreachable!("completion and clean failure are exclusive"),
-        }
-    }
 }
 
 /// Append-mostly store of trace records, indexed for updates.
@@ -213,13 +193,12 @@ mod tests {
         let t = collector_with(&[(0, 10, 50)]);
         let r = &t.records()[0];
         assert_eq!(r.latency(), Some(Nanos::from_micros(40)));
-        assert_eq!(r.failure_latency(), None);
-        assert_eq!(r.outcome_latency(), Some((Nanos::from_micros(40), false)));
+        assert_eq!(r.failed_at, None);
         assert_eq!(r.epoch, 0);
     }
 
     #[test]
-    fn failed_collectives_expose_their_duration() {
+    fn failed_collectives_record_their_failure() {
         let mut t = TraceCollector::new();
         t.issued(
             AppId(0),
@@ -233,19 +212,7 @@ mod tests {
         t.failed(CommunicatorId(0), 0, 0, Nanos::from_micros(70));
         let r = &t.records()[0];
         assert_eq!(r.latency(), None, "failed is not completed");
-        assert_eq!(r.failure_latency(), Some(Nanos::from_micros(60)));
-        assert_eq!(r.outcome_latency(), Some((Nanos::from_micros(60), true)));
-        // In-flight records have no outcome yet.
-        t.issued(
-            AppId(0),
-            CommunicatorId(0),
-            0,
-            1,
-            all_reduce_sum(),
-            Bytes::mib(1),
-            Nanos::from_micros(80),
-        );
-        assert_eq!(t.records()[1].outcome_latency(), None);
+        assert_eq!(r.failed_at, Some(Nanos::from_micros(70)));
     }
 
     #[test]

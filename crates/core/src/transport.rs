@@ -103,11 +103,6 @@ impl TransportEngine {
         }
     }
 
-    /// Flows currently owned by this transport.
-    pub fn active_flows(&self) -> usize {
-        self.active.len()
-    }
-
     /// What this transport's own timers signal: its inbox, always watched.
     fn doorbell(&self) -> ResourceId {
         resources::transport_inbox(self.nic.index() as u32)

@@ -229,7 +229,7 @@ impl CollectiveProgress {
 
     /// Mark complete if all ranks launched, nothing is outstanding, and
     /// the collective was not failed.
-    pub fn maybe_complete(&mut self, now: Nanos) {
+    fn maybe_complete(&mut self, now: Nanos) {
         if self.completed_at.is_none()
             && !self.failed
             && self.launched_ranks == self.expected_ranks
@@ -585,15 +585,6 @@ impl TenantLog {
             .collect();
         v.sort_by_key(|r| r.issued);
         v
-    }
-
-    /// All records of an app (completed and failed).
-    pub fn records_of_app(&self, app: AppId) -> Vec<TenantRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.app == app)
-            .copied()
-            .collect()
     }
 
     /// Every finished record, in completion order (the chaos explorer's
@@ -1222,15 +1213,6 @@ impl World {
     /// Drain the completed flows of an external owner.
     pub fn take_external_events(&mut self, owner: u32) -> Vec<FlowCompletion> {
         self.external_flow_events.remove(&owner).unwrap_or_default()
-    }
-
-    /// The GPUs an application's endpoints occupy.
-    pub fn app_gpus(&self, app: AppId) -> Vec<GpuId> {
-        self.endpoints
-            .iter()
-            .filter(|e| e.app == app)
-            .map(|e| e.gpu)
-            .collect()
     }
 }
 

@@ -79,7 +79,7 @@ impl GpuAllocator {
     }
 
     /// Bytes currently free (possibly fragmented).
-    pub fn free_total(&self) -> u64 {
+    fn free_total(&self) -> u64 {
         self.free.values().sum()
     }
 
@@ -141,21 +141,6 @@ impl GpuAllocator {
             len += next_len;
         }
         self.free.insert(start, len);
-    }
-
-    /// The live allocation containing `[addr, addr+len)`, if any — the
-    /// validity check the MCCS service runs on every collective's buffer
-    /// (§4.1: "the service will check whether the data buffer the user
-    /// passes is within a valid allocation").
-    pub fn containing_alloc(&self, addr: u64, len: u64) -> Option<(u64, u64)> {
-        let (&start, &size) = self.live.range(..=addr).next_back()?;
-        let end = addr.checked_add(len)?;
-        (end <= start + size).then_some((start, size))
-    }
-
-    /// Whether `[addr, addr+len)` lies entirely within one live allocation.
-    pub fn is_valid_range(&self, addr: u64, len: u64) -> bool {
-        self.containing_alloc(addr, len).is_some()
     }
 }
 
@@ -238,25 +223,6 @@ mod tests {
         let p = a.alloc(Bytes::kib(4)).expect("fits");
         a.free(p);
         a.free(p);
-    }
-
-    #[test]
-    fn range_validation() {
-        let mut a = alloc(1);
-        let p = a.alloc(Bytes::kib(64)).expect("fits");
-        assert!(a.is_valid_range(p, 65536));
-        assert!(a.is_valid_range(p + 1024, 1024));
-        assert!(!a.is_valid_range(p, 65537), "past the end");
-        assert!(!a.is_valid_range(p + 65536, 1), "starts past the end");
-        a.free(p);
-        assert!(!a.is_valid_range(p, 1), "freed");
-    }
-
-    #[test]
-    fn validation_rejects_overflowing_range() {
-        let mut a = alloc(1);
-        let p = a.alloc(Bytes::kib(4)).expect("fits");
-        assert!(!a.is_valid_range(p, u64::MAX));
     }
 
     mod proptests {

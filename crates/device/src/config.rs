@@ -17,10 +17,6 @@ pub struct DeviceConfig {
     pub intra_host_bandwidth: Bandwidth,
     /// Fixed overhead to launch any kernel (enqueue-to-start).
     pub kernel_launch_overhead: Nanos,
-    /// Local reduction throughput for reduce kernels (bytes reduced per
-    /// second); RTX 3090-class memory bandwidth keeps this far above NIC
-    /// speed.
-    pub reduce_bandwidth: Bandwidth,
 }
 
 impl Default for DeviceConfig {
@@ -32,21 +28,7 @@ impl Default for DeviceConfig {
             intra_host_bandwidth: Bandwidth::gibytes_per_sec(20.0),
             // ~5 us launch overhead.
             kernel_launch_overhead: Nanos::from_micros(5),
-            // ~300 GB/s effective reduce throughput.
-            reduce_bandwidth: Bandwidth::gibytes_per_sec(300.0),
         }
-    }
-}
-
-impl DeviceConfig {
-    /// Time for an intra-host channel transfer of `bytes`.
-    pub fn intra_host_time(&self, bytes: Bytes) -> Nanos {
-        self.kernel_launch_overhead + self.intra_host_bandwidth.transfer_time(bytes)
-    }
-
-    /// Time for a local reduction over `bytes`.
-    pub fn reduce_time(&self, bytes: Bytes) -> Nanos {
-        self.kernel_launch_overhead + self.reduce_bandwidth.transfer_time(bytes)
     }
 }
 
@@ -59,14 +41,5 @@ mod tests {
         let c = DeviceConfig::default();
         assert_eq!(c.memory_capacity, Bytes::gib(24));
         assert!(c.intra_host_bandwidth.as_gbps() > 100.0);
-    }
-
-    #[test]
-    fn cost_model_monotone() {
-        let c = DeviceConfig::default();
-        assert!(c.intra_host_time(Bytes::mib(64)) > c.intra_host_time(Bytes::mib(1)));
-        assert!(c.reduce_time(Bytes::mib(64)) < c.intra_host_time(Bytes::mib(64)));
-        // zero-byte ops still pay launch overhead
-        assert_eq!(c.intra_host_time(Bytes::ZERO), c.kernel_launch_overhead);
     }
 }

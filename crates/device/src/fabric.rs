@@ -135,7 +135,7 @@ impl DeviceFabric {
     pub fn create_stream(&mut self, gpu: GpuId) -> StreamId {
         assert!(gpu.index() < self.allocators.len(), "unknown GPU {gpu}");
         let id = StreamId(self.streams.len() as u32);
-        self.streams.push(Stream::new(id, gpu));
+        self.streams.push(Stream::new(gpu));
         id
     }
 
@@ -172,20 +172,6 @@ impl DeviceFabric {
         self.dispatch_streams(vec![stream.0 as usize]);
     }
 
-    /// Convenience: enqueue an intra-host channel transfer using the
-    /// configured shared-memory bandwidth.
-    pub fn enqueue_intra_host_transfer(&mut self, stream: StreamId, bytes: Bytes, token: u64) {
-        let bandwidth = self.cfg.intra_host_bandwidth;
-        self.enqueue(
-            stream,
-            StreamOp::Transfer {
-                bytes,
-                bandwidth,
-                token,
-            },
-        );
-    }
-
     /// When (and whether) an event has been recorded.
     pub fn event_time(&self, event: EventId) -> Option<Nanos> {
         self.events[event.0 as usize].last_at
@@ -196,21 +182,11 @@ impl DeviceFabric {
         self.streams[stream.0 as usize].is_idle()
     }
 
-    /// The GPU a stream is bound to.
-    pub fn stream_gpu(&self, stream: StreamId) -> GpuId {
-        self.streams[stream.0 as usize].gpu
-    }
-
     /// Drain the set of GPUs with stream activity (ops dispatched,
     /// completed — silently or not — or unblocked) since the last drain.
     /// The caller turns these into per-GPU wake signals.
     pub fn take_touched_gpus(&mut self) -> std::collections::BTreeSet<u32> {
         std::mem::take(&mut self.touched)
-    }
-
-    /// Queued + running ops on a stream.
-    pub fn stream_depth(&self, stream: StreamId) -> usize {
-        self.streams[stream.0 as usize].depth()
     }
 
     // ---- time ---------------------------------------------------------------

@@ -85,9 +85,6 @@ impl EventState {
 /// One in-order operation queue bound to a GPU.
 #[derive(Debug)]
 pub(crate) struct Stream {
-    /// Kept for diagnostics and future per-GPU scheduling policies.
-    #[allow(dead_code)]
-    pub id: StreamId,
     pub gpu: GpuId,
     pub queue: VecDeque<QueuedOp>,
     /// The in-flight timed op, if any: (token, finish time).
@@ -95,9 +92,8 @@ pub(crate) struct Stream {
 }
 
 impl Stream {
-    pub fn new(id: StreamId, gpu: GpuId) -> Self {
+    pub fn new(gpu: GpuId) -> Self {
         Stream {
-            id,
             gpu,
             queue: VecDeque::new(),
             running: None,
@@ -107,11 +103,6 @@ impl Stream {
     /// Whether the stream has no queued or running work.
     pub fn is_idle(&self) -> bool {
         self.running.is_none() && self.queue.is_empty()
-    }
-
-    /// Queued + running op count.
-    pub fn depth(&self) -> usize {
-        self.queue.len() + usize::from(self.running.is_some())
     }
 }
 
@@ -133,14 +124,12 @@ mod tests {
 
     #[test]
     fn stream_idleness() {
-        let mut s = Stream::new(StreamId(0), GpuId(0));
+        let mut s = Stream::new(GpuId(0));
         assert!(s.is_idle());
         s.queue.push_back(QueuedOp::Record(EventId(0)));
         assert!(!s.is_idle());
-        assert_eq!(s.depth(), 1);
         s.queue.pop_front();
         s.running = Some((0, Nanos::from_micros(1)));
-        assert_eq!(s.depth(), 1);
         assert!(!s.is_idle());
     }
 }

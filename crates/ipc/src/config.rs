@@ -54,7 +54,7 @@ impl IpcConfig {
 
     /// Apply jitter to a base latency: uniform in
     /// `[base, base * (1 + jitter_frac)]`.
-    pub fn jittered(&self, base: Nanos, rng: &mut Rng) -> Nanos {
+    fn jittered(&self, base: Nanos, rng: &mut Rng) -> Nanos {
         if self.jitter_frac <= 0.0 || base == Nanos::ZERO {
             return base;
         }
@@ -75,13 +75,6 @@ impl IpcConfig {
     pub fn sample_hop_latency(&self, rng: &mut Rng) -> Nanos {
         self.jittered(self.engine_hop_latency, rng)
     }
-
-    /// The deterministic round-trip floor for one collective issue path:
-    /// command + 2 internal hops + completion. Useful for latency
-    /// assertions in tests.
-    pub fn round_trip_floor(&self) -> Nanos {
-        self.command_latency + self.engine_hop_latency * 2 + self.completion_latency
-    }
 }
 
 #[cfg(test)]
@@ -93,9 +86,10 @@ mod tests {
         // §6.2: shim <-> service plus internal engine hops cost 50-80 us
         // overall; the floor sits at the band's bottom, the jittered
         // ceiling within ~20% of its top (the datapath adds the transport
-        // hop on top of this floor).
+        // hop on top of this floor). One issue path is a command, two
+        // internal hops and a completion.
         let cfg = IpcConfig::default();
-        let floor = cfg.round_trip_floor();
+        let floor = cfg.command_latency + cfg.engine_hop_latency * 2 + cfg.completion_latency;
         let ceiling = floor.mul_f64(1.0 + cfg.jitter_frac);
         assert!(
             floor >= Nanos::from_micros(45) && floor <= Nanos::from_micros(65),
@@ -125,6 +119,7 @@ mod tests {
         let cfg = IpcConfig::zero();
         let mut rng = Rng::seed_from(0);
         assert_eq!(cfg.sample_command_latency(&mut rng), Nanos::ZERO);
-        assert_eq!(cfg.round_trip_floor(), Nanos::ZERO);
+        assert_eq!(cfg.sample_hop_latency(&mut rng), Nanos::ZERO);
+        assert_eq!(cfg.sample_completion_latency(&mut rng), Nanos::ZERO);
     }
 }

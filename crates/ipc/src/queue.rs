@@ -76,11 +76,6 @@ impl<T> LatencyQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
-
-    /// Whether a push would currently be rejected.
-    pub fn is_full(&self) -> bool {
-        self.items.len() >= self.capacity
-    }
 }
 
 #[cfg(test)]
@@ -116,7 +111,6 @@ mod tests {
         let mut q = LatencyQueue::new(2);
         q.push(Nanos::ZERO, Nanos::ZERO, 1).expect("room");
         q.push(Nanos::ZERO, Nanos::ZERO, 2).expect("room");
-        assert!(q.is_full());
         assert_eq!(q.push(Nanos::ZERO, Nanos::ZERO, 3), Err(3));
         q.pop(Nanos::ZERO).expect("visible");
         q.push(Nanos::ZERO, Nanos::ZERO, 3).expect("room again");

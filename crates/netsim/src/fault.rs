@@ -151,16 +151,9 @@ impl FaultPlan {
 
     /// Whether the scripted timeline is exhausted. Control directives are
     /// *conditional* — they fire only if the matching ordinal is ever
-    /// sent — so they do not keep a plan "non-empty" forever; inspect
-    /// them via [`pending_control`](Self::pending_control).
+    /// sent — so they do not keep a plan "non-empty" forever.
     pub fn is_empty(&self) -> bool {
         self.cursor >= self.timeline.len()
-    }
-
-    /// Unfired control directives (ordinals that were never sent, or not
-    /// sent yet).
-    pub fn pending_control(&self) -> usize {
-        self.control.len()
     }
 
     /// Time of the next unconsumed scripted event.
@@ -230,7 +223,7 @@ mod tests {
         // Conditional directives never block timeline emptiness: a plan
         // whose ordinals are never sent must still read as drained.
         assert!(plan.is_empty());
-        assert_eq!(plan.pending_control(), 2);
+        assert_eq!(plan.control.len(), 2);
         assert_eq!(plan.control_fault(0), None);
         assert_eq!(plan.control_fault(2), Some(ControlFault::Drop));
         assert_eq!(plan.control_fault(2), None, "directives are one-shot");
@@ -238,7 +231,7 @@ mod tests {
             plan.control_fault(5),
             Some(ControlFault::Delay(Nanos::from_micros(100)))
         );
-        assert_eq!(plan.pending_control(), 0);
+        assert!(plan.control.is_empty());
         assert!(plan.is_empty());
     }
 

@@ -29,7 +29,7 @@
 use crate::arena::FlowStore;
 use crate::flow::{FlowCompletion, FlowId, FlowSpec, RouteChoice};
 use crate::maxmin::{allocate_with_priority_into, FlowDemand, SolverScratch};
-use mccs_sim::{Bandwidth, Bytes, Nanos};
+use mccs_sim::{Bandwidth, Nanos};
 use mccs_topology::{LinkId, Route, RouteId, Topology};
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -80,15 +80,6 @@ impl FlowState {
                 self.bytes_done += self.rate.bytes_in(dt);
             }
             self.accrued_at = to;
-        }
-    }
-
-    /// Bytes moved by time `at` (≥ `accrued_at`), without materializing.
-    fn progress_at(&self, at: Nanos) -> f64 {
-        if self.active() {
-            self.bytes_done + self.rate.bytes_in(at - self.accrued_at)
-        } else {
-            self.bytes_done
         }
     }
 
@@ -644,14 +635,6 @@ impl Network {
             .unwrap_or(Bandwidth::ZERO)
     }
 
-    /// Bytes a flow has moved so far.
-    pub fn flow_progress(&self, id: FlowId) -> Bytes {
-        self.flows
-            .get(id)
-            .map(|f| Bytes::new(f.progress_at(self.clock) as u64))
-            .unwrap_or(Bytes::ZERO)
-    }
-
     /// The route a flow currently uses.
     pub fn flow_route(&self, id: FlowId) -> Option<&Route> {
         self.flows.get(id).map(|f| &f.route)
@@ -1045,6 +1028,7 @@ pub const DEFAULT_CROSS_TENANT_PENALTY: f64 = 0.3;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mccs_sim::Bytes;
     use mccs_topology::{presets, NicId};
 
     fn testbed_net() -> Network {

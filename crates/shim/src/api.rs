@@ -43,11 +43,9 @@ impl<'a> ShimApi<'a> {
 
     /// Move queued commands/completions. Call once per poll.
     pub fn pump(&mut self) -> bool {
-        let now = self.port.now();
-        let mut moved = self.drain_completions(now);
+        let mut moved = self.drain_completions();
         let port = &mut *self.port;
         moved |= self.session.pump_with_backpressure(
-            now,
             |cmd| {
                 if port.try_push(cmd.clone()) {
                     Ok(())
@@ -58,14 +56,14 @@ impl<'a> ShimApi<'a> {
             || None,
         );
         // Completions may have landed in response to the pushes.
-        moved |= self.drain_completions(now);
+        moved |= self.drain_completions();
         moved
     }
 
-    fn drain_completions(&mut self, now: Nanos) -> bool {
+    fn drain_completions(&mut self) -> bool {
         let mut moved = false;
         while let Some(c) = self.port.try_pop() {
-            self.session.ingest(now, c);
+            self.session.ingest(c);
             moved = true;
         }
         moved

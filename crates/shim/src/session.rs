@@ -7,7 +7,6 @@
 
 use mccs_device::{EventId, MemHandle};
 use mccs_ipc::{CommunicatorId, ErrorCode, ShimCommand, ShimCompletion};
-use mccs_sim::Nanos;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// A correlation id for an in-flight request.
@@ -41,8 +40,6 @@ pub struct ShimSession {
     /// Collective request -> communicator (to resolve `done` before the
     /// launch ack arrives — impossible with FIFO queues, but kept robust).
     req_comm: BTreeMap<ReqId, CommunicatorId>,
-    /// Completion-timestamp log for tracing-style assertions in tests.
-    completion_times: Vec<(CommunicatorId, u64, Nanos)>,
 }
 
 impl ShimSession {
@@ -76,7 +73,6 @@ impl ShimSession {
     /// ingest completions from `pop`. Returns `true` if anything moved.
     pub fn pump_with_backpressure(
         &mut self,
-        now: Nanos,
         mut push: impl FnMut(ShimCommand) -> Result<(), ShimCommand>,
         mut pop: impl FnMut() -> Option<ShimCompletion>,
     ) -> bool {
@@ -90,21 +86,21 @@ impl ShimSession {
                 }
             }
         }
-        moved |= self.ingest_all(now, &mut pop);
+        moved |= self.ingest_all(&mut pop);
         moved
     }
 
-    fn ingest_all(&mut self, now: Nanos, pop: &mut impl FnMut() -> Option<ShimCompletion>) -> bool {
+    fn ingest_all(&mut self, pop: &mut impl FnMut() -> Option<ShimCompletion>) -> bool {
         let mut moved = false;
         while let Some(c) = pop() {
-            self.ingest(now, c);
+            self.ingest(c);
             moved = true;
         }
         moved
     }
 
     /// Record one completion.
-    pub fn ingest(&mut self, now: Nanos, completion: ShimCompletion) {
+    pub fn ingest(&mut self, completion: ShimCompletion) {
         match completion {
             ShimCompletion::MemAlloc { req, handle } => {
                 self.allocs.insert(ReqId(req), handle);
@@ -133,7 +129,6 @@ impl ShimSession {
                 self.done.insert((comm, seq));
                 let hw = self.high_water.entry(comm).or_insert(seq);
                 *hw = (*hw).max(seq);
-                self.completion_times.push((comm, seq, now));
             }
             ShimCompletion::CollectiveFailed {
                 comm,
@@ -215,16 +210,6 @@ impl ShimSession {
     pub fn error_code(&self, req: ReqId) -> Option<ErrorCode> {
         self.errors.get(&req).map(|&(code, _)| code)
     }
-
-    /// Completion timestamps observed so far (comm, seq, time).
-    pub fn completion_log(&self) -> &[(CommunicatorId, u64, Nanos)] {
-        &self.completion_times
-    }
-
-    /// Commands still waiting to be pushed.
-    pub fn outbox_depth(&self) -> usize {
-        self.outbox.len()
-    }
 }
 
 fn set_req(cmd: &mut ShimCommand, req: u64) {
@@ -248,14 +233,12 @@ mod tests {
     use mccs_topology::GpuId;
 
     fn pump(session: &mut ShimSession, port: &mut LoopbackPort) -> bool {
-        let now = port.now;
         let mut moved = false;
         while let Some(c) = port.try_pop() {
-            session.ingest(now, c);
+            session.ingest(c);
             moved = true;
         }
         moved |= session.pump_with_backpressure(
-            now,
             |cmd| {
                 if port.try_push(cmd.clone()) {
                     Ok(())
@@ -266,7 +249,7 @@ mod tests {
             || None,
         );
         while let Some(c) = port.try_pop() {
-            session.ingest(now, c);
+            session.ingest(c);
             moved = true;
         }
         moved
@@ -307,7 +290,6 @@ mod tests {
         assert_eq!(s.launched_seq(req), Some(0));
         assert!(s.collective_done(req));
         assert_eq!(s.high_water(comm), Some(0));
-        assert_eq!(s.completion_log().len(), 1);
     }
 
     #[test]
@@ -326,10 +308,10 @@ mod tests {
             size: Bytes::kib(2),
         });
         pump(&mut s, &mut p);
-        assert_eq!(s.outbox_depth(), 2, "both held under backpressure");
+        assert_eq!(s.outbox.len(), 2, "both held under backpressure");
         p.full = false;
         pump(&mut s, &mut p);
-        assert_eq!(s.outbox_depth(), 0);
+        assert!(!s.has_unsent());
         assert_eq!(p.sent.len(), 2);
         // FIFO preserved
         let sizes: Vec<Bytes> = p
@@ -350,14 +332,11 @@ mod tests {
             req: 0,
             handle: MemHandle(9),
         });
-        s.ingest(
-            Nanos::ZERO,
-            ShimCompletion::Error {
-                req: req.0,
-                code: ErrorCode::InvalidArgument,
-                message: "unknown memory handle".into(),
-            },
-        );
+        s.ingest(ShimCompletion::Error {
+            req: req.0,
+            code: ErrorCode::InvalidArgument,
+            message: "unknown memory handle".into(),
+        });
         assert_eq!(s.error(req), Some("unknown memory handle"));
         assert_eq!(s.error_code(req), Some(ErrorCode::InvalidArgument));
         assert!(!s.free_done(req));
@@ -381,19 +360,13 @@ mod tests {
             },
         });
         pump(&mut s, &mut p);
-        s.ingest(
-            Nanos::ZERO,
-            ShimCompletion::CollectiveLaunched { req: req.0, seq: 4 },
-        );
-        s.ingest(
-            Nanos::ZERO,
-            ShimCompletion::CollectiveFailed {
-                comm,
-                seq: 4,
-                code: ErrorCode::SystemError,
-                message: "retries exhausted".into(),
-            },
-        );
+        s.ingest(ShimCompletion::CollectiveLaunched { req: req.0, seq: 4 });
+        s.ingest(ShimCompletion::CollectiveFailed {
+            comm,
+            seq: 4,
+            code: ErrorCode::SystemError,
+            message: "retries exhausted".into(),
+        });
         assert!(!s.collective_done(req));
         let (code, msg) = s.collective_failed(req).expect("failure recorded");
         assert_eq!(code, ErrorCode::SystemError);

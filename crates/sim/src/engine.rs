@@ -10,12 +10,12 @@
 //!
 //! Two schedulers share that contract:
 //!
-//! * **Wake-driven** (default, [`RuntimePool::poll_ready`]): engines that
+//! * **Wake-driven** (default, `RuntimePool::poll_ready`): engines that
 //!   return [`Poll::Idle`] declare the resources they wait on and are
 //!   parked until one of them is signalled. Each scheduler call costs
 //!   O(ready work), not O(live engines). The pool has no clock: a timed
 //!   wait is a resource the embedder signals when its time comes.
-//! * **Naive round-robin** ([`RuntimePool::poll_until_quiescent`]): every
+//! * **Naive round-robin** (`RuntimePool::poll_until_quiescent`): every
 //!   live engine is re-polled every pass until a full pass is idle. Kept as
 //!   the oracle the wake-driven scheduler is differentially tested against
 //!   (`MCCS_SIM_NAIVE_POOL=1` flips the [`RuntimePool::poll`] dispatcher).
@@ -341,8 +341,7 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
     ///
     /// This is the naive oracle scheduler: O(live engines) per pass no
     /// matter how little happened. [`RuntimePool::poll`] dispatches here
-    /// only when naive mode is selected, but the method stays public so
-    /// differential tests can drive it directly.
+    /// only when naive mode is selected.
     ///
     /// Termination: each pass either observes progress (bounded by the
     /// engines' own state machines, which are driven by finite queues and
@@ -350,7 +349,7 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
     /// claims progress trips the `pass_limit` safety valve with a panic
     /// naming the engines still reporting progress, which in practice
     /// catches engine bugs immediately in tests.
-    pub fn poll_until_quiescent(&mut self, cx: &mut Cx) -> usize {
+    fn poll_until_quiescent(&mut self, cx: &mut Cx) -> usize {
         let pass_limit = SPIN_LIMIT;
         let mut passes = 0;
         let mut finished_now = 0;
@@ -397,7 +396,7 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
     /// spawned or signalled since they parked — in rounds that mirror the
     /// naive passes. Returns the number of engines that finished during
     /// this call.
-    pub fn poll_ready(&mut self, cx: &mut Cx) -> usize
+    fn poll_ready(&mut self, cx: &mut Cx) -> usize
     where
         Cx: WakeSource,
     {

@@ -115,14 +115,6 @@ impl Rng {
         -mean * (1.0 - self.f64()).ln()
     }
 
-    /// Standard normal via Box-Muller (used for trace jitter).
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        let u1 = (1.0 - self.f64()).max(f64::MIN_POSITIVE);
-        let u2 = self.f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        mean + std_dev * z
-    }
-
     /// In-place Fisher-Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -234,16 +226,5 @@ mod tests {
         let mut c1 = parent.fork();
         let mut c2 = parent.fork();
         assert_ne!(c1.next_u64(), c2.next_u64());
-    }
-
-    #[test]
-    fn normal_moments() {
-        let mut r = Rng::seed_from(3);
-        let n = 100_000;
-        let samples: Vec<f64> = (0..n).map(|_| r.normal(10.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.15, "var {var}");
     }
 }

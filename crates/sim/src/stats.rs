@@ -51,7 +51,7 @@ impl Summary {
     }
 
     /// Linear-interpolated quantile, `q` in `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
+    fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
         let n = self.sorted.len();
         if n == 0 {
@@ -70,17 +70,6 @@ impl Summary {
     /// Median.
     pub fn median(&self) -> f64 {
         self.quantile(0.5)
-    }
-
-    /// Sample standard deviation (n-1 denominator; 0 for n < 2).
-    pub fn std_dev(&self) -> f64 {
-        let n = self.sorted.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.sorted.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (n - 1) as f64;
-        var.sqrt()
     }
 
     /// The `(p5, p95)` interval — the "95% percentile intervals" shading of
@@ -114,14 +103,6 @@ pub fn cdf_points(samples: impl IntoIterator<Item = f64>) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Geometric mean (used for averaging speedup ratios).
-pub fn geo_mean(samples: &[f64]) -> f64 {
-    assert!(!samples.is_empty(), "geo_mean of empty set");
-    assert!(samples.iter().all(|&x| x > 0.0), "geo_mean needs positives");
-    let log_sum: f64 = samples.iter().map(|x| x.ln()).sum();
-    (log_sum / samples.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,7 +114,6 @@ mod tests {
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 4.0);
         assert_eq!(s.median(), 2.5);
-        assert!((s.std_dev() - 1.2909944).abs() < 1e-6);
     }
 
     #[test]
@@ -152,7 +132,6 @@ mod tests {
         assert_eq!(e.quantile(0.5), 0.0);
         let one = Summary::new([7.0]);
         assert_eq!(one.quantile(0.99), 7.0);
-        assert_eq!(one.std_dev(), 0.0);
     }
 
     #[test]
@@ -177,11 +156,5 @@ mod tests {
         assert_eq!(pts[0], (1.0, 1.0 / 3.0));
         assert_eq!(pts[2], (3.0, 1.0));
         assert!(pts.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1));
-    }
-
-    #[test]
-    fn geo_mean_of_ratios() {
-        assert!((geo_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert!((geo_mean(&[5.0]) - 5.0).abs() < 1e-12);
     }
 }

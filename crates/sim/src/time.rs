@@ -69,7 +69,7 @@ impl Nanos {
     }
 
     /// This time as fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
+    fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 

@@ -3,7 +3,7 @@
 //! The paper's Figures 7 and 10 plot quantities (algorithm bandwidth,
 //! normalized throughput) against elapsed time. [`TimeSeries`] collects
 //! `(time, value)` samples during a run and can resample them into fixed
-//! windows for plotting or CSV export.
+//! windows for plotting.
 
 use crate::time::Nanos;
 
@@ -84,22 +84,6 @@ impl TimeSeries {
         }
         out
     }
-
-    /// Interpolate the value at `t` by last-sample-carried-forward
-    /// (step interpolation, matching how bandwidth counters behave).
-    pub fn value_at(&self, t: Nanos) -> Option<f64> {
-        let idx = self.samples.partition_point(|&(st, _)| st <= t);
-        idx.checked_sub(1).map(|i| self.samples[i].1)
-    }
-
-    /// Render as CSV lines `time_s,value` (no header).
-    pub fn to_csv(&self) -> String {
-        let mut s = String::new();
-        for &(t, v) in &self.samples {
-            s.push_str(&format!("{:.6},{:.6}\n", t.as_secs_f64(), v));
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -148,20 +132,5 @@ mod tests {
             w,
             vec![(Nanos::from_secs(0), 1.5), (Nanos::from_secs(2), 6.0)]
         );
-    }
-
-    #[test]
-    fn step_interpolation() {
-        let ts = series();
-        assert_eq!(ts.value_at(Nanos::from_millis(500)), Some(1.0));
-        assert_eq!(ts.value_at(Nanos::from_secs(2)), Some(4.0));
-        assert_eq!(TimeSeries::new("e").value_at(Nanos::ZERO), None);
-    }
-
-    #[test]
-    fn csv_lines() {
-        let csv = series().to_csv();
-        assert_eq!(csv.lines().count(), 4);
-        assert!(csv.starts_with("0.000000,1.000000"));
     }
 }

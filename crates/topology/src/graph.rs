@@ -201,15 +201,6 @@ impl Topology {
         self.rack_hosts.len()
     }
 
-    /// Number of pods.
-    pub fn pod_count(&self) -> usize {
-        self.rack_pods
-            .iter()
-            .map(|p| p.index() + 1)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Hosts in a rack, in id order.
     pub fn hosts_in_rack(&self, rack: RackId) -> &[HostId] {
         &self.rack_hosts[rack.index()]

@@ -95,15 +95,6 @@ impl LocalityMap {
         self.pods.values().map(BTreeMap::len).sum()
     }
 
-    /// Number of distinct hosts.
-    pub fn host_count(&self) -> usize {
-        self.pods
-            .values()
-            .flat_map(BTreeMap::values)
-            .map(BTreeMap::len)
-            .sum()
-    }
-
     /// GPUs flattened in locality order: pods, then racks within the pod,
     /// then hosts within the rack, then GPUs within the host. Chaining this
     /// order into a ring visits every host exactly once and every rack
@@ -115,16 +106,6 @@ impl LocalityMap {
             .flat_map(BTreeMap::values)
             .flatten()
             .copied()
-            .collect()
-    }
-
-    /// Hosts in locality order with their GPUs.
-    pub fn hosts_in_order(&self) -> Vec<(HostId, Vec<GpuId>)> {
-        self.pods
-            .values()
-            .flat_map(BTreeMap::values)
-            .flat_map(BTreeMap::iter)
-            .map(|(h, gs)| (*h, gs.clone()))
             .collect()
     }
 }
@@ -153,7 +134,6 @@ mod tests {
         let m = LocalityMap::build(&t, &gpus);
         assert_eq!(m.len(), 5);
         assert_eq!(m.rack_count(), 2);
-        assert_eq!(m.host_count(), 3);
         let order = m.locality_order();
         // H0's GPUs (0,1) contiguous, then H2 (4), then H3 (6,7).
         assert_eq!(
@@ -163,11 +143,16 @@ mod tests {
     }
 
     #[test]
-    fn hosts_in_order_are_rack_contiguous() {
+    fn locality_order_is_rack_contiguous() {
         let t = presets::testbed();
-        let gpus: Vec<GpuId> = (0..8).map(GpuId).collect();
+        let gpus: Vec<GpuId> = (0..8).rev().map(GpuId).collect();
         let m = LocalityMap::build(&t, &gpus);
-        let hosts: Vec<HostId> = m.hosts_in_order().into_iter().map(|(h, _)| h).collect();
+        let mut hosts: Vec<HostId> = m
+            .locality_order()
+            .into_iter()
+            .map(|g| t.host_of_gpu(g))
+            .collect();
+        hosts.dedup();
         assert_eq!(hosts, vec![HostId(0), HostId(1), HostId(2), HostId(3)]);
         // rack boundaries: exactly one transition 0..1 at index 1->2
         let racks: Vec<_> = hosts.iter().map(|&h| t.rack_of(h)).collect();

@@ -59,13 +59,6 @@ pub struct Route {
     pub links: Arc<[LinkId]>,
 }
 
-impl Route {
-    /// Number of links traversed.
-    pub fn hop_count(&self) -> usize {
-        self.links.len()
-    }
-}
-
 /// Why a route could not be resolved.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RouteError {
@@ -192,7 +185,7 @@ impl RouteSet {
     }
 
     /// Route `id` as an owned [`Route`], or [`RouteError::OutOfRange`].
-    pub fn try_route(&self, id: RouteId) -> Result<Route, RouteError> {
+    fn try_route(&self, id: RouteId) -> Result<Route, RouteError> {
         Ok(Route {
             src: self.src,
             dst: self.dst,
@@ -202,7 +195,7 @@ impl RouteSet {
         })
     }
 
-    /// As [`try_route`](Self::try_route).
+    /// Route `id` as an owned [`Route`].
     ///
     /// # Panics
     /// Panics if `id` is out of range for the set.
@@ -557,7 +550,7 @@ mod tests {
         let paths = all_routes(&t, NicId(0), NicId(1));
         assert_eq!(paths.len(), 2);
         for (i, p) in paths.iter().enumerate() {
-            assert_eq!(p.hop_count(), 4); // up, leaf->spine, spine->leaf, down
+            assert_eq!(p.links.len(), 4); // up, leaf->spine, spine->leaf, down
             assert_eq!(p.id, RouteId(i as u32));
             assert_eq!(p.links[0], t.nic(NicId(0)).uplink);
             assert_eq!(*p.links.last().expect("nonempty"), t.nic(NicId(1)).downlink);
@@ -570,7 +563,7 @@ mod tests {
         let t = presets::single_switch(2, 1, Bandwidth::gbps(50.0));
         let paths = all_routes(&t, NicId(0), NicId(1));
         assert_eq!(paths.len(), 1);
-        assert_eq!(paths[0].hop_count(), 2);
+        assert_eq!(paths[0].links.len(), 2);
     }
 
     #[test]
@@ -685,7 +678,7 @@ mod tests {
         let t = presets::switch_ring(4, 1, g, g);
         let paths = all_routes(&t, NicId(0), NicId(1));
         assert_eq!(paths.len(), 1);
-        assert_eq!(paths[0].hop_count(), 3); // up, sw0->sw1, down
+        assert_eq!(paths[0].links.len(), 3); // up, sw0->sw1, down
 
         // Opposite corners: both directions are 2 switch hops -> 2 paths.
         assert_eq!(t.path_diversity(NicId(0), NicId(2)), 2);

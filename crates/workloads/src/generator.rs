@@ -5,12 +5,8 @@
 //! (§6.1). [`TrafficGenerator`] is that program: one rank replaying an
 //! [`IterationTrace`] through the shim — allocate buffers, init the
 //! communicator, then loop compute / collective / memcpy / idle phases.
-//!
-//! A converter to library-mode phases lets the same trace drive the NCCL
-//! baseline ([`to_baseline_phases`]).
 
 use crate::trace::{IterationTrace, TracePhase};
-use mccs_baseline::Phase as BaselinePhase;
 use mccs_device::MemHandle;
 use mccs_ipc::CommunicatorId;
 use mccs_shim::{AppProgram, AppStatus, ReqId, ShimApi};
@@ -230,21 +226,6 @@ impl AppProgram for TrafficGenerator {
     }
 }
 
-/// Convert a trace into library-mode phases for the NCCL baseline
-/// (idle/memcpy become compute gaps — the library only sees time passing).
-pub fn to_baseline_phases(trace: &IterationTrace) -> Vec<BaselinePhase> {
-    trace
-        .phases
-        .iter()
-        .map(|p| match *p {
-            TracePhase::Compute(d) | TracePhase::Memcpy(d) | TracePhase::Idle(d) => {
-                BaselinePhase::Compute(d)
-            }
-            TracePhase::Collective { op, size } => BaselinePhase::Collective { op, size },
-        })
-        .collect()
-}
-
 /// Spawn a trace-replaying tenant on every GPU of `gpus` (one rank each).
 pub fn spawn_traffic_app(
     cluster: &mut mccs_core::Cluster,
@@ -322,17 +303,5 @@ mod tests {
             "periodic trace must expose idle gaps for TS"
         );
         let _ = AppId(0);
-    }
-
-    #[test]
-    fn baseline_conversion_preserves_structure() {
-        let trace = models::vgg19_data_parallel(1);
-        let phases = to_baseline_phases(&trace);
-        assert_eq!(phases.len(), trace.phases.len());
-        let colls = phases
-            .iter()
-            .filter(|p| matches!(p, BaselinePhase::Collective { .. }))
-            .count();
-        assert_eq!(colls, trace.collectives_per_iteration());
     }
 }

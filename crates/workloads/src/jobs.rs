@@ -52,7 +52,6 @@ pub fn poisson_jobs(count: usize, mean_gap: Nanos, sizes: &[usize], rng: &mut Rn
 pub struct PlacementMap {
     /// Whether each GPU is free, by GPU index.
     free: Vec<bool>,
-    free_count: usize,
     /// Owning host of each GPU (`release` has no topology at hand).
     host_of: Vec<HostId>,
     /// Free GPUs per host: a host is free when this equals its GPU count.
@@ -68,16 +67,10 @@ impl PlacementMap {
         let host_free: Vec<usize> = topo.hosts().iter().map(|h| h.gpus.len()).collect();
         PlacementMap {
             free: vec![true; topo.gpu_count()],
-            free_count: topo.gpu_count(),
             host_of: topo.gpus().iter().map(|g| g.host).collect(),
             gpus_per_host: host_free.iter().copied().min().expect("empty cluster"),
             host_free,
         }
-    }
-
-    /// Free GPU count.
-    pub fn free_count(&self) -> usize {
-        self.free_count
     }
 
     /// Total GPU count.
@@ -89,7 +82,6 @@ impl PlacementMap {
     fn take(&mut self, gpu: GpuId) {
         assert!(self.free[gpu.index()], "{gpu} taken twice");
         self.free[gpu.index()] = false;
-        self.free_count -= 1;
         self.host_free[self.host_of[gpu.index()].index()] -= 1;
     }
 
@@ -164,7 +156,6 @@ impl PlacementMap {
         for &g in gpus {
             assert!(!self.free[g.index()], "double release of {g}");
             self.free[g.index()] = true;
-            self.free_count += 1;
             self.host_free[self.host_of[g.index()].index()] += 1;
         }
     }
@@ -178,6 +169,14 @@ mod tests {
 
     fn big_topo() -> Topology {
         presets::spine_leaf(&SpineLeafConfig::paper_large_scale())
+    }
+
+    /// The GPUs the map holds free.
+    fn free_gpus(map: &PlacementMap) -> BTreeSet<GpuId> {
+        (0..map.total() as u32)
+            .map(GpuId)
+            .filter(|g| map.free[g.index()])
+            .collect()
     }
 
     #[test]
@@ -261,9 +260,9 @@ mod tests {
         let a = map
             .place(&topo, 16, Placement::Random, &mut rng)
             .expect("fits");
-        assert_eq!(map.free_count(), 768 - 16);
+        assert_eq!(free_gpus(&map).len(), 768 - 16);
         map.release(&a);
-        assert_eq!(map.free_count(), 768);
+        assert_eq!(free_gpus(&map).len(), 768);
     }
 
     #[test]
@@ -361,7 +360,7 @@ mod tests {
                     map.release(&gpus);
                     free.extend(gpus);
                 }
-                assert_eq!(map.free_count(), free.len());
+                assert_eq!(free_gpus(&map), free);
             }
             assert!(refused > 0, "{strategy:?} never filled the fabric");
         }

@@ -62,33 +62,6 @@ impl IterationTrace {
             .filter(|p| matches!(p, TracePhase::Collective { .. }))
             .count()
     }
-
-    /// Fixed (non-communication) time per iteration.
-    pub fn fixed_time_per_iteration(&self) -> Nanos {
-        self.phases
-            .iter()
-            .map(|p| match p {
-                TracePhase::Compute(d) | TracePhase::Memcpy(d) | TracePhase::Idle(d) => *d,
-                TracePhase::Collective { .. } => Nanos::ZERO,
-            })
-            .sum()
-    }
-
-    /// Scale every collective size by `f` (weak-scaling studies).
-    pub fn scale_collectives(&self, f: f64) -> IterationTrace {
-        let phases = self
-            .phases
-            .iter()
-            .map(|p| match *p {
-                TracePhase::Collective { op, size } => TracePhase::Collective {
-                    op,
-                    size: size.mul_f64(f),
-                },
-                other => other,
-            })
-            .collect();
-        IterationTrace::new(self.name.clone(), phases, self.iterations)
-    }
 }
 
 /// Training-time breakdown (the Figure 2 quantity): fractions of total
@@ -169,7 +142,6 @@ mod tests {
         let t = trace();
         assert_eq!(t.collective_bytes_per_iteration(), Bytes::mib(50));
         assert_eq!(t.collectives_per_iteration(), 2);
-        assert_eq!(t.fixed_time_per_iteration(), Nanos::from_millis(40));
     }
 
     #[test]
@@ -181,13 +153,6 @@ mod tests {
         // 2 x 25MiB at 5GB/s ~ 10.5ms comm vs 40ms fixed
         assert!(b.comm > 0.15 && b.comm < 0.30, "comm {}", b.comm);
         assert!(b.compute > 0.5);
-    }
-
-    #[test]
-    fn scaling_collectives() {
-        let t = trace().scale_collectives(2.0);
-        assert_eq!(t.collective_bytes_per_iteration(), Bytes::mib(100));
-        assert_eq!(t.fixed_time_per_iteration(), Nanos::from_millis(40));
     }
 
     #[test]

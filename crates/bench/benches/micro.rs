@@ -507,6 +507,73 @@ fn bench_scheduler_event_loop(c: &mut Criterion) {
     );
 }
 
+fn bench_shared_waiter(c: &mut Criterion) {
+    // N engines stay parked on one resource while one more cycles signal →
+    // wake → park on that resource plus its own. A wake touches only the
+    // signalled list, so its cost must not grow with N. With 1,023 the
+    // 1,024 live entries fill the shared list to its capacity: compacting
+    // it before a push would then free one entry per pass, unless the list
+    // grows.
+    use mccs_sim::{Engine, Poll, ResourceId, RuntimePool, WakeSource};
+    #[derive(Default)]
+    struct Signals(Vec<ResourceId>);
+    impl WakeSource for Signals {
+        fn drain_signals(&mut self, into: &mut Vec<ResourceId>) {
+            into.append(&mut self.0);
+        }
+    }
+    struct Parked(&'static [ResourceId]);
+    impl Engine<Signals> for Parked {
+        fn progress(&mut self, _: &mut Signals) -> Poll {
+            Poll::Idle
+        }
+        fn wake_when(&self, _: &Signals, on: &mut Vec<ResourceId>) {
+            on.extend_from_slice(self.0);
+        }
+    }
+    const SHARED: ResourceId = ResourceId::new(1, 0);
+    const OWN: ResourceId = ResourceId::new(2, 0);
+    let sizes = [100usize, 1_023, 10_000];
+    for n in sizes {
+        let mut pool: RuntimePool<Signals> = RuntimePool::new();
+        pool.set_naive(false);
+        for _ in 0..n {
+            pool.spawn(Box::new(Parked(&[SHARED])));
+        }
+        pool.spawn(Box::new(Parked(&[SHARED, OWN])));
+        let mut cx = Signals::default();
+        pool.poll(&mut cx);
+        c.bench_function(&format!("scheduler/shared-waiter/{n}"), |b| {
+            b.iter(|| {
+                cx.0.push(OWN);
+                pool.poll(&mut cx);
+            })
+        });
+        assert_eq!(pool.poll_count(), pool.wake_count() + n as u64 + 1);
+    }
+    let ns_per_wake = |n: usize| {
+        c.results()
+            .iter()
+            .find(|r| r.name == format!("scheduler/shared-waiter/{n}"))
+            .expect("benched above")
+            .median_ns
+    };
+    for n in sizes {
+        println!(
+            "scheduler/shared-waiter/{n}: {:.1} ns per wake",
+            ns_per_wake(n)
+        );
+    }
+    for n in &sizes[1..] {
+        let ratio = ns_per_wake(*n) / ns_per_wake(sizes[0]);
+        assert!(
+            ratio <= 3.0,
+            "a wake beside {n} parked engines costs {ratio:.1}x one beside {}",
+            sizes[0]
+        );
+    }
+}
+
 criterion_group!(
     benches,
     bench_maxmin,
@@ -519,6 +586,7 @@ criterion_group!(
     bench_churn_steady_state,
     bench_schedule_cache,
     bench_completion_index,
-    bench_scheduler_event_loop
+    bench_scheduler_event_loop,
+    bench_shared_waiter
 );
 criterion_main!(benches);

@@ -981,10 +981,14 @@ impl Engine<World> for ProxyEngine {
             progressed = true;
         }
         // Advance every communicator with a rank on this GPU (the per-GPU
-        // index spares the cluster-wide scan).
-        let keys: Vec<CommunicatorId> = w.comms_on_gpu(self.gpu).to_vec();
-        for comm in keys {
+        // index spares the cluster-wide scan). Walked by index, no copy:
+        // `step_comm` (and the `begin_barrier` it may call) removes and
+        // re-inserts only its own key, so the list is the same after each
+        // step.
+        let mut i = 0;
+        while let Some(&comm) = w.comms_on_gpu(self.gpu).get(i) {
             progressed |= self.step_comm(w, comm);
+            i += 1;
         }
         if progressed {
             Poll::Progressed

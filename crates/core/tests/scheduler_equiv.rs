@@ -340,6 +340,37 @@ fn idle_polls_leave_the_event_queue_alone() {
     assert_eq!(cluster.world.events.len(), pending);
 }
 
+#[test]
+fn a_sleeping_program_arms_its_wake_once() {
+    // The oracle polls the sleeper on every pass while the busy tenant
+    // works beside it; its `SleepUntil` arms one timer for its endpoint on
+    // the first blocked poll and none on the rest.
+    let mut tenants = two_tenants(Bytes::mib(64), 4);
+    tenants.truncate(1);
+    let mut cluster = build_cluster(7, DegradationPolicy::default(), &tenants);
+    let wake_at = Nanos::from_millis(5);
+    let sleeper = ScriptedProgram::new("sleeper", vec![ScriptStep::SleepUntil(wake_at)]);
+    cluster.add_app(
+        "sleeper",
+        vec![(GpuId(1), Box::new(sleeper) as Box<dyn AppProgram>)],
+    );
+    cluster.set_naive_scheduler(true);
+    cluster.run_until(Nanos::from_millis(3));
+    assert!(
+        cluster.scheduler_stats().wasted_polls > 100,
+        "the sleeper was re-polled"
+    );
+    // The busy tenant's four ranks hold endpoints 0..4.
+    let endpoint = mccs_core::world::resources::endpoint_comp(4);
+    let mut timers = Vec::new();
+    while let Some((at, r)) = cluster.world.events.pop() {
+        if r == endpoint {
+            timers.push(at);
+        }
+    }
+    assert_eq!(timers, vec![wake_at]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

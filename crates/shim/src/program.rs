@@ -100,6 +100,9 @@ pub struct ScriptedProgram {
     slots: Vec<Option<MemHandle>>,
     pending: Option<ReqId>,
     repeats_left: Option<usize>,
+    /// The instant a `SleepUntil` armed its wake for: a blocked re-poll
+    /// arms nothing more (idle polls are pure, timers included).
+    sleep_armed: Option<Nanos>,
     iterations_done: u64,
     failed_collectives: u64,
 }
@@ -127,6 +130,7 @@ impl ScriptedProgram {
             slots: vec![None; max_slot],
             pending: None,
             repeats_left: None,
+            sleep_armed: None,
             iterations_done: 0,
             failed_collectives: 0,
         }
@@ -265,7 +269,10 @@ impl AppProgram for ScriptedProgram {
                         progressed = true;
                         continue;
                     }
-                    api.schedule_wake(t);
+                    if self.sleep_armed != Some(t) {
+                        api.schedule_wake(t);
+                        self.sleep_armed = Some(t);
+                    }
                     return AppStatus::Blocked;
                 }
                 ScriptStep::Repeat { from_step, times } => {

@@ -93,14 +93,23 @@ struct Slot<Cx: ?Sized> {
     /// indices held by the wake bookkeeping remain stable).
     engine: Option<Box<dyn Engine<Cx>>>,
     finished: bool,
-    /// Resources this slot is currently registered on (cleared on wake so
-    /// waiter lists stay bounded by live registrations). The buffer is the
-    /// one `wake_when` fills, reused across parks.
-    registered: Vec<ResourceId>,
+    /// Parked under `gen`: waiter entries stamped `gen` stand for this
+    /// wait, and the wake that clears the flag turns them all stale.
+    parked: bool,
+    /// Bumped by every park. A wrap (2³² parks of one engine) can at worst
+    /// let a stale entry ready the slot once more: one idle, pure poll.
+    gen: u32,
     /// Spin-guard bookkeeping: polls issued during the current scheduler
     /// call (reset lazily via the call stamp).
     call_stamp: u64,
     call_polls: u32,
+}
+
+impl<Cx: ?Sized> Slot<Cx> {
+    /// Whether a waiter entry stamped `gen` still stands for this slot.
+    fn waits_as(&self, gen: u32) -> bool {
+        self.parked && self.gen == gen
+    }
 }
 
 /// Polls one engine may receive within a single scheduler call before the
@@ -114,43 +123,55 @@ const SPIN_LIMIT: u32 = 100_000;
 /// ordinals in practice, so even a 10k-GPU world stays far under it.
 const DENSE_WAITER_LIMIT: usize = 1 << 20;
 
-/// `resource id → waiting slots`, arena-flattened. A [`ResourceId`] packs a
-/// 32-bit kind with a 32-bit index; the handful of kinds each get a dense
+/// A waiter entry `(slot, generation)`: stale unless the slot is parked
+/// under that generation.
+type Waiter = (u32, u32);
+
+/// `resource id → waiter entries`, arena-flattened. A [`ResourceId`] packs
+/// a 32-bit kind with a 32-bit index; the handful of kinds each get a dense
 /// `Vec` of waiter lists indexed by the index half (O(1) signal fan-out, no
 /// hashing on the hot path), with a spill map for pathological indices.
+/// A wake removes nothing: stale entries go when their list is signalled,
+/// or when a push finds it full, drops them and, if live entries still
+/// fill over half of it, grows it to twice their number. So a push costs
+/// amortised O(1) and a list stays within twice its peak live waiters.
 #[derive(Default)]
 struct WaiterTable {
     /// `(kind, index → waiter list)` in first-use order; scanned linearly
     /// (kind cardinality is tiny and fixed by the embedder).
-    kinds: Vec<(u32, Vec<Vec<usize>>)>,
+    kinds: Vec<(u32, Vec<Vec<Waiter>>)>,
     /// Fallback for indices ≥ [`DENSE_WAITER_LIMIT`].
-    spill: HashMap<u64, Vec<usize>>,
+    spill: HashMap<u64, Vec<Waiter>>,
 }
 
 impl WaiterTable {
-    fn push(&mut self, r: ResourceId, slot: usize) {
+    /// Append `w` to `r`'s list; `live` tells which entries still stand.
+    fn push(&mut self, r: ResourceId, w: Waiter, live: impl Fn(Waiter) -> bool) {
         let index = r.index() as usize;
-        if index >= DENSE_WAITER_LIMIT {
-            self.spill.entry(r.0).or_default().push(slot);
-            return;
-        }
-        let pos = match self.kinds.iter().position(|(k, _)| *k == r.kind()) {
-            Some(p) => p,
-            None => {
+        let list = if index >= DENSE_WAITER_LIMIT {
+            self.spill.entry(r.0).or_default()
+        } else {
+            let pos = self.kinds.iter().position(|(k, _)| *k == r.kind());
+            let pos = pos.unwrap_or_else(|| {
                 self.kinds.push((r.kind(), Vec::new()));
                 self.kinds.len() - 1
+            });
+            let lists = &mut self.kinds[pos].1;
+            if index >= lists.len() {
+                lists.resize_with(index + 1, Vec::new);
             }
+            &mut lists[index]
         };
-        let lists = &mut self.kinds[pos].1;
-        if index >= lists.len() {
-            lists.resize_with(index + 1, Vec::new);
+        if list.len() == list.capacity() {
+            list.retain(|&e| live(e));
+            list.reserve_exact(list.len());
         }
-        lists[index].push(slot);
+        list.push(w);
     }
 
     /// Remove and return the whole waiter list of a signalled resource
     /// (empty if nobody registered).
-    fn take(&mut self, r: ResourceId) -> Vec<usize> {
+    fn take(&mut self, r: ResourceId) -> Vec<Waiter> {
         let index = r.index() as usize;
         if index >= DENSE_WAITER_LIMIT {
             return self.spill.remove(&r.0).unwrap_or_default();
@@ -158,26 +179,6 @@ impl WaiterTable {
         match self.kinds.iter_mut().find(|(k, _)| *k == r.kind()) {
             Some((_, lists)) if index < lists.len() => std::mem::take(&mut lists[index]),
             _ => Vec::new(),
-        }
-    }
-
-    /// Drop one slot from a resource's waiter list (un-registration on
-    /// wake; the list itself stays allocated for reuse).
-    fn remove_slot(&mut self, r: ResourceId, slot: usize) {
-        let index = r.index() as usize;
-        if index >= DENSE_WAITER_LIMIT {
-            if let Some(list) = self.spill.get_mut(&r.0) {
-                list.retain(|&x| x != slot);
-                if list.is_empty() {
-                    self.spill.remove(&r.0);
-                }
-            }
-            return;
-        }
-        if let Some((_, lists)) = self.kinds.iter_mut().find(|(k, _)| *k == r.kind()) {
-            if let Some(list) = lists.get_mut(index) {
-                list.retain(|&x| x != slot);
-            }
         }
     }
 
@@ -215,10 +216,12 @@ pub struct RuntimePool<Cx: ?Sized> {
     call_seq: u64,
     /// Engines to poll in the next round/call, in ascending slot order.
     ready: BTreeSet<usize>,
-    /// resource id → slots registered on it.
+    /// resource id → `(slot, generation)` entries of the engines parked on it.
     waiters: WaiterTable,
     /// Scratch for draining context signals without reallocating.
     signal_scratch: Vec<ResourceId>,
+    /// Scratch `wake_when` fills on every park.
+    wait_scratch: Vec<ResourceId>,
     /// Slots that returned [`Poll::Progressed`] in the current pass/round
     /// (diagnostics for the spin panic).
     round_progressed: Vec<usize>,
@@ -248,6 +251,7 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
             ready: BTreeSet::new(),
             waiters: WaiterTable::default(),
             signal_scratch: Vec::new(),
+            wait_scratch: Vec::new(),
             round_progressed: Vec::new(),
         }
     }
@@ -262,8 +266,8 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
         self.naive = naive;
         if !naive {
             for (i, slot) in self.slots.iter_mut().enumerate() {
+                slot.parked = false;
                 if !slot.finished {
-                    slot.registered.clear();
                     self.ready.insert(i);
                 }
             }
@@ -287,7 +291,8 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
             id,
             engine: Some(engine),
             finished: false,
-            registered: Vec::new(),
+            parked: false,
+            gen: 0,
             call_stamp: 0,
             call_polls: 0,
         });
@@ -422,11 +427,9 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
                 if self.slots[idx].finished {
                     continue;
                 }
-                // The engine is about to run: whatever parked state it held
-                // is consumed (it re-declares on its next Idle).
-                self.clear_registrations(idx);
                 {
                     let slot = &mut self.slots[idx];
+                    debug_assert!(!slot.parked, "a ready slot is not parked");
                     if slot.call_stamp != self.call_seq {
                         slot.call_stamp = self.call_seq;
                         slot.call_polls = 0;
@@ -496,22 +499,25 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
             .collect()
     }
 
-    /// Park `idx` on the resources it declares.
+    /// Park `idx` under a fresh generation on the resources it declares.
     fn park(&mut self, idx: usize, cx: &Cx) {
+        let on = &mut self.wait_scratch;
+        on.clear();
         let slot = &mut self.slots[idx];
-        debug_assert!(slot.registered.is_empty(), "cleared before the poll");
-        slot.engine
-            .as_ref()
-            .expect("live engine")
-            .wake_when(cx, &mut slot.registered);
-        for r in &slot.registered {
-            self.waiters.push(*r, idx);
+        slot.engine.as_ref().expect("live engine").wake_when(cx, on);
+        slot.gen = slot.gen.wrapping_add(1);
+        slot.parked = true;
+        let entry = (idx as u32, slot.gen);
+        let slots = &self.slots;
+        for &r in on.iter() {
+            self.waiters
+                .push(r, entry, |(s, gen)| slots[s as usize].waits_as(gen));
         }
     }
 
-    /// Drain the context's signals and ready every engine registered on
-    /// them. `cursor`/`round` place woken engines into the in-flight round
-    /// when the sweep has not passed their slot yet (naive-pass ordering);
+    /// Drain the context's signals and ready every engine parked on them.
+    /// `cursor`/`round` place woken engines into the in-flight round when
+    /// the sweep has not passed their slot yet (naive-pass ordering);
     /// outside a round both are `None` and wakes land in `self.ready`.
     fn absorb_signals(
         &mut self,
@@ -525,14 +531,16 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
         sigs.clear();
         cx.drain_signals(&mut sigs);
         for r in &sigs {
-            let list = self.waiters.take(*r);
-            for idx in list {
-                if self.slots[idx].finished || self.slots[idx].registered.is_empty() {
+            for (idx, gen) in self.waiters.take(*r) {
+                let slot = &mut self.slots[idx as usize];
+                // Stale: woken since (and maybe re-parked under a new gen).
+                if !slot.waits_as(gen) {
                     continue;
                 }
-                // Parked → ready.
-                self.clear_registrations(idx);
+                // Parked → ready; its entries on other lists go stale.
+                slot.parked = false;
                 self.wakes += 1;
+                let idx = idx as usize;
                 match (cursor, round.as_deref_mut()) {
                     (Some(c), Some(round)) if idx > c => round.insert(idx),
                     _ => self.ready.insert(idx),
@@ -540,16 +548,6 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
             }
         }
         self.signal_scratch = sigs;
-    }
-
-    /// Remove `idx` from every waiter list it registered on (the slot's
-    /// buffer keeps its capacity for the next park).
-    fn clear_registrations(&mut self, idx: usize) {
-        let regs = &mut self.slots[idx].registered;
-        for r in regs.iter() {
-            self.waiters.remove_slot(*r, idx);
-        }
-        regs.clear();
     }
 
     /// Names of live engines, for debugging deadlocks.
@@ -926,5 +924,151 @@ mod tests {
         );
         assert_eq!(naive_wakes, 0, "the oracle never parks");
         assert!(wakes > 0);
+    }
+
+    // ---- waiter table ------------------------------------------------------
+
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
+
+    /// Never finishes; counts its polls and parks on whatever `on` holds
+    /// (shared, so a test can change what the next park declares).
+    struct Parker {
+        on: Rc<RefCell<Vec<ResourceId>>>,
+        polls: Rc<Cell<u32>>,
+    }
+
+    impl Engine<TestCx> for Parker {
+        fn progress(&mut self, _: &mut TestCx) -> Poll {
+            self.polls.set(self.polls.get() + 1);
+            Poll::Idle
+        }
+        fn wake_when(&self, _: &TestCx, on: &mut Vec<ResourceId>) {
+            on.extend(self.on.borrow().iter().copied());
+        }
+    }
+
+    /// Spawn a [`Parker`] on `on`; returns its wait list and poll counter.
+    fn spawn_parker(
+        pool: &mut RuntimePool<TestCx>,
+        on: &[ResourceId],
+    ) -> (Rc<RefCell<Vec<ResourceId>>>, Rc<Cell<u32>>) {
+        let (on, polls) = (Rc::new(RefCell::new(on.to_vec())), Rc::default());
+        pool.spawn(Box::new(Parker {
+            on: Rc::clone(&on),
+            polls: Rc::clone(&polls),
+        }));
+        (on, polls)
+    }
+
+    /// Entries, stale ones included, on `r`'s waiter list.
+    fn list_len(pool: &RuntimePool<TestCx>, r: ResourceId) -> usize {
+        let t = &pool.waiters;
+        if r.index() as usize >= DENSE_WAITER_LIMIT {
+            return t.spill.get(&r.0).map_or(0, Vec::len);
+        }
+        t.kinds
+            .iter()
+            .find(|(k, _)| *k == r.kind())
+            .and_then(|(_, lists)| lists.get(r.index() as usize))
+            .map_or(0, Vec::len)
+    }
+
+    /// An engine parked on `a` and `b` and woken through one of them keeps
+    /// a stale entry on the other; no stale entry ever readies it.
+    fn stale_entry_never_wakes(a: ResourceId, b: ResourceId) {
+        let mut pool: RuntimePool<TestCx> = RuntimePool::new();
+        pool.set_naive(false);
+        let (on, polls) = spawn_parker(&mut pool, &[a, b]);
+        let mut cx = TestCx::default();
+        pool.poll_ready(&mut cx);
+        // Signal `r`; then (polls, wakes, entries on `a`).
+        let mut signal = |r: ResourceId| {
+            cx.signals.push(r);
+            pool.poll_ready(&mut cx);
+            (polls.get(), pool.wake_count(), list_len(&pool, a))
+        };
+        // Woken by `a`, re-parked on `b` only: `a` stays quiet.
+        *on.borrow_mut() = vec![b];
+        assert_eq!(signal(a), (2, 1, 0));
+        assert_eq!(signal(a), (2, 1, 0), "a second signal on a is nothing");
+        // `b` holds the stale entry and the live one: one wake, not two.
+        assert_eq!(signal(b), (3, 2, 0));
+        // Park on both again, get woken by `b`, re-park on `b` only: the
+        // entry left on `a` is stale (nothing is removed on wake), and
+        // signalling it drops it without a poll.
+        *on.borrow_mut() = vec![a, b];
+        assert_eq!(signal(b), (4, 3, 1));
+        *on.borrow_mut() = vec![b];
+        assert_eq!(signal(b), (5, 4, 1));
+        assert_eq!(signal(a), (5, 4, 0), "the stale entry on a never wakes");
+        assert_eq!(signal(b), (6, 5, 0));
+    }
+
+    #[test]
+    fn a_stale_entry_never_wakes() {
+        stale_entry_never_wakes(ResourceId::new(1, 0), ResourceId::new(1, 1));
+    }
+
+    #[test]
+    fn a_stale_spill_entry_never_wakes() {
+        let (a, b) = (
+            ResourceId::new(7, u32::MAX),
+            ResourceId::new(7, u32::MAX - 1),
+        );
+        assert!(b.index() as usize >= DENSE_WAITER_LIMIT);
+        stale_entry_never_wakes(a, b);
+    }
+
+    /// `parked` engines stay parked on `shared`, which is never signalled,
+    /// while one more cycles park/wake `cycles` times through its own
+    /// resource: the stale entries it leaves on `shared` are dropped before
+    /// the list grows, so it never holds over twice its live waiters.
+    fn never_signalled_list_stays_bounded(shared: ResourceId, parked: usize, cycles: u32) {
+        let own = ResourceId::new(3, 0);
+        let mut pool: RuntimePool<TestCx> = RuntimePool::new();
+        pool.set_naive(false);
+        let idle: Vec<_> = (0..parked)
+            .map(|_| spawn_parker(&mut pool, &[shared]).1)
+            .collect();
+        let (_, polls) = spawn_parker(&mut pool, &[shared, own]);
+        let mut cx = TestCx::default();
+        pool.poll_ready(&mut cx);
+        let bound = 2 * (parked + 1);
+        for _ in 0..cycles {
+            cx.signals.push(own);
+            pool.poll_ready(&mut cx);
+            assert!(
+                list_len(&pool, shared) <= bound,
+                "{}",
+                list_len(&pool, shared)
+            );
+        }
+        assert_eq!(polls.get(), cycles + 1);
+        assert_eq!(pool.wake_count(), u64::from(cycles));
+        assert!(idle.iter().all(|p| p.get() == 1), "bystanders never polled");
+    }
+
+    #[test]
+    fn a_never_signalled_list_stays_within_twice_its_waiters() {
+        never_signalled_list_stays_bounded(ResourceId::new(1, 0), 1_000, 100_000);
+    }
+
+    #[test]
+    fn a_never_signalled_spill_list_stays_within_twice_its_waiters() {
+        never_signalled_list_stays_bounded(ResourceId::new(7, u32::MAX), 100, 10_000);
+    }
+
+    #[test]
+    fn a_resource_declared_twice_wakes_once() {
+        let a = ResourceId::new(1, 0);
+        let mut pool: RuntimePool<TestCx> = RuntimePool::new();
+        pool.set_naive(false);
+        let (_, polls) = spawn_parker(&mut pool, &[a, a]);
+        let mut cx = TestCx::default();
+        pool.poll_ready(&mut cx);
+        cx.signals.push(a);
+        pool.poll_ready(&mut cx);
+        assert_eq!((polls.get(), pool.wake_count()), (2, 1));
     }
 }

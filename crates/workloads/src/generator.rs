@@ -123,13 +123,18 @@ impl AppProgram for TrafficGenerator {
                         api.pump();
                     }
                     Some(r) => match api.comm_result(*r) {
-                        Some(_) => self.state = GenState::WaitStart,
+                        Some(_) => {
+                            if api.now() < self.start_at {
+                                api.schedule_wake(self.start_at);
+                            }
+                            self.state = GenState::WaitStart;
+                        }
                         None => return AppStatus::Blocked,
                     },
                 },
                 GenState::WaitStart => {
                     if api.now() < self.start_at {
-                        api.schedule_wake(self.start_at);
+                        // Armed on entering the wait.
                         return AppStatus::Blocked;
                     }
                     self.state = GenState::Phase {
@@ -185,13 +190,12 @@ impl AppProgram for TrafficGenerator {
                                 return AppStatus::Blocked;
                             }
                             Some(until) => {
-                                if api.now() >= *until {
-                                    *idx += 1;
-                                    *phase_deadline = None;
-                                } else {
-                                    api.schedule_wake(*until);
+                                if api.now() < *until {
+                                    // Armed when the deadline was set.
                                     return AppStatus::Blocked;
                                 }
+                                *idx += 1;
+                                *phase_deadline = None;
                             }
                         },
                         TracePhase::Collective { op, size } => match pending {
@@ -281,6 +285,44 @@ mod tests {
                 "expected compute gap, got {gap}"
             );
         }
+    }
+
+    #[test]
+    fn blocked_polls_arm_no_more_timers() {
+        // The oracle polls every engine on every pass, so the late tenant
+        // sees many blocked polls beside the busy one: waiting for its
+        // start and inside an idle phase, each rank keeps exactly one
+        // timer pending for its endpoint.
+        use mccs_core::world::resources::endpoint_comp;
+        let start = Nanos::from_millis(1);
+        // Run to `until`; then (idle polls so far, the late ranks' timers).
+        let late_timers = |until: Nanos| {
+            let mut cluster =
+                Cluster::new(Arc::new(presets::testbed()), ClusterConfig::with_seed(11));
+            cluster.set_naive_scheduler(true);
+            let busy = models::resnet50_data_parallel(1);
+            let late = IterationTrace::new("late", vec![TracePhase::Idle(start * 4)], 1);
+            for (name, comm, gpus, trace, at) in [
+                ("busy", 1, [GpuId(0), GpuId(2)], &busy, Nanos::ZERO),
+                ("late", 2, [GpuId(1), GpuId(3)], &late, start),
+            ] {
+                spawn_traffic_app(&mut cluster, name, CommunicatorId(comm), &gpus, trace, at);
+            }
+            cluster.run_until(until);
+            let mut timers = Vec::new();
+            while let Some((at, r)) = cluster.world.events.pop() {
+                if r == endpoint_comp(2) || r == endpoint_comp(3) {
+                    timers.push(at);
+                }
+            }
+            (cluster.scheduler_stats().wasted_polls, timers)
+        };
+        let (blocked, timers) = late_timers(start / 2);
+        assert!(blocked > 20, "{blocked} blocked polls");
+        assert_eq!(timers, vec![start; 2], "waiting for the start");
+        let (blocked, timers) = late_timers(start * 3);
+        assert!(blocked > 20, "{blocked} blocked polls");
+        assert_eq!(timers, vec![start * 5; 2], "inside the idle phase");
     }
 
     #[test]

@@ -154,22 +154,6 @@ impl BaselineJob {
         assert!(!gpus.is_empty(), "job needs GPUs");
         assert!(iterations > 0, "job needs at least one iteration");
         assert!(cfg.channels > 0, "job needs at least one channel");
-        if let RingChoice::Explicit(rings) = &cfg.ring {
-            assert!(!rings.is_empty(), "explicit ring set empty");
-            let mut members = gpus.clone();
-            members.sort_unstable();
-            for (i, ring) in rings.iter().enumerate() {
-                let mut order = ring.gpus().to_vec();
-                order.sort_unstable();
-                assert!(
-                    order == members,
-                    "explicit ring {i} is not a permutation of the job's GPUs"
-                );
-            }
-        }
-        if let Err(e) = cfg.routes.validate(&cluster.world.topo) {
-            panic!("invalid route pins: {e}");
-        }
         let app = cluster.register_app_name(name);
         let comm = CommunicatorId(BASELINE_COMM_BASE + u64::from(app.0));
         let owner = cluster.world.alloc_external_owner();
@@ -183,9 +167,9 @@ impl BaselineJob {
             RingChoice::RankOrder => {
                 vec![RingOrder::nccl_default(topo, &gpus); cfg.channels]
             }
-            RingChoice::Explicit(rings) => (0..cfg.channels)
-                .map(|c| rings[c % rings.len()].clone())
-                .collect(),
+            RingChoice::Explicit(rings) => {
+                rings.iter().cycle().take(cfg.channels).cloned().collect()
+            }
             RingChoice::RandomHosts => {
                 let mut rng = cluster.world.rng.fork();
                 vec![random_host_ring(topo, &gpus, &mut rng); cfg.channels]
@@ -205,6 +189,9 @@ impl BaselineJob {
             channel_rings,
             routes: cfg.routes,
         };
+        if let Err(e) = config.validate(topo, &gpus) {
+            panic!("invalid job configuration: {e}");
+        }
         let job = BaselineJob {
             app,
             comm,
@@ -242,17 +229,11 @@ impl BaselineJob {
         let seq = self.next_seq;
         self.next_seq += 1;
         let schedule = CollectiveSchedule::ring(&w.topo, op, size, &self.config.channel_rings);
-        let mut tasks = Vec::new();
-        for ch in &schedule.channels {
-            for task in &ch.tasks {
-                tasks.push((ch.channel, *task));
-            }
-        }
-        let tokens = w.register_launch(self.comm, seq, 0, 1, tasks.len());
+        let tokens = w.register_launch(self.comm, seq, 0, 1, schedule.task_count());
         w.trace
             .issued(self.app, self.comm, 0, seq, op, size, issued);
         w.trace.launched(self.comm, 0, seq, 0, w.clock);
-        for ((channel, task), token) in tasks.into_iter().zip(tokens) {
+        for ((channel, task), token) in schedule.tasks().zip(tokens) {
             match task {
                 EdgeTask::IntraHost { from, bytes, .. } => {
                     let bandwidth = w.devices.config().intra_host_bandwidth;
@@ -672,7 +653,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "explicit ring 0 is not a permutation of the job's GPUs")]
+    #[should_panic(expected = "ring 0 is not a permutation of the communicator's GPUs")]
     fn an_explicit_ring_over_other_gpus_is_refused_at_spawn() {
         let mut c = cluster();
         BaselineJob::spawn(

@@ -17,8 +17,9 @@
 //! * [`op`] — operation kinds, data types, reduction operators.
 //! * [`ring`] — ring orders: raw, NCCL-default (host-grouped in user rank
 //!   order), and validation.
-//! * [`schedule`] — per-edge transfer schedules with channel splitting and
-//!   NIC assignment.
+//! * [`schedule`] — the one ring lowering: per-edge transfer schedules
+//!   with channel splitting and NIC assignment, and the inter-host
+//!   connections route policies read.
 //! * [`bandwidth`] — algorithm/bus bandwidth conversions.
 //! * [`crossrack`] — cross-rack flow counting and ratios (Figure 3).
 
@@ -31,4 +32,4 @@ pub mod schedule;
 pub use bandwidth::{algo_bandwidth, bus_bandwidth, bus_factor};
 pub use op::{CollectiveOp, DataType, ReduceKind};
 pub use ring::RingOrder;
-pub use schedule::{ChannelSchedule, CollectiveSchedule, EdgeTask, ScheduleKey};
+pub use schedule::{connections, ChannelSchedule, CollectiveSchedule, EdgeTask, ScheduleKey};

@@ -87,6 +87,9 @@ impl CollectiveOp {
     /// * Broadcast / Reduce — pipelined chain: every edge carries `S`
     ///   (except that a ring-shaped chain has one unused edge; we model the
     ///   full ring for uniformity, a ≤`1/n` overestimate).
+    ///
+    /// `tests/chunk_program.rs` derives these loads from chunk programs
+    /// and checks the schedule against them, unused edge included.
     pub fn ring_edge_bytes(self, size: Bytes, n: usize) -> Bytes {
         assert!(n >= 1, "empty communicator");
         if n == 1 {

@@ -10,16 +10,23 @@
 //!
 //! Channel `c`'s inter-host edge out of host `H` uses the NIC affined to
 //! the communicator's `c mod k`-th GPU on `H` (`k` = communicator GPUs on
-//! `H`). With 2 GPUs + 2 NICs per host and 2 channels this engages both
-//! NICs — NCCL's per-channel ring rotation, and the reason the paper's
-//! setup 3 tenant A ("2 GPUs and 2 NICs per host") deserves twice the
-//! inter-host bandwidth of tenants B/C ("1 per host").
+//! `H`, counted in ring-traversal order). With 2 GPUs + 2 NICs per host
+//! and 2 channels this engages both NICs — NCCL's per-channel ring
+//! rotation, and the reason the paper's setup 3 tenant A ("2 GPUs and 2
+//! NICs per host") deserves twice the inter-host bandwidth of tenants B/C
+//! ("1 per host").
+//!
+//! ## One lowering
+//!
+//! One private walk turns channel rings into edges and NIC pairs.
+//! [`CollectiveSchedule::ring`] adds bytes to it; [`connections`] lists
+//! its inter-host edges for the policies that route them; and
+//! [`ScheduleKey`] stores the same host grouping the NIC rule reads.
 
 use crate::op::CollectiveOp;
 use crate::ring::RingOrder;
 use mccs_sim::Bytes;
 use mccs_topology::{GpuId, HostId, NicId, Topology};
-use std::collections::BTreeMap;
 
 /// One edge's transfer work.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -62,19 +69,14 @@ pub struct ChannelSchedule {
 /// A fully resolved collective execution plan.
 #[derive(Clone, Debug)]
 pub struct CollectiveSchedule {
-    /// The operation.
-    pub op: CollectiveOp,
-    /// Reference buffer size (NCCL-tests semantics, see [`CollectiveOp`]).
-    pub size: Bytes,
-    /// Participant count.
-    pub ranks: usize,
     /// Per-channel plans.
     pub channels: Vec<ChannelSchedule>,
 }
 
 impl CollectiveSchedule {
     /// Build a ring schedule: `size` split over `channel_rings.len()`
-    /// channels, channel `c` following `channel_rings[c]`.
+    /// channels, channel `c` following `channel_rings[c]`. A channel whose
+    /// edge bytes round to zero gets no tasks.
     ///
     /// All rings must contain the same GPU set (they are usually the same
     /// order, or per-channel variants chosen by the provider).
@@ -91,58 +93,44 @@ impl CollectiveSchedule {
             "channel rings over different GPU sets"
         );
         let k = channel_rings.len() as u64;
-        let channels = channel_rings
-            .iter()
-            .enumerate()
-            .map(|(c, ring)| {
-                let share = size.split(k, c as u64);
-                let edge_bytes = op.ring_edge_bytes(share, n);
-                let gpus_per_host = gpus_by_host(topo, ring);
-                let tasks = ring
-                    .edges()
-                    .into_iter()
-                    .filter(|_| edge_bytes > Bytes::ZERO)
-                    .map(|(from, to)| {
-                        if topo.same_host(from, to) {
-                            EdgeTask::IntraHost {
-                                from,
-                                to,
-                                bytes: edge_bytes,
-                            }
-                        } else {
-                            let src_nic = channel_nic(topo, &gpus_per_host, from, c);
-                            let dst_nic = channel_nic(topo, &gpus_per_host, to, c);
-                            EdgeTask::InterHost {
-                                from,
-                                to,
-                                src_nic,
-                                dst_nic,
-                                bytes: edge_bytes,
-                            }
-                        }
-                    })
-                    .collect();
-                ChannelSchedule {
-                    channel: c,
-                    share,
-                    tasks,
-                }
+        let mut channels: Vec<ChannelSchedule> = (0..k)
+            .map(|c| ChannelSchedule {
+                channel: c as usize,
+                share: size.split(k, c),
+                tasks: Vec::new(),
             })
             .collect();
-        CollectiveSchedule {
-            op,
-            size,
-            ranks: n,
-            channels,
+        for (c, from, to, nics) in walk(topo, channel_rings) {
+            let ch = &mut channels[c];
+            let bytes = op.ring_edge_bytes(ch.share, n);
+            if bytes == Bytes::ZERO {
+                continue;
+            }
+            ch.tasks.push(match nics {
+                None => EdgeTask::IntraHost { from, to, bytes },
+                Some((src_nic, dst_nic)) => EdgeTask::InterHost {
+                    from,
+                    to,
+                    src_nic,
+                    dst_nic,
+                    bytes,
+                },
+            });
         }
+        CollectiveSchedule { channels }
+    }
+
+    /// Every task with its channel, in channel then ring order.
+    pub fn tasks(&self) -> impl Iterator<Item = (usize, EdgeTask)> + '_ {
+        self.channels
+            .iter()
+            .flat_map(|c| c.tasks.iter().map(move |&t| (c.channel, t)))
     }
 
     /// All tasks whose producing GPU is `gpu` — the work one proxy engine
     /// owns.
     pub fn tasks_from_gpu(&self, gpu: GpuId) -> Vec<(usize, EdgeTask)> {
-        self.channels
-            .iter()
-            .flat_map(|c| c.tasks.iter().map(move |t| (c.channel, *t)))
+        self.tasks()
             .filter(|(_, t)| match *t {
                 EdgeTask::IntraHost { from, .. } | EdgeTask::InterHost { from, .. } => from == gpu,
             })
@@ -153,6 +141,38 @@ impl CollectiveSchedule {
     pub fn task_count(&self) -> usize {
         self.channels.iter().map(|c| c.tasks.len()).sum()
     }
+}
+
+/// The inter-host connections of `rings` as `(channel, src NIC, dst
+/// NIC)`, in channel then ring order: the network flows
+/// [`CollectiveSchedule::ring`] would start for any op and size whose
+/// channels all carry bytes. What route policies pin and probe.
+pub fn connections<'a>(
+    topo: &'a Topology,
+    rings: &'a [RingOrder],
+) -> impl Iterator<Item = (usize, NicId, NicId)> + 'a {
+    walk(topo, rings).filter_map(|(c, _, _, nics)| nics.map(|(src, dst)| (c, src, dst)))
+}
+
+/// Every ring edge of every channel, in channel then ring order, as
+/// `(channel, from, to, nics)`: `nics` is the `(src, dst)` NIC pair of an
+/// inter-host edge and `None` for an intra-host one.
+fn walk<'a>(
+    topo: &'a Topology,
+    rings: &'a [RingOrder],
+) -> impl Iterator<Item = (usize, GpuId, GpuId, Option<(NicId, NicId)>)> + 'a {
+    rings.iter().enumerate().flat_map(move |(c, ring)| {
+        let hosts = host_pairs(topo, ring);
+        ring.edges().into_iter().map(move |(from, to)| {
+            let nics = (!topo.same_host(from, to)).then(|| {
+                (
+                    channel_nic(topo, &hosts, from, c),
+                    channel_nic(topo, &hosts, to, c),
+                )
+            });
+            (c, from, to, nics)
+        })
+    })
 }
 
 /// Identity of a ring schedule for cross-communicator caching.
@@ -166,11 +186,11 @@ impl CollectiveSchedule {
 ///   so its smallest GPU comes first, making communicators that list the
 ///   same ring from different starting ranks share an entry;
 /// * the **per-host traversal order**, which rotation does *not*
-///   preserve when the seam splits a host's GPU run: [`gpus_by_host`]
-///   collects each host's GPUs in ring-traversal order and
-///   [`channel_nic`] indexes into that list, so two rotations of the same
-///   cyclic order can assign different NICs. Keeping the host grouping in
-///   the key means a key hit implies identical NIC assignment too.
+///   preserve when the seam splits a host's GPU run: the NIC rule picks
+///   from each host's GPUs in ring-traversal order, so two rotations of
+///   the same cyclic order can assign different NICs. The key stores the
+///   very [`host_pairs`] vector the walk resolves NICs against, so a key
+///   hit implies identical NIC assignment too.
 ///
 /// Equal keys may still produce task lists in a rotated order, but
 /// [`CollectiveSchedule::tasks_from_gpu`] — the only per-rank consumer —
@@ -188,10 +208,7 @@ pub struct ScheduleKey {
 struct RingKey {
     /// The ring rotated so its smallest GPU leads (cyclic canonical form).
     canonical: Vec<GpuId>,
-    /// `(host, gpu)` pairs stable-sorted by host, i.e. GPUs in
-    /// ring-traversal order within each host — the flattened form of the
-    /// [`gpus_by_host`] grouping [`channel_nic`] resolves NICs against
-    /// (flat so building a key costs one allocation, not one per host).
+    /// The ring's [`host_pairs`].
     host_pairs: Vec<(HostId, GpuId)>,
 }
 
@@ -217,14 +234,9 @@ impl ScheduleKey {
                 let mut canonical = Vec::with_capacity(gpus.len());
                 canonical.extend_from_slice(&gpus[min_at..]);
                 canonical.extend_from_slice(&gpus[..min_at]);
-                // Stable sort by host ≡ flattening the host-ascending
-                // BTreeMap of traversal-ordered per-host GPU lists.
-                let mut host_pairs: Vec<(HostId, GpuId)> =
-                    gpus.iter().map(|&g| (topo.host_of_gpu(g), g)).collect();
-                host_pairs.sort_by_key(|&(h, _)| h);
                 RingKey {
                     canonical,
-                    host_pairs,
+                    host_pairs: host_pairs(topo, ring),
                 }
             })
             .collect();
@@ -232,27 +244,26 @@ impl ScheduleKey {
     }
 }
 
-/// The communicator's GPUs grouped per host, in ring order.
-fn gpus_by_host(topo: &Topology, ring: &RingOrder) -> BTreeMap<HostId, Vec<GpuId>> {
-    let mut map: BTreeMap<HostId, Vec<GpuId>> = BTreeMap::new();
-    for &g in ring.gpus() {
-        map.entry(topo.host_of_gpu(g)).or_default().push(g);
-    }
-    map
+/// The ring's `(host, gpu)` pairs stable-sorted by host: one run per
+/// host, its GPUs in ring-traversal order (flat, so building it costs one
+/// allocation, not one per host).
+fn host_pairs(topo: &Topology, ring: &RingOrder) -> Vec<(HostId, GpuId)> {
+    let mut pairs: Vec<(HostId, GpuId)> = ring
+        .gpus()
+        .iter()
+        .map(|&g| (topo.host_of_gpu(g), g))
+        .collect();
+    pairs.sort_by_key(|&(h, _)| h);
+    pairs
 }
 
-/// The NIC channel `c` uses on `gpu`'s host: the NIC of the communicator's
-/// `c mod k`-th GPU there.
-fn channel_nic(
-    topo: &Topology,
-    gpus_per_host: &BTreeMap<HostId, Vec<GpuId>>,
-    gpu: GpuId,
-    c: usize,
-) -> NicId {
+/// The NIC channel `c` uses on `gpu`'s host: the NIC of the `c mod k`-th
+/// GPU of that host's run in `host_pairs`.
+fn channel_nic(topo: &Topology, host_pairs: &[(HostId, GpuId)], gpu: GpuId, c: usize) -> NicId {
     let host = topo.host_of_gpu(gpu);
-    let local = &gpus_per_host[&host];
-    let pick = local[c % local.len()];
-    topo.nic_of_gpu(pick)
+    let start = host_pairs.partition_point(|&(h, _)| h < host);
+    let run = host_pairs[start..].partition_point(|&(h, _)| h == host);
+    topo.nic_of_gpu(host_pairs[start + c % run].1)
 }
 
 #[cfg(test)]

@@ -12,12 +12,11 @@
 //! bandwidth instead of deadlocking, and returns `None` only when the
 //! communicator is fully partitioned.
 
-use mccs_collectives::{op::all_reduce_sum, CollectiveSchedule, EdgeTask, RingOrder};
+use mccs_collectives::{connections, RingOrder};
 use mccs_core::config::{CollectiveConfig, RouteMap};
 use mccs_core::recovery::RecoveryPolicy;
 use mccs_core::World;
 use mccs_ipc::CommunicatorId;
-use mccs_sim::Bytes;
 use mccs_topology::{GpuId, NicId, RouteId};
 use std::collections::HashMap;
 
@@ -82,36 +81,28 @@ impl RecoveryPolicy for FailoverPolicy {
         _world_gpus: &[GpuId],
     ) -> Option<(Vec<RingOrder>, RouteMap)> {
         let mut rings = current.channel_rings.clone();
-        'rebuild: loop {
+        loop {
             if rings.is_empty() {
                 return None;
             }
-            // Inter-host NIC pairs depend only on the rings and the
-            // topology, never on op or size: any probe schedule works.
-            let sched = CollectiveSchedule::ring(&w.topo, all_reduce_sum(), Bytes::mib(1), &rings);
             let mut routes = RouteMap::ecmp();
             let mut load: HashMap<usize, f64> = HashMap::new();
-            for ch in &sched.channels {
-                for task in &ch.tasks {
-                    let EdgeTask::InterHost {
-                        src_nic, dst_nic, ..
-                    } = *task
-                    else {
-                        continue;
-                    };
-                    match Self::place(w, &mut load, src_nic, dst_nic) {
-                        Some(r) => routes.pin(ch.channel, src_nic, dst_nic, r),
-                        None => {
-                            // This pair is partitioned: the channel cannot
-                            // run. Drop its ring and rebuild (the channel-
-                            // to-NIC mapping of the survivors shifts).
-                            rings.remove(ch.channel);
-                            continue 'rebuild;
-                        }
+            let dead = connections(&w.topo, &rings).find_map(|(channel, src_nic, dst_nic)| {
+                match Self::place(w, &mut load, src_nic, dst_nic) {
+                    Some(r) => {
+                        routes.pin(channel, src_nic, dst_nic, r);
+                        None
                     }
+                    None => Some(channel),
                 }
-            }
-            return Some((rings, routes));
+            });
+            let Some(channel) = dead else {
+                return Some((rings, routes));
+            };
+            // This pair is partitioned: the channel cannot run. Drop
+            // its ring and rebuild (the channel-to-NIC mapping of the
+            // survivors shifts).
+            rings.remove(channel);
         }
     }
 }

@@ -13,9 +13,8 @@
 //!   the prioritized tenants; lower-priority flows are fitted onto the
 //!   remaining routes first, priority flows pick from all of them.
 
-use mccs_collectives::{CollectiveSchedule, EdgeTask, RingOrder};
+use mccs_collectives::{connections, RingOrder};
 use mccs_core::config::RouteMap;
-use mccs_sim::Bytes;
 use mccs_topology::{NicId, RouteId, Topology};
 use std::collections::{BTreeSet, HashMap};
 
@@ -31,25 +30,7 @@ pub struct JobFlows {
 impl JobFlows {
     /// Derive a job's connections from its channel rings.
     pub fn from_rings(topo: &Topology, rings: &[RingOrder], priority: u32) -> Self {
-        // Any op/size > 0 yields the same edge set; AllGather of 1 MiB.
-        let schedule = CollectiveSchedule::ring(
-            topo,
-            mccs_collectives::CollectiveOp::AllGather,
-            Bytes::mib(1),
-            rings,
-        );
-        let flows = schedule
-            .channels
-            .iter()
-            .flat_map(|ch| {
-                ch.tasks.iter().filter_map(move |t| match *t {
-                    EdgeTask::InterHost {
-                        src_nic, dst_nic, ..
-                    } => Some((ch.channel, src_nic, dst_nic)),
-                    EdgeTask::IntraHost { .. } => None,
-                })
-            })
-            .collect();
+        let flows = connections(topo, rings).collect();
         JobFlows { priority, flows }
     }
 }

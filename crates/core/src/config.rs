@@ -100,6 +100,34 @@ impl CollectiveConfig {
         }
     }
 
+    /// Check the config against the communicator it would run on: at
+    /// least one ring, every ring a permutation of `world`, and every
+    /// route pin routable ([`RouteMap::validate`]). Configs arrive from
+    /// outside the service (controller, mgmt caller, library job), so a
+    /// bad one is an `InvalidArgument` here rather than a panic at the
+    /// next launch.
+    pub fn validate(&self, topo: &Topology, world: &[GpuId]) -> Result<(), ServiceError> {
+        if self.channel_rings.is_empty() {
+            return Err(ServiceError::invalid_argument(
+                "a configuration needs at least one ring",
+            ));
+        }
+        let mut members = world.to_vec();
+        members.sort_unstable();
+        for (i, ring) in self.channel_rings.iter().enumerate() {
+            // A ring repeats no GPU, so one as long as `world` whose every
+            // GPU is a member is a permutation of it.
+            let permutes = ring.len() == members.len()
+                && ring.gpus().iter().all(|g| members.binary_search(g).is_ok());
+            if !permutes {
+                return Err(ServiceError::invalid_argument(format!(
+                    "ring {i} is not a permutation of the communicator's GPUs"
+                )));
+            }
+        }
+        self.routes.validate(topo)
+    }
+
     /// Number of channels.
     pub fn channels(&self) -> usize {
         self.channel_rings.len()

@@ -314,6 +314,21 @@ impl ProxyEngine {
             );
             return;
         };
+        // A root no rank holds leaves a rooted op without its source or
+        // sink (NCCL: ncclInvalidArgument).
+        if let CollectiveOp::Broadcast { root } | CollectiveOp::Reduce { root, .. } = coll.op {
+            if root >= rank.size() {
+                w.send_completion(
+                    endpoint,
+                    ServiceError::invalid_argument(format!(
+                        "root {root} out of range for {} ranks",
+                        rank.size()
+                    ))
+                    .completion(req),
+                );
+                return;
+            }
+        }
         // Validate tenant buffer ranges (the §4.1 service-side check).
         let (send_bytes, recv_bytes) = buffer_demands(coll.op, coll.size, rank.size(), rank.rank);
         let send_ok = w
@@ -371,10 +386,11 @@ impl ProxyEngine {
         let rank = w.comms.get(&key).expect("rank just looked up");
         match &rank.reconfig {
             ReconfigState::Normal if config.epoch == rank.config.epoch + 1 => {
-                // A pin no route answers to would panic the first flow
-                // started under it. Every rank sees the same pins, so all
-                // of them refuse the epoch together.
-                if config.routes.validate(&w.topo).is_err() {
+                // Rings over other GPUs, or a pin no route answers to,
+                // would panic the next launch or flow started under them.
+                // Every rank sees the same config, so all of them refuse
+                // the epoch together.
+                if config.validate(&w.topo, &rank.world_gpus).is_err() {
                     return reject_reconfig(w, comm);
                 }
             }

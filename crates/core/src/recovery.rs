@@ -37,10 +37,10 @@ use crate::config::{CollectiveConfig, RouteMap};
 use crate::flat::FlatMap;
 use crate::health::{FailureEvent, HealthDelivery, HealthSubscription};
 use crate::world::{resources, DrainObligation, World};
-use mccs_collectives::{op::all_reduce_sum, CollectiveSchedule, EdgeTask, RingOrder};
+use mccs_collectives::{connections, RingOrder};
 use mccs_ipc::CommunicatorId;
 use mccs_netsim::RouteChoice;
-use mccs_sim::{Bytes, Engine, Poll, ResourceId};
+use mccs_sim::{Engine, Poll, ResourceId};
 use mccs_topology::{GpuId, NicId, RouteId};
 use std::collections::BTreeSet;
 
@@ -105,35 +105,27 @@ impl RecoveryPolicy for DetourPolicy {
         _world_gpus: &[GpuId],
     ) -> Option<(Vec<RingOrder>, RouteMap)> {
         let mut rings = current.channel_rings.clone();
-        'rebuild: loop {
+        loop {
             if rings.is_empty() {
                 return None;
             }
-            // The inter-host NIC pairs depend only on the rings and the
-            // topology, not on the op or size, so any probe schedule works.
-            let sched = CollectiveSchedule::ring(&w.topo, all_reduce_sum(), Bytes::mib(1), &rings);
             let mut routes = RouteMap::ecmp();
-            for ch in &sched.channels {
-                for task in &ch.tasks {
-                    let EdgeTask::InterHost {
-                        src_nic, dst_nic, ..
-                    } = *task
-                    else {
-                        continue;
-                    };
-                    match Self::best_route(w, src_nic, dst_nic) {
-                        Some(r) => routes.pin(ch.channel, src_nic, dst_nic, r),
-                        None => {
-                            // No path at all between this pair: the channel
-                            // cannot run. Drop its ring and rebuild — the
-                            // channel-to-NIC mapping of the survivors shifts.
-                            rings.remove(ch.channel);
-                            continue 'rebuild;
-                        }
+            let dead = connections(&w.topo, &rings).find_map(|(channel, src_nic, dst_nic)| {
+                match Self::best_route(w, src_nic, dst_nic) {
+                    Some(r) => {
+                        routes.pin(channel, src_nic, dst_nic, r);
+                        None
                     }
+                    None => Some(channel),
                 }
-            }
-            return Some((rings, routes));
+            });
+            let Some(channel) = dead else {
+                return Some((rings, routes));
+            };
+            // No path at all between this pair: the channel cannot
+            // run. Drop its ring and rebuild — the channel-to-NIC
+            // mapping of the survivors shifts.
+            rings.remove(channel);
         }
     }
 }
@@ -179,28 +171,15 @@ pub fn comm_min_route_weight(w: &World, comm: CommunicatorId) -> f64 {
         return 1.0;
     };
     let cfg = &rank.config;
-    if cfg.channel_rings.is_empty() {
-        return 1.0;
-    }
-    let sched =
-        CollectiveSchedule::ring(&w.topo, all_reduce_sum(), Bytes::mib(1), &cfg.channel_rings);
     let mut min = 1.0f64;
-    for ch in &sched.channels {
-        for task in &ch.tasks {
-            let EdgeTask::InterHost {
-                src_nic, dst_nic, ..
-            } = *task
-            else {
-                continue;
-            };
-            let paths = w.topo.route_set(src_nic, dst_nic);
-            let id = match cfg.route_choice(comm, ch.channel, src_nic, dst_nic) {
-                RouteChoice::Pinned(id) => id,
-                RouteChoice::Ecmp { hash } => paths.ecmp_id(hash),
-            };
-            for l in paths.links(id) {
-                min = min.min(w.net.link_weight(l));
-            }
+    for (channel, src_nic, dst_nic) in connections(&w.topo, &cfg.channel_rings) {
+        let paths = w.topo.route_set(src_nic, dst_nic);
+        let id = match cfg.route_choice(comm, channel, src_nic, dst_nic) {
+            RouteChoice::Pinned(id) => id,
+            RouteChoice::Ecmp { hash } => paths.ecmp_id(hash),
+        };
+        for l in paths.links(id) {
+            min = min.min(w.net.link_weight(l));
         }
     }
     min

@@ -6,11 +6,12 @@ use mccs_collectives::op::all_reduce_sum;
 use mccs_collectives::{bandwidth, CollectiveOp, ReduceKind, RingOrder};
 use mccs_core::config::RouteMap;
 use mccs_core::{Cluster, ClusterConfig, ServiceConfig, TrafficWindows};
-use mccs_ipc::CommunicatorId;
-use mccs_shim::{ScriptStep, ScriptedProgram};
+use mccs_device::MemHandle;
+use mccs_ipc::{CommunicatorId, ErrorCode};
+use mccs_shim::{AppProgram, AppStatus, ReqId, ScriptStep, ScriptedProgram, ShimApi};
 use mccs_sim::{Bytes, Nanos};
 use mccs_topology::{presets, GpuId, RouteId};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A rank program: alloc two buffers, init the communicator, run `iters`
 /// collectives back to back.
@@ -280,18 +281,18 @@ fn reconfiguration_is_safe_and_epochs_agree() {
     assert!(saw_epoch1, "no collective ran under the new configuration");
 }
 
-#[test]
-fn reconfiguration_with_an_unroutable_pin_is_rejected() {
-    // The testbed has two equal-cost routes between racks. A route map
-    // pinning a third used to be accepted and panic the first flow started
-    // under it; now every rank refuses the epoch and the job runs on.
+/// Run a 4-rank AllReduce job, propose `bad(current rings)` as its next
+/// epoch after a few collectives, and check that every rank refuses it:
+/// one rejection per rank, the epoch unchanged, and every collective
+/// completing under epoch 0.
+fn assert_reconfiguration_refused(bad: impl FnOnce(&[RingOrder]) -> (Vec<RingOrder>, RouteMap)) {
     let mut cluster = testbed_cluster(6);
     let comm = CommunicatorId(3);
     let gpus = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
     let iters = 6;
     spawn_app(
         &mut cluster,
-        "badpin",
+        "refused",
         comm,
         &gpus,
         all_reduce_sum(),
@@ -299,7 +300,28 @@ fn reconfiguration_with_an_unroutable_pin_is_rejected() {
         iters,
     );
     cluster.run_until(Nanos::from_millis(40));
-    let topo = Arc::clone(cluster.world.net.topology());
+    let info = cluster.mgmt().communicator(comm).expect("registered");
+    let (rings, routes) = bad(&info.rings);
+    cluster.mgmt().reconfigure(comm, rings, routes);
+    cluster.run_until_quiescent(Nanos::from_secs(30));
+
+    assert_eq!(
+        cluster.world.health.counters.reconfig_rejects,
+        gpus.len() as u64,
+        "one rejection per rank"
+    );
+    let info = cluster.mgmt().communicator(comm).expect("registered");
+    assert_eq!(info.epoch, 0, "the bad epoch was never entered");
+    assert_eq!(cluster.mgmt().timeline(mccs_ipc::AppId(0)).len(), iters);
+    assert_epochs_agree(&mut cluster, mccs_ipc::AppId(0), gpus.len());
+}
+
+#[test]
+fn reconfiguration_with_an_unroutable_pin_is_rejected() {
+    // The testbed has two equal-cost routes between racks. A route map
+    // pinning a third used to be accepted and panic the first flow started
+    // under it; now every rank refuses the epoch and the job runs on.
+    let topo = presets::testbed();
     let (n0, n1) = (topo.nic_of_gpu(GpuId(2)), topo.nic_of_gpu(GpuId(4)));
     assert_eq!(topo.path_diversity(n0, n1), 2);
     let mut routes = RouteMap::ecmp();
@@ -312,19 +334,32 @@ fn reconfiguration_with_an_unroutable_pin_is_rejected() {
     let err = unroutable.validate(&topo).expect_err("self route");
     assert!(err.message.contains("itself"), "{err}");
 
-    let info = cluster.mgmt().communicator(comm).expect("registered");
-    cluster.mgmt().reconfigure(comm, info.rings.clone(), routes);
-    cluster.run_until_quiescent(Nanos::from_secs(30));
+    assert_reconfiguration_refused(|rings| (rings.to_vec(), routes));
+}
 
-    assert_eq!(
-        cluster.world.health.counters.reconfig_rejects,
-        gpus.len() as u64,
-        "one rejection per rank"
-    );
-    let info = cluster.mgmt().communicator(comm).expect("registered");
-    assert_eq!(info.epoch, 0, "the bad epoch was never entered");
-    assert_eq!(cluster.mgmt().timeline(mccs_ipc::AppId(0)).len(), iters);
-    assert_epochs_agree(&mut cluster, mccs_ipc::AppId(0), gpus.len());
+#[test]
+fn reconfiguration_with_a_short_ring_is_rejected() {
+    // A second channel over three of the four GPUs used to be applied and
+    // panic every proxy at its next launch.
+    assert_reconfiguration_refused(|rings| {
+        let mut rings = rings.to_vec();
+        rings.push(RingOrder::new(rings[0].gpus()[..3].to_vec()));
+        (rings, RouteMap::ecmp())
+    });
+}
+
+#[test]
+fn reconfiguration_naming_a_foreign_gpu_is_rejected() {
+    // Swapping g6 for its host mate g7 (not a member) keeps the ring
+    // length, and used to be applied as is: g7 has no rank to run it.
+    assert_reconfiguration_refused(|rings| {
+        let swap = |g: &GpuId| if *g == GpuId(6) { GpuId(7) } else { *g };
+        let rings = rings
+            .iter()
+            .map(|r| RingOrder::new(r.gpus().iter().map(swap).collect()))
+            .collect();
+        (rings, RouteMap::ecmp())
+    });
 }
 
 /// Check the Figure 4 safety property on a completed run: every sequence
@@ -667,6 +702,101 @@ fn rooted_collectives_still_reject_undersized_significant_buffers() {
         msg.contains("buffer validation failed"),
         "unexpected panic: {msg}"
     );
+}
+
+/// One rank that allocates two buffers, joins `comm` and issues a single
+/// `op`, then records what the service answered: `Ok(seq)` for a launch,
+/// `Err(code)` for an error completion.
+struct IssueOnce {
+    comm: CommunicatorId,
+    world: Vec<GpuId>,
+    rank: usize,
+    op: CollectiveOp,
+    /// The requests the current stage waits on.
+    pending: Vec<ReqId>,
+    buffers: Vec<MemHandle>,
+    stage: usize,
+    answers: Arc<Mutex<Vec<Result<u64, ErrorCode>>>>,
+}
+
+impl AppProgram for IssueOnce {
+    fn poll(&mut self, api: &mut ShimApi<'_>) -> AppStatus {
+        let size = Bytes::mib(1);
+        loop {
+            api.pump();
+            match self.stage {
+                0 => self.pending = vec![api.alloc(size), api.alloc(size)],
+                1 => {
+                    let Some(buffers) = self.pending.iter().map(|&r| api.alloc_result(r)).collect()
+                    else {
+                        return AppStatus::Blocked;
+                    };
+                    self.buffers = buffers;
+                    self.pending =
+                        vec![api.comm_init_rank(self.comm, self.world.clone(), self.rank)];
+                }
+                2 => {
+                    if api.comm_result(self.pending[0]).is_none() {
+                        return AppStatus::Blocked;
+                    }
+                    let (send, recv) = ((self.buffers[0], 0), (self.buffers[1], 0));
+                    self.pending = vec![api.collective(self.comm, self.op, size, send, recv, None)];
+                }
+                _ => {
+                    let req = self.pending[0];
+                    let answer = match (api.launched_seq(req), api.error_code(req)) {
+                        (Some(seq), _) => Ok(seq),
+                        (_, Some(code)) => Err(code),
+                        _ => return AppStatus::Blocked,
+                    };
+                    self.answers.lock().unwrap().push(answer);
+                    return AppStatus::Finished;
+                }
+            }
+            self.stage += 1;
+        }
+    }
+}
+
+#[test]
+fn a_rooted_collective_with_an_out_of_range_root_is_refused() {
+    // NCCL answers ncclInvalidArgument; the service used to launch it with
+    // no rank acting as the root.
+    for op in [
+        CollectiveOp::Broadcast { root: 2 },
+        CollectiveOp::Reduce {
+            root: 2,
+            kind: ReduceKind::Sum,
+        },
+    ] {
+        let mut cluster = testbed_cluster(35);
+        let answers = Arc::new(Mutex::new(Vec::new()));
+        let world = vec![GpuId(0), GpuId(2)];
+        let progs = world
+            .iter()
+            .enumerate()
+            .map(|(rank, &gpu)| {
+                let prog = IssueOnce {
+                    comm: CommunicatorId(1),
+                    world: world.clone(),
+                    rank,
+                    op,
+                    pending: Vec::new(),
+                    buffers: Vec::new(),
+                    stage: 0,
+                    answers: Arc::clone(&answers),
+                };
+                (gpu, Box::new(prog) as Box<dyn AppProgram>)
+            })
+            .collect();
+        cluster.add_app("badroot", progs);
+        cluster.run_until_quiescent(Nanos::from_secs(5));
+        assert_eq!(
+            *answers.lock().unwrap(),
+            vec![Err(ErrorCode::InvalidArgument); 2],
+            "{op:?}"
+        );
+    }
 }
 
 #[test]

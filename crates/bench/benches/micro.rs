@@ -436,57 +436,12 @@ fn bench_scheduler_event_loop(c: &mut Criterion) {
     // The fig13 regime in miniature: one active tenant, one parked, on
     // the testbed. The naive scheduler polls every engine on every pass;
     // the wake scheduler touches only ready engines.
-    use mccs_core::{Cluster, ClusterConfig};
-    use mccs_ipc::CommunicatorId;
-    use mccs_shim::{AppProgram, ScriptStep, ScriptedProgram};
+    // One AllReduce per tenant; the second sleeps until 40 ms first.
+    let mut world = mccs_bench::setups::two_tenant_testbed(9, Bytes::mib(4), 1);
+    world.tenants[1].start = Nanos::from_millis(40);
     let run = |naive: bool| {
-        let mut cluster = Cluster::new(Arc::new(presets::testbed()), ClusterConfig::with_seed(9));
+        let mut cluster = world.build();
         cluster.set_naive_scheduler(naive);
-        let tenants = [
-            (
-                "hot",
-                CommunicatorId(1),
-                [GpuId(0), GpuId(2), GpuId(4), GpuId(6)],
-                None,
-            ),
-            (
-                "cold",
-                CommunicatorId(2),
-                [GpuId(1), GpuId(3), GpuId(5), GpuId(7)],
-                Some(Nanos::from_millis(40)),
-            ),
-        ];
-        for (name, comm, gpus, sleep) in tenants {
-            let ranks = gpus
-                .iter()
-                .enumerate()
-                .map(|(rank, &gpu)| {
-                    let size = Bytes::mib(4);
-                    let mut steps = vec![
-                        ScriptStep::Alloc { size, slot: 0 },
-                        ScriptStep::Alloc { size, slot: 1 },
-                        ScriptStep::CommInit {
-                            comm,
-                            world: gpus.to_vec(),
-                            rank,
-                        },
-                    ];
-                    if let Some(t) = sleep {
-                        steps.push(ScriptStep::SleepUntil(t));
-                    }
-                    steps.push(ScriptStep::Collective {
-                        comm,
-                        op: all_reduce_sum(),
-                        size,
-                        send_slot: 0,
-                        recv_slot: 1,
-                    });
-                    let prog = ScriptedProgram::new(format!("{name}/r{rank}"), steps);
-                    (gpu, Box::new(prog) as Box<dyn AppProgram>)
-                })
-                .collect();
-            cluster.add_app(name, ranks);
-        }
         cluster.run_until_quiescent(Nanos::from_secs(10));
     };
     for &(label, naive) in &[("wake", false), ("naive", true)] {

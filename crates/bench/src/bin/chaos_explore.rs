@@ -16,99 +16,10 @@
 //! Run: `cargo run --release -p mccs-bench --bin chaos_explore`
 
 use mccs_bench::report::{json_rows, print_table, write_bench_json};
-use mccs_collectives::op::all_reduce_sum;
-use mccs_core::{
-    episode_seed, ChaosAction, Cluster, ClusterConfig, Decision, Explorer, ExplorerConfig, Verdict,
-};
-use mccs_ipc::CommunicatorId;
-use mccs_shim::{AppProgram, ScriptStep, ScriptedProgram};
+use mccs_bench::setups::{two_tenant_testbed, SPINE0};
+use mccs_core::{episode_seed, ChaosAction, Decision, Explorer, ExplorerConfig, Verdict};
 use mccs_sim::{Bytes, Nanos};
-use mccs_topology::graph::Endpoint;
-use mccs_topology::{presets, GpuId, LinkId, SwitchRole};
 use std::process::ExitCode;
-use std::sync::Arc;
-
-fn rank_program(
-    name: &str,
-    comm: CommunicatorId,
-    rank: usize,
-    world: &[GpuId],
-    size: Bytes,
-    iters: usize,
-) -> ScriptedProgram {
-    ScriptedProgram::new(
-        format!("{name}/r{rank}"),
-        vec![
-            ScriptStep::Alloc { size, slot: 0 },
-            ScriptStep::Alloc { size, slot: 1 },
-            ScriptStep::CommInit {
-                comm,
-                world: world.to_vec(),
-                rank,
-            },
-            ScriptStep::Collective {
-                comm,
-                op: all_reduce_sum(),
-                size,
-                send_slot: 0,
-                recv_slot: 1,
-            },
-            ScriptStep::Repeat {
-                from_step: 3,
-                times: iters - 1,
-            },
-        ],
-    )
-}
-
-/// The fault-digest battery's workload: two four-rank AllReduce tenants
-/// interleaved across every testbed host.
-fn two_tenant_cluster(seed: u64, size: Bytes, iters: usize) -> Cluster {
-    let mut cluster = Cluster::new(Arc::new(presets::testbed()), ClusterConfig::with_seed(seed));
-    let tenants = [
-        (
-            "ta",
-            CommunicatorId(1),
-            [GpuId(0), GpuId(2), GpuId(4), GpuId(6)],
-        ),
-        (
-            "tb",
-            CommunicatorId(2),
-            [GpuId(1), GpuId(3), GpuId(5), GpuId(7)],
-        ),
-    ];
-    for (name, comm, gpus) in tenants {
-        let ranks = gpus
-            .iter()
-            .enumerate()
-            .map(|(rank, &gpu)| {
-                let prog = rank_program(name, comm, rank, &gpus, size, iters);
-                (gpu, Box::new(prog) as Box<dyn AppProgram>)
-            })
-            .collect();
-        cluster.add_app(name, ranks);
-    }
-    cluster
-}
-
-/// Every link touching the first spine switch (the pinned outage domain).
-fn spine0_links(cluster: &Cluster) -> Vec<LinkId> {
-    let topo = &cluster.world.topo;
-    let spine = topo
-        .switches()
-        .iter()
-        .find(|s| s.role == SwitchRole::Spine)
-        .expect("testbed has spines")
-        .id;
-    topo.links()
-        .iter()
-        .filter(|l| {
-            matches!(l.from, Endpoint::Switch(s) if s == spine)
-                || matches!(l.to, Endpoint::Switch(s) if s == spine)
-        })
-        .map(|l| l.id)
-        .collect()
-}
 
 fn verdict_label(v: &Verdict) -> String {
     match v {
@@ -127,7 +38,8 @@ fn main() -> ExitCode {
         horizon: Nanos::from_millis(40),
         deadline: Nanos::from_secs(60),
     };
-    let mut explorer = Explorer::new(cfg, || two_tenant_cluster(33, Bytes::mib(8), 3));
+    let world = two_tenant_testbed(33, Bytes::mib(8), 3);
+    let mut explorer = Explorer::new(cfg, || world.build());
     let reports = explorer.run();
 
     let mut failed = false;
@@ -195,9 +107,7 @@ fn main() -> ExitCode {
     // crash/restart interleavings are exercised on every run regardless
     // of what the seeded search happens to sample. Each trace is run
     // twice and the doubled run must agree digest-for-digest.
-    let probe = two_tenant_cluster(33, Bytes::mib(8), 3);
-    let spine = spine0_links(&probe);
-    drop(probe);
+    let spine = world.topo.switch_links(SPINE0);
     let pin = |index, action| Decision {
         index,
         at: Nanos::ZERO, // recorded for humans; replay is index-driven

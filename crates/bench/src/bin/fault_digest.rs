@@ -4,149 +4,67 @@
 //! byte-for-byte: any hash-map iteration order, address-dependent hashing,
 //! or wall-clock leakage in the fault path shows up as a digest mismatch.
 //!
-//! The digest is [`Cluster::observable_digest`]: the full per-rank trace
+//! The digest is `Cluster::observable_digest`: the full per-rank trace
 //! (issue/launch/complete/fail instants and epochs), the failure-event
 //! log, and the health counters.
 //!
 //! Run: `cargo run --release -p mccs-bench --bin fault_digest`
 
-use mccs_collectives::op::all_reduce_sum;
-use mccs_core::{Cluster, ClusterConfig, DegradationPolicy};
-use mccs_ipc::CommunicatorId;
+use mccs_bench::setups::{two_tenant_testbed, SPINE0};
+use mccs_core::{DegradationPolicy, Scenario};
 use mccs_netsim::{FaultEvent, FaultPlan};
-use mccs_shim::{AppProgram, ScriptStep, ScriptedProgram};
 use mccs_sim::{Bytes, Nanos};
-use mccs_topology::graph::Endpoint;
-use mccs_topology::{presets, GpuId, LinkId, SwitchRole};
-use std::sync::Arc;
+use mccs_topology::GpuId;
 
-fn rank_program(
-    name: &str,
-    comm: CommunicatorId,
-    rank: usize,
-    world: &[GpuId],
-    size: Bytes,
-    iters: usize,
-) -> ScriptedProgram {
-    ScriptedProgram::new(
-        format!("{name}/r{rank}"),
-        vec![
-            ScriptStep::Alloc { size, slot: 0 },
-            ScriptStep::Alloc { size, slot: 1 },
-            ScriptStep::CommInit {
-                comm,
-                world: world.to_vec(),
-                rank,
-            },
-            ScriptStep::Collective {
-                comm,
-                op: all_reduce_sum(),
-                size,
-                send_slot: 0,
-                recv_slot: 1,
-            },
-            ScriptStep::Repeat {
-                from_step: 3,
-                times: iters - 1,
-            },
-        ],
-    )
+/// The battery's world under `policy`.
+fn world(seed: u64, size: Bytes, policy: DegradationPolicy) -> Scenario {
+    let mut s = two_tenant_testbed(seed, size, 4);
+    s.config.service.degradation = policy;
+    s
 }
 
-fn two_tenant_cluster(seed: u64, size: Bytes, iters: usize, policy: DegradationPolicy) -> Cluster {
-    let mut cfg = ClusterConfig::with_seed(seed);
-    cfg.service.degradation = policy;
-    let mut cluster = Cluster::new(Arc::new(presets::testbed()), cfg);
-    let tenants = [
-        (
-            "ta",
-            CommunicatorId(1),
-            [GpuId(0), GpuId(2), GpuId(4), GpuId(6)],
-        ),
-        (
-            "tb",
-            CommunicatorId(2),
-            [GpuId(1), GpuId(3), GpuId(5), GpuId(7)],
-        ),
-    ];
-    for (name, comm, gpus) in tenants {
-        let ranks = gpus
-            .iter()
-            .enumerate()
-            .map(|(rank, &gpu)| {
-                let prog = rank_program(name, comm, rank, &gpus, size, iters);
-                (gpu, Box::new(prog) as Box<dyn AppProgram>)
-            })
-            .collect();
-        cluster.add_app(name, ranks);
-    }
-    cluster
-}
-
-/// Every link touching the first spine switch.
-fn spine0_links(cluster: &Cluster) -> Vec<LinkId> {
-    let topo = &cluster.world.topo;
-    let spine = topo
-        .switches()
-        .iter()
-        .find(|s| s.role == SwitchRole::Spine)
-        .expect("testbed has spines")
-        .id;
-    topo.links()
-        .iter()
-        .filter(|l| {
-            matches!(l.from, Endpoint::Switch(s) if s == spine)
-                || matches!(l.to, Endpoint::Switch(s) if s == spine)
-        })
-        .map(|l| l.id)
-        .collect()
-}
-
-fn run(name: &str, mut cluster: Cluster, plan: FaultPlan) {
-    cluster.install_fault_plan(plan);
-    cluster.run_until_quiescent(Nanos::from_secs(60));
-    println!(
-        "scenario={name} digest={:016x}",
-        cluster.observable_digest()
-    );
+fn run(name: &str, mut s: Scenario, plan: FaultPlan) {
+    s.faults = Some(plan);
+    let digest = s.run(Nanos::from_secs(60)).digest;
+    println!("scenario={name} digest={digest:016x}");
 }
 
 fn main() {
     // 1. Hard spine failure: coalesced recovery plus transport retries.
-    let cluster = two_tenant_cluster(21, Bytes::mib(16), 4, DegradationPolicy::default());
-    let spine = spine0_links(&cluster);
+    let s = world(21, Bytes::mib(16), DegradationPolicy::default());
+    let spine = s.topo.switch_links(SPINE0);
     run(
         "spine_down",
-        cluster,
+        s,
         FaultPlan::new().at(Nanos::from_millis(6), FaultEvent::LinkDown(spine[0])),
     );
 
     // 2. Correlated 50% brownout under the weighted policy (share-driven
     // rebalancing exercises the degradation-aware route selection).
-    let cluster = two_tenant_cluster(61, Bytes::mib(8), 4, DegradationPolicy::default());
-    let domain = spine0_links(&cluster);
+    let s = world(61, Bytes::mib(8), DegradationPolicy::default());
+    let domain = s.topo.switch_links(SPINE0);
     run(
         "brownout_weighted",
-        cluster,
+        s,
         FaultPlan::new().degrade_group(Nanos::from_millis(4), &domain, 500),
     );
 
     // 3. Same brownout under binary route-around (recovery-driven drain).
-    let cluster = two_tenant_cluster(61, Bytes::mib(8), 4, DegradationPolicy::route_around());
-    let domain = spine0_links(&cluster);
+    let s = world(61, Bytes::mib(8), DegradationPolicy::route_around());
+    let domain = s.topo.switch_links(SPINE0);
     run(
         "brownout_route_around",
-        cluster,
+        s,
         FaultPlan::new().degrade_group(Nanos::from_millis(4), &domain, 500),
     );
 
     // 4. Host crash and restart mid-run plus control-message loss:
     // the gossip resend and barrier-answer paths.
-    let cluster = two_tenant_cluster(51, Bytes::mib(16), 4, DegradationPolicy::default());
-    let host = cluster.world.topo.host_of_gpu(GpuId(6));
+    let s = world(51, Bytes::mib(16), DegradationPolicy::default());
+    let host = s.topo.host_of_gpu(GpuId(6));
     run(
         "host_blip_lossy_control",
-        cluster,
+        s,
         FaultPlan::new()
             .at(Nanos::from_millis(5), FaultEvent::CrashHost(host))
             .at(Nanos::from_millis(9), FaultEvent::RestartHost(host))
@@ -160,8 +78,8 @@ fn main() {
     // restarts at 40ms from its checkpoint (reconciling the drain whose
     // completion the dead incarnation never observed), and the 120ms
     // repair fails the pins back to the healthy baseline.
-    let cluster = two_tenant_cluster(95, Bytes::mib(16), 4, DegradationPolicy::default());
-    let domain = spine0_links(&cluster);
+    let s = world(95, Bytes::mib(16), DegradationPolicy::default());
+    let domain = s.topo.switch_links(SPINE0);
     let mut plan = FaultPlan::new();
     for &l in &domain {
         plan = plan.at(Nanos::from_millis(10), FaultEvent::LinkDown(l));
@@ -171,7 +89,7 @@ fn main() {
     }
     run(
         "controller_crash_mid_drain",
-        cluster,
+        s,
         plan.at(Nanos::from_micros(10_200), FaultEvent::CrashController)
             .at(Nanos::from_millis(40), FaultEvent::RestartController),
     );

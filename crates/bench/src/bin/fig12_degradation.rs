@@ -17,15 +17,11 @@
 //! Run: `cargo run --release -p mccs-bench --bin fig12_degradation`
 
 use mccs_bench::report::{json_rows, print_csv, print_table, write_bench_json};
-use mccs_collectives::op::all_reduce_sum;
-use mccs_core::{Cluster, ClusterConfig, DegradationPolicy};
-use mccs_ipc::{AppId, CommunicatorId};
+use mccs_bench::setups::{two_tenant_testbed, SPINE0};
+use mccs_core::DegradationPolicy;
+use mccs_ipc::AppId;
 use mccs_netsim::FaultPlan;
-use mccs_shim::{AppProgram, ScriptStep, ScriptedProgram};
 use mccs_sim::{Bytes, Nanos};
-use mccs_topology::graph::Endpoint;
-use mccs_topology::{presets, GpuId, LinkId, SwitchRole};
-use std::sync::Arc;
 
 const SIZE: Bytes = Bytes::mib(8);
 const ITERS: usize = 4;
@@ -34,88 +30,14 @@ const BROWNOUT_AT: Nanos = Nanos::from_millis(4);
 /// Remaining capacity fractions swept (per mille): healthy down to 25%.
 const LEVELS: [u32; 4] = [1000, 750, 500, 250];
 
-fn rank_program(name: &str, comm: CommunicatorId, rank: usize, world: &[GpuId]) -> ScriptedProgram {
-    ScriptedProgram::new(
-        format!("{name}/r{rank}"),
-        vec![
-            ScriptStep::Alloc {
-                size: SIZE,
-                slot: 0,
-            },
-            ScriptStep::Alloc {
-                size: SIZE,
-                slot: 1,
-            },
-            ScriptStep::CommInit {
-                comm,
-                world: world.to_vec(),
-                rank,
-            },
-            ScriptStep::Collective {
-                comm,
-                op: all_reduce_sum(),
-                size: SIZE,
-                send_slot: 0,
-                recv_slot: 1,
-            },
-            ScriptStep::Repeat {
-                from_step: 3,
-                times: ITERS - 1,
-            },
-        ],
-    )
-}
-
-/// Every link touching the first spine switch (the brownout domain).
-fn spine0_links(cluster: &Cluster) -> Vec<LinkId> {
-    let topo = &cluster.world.topo;
-    let spine = topo
-        .switches()
-        .iter()
-        .find(|s| s.role == SwitchRole::Spine)
-        .expect("testbed has spines")
-        .id;
-    topo.links()
-        .iter()
-        .filter(|l| {
-            matches!(l.from, Endpoint::Switch(s) if s == spine)
-                || matches!(l.to, Endpoint::Switch(s) if s == spine)
-        })
-        .map(|l| l.id)
-        .collect()
-}
-
 /// One cell of the sweep: makespan and failure-machinery counters for the
 /// two-tenant brownout at `milli` remaining capacity under `policy`.
 fn run_cell(policy: DegradationPolicy, milli: u32) -> (Nanos, u64, u64) {
-    let mut cfg = ClusterConfig::with_seed(SEED);
-    cfg.service.degradation = policy;
-    let mut cluster = Cluster::new(Arc::new(presets::testbed()), cfg);
-    let tenants = [
-        (
-            "brown-a",
-            CommunicatorId(1),
-            [GpuId(0), GpuId(2), GpuId(4), GpuId(6)],
-        ),
-        (
-            "brown-b",
-            CommunicatorId(2),
-            [GpuId(1), GpuId(3), GpuId(5), GpuId(7)],
-        ),
-    ];
-    for (name, comm, gpus) in tenants {
-        let ranks = gpus
-            .iter()
-            .enumerate()
-            .map(|(rank, &gpu)| {
-                let prog = rank_program(name, comm, rank, &gpus);
-                (gpu, Box::new(prog) as Box<dyn AppProgram>)
-            })
-            .collect();
-        cluster.add_app(name, ranks);
-    }
-    let domain = spine0_links(&cluster);
-    cluster.install_fault_plan(FaultPlan::new().degrade_group(BROWNOUT_AT, &domain, milli));
+    let mut s = two_tenant_testbed(SEED, SIZE, ITERS);
+    s.config.service.degradation = policy;
+    let domain = s.topo.switch_links(SPINE0);
+    s.faults = Some(FaultPlan::new().degrade_group(BROWNOUT_AT, &domain, milli));
+    let mut cluster = s.build();
     cluster.run_until_quiescent(Nanos::from_secs(60));
     let mut makespan = Nanos::ZERO;
     for app in [AppId(0), AppId(1)] {

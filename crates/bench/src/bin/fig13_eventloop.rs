@@ -28,9 +28,8 @@
 
 use mccs_bench::report::{print_table, write_bench_json};
 use mccs_collectives::op::all_reduce_sum;
-use mccs_core::{Cluster, ClusterConfig};
+use mccs_core::{ClusterConfig, Scenario, Tenant};
 use mccs_ipc::{AppId, CommunicatorId};
-use mccs_shim::{AppProgram, ScriptStep, ScriptedProgram};
 use mccs_sim::{Bandwidth, Bytes, Nanos};
 use mccs_topology::presets::{spine_leaf, SpineLeafConfig};
 use mccs_topology::GpuId;
@@ -66,41 +65,6 @@ fn tenant_gpus(t: usize) -> Vec<GpuId> {
     (0..8).map(|k| GpuId((k * 16 + t) as u32)).collect()
 }
 
-fn rank_program(t: usize, rank: usize, world: &[GpuId]) -> ScriptedProgram {
-    let comm = CommunicatorId(1 + t as u64);
-    ScriptedProgram::new(
-        format!("el-t{t}/r{rank}"),
-        vec![
-            ScriptStep::Alloc {
-                size: SIZE,
-                slot: 0,
-            },
-            ScriptStep::Alloc {
-                size: SIZE,
-                slot: 1,
-            },
-            ScriptStep::CommInit {
-                comm,
-                world: world.to_vec(),
-                rank,
-            },
-            // Staggered slots: while tenant t works, the other 15 idle.
-            ScriptStep::SleepUntil(SLOT * (t as u64 + 1)),
-            ScriptStep::Collective {
-                comm,
-                op: all_reduce_sum(),
-                size: SIZE,
-                send_slot: 0,
-                recv_slot: 1,
-            },
-            ScriptStep::Repeat {
-                from_step: 4,
-                times: ITERS - 1,
-            },
-        ],
-    )
-}
-
 struct RunStats {
     digest: u64,
     polls: u64,
@@ -122,23 +86,26 @@ impl RunStats {
 }
 
 fn run(naive: bool) -> RunStats {
-    let mut cluster = Cluster::new(
-        Arc::new(spine_leaf(&topology())),
-        ClusterConfig::with_seed(SEED),
-    );
-    cluster.set_naive_scheduler(naive);
-    for t in 0..TENANTS {
-        let gpus = tenant_gpus(t);
-        let ranks = gpus
-            .iter()
-            .enumerate()
-            .map(|(rank, &gpu)| {
-                let prog = rank_program(t, rank, &gpus);
-                (gpu, Box::new(prog) as Box<dyn AppProgram>)
-            })
-            .collect();
-        cluster.add_app(&format!("el-t{t}"), ranks);
+    let tenants = (0..TENANTS)
+        .map(|t| Tenant {
+            name: format!("el-t{t}"),
+            comm: CommunicatorId(1 + t as u64),
+            gpus: tenant_gpus(t),
+            op: all_reduce_sum(),
+            size: SIZE,
+            iters: ITERS,
+            // Staggered slots: while tenant t works, the other 15 idle.
+            start: SLOT * (t as u64 + 1),
+        })
+        .collect();
+    let mut cluster = Scenario {
+        topo: Arc::new(spine_leaf(&topology())),
+        config: ClusterConfig::with_seed(SEED),
+        tenants,
+        faults: None,
     }
+    .build();
+    cluster.set_naive_scheduler(naive);
     let t0 = Instant::now();
     cluster.run_until_quiescent(Nanos::from_secs(120));
     let wall_s = t0.elapsed().as_secs_f64();

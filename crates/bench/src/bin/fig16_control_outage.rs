@@ -16,15 +16,12 @@
 //! Run: `cargo run --release -p mccs-bench --bin fig16_control_outage`
 
 use mccs_bench::report::{json_rows, print_csv, print_table, write_bench_json};
-use mccs_collectives::op::all_reduce_sum;
+use mccs_bench::setups::{two_tenant_testbed, SPINE0};
 use mccs_core::proxy::ReconfigState;
-use mccs_core::{ChaosDriver, Cluster, ClusterConfig};
+use mccs_core::{ChaosDriver, Cluster};
 use mccs_ipc::{AppId, CommunicatorId};
-use mccs_shim::{AppProgram, ScriptStep, ScriptedProgram};
 use mccs_sim::{Bytes, Nanos};
-use mccs_topology::graph::Endpoint;
-use mccs_topology::{presets, GpuId, LinkId, SwitchRole};
-use std::sync::Arc;
+use mccs_topology::GpuId;
 
 const SIZE: Bytes = Bytes::mib(8);
 const ITERS: usize = 6;
@@ -36,57 +33,6 @@ const FAIL_AT: Nanos = Nanos::from_millis(10);
 const OUTAGES_MS: [u64; 3] = [5, 20, 80];
 /// Checkpoint cadences swept (milliseconds between snapshots).
 const CKPTS_MS: [u64; 3] = [1, 5, 50];
-
-fn rank_program(rank: usize) -> ScriptedProgram {
-    ScriptedProgram::new(
-        format!("outage/r{rank}"),
-        vec![
-            ScriptStep::Alloc {
-                size: SIZE,
-                slot: 0,
-            },
-            ScriptStep::Alloc {
-                size: SIZE,
-                slot: 1,
-            },
-            ScriptStep::CommInit {
-                comm: COMM,
-                world: GPUS.to_vec(),
-                rank,
-            },
-            ScriptStep::Collective {
-                comm: COMM,
-                op: all_reduce_sum(),
-                size: SIZE,
-                send_slot: 0,
-                recv_slot: 1,
-            },
-            ScriptStep::Repeat {
-                from_step: 3,
-                times: ITERS - 1,
-            },
-        ],
-    )
-}
-
-/// Every link touching the first spine switch (the outage domain).
-fn spine0_links(cluster: &Cluster) -> Vec<LinkId> {
-    let topo = &cluster.world.topo;
-    let spine = topo
-        .switches()
-        .iter()
-        .find(|s| s.role == SwitchRole::Spine)
-        .expect("testbed has spines")
-        .id;
-    topo.links()
-        .iter()
-        .filter(|l| {
-            matches!(l.from, Endpoint::Switch(s) if s == spine)
-                || matches!(l.to, Endpoint::Switch(s) if s == spine)
-        })
-        .map(|l| l.id)
-        .collect()
-}
 
 /// Whether every rank of the tenant is back in `Normal` at or past the
 /// first detour epoch — the end of the post-restart corrective drain.
@@ -107,19 +53,12 @@ fn drained(cluster: &Cluster) -> bool {
 /// restart after `outage`, and measure how long the restarted controller
 /// takes to steer the tenant back onto working routes.
 fn run_cell(outage: Nanos, ckpt: Nanos) -> Vec<String> {
-    let mut cfg = ClusterConfig::with_seed(SEED);
-    cfg.service.controller_checkpoint_interval = ckpt;
-    let mut cluster = Cluster::new(Arc::new(presets::testbed()), cfg);
-    let ranks = GPUS
-        .iter()
-        .enumerate()
-        .map(|(rank, &gpu)| {
-            let prog = rank_program(rank);
-            (gpu, Box::new(prog) as Box<dyn AppProgram>)
-        })
-        .collect();
-    cluster.add_app("outage", ranks);
-    let domain = spine0_links(&cluster);
+    // The battery's first tenant alone: `COMM` over `GPUS`.
+    let mut s = two_tenant_testbed(SEED, SIZE, ITERS);
+    s.tenants.truncate(1);
+    s.config.service.controller_checkpoint_interval = ckpt;
+    let domain = s.topo.switch_links(SPINE0);
+    let mut cluster = s.build();
 
     let mut driver = ChaosDriver::new(&mut cluster);
     driver.run_until(FAIL_AT);

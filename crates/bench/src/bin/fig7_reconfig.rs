@@ -13,10 +13,9 @@ use mccs_bench::report::{json_rows, print_csv, write_bench_json};
 use mccs_collectives::op::all_reduce_sum;
 use mccs_collectives::{algo_bandwidth, RingOrder};
 use mccs_core::config::RouteMap;
-use mccs_core::{Cluster, ClusterConfig};
-use mccs_ipc::CommunicatorId;
+use mccs_core::{ClusterConfig, Scenario, Tenant};
+use mccs_ipc::{AppId, CommunicatorId};
 use mccs_netsim::FlowSpec;
-use mccs_shim::{AppProgram, ScriptStep, ScriptedProgram};
 use mccs_sim::{Bandwidth, Bytes, Nanos, TimeSeries};
 use mccs_topology::{GpuId, PodId, SwitchRole, TopologyBuilder};
 use std::sync::Arc;
@@ -49,50 +48,25 @@ const RECONFIG: Nanos = Nanos::from_millis(12_000);
 
 fn main() {
     println!("== Figure 7: adapting to background flows at runtime ==\n");
-    let topo = Arc::new(ring_topology());
-    let mut cluster = Cluster::new(Arc::clone(&topo), ClusterConfig::with_seed(7));
-
     // The 8-GPU job over the four training hosts, clockwise world order.
     let comm = CommunicatorId(1);
-    let gpus: Vec<GpuId> = (0..8).map(GpuId).collect();
-    let iters = 4000; // more than fits in 20s; we cut the run at END
-    let ranks = gpus
-        .iter()
-        .enumerate()
-        .map(|(rank, &gpu)| {
-            let prog = ScriptedProgram::new(
-                format!("ar/r{rank}"),
-                vec![
-                    ScriptStep::Alloc {
-                        size: SIZE,
-                        slot: 0,
-                    },
-                    ScriptStep::Alloc {
-                        size: SIZE,
-                        slot: 1,
-                    },
-                    ScriptStep::CommInit {
-                        comm,
-                        world: gpus.clone(),
-                        rank,
-                    },
-                    ScriptStep::Collective {
-                        comm,
-                        op: all_reduce_sum(),
-                        size: SIZE,
-                        send_slot: 0,
-                        recv_slot: 1,
-                    },
-                    ScriptStep::Repeat {
-                        from_step: 3,
-                        times: iters - 1,
-                    },
-                ],
-            );
-            (gpu, Box::new(prog) as Box<dyn AppProgram>)
-        })
-        .collect();
-    let app = cluster.add_app("ar8", ranks);
+    let ar8 = Tenant {
+        name: "ar8".to_owned(),
+        comm,
+        gpus: (0..8).map(GpuId).collect(),
+        op: all_reduce_sum(),
+        size: SIZE,
+        iters: 4000, // more than fits in 20s; we cut the run at END
+        start: Nanos::ZERO,
+    };
+    let mut cluster = Scenario {
+        topo: Arc::new(ring_topology()),
+        config: ClusterConfig::with_seed(7),
+        tenants: vec![ar8],
+        faults: None,
+    }
+    .build();
+    let app = AppId(0);
 
     // Phase 1: free run.
     cluster.run_until(BG_START);

@@ -10,7 +10,38 @@
 //! crosses racks on every hop; the provider's locality-aware ring crosses
 //! twice.
 
-use mccs_topology::GpuId;
+use mccs_collectives::op::all_reduce_sum;
+use mccs_core::{ClusterConfig, Scenario, Tenant};
+use mccs_ipc::CommunicatorId;
+use mccs_sim::{Bytes, Nanos};
+use mccs_topology::{presets, GpuId, SwitchId};
+use std::sync::Arc;
+
+/// The testbed's first spine (`spine_leaf` numbers its spines first).
+/// Its links, `topo.switch_links(SPINE0)`, are the fault battery's
+/// outage and brownout domain.
+pub const SPINE0: SwitchId = SwitchId(0);
+
+/// The fault battery's world: two four-host AllReduce tenants on the
+/// testbed at `seed`, "ta" (communicator 1) on the first GPU of every
+/// host and "tb" (communicator 2) on the second.
+pub fn two_tenant_testbed(seed: u64, size: Bytes, iters: usize) -> Scenario {
+    let tenant = |name: &str, comm: u64, slot: u32| Tenant {
+        name: name.to_owned(),
+        comm: CommunicatorId(comm),
+        gpus: (0..4).map(|host| GpuId(2 * host + slot)).collect(),
+        op: all_reduce_sum(),
+        size,
+        iters,
+        start: Nanos::ZERO,
+    };
+    Scenario {
+        topo: Arc::new(presets::testbed()),
+        config: ClusterConfig::with_seed(seed),
+        tenants: vec![tenant("ta", 1, 0), tenant("tb", 2, 1)],
+        faults: None,
+    }
+}
 
 /// VM-order GPU list for a 4-GPU tenant (one GPU per host):
 /// H0.g0, H2.g0, H1.g0, H3.g0.

@@ -12,9 +12,8 @@ use crate::setups::AppPlacement;
 use mccs_baseline::{BaselineConfig, BaselineJob, Phase, RingChoice};
 use mccs_collectives::CollectiveOp;
 use mccs_control::{optimize_cluster, ChannelPolicy, PolicySpec};
-use mccs_core::{Cluster, ClusterConfig};
+use mccs_core::{Cluster, ClusterConfig, Scenario, Tenant};
 use mccs_ipc::{AppId, CommunicatorId};
-use mccs_shim::{AppProgram, ScriptStep, ScriptedProgram};
 use mccs_sim::{Bytes, Nanos};
 use mccs_topology::{presets, GpuId};
 use std::sync::Arc;
@@ -81,41 +80,6 @@ pub struct AppSpec {
 /// controller's initial reconfiguration).
 const WORKLOAD_START: Nanos = Nanos::from_millis(10);
 
-fn scripted_rank(
-    name: &str,
-    comm: CommunicatorId,
-    world: &[GpuId],
-    rank: usize,
-    op: CollectiveOp,
-    size: Bytes,
-    iters: usize,
-) -> ScriptedProgram {
-    ScriptedProgram::new(
-        format!("{name}/r{rank}"),
-        vec![
-            ScriptStep::Alloc { size, slot: 0 },
-            ScriptStep::Alloc { size, slot: 1 },
-            ScriptStep::CommInit {
-                comm,
-                world: world.to_vec(),
-                rank,
-            },
-            ScriptStep::SleepUntil(WORKLOAD_START),
-            ScriptStep::Collective {
-                comm,
-                op,
-                size,
-                send_slot: 0,
-                recv_slot: 1,
-            },
-            ScriptStep::Repeat {
-                from_step: 4,
-                times: iters - 1,
-            },
-        ],
-    )
-}
-
 /// Run one or more tenants on the testbed under `variant`; returns, per
 /// app, the per-collective latencies. `trial` seeds placement-independent
 /// randomness (IPC jitter) and — via communicator ids / hash salts — the
@@ -123,42 +87,38 @@ fn scripted_rank(
 pub fn run_apps(variant: SystemVariant, apps: &[AppSpec], trial: u64) -> Vec<Vec<Nanos>> {
     let topo = Arc::new(presets::testbed());
     let service = variant.is_service();
-    let cfg = if service {
-        ClusterConfig::with_seed(0x6E5 + trial)
-    } else {
-        ClusterConfig::library_mode(0x6E5 + trial)
-    };
-    let mut cluster = Cluster::new(Arc::clone(&topo), cfg);
+    let seed = 0x6E5 + trial;
     let mut ids: Vec<AppId> = Vec::new();
+    let mut cluster;
 
     if service {
-        for (i, spec) in apps.iter().enumerate() {
-            let comm = CommunicatorId(1 + 97 * trial + i as u64);
-            let ranks = spec
-                .placement
-                .gpus
-                .iter()
-                .enumerate()
-                .map(|(rank, &gpu)| {
-                    let prog = scripted_rank(
-                        spec.placement.name,
-                        comm,
-                        &spec.placement.gpus,
-                        rank,
-                        spec.op,
-                        spec.size,
-                        spec.iters,
-                    );
-                    (gpu, Box::new(prog) as Box<dyn AppProgram>)
-                })
-                .collect();
-            ids.push(cluster.add_app(spec.placement.name, ranks));
+        let tenants: Vec<Tenant> = apps
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| Tenant {
+                name: spec.placement.name.to_owned(),
+                comm: CommunicatorId(1 + 97 * trial + i as u64),
+                gpus: spec.placement.gpus.clone(),
+                op: spec.op,
+                size: spec.size,
+                iters: spec.iters,
+                start: WORKLOAD_START,
+            })
+            .collect();
+        ids.extend((0..tenants.len()).map(|i| AppId(i as u32)));
+        cluster = Scenario {
+            topo: Arc::clone(&topo),
+            config: ClusterConfig::with_seed(seed),
+            tenants,
+            faults: None,
         }
+        .build();
         // Registration completes well within a millisecond; then the
         // controller applies its policy before the workload starts.
         cluster.run_until(Nanos::from_millis(2));
         optimize_cluster(&mut cluster, &variant.policy());
     } else {
+        cluster = Cluster::new(Arc::clone(&topo), ClusterConfig::library_mode(seed));
         for (i, spec) in apps.iter().enumerate() {
             let ring = match variant {
                 SystemVariant::Nccl => RingChoice::RankOrder,

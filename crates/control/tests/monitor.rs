@@ -8,9 +8,8 @@
 
 use mccs_collectives::op::all_reduce_sum;
 use mccs_control::HealthMonitor;
-use mccs_core::{Cluster, ClusterConfig, FailureEvent, ServiceConfig};
+use mccs_core::{Cluster, ClusterConfig, FailureEvent, Scenario, Tenant};
 use mccs_ipc::CommunicatorId;
-use mccs_shim::{ScriptStep, ScriptedProgram};
 use mccs_sim::{Bytes, Nanos};
 use mccs_topology::graph::Endpoint;
 use mccs_topology::{presets, GpuId, LinkId};
@@ -19,48 +18,23 @@ use std::sync::Arc;
 const COMM: CommunicatorId = CommunicatorId(1);
 const GPUS: [GpuId; 4] = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
 
-fn cluster_with_svc(seed: u64, size: Bytes, iters: usize, svc: ServiceConfig) -> Cluster {
-    let cfg = ClusterConfig {
-        service: svc,
-        ..ClusterConfig::with_seed(seed)
+/// One four-host AllReduce tenant on the testbed.
+fn mon(seed: u64, size: Bytes, iters: usize) -> Scenario {
+    let tenant = Tenant {
+        name: "mon".to_owned(),
+        comm: COMM,
+        gpus: GPUS.to_vec(),
+        op: all_reduce_sum(),
+        size,
+        iters,
+        start: Nanos::ZERO,
     };
-    let mut cluster = Cluster::new(Arc::new(presets::testbed()), cfg);
-    let ranks = GPUS
-        .iter()
-        .enumerate()
-        .map(|(rank, &gpu)| {
-            let prog = ScriptedProgram::new(
-                format!("mon/r{rank}"),
-                vec![
-                    ScriptStep::Alloc { size, slot: 0 },
-                    ScriptStep::Alloc { size, slot: 1 },
-                    ScriptStep::CommInit {
-                        comm: COMM,
-                        world: GPUS.to_vec(),
-                        rank,
-                    },
-                    ScriptStep::Collective {
-                        comm: COMM,
-                        op: all_reduce_sum(),
-                        size,
-                        send_slot: 0,
-                        recv_slot: 1,
-                    },
-                    ScriptStep::Repeat {
-                        from_step: 3,
-                        times: iters - 1,
-                    },
-                ],
-            );
-            (gpu, Box::new(prog) as Box<dyn mccs_shim::AppProgram>)
-        })
-        .collect();
-    cluster.add_app("mon", ranks);
-    cluster
-}
-
-fn cluster_with(seed: u64, size: Bytes, iters: usize) -> Cluster {
-    cluster_with_svc(seed, size, iters, ServiceConfig::default())
+    Scenario {
+        topo: Arc::new(presets::testbed()),
+        config: ClusterConfig::with_seed(seed),
+        tenants: vec![tenant],
+        faults: None,
+    }
 }
 
 /// Every switch-to-switch (spine<->leaf) link of the testbed fabric.
@@ -91,7 +65,7 @@ fn degrade(cluster: &mut Cluster, link: LinkId, milli: u32) {
 /// communicator only when the degradation policy rejects its routes.
 #[test]
 fn monitor_reacts_to_pushed_events_without_polling() {
-    let mut cluster = cluster_with(71, Bytes::mib(8), 6);
+    let mut cluster = mon(71, Bytes::mib(8), 6).build();
     // Let registration and the first collectives get going.
     cluster.run_until(Nanos::from_millis(3));
     let mut mon = HealthMonitor::subscribe(&mut cluster);
@@ -171,11 +145,9 @@ fn monitor_reacts_to_pushed_events_without_polling() {
 /// engine, and this suite is about the controller acting alone.
 #[test]
 fn monitor_freezes_while_down_and_resyncs_on_restart() {
-    let svc = ServiceConfig {
-        health_channel_capacity: 8,
-        ..ServiceConfig::default()
-    };
-    let mut cluster = cluster_with_svc(29, Bytes::mib(8), 6, svc);
+    let mut s = mon(29, Bytes::mib(8), 6);
+    s.config.service.health_channel_capacity = 8;
+    let mut cluster = s.build();
     cluster.run_until(Nanos::from_millis(3));
     let mut mon = HealthMonitor::subscribe(&mut cluster);
     let fabric = fabric_links(&cluster);

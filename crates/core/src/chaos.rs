@@ -24,7 +24,7 @@
 //! # Quickstart
 //!
 //! ```ignore
-//! let mut cluster = build_two_tenant_cluster();
+//! let mut cluster = scenario.build(); // any `Scenario`
 //! let mut driver = ChaosDriver::new(&mut cluster);
 //! driver.run_until(Nanos::from_millis(10)); // brink of 10ms
 //! driver.link_down(hot_spine);              // fires at 10ms

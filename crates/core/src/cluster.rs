@@ -106,9 +106,7 @@ impl Cluster {
     /// and one app engine per rank. Returns the application id.
     pub fn add_app(&mut self, name: &str, ranks: Vec<(GpuId, Box<dyn AppProgram>)>) -> AppId {
         assert!(!ranks.is_empty(), "application needs at least one rank");
-        let app = AppId(self.next_app);
-        self.next_app += 1;
-        self.world.app_names.push(name.to_owned());
+        let app = self.register_app_name(name);
         let cap = self.world.ipc.queue_capacity;
         let mut per_host: BTreeMap<mccs_topology::HostId, Vec<usize>> = BTreeMap::new();
         for (rank, (gpu, program)) in ranks.into_iter().enumerate() {

@@ -96,6 +96,31 @@ impl FrontendEngine {
                     );
                     return;
                 }
+                let gpus = w.topo.gpu_count();
+                let mut sorted = world.clone();
+                sorted.sort_unstable();
+                let refusal = if let Some(bad) = sorted.iter().find(|g| g.index() >= gpus) {
+                    Some((
+                        ErrorCode::InvalidArgument,
+                        format!("{bad} in the world of {comm} is not in this {gpus}-GPU cluster"),
+                    ))
+                } else if let Some(dup) = sorted.windows(2).find(|p| p[0] == p[1]) {
+                    Some((
+                        ErrorCode::InvalidArgument,
+                        format!("{} appears twice in the world of {comm}", dup[0]),
+                    ))
+                } else if w.comms.contains_key(&(comm, gpu)) {
+                    Some((
+                        ErrorCode::InvalidUsage,
+                        format!("{comm} is already initialized on {gpu}"),
+                    ))
+                } else {
+                    None
+                };
+                if let Some((code, message)) = refusal {
+                    w.send_completion(endpoint, ShimCompletion::Error { req, code, message });
+                    return;
+                }
                 // The communicator's service-side completion event, shared
                 // back to the shim through the init completion.
                 let comm_event = w.devices.create_event();

@@ -16,6 +16,8 @@
 //! * **transport engines** ([`transport`]) — one per NIC; turn inter-host
 //!   edge tasks into network flows with explicit route pins (FFA/PFA) and
 //!   enforce time-window traffic schedules (TS);
+//! * **scenarios** ([`scenario`]) — a world as data: topology, config,
+//!   tenants running the NCCL-tests loop and a fault plan;
 //! * **management API** ([`mgmt`]) — the provider/controller surface:
 //!   communicator inventory, runtime reconfiguration, traffic windows,
 //!   and collective tracing.
@@ -47,6 +49,7 @@ pub mod mgmt;
 pub mod proxy;
 pub mod qos;
 pub mod recovery;
+pub mod scenario;
 pub mod tracing;
 pub mod transport;
 pub mod world;
@@ -65,5 +68,6 @@ pub use health::{
 pub use mgmt::CommInfo;
 pub use qos::TrafficWindows;
 pub use recovery::{comm_min_route_weight, DetourPolicy, RecoveryEngine, RecoveryPolicy};
+pub use scenario::{Record, Scenario, Tenant};
 pub use tracing::{TraceCollector, TraceRecord};
 pub use world::{Controller, ControllerState, ControllerStats, DrainObligation, World};

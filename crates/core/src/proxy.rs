@@ -212,8 +212,14 @@ impl ProxyEngine {
                 rank,
                 comm_event,
             } => {
+                // The frontend refuses a second init of a registered
+                // rank, but two inits sent within one hop both pass it:
+                // the first registration stands and the second is dropped.
+                if w.comms.contains_key(&(comm, self.gpu)) {
+                    return;
+                }
                 let config = CollectiveConfig::default_for(&w.topo, &world);
-                let prior = w.comm_insert(
+                w.comm_insert(
                     (comm, self.gpu),
                     CommRank {
                         app,
@@ -237,11 +243,6 @@ impl ProxyEngine {
                         last_barrier: None,
                         controller_incarnation: 0,
                     },
-                );
-                assert!(
-                    prior.is_none(),
-                    "duplicate communicator registration for {comm} on {}",
-                    self.gpu
                 );
             }
             ProxyMsg::Collective {

@@ -12,7 +12,7 @@ use mccs_sim::{Bytes, Nanos};
 use std::collections::HashMap;
 
 /// One rank's view of one collective.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TraceRecord {
     /// Owning application.
     pub app: AppId,

@@ -8,121 +8,28 @@
 //! recovery-loop bugfixes (repair fail-back, self-wake filtering,
 //! mid-run install clamping) each get a regression.
 
-use mccs_collectives::op::all_reduce_sum;
+mod common;
+
+use common::{four_host, hottest_spine_at, spine_links, COMM, GPUS, SPINE0};
 use mccs_core::proxy::ReconfigState;
 use mccs_core::recovery::RecoveryPolicy;
-use mccs_core::{
-    ChaosDriver, Cluster, ClusterConfig, DetourPolicy, Explorer, ExplorerConfig, FailureEvent,
-};
-use mccs_ipc::{AppId, CommunicatorId};
+use mccs_core::{ChaosDriver, Cluster, DetourPolicy, Explorer, ExplorerConfig, FailureEvent};
+use mccs_ipc::AppId;
 use mccs_netsim::{FaultEvent, FaultPlan};
-use mccs_shim::{ScriptStep, ScriptedProgram};
 use mccs_sim::{Bytes, Nanos};
-use mccs_topology::graph::Endpoint;
-use mccs_topology::{presets, GpuId, LinkId, RouteId, SwitchRole};
+use mccs_topology::{GpuId, LinkId, RouteId};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-const COMM: CommunicatorId = CommunicatorId(1);
-const GPUS: [GpuId; 4] = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
-
-fn rank_program(name: &str, rank: usize, size: Bytes, iters: usize) -> ScriptedProgram {
-    ScriptedProgram::new(
-        format!("{name}/r{rank}"),
-        vec![
-            ScriptStep::Alloc { size, slot: 0 },
-            ScriptStep::Alloc { size, slot: 1 },
-            ScriptStep::CommInit {
-                comm: COMM,
-                world: GPUS.to_vec(),
-                rank,
-            },
-            ScriptStep::Collective {
-                comm: COMM,
-                op: all_reduce_sum(),
-                size,
-                send_slot: 0,
-                recv_slot: 1,
-            },
-            ScriptStep::Repeat {
-                from_step: 3,
-                times: iters - 1,
-            },
-        ],
-    )
-}
-
-/// A four-host AllReduce tenant over the testbed (mirrors the fault
-/// suite's scenario builder).
-fn cluster_with(seed: u64, size: Bytes, iters: usize) -> Cluster {
-    let mut cluster = Cluster::new(Arc::new(presets::testbed()), ClusterConfig::with_seed(seed));
-    let ranks = GPUS
-        .iter()
-        .enumerate()
-        .map(|(rank, &gpu)| {
-            let prog = rank_program("chaos", rank, size, iters);
-            (gpu, Box::new(prog) as Box<dyn mccs_shim::AppProgram>)
-        })
-        .collect();
-    cluster.add_app("chaos", ranks);
-    cluster
-}
-
-fn spine_links(cluster: &Cluster) -> Vec<LinkId> {
-    cluster
-        .world
-        .topo
-        .links()
-        .iter()
-        .filter(|l| matches!(l.from, Endpoint::Switch(_)) && matches!(l.to, Endpoint::Switch(_)))
-        .map(|l| l.id)
-        .collect()
-}
-
-/// The spine link carrying the most traffic at `probe_at` in a
-/// fault-free run (same probe the fault suite uses).
-fn hottest_spine_at(seed: u64, size: Bytes, iters: usize, probe_at: Nanos) -> LinkId {
-    let mut probe = cluster_with(seed, size, iters);
-    probe.run_until(probe_at);
-    let spines = spine_links(&probe);
-    probe
-        .mgmt()
-        .link_utilization()
-        .into_iter()
-        .find(|(l, _)| spines.contains(l))
-        .map(|(l, _)| l)
-        .expect("cross-rack traffic crosses a spine at the probe instant")
-}
-
-/// Every link touching the lowest-id spine switch (both directions).
-fn spine0_links(cluster: &Cluster) -> Vec<LinkId> {
-    let topo = &cluster.world.topo;
-    let spine = topo
-        .switches()
-        .iter()
-        .find(|s| s.role == SwitchRole::Spine)
-        .expect("testbed has spines")
-        .id;
-    topo.links()
-        .iter()
-        .filter(|l| {
-            matches!(l.from, Endpoint::Switch(s) if s == spine)
-                || matches!(l.to, Endpoint::Switch(s) if s == spine)
-        })
-        .map(|l| l.id)
-        .collect()
-}
-
 /// The fault suite's acceptance scenario, pre-scripted: hottest spine
 /// dies at 10ms, run to quiescence.
 fn scripted_link_failure(seed: u64) -> Cluster {
-    let size = Bytes::mib(32);
-    let iters = 4;
     let fault_at = Nanos::from_millis(10);
-    let spine = hottest_spine_at(seed, size, iters, fault_at);
-    let mut cluster = cluster_with(seed, size, iters);
-    cluster.install_fault_plan(FaultPlan::new().at(fault_at, FaultEvent::LinkDown(spine)));
+    let mut s = four_host("chaos", seed, Bytes::mib(32), 4);
+    let spine = hottest_spine_at(&s, fault_at);
+    s.faults = Some(FaultPlan::new().at(fault_at, FaultEvent::LinkDown(spine)));
+    let mut cluster = s.build();
     cluster.run_until_quiescent(Nanos::from_secs(20));
     cluster
 }
@@ -137,14 +44,13 @@ fn scripted_link_failure(seed: u64) -> Cluster {
 #[test]
 fn driver_matches_scripted_plan_digest() {
     let seed = 21;
-    let size = Bytes::mib(32);
-    let iters = 4;
     let fault_at = Nanos::from_millis(10);
-    let spine = hottest_spine_at(seed, size, iters, fault_at);
+    let s = four_host("chaos", seed, Bytes::mib(32), 4);
+    let spine = hottest_spine_at(&s, fault_at);
 
     let scripted = scripted_link_failure(seed);
 
-    let mut cluster = cluster_with(seed, size, iters);
+    let mut cluster = s.build();
     let mut driver = ChaosDriver::new(&mut cluster);
     driver.run_until(fault_at);
     driver.link_down(spine);
@@ -200,7 +106,7 @@ proptest! {
             (2_000_u64..25_000, 0_usize..1_000, 0_u8..5), 0..5),
     ) {
         // Scripted arm.
-        let mut scripted = cluster_with(seed, Bytes::mib(8), 3);
+        let mut scripted = four_host("chaos", seed, Bytes::mib(8), 3).build();
         let mut plan = FaultPlan::new();
         for raw in &events {
             let (at, ev) = event_of(&scripted, raw);
@@ -212,7 +118,7 @@ proptest! {
         // Driver arm: same events, same instants, issued live. Stable
         // sort by time keeps same-instant events in authoring order,
         // matching the plan's insertion order.
-        let mut cluster = cluster_with(seed, Bytes::mib(8), 3);
+        let mut cluster = four_host("chaos", seed, Bytes::mib(8), 3).build();
         let mut timeline: Vec<(Nanos, FaultEvent)> =
             events.iter().map(|r| event_of(&cluster, r)).collect();
         timeline.sort_by_key(|&(t, _)| t);
@@ -242,7 +148,7 @@ fn hold_release_equals_scripted_delay() {
     let hold_at = Nanos::from_millis(5);
     let release_at = Nanos::from_millis(7);
     let run = |held: bool| -> (u64, u64) {
-        let mut cluster = cluster_with(seed, Bytes::mib(8), 3);
+        let mut cluster = four_host("chaos", seed, Bytes::mib(8), 3).build();
         let mut driver = ChaosDriver::new(&mut cluster);
         driver.run_until(hold_at);
         let first_req = driver.cluster().world.control_ordinal();
@@ -310,16 +216,13 @@ fn explorer_config() -> ExplorerConfig {
     }
 }
 
-fn explorer_build() -> Cluster {
-    cluster_with(7, Bytes::mib(8), 3)
-}
-
 /// Episodes are seed-deterministic, pass both oracles, and at least one
 /// finds a non-trivial interleaving; replaying any recorded decision
 /// trace reproduces its digest byte-for-byte.
 #[test]
 fn explorer_episodes_are_deterministic_and_replayable() {
-    let mut explorer = Explorer::new(explorer_config(), explorer_build);
+    let world = four_host("chaos", 7, Bytes::mib(8), 3);
+    let mut explorer = Explorer::new(explorer_config(), || world.build());
     let reports = explorer.run();
     assert!(
         reports.iter().any(|r| !r.trace.is_empty()),
@@ -361,7 +264,7 @@ fn explorer_episodes_are_deterministic_and_replayable() {
 /// every rank.
 #[test]
 fn partition_mid_drain_resolves_cleanly() {
-    let mut cluster = cluster_with(91, Bytes::mib(32), 4);
+    let mut cluster = four_host("chaos", 91, Bytes::mib(32), 4).build();
     let mut driver = ChaosDriver::new(&mut cluster);
     driver.run_until(Nanos::from_millis(5));
     let rings = driver
@@ -432,8 +335,8 @@ fn partition_mid_drain_resolves_cleanly() {
 /// healthy-fabric choice instead of staying on the detour forever.
 #[test]
 fn repair_fails_back_to_healthy_routes() {
-    let mut cluster = cluster_with(95, Bytes::mib(32), 4);
-    let domain = spine0_links(&cluster);
+    let mut cluster = four_host("chaos", 95, Bytes::mib(32), 4).build();
+    let domain = cluster.world.topo.switch_links(SPINE0);
     let mut plan = FaultPlan::new();
     for &l in &domain {
         plan = plan.at(Nanos::from_millis(10), FaultEvent::LinkDown(l));
@@ -501,7 +404,8 @@ fn repair_fails_back_to_healthy_routes() {
 /// polls, zero additional wasted polls. An actionable event still wakes.
 #[test]
 fn informational_events_do_not_wake_subscribers() {
-    let mut cluster = cluster_with(71, Bytes::mib(8), 2);
+    let s = four_host("chaos", 71, Bytes::mib(8), 2);
+    let mut cluster = s.build();
     cluster.install_fault_plan(FaultPlan::new());
     cluster.run_until_quiescent(Nanos::from_secs(20));
     if cluster.naive_scheduler() {
@@ -509,7 +413,7 @@ fn informational_events_do_not_wake_subscribers() {
         // wake-edge property only exists on the wake-driven scheduler.
         return;
     }
-    let spine = spine_links(&cluster)[0];
+    let spine = spine_links(&s)[0];
     let before = cluster.scheduler_stats();
     let now = cluster.now();
     cluster.world.health.record(FailureEvent::RecoveryIssued {
@@ -551,10 +455,11 @@ fn informational_events_do_not_wake_subscribers() {
 /// burst, no silent drop.
 #[test]
 fn mid_run_install_clamps_past_events_to_now() {
-    let mut cluster = cluster_with(73, Bytes::mib(8), 3);
+    let s = four_host("chaos", 73, Bytes::mib(8), 3);
+    let mut cluster = s.build();
     let install_at = Nanos::from_millis(5);
     cluster.run_until(install_at);
-    let spine = spine_links(&cluster)[0];
+    let spine = spine_links(&s)[0];
     // Scripted for 1ms — already in the past at install time.
     cluster.install_fault_plan(FaultPlan::new().at(
         Nanos::from_millis(1),

@@ -18,6 +18,9 @@
 //!   channel past the frozen cursor; the restart resyncs from a snapshot
 //!   that matches ground truth.
 
+mod common;
+
+use common::{four_host, COMM, GPUS, SPINE0};
 use mccs_collectives::op::all_reduce_sum;
 use mccs_core::config::ServiceConfig;
 use mccs_core::messages::ProxyMsg;
@@ -25,45 +28,14 @@ use mccs_core::proxy::ReconfigState;
 use mccs_core::recovery::RecoveryPolicy;
 use mccs_core::{
     ChaosAction, ChaosDriver, Cluster, ClusterConfig, CollectiveConfig, DetourPolicy, Explorer,
-    ExplorerConfig, FailureEvent, HealthDelivery, RouteMap,
+    ExplorerConfig, FailureEvent, HealthDelivery, RouteMap, Scenario,
 };
-use mccs_ipc::CommunicatorId;
 use mccs_shim::{ScriptStep, ScriptedProgram};
 use mccs_sim::{Bytes, Nanos};
-use mccs_topology::graph::Endpoint;
-use mccs_topology::{presets, GpuId, LinkId, SwitchRole};
+use mccs_topology::presets;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-const COMM: CommunicatorId = CommunicatorId(1);
-const GPUS: [GpuId; 4] = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
-
-fn rank_program(name: &str, rank: usize, size: Bytes, iters: usize) -> ScriptedProgram {
-    ScriptedProgram::new(
-        format!("{name}/r{rank}"),
-        vec![
-            ScriptStep::Alloc { size, slot: 0 },
-            ScriptStep::Alloc { size, slot: 1 },
-            ScriptStep::CommInit {
-                comm: COMM,
-                world: GPUS.to_vec(),
-                rank,
-            },
-            ScriptStep::Collective {
-                comm: COMM,
-                op: all_reduce_sum(),
-                size,
-                send_slot: 0,
-                recv_slot: 1,
-            },
-            ScriptStep::Repeat {
-                from_step: 3,
-                times: iters - 1,
-            },
-        ],
-    )
-}
 
 /// A service config with an aggressive checkpoint cadence, so every
 /// recovery-engine poll snapshots the controller's working state.
@@ -74,46 +46,11 @@ fn eager_checkpoint_svc() -> ServiceConfig {
     }
 }
 
-fn cluster_with_svc(seed: u64, size: Bytes, iters: usize, svc: ServiceConfig) -> Cluster {
-    let cfg = ClusterConfig {
-        service: svc,
-        ..ClusterConfig::with_seed(seed)
-    };
-    let mut cluster = Cluster::new(Arc::new(presets::testbed()), cfg);
-    let ranks = GPUS
-        .iter()
-        .enumerate()
-        .map(|(rank, &gpu)| {
-            let prog = rank_program("ctrl", rank, size, iters);
-            (gpu, Box::new(prog) as Box<dyn mccs_shim::AppProgram>)
-        })
-        .collect();
-    cluster.add_app("ctrl", ranks);
-    cluster
-}
-
-fn cluster_with(seed: u64, size: Bytes, iters: usize) -> Cluster {
-    cluster_with_svc(seed, size, iters, eager_checkpoint_svc())
-}
-
-/// Every link touching the lowest-id spine switch (both directions) —
-/// the outage domain the fault suite uses to force a detour.
-fn spine0_links(cluster: &Cluster) -> Vec<LinkId> {
-    let topo = &cluster.world.topo;
-    let spine = topo
-        .switches()
-        .iter()
-        .find(|s| s.role == SwitchRole::Spine)
-        .expect("testbed has spines")
-        .id;
-    topo.links()
-        .iter()
-        .filter(|l| {
-            matches!(l.from, Endpoint::Switch(s) if s == spine)
-                || matches!(l.to, Endpoint::Switch(s) if s == spine)
-        })
-        .map(|l| l.id)
-        .collect()
+/// The fault suite's four-host tenant under the eager checkpoint cadence.
+fn ctrl(seed: u64, size: Bytes, iters: usize) -> Scenario {
+    let mut s = four_host("ctrl", seed, size, iters);
+    s.config.service = eager_checkpoint_svc();
+    s
 }
 
 /// Whether every rank of `COMM` is back in `Normal` at or past `epoch`.
@@ -180,8 +117,8 @@ fn assert_completed_xor_failed(cluster: &Cluster, collectives: usize) {
 /// after the 120ms repair.
 #[test]
 fn crash_mid_drain_restart_reconverges() {
-    let mut cluster = cluster_with(95, Bytes::mib(32), 4);
-    let domain = spine0_links(&cluster);
+    let mut cluster = ctrl(95, Bytes::mib(32), 4).build();
+    let domain = cluster.world.topo.switch_links(SPINE0);
     let mut driver = ChaosDriver::new(&mut cluster);
     driver.run_until(Nanos::from_millis(10));
     for &l in &domain {
@@ -237,8 +174,8 @@ fn crash_mid_drain_restart_reconverges() {
 /// left the pins on the detour forever.)
 #[test]
 fn repair_racing_drain_defers_failback() {
-    let mut cluster = cluster_with(95, Bytes::mib(32), 4);
-    let domain = spine0_links(&cluster);
+    let mut cluster = ctrl(95, Bytes::mib(32), 4).build();
+    let domain = cluster.world.topo.switch_links(SPINE0);
     let mut driver = ChaosDriver::new(&mut cluster);
     driver.run_until(Nanos::from_millis(10));
     for &l in &domain {
@@ -298,8 +235,8 @@ fn redrive_of_converged_drain_is_digest_noop() {
     let repair_at = Nanos::from_millis(120);
 
     // Arm A: no crash.
-    let mut baseline = cluster_with(seed, Bytes::mib(32), 4);
-    let domain = spine0_links(&baseline);
+    let mut baseline = ctrl(seed, Bytes::mib(32), 4).build();
+    let domain = baseline.world.topo.switch_links(SPINE0);
     {
         let mut driver = ChaosDriver::new(&mut baseline);
         driver.run_until(fault_at);
@@ -319,7 +256,7 @@ fn redrive_of_converged_drain_is_digest_noop() {
     // drain goes out. The drain converges while the controller is dead,
     // so the restart's re-drive must observe completion and retire the
     // checkpointed obligation without sending a byte.
-    let mut crashed = cluster_with(seed, Bytes::mib(32), 4);
+    let mut crashed = ctrl(seed, Bytes::mib(32), 4).build();
     {
         let mut driver = ChaosDriver::new(&mut crashed);
         driver.run_until(fault_at);
@@ -386,7 +323,7 @@ fn redrive_of_converged_drain_is_digest_noop() {
 /// entered, epoch untouched. A current-incarnation command still works.
 #[test]
 fn stale_incarnation_command_is_fenced() {
-    let mut cluster = cluster_with(33, Bytes::mib(8), 3);
+    let mut cluster = ctrl(33, Bytes::mib(8), 3).build();
     let mut driver = ChaosDriver::new(&mut cluster);
     driver.run_until(Nanos::from_millis(5));
     assert!(drained_to(driver.cluster(), 0), "comm must be registered");
@@ -487,8 +424,8 @@ fn stale_incarnation_command_is_fenced() {
 /// converges.
 #[test]
 fn failback_retire_clears_baselines() {
-    let mut cluster = cluster_with(95, Bytes::mib(32), 4);
-    let domain = spine0_links(&cluster);
+    let mut cluster = ctrl(95, Bytes::mib(32), 4).build();
+    let domain = cluster.world.topo.switch_links(SPINE0);
     let mut driver = ChaosDriver::new(&mut cluster);
     driver.run_until(Nanos::from_millis(10));
     for &l in &domain {
@@ -560,7 +497,7 @@ fn destroyed_comm_clears_controller_state() {
         .collect();
     cluster.add_app("destroy", ranks);
 
-    let domain = spine0_links(&cluster);
+    let domain = cluster.world.topo.switch_links(SPINE0);
     let mut driver = ChaosDriver::new(&mut cluster);
     driver.run_until(Nanos::from_millis(10));
     for &l in &domain {
@@ -620,7 +557,7 @@ fn long_outage_overflows_channel_and_resyncs() {
 
     // 16 events against capacity 8: degrade/repair pairs on the spine
     // uplinks, spread over the outage.
-    let domain = spine0_links(driver.cluster());
+    let domain = driver.cluster().world.topo.switch_links(SPINE0);
     let mut injected = 0u64;
     for round in 0..2 {
         for (i, &l) in domain.iter().take(4).enumerate() {
@@ -689,10 +626,6 @@ fn crashy_explorer_config(master: u64) -> ExplorerConfig {
     }
 }
 
-fn explorer_build() -> Cluster {
-    cluster_with(7, Bytes::mib(8), 3)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -703,7 +636,8 @@ proptest! {
     /// from its decision trace.
     #[test]
     fn random_crash_points_stay_sound(master in 1_u64..10_000) {
-        let mut explorer = Explorer::new(crashy_explorer_config(master), explorer_build);
+        let world = ctrl(7, Bytes::mib(8), 3);
+        let mut explorer = Explorer::new(crashy_explorer_config(master), || world.build());
         for r in explorer.run() {
             prop_assert!(
                 r.verdict.is_ok(),
@@ -726,7 +660,8 @@ proptest! {
 fn explorer_reaches_controller_crashes() {
     let mut crashes = 0usize;
     for master in 1..=6 {
-        let mut explorer = Explorer::new(crashy_explorer_config(master), explorer_build);
+        let world = ctrl(7, Bytes::mib(8), 3);
+        let mut explorer = Explorer::new(crashy_explorer_config(master), || world.build());
         for r in explorer.run() {
             assert!(
                 r.verdict.is_ok(),

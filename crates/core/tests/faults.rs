@@ -2,108 +2,16 @@
 //! full service stack, plus the zero-overhead regression that fault-free
 //! runs are byte-identical to a build without fault support.
 
-use mccs_collectives::op::all_reduce_sum;
-use mccs_collectives::CollectiveOp;
-use mccs_core::{Cluster, ClusterConfig, DegradationPolicy, FailureEvent, HealthDelivery};
-use mccs_ipc::{AppId, CommunicatorId};
+mod common;
+
+use common::{four_host, hottest_spine_at, testbed, two_tenants, COMM, GPUS, SPINE0};
+use mccs_core::{Cluster, DegradationPolicy, FailureEvent, HealthDelivery};
+use mccs_ipc::AppId;
 use mccs_netsim::{FaultEvent, FaultPlan};
-use mccs_shim::{ScriptStep, ScriptedProgram};
 use mccs_sim::{Bytes, Nanos};
-use mccs_topology::graph::Endpoint;
-use mccs_topology::{presets, GpuId, LinkId, SwitchRole};
+use mccs_topology::{GpuId, LinkId};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-const COMM: CommunicatorId = CommunicatorId(1);
-const GPUS: [GpuId; 4] = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
-/// A second tenant interleaved on the other GPU of every host.
-const COMM_B: CommunicatorId = CommunicatorId(2);
-const GPUS_B: [GpuId; 4] = [GpuId(1), GpuId(3), GpuId(5), GpuId(7)];
-
-#[allow(clippy::too_many_arguments)]
-fn rank_program(
-    name: &str,
-    comm: CommunicatorId,
-    rank: usize,
-    world: &[GpuId],
-    op: CollectiveOp,
-    size: Bytes,
-    iters: usize,
-) -> ScriptedProgram {
-    ScriptedProgram::new(
-        format!("{name}/r{rank}"),
-        vec![
-            ScriptStep::Alloc { size, slot: 0 },
-            ScriptStep::Alloc { size, slot: 1 },
-            ScriptStep::CommInit {
-                comm,
-                world: world.to_vec(),
-                rank,
-            },
-            ScriptStep::Collective {
-                comm,
-                op,
-                size,
-                send_slot: 0,
-                recv_slot: 1,
-            },
-            ScriptStep::Repeat {
-                from_step: 3,
-                times: iters - 1,
-            },
-        ],
-    )
-}
-
-/// A four-host AllReduce tenant over the testbed.
-fn cluster_with(seed: u64, size: Bytes, iters: usize) -> Cluster {
-    let mut cluster = Cluster::new(Arc::new(presets::testbed()), ClusterConfig::with_seed(seed));
-    let ranks = GPUS
-        .iter()
-        .enumerate()
-        .map(|(rank, &gpu)| {
-            let prog = rank_program("faulty", COMM, rank, &GPUS, all_reduce_sum(), size, iters);
-            (gpu, Box::new(prog) as Box<dyn mccs_shim::AppProgram>)
-        })
-        .collect();
-    cluster.add_app("faulty", ranks);
-    cluster
-}
-
-/// A stable digest of everything a run observably did: the full service
-/// trace (per rank: issue/launch/complete/fail instants and epochs), the
-/// failure-event log, and the health counters. Delegates to the digest
-/// the determinism CI gate diffs across processes.
-fn run_digest(cluster: &Cluster) -> u64 {
-    cluster.observable_digest()
-}
-
-fn spine_links(cluster: &Cluster) -> Vec<LinkId> {
-    cluster
-        .world
-        .topo
-        .links()
-        .iter()
-        .filter(|l| matches!(l.from, Endpoint::Switch(_)) && matches!(l.to, Endpoint::Switch(_)))
-        .map(|l| l.id)
-        .collect()
-}
-
-/// The spine link carrying the most traffic at `probe_at` in a fault-free
-/// run — by determinism, the same link the faulted run's flows will cross.
-fn hottest_spine_at(seed: u64, size: Bytes, iters: usize, probe_at: Nanos) -> LinkId {
-    let mut probe = cluster_with(seed, size, iters);
-    probe.run_until(probe_at);
-    let spines = spine_links(&probe);
-    probe
-        .mgmt()
-        .link_utilization()
-        .into_iter()
-        .find(|(l, _)| spines.contains(l))
-        .map(|(l, _)| l)
-        .expect("cross-rack traffic crosses a spine at the probe instant")
-}
 
 // ---------------------------------------------------------------------------
 // Zero-overhead regression
@@ -113,16 +21,16 @@ fn hottest_spine_at(seed: u64, size: Bytes, iters: usize, probe_at: Nanos) -> Li
 /// stays untouched and two identical runs produce identical digests.
 #[test]
 fn fault_free_runs_are_quiet_and_deterministic() {
-    let mut a = cluster_with(11, Bytes::mib(16), 3);
+    let mut a = four_host("faulty", 11, Bytes::mib(16), 3).build();
     a.run_until_quiescent(Nanos::from_secs(5));
     assert!(
         a.world.health.is_quiet(),
         "fault-free run touched the health registry: {:?}",
         a.world.health.counters
     );
-    let mut b = cluster_with(11, Bytes::mib(16), 3);
+    let mut b = four_host("faulty", 11, Bytes::mib(16), 3).build();
     b.run_until_quiescent(Nanos::from_secs(5));
-    assert_eq!(run_digest(&a), run_digest(&b));
+    assert_eq!(a.observable_digest(), b.observable_digest());
 }
 
 /// Installing an *empty* plan arms the detection machinery (liveness
@@ -131,17 +39,17 @@ fn fault_free_runs_are_quiet_and_deterministic() {
 /// guarantee, tested from the stronger side.
 #[test]
 fn empty_plan_does_not_perturb_a_healthy_run() {
-    let mut bare = cluster_with(12, Bytes::mib(16), 3);
+    let mut bare = four_host("faulty", 12, Bytes::mib(16), 3).build();
     bare.run_until_quiescent(Nanos::from_secs(5));
 
-    let mut armed = cluster_with(12, Bytes::mib(16), 3);
+    let mut armed = four_host("faulty", 12, Bytes::mib(16), 3).build();
     armed.install_fault_plan(FaultPlan::new());
     armed.run_until_quiescent(Nanos::from_secs(5));
 
     assert!(armed.world.health.is_quiet(), "healthy run recorded events");
     assert_eq!(
-        run_digest(&bare),
-        run_digest(&armed),
+        bare.observable_digest(),
+        armed.observable_digest(),
         "an inert fault plan changed an observable outcome"
     );
 }
@@ -150,15 +58,15 @@ fn empty_plan_does_not_perturb_a_healthy_run() {
 // Scripted failures
 // ---------------------------------------------------------------------------
 
-fn link_failure_run(seed: u64) -> Cluster {
-    let size = Bytes::mib(32);
-    let iters = 4;
+/// The hottest spine dies at 10ms; returns the quiesced run and the link.
+fn link_failure_run(seed: u64) -> (Cluster, LinkId) {
     let fault_at = Nanos::from_millis(10);
-    let spine = hottest_spine_at(seed, size, iters, fault_at);
-    let mut cluster = cluster_with(seed, size, iters);
-    cluster.install_fault_plan(FaultPlan::new().at(fault_at, FaultEvent::LinkDown(spine)));
+    let mut s = four_host("faulty", seed, Bytes::mib(32), 4);
+    let spine = hottest_spine_at(&s, fault_at);
+    s.faults = Some(FaultPlan::new().at(fault_at, FaultEvent::LinkDown(spine)));
+    let mut cluster = s.build();
     cluster.run_until_quiescent(Nanos::from_secs(20));
-    cluster
+    (cluster, spine)
 }
 
 /// The acceptance scenario: one spine dies mid-AllReduce. Flows re-pin to
@@ -166,7 +74,7 @@ fn link_failure_run(seed: u64) -> Cluster {
 /// with a corrective config, and every queued collective still completes.
 #[test]
 fn single_link_failure_recovers_and_completes_everything() {
-    let mut cluster = link_failure_run(21);
+    let (mut cluster, spine) = link_failure_run(21);
     let tl = cluster.mgmt().timeline(AppId(0));
     assert_eq!(tl.len(), 4, "every collective must complete");
     for r in &cluster.world.trace.records().to_vec() {
@@ -182,23 +90,15 @@ fn single_link_failure_recovers_and_completes_everything() {
     assert!(counters.flow_retries > 0, "no transport retry recorded");
     assert!(counters.recoveries > 0, "no corrective config issued");
     assert_eq!(counters.collectives_failed, 0);
-    assert_eq!(cluster.mgmt().links_down(), vec![spine_of(&cluster)]);
-}
-
-/// The dead link at quiescence (there is exactly one in the scenario).
-fn spine_of(cluster: &Cluster) -> LinkId {
-    let mut down = cluster.world.health.links_down();
-    let l = down.next().expect("the failed spine stays down");
-    assert!(down.next().is_none());
-    l
+    assert_eq!(cluster.mgmt().links_down(), vec![spine]);
 }
 
 /// Same seed, same plan — same digest, run to run.
 #[test]
 fn link_failure_recovery_is_deterministic() {
-    let a = link_failure_run(22);
-    let b = link_failure_run(22);
-    assert_eq!(run_digest(&a), run_digest(&b));
+    let (a, _) = link_failure_run(22);
+    let (b, _) = link_failure_run(22);
+    assert_eq!(a.observable_digest(), b.observable_digest());
 }
 
 /// A lost corrective Req must not wedge the barrier: the rank that never
@@ -206,7 +106,7 @@ fn link_failure_recovery_is_deterministic() {
 /// and the reconfiguration still converges.
 #[test]
 fn dropped_reconfigure_req_converges_via_gossip() {
-    let mut cluster = cluster_with(31, Bytes::mib(32), 3);
+    let mut cluster = four_host("faulty", 31, Bytes::mib(32), 3).build();
     cluster.run_until(Nanos::from_millis(5));
     // The next 4 control messages are the reconfigure's Reqs; lose one.
     let first_req = cluster.world.control_ordinal();
@@ -227,7 +127,7 @@ fn dropped_reconfigure_req_converges_via_gossip() {
 /// proxies resume with state intact and every collective still completes.
 #[test]
 fn host_crash_and_restart_completes_all_collectives() {
-    let mut cluster = cluster_with(41, Bytes::mib(16), 3);
+    let mut cluster = four_host("faulty", 41, Bytes::mib(16), 3).build();
     let host = cluster.world.topo.host_of_gpu(GpuId(6));
     cluster.install_fault_plan(
         FaultPlan::new()
@@ -246,50 +146,18 @@ fn host_crash_and_restart_completes_all_collectives() {
 // Brownouts: degradation-aware routing vs binary route-around
 // ---------------------------------------------------------------------------
 
-/// Every link touching the lowest-id spine switch (both directions) —
-/// one correlated brownout domain, as when a spine linecard overheats.
-fn spine0_links(cluster: &Cluster) -> Vec<LinkId> {
-    let topo = &cluster.world.topo;
-    let spine = topo
-        .switches()
-        .iter()
-        .find(|s| s.role == SwitchRole::Spine)
-        .expect("testbed has spines")
-        .id;
-    topo.links()
-        .iter()
-        .filter(|l| {
-            matches!(l.from, Endpoint::Switch(s) if s == spine)
-                || matches!(l.to, Endpoint::Switch(s) if s == spine)
-        })
-        .map(|l| l.id)
-        .collect()
-}
-
 /// Two interleaved four-host tenants; spine 0 browns out to 50% early in
 /// the run. Returns the makespan (last completion across both tenants).
 fn brownout_run(policy: DegradationPolicy) -> (Nanos, Cluster) {
     // Sized so even the route-around pileup finishes each collective well
     // under the liveness timeout: the comparison measures routing quality,
     // not stall-recovery churn.
-    let size = Bytes::mib(8);
     let iters = 4;
-    let mut cfg = ClusterConfig::with_seed(61);
-    cfg.service.degradation = policy;
-    let mut cluster = Cluster::new(Arc::new(presets::testbed()), cfg);
-    for (name, comm, gpus) in [("brown-a", COMM, GPUS), ("brown-b", COMM_B, GPUS_B)] {
-        let ranks = gpus
-            .iter()
-            .enumerate()
-            .map(|(rank, &gpu)| {
-                let prog = rank_program(name, comm, rank, &gpus, all_reduce_sum(), size, iters);
-                (gpu, Box::new(prog) as Box<dyn mccs_shim::AppProgram>)
-            })
-            .collect();
-        cluster.add_app(name, ranks);
-    }
-    let domain = spine0_links(&cluster);
-    cluster.install_fault_plan(FaultPlan::new().degrade_group(Nanos::from_millis(4), &domain, 500));
+    let mut s = testbed(61, two_tenants(Bytes::mib(8), iters));
+    s.config.service.degradation = policy;
+    let domain = s.topo.switch_links(SPINE0);
+    s.faults = Some(FaultPlan::new().degrade_group(Nanos::from_millis(4), &domain, 500));
+    let mut cluster = s.build();
     cluster.run_until_quiescent(Nanos::from_secs(60));
     let mut makespan = Nanos::ZERO;
     for app in [AppId(0), AppId(1)] {
@@ -336,9 +204,9 @@ fn brownout_weighted_beats_route_around() {
 /// link gauge tracks what is still below line rate at quiescence.
 #[test]
 fn push_channel_delivers_degrade_and_host_events_in_order() {
-    let mut cluster = cluster_with(51, Bytes::mib(16), 3);
+    let mut cluster = four_host("faulty", 51, Bytes::mib(16), 3).build();
     let mut sub = cluster.mgmt().subscribe_health();
-    let spine = spine0_links(&cluster)[0];
+    let spine = cluster.world.topo.switch_links(SPINE0)[0];
     let host = cluster.world.topo.host_of_gpu(GpuId(6));
     cluster.install_fault_plan(
         FaultPlan::new()
@@ -477,7 +345,7 @@ fn build_plan(cluster: &Cluster, events: &[RawEvent], drops: &[u64]) -> FaultPla
 }
 
 fn run_random(seed: u64, events: &[RawEvent], drops: &[u64]) -> Cluster {
-    let mut cluster = cluster_with(seed, Bytes::mib(8), 3);
+    let mut cluster = four_host("faulty", seed, Bytes::mib(8), 3).build();
     let plan = build_plan(&cluster, events, drops);
     cluster.install_fault_plan(plan);
     cluster.run_until_quiescent(Nanos::from_secs(30));
@@ -533,6 +401,6 @@ proptest! {
         }
         // Determinism: the same seed and plan replays byte-identically.
         let replay = run_random(seed, &events, &drops);
-        prop_assert_eq!(run_digest(&cluster), run_digest(&replay));
+        prop_assert_eq!(cluster.observable_digest(), replay.observable_digest());
     }
 }

@@ -7,63 +7,25 @@
 //! 3. epochs are monotone non-decreasing in sequence order,
 //! 4. every issued reconfiguration is eventually applied.
 
-use mccs_collectives::op::all_reduce_sum;
+mod common;
+
+use common::{allreduce, testbed};
 use mccs_collectives::RingOrder;
 use mccs_core::config::RouteMap;
-use mccs_core::{Cluster, ClusterConfig};
-use mccs_ipc::CommunicatorId;
-use mccs_shim::{AppProgram, ScriptStep, ScriptedProgram};
+use mccs_core::Tenant;
+use mccs_ipc::{AppId, CommunicatorId};
 use mccs_sim::{Bytes, Nanos, Rng};
-use mccs_topology::{presets, GpuId};
-use std::sync::Arc;
-
-fn spawn(cluster: &mut Cluster, comm: CommunicatorId, gpus: &[GpuId], iters: usize) {
-    let size = Bytes::mib(16);
-    let ranks = gpus
-        .iter()
-        .enumerate()
-        .map(|(rank, &gpu)| {
-            let prog = ScriptedProgram::new(
-                format!("stress/r{rank}"),
-                vec![
-                    ScriptStep::Alloc { size, slot: 0 },
-                    ScriptStep::Alloc { size, slot: 1 },
-                    ScriptStep::CommInit {
-                        comm,
-                        world: gpus.to_vec(),
-                        rank,
-                    },
-                    ScriptStep::Collective {
-                        comm,
-                        op: all_reduce_sum(),
-                        size,
-                        send_slot: 0,
-                        recv_slot: 1,
-                    },
-                    ScriptStep::Repeat {
-                        from_step: 3,
-                        times: iters - 1,
-                    },
-                ],
-            );
-            (gpu, Box::new(prog) as Box<dyn AppProgram>)
-        })
-        .collect();
-    cluster.add_app("stress", ranks);
-}
+use mccs_topology::GpuId;
 
 #[test]
 fn repeated_reconfigurations_are_safe_across_seeds() {
     for seed in 0..8u64 {
         let mut rng = Rng::seed_from(seed);
-        let mut cluster = Cluster::new(
-            Arc::new(presets::testbed()),
-            ClusterConfig::with_seed(1000 + seed),
-        );
         let comm = CommunicatorId(1);
         let gpus = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
         let iters = 20;
-        spawn(&mut cluster, comm, &gpus, iters);
+        let stress = allreduce("stress", comm, &gpus, Bytes::mib(16), iters);
+        let mut cluster = testbed(1000 + seed, vec![stress]).build();
 
         // Issue 3-5 reconfigurations at random times while the workload
         // runs, alternating ring direction (sometimes while a previous
@@ -84,11 +46,11 @@ fn repeated_reconfigurations_are_safe_across_seeds() {
         cluster.run_until_quiescent(Nanos::from_secs(120));
 
         // 1. everything completed
-        let tl = cluster.mgmt().timeline(mccs_ipc::AppId(0));
+        let tl = cluster.mgmt().timeline(AppId(0));
         assert_eq!(tl.len(), iters, "seed {seed}: collectives lost");
 
         // 2+3. per-seq epoch agreement and monotonicity
-        let records = cluster.mgmt().trace(mccs_ipc::AppId(0));
+        let records = cluster.mgmt().trace(AppId(0));
         let mut by_seq: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
         for r in &records {
             assert!(r.completed_at.is_some(), "seed {seed}: incomplete record");
@@ -125,39 +87,14 @@ fn repeated_reconfigurations_are_safe_across_seeds() {
 fn reconfiguration_of_idle_communicator_applies_immediately() {
     // The barrier max over "nothing launched" is None: the new config
     // must apply without waiting for any collective.
-    let mut cluster = Cluster::new(Arc::new(presets::testbed()), ClusterConfig::with_seed(77));
     let comm = CommunicatorId(1);
-    let gpus = [GpuId(0), GpuId(2)];
     // Workload starts late; reconfigure while fully idle.
-    let size = Bytes::mib(8);
-    let ranks = gpus
-        .iter()
-        .enumerate()
-        .map(|(rank, &gpu)| {
-            let prog = ScriptedProgram::new(
-                format!("idle/r{rank}"),
-                vec![
-                    ScriptStep::Alloc { size, slot: 0 },
-                    ScriptStep::Alloc { size, slot: 1 },
-                    ScriptStep::CommInit {
-                        comm,
-                        world: gpus.to_vec(),
-                        rank,
-                    },
-                    ScriptStep::SleepUntil(Nanos::from_millis(50)),
-                    ScriptStep::Collective {
-                        comm,
-                        op: all_reduce_sum(),
-                        size,
-                        send_slot: 0,
-                        recv_slot: 1,
-                    },
-                ],
-            );
-            (gpu, Box::new(prog) as Box<dyn AppProgram>)
-        })
-        .collect();
-    let app = cluster.add_app("idle", ranks);
+    let idle = Tenant {
+        start: Nanos::from_millis(50),
+        ..allreduce("idle", comm, &[GpuId(0), GpuId(2)], Bytes::mib(8), 1)
+    };
+    let mut cluster = testbed(77, vec![idle]).build();
+    let app = AppId(0);
 
     cluster.run_until(Nanos::from_millis(5));
     let info = cluster.mgmt().communicator(comm).expect("registered");

@@ -14,151 +14,32 @@
 //! `MCCS_SIM_NAIVE_POOL=1` in the oracle-equivalence job, so the naive
 //! path keeps exercising every assertion the wake path does.
 
-use mccs_collectives::op::all_reduce_sum;
-use mccs_core::{Cluster, ClusterConfig, DegradationPolicy};
-use mccs_ipc::CommunicatorId;
+mod common;
+
+use common::{testbed, two_tenants, SPINE0};
+use mccs_core::{DegradationPolicy, Scenario};
 use mccs_netsim::{FaultEvent, FaultPlan};
 use mccs_shim::{AppProgram, ScriptStep, ScriptedProgram};
 use mccs_sim::{Bytes, Nanos};
-use mccs_topology::graph::Endpoint;
-use mccs_topology::{presets, GpuId, LinkId, SwitchRole};
+use mccs_topology::GpuId;
 use proptest::prelude::*;
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::Arc;
 
-/// One rank of an iterated all-reduce job, optionally with an idle phase
-/// before the loop (idle ranks are where the two schedulers diverge most:
-/// the oracle keeps polling them, the wake scheduler parks them).
-fn rank_program(
-    name: &str,
-    comm: CommunicatorId,
-    rank: usize,
-    world: &[GpuId],
-    size: Bytes,
-    iters: usize,
-    sleep_until: Option<Nanos>,
-) -> ScriptedProgram {
-    let mut steps = vec![
-        ScriptStep::Alloc { size, slot: 0 },
-        ScriptStep::Alloc { size, slot: 1 },
-        ScriptStep::CommInit {
-            comm,
-            world: world.to_vec(),
-            rank,
-        },
-    ];
-    if let Some(t) = sleep_until {
-        steps.push(ScriptStep::SleepUntil(t));
-    }
-    let loop_head = steps.len();
-    steps.push(ScriptStep::Collective {
-        comm,
-        op: all_reduce_sum(),
-        size,
-        send_slot: 0,
-        recv_slot: 1,
-    });
-    if iters > 1 {
-        steps.push(ScriptStep::Repeat {
-            from_step: loop_head,
-            times: iters - 1,
-        });
-    }
-    ScriptedProgram::new(format!("{name}/r{rank}"), steps)
+/// The two interleaved tenants at `seed` under `policy`. Idle phases
+/// (`start > 0`) are where the two schedulers diverge most: the oracle
+/// keeps polling a sleeping tenant, the wake scheduler parks it.
+fn world(seed: u64, policy: DegradationPolicy, size: Bytes, iters: usize) -> Scenario {
+    let mut s = testbed(seed, two_tenants(size, iters));
+    s.config.service.degradation = policy;
+    s
 }
 
-struct Tenant {
-    name: &'static str,
-    comm: CommunicatorId,
-    gpus: Vec<GpuId>,
-    size: Bytes,
-    iters: usize,
-    sleep_until: Option<Nanos>,
-}
-
-fn build_cluster(seed: u64, policy: DegradationPolicy, tenants: &[Tenant]) -> Cluster {
-    let mut cfg = ClusterConfig::with_seed(seed);
-    cfg.service.degradation = policy;
-    let mut cluster = Cluster::new(Arc::new(presets::testbed()), cfg);
-    for t in tenants {
-        let ranks = t
-            .gpus
-            .iter()
-            .enumerate()
-            .map(|(rank, &gpu)| {
-                let prog = rank_program(
-                    t.name,
-                    t.comm,
-                    rank,
-                    &t.gpus,
-                    t.size,
-                    t.iters,
-                    t.sleep_until,
-                );
-                (gpu, Box::new(prog) as Box<dyn AppProgram>)
-            })
-            .collect();
-        cluster.add_app(t.name, ranks);
-    }
-    cluster
-}
-
-fn two_tenants(size: Bytes, iters: usize) -> Vec<Tenant> {
-    vec![
-        Tenant {
-            name: "ta",
-            comm: CommunicatorId(1),
-            gpus: vec![GpuId(0), GpuId(2), GpuId(4), GpuId(6)],
-            size,
-            iters,
-            sleep_until: None,
-        },
-        Tenant {
-            name: "tb",
-            comm: CommunicatorId(2),
-            gpus: vec![GpuId(1), GpuId(3), GpuId(5), GpuId(7)],
-            size,
-            iters,
-            sleep_until: None,
-        },
-    ]
-}
-
-/// Every link touching the first spine switch.
-fn spine0_links(cluster: &Cluster) -> Vec<LinkId> {
-    let topo = &cluster.world.topo;
-    let spine = topo
-        .switches()
-        .iter()
-        .find(|s| s.role == SwitchRole::Spine)
-        .expect("testbed has spines")
-        .id;
-    topo.links()
-        .iter()
-        .filter(|l| {
-            matches!(l.from, Endpoint::Switch(s) if s == spine)
-                || matches!(l.to, Endpoint::Switch(s) if s == spine)
-        })
-        .map(|l| l.id)
-        .collect()
-}
-
-/// Run one configuration under one scheduler to quiescence and return the
+/// Run one scenario under one scheduler to quiescence and return the
 /// observable digest with the per-step `(clock, useful polls)` fold, plus
 /// the wasted-poll count (for efficiency sanity).
-fn run_one(
-    naive: bool,
-    seed: u64,
-    policy: DegradationPolicy,
-    tenants: &[Tenant],
-    plan: Option<&dyn Fn(&Cluster) -> FaultPlan>,
-) -> ((u64, u64), u64) {
-    let mut cluster = build_cluster(seed, policy, tenants);
+fn run_one(naive: bool, s: &Scenario) -> ((u64, u64), u64) {
+    let mut cluster = s.build();
     cluster.set_naive_scheduler(naive);
-    if let Some(make) = plan {
-        let plan = make(&cluster);
-        cluster.install_fault_plan(plan);
-    }
     let mut steps = DefaultHasher::new();
     loop {
         let next = cluster.step();
@@ -176,31 +57,21 @@ fn run_one(
 }
 
 /// Assert wake and naive schedulers agree on a scenario, step by step.
-fn assert_equivalent(
-    what: &str,
-    seed: u64,
-    policy: DegradationPolicy,
-    tenants: &[Tenant],
-    plan: Option<&dyn Fn(&Cluster) -> FaultPlan>,
-) {
-    let (wake, _) = run_one(false, seed, policy, tenants, plan);
-    let (naive, _) = run_one(true, seed, policy, tenants, plan);
+fn assert_equivalent(what: &str, s: &Scenario) {
+    let (wake, _) = run_one(false, s);
+    let (naive, _) = run_one(true, s);
     assert_eq!(
         wake, naive,
-        "{what}: wake scheduler diverged from naive oracle (seed {seed})"
+        "{what}: wake scheduler diverged from naive oracle (seed {})",
+        s.config.seed
     );
 }
 
 #[test]
 fn healthy_workload_digests_match() {
     for seed in [7, 21, 1234] {
-        assert_equivalent(
-            "healthy",
-            seed,
-            DegradationPolicy::default(),
-            &two_tenants(Bytes::mib(16), 4),
-            None,
-        );
+        let s = world(seed, DegradationPolicy::default(), Bytes::mib(16), 4);
+        assert_equivalent("healthy", &s);
     }
 }
 
@@ -208,64 +79,42 @@ fn healthy_workload_digests_match() {
 fn idle_heavy_workload_digests_match() {
     // One tenant sleeps most of the run: the wake scheduler parks its
     // engines while the oracle keeps polling. Digest must not notice.
-    let mut tenants = two_tenants(Bytes::mib(8), 3);
-    tenants[1].sleep_until = Some(Nanos::from_millis(40));
-    assert_equivalent(
-        "idle_heavy",
-        42,
-        DegradationPolicy::default(),
-        &tenants,
-        None,
-    );
+    let mut s = world(42, DegradationPolicy::default(), Bytes::mib(8), 3);
+    s.tenants[1].start = Nanos::from_millis(40);
+    assert_equivalent("idle_heavy", &s);
 }
 
 #[test]
 fn fault_battery_digests_match() {
     // Mirrors the fault_digest determinism battery, scenario for scenario.
-    assert_equivalent(
-        "spine_down",
-        21,
-        DegradationPolicy::default(),
-        &two_tenants(Bytes::mib(16), 4),
-        Some(&|c: &Cluster| {
-            FaultPlan::new().at(
-                Nanos::from_millis(6),
-                FaultEvent::LinkDown(spine0_links(c)[0]),
-            )
-        }),
+    let mut s = world(21, DegradationPolicy::default(), Bytes::mib(16), 4);
+    s.faults = Some(FaultPlan::new().at(
+        Nanos::from_millis(6),
+        FaultEvent::LinkDown(s.topo.switch_links(SPINE0)[0]),
+    ));
+    assert_equivalent("spine_down", &s);
+    for (what, policy) in [
+        ("brownout_weighted", DegradationPolicy::default()),
+        ("brownout_route_around", DegradationPolicy::route_around()),
+    ] {
+        let mut s = world(61, policy, Bytes::mib(8), 4);
+        s.faults = Some(FaultPlan::new().degrade_group(
+            Nanos::from_millis(4),
+            &s.topo.switch_links(SPINE0),
+            500,
+        ));
+        assert_equivalent(what, &s);
+    }
+    let mut s = world(51, DegradationPolicy::default(), Bytes::mib(16), 4);
+    let host = s.topo.host_of_gpu(GpuId(6));
+    s.faults = Some(
+        FaultPlan::new()
+            .at(Nanos::from_millis(5), FaultEvent::CrashHost(host))
+            .at(Nanos::from_millis(9), FaultEvent::RestartHost(host))
+            .drop_control(19)
+            .drop_control(37),
     );
-    assert_equivalent(
-        "brownout_weighted",
-        61,
-        DegradationPolicy::default(),
-        &two_tenants(Bytes::mib(8), 4),
-        Some(&|c: &Cluster| {
-            FaultPlan::new().degrade_group(Nanos::from_millis(4), &spine0_links(c), 500)
-        }),
-    );
-    assert_equivalent(
-        "brownout_route_around",
-        61,
-        DegradationPolicy::route_around(),
-        &two_tenants(Bytes::mib(8), 4),
-        Some(&|c: &Cluster| {
-            FaultPlan::new().degrade_group(Nanos::from_millis(4), &spine0_links(c), 500)
-        }),
-    );
-    assert_equivalent(
-        "host_blip_lossy_control",
-        51,
-        DegradationPolicy::default(),
-        &two_tenants(Bytes::mib(16), 4),
-        Some(&|c: &Cluster| {
-            let host = c.world.topo.host_of_gpu(GpuId(6));
-            FaultPlan::new()
-                .at(Nanos::from_millis(5), FaultEvent::CrashHost(host))
-                .at(Nanos::from_millis(9), FaultEvent::RestartHost(host))
-                .drop_control(19)
-                .drop_control(37)
-        }),
-    );
+    assert_equivalent("host_blip_lossy_control", &s);
 }
 
 #[test]
@@ -275,29 +124,17 @@ fn doubled_run_digest_is_stable() {
     // dependence on hash-iteration order diverges between the two runs.
     // (Cross-process determinism is checked by CI's fault_digest job; this
     // is the in-process analogue that needs no harness support.)
-    let tenants = two_tenants(Bytes::mib(16), 4);
-    let plan = |c: &Cluster| {
-        let host = c.world.topo.host_of_gpu(GpuId(6));
+    let mut s = world(21, DegradationPolicy::default(), Bytes::mib(16), 4);
+    let host = s.topo.host_of_gpu(GpuId(6));
+    s.faults = Some(
         FaultPlan::new()
-            .degrade_group(Nanos::from_millis(4), &spine0_links(c), 500)
+            .degrade_group(Nanos::from_millis(4), &s.topo.switch_links(SPINE0), 500)
             .at(Nanos::from_millis(6), FaultEvent::CrashHost(host))
             .at(Nanos::from_millis(9), FaultEvent::RestartHost(host))
-            .drop_control(19)
-    };
-    let first = run_one(
-        false,
-        21,
-        DegradationPolicy::default(),
-        &tenants,
-        Some(&plan),
+            .drop_control(19),
     );
-    let second = run_one(
-        false,
-        21,
-        DegradationPolicy::default(),
-        &tenants,
-        Some(&plan),
-    );
+    let first = run_one(false, &s);
+    let second = run_one(false, &s);
     assert_eq!(
         first.0, second.0,
         "doubled run diverged: something digest-visible iterates a HashMap"
@@ -308,11 +145,11 @@ fn doubled_run_digest_is_stable() {
 fn wake_scheduler_wastes_fewer_polls() {
     // Not a digest property, but the reason the scheduler exists: on an
     // idle-heavy run the oracle burns polls on parked engines.
-    let mut tenants = two_tenants(Bytes::mib(8), 3);
-    tenants[0].sleep_until = Some(Nanos::from_millis(30));
-    tenants[1].sleep_until = Some(Nanos::from_millis(60));
-    let (_, wake_wasted) = run_one(false, 5, DegradationPolicy::default(), &tenants, None);
-    let (_, naive_wasted) = run_one(true, 5, DegradationPolicy::default(), &tenants, None);
+    let mut s = world(5, DegradationPolicy::default(), Bytes::mib(8), 3);
+    s.tenants[0].start = Nanos::from_millis(30);
+    s.tenants[1].start = Nanos::from_millis(60);
+    let (_, wake_wasted) = run_one(false, &s);
+    let (_, naive_wasted) = run_one(true, &s);
     assert!(
         wake_wasted * 2 < naive_wasted,
         "wake scheduler should waste well under half the oracle's polls \
@@ -326,10 +163,10 @@ fn idle_polls_leave_the_event_queue_alone() {
     // The oracle polls every engine on every call, so re-polling at one
     // instant must not grow the event queue — here with proxies holding a
     // launched collective under an installed plan (liveness timer armed).
-    let tenants = two_tenants(Bytes::mib(64), 1);
-    let mut cluster = build_cluster(7, DegradationPolicy::default(), &tenants);
+    let mut s = world(7, DegradationPolicy::default(), Bytes::mib(64), 1);
+    s.faults = Some(FaultPlan::new());
+    let mut cluster = s.build();
     cluster.set_naive_scheduler(true);
-    cluster.install_fault_plan(FaultPlan::new());
     cluster.run_until(Nanos::from_millis(3));
     let launched = |r: &mccs_core::proxy::CommRank| r.inflight.as_ref().is_some_and(|i| i.launched);
     assert!(cluster.world.comms.values().any(launched), "mid-collective");
@@ -345,9 +182,9 @@ fn a_sleeping_program_arms_its_wake_once() {
     // The oracle polls the sleeper on every pass while the busy tenant
     // works beside it; its `SleepUntil` arms one timer for its endpoint on
     // the first blocked poll and none on the rest.
-    let mut tenants = two_tenants(Bytes::mib(64), 4);
-    tenants.truncate(1);
-    let mut cluster = build_cluster(7, DegradationPolicy::default(), &tenants);
+    let mut s = world(7, DegradationPolicy::default(), Bytes::mib(64), 4);
+    s.tenants.truncate(1);
+    let mut cluster = s.build();
     let wake_at = Nanos::from_millis(5);
     let sleeper = ScriptedProgram::new("sleeper", vec![ScriptStep::SleepUntil(wake_at)]);
     cluster.add_app(
@@ -387,19 +224,15 @@ proptest! {
     ) {
         let (mib_a, iters_a) = ta;
         let (mib_b, iters_b) = tb;
-        let mut tenants = two_tenants(Bytes::mib(mib_a), iters_a);
-        tenants[1].size = Bytes::mib(mib_b);
-        tenants[1].iters = iters_b;
-        tenants[1].sleep_until = sleep_ms.map(Nanos::from_millis);
-        let plan = fault_ms.map(|ms| {
-            move |c: &Cluster| {
-                FaultPlan::new().at(Nanos::from_millis(ms), FaultEvent::LinkDown(spine0_links(c)[0]))
-            }
+        let mut s = world(seed, DegradationPolicy::default(), Bytes::mib(mib_a), iters_a);
+        s.tenants[1].size = Bytes::mib(mib_b);
+        s.tenants[1].iters = iters_b;
+        s.tenants[1].start = sleep_ms.map_or(Nanos::ZERO, Nanos::from_millis);
+        s.faults = fault_ms.map(|ms| {
+            FaultPlan::new().at(Nanos::from_millis(ms), FaultEvent::LinkDown(s.topo.switch_links(SPINE0)[0]))
         });
-        let plan_ref: Option<&dyn Fn(&Cluster) -> FaultPlan> =
-            plan.as_ref().map(|p| p as &dyn Fn(&Cluster) -> FaultPlan);
-        let (wake, _) = run_one(false, seed, DegradationPolicy::default(), &tenants, plan_ref);
-        let (naive, _) = run_one(true, seed, DegradationPolicy::default(), &tenants, plan_ref);
+        let (wake, _) = run_one(false, &s);
+        let (naive, _) = run_one(true, &s);
         prop_assert_eq!(wake, naive, "random workload diverged (seed {})", seed);
     }
 }

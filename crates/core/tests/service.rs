@@ -2,116 +2,30 @@
 //! the shim to frontends, proxies and transports over the simulated
 //! testbed fabric.
 
+mod common;
+
+use common::{allreduce, testbed};
 use mccs_collectives::op::all_reduce_sum;
 use mccs_collectives::{bandwidth, CollectiveOp, ReduceKind, RingOrder};
 use mccs_core::config::RouteMap;
-use mccs_core::{Cluster, ClusterConfig, ServiceConfig, TrafficWindows};
+use mccs_core::{Cluster, Record, Tenant, TrafficWindows};
 use mccs_device::MemHandle;
-use mccs_ipc::{CommunicatorId, ErrorCode};
+use mccs_ipc::{AppId, CommunicatorId, ErrorCode};
 use mccs_shim::{AppProgram, AppStatus, ReqId, ScriptStep, ScriptedProgram, ShimApi};
 use mccs_sim::{Bytes, Nanos};
 use mccs_topology::{presets, GpuId, RouteId};
 use std::sync::{Arc, Mutex};
 
-/// A rank program: alloc two buffers, init the communicator, run `iters`
-/// collectives back to back.
-#[allow(clippy::too_many_arguments)]
-fn rank_program(
-    name: &str,
-    comm: CommunicatorId,
-    world: &[GpuId],
-    rank: usize,
-    op: CollectiveOp,
-    size: Bytes,
-    iters: usize,
-    start_at: Nanos,
-) -> ScriptedProgram {
-    assert!(iters >= 1);
-    ScriptedProgram::new(
-        format!("{name}/r{rank}"),
-        vec![
-            ScriptStep::Alloc { size, slot: 0 },
-            ScriptStep::Alloc { size, slot: 1 },
-            ScriptStep::CommInit {
-                comm,
-                world: world.to_vec(),
-                rank,
-            },
-            ScriptStep::SleepUntil(start_at),
-            ScriptStep::Collective {
-                comm,
-                op,
-                size,
-                send_slot: 0,
-                recv_slot: 1,
-            },
-            ScriptStep::Repeat {
-                from_step: 4,
-                times: iters - 1,
-            },
-        ],
-    )
-}
-
-fn testbed_cluster(seed: u64) -> Cluster {
-    Cluster::new(Arc::new(presets::testbed()), ClusterConfig::with_seed(seed))
-}
-
-/// Launch one app over `gpus` running `iters` collectives of `size`.
-fn spawn_app(
-    cluster: &mut Cluster,
-    name: &str,
-    comm: CommunicatorId,
-    gpus: &[GpuId],
-    op: CollectiveOp,
-    size: Bytes,
-    iters: usize,
-) -> mccs_ipc::AppId {
-    spawn_app_at(cluster, name, comm, gpus, op, size, iters, Nanos::ZERO)
-}
-
-/// Like `spawn_app` but collectives begin only at `start_at`.
-#[allow(clippy::too_many_arguments)]
-fn spawn_app_at(
-    cluster: &mut Cluster,
-    name: &str,
-    comm: CommunicatorId,
-    gpus: &[GpuId],
-    op: CollectiveOp,
-    size: Bytes,
-    iters: usize,
-    start_at: Nanos,
-) -> mccs_ipc::AppId {
-    let ranks = gpus
-        .iter()
-        .enumerate()
-        .map(|(rank, &gpu)| {
-            let prog = rank_program(name, comm, gpus, rank, op, size, iters, start_at);
-            (gpu, Box::new(prog) as Box<dyn mccs_shim::AppProgram>)
-        })
-        .collect();
-    cluster.add_app(name, ranks)
-}
-
 #[test]
 fn single_host_allreduce_uses_intra_host_channels_only() {
-    let mut cluster = testbed_cluster(1);
     let comm = CommunicatorId(1);
     let gpus = [GpuId(0), GpuId(1)];
-    spawn_app(
-        &mut cluster,
-        "local",
-        comm,
-        &gpus,
-        all_reduce_sum(),
-        Bytes::mib(16),
-        1,
-    );
+    let mut cluster = testbed(1, vec![allreduce("local", comm, &gpus, Bytes::mib(16), 1)]).build();
     let end = cluster.run_until_quiescent(Nanos::from_secs(5));
     assert!(end > Nanos::ZERO);
     // no network flows at all
     assert_eq!(cluster.world.net.flow_count(), 0);
-    let tl = cluster.mgmt().timeline(mccs_ipc::AppId(0));
+    let tl = cluster.mgmt().timeline(AppId(0));
     assert_eq!(tl.len(), 1);
     // Each of 2 ring edges carries (2*1/2)*16MiB = 16MiB at ~20GiB/s shm:
     // well under 2ms with overheads.
@@ -124,15 +38,14 @@ fn single_host_allreduce_uses_intra_host_channels_only() {
 
 #[test]
 fn four_host_allreduce_hits_line_rate() {
-    let mut cluster = testbed_cluster(2);
     let comm = CommunicatorId(7);
     // one GPU per host; world order follows hosts so the default
     // (NCCL-like) ring is already rack-contiguous.
     let gpus = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
     let size = Bytes::mib(64);
-    spawn_app(&mut cluster, "ar4", comm, &gpus, all_reduce_sum(), size, 3);
+    let mut cluster = testbed(2, vec![allreduce("ar4", comm, &gpus, size, 3)]).build();
     cluster.run_until_quiescent(Nanos::from_secs(10));
-    let tl = cluster.mgmt().timeline(mccs_ipc::AppId(0));
+    let tl = cluster.mgmt().timeline(AppId(0));
     assert_eq!(tl.len(), 3);
     for rec in &tl {
         let lat = rec.latency().expect("complete");
@@ -158,23 +71,14 @@ fn four_host_allreduce_hits_line_rate() {
 
 #[test]
 fn eight_gpu_two_channels_engage_both_nics() {
-    let mut cluster = testbed_cluster(3);
     let comm = CommunicatorId(2);
     let gpus: Vec<GpuId> = (0..8).map(GpuId).collect();
-    spawn_app(
-        &mut cluster,
-        "ar8",
-        comm,
-        &gpus,
-        all_reduce_sum(),
-        Bytes::mib(64),
-        1,
-    );
+    let mut cluster = testbed(3, vec![allreduce("ar8", comm, &gpus, Bytes::mib(64), 1)]).build();
     cluster.run_until_quiescent(Nanos::from_secs(10));
     let info = cluster.mgmt().communicator(comm).expect("registered");
     assert_eq!(info.channels, 2, "2 GPUs/host -> 2 channels");
     assert_eq!(info.registered_ranks, 8);
-    let tl = cluster.mgmt().timeline(mccs_ipc::AppId(0));
+    let tl = cluster.mgmt().timeline(AppId(0));
     assert_eq!(tl.len(), 1);
 }
 
@@ -184,12 +88,18 @@ fn allgather_latency_scales_with_op_factor() {
     // same size should take about half the time.
     let size = Bytes::mib(128);
     let run = |op: CollectiveOp, seed: u64| -> Nanos {
-        let mut cluster = testbed_cluster(seed);
         let comm = CommunicatorId(1);
         let gpus = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
-        spawn_app(&mut cluster, "x", comm, &gpus, op, size, 1);
+        let mut cluster = testbed(
+            seed,
+            vec![Tenant {
+                op,
+                ..allreduce("x", comm, &gpus, size, 1)
+            }],
+        )
+        .build();
         cluster.run_until_quiescent(Nanos::from_secs(20));
-        cluster.mgmt().timeline(mccs_ipc::AppId(0))[0]
+        cluster.mgmt().timeline(AppId(0))[0]
             .latency()
             .expect("complete")
     };
@@ -204,21 +114,12 @@ fn allgather_latency_scales_with_op_factor() {
 
 #[test]
 fn collectives_serialize_per_communicator() {
-    let mut cluster = testbed_cluster(5);
     let comm = CommunicatorId(1);
     let gpus = [GpuId(0), GpuId(2)];
     let size = Bytes::mib(32);
-    spawn_app(
-        &mut cluster,
-        "serial",
-        comm,
-        &gpus,
-        all_reduce_sum(),
-        size,
-        4,
-    );
+    let mut cluster = testbed(5, vec![allreduce("serial", comm, &gpus, size, 4)]).build();
     cluster.run_until_quiescent(Nanos::from_secs(30));
-    let tl = cluster.mgmt().timeline(mccs_ipc::AppId(0));
+    let tl = cluster.mgmt().timeline(AppId(0));
     assert_eq!(tl.len(), 4);
     for pair in tl.windows(2) {
         let prev_done = pair[0].completed_at.expect("complete");
@@ -234,20 +135,11 @@ fn collectives_serialize_per_communicator() {
 
 #[test]
 fn reconfiguration_is_safe_and_epochs_agree() {
-    let mut cluster = testbed_cluster(6);
     let comm = CommunicatorId(3);
     let gpus = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
     let size = Bytes::mib(32);
     let iters = 12;
-    spawn_app(
-        &mut cluster,
-        "reconf",
-        comm,
-        &gpus,
-        all_reduce_sum(),
-        size,
-        iters,
-    );
+    let mut cluster = testbed(6, vec![allreduce("reconf", comm, &gpus, size, iters)]).build();
     // Let a few collectives through, then reverse the ring at runtime.
     cluster.run_until(Nanos::from_millis(40));
     let info = cluster.mgmt().communicator(comm).expect("registered");
@@ -257,14 +149,14 @@ fn reconfiguration_is_safe_and_epochs_agree() {
     cluster.run_until_quiescent(Nanos::from_secs(30));
 
     // All collectives completed.
-    let tl = cluster.mgmt().timeline(mccs_ipc::AppId(0));
+    let tl = cluster.mgmt().timeline(AppId(0));
     assert_eq!(tl.len(), iters);
     // The epoch advanced.
     let info = cluster.mgmt().communicator(comm).expect("registered");
     assert_eq!(info.epoch, 1);
     // SAFETY PROPERTY: for every sequence number, all ranks executed it
     // under the same epoch.
-    let records = cluster.mgmt().trace(mccs_ipc::AppId(0));
+    let records = cluster.mgmt().trace(AppId(0));
     let mut by_seq: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
     for r in &records {
         by_seq.entry(r.seq).or_default().push(r.epoch);
@@ -286,19 +178,14 @@ fn reconfiguration_is_safe_and_epochs_agree() {
 /// one rejection per rank, the epoch unchanged, and every collective
 /// completing under epoch 0.
 fn assert_reconfiguration_refused(bad: impl FnOnce(&[RingOrder]) -> (Vec<RingOrder>, RouteMap)) {
-    let mut cluster = testbed_cluster(6);
     let comm = CommunicatorId(3);
     let gpus = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
     let iters = 6;
-    spawn_app(
-        &mut cluster,
-        "refused",
-        comm,
-        &gpus,
-        all_reduce_sum(),
-        Bytes::mib(32),
-        iters,
-    );
+    let mut cluster = testbed(
+        6,
+        vec![allreduce("refused", comm, &gpus, Bytes::mib(32), iters)],
+    )
+    .build();
     cluster.run_until(Nanos::from_millis(40));
     let info = cluster.mgmt().communicator(comm).expect("registered");
     let (rings, routes) = bad(&info.rings);
@@ -312,8 +199,8 @@ fn assert_reconfiguration_refused(bad: impl FnOnce(&[RingOrder]) -> (Vec<RingOrd
     );
     let info = cluster.mgmt().communicator(comm).expect("registered");
     assert_eq!(info.epoch, 0, "the bad epoch was never entered");
-    assert_eq!(cluster.mgmt().timeline(mccs_ipc::AppId(0)).len(), iters);
-    assert_epochs_agree(&mut cluster, mccs_ipc::AppId(0), gpus.len());
+    assert_eq!(cluster.mgmt().timeline(AppId(0)).len(), iters);
+    assert_epochs_agree(&mut cluster, AppId(0), gpus.len());
 }
 
 #[test]
@@ -364,7 +251,7 @@ fn reconfiguration_naming_a_foreign_gpu_is_rejected() {
 
 /// Check the Figure 4 safety property on a completed run: every sequence
 /// number executed under one epoch on all `ranks` ranks.
-fn assert_epochs_agree(cluster: &mut Cluster, app: mccs_ipc::AppId, ranks: usize) {
+fn assert_epochs_agree(cluster: &mut Cluster, app: AppId, ranks: usize) {
     let records = cluster.mgmt().trace(app);
     let mut by_seq: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
     for r in &records {
@@ -387,26 +274,16 @@ fn reconfiguration_survives_skewed_req_arrival() {
     // and late gossip keeps circulating past ranks that already finished
     // their barrier. The protocol must still quiesce safely.
     for seed in [11u64, 12, 13, 14] {
-        let cfg = ClusterConfig {
-            service: ServiceConfig {
-                control_jitter_frac: 8.0,
-                ..ServiceConfig::default()
-            },
-            ..ClusterConfig::with_seed(seed)
-        };
-        let mut cluster = Cluster::new(Arc::new(presets::testbed()), cfg);
         let comm = CommunicatorId(3);
         let gpus = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
         let iters = 10;
-        let app = spawn_app(
-            &mut cluster,
-            "skew",
-            comm,
-            &gpus,
-            all_reduce_sum(),
-            Bytes::mib(16),
-            iters,
+        let mut s = testbed(
+            seed,
+            vec![allreduce("skew", comm, &gpus, Bytes::mib(16), iters)],
         );
+        s.config.service.control_jitter_frac = 8.0;
+        let mut cluster = s.build();
+        let app = AppId(0);
         cluster.run_until(Nanos::from_millis(20));
         let info = cluster.mgmt().communicator(comm).expect("registered");
         let reversed: Vec<RingOrder> = info.rings.iter().map(RingOrder::reversed).collect();
@@ -427,26 +304,16 @@ fn back_to_back_reconfigurations_tolerate_late_gossip() {
     // while epoch-1 gossip may still be circulating the control ring:
     // stale messages must neither corrupt the epoch-2 barrier nor
     // deadlock it.
-    let cfg = ClusterConfig {
-        service: ServiceConfig {
-            control_jitter_frac: 8.0,
-            ..ServiceConfig::default()
-        },
-        ..ClusterConfig::with_seed(17)
-    };
-    let mut cluster = Cluster::new(Arc::new(presets::testbed()), cfg);
     let comm = CommunicatorId(3);
     let gpus = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
     let iters = 14;
-    let app = spawn_app(
-        &mut cluster,
-        "twice",
-        comm,
-        &gpus,
-        all_reduce_sum(),
-        Bytes::mib(16),
-        iters,
+    let mut s = testbed(
+        17,
+        vec![allreduce("twice", comm, &gpus, Bytes::mib(16), iters)],
     );
+    s.config.service.control_jitter_frac = 8.0;
+    let mut cluster = s.build();
+    let app = AppId(0);
     cluster.run_until(Nanos::from_millis(20));
     let info = cluster.mgmt().communicator(comm).expect("registered");
     let reversed: Vec<RingOrder> = info.rings.iter().map(RingOrder::reversed).collect();
@@ -485,7 +352,7 @@ fn communicators_with_identical_ring_shape_share_one_cache_entry() {
     // world-level cache must hold exactly one schedule both of them use:
     // the very first rank to launch derives it, every later launch — on
     // either communicator — hits.
-    let mut cluster = testbed_cluster(41);
+    let mut cluster = testbed(41, Vec::new()).build();
     let gpus = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
     let size = Bytes::mib(1);
     let progs: Vec<(GpuId, Box<dyn mccs_shim::AppProgram>)> = gpus
@@ -552,18 +419,14 @@ fn reconfiguration_keys_a_fresh_cache_entry() {
     // Epoch correctness is structural: a reconfigured ring produces a new
     // key, so the new config derives a fresh schedule (a miss) while the
     // old entry simply goes cold instead of being served stale.
-    let mut cluster = testbed_cluster(43);
     let comm = CommunicatorId(5);
     let gpus = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
-    let app = spawn_app(
-        &mut cluster,
-        "reconf",
-        comm,
-        &gpus,
-        all_reduce_sum(),
-        Bytes::mib(16),
-        8,
-    );
+    let mut cluster = testbed(
+        43,
+        vec![allreduce("reconf", comm, &gpus, Bytes::mib(16), 8)],
+    )
+    .build();
+    let app = AppId(0);
     cluster.run_until(Nanos::from_millis(20));
     let info = cluster.mgmt().communicator(comm).expect("registered");
     let reversed: Vec<RingOrder> = info.rings.iter().map(RingOrder::reversed).collect();
@@ -590,7 +453,7 @@ fn rooted_collectives_validate_buffers_per_rank() {
     // a token-sized buffer on the insignificant side must pass validation.
     let size = Bytes::mib(1);
     let run = |op: CollectiveOp, small_send: bool| {
-        let mut cluster = testbed_cluster(31);
+        let mut cluster = testbed(31, Vec::new()).build();
         let comm = CommunicatorId(1);
         let gpus = [GpuId(0), GpuId(1)];
         let progs: Vec<(GpuId, Box<dyn mccs_shim::AppProgram>)> = gpus
@@ -655,7 +518,7 @@ fn rooted_collectives_still_reject_undersized_significant_buffers() {
     // The root's send buffer for Broadcast stays significant: shrinking it
     // must still trip the service-side validation.
     let size = Bytes::mib(1);
-    let mut cluster = testbed_cluster(33);
+    let mut cluster = testbed(33, Vec::new()).build();
     let comm = CommunicatorId(1);
     let gpus = [GpuId(0), GpuId(1)];
     let progs: Vec<(GpuId, Box<dyn mccs_shim::AppProgram>)> = gpus
@@ -769,7 +632,7 @@ fn a_rooted_collective_with_an_out_of_range_root_is_refused() {
             kind: ReduceKind::Sum,
         },
     ] {
-        let mut cluster = testbed_cluster(35);
+        let mut cluster = testbed(35, Vec::new()).build();
         let answers = Arc::new(Mutex::new(Vec::new()));
         let world = vec![GpuId(0), GpuId(2)];
         let progs = world
@@ -836,30 +699,20 @@ fn pinned_routes_beat_colliding_ecmp() {
     };
 
     let run = |pin: bool, seed: u64| -> Nanos {
-        let mut cluster = testbed_cluster(seed);
         let a = CommunicatorId(colliding_pair.0);
         let b = CommunicatorId(colliding_pair.1);
         let start = Nanos::from_millis(5);
-        spawn_app_at(
-            &mut cluster,
-            "A",
-            a,
-            &gpus_a,
-            all_reduce_sum(),
-            size,
-            2,
-            start,
-        );
-        spawn_app_at(
-            &mut cluster,
-            "B",
-            b,
-            &gpus_b,
-            all_reduce_sum(),
-            size,
-            2,
-            start,
-        );
+        let tenants = vec![
+            Tenant {
+                start,
+                ..allreduce("A", a, &gpus_a, size, 2)
+            },
+            Tenant {
+                start,
+                ..allreduce("B", b, &gpus_b, size, 2)
+            },
+        ];
+        let mut cluster = testbed(seed, tenants).build();
         // wait for registration (collectives start only at 5 ms)
         cluster.run_until(Nanos::from_millis(1));
         if pin {
@@ -877,8 +730,8 @@ fn pinned_routes_beat_colliding_ecmp() {
         }
         cluster.run_until_quiescent(Nanos::from_secs(60));
         // slowest app's last completion
-        let t1 = cluster.mgmt().timeline(mccs_ipc::AppId(0));
-        let t2 = cluster.mgmt().timeline(mccs_ipc::AppId(1));
+        let t1 = cluster.mgmt().timeline(AppId(0));
+        let t2 = cluster.mgmt().timeline(AppId(1));
         t1.last()
             .expect("ran")
             .completed_at
@@ -895,19 +748,11 @@ fn pinned_routes_beat_colliding_ecmp() {
 
 #[test]
 fn traffic_windows_gate_and_release_flows() {
-    let mut cluster = testbed_cluster(8);
     let comm = CommunicatorId(1);
     let gpus = [GpuId(0), GpuId(4)];
     let size = Bytes::mib(64);
-    let app = spawn_app(
-        &mut cluster,
-        "gated",
-        comm,
-        &gpus,
-        all_reduce_sum(),
-        size,
-        2,
-    );
+    let mut cluster = testbed(8, vec![allreduce("gated", comm, &gpus, size, 2)]).build();
+    let app = AppId(0);
     // Gate the app to a 30%-duty window.
     cluster.run_until(Nanos::from_millis(1));
     cluster
@@ -930,12 +775,11 @@ fn traffic_windows_gate_and_release_flows() {
     let gated_last = gated_tl.last().expect("ran").completed_at.expect("done");
 
     // Reference run without gating.
-    let mut free = testbed_cluster(8);
-    spawn_app(&mut free, "free", comm, &gpus, all_reduce_sum(), size, 2);
+    let mut free = testbed(8, vec![allreduce("free", comm, &gpus, size, 2)]).build();
     free.run_until_quiescent(Nanos::from_secs(60));
     let free_last = free
         .mgmt()
-        .timeline(mccs_ipc::AppId(0))
+        .timeline(AppId(0))
         .last()
         .expect("ran")
         .completed_at
@@ -953,18 +797,10 @@ fn malformed_traffic_windows_rejected_without_aborting() {
     // A tenant-supplied schedule whose windows overflow the period must
     // come back as InvalidArgument — not crash the service — and leave
     // the transports untouched so traffic proceeds ungated.
-    let mut cluster = testbed_cluster(8);
     let comm = CommunicatorId(1);
     let gpus = [GpuId(0), GpuId(4)];
-    let app = spawn_app(
-        &mut cluster,
-        "tenant",
-        comm,
-        &gpus,
-        all_reduce_sum(),
-        Bytes::mib(4),
-        2,
-    );
+    let mut cluster = testbed(8, vec![allreduce("tenant", comm, &gpus, Bytes::mib(4), 2)]).build();
+    let app = AppId(0);
     // Construction refuses the bad schedule outright.
     let err = TrafficWindows::single(
         Nanos::from_millis(10),
@@ -997,7 +833,7 @@ fn invalid_buffer_is_rejected_by_the_service() {
     // A program that allocates too little for the collective it issues:
     // the service's validation must reject it (error completion), and the
     // scripted program panics on the surfaced error.
-    let mut cluster = testbed_cluster(9);
+    let mut cluster = testbed(9, Vec::new()).build();
     let comm = CommunicatorId(1);
     let gpus = [GpuId(0), GpuId(1)];
     let progs: Vec<(GpuId, Box<dyn mccs_shim::AppProgram>)> = gpus
@@ -1050,18 +886,9 @@ fn invalid_buffer_is_rejected_by_the_service() {
 
 #[test]
 fn management_sees_link_utilization() {
-    let mut cluster = testbed_cluster(21);
     let comm = CommunicatorId(1);
     let gpus = [GpuId(0), GpuId(4)];
-    spawn_app(
-        &mut cluster,
-        "util",
-        comm,
-        &gpus,
-        all_reduce_sum(),
-        Bytes::mib(256),
-        1,
-    );
+    let mut cluster = testbed(21, vec![allreduce("util", comm, &gpus, Bytes::mib(256), 1)]).build();
     // run into the middle of the transfer
     cluster.run_until(Nanos::from_millis(30));
     let hot = cluster.mgmt().hottest_link().expect("traffic in flight");
@@ -1082,17 +909,18 @@ fn management_sees_link_utilization() {
 /// fraction below healthy links that are merely busy.
 #[test]
 fn degraded_links_become_the_hottest() {
-    let mut cluster = testbed_cluster(22);
     let gpus = [GpuId(0), GpuId(4)];
-    spawn_app(
-        &mut cluster,
-        "brownout",
-        CommunicatorId(1),
-        &gpus,
-        all_reduce_sum(),
-        Bytes::mib(256),
-        1,
-    );
+    let mut cluster = testbed(
+        22,
+        vec![allreduce(
+            "brownout",
+            CommunicatorId(1),
+            &gpus,
+            Bytes::mib(256),
+            1,
+        )],
+    )
+    .build();
     cluster.run_until(Nanos::from_millis(30));
     // Both ranks' NIC uplinks (one per direction of the ring): no route
     // avoids them, whatever recovery does.
@@ -1125,25 +953,113 @@ fn degraded_links_become_the_hottest() {
 #[test]
 fn deterministic_across_identical_runs() {
     let run = || {
-        let mut cluster = testbed_cluster(42);
         let comm = CommunicatorId(1);
         let gpus = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
-        spawn_app(
-            &mut cluster,
-            "det",
-            comm,
-            &gpus,
-            all_reduce_sum(),
-            Bytes::mib(16),
-            5,
-        );
+        let mut cluster =
+            testbed(42, vec![allreduce("det", comm, &gpus, Bytes::mib(16), 5)]).build();
         cluster.run_until_quiescent(Nanos::from_secs(30));
         cluster
             .mgmt()
-            .timeline(mccs_ipc::AppId(0))
+            .timeline(AppId(0))
             .iter()
             .map(|r| r.completed_at.expect("done"))
             .collect::<Vec<_>>()
     };
     assert_eq!(run(), run(), "same seed must reproduce identical timings");
+}
+
+/// One rank that sends `inits` `CommInit`s of communicator 9 over `world`
+/// as rank 0, one after the other, and records each answer: `Ok(())` for
+/// an init completion, `Err(code)` for an error completion.
+struct InitEach {
+    world: Vec<GpuId>,
+    inits: usize,
+    pending: Option<ReqId>,
+    answers: Arc<Mutex<Vec<Result<(), ErrorCode>>>>,
+}
+
+impl AppProgram for InitEach {
+    fn poll(&mut self, api: &mut ShimApi<'_>) -> AppStatus {
+        loop {
+            api.pump();
+            match self.pending {
+                None if self.answers.lock().unwrap().len() == self.inits => {
+                    return AppStatus::Finished
+                }
+                None => {
+                    let world = self.world.clone();
+                    self.pending = Some(api.comm_init_rank(CommunicatorId(9), world, 0));
+                }
+                Some(req) => {
+                    let answer = match (api.comm_result(req), api.error_code(req)) {
+                        (Some(_), _) => Ok(()),
+                        (_, Some(code)) => Err(code),
+                        _ => return AppStatus::Blocked,
+                    };
+                    self.answers.lock().unwrap().push(answer);
+                    self.pending = None;
+                }
+            }
+        }
+    }
+}
+
+/// A one-rank tenant on GPU 1 sends `inits` `CommInit`s over `world`
+/// beside a healthy tenant on rack 1. The tenant gets `expect`, the world
+/// quiesces, and the healthy tenant's trace equals its solo run (IPC
+/// jitter 0, the precondition of the tenant-independence relation in
+/// `tests/relations.rs`).
+fn assert_init_refused(world: Vec<GpuId>, inits: usize, expect: Vec<Result<(), ErrorCode>>) {
+    let healthy = allreduce(
+        "healthy",
+        CommunicatorId(1),
+        &[GpuId(4), GpuId(6)],
+        Bytes::mib(8),
+        3,
+    );
+    let mut s = testbed(19, vec![healthy]);
+    s.config.ipc.jitter_frac = 0.0;
+    let solo = s.run(Nanos::from_secs(5));
+    let mut cluster = s.build();
+    let answers = Arc::new(Mutex::new(Vec::new()));
+    let bad = InitEach {
+        world,
+        inits,
+        pending: None,
+        answers: Arc::clone(&answers),
+    };
+    cluster.add_app(
+        "bad",
+        vec![(GpuId(1), Box::new(bad) as Box<dyn AppProgram>)],
+    );
+    let end = cluster.run_until_quiescent(Nanos::from_secs(5));
+    assert_eq!(*answers.lock().unwrap(), expect);
+    assert_eq!(Record::of(&cluster, end).traces[0], solo.traces[0]);
+}
+
+#[test]
+fn comm_init_naming_a_gpu_outside_the_cluster_is_refused() {
+    assert_init_refused(
+        vec![GpuId(1), GpuId(99)],
+        1,
+        vec![Err(ErrorCode::InvalidArgument)],
+    );
+}
+
+#[test]
+fn comm_init_naming_a_gpu_twice_is_refused() {
+    assert_init_refused(
+        vec![GpuId(1), GpuId(1)],
+        1,
+        vec![Err(ErrorCode::InvalidArgument)],
+    );
+}
+
+#[test]
+fn a_second_comm_init_of_a_rank_is_refused() {
+    assert_init_refused(
+        vec![GpuId(1)],
+        2,
+        vec![Ok(()), Err(ErrorCode::InvalidUsage)],
+    );
 }

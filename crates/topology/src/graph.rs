@@ -238,6 +238,17 @@ impl Topology {
         &self.switch_in[sw.index()]
     }
 
+    /// Every link into or out of `sw`, in ascending id order: one
+    /// switch's failure or brownout domain.
+    pub fn switch_links(&self, sw: SwitchId) -> Vec<LinkId> {
+        let at = Endpoint::Switch(sw);
+        self.links
+            .iter()
+            .filter(|l| l.from == at || l.to == at)
+            .map(|l| l.id)
+            .collect()
+    }
+
     /// Total GPU count.
     pub fn gpu_count(&self) -> usize {
         self.gpus.len()

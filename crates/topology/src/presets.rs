@@ -55,7 +55,8 @@ impl SpineLeafConfig {
     }
 }
 
-/// Build a two-tier spine-leaf fabric (single pod).
+/// Build a two-tier spine-leaf fabric (single pod). Spine `i` is
+/// `SwitchId(i)` and the leaf of rack `j` is `SwitchId(spines + j)`.
 pub fn spine_leaf(cfg: &SpineLeafConfig) -> Topology {
     assert!(cfg.spines > 0 && cfg.leaves > 0, "degenerate fabric");
     let mut b = TopologyBuilder::new();

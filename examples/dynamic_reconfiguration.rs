@@ -11,11 +11,10 @@
 
 use mccs::collectives::op::all_reduce_sum;
 use mccs::collectives::{algo_bandwidth, RingOrder};
-use mccs::ipc::CommunicatorId;
+use mccs::ipc::{AppId, CommunicatorId};
 use mccs::netsim::FlowSpec;
 use mccs::service::config::RouteMap;
-use mccs::service::{Cluster, ClusterConfig};
-use mccs::shim::{AppProgram, ScriptStep, ScriptedProgram};
+use mccs::service::{Cluster, ClusterConfig, Scenario, Tenant};
 use mccs::sim::{Bandwidth, Bytes, Nanos};
 use mccs::topology::{GpuId, NicId, PodId, SwitchRole, TopologyBuilder};
 use std::sync::Arc;
@@ -41,43 +40,25 @@ fn ring_with_traffic_hosts() -> mccs::topology::Topology {
 }
 
 fn main() {
-    let topo = Arc::new(ring_with_traffic_hosts());
-    let mut cluster = Cluster::new(Arc::clone(&topo), ClusterConfig::default());
-
     let comm = CommunicatorId(1);
-    let gpus: Vec<GpuId> = (0..8).map(GpuId).collect();
     let size = Bytes::mib(64);
-    let ranks = gpus
-        .iter()
-        .enumerate()
-        .map(|(rank, &gpu)| {
-            let program = ScriptedProgram::new(
-                format!("ar/r{rank}"),
-                vec![
-                    ScriptStep::Alloc { size, slot: 0 },
-                    ScriptStep::Alloc { size, slot: 1 },
-                    ScriptStep::CommInit {
-                        comm,
-                        world: gpus.clone(),
-                        rank,
-                    },
-                    ScriptStep::Collective {
-                        comm,
-                        op: all_reduce_sum(),
-                        size,
-                        send_slot: 0,
-                        recv_slot: 1,
-                    },
-                    ScriptStep::Repeat {
-                        from_step: 3,
-                        times: 299,
-                    },
-                ],
-            );
-            (gpu, Box::new(program) as Box<dyn AppProgram>)
-        })
-        .collect();
-    let app = cluster.add_app("ar8", ranks);
+    let ar8 = Tenant {
+        name: "ar8".to_owned(),
+        comm,
+        gpus: (0..8).map(GpuId).collect(),
+        op: all_reduce_sum(),
+        size,
+        iters: 300,
+        start: Nanos::ZERO,
+    };
+    let mut cluster = Scenario {
+        topo: Arc::new(ring_with_traffic_hosts()),
+        config: ClusterConfig::default(),
+        tenants: vec![ar8],
+        faults: None,
+    }
+    .build();
+    let app = AppId(0);
 
     let report = |cluster: &mut Cluster, label: &str, from: Nanos, to: Nanos| {
         let samples: Vec<f64> = cluster

@@ -9,57 +9,38 @@
 
 use mccs::collectives::op::all_reduce_sum;
 use mccs::collectives::{algo_bandwidth, bus_bandwidth};
-use mccs::ipc::CommunicatorId;
-use mccs::service::{Cluster, ClusterConfig};
-use mccs::shim::{AppProgram, ScriptStep, ScriptedProgram};
+use mccs::ipc::{AppId, CommunicatorId};
+use mccs::service::{ClusterConfig, Scenario, Tenant};
 use mccs::sim::{Bytes, Nanos};
 use mccs::topology::{presets, GpuId};
 use std::sync::Arc;
 
 fn main() {
+    // The tenant's side: four ranks, one per host, each running the same
+    // NCCL-shaped program — allocate two buffers, init the communicator,
+    // then issue `iters` AllReduces back to back.
+    let size = Bytes::mib(64);
+    let tenant = Tenant {
+        name: "quickstart".to_owned(),
+        comm: CommunicatorId(1),
+        gpus: vec![GpuId(0), GpuId(2), GpuId(4), GpuId(6)],
+        op: all_reduce_sum(),
+        size,
+        iters: 5,
+        start: Nanos::ZERO,
+    };
+    let ranks = tenant.gpus.len();
+
     // The provider's side: the physical testbed (2 racks x 2 hosts x
     // 2 GPUs, 50 Gbps NICs, 2x oversubscription) and the service.
-    let topo = Arc::new(presets::testbed());
-    let mut cluster = Cluster::new(Arc::clone(&topo), ClusterConfig::default());
-
-    // The tenant's side: four ranks, one per host, each running the same
-    // NCCL-shaped program.
-    let comm = CommunicatorId(1);
-    let gpus = vec![GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
-    let size = Bytes::mib(64);
-    let iters = 5;
-
-    let ranks = gpus
-        .iter()
-        .enumerate()
-        .map(|(rank, &gpu)| {
-            let program = ScriptedProgram::new(
-                format!("quickstart/r{rank}"),
-                vec![
-                    ScriptStep::Alloc { size, slot: 0 },
-                    ScriptStep::Alloc { size, slot: 1 },
-                    ScriptStep::CommInit {
-                        comm,
-                        world: gpus.clone(),
-                        rank,
-                    },
-                    ScriptStep::Collective {
-                        comm,
-                        op: all_reduce_sum(),
-                        size,
-                        send_slot: 0,
-                        recv_slot: 1,
-                    },
-                    ScriptStep::Repeat {
-                        from_step: 3,
-                        times: iters - 1,
-                    },
-                ],
-            );
-            (gpu, Box::new(program) as Box<dyn AppProgram>)
-        })
-        .collect();
-    let app = cluster.add_app("quickstart", ranks);
+    let scenario = Scenario {
+        topo: Arc::new(presets::testbed()),
+        config: ClusterConfig::default(),
+        tenants: vec![tenant],
+        faults: None,
+    };
+    let mut cluster = scenario.build();
+    let app = AppId(0);
 
     // Run to completion in virtual time.
     let end = cluster.run_until_quiescent(Nanos::from_secs(30));
@@ -74,7 +55,7 @@ fn main() {
             rec.seq,
             format!("{lat}"),
             algo_bandwidth(size, lat).as_gbytes_per_sec(),
-            bus_bandwidth(rec.op, gpus.len(), size, lat).as_gbytes_per_sec(),
+            bus_bandwidth(rec.op, ranks, size, lat).as_gbytes_per_sec(),
         );
     }
     println!(

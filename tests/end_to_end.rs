@@ -6,60 +6,21 @@ use mccs::baseline::{BaselineConfig, BaselineJob, Phase, RingChoice};
 use mccs::collectives::op::all_reduce_sum;
 use mccs::collectives::{algo_bandwidth, CollectiveOp};
 use mccs::control::{optimize_cluster, PolicySpec};
-use mccs::ipc::CommunicatorId;
-use mccs::service::{Cluster, ClusterConfig};
-use mccs::shim::{AppProgram, ScriptStep, ScriptedProgram};
+use mccs::ipc::{AppId, CommunicatorId};
+use mccs::service::{Cluster, ClusterConfig, Scenario, Tenant};
 use mccs::sim::{Bytes, Nanos};
 use mccs::topology::{presets, GpuId};
 use std::sync::Arc;
 
-fn testbed() -> Cluster {
-    Cluster::new(Arc::new(presets::testbed()), ClusterConfig::with_seed(99))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn scripted_app(
-    cluster: &mut Cluster,
-    name: &str,
-    comm: CommunicatorId,
-    gpus: &[GpuId],
-    op: CollectiveOp,
-    size: Bytes,
-    iters: usize,
-    start: Nanos,
-) -> mccs::ipc::AppId {
-    let ranks = gpus
-        .iter()
-        .enumerate()
-        .map(|(rank, &gpu)| {
-            let prog = ScriptedProgram::new(
-                format!("{name}/r{rank}"),
-                vec![
-                    ScriptStep::Alloc { size, slot: 0 },
-                    ScriptStep::Alloc { size, slot: 1 },
-                    ScriptStep::CommInit {
-                        comm,
-                        world: gpus.to_vec(),
-                        rank,
-                    },
-                    ScriptStep::SleepUntil(start),
-                    ScriptStep::Collective {
-                        comm,
-                        op,
-                        size,
-                        send_slot: 0,
-                        recv_slot: 1,
-                    },
-                    ScriptStep::Repeat {
-                        from_step: 4,
-                        times: iters - 1,
-                    },
-                ],
-            );
-            (gpu, Box::new(prog) as Box<dyn AppProgram>)
-        })
-        .collect();
-    cluster.add_app(name, ranks)
+/// The testbed at seed 99 with `tenants` attached.
+fn testbed(tenants: Vec<Tenant>) -> Cluster {
+    Scenario {
+        topo: Arc::new(presets::testbed()),
+        config: ClusterConfig::with_seed(99),
+        tenants,
+        faults: None,
+    }
+    .build()
 }
 
 /// The controller's locality-aware reconfiguration rescues a tenant whose
@@ -83,17 +44,17 @@ fn controller_rescues_bad_vm_order() {
     let size = Bytes::mib(128);
 
     let run = |optimize: bool| -> f64 {
-        let mut cluster = testbed();
-        let app = scripted_app(
-            &mut cluster,
-            "t",
-            CommunicatorId(5),
-            &vm_order,
-            all_reduce_sum(),
+        let tenant = Tenant {
+            name: "t".to_owned(),
+            comm: CommunicatorId(5),
+            gpus: vm_order.clone(),
+            op: all_reduce_sum(),
             size,
-            3,
-            Nanos::from_millis(10),
-        );
+            iters: 3,
+            start: Nanos::from_millis(10),
+        };
+        let mut cluster = testbed(vec![tenant]);
+        let app = AppId(0);
         cluster.run_until(Nanos::from_millis(2));
         if optimize {
             optimize_cluster(&mut cluster, &PolicySpec::mccs());
@@ -121,18 +82,17 @@ fn controller_rescues_bad_vm_order() {
 /// complete, and the shared links are split between them.
 #[test]
 fn service_and_library_tenants_coexist() {
-    let mut cluster = testbed();
-    let svc_gpus = vec![GpuId(0), GpuId(4)];
-    let app = scripted_app(
-        &mut cluster,
-        "svc",
-        CommunicatorId(1),
-        &svc_gpus,
-        all_reduce_sum(),
-        Bytes::mib(64),
-        3,
-        Nanos::from_millis(5),
-    );
+    let tenant = Tenant {
+        name: "svc".to_owned(),
+        comm: CommunicatorId(1),
+        gpus: vec![GpuId(0), GpuId(4)],
+        op: all_reduce_sum(),
+        size: Bytes::mib(64),
+        iters: 3,
+        start: Nanos::from_millis(5),
+    };
+    let mut cluster = testbed(vec![tenant]);
+    let app = AppId(0);
     let lib = BaselineJob::spawn(
         &mut cluster,
         "lib",
@@ -158,19 +118,16 @@ fn service_and_library_tenants_coexist() {
 /// owns the handle, free returns the device memory.
 #[test]
 fn memory_roundtrip_through_the_service() {
-    let mut cluster = testbed();
-    let comm = CommunicatorId(1);
-    let gpus = vec![GpuId(0), GpuId(1)];
-    scripted_app(
-        &mut cluster,
-        "mem",
-        comm,
-        &gpus,
-        all_reduce_sum(),
-        Bytes::mib(8),
-        1,
-        Nanos::ZERO,
-    );
+    let tenant = Tenant {
+        name: "mem".to_owned(),
+        comm: CommunicatorId(1),
+        gpus: vec![GpuId(0), GpuId(1)],
+        op: all_reduce_sum(),
+        size: Bytes::mib(8),
+        iters: 1,
+        start: Nanos::ZERO,
+    };
+    let mut cluster = testbed(vec![tenant]);
     cluster.run_until_quiescent(Nanos::from_secs(10));
     // Two ranks x two 8 MiB buffers remain allocated service-side.
     assert_eq!(cluster.world.devices.used_memory(GpuId(0)), Bytes::mib(16));
@@ -193,17 +150,17 @@ fn op_zoo_latency_ordering() {
     .into_iter()
     .enumerate()
     {
-        let mut cluster = testbed();
-        let app = scripted_app(
-            &mut cluster,
-            "ops",
-            CommunicatorId(10 + i as u64),
-            &[GpuId(0), GpuId(2), GpuId(4), GpuId(6)],
+        let tenant = Tenant {
+            name: "ops".to_owned(),
+            comm: CommunicatorId(10 + i as u64),
+            gpus: vec![GpuId(0), GpuId(2), GpuId(4), GpuId(6)],
             op,
             size,
-            1,
-            Nanos::from_millis(5),
-        );
+            iters: 1,
+            start: Nanos::from_millis(5),
+        };
+        let mut cluster = testbed(vec![tenant]);
+        let app = AppId(0);
         cluster.run_until_quiescent(Nanos::from_secs(60));
         let l = cluster.mgmt().tenant_latencies(app);
         lat.push((d_minus_i(&l[0]), op));
@@ -228,17 +185,17 @@ fn d_minus_i(rec: &(u64, Nanos, Nanos)) -> Nanos {
 #[test]
 fn facade_runs_are_deterministic() {
     let run = || {
-        let mut cluster = testbed();
-        let app = scripted_app(
-            &mut cluster,
-            "det",
-            CommunicatorId(2),
-            &[GpuId(0), GpuId(2), GpuId(4), GpuId(6)],
-            all_reduce_sum(),
-            Bytes::mib(32),
-            4,
-            Nanos::from_millis(5),
-        );
+        let tenant = Tenant {
+            name: "det".to_owned(),
+            comm: CommunicatorId(2),
+            gpus: vec![GpuId(0), GpuId(2), GpuId(4), GpuId(6)],
+            op: all_reduce_sum(),
+            size: Bytes::mib(32),
+            iters: 4,
+            start: Nanos::from_millis(5),
+        };
+        let mut cluster = testbed(vec![tenant]);
+        let app = AppId(0);
         cluster.run_until(Nanos::from_millis(2));
         optimize_cluster(&mut cluster, &PolicySpec::mccs());
         cluster.run_until_quiescent(Nanos::from_secs(60));

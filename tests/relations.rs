@@ -1,0 +1,193 @@
+//! Metamorphic relations over whole worlds: two runs that differ by a
+//! transform the service must not notice produce the same per-tenant
+//! traces, through shim, frontend, proxy, transport and netsim.
+//!
+//! * **R1, tenant independence.** A tenant added *last*, on GPUs and
+//!   links disjoint from tenant 0's, leaves tenant 0's trace
+//!   bit-identical. Precondition: IPC jitter 0. Every IPC hop draws its
+//!   latency from the one world RNG in poll order, so at the default
+//!   jitter the newcomer's messages shift tenant 0's samples; that
+//!   coupling is a known deviation (EXPERIMENTS.md), not something this
+//!   relation hides. Adding the newcomer last keeps tenant 0's `AppId`
+//!   and its endpoints' RNG forks unchanged.
+//! * **R2, relabelling.** Moving a tenant to another placement of the
+//!   same shape — a translation that keeps rank order, host sharing and
+//!   rack crossings — leaves every trace identical, at jitter 0 and at the
+//!   default jitter alike.
+//!
+//! Each relation has a live break: a transform that does change what the
+//! service sees (sharing tenant 0's GPUs, packing two ranks onto one
+//! host) must change the trace, so the relation is known to detect it.
+//!
+//! Run: `cargo test --test relations`
+
+use mccs::collectives::op::all_reduce_sum;
+use mccs::ipc::CommunicatorId;
+use mccs::service::{ClusterConfig, Scenario, Tenant};
+use mccs::sim::{Bandwidth, Bytes, Nanos};
+use mccs::topology::presets::{self, SpineLeafConfig};
+use mccs::topology::GpuId;
+use std::sync::Arc;
+
+const DEADLINE: Nanos = Nanos::from_secs(30);
+
+fn gpus(ids: &[u32]) -> Vec<GpuId> {
+    ids.iter().copied().map(GpuId).collect()
+}
+
+/// Three 16 MiB AllReduces over `gpus` on communicator `comm`.
+fn tenant(name: &str, comm: u64, gpus: Vec<GpuId>) -> Tenant {
+    Tenant {
+        name: name.to_owned(),
+        comm: CommunicatorId(comm),
+        gpus,
+        op: all_reduce_sum(),
+        size: Bytes::mib(16),
+        iters: 3,
+        start: Nanos::ZERO,
+    }
+}
+
+/// Tenant "a" alone on the testbed (2 racks x 2 hosts x 2 GPUs; host
+/// `h` owns GPUs `2h` and `2h + 1`).
+fn testbed(a: &[u32]) -> Scenario {
+    Scenario {
+        topo: Arc::new(presets::testbed()),
+        config: ClusterConfig::with_seed(5),
+        tenants: vec![tenant("a", 1, gpus(a))],
+        faults: None,
+    }
+}
+
+/// Tenant "a" alone on 128 GPUs: 4 spines x 4 leaves x 4 hosts x 8 GPUs
+/// at 200G, so GPU `32 r + 8 h + s` is slot `s` of host `h` in rack `r`.
+fn fabric128(a: &[u32]) -> Scenario {
+    let topo = presets::spine_leaf(&SpineLeafConfig {
+        spines: 4,
+        leaves: 4,
+        hosts_per_leaf: 4,
+        gpus_per_host: 8,
+        nic_bandwidth: Bandwidth::gbps(200.0),
+        leaf_spine_bandwidth: Bandwidth::gbps(200.0),
+    });
+    Scenario {
+        topo: Arc::new(topo),
+        config: ClusterConfig::with_seed(5),
+        tenants: vec![tenant("a", 1, gpus(a))],
+        faults: None,
+    }
+}
+
+/// Slot `slot` of every host in rack `rack` of the 128-GPU fabric.
+fn rack_slot(rack: u32, slot: u32) -> Vec<u32> {
+    (0..4).map(|host| 32 * rack + 8 * host + slot).collect()
+}
+
+// ---------------------------------------------------------------------------
+// Transforms
+// ---------------------------------------------------------------------------
+
+/// IPC latencies at their base values: no hop draws from the world RNG.
+fn without_jitter(mut s: Scenario) -> Scenario {
+    s.config.ipc.jitter_frac = 0.0;
+    s
+}
+
+/// Append tenant "b" on `b`, starting at `start`.
+fn add_last(mut s: Scenario, b: &[u32], start: Nanos) -> Scenario {
+    s.tenants.push(Tenant {
+        start,
+        ..tenant("b", 2, gpus(b))
+    });
+    s
+}
+
+/// Move tenant 0's rank `r` to `to[r]`.
+fn relabel(mut s: Scenario, to: &[u32]) -> Scenario {
+    assert_eq!(to.len(), s.tenants[0].gpus.len(), "relabelling keeps ranks");
+    s.tenants[0].gpus = gpus(to);
+    s
+}
+
+// ---------------------------------------------------------------------------
+// Relations
+// ---------------------------------------------------------------------------
+
+/// Run `s`, checking every collective of every tenant completed.
+fn traces(s: &Scenario) -> Vec<Vec<mccs::service::TraceRecord>> {
+    let record = s.run(DEADLINE);
+    for (t, trace) in s.tenants.iter().zip(&record.traces) {
+        assert_eq!(
+            trace.len(),
+            t.gpus.len() * t.iters,
+            "{} lost records",
+            t.name
+        );
+        assert!(trace.iter().all(|r| r.completed_at.is_some()));
+    }
+    record.traces
+}
+
+/// R1: whether tenant "b" on `b` from `start`, added last, leaves tenant
+/// 0's trace bit-identical.
+fn independent(s: &Scenario, b: &[u32], start: Nanos) -> bool {
+    traces(s)[0] == traces(&add_last(s.clone(), b, start))[0]
+}
+
+/// R2: whether moving tenant 0 to `to` leaves every trace identical.
+fn relabelling_invariant(s: &Scenario, to: &[u32]) -> bool {
+    traces(s) == traces(&relabel(s.clone(), to))
+}
+
+#[test]
+fn r1_a_disjoint_tenant_added_last_leaves_the_first_untouched() {
+    let s = without_jitter(testbed(&[0, 2]));
+    // The other rack, from the start and mid-run.
+    assert!(independent(&s, &[4, 6], Nanos::ZERO));
+    assert!(independent(&s, &[4, 6], Nanos::from_micros(333)));
+    // The same hosts and leaf, the other NIC of each host.
+    assert!(independent(&s, &[1, 3], Nanos::ZERO));
+
+    let s = without_jitter(fabric128(&rack_slot(0, 0)));
+    assert!(independent(&s, &rack_slot(1, 0), Nanos::ZERO));
+}
+
+#[test]
+fn r1_breaks_when_the_newcomer_shares_the_first_tenants_gpus() {
+    let s = without_jitter(testbed(&[0, 2]));
+    assert!(!independent(&s, &[0, 2], Nanos::ZERO));
+    let s = without_jitter(fabric128(&rack_slot(0, 0)));
+    assert!(!independent(&s, &rack_slot(0, 0), Nanos::ZERO));
+}
+
+#[test]
+fn r2_translating_a_placement_leaves_the_traces_identical() {
+    for jitter in [false, true] {
+        let world = |s: Scenario| if jitter { s } else { without_jitter(s) };
+        // Within a rack, to the other rack and to the other NICs.
+        let s = world(testbed(&[0, 2]));
+        assert!(relabelling_invariant(&s, &[4, 6]), "jitter {jitter}");
+        assert!(relabelling_invariant(&s, &[1, 3]), "jitter {jitter}");
+        // Across the racks.
+        let s = world(testbed(&[0, 4]));
+        assert!(relabelling_invariant(&s, &[2, 6]), "jitter {jitter}");
+        assert!(relabelling_invariant(&s, &[1, 5]), "jitter {jitter}");
+        let s = world(fabric128(&rack_slot(0, 0)));
+        assert!(
+            relabelling_invariant(&s, &rack_slot(1, 3)),
+            "jitter {jitter}"
+        );
+    }
+}
+
+#[test]
+fn r2_reversing_rank_order_keeps_the_sorted_trace_at_jitter_zero() {
+    let s = without_jitter(testbed(&[0, 2]));
+    assert!(relabelling_invariant(&s, &[2, 0]));
+}
+
+#[test]
+fn r2_breaks_when_the_ranks_move_onto_one_host() {
+    let s = without_jitter(testbed(&[0, 2]));
+    assert!(!relabelling_invariant(&s, &[0, 1]));
+}

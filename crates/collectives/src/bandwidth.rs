@@ -1,4 +1,4 @@
-//! Algorithm and bus bandwidth (NCCL-tests definitions, paper ref [25]).
+//! Algorithm and bus bandwidth (NCCL-tests definitions, paper ref \[25\]).
 //!
 //! * **Algorithm bandwidth** (`algbw`) — buffer size divided by execution
 //!   time; what Figure 6 plots.

@@ -189,7 +189,7 @@ fn walk<'a>(
 ///   preserve when the seam splits a host's GPU run: the NIC rule picks
 ///   from each host's GPUs in ring-traversal order, so two rotations of
 ///   the same cyclic order can assign different NICs. The key stores the
-///   very [`host_pairs`] vector the walk resolves NICs against, so a key
+///   very `host_pairs` vector the walk resolves NICs against, so a key
 ///   hit implies identical NIC assignment too.
 ///
 /// Equal keys may still produce task lists in a rotated order, but

@@ -1,8 +1,8 @@
 //! Tenant application engines.
 //!
 //! One [`AppEngine`] per rank: it owns the rank's [`ShimSession`] and its
-//! [`AppProgram`](mccs_shim::AppProgram), and on each poll hands the
-//! program a [`ShimApi`](mccs_shim::ShimApi) scoped to the rank's endpoint.
+//! [`AppProgram`], and on each poll hands the
+//! program a [`ShimApi`] scoped to the rank's endpoint.
 //! From the world's perspective the tenant is just another engine —
 //! but one whose only access is the shim surface (queues, own streams,
 //! handles): the isolation boundary of the paper.

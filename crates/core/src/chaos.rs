@@ -3,7 +3,7 @@
 //! A [`ChaosDriver`] wraps a [`Cluster`] and interleaves stepping with
 //! live fault control: run to an instant, look at the world, decide to
 //! partition a rack or crash a host *now*, keep running. Every fault
-//! goes through the same [`FaultPlan`] machinery a pre-scripted run
+//! goes through the same [`FaultPlan`](mccs_netsim::FaultPlan) machinery a pre-scripted run
 //! uses — the driver appends events to the installed plan at the current
 //! virtual clock and fires them before any engine polls at that instant.
 //!
@@ -53,7 +53,7 @@ pub struct ChaosDriver<'c> {
 }
 
 impl<'c> ChaosDriver<'c> {
-    /// Wrap `cluster`. Installs an empty [`FaultPlan`] if none is
+    /// Wrap `cluster`. Installs an empty [`FaultPlan`](mccs_netsim::FaultPlan) if none is
     /// present so the fault machinery (liveness timers, retry timers,
     /// the recovery engine) is active from the start — exactly as it
     /// would be under a pre-scripted plan installed before the run.

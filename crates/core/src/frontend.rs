@@ -109,7 +109,7 @@ impl FrontendEngine {
                         ErrorCode::InvalidArgument,
                         format!("{} appears twice in the world of {comm}", dup[0]),
                     ))
-                } else if w.comms.contains_key(&(comm, gpu)) {
+                } else if w.comms.contains(&(comm, gpu)) {
                     Some((
                         ErrorCode::InvalidUsage,
                         format!("{comm} is already initialized on {gpu}"),

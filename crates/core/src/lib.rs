@@ -38,6 +38,7 @@
 pub mod app;
 pub mod chaos;
 pub mod cluster;
+pub mod comms;
 pub mod config;
 pub mod error;
 pub mod explore;

@@ -90,7 +90,8 @@ pub enum ReconfigState {
 pub type PendingGossip = (u64, CollectiveConfig, BTreeMap<usize, Option<u64>>, usize);
 
 /// One communicator rank's service-side state (lives in
-/// [`World::comms`](crate::world::World) so the management API can see it).
+/// [`World::comms`](crate::world::World::comms) so the management API can
+/// see it).
 #[derive(Debug)]
 pub struct CommRank {
     /// Owning application.
@@ -215,35 +216,32 @@ impl ProxyEngine {
                 // The frontend refuses a second init of a registered
                 // rank, but two inits sent within one hop both pass it:
                 // the first registration stands and the second is dropped.
-                if w.comms.contains_key(&(comm, self.gpu)) {
+                if w.comms.contains(&(comm, self.gpu)) {
                     return;
                 }
                 let config = CollectiveConfig::default_for(&w.topo, &world);
-                w.comm_insert(
-                    (comm, self.gpu),
-                    CommRank {
-                        app,
-                        endpoint,
-                        comm,
-                        world_gpus: world,
-                        rank,
-                        gpu: self.gpu,
-                        comm_event,
-                        streams: Vec::new(),
-                        config,
-                        next_seq: 0,
-                        last_launched: None,
-                        queue: VecDeque::new(),
-                        inflight: None,
-                        reconfig: ReconfigState::Normal,
-                        resume_at: Nanos::ZERO,
-                        pending_gossip: Vec::new(),
-                        barrier_since: None,
-                        gossip_armed: None,
-                        last_barrier: None,
-                        controller_incarnation: 0,
-                    },
-                );
+                w.comms.insert(CommRank {
+                    app,
+                    endpoint,
+                    comm,
+                    world_gpus: world,
+                    rank,
+                    gpu: self.gpu,
+                    comm_event,
+                    streams: Vec::new(),
+                    config,
+                    next_seq: 0,
+                    last_launched: None,
+                    queue: VecDeque::new(),
+                    inflight: None,
+                    reconfig: ReconfigState::Normal,
+                    resume_at: Nanos::ZERO,
+                    pending_gossip: Vec::new(),
+                    barrier_since: None,
+                    gossip_armed: None,
+                    last_barrier: None,
+                    controller_incarnation: 0,
+                });
             }
             ProxyMsg::Collective {
                 endpoint,
@@ -268,7 +266,7 @@ impl ProxyEngine {
                         ))
                         .completion(req),
                     );
-                } else if w.comm_remove(key).is_some() {
+                } else if w.comms.remove(&key).is_some() {
                     // The schedule cache needs no cleanup: entries are
                     // keyed by ring shape, not communicator, and other
                     // communicators with the same shape may still use them.
@@ -304,7 +302,7 @@ impl ProxyEngine {
         coll: CollectiveRequest,
     ) {
         let key = (coll.comm, self.gpu);
-        let Some(rank) = w.comms.get(&key) else {
+        let Some(rank) = w.comms.get_mut(&key) else {
             w.send_completion(
                 endpoint,
                 ServiceError::invalid_usage(format!(
@@ -315,15 +313,15 @@ impl ProxyEngine {
             );
             return;
         };
+        let n = rank.size();
         // A root no rank holds leaves a rooted op without its source or
         // sink (NCCL: ncclInvalidArgument).
         if let CollectiveOp::Broadcast { root } | CollectiveOp::Reduce { root, .. } = coll.op {
-            if root >= rank.size() {
+            if root >= n {
                 w.send_completion(
                     endpoint,
                     ServiceError::invalid_argument(format!(
-                        "root {root} out of range for {} ranks",
-                        rank.size()
+                        "root {root} out of range for {n} ranks"
                     ))
                     .completion(req),
                 );
@@ -331,7 +329,7 @@ impl ProxyEngine {
             }
         }
         // Validate tenant buffer ranges (the §4.1 service-side check).
-        let (send_bytes, recv_bytes) = buffer_demands(coll.op, coll.size, rank.size(), rank.rank);
+        let (send_bytes, recv_bytes) = buffer_demands(coll.op, coll.size, n, rank.rank);
         let send_ok = w
             .devices
             .validate(coll.send.0, coll.send.1, send_bytes.as_u64());
@@ -346,7 +344,6 @@ impl ProxyEngine {
             );
             return;
         }
-        let rank = w.comms.get_mut(&key).expect("checked above");
         let seq = rank.next_seq;
         rank.next_seq += 1;
         let (app, rank_idx, op, size) = (rank.app, rank.rank, coll.op, coll.size);
@@ -364,7 +361,7 @@ impl ProxyEngine {
         config: CollectiveConfig,
     ) {
         let key = (comm, self.gpu);
-        let Some(rank) = w.comms.get(&key) else {
+        let Some(rank) = w.comms.get_mut(&key) else {
             // A corrective Req can race a teardown; count it rather than
             // bring the service down.
             return reject_reconfig(w, comm);
@@ -379,12 +376,8 @@ impl ProxyEngine {
         if incarnation > rank.controller_incarnation {
             // First word from a newer incarnation: raise the fence even
             // if this particular request ends up rejected below.
-            w.comms
-                .get_mut(&key)
-                .expect("rank just looked up")
-                .controller_incarnation = incarnation;
+            rank.controller_incarnation = incarnation;
         }
-        let rank = w.comms.get(&key).expect("rank just looked up");
         match &rank.reconfig {
             ReconfigState::Normal if config.epoch == rank.config.epoch + 1 => {
                 // Rings over other GPUs, or a pin no route answers to,
@@ -425,8 +418,7 @@ impl ProxyEngine {
         config: CollectiveConfig,
         seed: BTreeMap<usize, Option<u64>>,
     ) {
-        let key = (comm, self.gpu);
-        let mut rank = w.comm_remove(key).expect("caller verified");
+        let rank = w.comms.get_mut(&(comm, self.gpu)).expect("caller verified");
         let epoch = config.epoch;
         let mut entries = seed;
         entries.insert(rank.rank, rank.last_launched);
@@ -459,18 +451,19 @@ impl ProxyEngine {
             entries: entries.clone(),
         };
         rank.barrier_since = Some(w.clock);
-        if w.fault_plan.is_some() {
-            // Arm the gossip re-send timer (control messages can be lost).
-            let deadline = w.clock + w.svc.gossip_retry;
-            w.signal_at(deadline, self.doorbell());
-            rank.gossip_armed = Some(deadline);
+        // Arm the gossip re-send timer (control messages can be lost).
+        let armed = w.fault_plan.is_some().then(|| w.clock + w.svc.gossip_retry);
+        if armed.is_some() {
+            rank.gossip_armed = armed;
         }
         // Contribute to the AllGather: send own view to the next rank.
         // The merged view subsumes any held gossip, and it circulates the
         // whole ring (`n - 1` hops), so held messages need no separate
         // re-forwarding.
         let next_gpu = rank.next_rank_gpu();
-        w.comm_insert(key, rank);
+        if let Some(deadline) = armed {
+            w.signal_at(deadline, self.doorbell());
+        }
         if n > 1 {
             w.send_control(
                 next_gpu,
@@ -496,21 +489,17 @@ impl ProxyEngine {
         gossip: BTreeMap<usize, Option<u64>>,
         hops_left: usize,
     ) {
-        let key = (comm, self.gpu);
-        if !w.comms.contains_key(&key) {
+        let Some(rank) = w.comms.get_mut(&(comm, self.gpu)) else {
             // Late gossip for a communicator this GPU already tore down.
             return;
-        }
+        };
         // Implicit request: with a fault plan installed our own `Req` may
         // have been lost. Gossip for exactly the next epoch carries the
         // pending config, so enter the barrier from it instead of holding
         // the message forever (which would deadlock the ring).
-        let implicit = {
-            let rank = &w.comms[&key];
-            w.fault_plan.is_some()
-                && matches!(rank.reconfig, ReconfigState::Normal)
-                && epoch == rank.config.epoch + 1
-        };
+        let implicit = w.fault_plan.is_some()
+            && matches!(rank.reconfig, ReconfigState::Normal)
+            && epoch == rank.config.epoch + 1;
         if implicit {
             self.begin_barrier(w, comm, config, gossip);
             return;
@@ -522,18 +511,15 @@ impl ProxyEngine {
         // the recorded complete view, sent the whole way around the ring
         // so it reaches the stuck rank wherever it sits. A complete view
         // never triggers this (`len == size`), so the answer terminates.
-        let answer = {
-            let rank = &w.comms[&key];
-            if w.fault_plan.is_some() && gossip.len() < rank.size() {
-                match &rank.last_barrier {
-                    Some((e, full)) if *e == epoch => {
-                        Some((rank.next_rank_gpu(), full.clone(), rank.size() - 1))
-                    }
-                    _ => None,
+        let answer = if w.fault_plan.is_some() && gossip.len() < rank.size() {
+            match &rank.last_barrier {
+                Some((e, full)) if *e == epoch => {
+                    Some((rank.next_rank_gpu(), full.clone(), rank.size() - 1))
                 }
-            } else {
-                None
+                _ => None,
             }
+        } else {
+            None
         };
         if let Some((next_gpu, entries, hops_left)) = answer {
             w.send_control(
@@ -548,7 +534,6 @@ impl ProxyEngine {
             );
             return;
         }
-        let rank = w.comms.get_mut(&key).expect("checked above");
         let next_gpu = rank.next_rank_gpu();
         match &mut rank.reconfig {
             ReconfigState::Normal => {
@@ -638,8 +623,7 @@ impl ProxyEngine {
     }
 
     fn maybe_finish_barrier(&mut self, w: &mut World, comm: CommunicatorId) {
-        let key = (comm, self.gpu);
-        let rank = w.comms.get_mut(&key).expect("caller verified");
+        let rank = w.comms.get_mut(&(comm, self.gpu)).expect("caller verified");
         let ReconfigState::Barrier {
             new_config,
             entries,
@@ -659,13 +643,14 @@ impl ProxyEngine {
         rank.barrier_since = None;
     }
 
-    /// Advance one communicator rank's execution state machine. Returns
-    /// whether progress was made.
-    fn step_comm(&mut self, w: &mut World, comm: CommunicatorId) -> bool {
-        let key = (comm, self.gpu);
-        let Some(mut rank) = w.comm_remove(key) else {
-            return false;
-        };
+    /// Advance the communicator rank in `slot` of this GPU's walk list.
+    /// Returns whether progress was made.
+    ///
+    /// The rank is lent out of [`World::comms`] for steps 1–4, so the
+    /// helpers below can take it and the world mutably at once.
+    fn step_comm(&mut self, w: &mut World, slot: u32) -> bool {
+        let mut rank = w.comms.lend(slot);
+        let comm = rank.comm;
         let mut progressed = false;
 
         // 1. Finalize a completed (or cleanly failed) in-flight collective.
@@ -852,29 +837,21 @@ impl ProxyEngine {
             }
         }
 
-        w.comm_insert(key, rank);
-
         // 5. Implicit request from held gossip (plan-gated): once back in
         // `Normal`, gossip held for exactly the next epoch means the
-        // explicit `Req` for it was lost — enter its barrier now.
-        if w.fault_plan.is_some() {
-            let held = {
-                let rank = &w.comms[&key];
-                if matches!(rank.reconfig, ReconfigState::Normal) {
-                    let next = rank.config.epoch + 1;
-                    rank.pending_gossip.iter().position(|(e, ..)| *e == next)
-                } else {
-                    None
-                }
-            };
-            if let Some(idx) = held {
-                let (_, config, gossip, _) = {
-                    let rank = w.comms.get_mut(&key).expect("just inserted");
-                    rank.pending_gossip.remove(idx)
-                };
-                self.begin_barrier(w, comm, config, gossip);
-                progressed = true;
-            }
+        // explicit `Req` for it was lost — enter its barrier now, with
+        // the rank restored.
+        let held = if w.fault_plan.is_some() && matches!(rank.reconfig, ReconfigState::Normal) {
+            let next = rank.config.epoch + 1;
+            let idx = rank.pending_gossip.iter().position(|(e, ..)| *e == next);
+            idx.map(|i| rank.pending_gossip.remove(i))
+        } else {
+            None
+        };
+        w.comms.restore(slot, rank);
+        if let Some((_, config, gossip, _)) = held {
+            self.begin_barrier(w, comm, config, gossip);
+            progressed = true;
         }
         progressed
     }
@@ -998,13 +975,13 @@ impl Engine<World> for ProxyEngine {
             progressed = true;
         }
         // Advance every communicator with a rank on this GPU (the per-GPU
-        // index spares the cluster-wide scan). Walked by index, no copy:
-        // `step_comm` (and the `begin_barrier` it may call) removes and
-        // re-inserts only its own key, so the list is the same after each
-        // step.
+        // list spares the cluster-wide scan). Walked by index, no copy:
+        // a step only lends and restores its own rank, and ranks register
+        // or leave only through the inbox drained above, so the list is
+        // the same after each step.
         let mut i = 0;
-        while let Some(&comm) = w.comms_on_gpu(self.gpu).get(i) {
-            progressed |= self.step_comm(w, comm);
+        while let Some(&(_, slot)) = w.comms.on_gpu(self.gpu).get(i) {
+            progressed |= self.step_comm(w, slot);
             i += 1;
         }
         if progressed {
@@ -1028,9 +1005,9 @@ impl Engine<World> for ProxyEngine {
             // Installing a plan arms the liveness/gossip timers.
             on.push(resources::fault_plan_installed());
         }
-        let comms = w.comms_on_gpu(self.gpu);
+        let comms = w.comms.on_gpu(self.gpu);
         // Token completions, failures, and aborts per communicator.
-        on.extend(comms.iter().map(|&comm| resources::progress(comm)));
+        on.extend(comms.iter().map(|&(comm, _)| resources::progress(comm)));
         if !comms.is_empty() {
             // Dependency events and comm-event records complete on device
             // streams, which carry no per-comm attribution.

@@ -5,10 +5,10 @@
 //! registry, collective progress, and traces. Engines receive
 //! `&mut World` when polled and communicate exclusively through it.
 
+use crate::comms::CommTable;
 use crate::config::{CollectiveConfig, ServiceConfig};
 use crate::health::HealthRegistry;
 use crate::messages::{ProxyMsg, TransportMsg};
-use crate::proxy::CommRank;
 use crate::recovery::RecoveryPolicy;
 use crate::tracing::TraceCollector;
 use mccs_collectives::{CollectiveSchedule, RingOrder, ScheduleKey};
@@ -20,7 +20,7 @@ use mccs_netsim::{ControlFault, FaultEvent, FaultPlan, FlowCompletion, FlowId, N
 use mccs_shim::ShimPort;
 use mccs_sim::{EventQueue, Nanos, ResourceId, Rng, WakeSource};
 use mccs_topology::{GpuId, LinkId, NicId, Topology};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// The world's wake-resource keying: every queue, channel, and event
@@ -419,14 +419,8 @@ pub struct World {
     pub external_flow_events: HashMap<u32, Vec<FlowCompletion>>,
     next_external_owner: u32,
     /// Communicator state, keyed `(comm, gpu)` — owned by proxy engines,
-    /// world-resident so the management API can inspect it. Mutate through
-    /// [`World::comm_insert`] / [`World::comm_remove`] so the per-GPU
-    /// index stays in sync.
-    pub comms: BTreeMap<(CommunicatorId, GpuId), CommRank>,
-    /// `gpu → sorted communicator ids with a rank on that GPU` — the
-    /// proxy-poll index. Without it every proxy scans the cluster-wide
-    /// `comms` map per poll, which is O(GPUs²) per step at scale.
-    comms_by_gpu: Vec<Vec<CommunicatorId>>,
+    /// world-resident so the management API can inspect it.
+    pub comms: CommTable,
     /// Cluster-wide collective progress, keyed `(comm, seq)`.
     pub progress: HashMap<(CommunicatorId, u64), CollectiveProgress>,
     /// World-level schedule cache, shared across communicators and ranks.
@@ -475,8 +469,9 @@ pub struct World {
 /// the full IPC round trip on top of the service's internal latency.
 #[derive(Default, Debug)]
 pub struct TenantLog {
-    /// (endpoint, req) -> push time of the collective command.
-    pending_issue: HashMap<(usize, u64), Nanos>,
+    /// (endpoint, req) -> communicator and push time of the collective
+    /// command.
+    pending_issue: HashMap<(usize, u64), (CommunicatorId, Nanos)>,
     /// (endpoint, comm, seq) -> issue time (after the launch ack named the seq).
     issued: HashMap<(usize, CommunicatorId, u64), Nanos>,
     /// Finished records — completed *and* cleanly failed collectives.
@@ -507,23 +502,17 @@ pub struct TenantRecord {
 
 impl TenantLog {
     fn on_push(&mut self, endpoint: usize, cmd: &ShimCommand, now: Nanos) {
-        if let ShimCommand::Collective { req, .. } = cmd {
-            self.pending_issue.insert((endpoint, *req), now);
+        if let ShimCommand::Collective { req, coll } = cmd {
+            self.pending_issue
+                .insert((endpoint, *req), (coll.comm, now));
         }
     }
 
     fn on_pop(&mut self, endpoint: usize, app: AppId, comp: &ShimCompletion, now: Nanos) {
         match comp {
             ShimCompletion::CollectiveLaunched { req, seq } => {
-                if let Some(t) = self.pending_issue.remove(&(endpoint, *req)) {
-                    // The communicator arrives with the done message; store
-                    // under a wildcard comm resolved at completion. Since
-                    // an endpoint serves one rank, (endpoint, seq) pairs are
-                    // unique per communicator in practice; we keep the comm
-                    // from the completion. Use a placeholder comm of 0 and
-                    // fix up at done time via (endpoint, seq) scan.
-                    self.issued
-                        .insert((endpoint, CommunicatorId(u64::MAX), *seq), t);
+                if let Some((comm, t)) = self.pending_issue.remove(&(endpoint, *req)) {
+                    self.issued.insert((endpoint, comm, *seq), t);
                 }
             }
             ShimCompletion::CollectiveDone { comm, seq } => {
@@ -545,8 +534,7 @@ impl TenantLog {
         now: Nanos,
         failed: bool,
     ) {
-        let key_any = (endpoint, CommunicatorId(u64::MAX), seq);
-        if let Some(t) = self.issued.remove(&key_any) {
+        if let Some(t) = self.issued.remove(&(endpoint, comm, seq)) {
             self.records.push(TenantRecord {
                 app,
                 endpoint,
@@ -631,8 +619,7 @@ impl World {
             flow_owner_nic: FlowOwners::default(),
             external_flow_events: HashMap::new(),
             next_external_owner: 0,
-            comms: BTreeMap::new(),
-            comms_by_gpu: vec![Vec::new(); gpu_count],
+            comms: CommTable::new(gpu_count),
             progress: HashMap::new(),
             schedule_cache: WorldScheduleCache::default(),
             token_targets: HashMap::new(),
@@ -657,43 +644,6 @@ impl World {
     /// and discards.
     pub fn signal(&mut self, r: ResourceId) {
         self.signals.push(r);
-    }
-
-    // ---- communicator index ---------------------------------------------
-
-    /// Install (or replace) a communicator rank, keeping the per-GPU
-    /// index in sync. Returns the prior rank, like `BTreeMap::insert`.
-    pub fn comm_insert(
-        &mut self,
-        key: (CommunicatorId, GpuId),
-        rank: CommRank,
-    ) -> Option<CommRank> {
-        let prior = self.comms.insert(key, rank);
-        if prior.is_none() {
-            let list = &mut self.comms_by_gpu[key.1.index()];
-            if let Err(pos) = list.binary_search(&key.0) {
-                list.insert(pos, key.0);
-            }
-        }
-        prior
-    }
-
-    /// Remove a communicator rank, keeping the per-GPU index in sync.
-    pub fn comm_remove(&mut self, key: (CommunicatorId, GpuId)) -> Option<CommRank> {
-        let out = self.comms.remove(&key);
-        if out.is_some() {
-            let list = &mut self.comms_by_gpu[key.1.index()];
-            if let Ok(pos) = list.binary_search(&key.0) {
-                list.remove(pos);
-            }
-        }
-        out
-    }
-
-    /// Communicators with a rank on `gpu`, in ascending id order — the
-    /// same order a filtered scan of `comms` would visit them.
-    pub fn comms_on_gpu(&self, gpu: GpuId) -> &[CommunicatorId] {
-        &self.comms_by_gpu[gpu.index()]
     }
 
     /// Current virtual time.

@@ -621,6 +621,91 @@ impl AppProgram for IssueOnce {
     }
 }
 
+/// One rank that joins communicators 1 and 2 and issues an AllReduce on
+/// each without waiting in between, so both are in flight at once.
+struct TwoCommsAtOnce {
+    world: Vec<GpuId>,
+    rank: usize,
+    pending: Vec<ReqId>,
+    buffers: Vec<MemHandle>,
+    stage: usize,
+}
+
+impl AppProgram for TwoCommsAtOnce {
+    fn poll(&mut self, api: &mut ShimApi<'_>) -> AppStatus {
+        let size = Bytes::mib(1);
+        let comms = [CommunicatorId(1), CommunicatorId(2)];
+        loop {
+            api.pump();
+            match self.stage {
+                0 => self.pending = vec![api.alloc(size), api.alloc(size)],
+                1 => {
+                    let Some(buffers) = self.pending.iter().map(|&r| api.alloc_result(r)).collect()
+                    else {
+                        return AppStatus::Blocked;
+                    };
+                    self.buffers = buffers;
+                    self.pending = comms
+                        .iter()
+                        .map(|&c| api.comm_init_rank(c, self.world.clone(), self.rank))
+                        .collect();
+                }
+                2 => {
+                    if self.pending.iter().any(|&r| api.comm_result(r).is_none()) {
+                        return AppStatus::Blocked;
+                    }
+                    let (send, recv) = ((self.buffers[0], 0), (self.buffers[1], 0));
+                    self.pending = comms
+                        .iter()
+                        .map(|&c| api.collective(c, all_reduce_sum(), size, send, recv, None))
+                        .collect();
+                }
+                _ => {
+                    if !self.pending.iter().all(|&r| api.collective_done(r)) {
+                        return AppStatus::Blocked;
+                    }
+                    return AppStatus::Finished;
+                }
+            }
+            self.stage += 1;
+        }
+    }
+}
+
+#[test]
+fn two_communicators_in_flight_on_one_endpoint_both_reach_the_tenant_log() {
+    // Both collectives launch as seq 0 of their communicator; the log
+    // used to key them by endpoint and seq alone, so one overwrote the
+    // other and its record was lost.
+    let mut cluster = testbed(36, Vec::new()).build();
+    let world = vec![GpuId(0), GpuId(2)];
+    let progs = (0..world.len())
+        .map(|rank| {
+            let prog = TwoCommsAtOnce {
+                world: world.clone(),
+                rank,
+                pending: Vec::new(),
+                buffers: Vec::new(),
+                stage: 0,
+            };
+            (world[rank], Box::new(prog) as Box<dyn AppProgram>)
+        })
+        .collect();
+    cluster.add_app("twocomms", progs);
+    cluster.run_until_quiescent(Nanos::from_secs(5));
+    let log = &cluster.world.tenant_log;
+    for endpoint in 0..world.len() {
+        let records = log.outcomes_of_endpoint(endpoint);
+        let mut comms: Vec<_> = records.iter().map(|r| r.comm).collect();
+        comms.sort();
+        assert_eq!(comms, [CommunicatorId(1), CommunicatorId(2)], "{records:?}");
+        for r in &records {
+            assert!(!r.failed && r.seq == 0 && r.issued <= r.finished, "{r:?}");
+        }
+    }
+    assert_eq!(log.unfinished(), 0);
+}
+
 #[test]
 fn a_rooted_collective_with_an_out_of_range_root_is_refused() {
     // NCCL answers ncclInvalidArgument; the service used to launch it with

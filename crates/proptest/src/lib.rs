@@ -2,7 +2,7 @@
 //!
 //! The build environment has no network access to crates.io, so this
 //! workspace vendors the small slice of the proptest API its tests use:
-//! [`Strategy`] with `prop_map`/`prop_flat_map`, range and tuple
+//! [`Strategy`](strategy::Strategy) with `prop_map`/`prop_flat_map`, range and tuple
 //! strategies, `collection::{vec, btree_set}`, `option::of`,
 //! `prop_oneof!`, `any::<T>()`, and the `proptest!` macro with
 //! `ProptestConfig`.
@@ -267,7 +267,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,
@@ -396,7 +396,7 @@ macro_rules! prop_oneof {
 }
 
 /// Define property tests: each `fn name(pat in strategy, ...) { body }`
-/// becomes a `#[test]` running [`ProptestConfig::cases`] random cases.
+/// becomes a `#[test]` running [`ProptestConfig::cases`](test_runner::ProptestConfig::cases) random cases.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {

@@ -10,8 +10,11 @@
 # first every pair (EXPERIMENTS.md, "A measurement hazard"). Prints the
 # per-pair end-to-end host metrics, then each side's quartiles and how
 # many pairs B won per metric (lower is better for all four; ties count
-# for neither). AB_SEED (default 11) and AB_SECONDS (default: the run
-# length BENCHMARK.json fixes) override the seed and the run length.
+# for neither), then whether a gain claim for B holds: B better in at
+# least 9 of 10 pairs, and B's median below A's by more than A's
+# interquartile range (q3 - q1). AB_SEED (default 11) and AB_SECONDS
+# (default: the run length BENCHMARK.json fixes) override the seed and
+# the run length.
 set -eu
 
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
@@ -76,5 +79,13 @@ quartiles() {
 for m in $metrics; do
     wins=$(paste "$out/A.$m" "$out/B.$m" | awk '$2 < $1 { w++ } END { print w + 0 }')
     losses=$(paste "$out/A.$m" "$out/B.$m" | awk '$2 > $1 { l++ } END { print l + 0 }')
-    echo "$m: A q1/median/q3 $(quartiles "$out/A.$m")  B q1/median/q3 $(quartiles "$out/B.$m")  B better in $wins, worse in $losses of $pairs pairs"
+    qa=$(quartiles "$out/A.$m")
+    qb=$(quartiles "$out/B.$m")
+    echo "$m: A q1/median/q3 $qa  B q1/median/q3 $qb  B better in $wins, worse in $losses of $pairs pairs"
+    echo "$qa $qb" | awk -v m="$m" -v w="$wins" -v n="$pairs" '{
+        gain = $2 - $5; iqr = $3 - $1; why = ""
+        if (10 * w < 9 * n) why = sprintf("B better in only %d of %d pairs", w, n)
+        if (gain <= iqr) why = why (why == "" ? "" : "; ") \
+            sprintf("median gain %g is not above the IQR of A, %g", gain, iqr)
+        print m ": gain claim for B " (why == "" ? "holds" : "not met (" why ")") }'
 done

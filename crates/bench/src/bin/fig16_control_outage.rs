@@ -17,7 +17,6 @@
 
 use mccs_bench::report::{json_rows, print_csv, print_table, write_bench_json};
 use mccs_bench::setups::{two_tenant_testbed, SPINE0};
-use mccs_core::proxy::ReconfigState;
 use mccs_core::{ChaosDriver, Cluster};
 use mccs_ipc::{AppId, CommunicatorId};
 use mccs_sim::{Bytes, Nanos};
@@ -46,7 +45,7 @@ fn drained(cluster: &Cluster) -> bool {
     ranks.len() == GPUS.len()
         && ranks
             .iter()
-            .all(|r| matches!(r.reconfig, ReconfigState::Normal) && r.config.epoch >= 1)
+            .all(|r| r.reconfig.is_settled() && r.config.epoch >= 1)
 }
 
 /// One cell: crash the controller and down the spine-0 domain at 10ms,

@@ -77,7 +77,8 @@ impl CommTable {
         rank
     }
 
-    fn slot_of(&self, key: &(CommunicatorId, GpuId)) -> Option<u32> {
+    /// The slot of the rank under `key`, for [`Self::lend`].
+    pub(crate) fn slot_of(&self, key: &(CommunicatorId, GpuId)) -> Option<u32> {
         let list = self.by_gpu.get(key.1.index())?;
         let pos = list.binary_search_by_key(&key.0, |&(c, _)| c).ok()?;
         Some(list[pos].1)
@@ -148,7 +149,7 @@ impl CommTable {
 mod tests {
     use super::*;
     use crate::config::{CollectiveConfig, RouteMap};
-    use crate::proxy::ReconfigState;
+    use crate::reconfig::Reconfig;
     use mccs_device::EventId;
     use mccs_ipc::AppId;
     use mccs_sim::Nanos;
@@ -172,16 +173,10 @@ mod tests {
                 routes: RouteMap::ecmp(),
             },
             next_seq: 0,
-            last_launched: None,
             queue: VecDeque::new(),
             inflight: None,
-            reconfig: ReconfigState::Normal,
+            reconfig: Reconfig::new(0, 1, 0, Nanos::ZERO),
             resume_at: Nanos::ZERO,
-            pending_gossip: Vec::new(),
-            barrier_since: None,
-            gossip_armed: None,
-            last_barrier: None,
-            controller_incarnation: 0,
         }
     }
 

@@ -85,6 +85,12 @@ pub struct CollectiveConfig {
     pub routes: RouteMap,
 }
 
+impl crate::reconfig::Epoched for CollectiveConfig {
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
+}
+
 impl CollectiveConfig {
     /// The default strategy the service applies with no controller input:
     /// NCCL's own construction (host-grouped, user rank order) with one

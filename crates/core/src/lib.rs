@@ -12,7 +12,8 @@
 //!   sequence collectives, compute ring schedules from the provider's
 //!   configuration, drive intra-host channel transfers, and run the
 //!   **dynamic reconfiguration protocol** of Figure 4 (control-ring
-//!   AllGather barrier over last-launched sequence numbers);
+//!   AllGather barrier over last-launched sequence numbers), whose
+//!   per-rank state machine is [`reconfig`];
 //! * **transport engines** ([`transport`]) — one per NIC; turn inter-host
 //!   edge tasks into network flows with explicit route pins (FFA/PFA) and
 //!   enforce time-window traffic schedules (TS);
@@ -49,6 +50,7 @@ pub mod messages;
 pub mod mgmt;
 pub mod proxy;
 pub mod qos;
+pub mod reconfig;
 pub mod recovery;
 pub mod scenario;
 pub mod tracing;

@@ -3,35 +3,22 @@
 //! Proxies own communicator state, sequence tenant collectives, derive
 //! edge schedules from the provider's [`CollectiveConfig`], drive
 //! intra-host channel transfers, hand inter-host edges to transports, and
-//! run the paper's Figure 4 **dynamic reconfiguration protocol**:
-//!
-//! 1. a reconfiguration request (`Req`) reaches each rank's proxy at a
-//!    different time;
-//! 2. upon receipt, a proxy stops launching, queues subsequent
-//!    collectives, and contributes its *last launched* sequence number to
-//!    a control-ring AllGather (`AG`);
-//! 3. once a proxy has gathered all ranks' contributions it computes the
-//!    maximum and **drains**: launches exactly the queued collectives with
-//!    `seq <= max` under the *old* configuration;
-//! 4. when those complete, it tears down and re-establishes connections
-//!    (modeled as [`ServiceConfig::reconnect_delay`](crate::config::ServiceConfig))
-//!    and resumes under the new configuration.
-//!
-//! The safety property (checked by tests and asserted in traces): every
-//! collective executes under the same configuration epoch on every rank,
-//! and an absent reconfiguration adds zero overhead to the data path.
+//! run the paper's Figure 4 **dynamic reconfiguration protocol**, whose
+//! per-rank machine is [`crate::reconfig`]: this engine feeds it messages
+//! and carries out its actions.
 
 use crate::config::CollectiveConfig;
 use crate::error::ServiceError;
 use crate::health::FailureEvent;
 use crate::messages::{ProxyMsg, TransportMsg};
+use crate::reconfig::{Action, Gossip, Reconfig};
 use crate::world::{resources, World};
 use mccs_collectives::{CollectiveOp, CollectiveSchedule, EdgeTask, ScheduleKey};
 use mccs_device::{EventId, StreamId, StreamOp};
 use mccs_ipc::{AppId, CollectiveRequest, CommunicatorId, ErrorCode, ShimCompletion};
 use mccs_sim::{Bytes, Engine, Nanos, Poll, ResourceId};
 use mccs_topology::GpuId;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A sequenced, not-yet-launched collective.
@@ -45,14 +32,14 @@ pub struct PendingCollective {
     pub coll: CollectiveRequest,
 }
 
-/// The collective currently executing on a communicator rank.
+/// The collective currently executing on a communicator rank, from its
+/// admission (out of the queue) on.
 #[derive(Clone, Debug)]
 pub struct Inflight {
-    /// Sequence number.
-    pub seq: u64,
-    /// App-stream dependency to wait for before moving data.
-    pub dependency: Option<EventId>,
-    /// Whether transfers have been launched.
+    /// The collective.
+    pub pending: PendingCollective,
+    /// Whether transfers have been launched (its app-stream dependency
+    /// cleared).
     pub launched: bool,
     /// When transfers were launched (liveness timer base).
     pub launched_at: Option<Nanos>,
@@ -62,32 +49,6 @@ pub struct Inflight {
     /// idle poll; a plan installed mid-collective arms it on first sight).
     pub liveness_armed: Option<Nanos>,
 }
-
-/// Reconfiguration protocol state (Figure 4).
-#[derive(Clone, Debug)]
-pub enum ReconfigState {
-    /// No reconfiguration in flight — the fast path.
-    Normal,
-    /// `Req` received; gathering last-launched sequence numbers.
-    Barrier {
-        /// The configuration to apply.
-        new_config: CollectiveConfig,
-        /// rank -> last launched (`None` = never launched).
-        entries: BTreeMap<usize, Option<u64>>,
-    },
-    /// Barrier complete; draining collectives `<= max_seq` under the old
-    /// configuration.
-    Draining {
-        /// The configuration to apply.
-        new_config: CollectiveConfig,
-        /// Barrier maximum; `None` when no rank had launched anything.
-        max_seq: Option<u64>,
-    },
-}
-
-/// A barrier-gossip message parked until this rank enters the barrier:
-/// `(epoch, pending config, entries, hops_left)`.
-pub type PendingGossip = (u64, CollectiveConfig, BTreeMap<usize, Option<u64>>, usize);
 
 /// One communicator rank's service-side state (lives in
 /// [`World::comms`](crate::world::World::comms) so the management API can
@@ -114,36 +75,14 @@ pub struct CommRank {
     pub config: CollectiveConfig,
     /// Next sequence number to assign.
     pub next_seq: u64,
-    /// Last launched sequence number.
-    pub last_launched: Option<u64>,
     /// Sequenced, unlaunched collectives.
     pub queue: VecDeque<PendingCollective>,
     /// The executing collective.
     pub inflight: Option<Inflight>,
-    /// Reconfiguration protocol state.
-    pub reconfig: ReconfigState,
+    /// The rank's side of the reconfiguration protocol.
+    pub reconfig: Reconfig<CollectiveConfig>,
     /// Launches are gated until this time (connection re-establishment).
     pub resume_at: Nanos,
-    /// Barrier gossip that arrived before this rank's own `Req`:
-    /// `(epoch, pending config, entries, hops_left)`.
-    pub pending_gossip: Vec<PendingGossip>,
-    /// When this rank last sent its barrier gossip (`Some` only while in
-    /// the barrier). Drives the plan-gated gossip re-send timer.
-    pub barrier_since: Option<Nanos>,
-    /// The gossip re-send deadline a timer is pending for (armed once, not
-    /// per idle poll; a plan installed mid-barrier arms it on first sight).
-    pub gossip_armed: Option<Nanos>,
-    /// The complete entry set of the last barrier this rank finished:
-    /// `(epoch, entries)`. Lets a rank that has already applied a
-    /// reconfiguration answer a peer still stuck gathering it — a peer
-    /// whose final gossip hop was lost would otherwise resend an
-    /// incomplete view forever past ranks that merely forward it.
-    pub last_barrier: Option<(u64, BTreeMap<usize, Option<u64>>)>,
-    /// Highest controller incarnation this rank has heard a
-    /// reconfiguration from. Requests from older incarnations — a dead
-    /// controller's commands still in flight when it crashed — are
-    /// fenced (dropped without entering the barrier).
-    pub controller_incarnation: u64,
 }
 
 impl CommRank {
@@ -190,12 +129,17 @@ fn buffer_demands(op: CollectiveOp, size: Bytes, n: usize, rank: usize) -> (Byte
 /// The per-GPU proxy engine.
 pub struct ProxyEngine {
     gpu: GpuId,
+    /// What the protocol machine asked for, reused across steps.
+    actions: Vec<Action<CollectiveConfig>>,
 }
 
 impl ProxyEngine {
     /// The proxy for `gpu`.
     pub fn new(gpu: GpuId) -> Self {
-        ProxyEngine { gpu }
+        ProxyEngine {
+            gpu,
+            actions: Vec::new(),
+        }
     }
 
     /// What this proxy's own timers signal: its inbox, always watched.
@@ -220,6 +164,7 @@ impl ProxyEngine {
                     return;
                 }
                 let config = CollectiveConfig::default_for(&w.topo, &world);
+                let reconfig = Reconfig::new(rank, world.len(), config.epoch, w.svc.gossip_retry);
                 w.comms.insert(CommRank {
                     app,
                     endpoint,
@@ -231,16 +176,10 @@ impl ProxyEngine {
                     streams: Vec::new(),
                     config,
                     next_seq: 0,
-                    last_launched: None,
                     queue: VecDeque::new(),
                     inflight: None,
-                    reconfig: ReconfigState::Normal,
+                    reconfig,
                     resume_at: Nanos::ZERO,
-                    pending_gossip: Vec::new(),
-                    barrier_since: None,
-                    gossip_armed: None,
-                    last_barrier: None,
-                    controller_incarnation: 0,
                 });
             }
             ProxyMsg::Collective {
@@ -283,14 +222,89 @@ impl ProxyEngine {
                 comm,
                 incarnation,
                 config,
-            } => self.handle_reconfigure(w, comm, incarnation, config),
+            } => {
+                let fed = self.feed(w, comm, |rank, w, lossy, out| {
+                    let valid = config.validate(&w.topo, &rank.world_gpus).is_ok();
+                    rank.reconfig
+                        .on_req(lossy, w.clock, incarnation, config, valid, out)
+                });
+                // A corrective Req can race a teardown: counted, no panic.
+                if !fed {
+                    reject_reconfig(w, comm);
+                }
+            }
+            // Late gossip for a rank this GPU tore down is dropped.
             ProxyMsg::BarrierGossip {
                 comm,
                 epoch,
                 config,
                 entries,
-                hops_left,
-            } => self.handle_gossip(w, comm, epoch, config, entries, hops_left),
+                hops_left: hops,
+            } => {
+                let g = Gossip {
+                    epoch,
+                    config,
+                    entries,
+                    hops,
+                };
+                self.feed(w, comm, |rank, w, lossy, out| {
+                    rank.reconfig.on_gossip(lossy, w.clock, g, out)
+                });
+            }
+        }
+    }
+
+    /// Feed one protocol input (given `lossy`) to this GPU's rank of
+    /// `comm` and carry out its actions; false if there is no such rank.
+    fn feed<F>(&mut self, w: &mut World, comm: CommunicatorId, input: F) -> bool
+    where
+        F: FnOnce(&mut CommRank, &World, bool, &mut Vec<Action<CollectiveConfig>>),
+    {
+        let Some(slot) = w.comms.slot_of(&(comm, self.gpu)) else {
+            return false;
+        };
+        let mut rank = w.comms.lend(slot);
+        input(&mut rank, w, w.fault_plan.is_some(), &mut self.actions);
+        self.carry_out(w, &mut rank);
+        w.comms.restore(slot, rank);
+        true
+    }
+
+    /// Carry out what `rank`'s protocol machine asked for, in order.
+    fn carry_out(&mut self, w: &mut World, rank: &mut CommRank) {
+        let doorbell = self.doorbell();
+        for action in self.actions.drain(..) {
+            match action {
+                Action::Send(g) => w.send_control(
+                    rank.next_rank_gpu(),
+                    ProxyMsg::BarrierGossip {
+                        comm: rank.comm,
+                        epoch: g.epoch,
+                        config: g.config,
+                        entries: g.entries,
+                        hops_left: g.hops,
+                    },
+                ),
+                Action::Arm(at) => w.signal_at(at, doorbell),
+                Action::Switch(config, _) => {
+                    rank.config = config;
+                    // Under a plan, the last report retires the drain.
+                    if w.fault_plan.is_some() {
+                        w.health.record(FailureEvent::ReconfigApplied {
+                            comm: rank.comm,
+                            gpu: self.gpu,
+                            epoch: rank.config.epoch,
+                            at: w.clock,
+                        });
+                    }
+                    rank.resume_at = w.clock + w.svc.reconnect_delay;
+                    w.signal_at(rank.resume_at, doorbell);
+                }
+                Action::Reject => reject_reconfig(w, rank.comm),
+                // Digest-excluded: a crash leaves no observable mark.
+                Action::Fenced => w.controller.stats.stale_fenced += 1,
+                Action::ResendCounted => w.health.counters.gossip_resends += 1,
+            }
         }
     }
 
@@ -353,506 +367,105 @@ impl ProxyEngine {
         w.send_completion(endpoint, ShimCompletion::CollectiveLaunched { req, seq });
     }
 
-    fn handle_reconfigure(
-        &mut self,
-        w: &mut World,
-        comm: CommunicatorId,
-        incarnation: u64,
-        config: CollectiveConfig,
-    ) {
-        let key = (comm, self.gpu);
-        let Some(rank) = w.comms.get_mut(&key) else {
-            // A corrective Req can race a teardown; count it rather than
-            // bring the service down.
-            return reject_reconfig(w, comm);
-        };
-        if incarnation < rank.controller_incarnation {
-            // A dead controller incarnation's command arriving late —
-            // fence it. Tallied only in the digest-excluded controller
-            // stats: fencing exists so a crash leaves no observable mark.
-            w.controller.stats.stale_fenced += 1;
-            return;
-        }
-        if incarnation > rank.controller_incarnation {
-            // First word from a newer incarnation: raise the fence even
-            // if this particular request ends up rejected below.
-            rank.controller_incarnation = incarnation;
-        }
-        match &rank.reconfig {
-            ReconfigState::Normal if config.epoch == rank.config.epoch + 1 => {
-                // Rings over other GPUs, or a pin no route answers to,
-                // would panic the next launch or flow started under them.
-                // Every rank sees the same config, so all of them refuse
-                // the epoch together.
-                if config.validate(&w.topo, &rank.world_gpus).is_err() {
-                    return reject_reconfig(w, comm);
-                }
-            }
-            ReconfigState::Barrier { new_config, .. }
-            | ReconfigState::Draining { new_config, .. }
-                if new_config.epoch == config.epoch =>
-            {
-                // Duplicate of a barrier we already entered (e.g. our
-                // implicit request from gossip beat the explicit one).
-                return;
-            }
-            _ => {
-                // Overlapping or epoch-skipping reconfiguration — reject.
-                // With a fault plan installed these can legitimately race
-                // (the recovery engine and the controller both correcting);
-                // without one the controller is misbehaving, but either way
-                // the safe response is to drop the request and count it.
-                return reject_reconfig(w, comm);
-            }
-        }
-        self.begin_barrier(w, comm, config, BTreeMap::new());
-    }
-
-    /// Enter the reconfiguration barrier for `config` (from an explicit
-    /// `Req` or implicitly from another rank's gossip when ours was lost),
-    /// seeding the AllGather view with `seed` entries gathered elsewhere.
-    fn begin_barrier(
-        &mut self,
-        w: &mut World,
-        comm: CommunicatorId,
-        config: CollectiveConfig,
-        seed: BTreeMap<usize, Option<u64>>,
-    ) {
-        let rank = w.comms.get_mut(&(comm, self.gpu)).expect("caller verified");
-        let epoch = config.epoch;
-        let mut entries = seed;
-        entries.insert(rank.rank, rank.last_launched);
-        // Merge gossip that arrived before our own request. Epochs can
-        // legitimately skew: a neighbour's `Req` may land (and its gossip
-        // reach us) before ours does, so matching-epoch gossip folds into
-        // our barrier view, while gossip for a *later* epoch is held for
-        // the reconfiguration that will consume it. Stale gossip cannot be
-        // held here: `Normal` state only holds entries newer than the
-        // applied epoch, so anything older indicates protocol corruption.
-        let pending = std::mem::take(&mut rank.pending_gossip);
-        let n = rank.size();
-        for (e, cfg, gossip, hops) in pending {
-            match e.cmp(&epoch) {
-                std::cmp::Ordering::Equal => {
-                    for (r, v) in &gossip {
-                        entries.insert(*r, *v);
-                    }
-                }
-                std::cmp::Ordering::Greater => rank.pending_gossip.push((e, cfg, gossip, hops)),
-                std::cmp::Ordering::Less => panic!(
-                    "stale barrier gossip for epoch {e} held across reconfiguration \
-                     to epoch {epoch} on {comm} rank {}",
-                    rank.rank
-                ),
-            }
-        }
-        rank.reconfig = ReconfigState::Barrier {
-            new_config: config.clone(),
-            entries: entries.clone(),
-        };
-        rank.barrier_since = Some(w.clock);
-        // Arm the gossip re-send timer (control messages can be lost).
-        let armed = w.fault_plan.is_some().then(|| w.clock + w.svc.gossip_retry);
-        if armed.is_some() {
-            rank.gossip_armed = armed;
-        }
-        // Contribute to the AllGather: send own view to the next rank.
-        // The merged view subsumes any held gossip, and it circulates the
-        // whole ring (`n - 1` hops), so held messages need no separate
-        // re-forwarding.
-        let next_gpu = rank.next_rank_gpu();
-        if let Some(deadline) = armed {
-            w.signal_at(deadline, self.doorbell());
-        }
-        if n > 1 {
-            w.send_control(
-                next_gpu,
-                ProxyMsg::BarrierGossip {
-                    comm,
-                    epoch,
-                    config,
-                    entries,
-                    hops_left: n - 1,
-                },
-            );
-        }
-        self.maybe_finish_barrier(w, comm);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn handle_gossip(
-        &mut self,
-        w: &mut World,
-        comm: CommunicatorId,
-        epoch: u64,
-        config: CollectiveConfig,
-        gossip: BTreeMap<usize, Option<u64>>,
-        hops_left: usize,
-    ) {
-        let Some(rank) = w.comms.get_mut(&(comm, self.gpu)) else {
-            // Late gossip for a communicator this GPU already tore down.
-            return;
-        };
-        // Implicit request: with a fault plan installed our own `Req` may
-        // have been lost. Gossip for exactly the next epoch carries the
-        // pending config, so enter the barrier from it instead of holding
-        // the message forever (which would deadlock the ring).
-        let implicit = w.fault_plan.is_some()
-            && matches!(rank.reconfig, ReconfigState::Normal)
-            && epoch == rank.config.epoch + 1;
-        if implicit {
-            self.begin_barrier(w, comm, config, gossip);
-            return;
-        }
-        // Liveness under control loss: a rank that already finished this
-        // epoch's barrier holds the complete view, while a peer whose
-        // final gossip hop was dropped circulates an incomplete one that
-        // ranks past the barrier only forward, never fill in. Answer with
-        // the recorded complete view, sent the whole way around the ring
-        // so it reaches the stuck rank wherever it sits. A complete view
-        // never triggers this (`len == size`), so the answer terminates.
-        let answer = if w.fault_plan.is_some() && gossip.len() < rank.size() {
-            match &rank.last_barrier {
-                Some((e, full)) if *e == epoch => {
-                    Some((rank.next_rank_gpu(), full.clone(), rank.size() - 1))
-                }
-                _ => None,
-            }
-        } else {
-            None
-        };
-        if let Some((next_gpu, entries, hops_left)) = answer {
-            w.send_control(
-                next_gpu,
-                ProxyMsg::BarrierGossip {
-                    comm,
-                    epoch,
-                    config,
-                    entries,
-                    hops_left,
-                },
-            );
-            return;
-        }
-        let next_gpu = rank.next_rank_gpu();
-        match &mut rank.reconfig {
-            ReconfigState::Normal => {
-                if epoch > rank.config.epoch {
-                    // Our own Req has not arrived yet; hold the gossip for
-                    // the reconfiguration that will consume it.
-                    rank.pending_gossip.push((epoch, config, gossip, hops_left));
-                } else if hops_left > 1 {
-                    // Late circulation of a barrier we already completed
-                    // and applied. We must not merge or hold it, but a
-                    // slower rank downstream may still be gathering, so
-                    // keep the ring chain alive.
-                    w.send_control(
-                        next_gpu,
-                        ProxyMsg::BarrierGossip {
-                            comm,
-                            epoch,
-                            config,
-                            entries: gossip,
-                            hops_left: hops_left - 1,
-                        },
-                    );
-                }
-            }
-            ReconfigState::Barrier {
-                entries,
-                new_config,
-            } => {
-                if epoch == new_config.epoch {
-                    for (r, v) in &gossip {
-                        entries.insert(*r, *v);
-                    }
-                    if hops_left > 1 {
-                        // Forward the *merged* view rather than the message
-                        // as received: it is a superset, so one message can
-                        // satisfy several downstream barriers at once.
-                        let merged = entries.clone();
-                        w.send_control(
-                            next_gpu,
-                            ProxyMsg::BarrierGossip {
-                                comm,
-                                epoch,
-                                config,
-                                entries: merged,
-                                hops_left: hops_left - 1,
-                            },
-                        );
-                    }
-                    self.maybe_finish_barrier(w, comm);
-                } else if epoch > new_config.epoch {
-                    // Gossip from a reconfiguration we have not seen yet;
-                    // hold it rather than corrupt the current barrier.
-                    rank.pending_gossip.push((epoch, config, gossip, hops_left));
-                } else if hops_left > 1 {
-                    // Stale epoch: a slower rank may still need it — keep
-                    // it circulating without merging.
-                    w.send_control(
-                        next_gpu,
-                        ProxyMsg::BarrierGossip {
-                            comm,
-                            epoch,
-                            config,
-                            entries: gossip,
-                            hops_left: hops_left - 1,
-                        },
-                    );
-                }
-            }
-            ReconfigState::Draining { .. } => {
-                // Our barrier is complete, but ranks downstream on the
-                // control ring may still be gathering: dropping the message
-                // here would break the forwarding chain and deadlock them.
-                if hops_left > 1 {
-                    w.send_control(
-                        next_gpu,
-                        ProxyMsg::BarrierGossip {
-                            comm,
-                            epoch,
-                            config,
-                            entries: gossip,
-                            hops_left: hops_left - 1,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    fn maybe_finish_barrier(&mut self, w: &mut World, comm: CommunicatorId) {
-        let rank = w.comms.get_mut(&(comm, self.gpu)).expect("caller verified");
-        let ReconfigState::Barrier {
-            new_config,
-            entries,
-        } = &rank.reconfig
-        else {
-            return;
-        };
-        if entries.len() < rank.size() {
-            return;
-        }
-        let max_seq = entries.values().filter_map(|v| *v).max();
-        rank.last_barrier = Some((new_config.epoch, entries.clone()));
-        rank.reconfig = ReconfigState::Draining {
-            new_config: new_config.clone(),
-            max_seq,
-        };
-        rank.barrier_since = None;
-    }
-
     /// Advance the communicator rank in `slot` of this GPU's walk list.
     /// Returns whether progress was made.
     ///
-    /// The rank is lent out of [`World::comms`] for steps 1–4, so the
+    /// The rank is lent out of [`World::comms`] for the step, so the
     /// helpers below can take it and the world mutably at once.
     fn step_comm(&mut self, w: &mut World, slot: u32) -> bool {
         let mut rank = w.comms.lend(slot);
         let comm = rank.comm;
         let mut progressed = false;
 
-        // 1. Finalize a completed (or cleanly failed) in-flight collective.
-        if let Some(inf) = &rank.inflight {
-            if inf.launched {
-                if let Some(done_at) = w.collective_completed_at(comm, inf.seq) {
-                    let seq = inf.seq;
-                    // Record the communicator event so tenant streams
-                    // waiting on it unblock.
-                    let stream = ensure_stream(&mut rank, 0, w);
-                    w.device_enqueue(stream, StreamOp::RecordEvent(rank.comm_event));
-                    w.trace.completed(comm, rank.rank, seq, done_at);
-                    w.send_completion(rank.endpoint, ShimCompletion::CollectiveDone { comm, seq });
-                    rank.inflight = None;
-                    progressed = true;
-                } else if w.collective_failed(comm, inf.seq) {
-                    let seq = inf.seq;
-                    fail_to_tenant(&mut rank, w, comm, seq);
-                    rank.inflight = None;
-                    progressed = true;
-                } else if w.fault_plan.is_some() {
-                    // Liveness: escalate a silent stall to the recovery
-                    // engine. Only armed under a fault plan — with none,
-                    // no timers exist on this path at all.
-                    let inf = rank.inflight.as_mut().expect("checked above");
-                    if let Some(at) = inf.launched_at {
-                        let grace = w
-                            .svc
-                            .liveness_timeout
-                            .mul_f64(f64::from(inf.stall_reports + 1));
-                        let deadline = at + grace;
-                        if w.clock >= deadline {
-                            inf.stall_reports += 1;
-                            w.health.record(FailureEvent::CollectiveStalled {
-                                comm,
-                                seq: inf.seq,
-                                at: w.clock,
-                            });
-                            let next = w.clock + w.svc.liveness_timeout;
-                            w.signal_at(next, self.doorbell());
-                            inf.liveness_armed = Some(next);
-                            progressed = true;
-                        } else if inf.liveness_armed != Some(deadline) {
-                            w.signal_at(deadline, self.doorbell());
-                            inf.liveness_armed = Some(deadline);
-                        }
-                    }
-                }
-            }
-        }
-
-        // 2. Launch a dependency-cleared in-flight collective — unless
-        // another rank's transport already gave up on it, in which case
-        // fail it locally too (keeping `last_launched` moving so a drain
-        // waiting on this sequence still terminates).
-        if let Some(inf) = &rank.inflight {
-            if !inf.launched {
-                let seq = inf.seq;
-                if w.collective_failed(comm, seq) {
-                    rank.queue
-                        .pop_front()
-                        .filter(|p| p.seq == seq)
-                        .expect("inflight collective kept at queue head until launch");
-                    fail_to_tenant(&mut rank, w, comm, seq);
-                    rank.last_launched = Some(rank.last_launched.map_or(seq, |l| l.max(seq)));
-                    rank.inflight = None;
-                    progressed = true;
-                } else {
-                    let ready = inf
-                        .dependency
-                        .is_none_or(|ev| w.devices.event_time(ev).is_some());
-                    if ready {
-                        let coll = rank
-                            .queue
-                            .front()
-                            .filter(|p| p.seq == seq)
-                            .cloned()
-                            .expect("inflight collective kept at queue head until launch");
-                        rank.queue.pop_front();
-                        launch_tasks(&mut rank, w, &coll);
-                        let inf = rank.inflight.as_mut().expect("checked");
-                        inf.launched = true;
-                        inf.launched_at = Some(w.clock);
-                        rank.last_launched = Some(seq);
+        // 1. Finalize a completed (or cleanly failed) launched collective.
+        let launched = rank.inflight.as_ref().filter(|i| i.launched);
+        if let Some(seq) = launched.map(|i| i.pending.seq) {
+            if let Some(done_at) = w.collective_completed_at(comm, seq) {
+                // Record the communicator event so tenant streams
+                // waiting on it unblock.
+                let stream = ensure_stream(&mut rank, 0, w);
+                w.device_enqueue(stream, StreamOp::RecordEvent(rank.comm_event));
+                w.trace.completed(comm, rank.rank, seq, done_at);
+                w.send_completion(rank.endpoint, ShimCompletion::CollectiveDone { comm, seq });
+                rank.inflight = None;
+                progressed = true;
+            } else if w.collective_failed(comm, seq) {
+                fail_to_tenant(&mut rank, w, comm, seq);
+                rank.inflight = None;
+                progressed = true;
+            } else if let (true, Some(inf)) = (w.fault_plan.is_some(), rank.inflight.as_mut()) {
+                // Liveness: escalate a silent stall to the recovery
+                // engine. Only armed under a fault plan — with none,
+                // no timers exist on this path at all.
+                if let Some(at) = inf.launched_at {
+                    let grace = w
+                        .svc
+                        .liveness_timeout
+                        .mul_f64(f64::from(inf.stall_reports + 1));
+                    let deadline = at + grace;
+                    if w.clock >= deadline {
+                        inf.stall_reports += 1;
+                        w.health.record(FailureEvent::CollectiveStalled {
+                            comm,
+                            seq,
+                            at: w.clock,
+                        });
+                        let next = w.clock + w.svc.liveness_timeout;
+                        w.signal_at(next, self.doorbell());
+                        inf.liveness_armed = Some(next);
                         progressed = true;
+                    } else if inf.liveness_armed != Some(deadline) {
+                        w.signal_at(deadline, self.doorbell());
+                        inf.liveness_armed = Some(deadline);
                     }
                 }
             }
         }
 
-        // 3. Apply a drained reconfiguration. Draining completes when
-        // nothing is in flight and either no rank had launched anything
-        // (`max_seq` is `None`) or we have launched up through the barrier
-        // maximum. Our own contribution is part of the barrier max, so
-        // `last_launched` can only be `None` when `max_seq` permits it.
-        if let ReconfigState::Draining {
-            new_config,
-            max_seq,
-        } = &rank.reconfig
-        {
-            let caught_up = max_seq.is_none_or(|m| rank.last_launched.is_some_and(|l| l >= m));
-            let drained = rank.inflight.is_none() && caught_up;
-            if drained {
-                rank.config = new_config.clone();
-                rank.reconfig = ReconfigState::Normal;
-                // Report drain completion to the controller (plan-gated,
-                // like the rest of the liveness machinery): the last
-                // rank's report lets it retire the drain obligation.
-                if w.fault_plan.is_some() {
-                    w.health.record(FailureEvent::ReconfigApplied {
-                        comm,
-                        gpu: self.gpu,
-                        epoch: rank.config.epoch,
-                        at: w.clock,
-                    });
+        // 2. Launch an admitted collective whose dependency cleared —
+        // unless another rank's transport already gave up on it, in which
+        // case fail it locally too.
+        if let Some(inf) = rank.inflight.as_ref().filter(|i| !i.launched) {
+            let (seq, dependency) = (inf.pending.seq, inf.pending.coll.depends_on);
+            if w.collective_failed(comm, seq) {
+                fail_to_tenant(&mut rank, w, comm, seq);
+                rank.inflight = None;
+                progressed = true;
+            } else if dependency.is_none_or(|ev| w.devices.event_time(ev).is_some()) {
+                if let Some(mut inf) = rank.inflight.take() {
+                    launch_tasks(&mut rank, w, &inf.pending);
+                    inf.launched = true;
+                    inf.launched_at = Some(w.clock);
+                    rank.inflight = Some(inf);
                 }
-                // Tear down / re-establish peer connections. (The shared
-                // schedule cache needs no flush here: entries are keyed by
-                // ring shape, so the new config keys new entries and the
-                // old shape's entries simply age out.)
-                rank.resume_at = w.clock + w.svc.reconnect_delay;
-                w.signal_at(rank.resume_at, self.doorbell());
                 progressed = true;
             }
         }
 
-        // 3b. Barrier liveness (plan-gated): if the ring AllGather has
-        // stalled — a gossip hop was dropped — re-send our merged view.
-        // Merging is idempotent, so re-sends are always safe.
-        if w.fault_plan.is_some() {
-            if let (
-                ReconfigState::Barrier {
-                    new_config,
-                    entries,
-                },
-                Some(since),
-            ) = (&rank.reconfig, rank.barrier_since)
-            {
-                let deadline = since + w.svc.gossip_retry;
-                if w.clock >= deadline && rank.size() > 1 {
-                    let gossip = ProxyMsg::BarrierGossip {
-                        comm,
-                        epoch: new_config.epoch,
-                        config: new_config.clone(),
-                        entries: entries.clone(),
-                        hops_left: rank.size() - 1,
-                    };
-                    let next_gpu = rank.next_rank_gpu();
-                    rank.barrier_since = Some(w.clock);
-                    w.health.counters.gossip_resends += 1;
-                    w.send_control(next_gpu, gossip);
-                    let next = w.clock + w.svc.gossip_retry;
-                    w.signal_at(next, self.doorbell());
-                    rank.gossip_armed = Some(next);
-                    progressed = true;
-                } else if rank.gossip_armed != Some(deadline) {
-                    w.signal_at(deadline, self.doorbell());
-                    rank.gossip_armed = Some(deadline);
-                }
-            }
-        }
-
-        // 4. Admit the next queued collective.
+        // 3. Admit the next queued collective the protocol lets launch.
+        // Admission commits it to the current configuration (a switch
+        // waits for the rank to go idle), so it is what the rank
+        // contributes to a barrier.
         if rank.inflight.is_none() && w.clock >= rank.resume_at {
-            let admissible = match &rank.reconfig {
-                ReconfigState::Normal => true,
-                ReconfigState::Barrier { .. } => false,
-                ReconfigState::Draining { max_seq, .. } => {
-                    rank.queue.front().is_some_and(|p| Some(p.seq) <= *max_seq)
-                }
-            };
-            if admissible {
-                if let Some(p) = rank.queue.front() {
-                    rank.inflight = Some(Inflight {
-                        seq: p.seq,
-                        dependency: p.coll.depends_on,
-                        launched: false,
-                        launched_at: None,
-                        stall_reports: 0,
-                        liveness_armed: None,
-                    });
-                    progressed = true;
-                }
+            if let Some(pending) = rank.queue.pop_front_if(|p| rank.reconfig.may_launch(p.seq)) {
+                rank.reconfig.launched(pending.seq);
+                rank.inflight = Some(Inflight {
+                    pending,
+                    launched: false,
+                    launched_at: None,
+                    stall_reports: 0,
+                    liveness_armed: None,
+                });
+                progressed = true;
             }
         }
 
-        // 5. Implicit request from held gossip (plan-gated): once back in
-        // `Normal`, gossip held for exactly the next epoch means the
-        // explicit `Req` for it was lost — enter its barrier now, with
-        // the rank restored.
-        let held = if w.fault_plan.is_some() && matches!(rank.reconfig, ReconfigState::Normal) {
-            let next = rank.config.epoch + 1;
-            let idx = rank.pending_gossip.iter().position(|(e, ..)| *e == next);
-            idx.map(|i| rank.pending_gossip.remove(i))
-        } else {
-            None
-        };
+        // 4. The protocol's step. A switch moves `resume_at` ahead, so
+        // admitting first (step 3) changes nothing.
+        let (lossy, idle) = (w.fault_plan.is_some(), rank.inflight.is_none());
+        progressed |= rank.reconfig.poll(lossy, w.clock, idle, &mut self.actions);
+        self.carry_out(w, &mut rank);
         w.comms.restore(slot, rank);
-        if let Some((_, config, gossip, _)) = held {
-            self.begin_barrier(w, comm, config, gossip);
-            progressed = true;
-        }
         progressed
     }
 }

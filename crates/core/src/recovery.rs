@@ -207,9 +207,7 @@ impl RecoveryEngine {
             }
             seen += 1;
             world_size = Some(r.world_gpus.len());
-            if !(matches!(r.reconfig, crate::proxy::ReconfigState::Normal)
-                && r.config.epoch >= target)
-            {
+            if !(r.reconfig.is_settled() && r.config.epoch >= target) {
                 return false;
             }
         }
@@ -245,9 +243,9 @@ impl RecoveryEngine {
             return;
         }
         let epoch = first.config.epoch;
-        let uniform = ranks.iter().all(|r| {
-            matches!(r.reconfig, crate::proxy::ReconfigState::Normal) && r.config.epoch == epoch
-        });
+        let uniform = ranks
+            .iter()
+            .all(|r| r.reconfig.is_settled() && r.config.epoch == epoch);
         let current = first.config.clone();
         drop(ranks);
         if !uniform {
@@ -339,9 +337,9 @@ impl RecoveryEngine {
             return;
         }
         let epoch = first.config.epoch;
-        let uniform = ranks.iter().all(|r| {
-            matches!(r.reconfig, crate::proxy::ReconfigState::Normal) && r.config.epoch == epoch
-        });
+        let uniform = ranks
+            .iter()
+            .all(|r| r.reconfig.is_settled() && r.config.epoch == epoch);
         let current = first.config.clone();
         drop(ranks);
         if !uniform {

@@ -11,7 +11,6 @@
 mod common;
 
 use common::{four_host, hottest_spine_at, spine_links, COMM, GPUS, SPINE0};
-use mccs_core::proxy::ReconfigState;
 use mccs_core::recovery::RecoveryPolicy;
 use mccs_core::{ChaosDriver, Cluster, DetourPolicy, Explorer, ExplorerConfig, FailureEvent};
 use mccs_ipc::AppId;
@@ -286,7 +285,7 @@ fn partition_mid_drain_resolves_cleanly() {
             .world
             .comms
             .values()
-            .any(|r| matches!(r.reconfig, ReconfigState::Draining { .. }))
+            .any(|r| r.reconfig.is_draining())
         {
             draining = true;
             break;

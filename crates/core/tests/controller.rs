@@ -24,7 +24,6 @@ use common::{four_host, COMM, GPUS, SPINE0};
 use mccs_collectives::op::all_reduce_sum;
 use mccs_core::config::ServiceConfig;
 use mccs_core::messages::ProxyMsg;
-use mccs_core::proxy::ReconfigState;
 use mccs_core::recovery::RecoveryPolicy;
 use mccs_core::{
     ChaosAction, ChaosDriver, Cluster, ClusterConfig, CollectiveConfig, DetourPolicy, Explorer,
@@ -64,7 +63,7 @@ fn drained_to(cluster: &Cluster, epoch: u64) -> bool {
     ranks.len() == GPUS.len()
         && ranks
             .iter()
-            .all(|r| matches!(r.reconfig, ReconfigState::Normal) && r.config.epoch >= epoch)
+            .all(|r| r.reconfig.is_settled() && r.config.epoch >= epoch)
 }
 
 /// Assert the convergence oracle: `COMM`'s pins are exactly what the
@@ -194,7 +193,7 @@ fn repair_racing_drain_defers_failback() {
         .world
         .comms
         .values()
-        .any(|r| r.comm == COMM && !matches!(r.reconfig, ReconfigState::Normal))
+        .any(|r| r.comm == COMM && !r.reconfig.is_settled())
     {
         driver.step().expect("the issued drain must start");
     }
@@ -392,7 +391,7 @@ fn stale_incarnation_command_is_fenced() {
     assert!(
         ranks
             .iter()
-            .all(|r| matches!(r.reconfig, ReconfigState::Normal) && r.config.epoch == epoch_before),
+            .all(|r| r.reconfig.is_settled() && r.config.epoch == epoch_before),
         "a fenced command must not perturb protocol state"
     );
     drop(ranks);

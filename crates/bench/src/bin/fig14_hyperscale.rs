@@ -26,12 +26,9 @@
 //!
 //! Run: `cargo run --release -p mccs-bench --bin fig14_hyperscale`
 
-use mccs_baseline::{BaselineConfig, BaselineJob, Phase, RingChoice};
 use mccs_bench::report::{print_table, write_bench_json};
-use mccs_bench::scale::{plan_jobs, ScaleConfig};
-use mccs_collectives::op::all_reduce_sum;
-use mccs_core::config::RouteMap;
-use mccs_core::{Cluster, ClusterConfig};
+use mccs_bench::scale::{plan_jobs, scenario, ScaleConfig, ScaleVariant};
+use mccs_ipc::AppId;
 use mccs_sim::{Bandwidth, Bytes, Nanos};
 use mccs_topology::presets::{spine_leaf, SpineLeafConfig};
 use mccs_workloads::Placement;
@@ -148,41 +145,15 @@ fn run() -> RunStats {
     let cfg = workload();
     let planned = plan_jobs(&topo, &cfg);
     assert_eq!(planned.len(), JOBS, "every job must place");
-    let mut cluster = Cluster::new(Arc::clone(&topo), ClusterConfig::library_mode(SEED));
-    let mut apps = Vec::new();
-    for job in &planned {
-        let phases = vec![
-            Phase::Compute(cfg.compute),
-            Phase::Collective {
-                op: all_reduce_sum(),
-                size: cfg.collective,
-            },
-        ];
-        let app = BaselineJob::spawn(
-            &mut cluster,
-            &format!("hs-job{}", job.id),
-            BaselineConfig {
-                channels: CHANNELS,
-                ring: RingChoice::RandomHosts,
-                routes: RouteMap::ecmp(),
-                hash_salt: SEED ^ job.id as u64,
-                ..Default::default()
-            },
-            job.gpus.clone(),
-            phases,
-            ITERS,
-            job.start,
-        );
-        apps.push((job.id, app));
-    }
+    let mut cluster = scenario(Arc::clone(&topo), &planned, ScaleVariant::RandomRing, &cfg).build();
     reset_peak();
     let t0 = Instant::now();
     cluster.run_until_quiescent(Nanos::from_secs(3600));
     let wall_s = t0.elapsed().as_secs_f64();
     let peak_heap_mib = PEAK_BYTES.load(Ordering::Relaxed) as f64 / (1024.0 * 1024.0);
-    for (id, app) in &apps {
-        let tl = cluster.mgmt().timeline(*app);
-        assert_eq!(tl.len(), ITERS, "job {id} lost collectives");
+    for (i, job) in planned.iter().enumerate() {
+        let tl = cluster.mgmt().timeline(AppId(i as u32));
+        assert_eq!(tl.len(), ITERS, "job {} lost collectives", job.id);
     }
     let sched = cluster.scheduler_stats();
     RunStats {

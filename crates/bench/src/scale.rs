@@ -12,12 +12,12 @@
 //! placements and arrival order — the comparison the paper's per-job
 //! speedup CDF requires.
 
-use mccs_baseline::{BaselineConfig, BaselineJob, Phase, RingChoice};
 use mccs_collectives::op::all_reduce_sum;
 use mccs_control::flow_policy::{IncrementalFfa, JobFlows};
 use mccs_control::{optimal_rings, ChannelPolicy};
 use mccs_core::config::RouteMap;
-use mccs_core::{Cluster, ClusterConfig};
+use mccs_core::{ClusterConfig, LibraryConfig, RingChoice, Scenario, Tenant, TenantMode};
+use mccs_ipc::AppId;
 use mccs_sim::{Bytes, Nanos, Rng};
 use mccs_topology::{GpuId, Topology};
 use mccs_workloads::{jobs::poisson_jobs, Placement, PlacementMap};
@@ -210,6 +210,63 @@ pub struct JobResult {
     pub mean_allreduce: Nanos,
 }
 
+/// One variant's world over a pre-planned job set: job `planned[i]` is
+/// the library tenant `job{id}`, `AppId(i)`, with `cfg.iterations` of
+/// compute then an AllReduce, its hash salted with `cfg.seed ^ id`.
+pub fn scenario(
+    topo: Arc<Topology>,
+    planned: &[PlannedJob],
+    variant: ScaleVariant,
+    cfg: &ScaleConfig,
+) -> Scenario {
+    let mut ffa = IncrementalFfa::new();
+    let tenants = planned
+        .iter()
+        .map(|job| {
+            let rings = || optimal_rings(&topo, &job.gpus, ChannelPolicy::Fixed(cfg.channels));
+            let (ring, routes, channels) = match variant {
+                ScaleVariant::RandomRing => (
+                    RingChoice::RandomHosts,
+                    RouteMap::ecmp(),
+                    cfg.baseline_channels,
+                ),
+                ScaleVariant::OptimalRing => (
+                    RingChoice::Explicit(rings()),
+                    RouteMap::ecmp(),
+                    cfg.channels,
+                ),
+                ScaleVariant::OptimalRingFfa => {
+                    let rings = rings();
+                    let flows = JobFlows::from_rings(&topo, &rings, 0).flows;
+                    let routes = ffa.place_job(&topo, &flows);
+                    (RingChoice::Explicit(rings), routes, cfg.channels)
+                }
+            };
+            Tenant {
+                name: format!("job{}", job.id),
+                gpus: job.gpus.clone(),
+                op: all_reduce_sum(),
+                size: cfg.collective,
+                iters: cfg.iterations,
+                start: job.start,
+                compute: cfg.compute,
+                mode: TenantMode::Library(LibraryConfig {
+                    channels,
+                    ring,
+                    routes,
+                    hash_salt: cfg.seed ^ job.id as u64,
+                }),
+            }
+        })
+        .collect();
+    Scenario {
+        topo,
+        config: ClusterConfig::library_mode(cfg.seed),
+        tenants,
+        faults: None,
+    }
+}
+
 /// Run one variant over a pre-planned job set.
 pub fn run_scale(
     topo: Arc<Topology>,
@@ -217,69 +274,22 @@ pub fn run_scale(
     variant: ScaleVariant,
     cfg: &ScaleConfig,
 ) -> Vec<JobResult> {
-    let mut cluster = Cluster::new(Arc::clone(&topo), ClusterConfig::library_mode(cfg.seed));
-    let mut ffa = IncrementalFfa::new();
-    let mut apps = Vec::new();
-    for job in planned {
-        let (ring, routes, channels) = match variant {
-            ScaleVariant::RandomRing => (
-                RingChoice::RandomHosts,
-                RouteMap::ecmp(),
-                cfg.baseline_channels,
-            ),
-            ScaleVariant::OptimalRing => (
-                RingChoice::Explicit(optimal_rings(
-                    &topo,
-                    &job.gpus,
-                    ChannelPolicy::Fixed(cfg.channels),
-                )),
-                RouteMap::ecmp(),
-                cfg.channels,
-            ),
-            ScaleVariant::OptimalRingFfa => {
-                let rings = optimal_rings(&topo, &job.gpus, ChannelPolicy::Fixed(cfg.channels));
-                let flows = JobFlows::from_rings(&topo, &rings, 0).flows;
-                let routes = ffa.place_job(&topo, &flows);
-                (RingChoice::Explicit(rings), routes, cfg.channels)
-            }
-        };
-        let phases = vec![
-            Phase::Compute(cfg.compute),
-            Phase::Collective {
-                op: all_reduce_sum(),
-                size: cfg.collective,
-            },
-        ];
-        let app = BaselineJob::spawn(
-            &mut cluster,
-            &format!("job{}", job.id),
-            BaselineConfig {
-                channels,
-                ring,
-                routes,
-                hash_salt: cfg.seed ^ job.id as u64,
-                ..Default::default()
-            },
-            job.gpus.clone(),
-            phases,
-            cfg.iterations,
-            job.start,
-        );
-        apps.push((job.id, job.gpus.len(), app));
-    }
+    let mut cluster = scenario(topo, planned, variant, cfg).build();
     cluster.run_until_quiescent(Nanos::from_secs(3600));
-    apps.into_iter()
-        .map(|(id, gpus, app)| {
-            let tl = cluster.mgmt().timeline(app);
-            assert_eq!(tl.len(), cfg.iterations, "job {id} incomplete");
+    planned
+        .iter()
+        .enumerate()
+        .map(|(i, job)| {
+            let tl = cluster.mgmt().timeline(AppId(i as u32));
+            assert_eq!(tl.len(), cfg.iterations, "job {} incomplete", job.id);
             let mean = tl
                 .iter()
                 .map(|r| r.latency().expect("complete").as_secs_f64())
                 .sum::<f64>()
                 / tl.len() as f64;
             JobResult {
-                id,
-                gpus,
+                id: job.id,
+                gpus: job.gpus.len(),
                 mean_allreduce: Nanos::from_secs_f64(mean),
             }
         })

@@ -1,7 +1,7 @@
 //! The four evaluated systems behind one interface.
 //!
 //! * **NCCL** — tenant-linked library, rank-order ring, ECMP, no service
-//!   overhead ([`mccs_baseline`]).
+//!   overhead ([`mccs_core::library`]).
 //! * **NCCL(OR)** — the same library hand-fed the provider's optimal ring
 //!   (isolates MCCS's system overhead from its algorithmic gain, §6.1).
 //! * **MCCS(-FA)** — the full MCCS service with locality-aware rings but
@@ -9,10 +9,9 @@
 //! * **MCCS** — locality-aware rings + fair flow assignment.
 
 use crate::setups::AppPlacement;
-use mccs_baseline::{BaselineConfig, BaselineJob, Phase, RingChoice};
 use mccs_collectives::CollectiveOp;
-use mccs_control::{optimize_cluster, ChannelPolicy, PolicySpec};
-use mccs_core::{Cluster, ClusterConfig, Scenario, Tenant};
+use mccs_control::{optimal_rings, optimize_cluster, ChannelPolicy, PolicySpec};
+use mccs_core::{ClusterConfig, LibraryConfig, RingChoice, Scenario, Tenant, TenantMode};
 use mccs_ipc::{AppId, CommunicatorId};
 use mccs_sim::{Bytes, Nanos};
 use mccs_topology::{presets, GpuId};
@@ -50,15 +49,13 @@ impl SystemVariant {
         }
     }
 
-    fn is_service(&self) -> bool {
-        matches!(self, SystemVariant::MccsNoFa | SystemVariant::Mccs)
-    }
-
-    fn policy(&self) -> PolicySpec {
+    /// The controller policy of a service variant; `None` for the
+    /// library variants.
+    fn policy(&self) -> Option<PolicySpec> {
         match self {
-            SystemVariant::MccsNoFa => PolicySpec::mccs_no_fa(),
-            SystemVariant::Mccs => PolicySpec::mccs(),
-            _ => unreachable!("library variants have no controller policy"),
+            SystemVariant::MccsNoFa => Some(PolicySpec::mccs_no_fa()),
+            SystemVariant::Mccs => Some(PolicySpec::mccs()),
+            SystemVariant::Nccl | SystemVariant::NcclOr => None,
         }
     }
 }
@@ -86,80 +83,65 @@ const WORKLOAD_START: Nanos = Nanos::from_millis(10);
 /// ECMP draws, like re-established connections across real trials.
 pub fn run_apps(variant: SystemVariant, apps: &[AppSpec], trial: u64) -> Vec<Vec<Nanos>> {
     let topo = Arc::new(presets::testbed());
-    let service = variant.is_service();
-    let seed = 0x6E5 + trial;
-    let mut ids: Vec<AppId> = Vec::new();
-    let mut cluster;
-
-    if service {
-        let tenants: Vec<Tenant> = apps
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| Tenant {
+    let policy = variant.policy();
+    let tenants: Vec<Tenant> = apps
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            // The communicator id (service) or hash salt (library).
+            let id = 1 + 97 * trial + i as u64;
+            let gpus = &spec.placement.gpus;
+            let mode = if policy.is_some() {
+                TenantMode::Service(CommunicatorId(id))
+            } else {
+                let rings = optimal_rings(&topo, gpus, ChannelPolicy::MatchNics);
+                TenantMode::Library(LibraryConfig {
+                    // NCCL opens at least two connections per peer; match
+                    // the tenant's NIC count like the service default does.
+                    channels: rings.len().max(1),
+                    ring: match variant {
+                        SystemVariant::NcclOr => RingChoice::Explicit(rings),
+                        _ => RingChoice::RankOrder,
+                    },
+                    hash_salt: id,
+                    ..Default::default()
+                })
+            };
+            Tenant {
                 name: spec.placement.name.to_owned(),
-                comm: CommunicatorId(1 + 97 * trial + i as u64),
-                gpus: spec.placement.gpus.clone(),
+                gpus: gpus.clone(),
                 op: spec.op,
                 size: spec.size,
                 iters: spec.iters,
                 start: WORKLOAD_START,
-            })
-            .collect();
-        ids.extend((0..tenants.len()).map(|i| AppId(i as u32)));
-        cluster = Scenario {
-            topo: Arc::clone(&topo),
-            config: ClusterConfig::with_seed(seed),
-            tenants,
-            faults: None,
-        }
-        .build();
+                compute: Nanos::ZERO,
+                mode,
+            }
+        })
+        .collect();
+    let seed = 0x6E5 + trial;
+    let mut cluster = Scenario {
+        topo,
+        config: match policy {
+            Some(_) => ClusterConfig::with_seed(seed),
+            None => ClusterConfig::library_mode(seed),
+        },
+        tenants,
+        faults: None,
+    }
+    .build();
+    if let Some(policy) = &policy {
         // Registration completes well within a millisecond; then the
         // controller applies its policy before the workload starts.
         cluster.run_until(Nanos::from_millis(2));
-        optimize_cluster(&mut cluster, &variant.policy());
-    } else {
-        cluster = Cluster::new(Arc::clone(&topo), ClusterConfig::library_mode(seed));
-        for (i, spec) in apps.iter().enumerate() {
-            let ring = match variant {
-                SystemVariant::Nccl => RingChoice::RankOrder,
-                SystemVariant::NcclOr => RingChoice::Explicit(mccs_control::optimal_rings(
-                    &topo,
-                    &spec.placement.gpus,
-                    ChannelPolicy::MatchNics,
-                )),
-                _ => unreachable!(),
-            };
-            // NCCL opens at least two connections per peer; match the
-            // tenant's NIC count like the service default does.
-            let channels =
-                mccs_control::optimal_rings(&topo, &spec.placement.gpus, ChannelPolicy::MatchNics)
-                    .len()
-                    .max(1);
-            let app = BaselineJob::spawn(
-                &mut cluster,
-                spec.placement.name,
-                BaselineConfig {
-                    channels,
-                    ring,
-                    hash_salt: 1 + 97 * trial + i as u64,
-                    ..Default::default()
-                },
-                spec.placement.gpus.clone(),
-                vec![Phase::Collective {
-                    op: spec.op,
-                    size: spec.size,
-                }],
-                spec.iters,
-                WORKLOAD_START,
-            );
-            ids.push(app);
-        }
+        optimize_cluster(&mut cluster, policy);
     }
 
     cluster.run_until_quiescent(Nanos::from_secs(600));
-    ids.iter()
-        .map(|&app| {
-            if service {
+    (0..apps.len() as u32)
+        .map(|app| {
+            let app = AppId(app);
+            if policy.is_some() {
                 // Measure at the tenant (nccl-tests style): includes the
                 // shim <-> service round trip the paper's §6.2 overhead
                 // numbers are about.

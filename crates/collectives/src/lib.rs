@@ -1,7 +1,7 @@
 //! # mccs-collectives — collective algorithms and schedules
 //!
-//! The algorithm layer shared by the MCCS service (`mccs-core`) and the
-//! NCCL-like baseline (`mccs-baseline`): operation semantics, ring
+//! The algorithm layer shared by the MCCS service and its NCCL-like
+//! library mode (both in `mccs-core`): operation semantics, ring
 //! construction, per-edge transfer schedules with multi-channel splitting,
 //! bandwidth accounting (NCCL-tests definitions), and the cross-rack
 //! traffic analysis behind the paper's Figure 3.

@@ -8,7 +8,7 @@
 
 use mccs_collectives::op::all_reduce_sum;
 use mccs_control::HealthMonitor;
-use mccs_core::{Cluster, ClusterConfig, FailureEvent, Scenario, Tenant};
+use mccs_core::{Cluster, ClusterConfig, FailureEvent, Scenario, Tenant, TenantMode};
 use mccs_ipc::CommunicatorId;
 use mccs_sim::{Bytes, Nanos};
 use mccs_topology::graph::Endpoint;
@@ -22,12 +22,13 @@ const GPUS: [GpuId; 4] = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
 fn mon(seed: u64, size: Bytes, iters: usize) -> Scenario {
     let tenant = Tenant {
         name: "mon".to_owned(),
-        comm: COMM,
+        mode: TenantMode::Service(COMM),
         gpus: GPUS.to_vec(),
         op: all_reduce_sum(),
         size,
         iters,
         start: Nanos::ZERO,
+        compute: Nanos::ZERO,
     };
     Scenario {
         topo: Arc::new(presets::testbed()),

@@ -3,10 +3,12 @@
 
 use crate::app::AppEngine;
 use crate::config::ServiceConfig;
+use crate::error::ServiceError;
 use crate::frontend::FrontendEngine;
 use crate::mgmt::Management;
 use crate::proxy::ProxyEngine;
 use crate::recovery::RecoveryEngine;
+use crate::scenario::{Tenant, TenantMode};
 use crate::transport::TransportEngine;
 use crate::world::{Endpoint, World};
 use mccs_device::DeviceConfig;
@@ -67,8 +69,7 @@ pub struct ClusterHang {
 pub struct Cluster {
     /// The shared world (public for experiment harnesses and tests).
     pub world: World,
-    pool: RuntimePool<World>,
-    next_app: u32,
+    pub(crate) pool: RuntimePool<World>,
 }
 
 impl Cluster {
@@ -94,11 +95,7 @@ impl Cluster {
             // plan is installed, so fault-free runs pay nothing for it.
             pool.spawn(Box::new(RecoveryEngine::new()));
         }
-        Cluster {
-            world,
-            pool,
-            next_app: 0,
-        }
+        Cluster { world, pool }
     }
 
     /// Attach a tenant application: one `(GPU, program)` pair per rank.
@@ -135,19 +132,37 @@ impl Cluster {
         app
     }
 
-    /// Spawn an arbitrary engine into the pool (library-mode tenants such
-    /// as the NCCL baseline, experiment drivers).
-    pub fn spawn_engine(&mut self, engine: Box<dyn mccs_sim::Engine<World>>) {
-        self.pool.spawn(engine);
+    /// Attach `tenant` in its mode — the service: one shim program per
+    /// rank through [`add_app`](Self::add_app); the library: one engine
+    /// ([`crate::library`]). Refuses, before attaching anything, a tenant
+    /// without GPUs or iterations and a library config the job cannot run.
+    pub fn add_tenant(&mut self, tenant: &Tenant) -> Result<AppId, ServiceError> {
+        let refuse =
+            |cause| ServiceError::invalid_argument(format!("tenant '{}' {cause}", tenant.name));
+        if tenant.gpus.is_empty() {
+            return Err(refuse("needs at least one GPU"));
+        }
+        if tenant.iters == 0 {
+            return Err(refuse("must run at least one collective (iters = 0)"));
+        }
+        match &tenant.mode {
+            TenantMode::Service(comm) => {
+                let ranks = (0..tenant.gpus.len())
+                    .map(|rank| {
+                        let program = tenant.program(*comm, rank);
+                        (tenant.gpus[rank], Box::new(program) as Box<dyn AppProgram>)
+                    })
+                    .collect();
+                Ok(self.add_app(&tenant.name, ranks))
+            }
+            TenantMode::Library(lib) => crate::library::attach(self, tenant, lib),
+        }
     }
 
-    /// Register an application name without shim endpoints (library-mode
-    /// tenants) and get its id.
-    pub fn register_app_name(&mut self, name: &str) -> AppId {
-        let app = AppId(self.next_app);
-        self.next_app += 1;
+    /// Register an application name and get its id.
+    pub(crate) fn register_app_name(&mut self, name: &str) -> AppId {
         self.world.app_names.push(name.to_owned());
-        app
+        AppId(self.world.app_names.len() as u32 - 1)
     }
 
     /// Install a deterministic fault schedule. All fault machinery —

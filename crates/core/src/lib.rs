@@ -19,6 +19,9 @@
 //!   enforce time-window traffic schedules (TS);
 //! * **scenarios** ([`scenario`]) — a world as data: topology, config,
 //!   tenants running the NCCL-tests loop and a fault plan;
+//! * **library mode** ([`library`]) — the NCCL-like library a tenant links
+//!   in instead, the comparator the paper evaluates MCCS against: one
+//!   [`TenantMode`] of the same tenant description;
 //! * **management API** ([`mgmt`]) — the provider/controller surface:
 //!   communicator inventory, runtime reconfiguration, traffic windows,
 //!   and collective tracing.
@@ -46,6 +49,7 @@ pub mod explore;
 pub mod flat;
 pub mod frontend;
 pub mod health;
+pub mod library;
 pub mod messages;
 pub mod mgmt;
 pub mod proxy;
@@ -68,9 +72,10 @@ pub use health::{
     FailureEvent, HealthCounters, HealthDelivery, HealthRegistry, HealthSnapshot,
     HealthSubscription,
 };
+pub use library::{LibraryConfig, RingChoice};
 pub use mgmt::CommInfo;
 pub use qos::TrafficWindows;
 pub use recovery::{comm_min_route_weight, DetourPolicy, RecoveryEngine, RecoveryPolicy};
-pub use scenario::{Record, Scenario, Tenant};
+pub use scenario::{Record, Scenario, Tenant, TenantMode};
 pub use tracing::{TraceCollector, TraceRecord};
 pub use world::{Controller, ControllerState, ControllerStats, DrainObligation, World};

@@ -533,15 +533,7 @@ fn launch_tasks(rank: &mut CommRank, w: &mut World, p: &PendingCollective) {
         match task {
             EdgeTask::IntraHost { bytes, .. } => {
                 let stream = ensure_stream(rank, channel, w);
-                let bandwidth = w.devices.config().intra_host_bandwidth;
-                w.device_enqueue(
-                    stream,
-                    StreamOp::Transfer {
-                        bytes,
-                        bandwidth,
-                        token,
-                    },
-                );
+                w.enqueue_transfer(stream, bytes, token);
             }
             EdgeTask::InterHost {
                 src_nic,

@@ -3,62 +3,68 @@
 //!
 //! A [`Scenario`] is a topology, a cluster config, a list of [`Tenant`]s
 //! and an optional fault plan. Every tenant runs the same NCCL-tests
-//! style script — UCC's "init once and invoke multiple times": allocate a
-//! send and a receive buffer, join the communicator, optionally sleep
-//! until `start`, then issue `iters` back-to-back collectives. Worlds that
-//! also need a bespoke program, a library-mode job or management calls
-//! mid-run call [`Scenario::build`] and carry on with the [`Cluster`].
+//! style loop — UCC's "init once and invoke multiple times" — on the
+//! executor its [`TenantMode`] names: the MCCS service or the NCCL-like
+//! library ([`crate::library`]). Worlds that also need a bespoke program
+//! or management calls mid-run call [`Scenario::build`] and carry on.
 
 use crate::cluster::{Cluster, ClusterConfig};
+use crate::library::LibraryConfig;
 use crate::tracing::TraceRecord;
 use mccs_collectives::CollectiveOp;
 use mccs_ipc::{AppId, CommunicatorId};
 use mccs_netsim::FaultPlan;
-use mccs_shim::{AppProgram, ScriptStep, ScriptedProgram};
+use mccs_shim::{ScriptStep, ScriptedProgram};
 use mccs_sim::{Bytes, Nanos};
 use mccs_topology::{GpuId, Topology};
 use std::sync::Arc;
 
-/// One tenant: rank `r` runs on `gpus[r]`, and every rank issues `iters`
-/// `op`s of `size` bytes over `comm`, the first at `start` or as soon as
-/// the communicator is up.
+/// One tenant: rank `r` runs on `gpus[r]`, and from `start` the tenant
+/// runs `iters` iterations of `compute` (if non-zero) followed by one
+/// `op` of `size` bytes.
 #[derive(Clone, Debug)]
 pub struct Tenant {
-    /// Application name (programs are named `"{name}/r{rank}"`).
+    /// Application name (service programs are named `"{name}/r{rank}"`).
     pub name: String,
-    /// The tenant's communicator.
-    pub comm: CommunicatorId,
-    /// Rank -> GPU map.
+    /// Rank -> GPU map (at least one GPU).
     pub gpus: Vec<GpuId>,
     /// The collective every iteration issues.
     pub op: CollectiveOp,
     /// Buffer size.
     pub size: Bytes,
-    /// Collectives per rank (at least one).
+    /// Iterations (at least one).
     pub iters: usize,
-    /// Virtual instant the first collective waits for.
+    /// Virtual instant the first iteration waits for.
     pub start: Nanos,
+    /// Compute before each collective.
+    pub compute: Nanos,
+    /// Which executor runs the collectives.
+    pub mode: TenantMode,
+}
+
+/// How a tenant's collectives run.
+#[derive(Clone, Debug)]
+pub enum TenantMode {
+    /// Through the MCCS service, on this communicator: a shim program per
+    /// rank, measured at the tenant by `Management::tenant_latencies`.
+    Service(CommunicatorId),
+    /// In a library linked into the tenant, with its private communicator
+    /// and a strategy fixed at init ([`crate::library`]).
+    Library(LibraryConfig),
 }
 
 impl Tenant {
-    /// Rank `rank`'s script: `Alloc` slots 0 and 1, `CommInit`,
-    /// `SleepUntil(start)` if `start > 0`, the collective from slot 0 to
-    /// slot 1, and a `Repeat` of it if `iters > 1`.
-    ///
-    /// # Panics
-    /// If `iters == 0`: a tenant runs at least one collective.
-    pub fn program(&self, rank: usize) -> ScriptedProgram {
-        assert!(
-            self.iters > 0,
-            "tenant '{}' must run at least one collective (iters = 0)",
-            self.name
-        );
+    /// Rank `rank`'s service script over `comm`: `Alloc` slots 0 and 1,
+    /// `CommInit`, `SleepUntil(start)` if `start > 0`, then the loop body
+    /// — `Compute(compute)` if `compute > 0` and the collective from slot
+    /// 0 to slot 1 — with a `Repeat` of it if `iters > 1`.
+    pub(crate) fn program(&self, comm: CommunicatorId, rank: usize) -> ScriptedProgram {
         let size = self.size;
         let mut steps = vec![
             ScriptStep::Alloc { size, slot: 0 },
             ScriptStep::Alloc { size, slot: 1 },
             ScriptStep::CommInit {
-                comm: self.comm,
+                comm,
                 world: self.gpus.clone(),
                 rank,
             },
@@ -67,8 +73,11 @@ impl Tenant {
             steps.push(ScriptStep::SleepUntil(self.start));
         }
         let head = steps.len();
+        if self.compute > Nanos::ZERO {
+            steps.push(ScriptStep::Compute(self.compute));
+        }
         steps.push(ScriptStep::Collective {
-            comm: self.comm,
+            comm,
             op: self.op,
             size,
             send_slot: 0,
@@ -98,20 +107,21 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// The cluster: `Cluster::new`, then `add_app` once per tenant in
-    /// order, then the fault plan. The order fixes the `AppId`s and the
-    /// order endpoints fork the world RNG, so two scenarios that differ
-    /// only in a tenant appended last build the same first tenants.
+    /// The cluster: `Cluster::new`, then [`Cluster::add_tenant`] once per
+    /// tenant in order, then the fault plan. The order fixes the `AppId`s
+    /// and the order tenants draw from the world RNG (service endpoints
+    /// fork it, a `RandomHosts` library job draws its ring), so two
+    /// scenarios that differ only in a tenant appended last build the same
+    /// first tenants.
+    ///
+    /// # Panics
+    /// If a tenant is refused; the message names it and the cause.
     pub fn build(&self) -> Cluster {
         let mut cluster = Cluster::new(Arc::clone(&self.topo), self.config.clone());
         for t in &self.tenants {
-            let ranks = t
-                .gpus
-                .iter()
-                .enumerate()
-                .map(|(rank, &gpu)| (gpu, Box::new(t.program(rank)) as Box<dyn AppProgram>))
-                .collect();
-            cluster.add_app(&t.name, ranks);
+            if let Err(e) = cluster.add_tenant(t) {
+                panic!("tenant '{}' refused: {e}", t.name);
+            }
         }
         if let Some(plan) = &self.faults {
             cluster.install_fault_plan(plan.clone());
@@ -169,19 +179,41 @@ impl Record {
 mod tests {
     use super::*;
     use mccs_collectives::op::all_reduce_sum;
+    use mccs_topology::presets;
 
-    #[test]
-    #[should_panic(expected = "tenant 'idle' must run at least one collective")]
-    fn a_tenant_without_iterations_is_refused() {
-        let idle = Tenant {
+    fn tenant(gpus: Vec<GpuId>, iters: usize) -> Tenant {
+        Tenant {
             name: "idle".to_owned(),
-            comm: CommunicatorId(1),
-            gpus: vec![GpuId(0)],
+            gpus,
             op: all_reduce_sum(),
             size: Bytes::mib(1),
-            iters: 0,
+            iters,
             start: Nanos::ZERO,
-        };
-        idle.program(0);
+            compute: Nanos::ZERO,
+            mode: TenantMode::Service(CommunicatorId(1)),
+        }
+    }
+
+    #[test]
+    fn a_tenant_without_iterations_or_gpus_is_refused() {
+        let mut cluster = Cluster::new(Arc::new(presets::testbed()), ClusterConfig::with_seed(1));
+        for (t, cause) in [
+            (
+                tenant(vec![GpuId(0)], 0),
+                "must run at least one collective",
+            ),
+            (tenant(Vec::new(), 1), "needs at least one GPU"),
+        ] {
+            for mode in [
+                t.mode.clone(),
+                TenantMode::Library(LibraryConfig::default()),
+            ] {
+                let t = Tenant { mode, ..t.clone() };
+                let e = cluster.add_tenant(&t).expect_err("refused");
+                assert!(e.message.contains("tenant 'idle'"), "{e}");
+                assert!(e.message.contains(cause), "{e}");
+            }
+        }
+        assert!(cluster.world.app_names.is_empty(), "nothing attached");
     }
 }

@@ -18,7 +18,7 @@ use mccs_device::{
 use mccs_ipc::{AppId, CommunicatorId, IpcConfig, LatencyQueue, ShimCommand, ShimCompletion};
 use mccs_netsim::{ControlFault, FaultEvent, FaultPlan, FlowCompletion, FlowId, Network};
 use mccs_shim::ShimPort;
-use mccs_sim::{EventQueue, Nanos, ResourceId, Rng, WakeSource};
+use mccs_sim::{Bytes, EventQueue, Nanos, ResourceId, Rng, WakeSource};
 use mccs_topology::{GpuId, LinkId, NicId, Topology};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
@@ -103,20 +103,20 @@ pub mod resources {
         ResourceId::new(11, 0)
     }
 
-    /// An external (library-mode) engine's doorbell: one of its flows
-    /// completed, or a timer it armed came due.
-    pub const fn external(owner: u32) -> ResourceId {
-        ResourceId::new(12, owner)
+    /// A library-mode job's doorbell, indexed by its app id: one of its
+    /// flows completed, or a timer it armed came due.
+    pub(crate) const fn library_job(app: u32) -> ResourceId {
+        ResourceId::new(12, app)
     }
 }
 
 /// Who gets a flow's completion event.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FlowOwner {
+pub(crate) enum FlowOwner {
     /// The transport engine of this NIC index (MCCS data path).
     Transport(usize),
-    /// An external engine (the NCCL-like baseline library, scale studies).
-    External(u32),
+    /// The library-mode job ([`crate::library`]) of this app id.
+    Library(u32),
 }
 
 /// Dense `flow id → owner` table. Flow ids are allocated sequentially by
@@ -126,10 +126,9 @@ pub enum FlowOwner {
 /// removal, and memory is bounded by the live-flow *span*, not by the
 /// total flow count of the run.
 #[derive(Default, Debug)]
-pub struct FlowOwners {
+pub(crate) struct FlowOwners {
     base: u64,
     slots: VecDeque<Option<FlowOwner>>,
-    len: usize,
 }
 
 impl FlowOwners {
@@ -143,33 +142,18 @@ impl FlowOwners {
         if idx >= self.slots.len() {
             self.slots.resize(idx + 1, None);
         }
-        if self.slots[idx].replace(owner).is_none() {
-            self.len += 1;
-        }
+        self.slots[idx] = Some(owner);
     }
 
     /// Deregister a flow (on completion, kill or cancel).
     pub fn remove(&mut self, id: FlowId) -> Option<FlowOwner> {
         let idx = usize::try_from(id.0.checked_sub(self.base)?).ok()?;
         let out = self.slots.get_mut(idx)?.take();
-        if out.is_some() {
-            self.len -= 1;
-        }
         while matches!(self.slots.front(), Some(None)) {
             self.slots.pop_front();
             self.base += 1;
         }
         out
-    }
-
-    /// Number of registered flows.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no flow is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -413,11 +397,9 @@ pub struct World {
     pub transport_flow_failures: Vec<Vec<(FlowId, u64)>>,
     /// Which NIC's transport owns each in-flight network flow (dense,
     /// id-windowed — see [`FlowOwners`]).
-    pub flow_owner_nic: FlowOwners,
-    /// Completed flows owned by external (library-mode) engines, keyed by
-    /// their owner handle.
-    pub external_flow_events: HashMap<u32, Vec<FlowCompletion>>,
-    next_external_owner: u32,
+    pub(crate) flow_owner_nic: FlowOwners,
+    /// Completed flows owned by library-mode jobs, keyed by app id.
+    pub(crate) library_flow_events: HashMap<u32, Vec<FlowCompletion>>,
     /// Communicator state, keyed `(comm, gpu)` — owned by proxy engines,
     /// world-resident so the management API can inspect it.
     pub comms: CommTable,
@@ -617,8 +599,7 @@ impl World {
             transport_flow_events: vec![Vec::new(); nic_count],
             transport_flow_failures: vec![Vec::new(); nic_count],
             flow_owner_nic: FlowOwners::default(),
-            external_flow_events: HashMap::new(),
-            next_external_owner: 0,
+            library_flow_events: HashMap::new(),
             comms: CommTable::new(gpu_count),
             progress: HashMap::new(),
             schedule_cache: WorldScheduleCache::default(),
@@ -762,9 +743,9 @@ impl World {
                     self.signals.push(resources::transport_flow(nic as u32));
                     self.transport_flow_events[nic].push(c);
                 }
-                FlowOwner::External(owner) => {
-                    self.signals.push(resources::external(owner));
-                    self.external_flow_events.entry(owner).or_default().push(c)
+                FlowOwner::Library(app) => {
+                    self.signals.push(resources::library_job(app));
+                    self.library_flow_events.entry(app).or_default().push(c)
                 }
             }
         }
@@ -861,7 +842,7 @@ impl World {
     }
 
     /// Hand fault-killed flows to their owning transports for retry.
-    /// (Library-mode external flows are outside the fault model and are
+    /// (Library-mode flows are outside the fault model and are
     /// dropped silently — their owner never started under a service SLA.)
     fn route_failed_flows(&mut self, victims: Vec<(FlowId, u64)>) {
         for (id, token) in victims {
@@ -874,7 +855,7 @@ impl World {
                     self.signals.push(resources::transport_flow(nic as u32));
                     self.transport_flow_failures[nic].push((id, token));
                 }
-                FlowOwner::External(_) => {}
+                FlowOwner::Library(_) => {}
             }
         }
     }
@@ -961,6 +942,18 @@ impl World {
         for gpu in self.devices.take_touched_gpus() {
             self.signal(resources::device_activity(gpu));
         }
+    }
+
+    /// Queue an intra-host ring edge of either launcher (proxy, library
+    /// job): `bytes` at the intra-host bandwidth, completing `token`.
+    pub(crate) fn enqueue_transfer(&mut self, stream: StreamId, bytes: Bytes, token: u64) {
+        let bandwidth = self.devices.config().intra_host_bandwidth;
+        let transfer = mccs_device::StreamOp::Transfer {
+            bytes,
+            bandwidth,
+            token,
+        };
+        self.device_enqueue(stream, transfer);
     }
 
     /// Signal `resource` when the clock reaches `at` — the one way to wait
@@ -1152,18 +1145,6 @@ impl World {
     pub fn control_ordinal(&self) -> u64 {
         self.control_seq
     }
-
-    /// Allocate an owner handle for an external (library-mode) engine.
-    pub fn alloc_external_owner(&mut self) -> u32 {
-        let o = self.next_external_owner;
-        self.next_external_owner += 1;
-        o
-    }
-
-    /// Drain the completed flows of an external owner.
-    pub fn take_external_events(&mut self, owner: u32) -> Vec<FlowCompletion> {
-        self.external_flow_events.remove(&owner).unwrap_or_default()
-    }
 }
 
 impl WakeSource for World {
@@ -1348,7 +1329,7 @@ mod tests {
     #[test]
     fn signal_at_raises_its_resource_when_the_clock_gets_there() {
         let mut w = world();
-        let r = resources::external(3);
+        let r = resources::library_job(3);
         let at = Nanos::from_micros(10);
         w.signal_at(at, r);
         assert_eq!(w.next_time(), Some(at));

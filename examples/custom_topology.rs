@@ -5,12 +5,11 @@
 //!
 //! Run: `cargo run --release --example custom_topology`
 
-use mccs::baseline::{BaselineConfig, BaselineJob, Phase, RingChoice};
 use mccs::collectives::crossrack;
 use mccs::collectives::op::all_reduce_sum;
 use mccs::control::flow_policy::JobFlows;
 use mccs::control::{ffa, optimal_rings, ChannelPolicy};
-use mccs::service::{Cluster, ClusterConfig};
+use mccs::service::{ClusterConfig, LibraryConfig, RingChoice, Scenario, Tenant, TenantMode};
 use mccs::sim::{Bandwidth, Bytes, Nanos};
 use mccs::topology::{GpuId, PodId, SwitchRole, TopologyBuilder};
 use std::sync::Arc;
@@ -78,27 +77,30 @@ fn main() {
     );
 
     // ---- run it -------------------------------------------------------------
-    let mut cluster = Cluster::new(Arc::clone(&topo), ClusterConfig::library_mode(1));
-    let app = BaselineJob::spawn(
-        &mut cluster,
-        "custom",
-        BaselineConfig {
+    let job = Tenant {
+        name: "custom".to_owned(),
+        gpus: scattered,
+        op: all_reduce_sum(),
+        size: Bytes::mib(64),
+        iters: 4,
+        start: Nanos::ZERO,
+        compute: Nanos::ZERO,
+        mode: TenantMode::Library(LibraryConfig {
             channels: rings.len(),
             ring: RingChoice::Explicit(rings),
             routes,
             ..Default::default()
-        },
-        scattered,
-        vec![Phase::Collective {
-            op: all_reduce_sum(),
-            size: Bytes::mib(64),
-        }],
-        4,
-        Nanos::ZERO,
-    );
-    cluster.run_until_quiescent(Nanos::from_secs(30));
+        }),
+    };
+    let record = Scenario {
+        topo,
+        config: ClusterConfig::library_mode(1),
+        tenants: vec![job],
+        faults: None,
+    }
+    .run(Nanos::from_secs(30));
     println!("\ncollective latencies on the custom fabric:");
-    for rec in cluster.mgmt().timeline(app) {
+    for rec in &record.traces[0] {
         println!("  seq {}: {}", rec.seq, rec.latency().expect("complete"));
     }
 }

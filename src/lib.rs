@@ -3,7 +3,6 @@
 //! Facade crate re-exporting the full MCCS reproduction (SIGCOMM 2024).
 //! See `README.md` for a tour and `DESIGN.md` for the architecture.
 
-pub use mccs_baseline as baseline;
 pub use mccs_collectives as collectives;
 pub use mccs_control as control;
 pub use mccs_core as service;

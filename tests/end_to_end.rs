@@ -2,12 +2,13 @@
 //! programs, the service, the controller policies and the simulated
 //! substrates working together.
 
-use mccs::baseline::{BaselineConfig, BaselineJob, Phase, RingChoice};
 use mccs::collectives::op::all_reduce_sum;
 use mccs::collectives::{algo_bandwidth, CollectiveOp};
 use mccs::control::{optimize_cluster, PolicySpec};
 use mccs::ipc::{AppId, CommunicatorId};
-use mccs::service::{Cluster, ClusterConfig, Scenario, Tenant};
+use mccs::service::{
+    Cluster, ClusterConfig, LibraryConfig, RingChoice, Scenario, Tenant, TenantMode,
+};
 use mccs::sim::{Bytes, Nanos};
 use mccs::topology::{presets, GpuId};
 use std::sync::Arc;
@@ -46,12 +47,13 @@ fn controller_rescues_bad_vm_order() {
     let run = |optimize: bool| -> f64 {
         let tenant = Tenant {
             name: "t".to_owned(),
-            comm: CommunicatorId(5),
+            mode: TenantMode::Service(CommunicatorId(5)),
             gpus: vm_order.clone(),
             op: all_reduce_sum(),
             size,
             iters: 3,
             start: Nanos::from_millis(10),
+            compute: Nanos::ZERO,
         };
         let mut cluster = testbed(vec![tenant]);
         let app = AppId(0);
@@ -78,40 +80,34 @@ fn controller_rescues_bad_vm_order() {
 }
 
 /// Service-mode and library-mode tenants coexist in one world and share
-/// bandwidth: a service tenant and a baseline job on disjoint GPUs both
+/// bandwidth: a service tenant and a library job on disjoint GPUs both
 /// complete, and the shared links are split between them.
 #[test]
 fn service_and_library_tenants_coexist() {
-    let tenant = Tenant {
+    let svc = Tenant {
         name: "svc".to_owned(),
-        comm: CommunicatorId(1),
         gpus: vec![GpuId(0), GpuId(4)],
         op: all_reduce_sum(),
         size: Bytes::mib(64),
         iters: 3,
         start: Nanos::from_millis(5),
+        compute: Nanos::ZERO,
+        mode: TenantMode::Service(CommunicatorId(1)),
     };
-    let mut cluster = testbed(vec![tenant]);
-    let app = AppId(0);
-    let lib = BaselineJob::spawn(
-        &mut cluster,
-        "lib",
-        BaselineConfig {
+    let lib = Tenant {
+        name: "lib".to_owned(),
+        gpus: vec![GpuId(2), GpuId(6)],
+        mode: TenantMode::Library(LibraryConfig {
             channels: 1,
             ring: RingChoice::RankOrder,
             ..Default::default()
-        },
-        vec![GpuId(2), GpuId(6)],
-        vec![Phase::Collective {
-            op: all_reduce_sum(),
-            size: Bytes::mib(64),
-        }],
-        3,
-        Nanos::from_millis(5),
-    );
+        }),
+        ..svc.clone()
+    };
+    let mut cluster = testbed(vec![svc, lib]);
     cluster.run_until_quiescent(Nanos::from_secs(60));
-    assert_eq!(cluster.mgmt().tenant_latencies(app).len(), 3);
-    assert_eq!(cluster.mgmt().timeline(lib).len(), 3);
+    assert_eq!(cluster.mgmt().tenant_latencies(AppId(0)).len(), 3);
+    assert_eq!(cluster.mgmt().timeline(AppId(1)).len(), 3);
 }
 
 /// Memory management through the full stack: alloc via the shim, service
@@ -120,12 +116,13 @@ fn service_and_library_tenants_coexist() {
 fn memory_roundtrip_through_the_service() {
     let tenant = Tenant {
         name: "mem".to_owned(),
-        comm: CommunicatorId(1),
+        mode: TenantMode::Service(CommunicatorId(1)),
         gpus: vec![GpuId(0), GpuId(1)],
         op: all_reduce_sum(),
         size: Bytes::mib(8),
         iters: 1,
         start: Nanos::ZERO,
+        compute: Nanos::ZERO,
     };
     let mut cluster = testbed(vec![tenant]);
     cluster.run_until_quiescent(Nanos::from_secs(10));
@@ -152,12 +149,13 @@ fn op_zoo_latency_ordering() {
     {
         let tenant = Tenant {
             name: "ops".to_owned(),
-            comm: CommunicatorId(10 + i as u64),
+            mode: TenantMode::Service(CommunicatorId(10 + i as u64)),
             gpus: vec![GpuId(0), GpuId(2), GpuId(4), GpuId(6)],
             op,
             size,
             iters: 1,
             start: Nanos::from_millis(5),
+            compute: Nanos::ZERO,
         };
         let mut cluster = testbed(vec![tenant]);
         let app = AppId(0);
@@ -187,12 +185,13 @@ fn facade_runs_are_deterministic() {
     let run = || {
         let tenant = Tenant {
             name: "det".to_owned(),
-            comm: CommunicatorId(2),
+            mode: TenantMode::Service(CommunicatorId(2)),
             gpus: vec![GpuId(0), GpuId(2), GpuId(4), GpuId(6)],
             op: all_reduce_sum(),
             size: Bytes::mib(32),
             iters: 4,
             start: Nanos::from_millis(5),
+            compute: Nanos::ZERO,
         };
         let mut cluster = testbed(vec![tenant]);
         let app = AppId(0);

@@ -15,15 +15,32 @@
 //!   rack crossings — leaves every trace identical, at jitter 0 and at the
 //!   default jitter alike.
 //!
-//! Each relation has a live break: a transform that does change what the
+//! * **R5, the service's surcharge.** The same tenant run by the service
+//!   and by the NCCL-like library given the service's default rings
+//!   (NCCL(OR)-style) differs, per collective, by the IPC path alone:
+//!   command + engine hop + completion − the library's launch overhead,
+//!   plus one more engine hop (proxy → transport) when every task is
+//!   inter-host. With intra- and inter-host tasks the surcharge lies
+//!   between the two, because the service starts its intra-host tasks one
+//!   hop before the inter-host ones and the transport hop can hide behind
+//!   them. Preconditions: IPC jitter 0, and one route per NIC pair (one
+//!   rack, or one spine), so the two modes' connection hashes cannot pick
+//!   different paths.
+//!
+//! R1 and R2 have a live break: a transform that does change what the
 //! service sees (sharing tenant 0's GPUs, packing two ranks onto one
 //! host) must change the trace, so the relation is known to detect it.
+//! R5 is an identity in the IPC constants: one more engine hop, or no
+//! launch overhead, moves it by exactly 10 µs.
 //!
 //! Run: `cargo test --test relations`
 
 use mccs::collectives::op::all_reduce_sum;
-use mccs::ipc::CommunicatorId;
-use mccs::service::{ClusterConfig, Scenario, Tenant};
+use mccs::collectives::{CollectiveOp, ReduceKind};
+use mccs::ipc::{AppId, CommunicatorId};
+use mccs::service::{
+    ClusterConfig, CollectiveConfig, LibraryConfig, RingChoice, Scenario, Tenant, TenantMode,
+};
 use mccs::sim::{Bandwidth, Bytes, Nanos};
 use mccs::topology::presets::{self, SpineLeafConfig};
 use mccs::topology::GpuId;
@@ -39,12 +56,13 @@ fn gpus(ids: &[u32]) -> Vec<GpuId> {
 fn tenant(name: &str, comm: u64, gpus: Vec<GpuId>) -> Tenant {
     Tenant {
         name: name.to_owned(),
-        comm: CommunicatorId(comm),
+        mode: TenantMode::Service(CommunicatorId(comm)),
         gpus,
         op: all_reduce_sum(),
         size: Bytes::mib(16),
         iters: 3,
         start: Nanos::ZERO,
+        compute: Nanos::ZERO,
     }
 }
 
@@ -190,4 +208,118 @@ fn r2_reversing_rank_order_keeps_the_sorted_trace_at_jitter_zero() {
 fn r2_breaks_when_the_ranks_move_onto_one_host() {
     let s = without_jitter(testbed(&[0, 2]));
     assert!(!relabelling_invariant(&s, &[0, 1]));
+}
+
+// ---------------------------------------------------------------------------
+// R5: the service's surcharge over the library
+// ---------------------------------------------------------------------------
+
+/// `s`'s tenant 0 as a library job with the service's default rings and
+/// as many channels — NCCL(OR) given what the service would run.
+fn as_library(mut s: Scenario) -> Scenario {
+    let t = &mut s.tenants[0];
+    let rings = CollectiveConfig::default_for(&s.topo, &t.gpus).channel_rings;
+    t.mode = TenantMode::Library(LibraryConfig {
+        channels: rings.len(),
+        ring: RingChoice::Explicit(rings),
+        ..Default::default()
+    });
+    s
+}
+
+/// Per collective of tenant 0, its service latency measured at the
+/// tenant minus its library latency.
+fn surcharges(s: &Scenario) -> Vec<Nanos> {
+    let mut svc = s.build();
+    svc.run_until_quiescent(DEADLINE);
+    let mut lib = as_library(s.clone()).build();
+    lib.run_until_quiescent(DEADLINE);
+    let svc = svc.mgmt().tenant_latencies(AppId(0));
+    let lib = lib.mgmt().timeline(AppId(0));
+    assert_eq!(svc.len(), s.tenants[0].iters, "service lost collectives");
+    assert_eq!(lib.len(), svc.len(), "library lost collectives");
+    svc.iter()
+        .zip(&lib)
+        .map(|(&(_, issued, done), r)| (done - issued) - r.latency().expect("complete"))
+        .collect()
+}
+
+/// The five ops at 8 KB, 512 KB and 64 MiB, three of each, from tenant
+/// 0 of `s` at jitter 0; `check(Δ)` must hold for every collective.
+fn r5(s: Scenario, check: impl Fn(Nanos) -> bool) {
+    let ops = [
+        all_reduce_sum(),
+        CollectiveOp::AllGather,
+        CollectiveOp::ReduceScatter(ReduceKind::Sum),
+        CollectiveOp::Broadcast { root: 1 },
+        CollectiveOp::Reduce {
+            root: 1,
+            kind: ReduceKind::Sum,
+        },
+    ];
+    let s = without_jitter(s);
+    for op in ops {
+        for size in [Bytes::kib(8), Bytes::kib(512), Bytes::mib(64)] {
+            let mut s = s.clone();
+            s.tenants[0].op = op;
+            s.tenants[0].size = size;
+            for delta in surcharges(&s) {
+                assert!(check(delta), "{op:?} of {size}: surcharge {delta}");
+            }
+        }
+    }
+}
+
+/// One spine over two racks of two hosts with two GPUs each.
+fn one_spine(a: &[u32]) -> Scenario {
+    let topo = presets::spine_leaf(&SpineLeafConfig {
+        spines: 1,
+        leaves: 2,
+        hosts_per_leaf: 2,
+        gpus_per_host: 2,
+        nic_bandwidth: Bandwidth::gbps(100.0),
+        leaf_spine_bandwidth: Bandwidth::gbps(200.0),
+    });
+    Scenario {
+        topo: Arc::new(topo),
+        ..testbed(a)
+    }
+}
+
+/// The library's kernel-launch overhead, restated rather than read from
+/// `mccs_core::library` so that R5 checks the engine pays it.
+const LAUNCH: Nanos = Nanos::from_micros(10);
+
+/// The IPC path a service collective adds — a command, an engine hop and
+/// a completion — less the launch overhead the library pays instead, and
+/// the transport hop the service adds to an inter-host task.
+fn surcharge_and_hop(s: &Scenario) -> (Nanos, Nanos) {
+    let ipc = &s.config.ipc;
+    let base = ipc.command_latency + ipc.engine_hop_latency + ipc.completion_latency - LAUNCH;
+    (base, ipc.engine_hop_latency)
+}
+
+#[test]
+fn r5_on_one_host_the_surcharge_is_the_ipc_path_less_the_launch() {
+    // 20 + 10 + 20 - 10 = 40 us at the default IPC latencies.
+    let s = testbed(&[0, 1]);
+    let (base, _) = surcharge_and_hop(&s);
+    r5(s, |delta| delta == base);
+}
+
+#[test]
+fn r5_with_one_gpu_per_host_the_transport_hop_adds_to_it() {
+    // 40 + 10 = 50 us.
+    for s in [testbed(&[0, 2]), one_spine(&[0, 2, 4, 6])] {
+        let (base, hop) = surcharge_and_hop(&s);
+        r5(s, |delta| delta == base + hop);
+    }
+}
+
+#[test]
+fn r5_with_intra_and_inter_host_tasks_the_transport_hop_may_hide() {
+    for s in [testbed(&[0, 1, 2, 3]), one_spine(&[0, 1, 2, 3, 4, 5, 6, 7])] {
+        let (base, hop) = surcharge_and_hop(&s);
+        r5(s, |delta| (base..=base + hop).contains(&delta));
+    }
 }

@@ -19,22 +19,16 @@
 //!   other tenants into them (§4.3 Example #4, CASSINI-inspired).
 //!
 //! [`controller`] composes these into one-call cluster optimization.
-//!
-//! [`failover`] adds the controller's answer to failures: an FFA-informed
-//! [`RecoveryPolicy`](mccs_core::RecoveryPolicy) that rebalances a
-//! communicator's connections over the healthy fabric instead of piling
-//! them onto the first surviving route.
+//! Failures are the service's own business: its recovery engine
+//! (`mccs_core::RecoveryEngine`) detours around them, so this crate has
+//! no reaction path of its own.
 
 pub mod controller;
-pub mod failover;
 pub mod flow_policy;
-pub mod monitor;
 pub mod ring_policy;
 pub mod ts;
 
 pub use controller::{apply_traffic_schedule, optimize_cluster, FlowAssignment, PolicySpec};
-pub use failover::FailoverPolicy;
 pub use flow_policy::{ffa, pfa, JobFlows};
-pub use monitor::{HealthMonitor, MonitorReport};
 pub use ring_policy::{optimal_rings, ChannelPolicy};
 pub use ts::infer_windows;

@@ -11,7 +11,6 @@ use crate::recovery::RecoveryEngine;
 use crate::scenario::{Tenant, TenantMode};
 use crate::transport::TransportEngine;
 use crate::world::{Endpoint, World};
-use mccs_device::DeviceConfig;
 use mccs_ipc::{AppId, IpcConfig, LatencyQueue};
 use mccs_netsim::{FaultEvent, FaultPlan};
 use mccs_shim::AppProgram;
@@ -23,8 +22,6 @@ use std::sync::Arc;
 /// Knobs for a cluster run.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
-    /// GPU cost model.
-    pub device: DeviceConfig,
     /// IPC latency model.
     pub ipc: IpcConfig,
     /// Service tuning.
@@ -41,7 +38,6 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
-            device: DeviceConfig::default(),
             ipc: IpcConfig::default(),
             service: ServiceConfig::default(),
             seed: MCCS_DEFAULT_SEED,
@@ -76,13 +72,7 @@ impl Cluster {
     /// Build a cluster over `topo`: one proxy engine per GPU, one
     /// transport engine per NIC, no tenants yet.
     pub fn new(topo: Arc<Topology>, cfg: ClusterConfig) -> Self {
-        let world = World::new(
-            Arc::clone(&topo),
-            cfg.device,
-            cfg.ipc,
-            cfg.service,
-            cfg.seed,
-        );
+        let world = World::new(Arc::clone(&topo), cfg.ipc, cfg.service, cfg.seed);
         let mut pool: RuntimePool<World> = RuntimePool::new();
         if cfg.service_engines {
             for gpu in topo.gpus() {

@@ -184,34 +184,17 @@ fn max_gpus_per_host(topo: &Topology, world: &[GpuId]) -> usize {
     counts.values().copied().max().unwrap_or(0)
 }
 
-/// Service-wide tuning knobs.
+/// Service-wide settings. The service's fixed latencies and budgets are
+/// constants next to the code that reads them: the control ring's
+/// latency in [`crate::world`], the reconnect delay, liveness timeout and
+/// gossip re-send in [`crate::proxy`], the flow timeout and retry budget
+/// in [`crate::transport`] and the recovery attempt cap in
+/// [`crate::recovery`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// One-way latency of the per-communicator TCP control ring used by
-    /// the reconfiguration barrier (per hop).
-    pub control_ring_latency: Nanos,
     /// Jitter fraction on control messages (reconfiguration requests reach
     /// different hosts at different times — the Figure 4 hazard).
     pub control_jitter_frac: f64,
-    /// Time to tear down and re-establish peer connections when a
-    /// reconfiguration is applied.
-    pub reconnect_delay: Nanos,
-    /// How long a transport waits for a flow making no progress before
-    /// retrying it on another route. Only checked when a fault plan is
-    /// installed — with none, no timers are armed at all.
-    pub flow_timeout: Nanos,
-    /// Retries per flow (with exponential backoff) before the owning
-    /// collective is cleanly failed back to the tenant.
-    pub flow_max_retries: u32,
-    /// How long a proxy lets a launched collective sit incomplete before
-    /// reporting it stalled to the recovery engine. Plan-gated.
-    pub liveness_timeout: Nanos,
-    /// How long a rank sits in the reconfiguration barrier before
-    /// re-sending its gossip (suspected control-message loss). Plan-gated.
-    pub gossip_retry: Nanos,
-    /// Corrective reconfigurations the recovery engine attempts per
-    /// communicator-and-collective before aborting the collective.
-    pub recovery_max_attempts: u32,
     /// How transports and the recovery engine treat partially-degraded
     /// routes (brownouts), as opposed to the binary up/down handling.
     pub degradation: DegradationPolicy,
@@ -231,14 +214,7 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            control_ring_latency: Nanos::from_micros(30),
             control_jitter_frac: 0.5,
-            reconnect_delay: Nanos::from_micros(500),
-            flow_timeout: Nanos::from_millis(2),
-            flow_max_retries: 4,
-            liveness_timeout: Nanos::from_millis(20),
-            gossip_retry: Nanos::from_micros(300),
-            recovery_max_attempts: 3,
             degradation: DegradationPolicy::default(),
             controller_checkpoint_interval: Nanos::from_millis(5),
             health_channel_capacity: crate::health::DEFAULT_HEALTH_CHANNEL_CAPACITY,

@@ -34,7 +34,6 @@
 
 use crate::chaos::ChaosDriver;
 use crate::cluster::Cluster;
-use crate::recovery::RecoveryPolicy;
 use mccs_ipc::CommunicatorId;
 use mccs_sim::{Nanos, Rng};
 use mccs_topology::{graph, HostId, LinkId, RackId};
@@ -512,11 +511,7 @@ fn pin_divergence(cluster: &Cluster) -> Option<String> {
             continue;
         }
         let current = &first.config;
-        let plan = match &w.recovery_policy {
-            Some(p) => p.plan(w, comm, current, &first.world_gpus),
-            None => crate::recovery::DetourPolicy.plan(w, comm, current, &first.world_gpus),
-        };
-        let Some((rings, routes)) = plan else {
+        let Some((rings, routes)) = crate::recovery::DetourPolicy::plan(w, current) else {
             continue;
         };
         if rings != current.channel_rings || routes != current.routes {

@@ -75,7 +75,7 @@ pub use health::{
 pub use library::{LibraryConfig, RingChoice};
 pub use mgmt::CommInfo;
 pub use qos::TrafficWindows;
-pub use recovery::{comm_min_route_weight, DetourPolicy, RecoveryEngine, RecoveryPolicy};
+pub use recovery::{DetourPolicy, RecoveryEngine};
 pub use scenario::{Record, Scenario, Tenant, TenantMode};
 pub use tracing::{TraceCollector, TraceRecord};
 pub use world::{Controller, ControllerState, ControllerStats, DrainObligation, World};

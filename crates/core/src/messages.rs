@@ -78,28 +78,31 @@ pub enum ProxyMsg {
     },
 }
 
+/// One inter-host transfer (one edge task of a collective), leaving from
+/// the NIC whose transport inbox holds it.
+#[derive(Clone, Copy, Debug)]
+pub struct EdgeSend {
+    /// Owning application (for QoS gating).
+    pub app: AppId,
+    /// Communicator (for accounting).
+    pub comm: CommunicatorId,
+    /// Collective sequence number.
+    pub seq: u64,
+    /// Completion token (fed back into the collective's progress).
+    pub token: u64,
+    /// Destination NIC.
+    pub dst_nic: NicId,
+    /// Payload.
+    pub bytes: Bytes,
+    /// Route choice (pinned by FFA/PFA or ECMP).
+    pub route: RouteChoice,
+}
+
 /// Messages into a transport engine's inbox.
 #[derive(Clone, Debug)]
 pub enum TransportMsg {
-    /// Launch an inter-host transfer (one edge task of a collective).
-    Send {
-        /// Owning application (for QoS gating).
-        app: AppId,
-        /// Communicator (for accounting).
-        comm: CommunicatorId,
-        /// Collective sequence number.
-        seq: u64,
-        /// Completion token (fed back into the collective's progress).
-        token: u64,
-        /// Source NIC (this transport's NIC).
-        src_nic: NicId,
-        /// Destination NIC.
-        dst_nic: NicId,
-        /// Payload.
-        bytes: Bytes,
-        /// Route choice (pinned by FFA/PFA or ECMP).
-        route: RouteChoice,
-    },
+    /// Launch an inter-host transfer.
+    Send(EdgeSend),
     /// Install (or clear) a traffic-window schedule for an application —
     /// the TS enforcement point.
     SetWindows {

@@ -8,7 +8,7 @@
 //! maps (FFA/PFA) and traffic windows (TS).
 
 use crate::config::{CollectiveConfig, RouteMap};
-use crate::health::{FailureEvent, HealthCounters, HealthDelivery, HealthSubscription};
+use crate::health::{HealthCounters, HealthDelivery, HealthSubscription};
 use crate::messages::{ProxyMsg, TransportMsg};
 use crate::qos::TrafficWindows;
 use crate::tracing::TraceRecord;
@@ -267,13 +267,6 @@ impl<'a> Management<'a> {
     /// restart; reconfiguration commands carry it for fencing).
     pub fn controller_incarnation(&self) -> u64 {
         self.world.controller.incarnation
-    }
-
-    /// The full failure-event log, in occurrence order. A controller that
-    /// reacts to events should [`subscribe_health`](Management::subscribe_health)
-    /// instead, which delivers only what is new.
-    pub fn failure_events(&self) -> &[FailureEvent] {
-        self.world.health.events()
     }
 
     /// Subscribe to the bounded health push channel from its current

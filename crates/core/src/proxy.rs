@@ -10,7 +10,7 @@
 use crate::config::CollectiveConfig;
 use crate::error::ServiceError;
 use crate::health::FailureEvent;
-use crate::messages::{ProxyMsg, TransportMsg};
+use crate::messages::{EdgeSend, ProxyMsg, TransportMsg};
 use crate::reconfig::{Action, Gossip, Reconfig};
 use crate::world::{resources, World};
 use mccs_collectives::{CollectiveOp, CollectiveSchedule, EdgeTask, ScheduleKey};
@@ -20,6 +20,21 @@ use mccs_sim::{Bytes, Engine, Nanos, Poll, ResourceId};
 use mccs_topology::GpuId;
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// Time to tear down and re-establish a rank's peer connections when a
+/// reconfiguration is applied.
+const RECONNECT_DELAY: Nanos = Nanos::from_micros(500);
+
+/// How long a launched collective may sit incomplete before its rank
+/// reports it stalled to the recovery engine (and again after each
+/// report). Armed only under a fault plan. The recovery engine also
+/// waits this long before re-issuing a corrective drain.
+pub(crate) const LIVENESS_TIMEOUT: Nanos = Nanos::from_millis(20);
+
+/// How long a rank sits in the reconfiguration barrier before re-sending
+/// its gossip (suspected control-message loss). Armed only under a fault
+/// plan.
+const GOSSIP_RETRY: Nanos = Nanos::from_micros(300);
 
 /// A sequenced, not-yet-launched collective.
 #[derive(Clone, Debug)]
@@ -164,7 +179,7 @@ impl ProxyEngine {
                     return;
                 }
                 let config = CollectiveConfig::default_for(&w.topo, &world);
-                let reconfig = Reconfig::new(rank, world.len(), config.epoch, w.svc.gossip_retry);
+                let reconfig = Reconfig::new(rank, world.len(), config.epoch, GOSSIP_RETRY);
                 w.comms.insert(CommRank {
                     app,
                     endpoint,
@@ -297,7 +312,7 @@ impl ProxyEngine {
                             at: w.clock,
                         });
                     }
-                    rank.resume_at = w.clock + w.svc.reconnect_delay;
+                    rank.resume_at = w.clock + RECONNECT_DELAY;
                     w.signal_at(rank.resume_at, doorbell);
                 }
                 Action::Reject => reject_reconfig(w, rank.comm),
@@ -398,10 +413,7 @@ impl ProxyEngine {
                 // engine. Only armed under a fault plan — with none,
                 // no timers exist on this path at all.
                 if let Some(at) = inf.launched_at {
-                    let grace = w
-                        .svc
-                        .liveness_timeout
-                        .mul_f64(f64::from(inf.stall_reports + 1));
+                    let grace = LIVENESS_TIMEOUT.mul_f64(f64::from(inf.stall_reports + 1));
                     let deadline = at + grace;
                     if w.clock >= deadline {
                         inf.stall_reports += 1;
@@ -410,7 +422,7 @@ impl ProxyEngine {
                             seq,
                             at: w.clock,
                         });
-                        let next = w.clock + w.svc.liveness_timeout;
+                        let next = w.clock + LIVENESS_TIMEOUT;
                         w.signal_at(next, self.doorbell());
                         inf.liveness_armed = Some(next);
                         progressed = true;
@@ -546,16 +558,15 @@ fn launch_tasks(rank: &mut CommRank, w: &mut World, p: &PendingCollective) {
                     .route_choice(p.coll.comm, channel, src_nic, dst_nic);
                 w.send_to_transport(
                     src_nic,
-                    TransportMsg::Send {
+                    TransportMsg::Send(EdgeSend {
                         app: rank.app,
                         comm: p.coll.comm,
                         seq: p.seq,
                         token,
-                        src_nic,
                         dst_nic,
                         bytes,
                         route,
-                    },
+                    }),
                 );
             }
         }

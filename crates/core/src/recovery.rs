@@ -9,11 +9,10 @@
 //! delivery batch is folded into a single set of affected communicators,
 //! and each gets at most one corrective drain per batch — two links
 //! dying in the same instant cost one reconfiguration, not serial
-//! re-drains. The config itself comes from a pluggable
-//! [`RecoveryPolicy`]; the built-in [`DetourPolicy`] re-pins inter-host
-//! connections onto the best-weighted surviving routes and drops whole
-//! channels only when a connection has no route left, degrading
-//! bandwidth gracefully instead of deadlocking.
+//! re-drains. The config itself comes from [`DetourPolicy::plan`], which
+//! re-pins inter-host connections onto the best-weighted surviving routes
+//! and drops whole channels only when a connection has no route left,
+//! degrading bandwidth gracefully instead of deadlocking.
 //!
 //! The engine is inert without a fault plan installed: it polls `Idle`
 //! immediately, adding zero overhead to fault-free runs.
@@ -36,32 +35,20 @@
 use crate::config::{CollectiveConfig, RouteMap};
 use crate::flat::FlatMap;
 use crate::health::{FailureEvent, HealthDelivery, HealthSubscription};
+use crate::proxy::LIVENESS_TIMEOUT;
 use crate::world::{resources, DrainObligation, World};
 use mccs_collectives::{connections, RingOrder};
 use mccs_ipc::CommunicatorId;
 use mccs_netsim::RouteChoice;
 use mccs_sim::{Engine, Poll, ResourceId};
-use mccs_topology::{GpuId, NicId, RouteId};
+use mccs_topology::{NicId, RouteId};
 use std::collections::BTreeSet;
 
-/// A controller policy that proposes a corrective strategy for a
-/// communicator after a failure. Returning `None` means no healthy
-/// strategy exists (the recovery engine then lets the per-collective
-/// attempt cap fail the stalled work to the tenants).
-pub trait RecoveryPolicy: Send {
-    /// Propose `(channel_rings, routes)` for `comm` given the current
-    /// (failed-under) configuration. Implementations read link health from
-    /// `w.net` / `w.health`.
-    fn plan(
-        &self,
-        w: &World,
-        comm: CommunicatorId,
-        current: &CollectiveConfig,
-        world_gpus: &[GpuId],
-    ) -> Option<(Vec<RingOrder>, RouteMap)>;
-}
+/// Corrective reconfigurations the recovery engine attempts per stalled
+/// collective before aborting it to its tenants.
+const RECOVERY_MAX_ATTEMPTS: u32 = 3;
 
-/// The built-in policy: keep the current rings, pin every inter-host
+/// The recovery plan: keep the current rings, pin every inter-host
 /// connection to its best-weighted usable route (under the service's
 /// [`DegradationPolicy`](crate::config::DegradationPolicy); a degraded
 /// route is kept only when nothing better survives), and drop a
@@ -69,7 +56,6 @@ pub trait RecoveryPolicy: Send {
 /// capacity at all. Dropping a ring shifts the channel-to-NIC assignment
 /// of the remaining channels, so the schedule is recomputed after every
 /// removal.
-#[derive(Debug, Default, Clone, Copy)]
 pub struct DetourPolicy;
 
 impl DetourPolicy {
@@ -94,16 +80,12 @@ impl DetourPolicy {
         }
         best.or(fallback).map(|(r, _)| r)
     }
-}
 
-impl RecoveryPolicy for DetourPolicy {
-    fn plan(
-        &self,
-        w: &World,
-        _comm: CommunicatorId,
-        current: &CollectiveConfig,
-        _world_gpus: &[GpuId],
-    ) -> Option<(Vec<RingOrder>, RouteMap)> {
+    /// Propose `(channel_rings, routes)` for a communicator running
+    /// `current`, reading link health from `w.net`. `None` means no
+    /// channel survives: the recovery engine then lets the per-collective
+    /// attempt cap fail the stalled work to the tenants.
+    pub fn plan(w: &World, current: &CollectiveConfig) -> Option<(Vec<RingOrder>, RouteMap)> {
         let mut rings = current.channel_rings.clone();
         loop {
             if rings.is_empty() {
@@ -160,8 +142,8 @@ pub struct RecoveryEngine {
 /// Minimum bottleneck route weight across `comm`'s current inter-host
 /// connections (pinned or ECMP-resolved): 1.0 for a healthy or
 /// fully-intra-host communicator, 0.0 when some connection crosses a
-/// dead link. Shared with the controller's health monitor.
-pub fn comm_min_route_weight(w: &World, comm: CommunicatorId) -> f64 {
+/// dead link.
+fn comm_min_route_weight(w: &World, comm: CommunicatorId) -> f64 {
     let Some(rank) = w
         .comms
         .iter()
@@ -256,17 +238,11 @@ impl RecoveryEngine {
         // flight (control latency); duplicates are idempotent at the
         // proxies but cost messages.
         if let Some(ob) = w.controller.live.issued.get(&comm) {
-            if ob.config.epoch >= target && w.clock < ob.issued_at + w.svc.liveness_timeout {
+            if ob.config.epoch >= target && w.clock < ob.issued_at + LIVENESS_TIMEOUT {
                 return;
             }
         }
-        let policy = w.recovery_policy.take();
-        let proposal = match &policy {
-            Some(p) => p.plan(w, comm, &current, &world_gpus),
-            None => DetourPolicy.plan(w, comm, &current, &world_gpus),
-        };
-        w.recovery_policy = policy;
-        let Some((rings, routes)) = proposal else {
+        let Some((rings, routes)) = DetourPolicy::plan(w, &current) else {
             // Nothing healthy to switch to; the attempt cap will fail the
             // stalled collectives to their tenants.
             return;
@@ -357,13 +333,7 @@ impl RecoveryEngine {
             channel_rings: baseline_rings,
             routes: current.routes.clone(),
         };
-        let policy = w.recovery_policy.take();
-        let proposal = match &policy {
-            Some(p) => p.plan(w, comm, &from, &world_gpus),
-            None => DetourPolicy.plan(w, comm, &from, &world_gpus),
-        };
-        w.recovery_policy = policy;
-        let Some((rings, routes)) = proposal else {
+        let Some((rings, routes)) = DetourPolicy::plan(w, &from) else {
             return;
         };
         if rings == current.channel_rings && routes == current.routes {
@@ -374,7 +344,7 @@ impl RecoveryEngine {
         }
         let target = epoch + 1;
         if let Some(ob) = w.controller.live.issued.get(&comm) {
-            if ob.config.epoch >= target && w.clock < ob.issued_at + w.svc.liveness_timeout {
+            if ob.config.epoch >= target && w.clock < ob.issued_at + LIVENESS_TIMEOUT {
                 return;
             }
         }
@@ -454,7 +424,7 @@ impl RecoveryEngine {
                         continue;
                     }
                     let a = self.attempts.get_or_insert((comm, seq), 0);
-                    if *a >= w.svc.recovery_max_attempts {
+                    if *a >= RECOVERY_MAX_ATTEMPTS {
                         w.abort_collective(comm, seq);
                     } else {
                         *a += 1;
@@ -754,15 +724,14 @@ impl Engine<World> for RecoveryEngine {
 mod tests {
     use super::*;
     use crate::config::ServiceConfig;
-    use mccs_device::DeviceConfig;
     use mccs_ipc::IpcConfig;
     use mccs_topology::presets;
+    use mccs_topology::GpuId;
     use std::sync::Arc;
 
     fn world() -> World {
         World::new(
             Arc::new(presets::testbed()),
-            DeviceConfig::default(),
             IpcConfig::default(),
             ServiceConfig::default(),
             7,
@@ -774,9 +743,8 @@ mod tests {
         let w = world();
         let world_gpus: Vec<GpuId> = (0..4).map(GpuId).collect();
         let current = CollectiveConfig::default_for(&w.topo, &world_gpus);
-        let (rings, routes) = DetourPolicy
-            .plan(&w, CommunicatorId(0), &current, &world_gpus)
-            .expect("healthy fabric must yield a plan");
+        let (rings, routes) =
+            DetourPolicy::plan(&w, &current).expect("healthy fabric must yield a plan");
         assert_eq!(rings.len(), current.channel_rings.len());
         // Every pinned route must be healthy (trivially, with no faults).
         for (&(_, src, dst), &r) in routes.iter() {
@@ -801,9 +769,7 @@ mod tests {
             .map(|l| l.id)
             .expect("testbed has switch-to-switch links");
         w.net.set_link_up(mccs_sim::Nanos::ZERO, spine, false);
-        let (_, routes) = DetourPolicy
-            .plan(&w, CommunicatorId(0), &current, &world_gpus)
-            .expect("an alternate spine remains");
+        let (_, routes) = DetourPolicy::plan(&w, &current).expect("an alternate spine remains");
         for (&(_, src, dst), &r) in routes.iter() {
             let route = w.topo.pinned_route(src, dst, r);
             assert!(
@@ -812,5 +778,30 @@ mod tests {
             );
             assert!(w.net.route_healthy(src, dst, r));
         }
+    }
+
+    #[test]
+    fn detour_gives_up_when_the_racks_are_partitioned() {
+        use mccs_topology::graph::Endpoint;
+        let mut w = world();
+        // One GPU per host, so the ring crosses between the two racks.
+        let world_gpus: Vec<GpuId> = [0, 2, 4, 6].map(GpuId).to_vec();
+        let current = CollectiveConfig::default_for(&w.topo, &world_gpus);
+        let spines: Vec<_> = w
+            .topo
+            .links()
+            .iter()
+            .filter(|l| {
+                matches!(l.from, Endpoint::Switch(_)) && matches!(l.to, Endpoint::Switch(_))
+            })
+            .map(|l| l.id)
+            .collect();
+        for l in spines {
+            w.net.set_link_up(mccs_sim::Nanos::ZERO, l, false);
+        }
+        assert!(
+            DetourPolicy::plan(&w, &current).is_none(),
+            "no channel survives a partition between the racks"
+        );
     }
 }

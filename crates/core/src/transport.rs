@@ -7,12 +7,10 @@
 //! paused outside windows.
 //!
 //! With a fault plan installed the transport also watches its flows for
-//! stalls (rate pinned at zero past
-//! [`ServiceConfig::flow_timeout`](crate::config::ServiceConfig)) and for
+//! stalls (rate pinned at zero past `FLOW_TIMEOUT`) and for
 //! fault-injected kills, retrying each with exponential backoff on an
 //! alternate route, and cleanly failing the owning collective once
-//! [`ServiceConfig::flow_max_retries`](crate::config::ServiceConfig) is
-//! exhausted. Route selection is degradation-aware: each equal-cost route
+//! `FLOW_MAX_RETRIES` are spent. Route selection is degradation-aware: each equal-cost route
 //! is weighted by its bottleneck effective capacity and picked
 //! proportionally under the configured
 //! [`DegradationPolicy`](crate::config::DegradationPolicy), so a
@@ -24,7 +22,7 @@
 
 use crate::flat::FlatMap;
 use crate::health::FailureEvent;
-use crate::messages::TransportMsg;
+use crate::messages::{EdgeSend, TransportMsg};
 use crate::qos::TrafficWindows;
 use crate::world::{resources, World};
 use mccs_ipc::{AppId, CommunicatorId};
@@ -32,6 +30,22 @@ use mccs_netsim::{FlowId, FlowSpec, RouteChoice};
 use mccs_sim::{Bandwidth, Bytes, Engine, Nanos, Poll, ResourceId};
 use mccs_topology::{NicId, RouteId};
 use std::collections::{BTreeMap, VecDeque};
+
+/// How long a flow may make no progress before the transport retries it
+/// on another route; also the period of the stall sweep and the base of
+/// the retry backoff. Armed only under a fault plan.
+const FLOW_TIMEOUT: Nanos = Nanos::from_millis(2);
+
+/// Retries per flow (with exponential backoff) before the owning
+/// collective is cleanly failed back to the tenant.
+const FLOW_MAX_RETRIES: u32 = 4;
+
+/// The invariant behind a completion or kill notice: the world routes one
+/// only to the NIC that `start_flow` registered as the flow's owner, and
+/// the owner entry goes exactly when the flow leaves `active` (a
+/// completion, a kill notice, or a cancel in the stall sweep).
+const OWNED_FLOW: &str = "a flow notice reaches only the transport that started the flow, \
+                          once: the world's owner table names it and is cleared with the flow";
 
 #[derive(Debug)]
 struct ActiveFlow {
@@ -46,11 +60,6 @@ struct ActiveFlow {
     attempts: u32,
     /// When this flow was first observed making no progress (plan-gated).
     stalled_since: Option<Nanos>,
-}
-
-#[derive(Debug)]
-struct PendingSend {
-    msg: TransportMsg,
 }
 
 /// A flow awaiting its backoff-delayed restart.
@@ -71,6 +80,22 @@ struct RetryEntry {
     exclude: Option<RouteId>,
 }
 
+impl RetryEntry {
+    /// The next attempt of `f`, which just died on `exclude`.
+    fn after(f: &ActiveFlow, exclude: Option<RouteId>) -> Self {
+        RetryEntry {
+            app: f.app,
+            token: f.token,
+            comm: f.comm,
+            seq: f.seq,
+            dst_nic: f.dst_nic,
+            bytes: f.bytes,
+            attempts: f.attempts + 1,
+            exclude,
+        }
+    }
+}
+
 /// The per-NIC transport engine.
 pub struct TransportEngine {
     nic: NicId,
@@ -80,9 +105,12 @@ pub struct TransportEngine {
     /// but there are O(NICs) of them, swept every poll.
     active: FlatMap<FlowId, ActiveFlow>,
     windows: BTreeMap<AppId, TrafficWindows>,
-    pending: VecDeque<PendingSend>,
-    /// Last wake-up boundary scheduled, to avoid duplicate events.
-    scheduled_wake: Option<mccs_sim::Nanos>,
+    /// Sends of gated applications waiting for their window to open.
+    pending: VecDeque<EdgeSend>,
+    /// The window boundary last armed: the earliest next boundary across
+    /// every gated application, so two schedules on one NIC share one
+    /// timer.
+    scheduled_wake: Option<Nanos>,
     /// Backoff-delayed restarts, as `(due, entry)`.
     retries: Vec<(Nanos, RetryEntry)>,
     /// Next stall-sweep instant already armed (plan-gated machinery).
@@ -108,49 +136,42 @@ impl TransportEngine {
         resources::transport_inbox(self.nic.index() as u32)
     }
 
-    fn app_open(&self, app: AppId, now: mccs_sim::Nanos) -> bool {
+    fn app_open(&self, app: AppId, now: Nanos) -> bool {
         self.windows.get(&app).is_none_or(|w| w.is_open(now))
     }
 
-    fn schedule_boundary_wake(&mut self, w: &mut World, app: AppId) {
-        if let Some(win) = self.windows.get(&app) {
-            let b = win.next_boundary(w.clock);
-            if self.scheduled_wake != Some(b) {
-                w.signal_at(b, self.doorbell());
-                self.scheduled_wake = Some(b);
-            }
+    /// Arm a wake at the earliest next boundary of any gated application,
+    /// unless that instant is already armed.
+    fn arm_next_boundary(&mut self, w: &mut World) {
+        let Some(b) = self
+            .windows
+            .values()
+            .map(|win| win.next_boundary(w.clock))
+            .min()
+        else {
+            return;
+        };
+        if self.scheduled_wake != Some(b) {
+            w.signal_at(b, self.doorbell());
+            self.scheduled_wake = Some(b);
         }
     }
 
-    fn start_send(&mut self, w: &mut World, msg: &TransportMsg) {
-        let TransportMsg::Send {
-            app,
-            comm,
-            seq,
-            token,
-            src_nic,
-            dst_nic,
-            bytes,
-            route,
-        } = *msg
-        else {
-            unreachable!("start_send called with a non-send message");
-        };
-        debug_assert_eq!(src_nic, self.nic, "send routed to the wrong transport");
+    fn start_send(&mut self, w: &mut World, send: EdgeSend) {
         self.start_flow(
             w,
             ActiveFlow {
-                app,
-                token,
+                app: send.app,
+                token: send.token,
                 paused: false,
-                comm,
-                seq,
-                dst_nic,
-                bytes,
+                comm: send.comm,
+                seq: send.seq,
+                dst_nic: send.dst_nic,
+                bytes: send.bytes,
                 attempts: 0,
                 stalled_since: None,
             },
-            route,
+            send.route,
         );
     }
 
@@ -172,11 +193,16 @@ impl TransportEngine {
         self.active.insert(id, flow);
     }
 
-    /// Queue a restart for a dead flow, or fail its collective when the
-    /// retry budget is spent. `attempts` is the count of starts already
-    /// consumed.
-    fn schedule_retry(&mut self, w: &mut World, entry: RetryEntry) {
-        if entry.attempts > w.svc.flow_max_retries {
+    /// Queue a restart for a dead flow on `retries`, or fail its
+    /// collective when the retry budget is spent. `attempts` is the count
+    /// of starts already consumed; a delayed restart signals `doorbell`.
+    fn schedule_retry(
+        w: &mut World,
+        doorbell: ResourceId,
+        retries: &mut Vec<(Nanos, RetryEntry)>,
+        entry: RetryEntry,
+    ) {
+        if entry.attempts > FLOW_MAX_RETRIES {
             let (comm, seq) = w.fail_token(entry.token);
             w.health.counters.flow_failures += 1;
             w.health.record(FailureEvent::FlowExhausted {
@@ -191,20 +217,17 @@ impl TransportEngine {
         let due = if entry.attempts <= 1 {
             w.clock
         } else {
-            let backoff = w
-                .svc
-                .flow_timeout
-                .mul_f64(f64::from(1u32 << (entry.attempts - 2).min(16)));
+            let backoff = FLOW_TIMEOUT.mul_f64(f64::from(1u32 << (entry.attempts - 2).min(16)));
             w.clock + backoff
         };
         if due > w.clock {
-            w.signal_at(due, self.doorbell());
+            w.signal_at(due, doorbell);
         }
         // A retry due *now* needs no wake: this poll round keeps polling
         // until every engine idles, and `run_due_retries` picks it up on
         // the next pass. A same-instant Wake would linger in the event
         // queue (everything due has already been drained) as a stale head.
-        self.retries.push((due, entry));
+        retries.push((due, entry));
     }
 
     /// Restart retries whose backoff elapsed, re-pinning each by weighted
@@ -243,8 +266,10 @@ impl TransportEngine {
             let Some(idx) = policy.select(&weights, key) else {
                 // Nowhere to go right now: burn an attempt and try again
                 // later (the cap guarantees termination).
-                self.schedule_retry(
+                Self::schedule_retry(
                     w,
+                    self.doorbell(),
+                    &mut self.retries,
                     RetryEntry {
                         attempts: entry.attempts + 1,
                         ..entry
@@ -296,48 +321,39 @@ impl TransportEngine {
             return false;
         }
         let mut progressed = false;
-        let ids: Vec<FlowId> = self.active.keys().copied().collect();
-        for id in ids {
-            let f = self.active.get_mut(&id).expect("listed");
+        let (nic, doorbell, retries) = (self.nic, self.doorbell(), &mut self.retries);
+        // One pass in `FlowId` order; a flow stalled past the timeout
+        // leaves `active` where it stands.
+        self.active.retain(|&id, f| {
             if f.paused {
                 f.stalled_since = None;
-                continue;
+                return true;
             }
             if w.net.flow_rate(id) > Bandwidth::ZERO {
                 f.stalled_since = None;
-                let (app, comm, seq) = (f.app, f.comm, f.seq);
-                progressed |= maybe_rebalance(w, self.nic, id, app, comm, seq);
-                continue;
+                progressed |= maybe_rebalance(w, nic, id, f.app, f.comm, f.seq);
+                return true;
             }
             match f.stalled_since {
-                None => f.stalled_since = Some(now),
-                Some(since) if now - since >= w.svc.flow_timeout => {
-                    let f = self.active.remove(&id).expect("listed");
+                None => {
+                    f.stalled_since = Some(now);
+                    true
+                }
+                Some(since) if now - since >= FLOW_TIMEOUT => {
                     // Remember which route starved the flow before we
                     // tear it down, so the retry avoids it.
                     let failing_route = w.net.flow_route(id).map(|r| r.id);
                     w.net.cancel_flow(now, id);
                     w.flow_owner_nic.remove(id);
-                    self.schedule_retry(
-                        w,
-                        RetryEntry {
-                            app: f.app,
-                            token: f.token,
-                            comm: f.comm,
-                            seq: f.seq,
-                            dst_nic: f.dst_nic,
-                            bytes: f.bytes,
-                            attempts: f.attempts + 1,
-                            exclude: failing_route,
-                        },
-                    );
+                    Self::schedule_retry(w, doorbell, retries, RetryEntry::after(f, failing_route));
                     progressed = true;
+                    false
                 }
-                Some(_) => {}
+                Some(_) => true,
             }
-        }
+        });
         if !self.active.is_empty() || !self.retries.is_empty() {
-            let next = now + w.svc.flow_timeout;
+            let next = now + FLOW_TIMEOUT;
             w.signal_at(next, self.doorbell());
             self.next_stall_check = Some(next);
         } else {
@@ -347,28 +363,26 @@ impl TransportEngine {
     }
 
     fn handle_msg(&mut self, w: &mut World, msg: TransportMsg) {
-        match &msg {
-            TransportMsg::Send { app, .. } => {
-                if self.app_open(*app, w.clock) {
-                    self.start_send(w, &msg);
+        match msg {
+            TransportMsg::Send(send) => {
+                if self.app_open(send.app, w.clock) {
+                    self.start_send(w, send);
                 } else {
-                    let app = *app;
-                    self.pending.push_back(PendingSend { msg });
-                    self.schedule_boundary_wake(w, app);
+                    self.pending.push_back(send);
+                    self.arm_next_boundary(w);
                 }
             }
             TransportMsg::SetWindows { app, windows } => {
-                let app = *app;
+                self.scheduled_wake = None;
                 match windows {
                     Some(win) => {
-                        self.windows.insert(app, win.clone());
+                        self.windows.insert(app, win);
+                        self.arm_next_boundary(w);
                     }
                     None => {
                         self.windows.remove(&app);
                     }
                 }
-                self.scheduled_wake = None;
-                self.schedule_boundary_wake(w, app);
             }
         }
     }
@@ -378,9 +392,7 @@ impl TransportEngine {
         let now = w.clock;
         let mut progressed = false;
         // Pause / resume active flows of gated apps.
-        let ids: Vec<FlowId> = self.active.keys().copied().collect();
-        for id in ids {
-            let f = self.active.get_mut(&id).expect("listed");
+        for (&id, f) in self.active.iter_mut() {
             let open = self.windows.get(&f.app).is_none_or(|win| win.is_open(now));
             if f.paused == open {
                 // state mismatch: paused && open -> resume; !paused && !open -> pause
@@ -390,27 +402,17 @@ impl TransportEngine {
             }
         }
         // Admit pending sends whose window opened.
-        let mut still_pending = VecDeque::new();
-        while let Some(p) = self.pending.pop_front() {
-            let TransportMsg::Send { app, .. } = &p.msg else {
-                unreachable!("only sends are pended")
-            };
-            if self.app_open(*app, now) {
-                self.start_send(w, &p.msg);
+        for send in std::mem::take(&mut self.pending) {
+            if self.app_open(send.app, now) {
+                self.start_send(w, send);
                 progressed = true;
             } else {
-                let app = *app;
-                still_pending.push_back(p);
-                self.schedule_boundary_wake(w, app);
+                self.pending.push_back(send);
             }
         }
-        self.pending = still_pending;
         // Keep a wake-up armed while anything is gated.
-        if !self.windows.is_empty() && (!self.active.is_empty() || !self.pending.is_empty()) {
-            let apps: Vec<AppId> = self.windows.keys().copied().collect();
-            for app in apps {
-                self.schedule_boundary_wake(w, app);
-            }
+        if !self.active.is_empty() || !self.pending.is_empty() {
+            self.arm_next_boundary(w);
         }
         progressed
     }
@@ -520,37 +522,23 @@ impl Engine<World> for TransportEngine {
         // Flow completions routed to us by the world.
         let completions = std::mem::take(&mut w.transport_flow_events[self.nic.index()]);
         for c in completions {
-            let f = self
-                .active
-                .remove(&c.id)
-                .expect("completion for a flow this transport never started");
+            let f = self.active.remove(&c.id).expect(OWNED_FLOW);
             w.complete_token(f.token, c.finished_at);
             progressed = true;
         }
         // Fault-killed flows routed to us by the world: retry immediately.
         // (Only ever populated by an installed fault plan.)
         let failures = std::mem::take(&mut w.transport_flow_failures[self.nic.index()]);
-        for (id, token) in failures {
-            let f = self
-                .active
-                .remove(&id)
-                .expect("kill notice for a flow this transport never started");
-            debug_assert_eq!(f.token, token, "kill notice token mismatch");
+        for id in failures {
+            let f = self.active.remove(&id).expect(OWNED_FLOW);
             // The net may still know the killed flow's route; if so, steer
             // the retry away from it.
             let failing_route = w.net.flow_route(id).map(|r| r.id);
-            self.schedule_retry(
+            Self::schedule_retry(
                 w,
-                RetryEntry {
-                    app: f.app,
-                    token: f.token,
-                    comm: f.comm,
-                    seq: f.seq,
-                    dst_nic: f.dst_nic,
-                    bytes: f.bytes,
-                    attempts: f.attempts + 1,
-                    exclude: failing_route,
-                },
+                self.doorbell(),
+                &mut self.retries,
+                RetryEntry::after(&f, failing_route),
             );
             progressed = true;
         }

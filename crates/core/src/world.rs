@@ -9,11 +9,10 @@ use crate::comms::CommTable;
 use crate::config::{CollectiveConfig, ServiceConfig};
 use crate::health::HealthRegistry;
 use crate::messages::{ProxyMsg, TransportMsg};
-use crate::recovery::RecoveryPolicy;
 use crate::tracing::TraceCollector;
 use mccs_collectives::{CollectiveSchedule, RingOrder, ScheduleKey};
 use mccs_device::{
-    DeviceConfig, DeviceFabric, DeviceNotification, DevicePtr, EventId, MemHandle, StreamId,
+    DeviceFabric, DeviceNotification, DevicePtr, EventId, MemHandle, StreamId, INTRA_HOST_BANDWIDTH,
 };
 use mccs_ipc::{AppId, CommunicatorId, IpcConfig, LatencyQueue, ShimCommand, ShimCompletion};
 use mccs_netsim::{ControlFault, FaultEvent, FaultPlan, FlowCompletion, FlowId, Network};
@@ -245,6 +244,11 @@ pub struct WorldScheduleCache {
 /// rebuilt on demand.
 const SCHEDULE_CACHE_LIMIT: usize = 256;
 
+/// One-way latency of a control-plane message (a reconfiguration request
+/// or barrier gossip over the per-communicator TCP control ring), before
+/// [`ServiceConfig::control_jitter_frac`].
+const CONTROL_RING_LATENCY: Nanos = Nanos::from_micros(30);
+
 impl WorldScheduleCache {
     /// The schedule under `key`, deriving and caching it on a miss.
     pub fn get_or_derive(
@@ -392,9 +396,9 @@ pub struct World {
     pub transport_inbox: Vec<LatencyQueue<TransportMsg>>,
     /// Per-NIC completed-flow events awaiting transport processing.
     pub transport_flow_events: Vec<Vec<FlowCompletion>>,
-    /// Per-NIC killed-flow notifications (fault-injected aborts), as
-    /// `(flow, token)`; the transport retries these immediately.
-    pub transport_flow_failures: Vec<Vec<(FlowId, u64)>>,
+    /// Per-NIC killed-flow notifications (fault-injected aborts); the
+    /// transport retries these immediately.
+    pub transport_flow_failures: Vec<Vec<FlowId>>,
     /// Which NIC's transport owns each in-flight network flow (dense,
     /// id-windowed — see [`FlowOwners`]).
     pub(crate) flow_owner_nic: FlowOwners,
@@ -428,9 +432,6 @@ pub struct World {
     /// The crashable controller process: liveness, incarnation fence,
     /// live recovery state, and the last checkpoint.
     pub controller: Controller,
-    /// Controller policy the recovery engine consults for corrective
-    /// configurations; `None` falls back to the built-in detour policy.
-    pub recovery_policy: Option<Box<dyn RecoveryPolicy>>,
     /// Cluster-wide control-message send ordinal (orders `ControlFault`
     /// directives; the counter itself costs nothing).
     control_seq: u64,
@@ -573,20 +574,14 @@ impl TenantLog {
 
 impl World {
     /// A fresh world over `topo`.
-    pub fn new(
-        topo: Arc<Topology>,
-        device_cfg: DeviceConfig,
-        ipc: IpcConfig,
-        svc: ServiceConfig,
-        seed: u64,
-    ) -> Self {
+    pub fn new(topo: Arc<Topology>, ipc: IpcConfig, svc: ServiceConfig, seed: u64) -> Self {
         let gpu_count = topo.gpus().len();
         let nic_count = topo.nics().len();
         let cap = ipc.queue_capacity;
         let health = HealthRegistry::with_channel_capacity(svc.health_channel_capacity);
         World {
             net: Network::new(Arc::clone(&topo)),
-            devices: DeviceFabric::new(gpu_count, device_cfg),
+            devices: DeviceFabric::new(gpu_count),
             topo,
             clock: Nanos::ZERO,
             rng: Rng::seed_from(seed),
@@ -611,7 +606,6 @@ impl World {
             held_control: Vec::new(),
             health,
             controller: Controller::default(),
-            recovery_policy: None,
             control_seq: 0,
             trace: TraceCollector::new(),
             tenant_log: TenantLog::default(),
@@ -845,7 +839,7 @@ impl World {
     /// (Library-mode flows are outside the fault model and are
     /// dropped silently — their owner never started under a service SLA.)
     fn route_failed_flows(&mut self, victims: Vec<(FlowId, u64)>) {
-        for (id, token) in victims {
+        for (id, _) in victims {
             match self
                 .flow_owner_nic
                 .remove(id)
@@ -853,7 +847,7 @@ impl World {
             {
                 FlowOwner::Transport(nic) => {
                     self.signals.push(resources::transport_flow(nic as u32));
-                    self.transport_flow_failures[nic].push((id, token));
+                    self.transport_flow_failures[nic].push(id);
                 }
                 FlowOwner::Library(_) => {}
             }
@@ -947,10 +941,9 @@ impl World {
     /// Queue an intra-host ring edge of either launcher (proxy, library
     /// job): `bytes` at the intra-host bandwidth, completing `token`.
     pub(crate) fn enqueue_transfer(&mut self, stream: StreamId, bytes: Bytes, token: u64) {
-        let bandwidth = self.devices.config().intra_host_bandwidth;
         let transfer = mccs_device::StreamOp::Transfer {
             bytes,
-            bandwidth,
+            bandwidth: INTRA_HOST_BANDWIDTH,
             token,
         };
         self.device_enqueue(stream, transfer);
@@ -1116,7 +1109,7 @@ impl World {
     /// Deliver a control-plane message to a proxy with control-channel
     /// latency and jitter (reconfiguration requests, barrier gossip).
     pub fn send_control(&mut self, gpu: GpuId, msg: ProxyMsg) {
-        let base = self.svc.control_ring_latency;
+        let base = CONTROL_RING_LATENCY;
         // The jitter draw happens before any fault directive is consulted
         // so the RNG stream is identical with and without a plan.
         let jit = 1.0 + self.rng.f64() * self.svc.control_jitter_frac;
@@ -1249,7 +1242,6 @@ mod tests {
     fn world() -> World {
         World::new(
             Arc::new(presets::testbed()),
-            DeviceConfig::default(),
             IpcConfig::default(),
             ServiceConfig::default(),
             1,

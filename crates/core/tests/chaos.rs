@@ -11,7 +11,6 @@
 mod common;
 
 use common::{four_host, hottest_spine_at, spine_links, COMM, GPUS, SPINE0};
-use mccs_core::recovery::RecoveryPolicy;
 use mccs_core::{ChaosDriver, Cluster, DetourPolicy, Explorer, ExplorerConfig, FailureEvent};
 use mccs_ipc::AppId;
 use mccs_netsim::{FaultEvent, FaultPlan};
@@ -373,9 +372,8 @@ fn repair_fails_back_to_healthy_routes() {
         .values()
         .find(|r| r.comm == COMM)
         .expect("comm persists");
-    let (rings, routes) = DetourPolicy
-        .plan(&cluster.world, COMM, &rank.config, &rank.world_gpus)
-        .expect("healthy fabric must yield a plan");
+    let (rings, routes) =
+        DetourPolicy::plan(&cluster.world, &rank.config).expect("healthy fabric must yield a plan");
     assert_eq!(rank.config.channel_rings, rings);
     assert_eq!(
         rank.config.routes, routes,

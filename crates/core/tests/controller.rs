@@ -24,7 +24,6 @@ use common::{four_host, COMM, GPUS, SPINE0};
 use mccs_collectives::op::all_reduce_sum;
 use mccs_core::config::ServiceConfig;
 use mccs_core::messages::ProxyMsg;
-use mccs_core::recovery::RecoveryPolicy;
 use mccs_core::{
     ChaosAction, ChaosDriver, Cluster, ClusterConfig, CollectiveConfig, DetourPolicy, Explorer,
     ExplorerConfig, FailureEvent, HealthDelivery, RouteMap, Scenario,
@@ -75,9 +74,8 @@ fn assert_pins_converged(cluster: &Cluster) {
         .values()
         .find(|r| r.comm == COMM)
         .expect("comm persists");
-    let (rings, routes) = DetourPolicy
-        .plan(&cluster.world, COMM, &rank.config, &rank.world_gpus)
-        .expect("healthy fabric must yield a plan");
+    let (rings, routes) =
+        DetourPolicy::plan(&cluster.world, &rank.config).expect("healthy fabric must yield a plan");
     assert_eq!(rank.config.channel_rings, rings, "rings did not converge");
     assert_eq!(
         rank.config.routes, routes,

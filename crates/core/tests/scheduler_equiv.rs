@@ -16,8 +16,9 @@
 
 mod common;
 
-use common::{testbed, two_tenants, SPINE0};
-use mccs_core::{DegradationPolicy, Scenario};
+use common::{testbed, two_tenants, GPUS, SPINE0};
+use mccs_core::{DegradationPolicy, Scenario, TrafficWindows};
+use mccs_ipc::AppId;
 use mccs_netsim::{FaultEvent, FaultPlan};
 use mccs_shim::{AppProgram, ScriptStep, ScriptedProgram};
 use mccs_sim::{Bytes, Nanos};
@@ -170,6 +171,37 @@ fn idle_polls_leave_the_event_queue_alone() {
     cluster.run_until(Nanos::from_millis(3));
     let launched = |r: &mccs_core::proxy::CommRank| r.inflight.as_ref().is_some_and(|i| i.launched);
     assert!(cluster.world.comms.values().any(launched), "mid-collective");
+    let pending = cluster.world.events.len();
+    for _ in 0..3 {
+        cluster.poll_once();
+    }
+    assert_eq!(cluster.world.events.len(), pending);
+}
+
+#[test]
+fn two_window_schedules_on_one_nic_arm_one_wake() {
+    // Two tenants share every GPU and NIC, each gated by its own traffic
+    // windows, so every transport holds two schedules whose boundaries
+    // differ. An idle poll re-arms the earliest boundary only when it
+    // moved: re-polling at one instant must not grow the event queue.
+    let ms = Nanos::from_millis;
+    let mut s = testbed(7, two_tenants(Bytes::mib(64), 4));
+    s.tenants[1].gpus = GPUS.to_vec();
+    let mut cluster = s.build();
+    cluster.set_naive_scheduler(true);
+    for (app, offset) in [(AppId(0), ms(0)), (AppId(1), Nanos::from_micros(300))] {
+        let windows = TrafficWindows::single(ms(1), offset, Nanos::from_micros(500))
+            .expect("a valid schedule");
+        cluster
+            .mgmt()
+            .set_traffic_windows(app, Some(windows))
+            .expect("accepted");
+    }
+    cluster.run_until(ms(3));
+    assert!(
+        cluster.world.comms.values().any(|r| r.inflight.is_some()),
+        "mid-collective"
+    );
     let pending = cluster.world.events.len();
     for _ in 0..3 {
         cluster.poll_once();

@@ -10,7 +10,7 @@
 //! time-stepping.
 
 use crate::alloc::GpuAllocator;
-use crate::config::DeviceConfig;
+use crate::config::{KERNEL_LAUNCH_OVERHEAD, MEMORY_CAPACITY};
 use crate::memory::{DevicePtr, MemError, MemHandle, MemoryTable};
 use crate::stream::{EventId, EventState, QueuedOp, Stream, StreamId, StreamOp};
 use mccs_sim::{Bytes, Nanos};
@@ -39,7 +39,6 @@ pub enum DeviceNotification {
 
 /// All simulated GPUs of the cluster.
 pub struct DeviceFabric {
-    cfg: DeviceConfig,
     allocators: Vec<GpuAllocator>,
     memory: MemoryTable,
     streams: Vec<Stream>,
@@ -58,13 +57,12 @@ pub struct DeviceFabric {
 }
 
 impl DeviceFabric {
-    /// A fabric of `gpu_count` GPUs configured by `cfg`.
-    pub fn new(gpu_count: usize, cfg: DeviceConfig) -> Self {
+    /// A fabric of `gpu_count` GPUs of [`MEMORY_CAPACITY`] each.
+    pub fn new(gpu_count: usize) -> Self {
         let allocators = (0..gpu_count)
-            .map(|_| GpuAllocator::new(cfg.memory_capacity))
+            .map(|_| GpuAllocator::new(MEMORY_CAPACITY))
             .collect();
         DeviceFabric {
-            cfg,
             allocators,
             memory: MemoryTable::new(),
             streams: Vec::new(),
@@ -75,11 +73,6 @@ impl DeviceFabric {
             running_finishes: std::collections::BTreeMap::new(),
             touched: std::collections::BTreeSet::new(),
         }
-    }
-
-    /// The cost-model configuration.
-    pub fn config(&self) -> &DeviceConfig {
-        &self.cfg
     }
 
     /// Number of GPUs.
@@ -156,7 +149,7 @@ impl DeviceFabric {
                 bandwidth,
                 token,
             } => QueuedOp::Timed {
-                duration: self.cfg.kernel_launch_overhead + bandwidth.transfer_time(bytes),
+                duration: KERNEL_LAUNCH_OVERHEAD + bandwidth.transfer_time(bytes),
                 token,
             },
             StreamOp::RecordEvent(ev) => {
@@ -293,7 +286,7 @@ mod tests {
     use mccs_sim::Bandwidth;
 
     fn fabric() -> DeviceFabric {
-        DeviceFabric::new(2, DeviceConfig::default())
+        DeviceFabric::new(2)
     }
 
     fn kernel(us: u64, token: u64) -> StreamOp {
@@ -405,19 +398,14 @@ mod tests {
 
     #[test]
     fn transfer_duration_from_bandwidth() {
-        let mut f = DeviceFabric::new(
-            1,
-            DeviceConfig {
-                kernel_launch_overhead: Nanos::ZERO,
-                ..DeviceConfig::default()
-            },
-        );
+        let mut f = DeviceFabric::new(1);
         let s = f.create_stream(GpuId(0));
+        let bandwidth = Bandwidth::gibytes_per_sec(1.0);
         f.enqueue(
             s,
             StreamOp::Transfer {
                 bytes: Bytes::mib(1),
-                bandwidth: Bandwidth::gibytes_per_sec(1.0),
+                bandwidth,
                 token: 1,
             },
         );
@@ -425,9 +413,12 @@ mod tests {
         let DeviceNotification::OpDone { at, .. } = notes[0] else {
             panic!("expected OpDone")
         };
-        // 1 MiB at 1 GiB/s-ish (decimal 1e9*1.0737) — just check ~1.04ms.
-        let ms = at.as_millis_f64();
-        assert!((0.9..1.1).contains(&ms), "transfer took {ms}ms");
+        // 1 MiB at 1 GB/s is ~1.05 ms, after the launch overhead.
+        assert_eq!(
+            at,
+            KERNEL_LAUNCH_OVERHEAD + bandwidth.transfer_time(Bytes::mib(1))
+        );
+        assert!((0.9..1.1).contains(&at.as_millis_f64()));
     }
 
     #[test]
@@ -465,7 +456,7 @@ mod tests {
 
     #[test]
     fn chained_events_three_streams() {
-        let mut f = DeviceFabric::new(3, DeviceConfig::default());
+        let mut f = DeviceFabric::new(3);
         let s: Vec<_> = (0..3).map(|i| f.create_stream(GpuId(i as u32))).collect();
         let e01 = f.create_event();
         let e12 = f.create_event();

@@ -28,7 +28,7 @@ pub mod memory;
 pub mod stream;
 
 pub use alloc::{AllocError, GpuAllocator};
-pub use config::DeviceConfig;
+pub use config::{INTRA_HOST_BANDWIDTH, KERNEL_LAUNCH_OVERHEAD, MEMORY_CAPACITY};
 pub use fabric::{DeviceFabric, DeviceNotification};
 pub use memory::{DevicePtr, MemHandle};
 pub use stream::{EventId, StreamId, StreamOp};

@@ -2,25 +2,31 @@
 
 use mccs_sim::{Nanos, Rng};
 
-/// Latency knobs for the shim ⇄ service boundary and the service's
-/// internal engine hops.
+/// Frontend → shim completion queue latency: one shared-memory boundary
+/// crossing back to the tenant (§6.2's 50–80 µs datapath band, see
+/// [`IpcConfig`]).
+pub const COMPLETION_LATENCY: Nanos = Nanos::from_micros(20);
+
+/// Internal engine-to-engine hop latency (frontend → proxy,
+/// proxy → transport): one queue hop inside the service.
+pub const ENGINE_HOP_LATENCY: Nanos = Nanos::from_micros(10);
+
+/// The shim ⇄ service boundary and the service's internal engine hops.
 ///
-/// The defaults reproduce the paper's measured datapath overhead: "the
+/// The latencies reproduce the paper's measured datapath overhead: "the
 /// communication between the application and the MCCS service, as well as
 /// between the internal engines of the MCCS service, incurs an overall
 /// latency of 50-80 us" (§6.2). A collective traverses
 /// shim → frontend → proxy (2 hops) and its completion signals back, plus
-/// internal queue hops; with 20 µs per boundary crossing and ~10 µs per
-/// internal hop plus jitter, the round trip lands in the measured band.
+/// internal queue hops; with 20 µs per boundary crossing
+/// ([`command_latency`](Self::command_latency),
+/// [`COMPLETION_LATENCY`]) and 10 µs per internal hop
+/// ([`ENGINE_HOP_LATENCY`]) plus jitter, the round trip lands in the
+/// measured band.
 #[derive(Clone, Debug)]
 pub struct IpcConfig {
     /// Shim → frontend command queue latency.
     pub command_latency: Nanos,
-    /// Frontend → shim completion queue latency.
-    pub completion_latency: Nanos,
-    /// Internal engine-to-engine hop latency (frontend → proxy,
-    /// proxy → transport).
-    pub engine_hop_latency: Nanos,
     /// Uniform jitter fraction applied per message (0.0 = deterministic).
     pub jitter_frac: f64,
     /// Command/completion queue depth before back-pressure.
@@ -31,8 +37,6 @@ impl Default for IpcConfig {
     fn default() -> Self {
         IpcConfig {
             command_latency: Nanos::from_micros(20),
-            completion_latency: Nanos::from_micros(20),
-            engine_hop_latency: Nanos::from_micros(10),
             jitter_frac: 0.5,
             queue_capacity: 1024,
         }
@@ -40,18 +44,6 @@ impl Default for IpcConfig {
 }
 
 impl IpcConfig {
-    /// A zero-latency configuration (ablation: measures pure algorithm
-    /// effects with no service overhead).
-    pub fn zero() -> Self {
-        IpcConfig {
-            command_latency: Nanos::ZERO,
-            completion_latency: Nanos::ZERO,
-            engine_hop_latency: Nanos::ZERO,
-            jitter_frac: 0.0,
-            queue_capacity: 1024,
-        }
-    }
-
     /// Apply jitter to a base latency: uniform in
     /// `[base, base * (1 + jitter_frac)]`.
     fn jittered(&self, base: Nanos, rng: &mut Rng) -> Nanos {
@@ -68,12 +60,12 @@ impl IpcConfig {
 
     /// A jittered completion latency sample.
     pub fn sample_completion_latency(&self, rng: &mut Rng) -> Nanos {
-        self.jittered(self.completion_latency, rng)
+        self.jittered(COMPLETION_LATENCY, rng)
     }
 
     /// A jittered internal hop latency sample.
     pub fn sample_hop_latency(&self, rng: &mut Rng) -> Nanos {
-        self.jittered(self.engine_hop_latency, rng)
+        self.jittered(ENGINE_HOP_LATENCY, rng)
     }
 }
 
@@ -89,7 +81,7 @@ mod tests {
         // hop on top of this floor). One issue path is a command, two
         // internal hops and a completion.
         let cfg = IpcConfig::default();
-        let floor = cfg.command_latency + cfg.engine_hop_latency * 2 + cfg.completion_latency;
+        let floor = cfg.command_latency + ENGINE_HOP_LATENCY * 2 + COMPLETION_LATENCY;
         let ceiling = floor.mul_f64(1.0 + cfg.jitter_frac);
         assert!(
             floor >= Nanos::from_micros(45) && floor <= Nanos::from_micros(65),
@@ -112,14 +104,5 @@ mod tests {
             assert!(x >= base && x <= base.mul_f64(1.0 + cfg.jitter_frac + 1e-9));
             assert_eq!(x, cfg.jittered(base, &mut b));
         }
-    }
-
-    #[test]
-    fn zero_config_has_no_latency() {
-        let cfg = IpcConfig::zero();
-        let mut rng = Rng::seed_from(0);
-        assert_eq!(cfg.sample_command_latency(&mut rng), Nanos::ZERO);
-        assert_eq!(cfg.sample_hop_latency(&mut rng), Nanos::ZERO);
-        assert_eq!(cfg.sample_completion_latency(&mut rng), Nanos::ZERO);
     }
 }

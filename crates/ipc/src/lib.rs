@@ -15,7 +15,7 @@ pub mod config;
 pub mod protocol;
 pub mod queue;
 
-pub use config::IpcConfig;
+pub use config::{IpcConfig, COMPLETION_LATENCY, ENGINE_HOP_LATENCY};
 pub use protocol::{
     AppId, CollectiveRequest, CommunicatorId, ErrorCode, ShimCommand, ShimCompletion,
 };

@@ -458,12 +458,6 @@ impl Network {
         }
     }
 
-    /// Effective capacity of a link: base bandwidth × degrade fraction,
-    /// zero while the link is down.
-    pub fn link_effective_capacity(&self, link: LinkId) -> Bandwidth {
-        self.effective_capacity(link.index())
-    }
-
     /// Bottleneck weight of the identified pinned route: the minimum
     /// [`link_weight`](Network::link_weight) along it (1.0 for a fully
     /// healthy path, 0.0 if any link is down).
@@ -656,7 +650,7 @@ impl Network {
     }
 
     /// Link load as a fraction of the capacity the link has right now
-    /// ([`link_effective_capacity`](Network::link_effective_capacity)): a
+    /// (base bandwidth × degrade fraction, zero while down): a
     /// browned-out link that is full reads 1.0. A link without capacity
     /// (down, or degraded to nothing) carries nothing and reads 0.0.
     pub fn link_utilization(&self, link: LinkId) -> f64 {
@@ -1402,11 +1396,13 @@ mod tests {
             "the other spine is unaffected"
         );
         let base = net.topo.link(spine).bandwidth;
-        assert!((net.link_effective_capacity(spine).as_bps() - base.as_bps() * 0.5).abs() < 1e-6);
+        assert!(
+            (net.effective_capacity(spine.index()).as_bps() - base.as_bps() * 0.5).abs() < 1e-6
+        );
         net.set_link_up(Nanos::ZERO, spine, false);
         assert_eq!(net.link_weight(spine), 0.0);
         assert_eq!(net.route_weight(nic(0), nic(4), RouteId(0)), 0.0);
-        assert_eq!(net.link_effective_capacity(spine), Bandwidth::ZERO);
+        assert_eq!(net.effective_capacity(spine.index()), Bandwidth::ZERO);
         net.set_link_up(Nanos::ZERO, spine, true);
         assert_eq!(
             net.link_weight(spine),

@@ -15,6 +15,14 @@
 //!   rack crossings — leaves every trace identical, at jitter 0 and at the
 //!   default jitter alike.
 //!
+//! * **R3, capacity scaling.** Scaling every link capacity by `c` scales
+//!   the network-bound part of each collective's latency by `1/c` and
+//!   leaves the rest (IPC hops, launch overheads) alone, so with `L_c`
+//!   the latency at scale `c`, `L_1 − L_2 = 2·(L_2 − L_4)`: the fixed
+//!   terms cancel without being named. Preconditions: one GPU per host,
+//!   so every ring edge is a network flow and no intra-host copy (which
+//!   does not scale with the fabric) joins the sum; IPC jitter 0. Holds
+//!   for the service and the library alike.
 //! * **R5, the service's surcharge.** The same tenant run by the service
 //!   and by the NCCL-like library given the service's default rings
 //!   (NCCL(OR)-style) differs, per collective, by the IPC path alone:
@@ -31,13 +39,15 @@
 //! service sees (sharing tenant 0's GPUs, packing two ranks onto one
 //! host) must change the trace, so the relation is known to detect it.
 //! R5 is an identity in the IPC constants: one more engine hop, or no
-//! launch overhead, moves it by exactly 10 µs.
+//! launch overhead, moves it by exactly 10 µs. R3 fails for a per-flow
+//! rate cap that binds at some scales and not at others; a fixed delay
+//! per flow is one more fixed term, which R3 rightly lets pass.
 //!
 //! Run: `cargo test --test relations`
 
 use mccs::collectives::op::all_reduce_sum;
 use mccs::collectives::{CollectiveOp, ReduceKind};
-use mccs::ipc::{AppId, CommunicatorId};
+use mccs::ipc::{AppId, CommunicatorId, COMPLETION_LATENCY, ENGINE_HOP_LATENCY};
 use mccs::service::{
     ClusterConfig, CollectiveConfig, LibraryConfig, RingChoice, Scenario, Tenant, TenantMode,
 };
@@ -211,6 +221,96 @@ fn r2_breaks_when_the_ranks_move_onto_one_host() {
 }
 
 // ---------------------------------------------------------------------------
+// R3: capacity scaling
+// ---------------------------------------------------------------------------
+
+/// Two spines over two racks of two hosts with one GPU each, every
+/// capacity `scale` times 50G NICs and 100G leaf-spine links.
+fn one_gpu_per_host(scale: f64) -> Scenario {
+    let topo = presets::spine_leaf(&SpineLeafConfig {
+        spines: 2,
+        leaves: 2,
+        hosts_per_leaf: 2,
+        gpus_per_host: 1,
+        nic_bandwidth: Bandwidth::gbps(50.0 * scale),
+        leaf_spine_bandwidth: Bandwidth::gbps(100.0 * scale),
+    });
+    Scenario {
+        topo: Arc::new(topo),
+        ..testbed(&[0, 1, 2, 3])
+    }
+}
+
+/// Tenant 0's latency per collective: at the tenant for the service, on
+/// its timeline for the library.
+fn latencies(s: &Scenario) -> Vec<Nanos> {
+    let mut cluster = s.build();
+    cluster.run_until_quiescent(DEADLINE);
+    let latencies: Vec<Nanos> = match s.tenants[0].mode {
+        TenantMode::Service(_) => cluster
+            .mgmt()
+            .tenant_latencies(AppId(0))
+            .into_iter()
+            .map(|(_, issued, done)| done - issued)
+            .collect(),
+        TenantMode::Library(_) => cluster
+            .mgmt()
+            .timeline(AppId(0))
+            .iter()
+            .map(|r| r.latency().expect("complete"))
+            .collect(),
+    };
+    assert_eq!(latencies.len(), s.tenants[0].iters, "lost collectives");
+    latencies
+}
+
+/// How far `L_1 − L_2` may sit from `2·(L_2 − L_4)`, in ns. A latency
+/// ends at a flow completion rounded to a whole nanosecond, and
+/// `L_1 − 3·L_2 + 2·L_4` weighs the three latencies 1 + 3 + 2.
+const R3_ROUNDING: i64 = 6;
+
+/// For every op, at 512 KiB and 64 MiB, in `mode`: the largest
+/// `|L_1 − L_2 − 2·(L_2 − L_4)|` over the collectives, in ns.
+fn r3_residual(mode: impl Fn(Scenario) -> Scenario) -> i64 {
+    let ops = [
+        all_reduce_sum(),
+        CollectiveOp::AllGather,
+        CollectiveOp::ReduceScatter(ReduceKind::Sum),
+        CollectiveOp::Broadcast { root: 1 },
+        CollectiveOp::Reduce {
+            root: 1,
+            kind: ReduceKind::Sum,
+        },
+    ];
+    let mut worst = 0;
+    for op in ops {
+        for size in [Bytes::kib(512), Bytes::mib(64)] {
+            let [l1, l2, l4] = [1.0, 2.0, 4.0].map(|scale| {
+                let mut s = without_jitter(one_gpu_per_host(scale));
+                s.tenants[0].op = op;
+                s.tenants[0].size = size;
+                latencies(&mode(s))
+            });
+            for i in 0..l1.len() {
+                let ns = |t: Nanos| t.as_nanos() as i64;
+                let (d12, d24) = (ns(l1[i]) - ns(l2[i]), ns(l2[i]) - ns(l4[i]));
+                assert!(d24 > 0, "{op:?} of {size}: no network-bound part");
+                worst = worst.max((d12 - 2 * d24).abs());
+            }
+        }
+    }
+    worst
+}
+
+#[test]
+fn r3_scaling_every_capacity_scales_the_network_bound_part() {
+    let service = r3_residual(|s| s);
+    let library = r3_residual(as_library);
+    assert!(service <= R3_ROUNDING, "service: residual {service} ns");
+    assert!(library <= R3_ROUNDING, "library: residual {library} ns");
+}
+
+// ---------------------------------------------------------------------------
 // R5: the service's surcharge over the library
 // ---------------------------------------------------------------------------
 
@@ -294,9 +394,9 @@ const LAUNCH: Nanos = Nanos::from_micros(10);
 /// a completion — less the launch overhead the library pays instead, and
 /// the transport hop the service adds to an inter-host task.
 fn surcharge_and_hop(s: &Scenario) -> (Nanos, Nanos) {
-    let ipc = &s.config.ipc;
-    let base = ipc.command_latency + ipc.engine_hop_latency + ipc.completion_latency - LAUNCH;
-    (base, ipc.engine_hop_latency)
+    let command = s.config.ipc.command_latency;
+    let base = command + ENGINE_HOP_LATENCY + COMPLETION_LATENCY - LAUNCH;
+    (base, ENGINE_HOP_LATENCY)
 }
 
 #[test]

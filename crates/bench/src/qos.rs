@@ -2,8 +2,8 @@
 //!
 //! Setup 3 of Figure 5b: tenant A trains VGG-19 (data parallel, 4 GPUs,
 //! 2 NICs/host), tenants B and C fine-tune GPT-2.7B (tensor parallel,
-//! 2 GPUs each, 1 NIC/host). All three replay calibrated traces through
-//! the MCCS traffic generator; the controller applies one of four
+//! 2 GPUs each, 1 NIC/host). Every rank replays a calibrated trace as a
+//! shim script (`spawn_traffic_app`); the controller applies one of four
 //! strategies:
 //!
 //! * **ECMP** — optimal rings, hashed routing (MCCS(-FFA));
@@ -95,8 +95,6 @@ pub struct AppRun {
     /// Job completion time, measured from [`START`] to the app's last
     /// collective completion.
     pub jct: Nanos,
-    /// Completion time of each training iteration.
-    pub iter_ends: Vec<Nanos>,
     /// Collectives the service cleanly failed back to this tenant
     /// (zero on these fault-free runs; reported explicitly so a fault
     /// would show up in the figures instead of silently shrinking the
@@ -148,22 +146,13 @@ pub fn run_qos(strategy: QosStrategy, trial: u64) -> Vec<AppRun> {
                 .iter()
                 .filter(|r| r.failed)
                 .count();
-            let per_iter = trace.collectives_per_iteration();
             assert_eq!(
                 tl.len() + failed,
-                per_iter * trace.iterations,
+                trace.collectives_per_iteration() * trace.iterations,
                 "collectives lost without a completion or a clean failure"
             );
             let jct = tl.last().expect("ran").completed_at.expect("done") - START;
-            let iter_ends: Vec<Nanos> = tl
-                .chunks(per_iter)
-                .map(|c| c.last().expect("chunk").completed_at.expect("done"))
-                .collect();
-            AppRun {
-                jct,
-                iter_ends,
-                failed,
-            }
+            AppRun { jct, failed }
         })
         .collect()
 }

@@ -76,6 +76,6 @@ pub use library::{LibraryConfig, RingChoice};
 pub use mgmt::CommInfo;
 pub use qos::TrafficWindows;
 pub use recovery::{DetourPolicy, RecoveryEngine};
-pub use scenario::{Record, Scenario, Tenant, TenantMode};
+pub use scenario::{closed_loop, Record, Scenario, Tenant, TenantMode};
 pub use tracing::{TraceCollector, TraceRecord};
 pub use world::{Controller, ControllerState, ControllerStats, DrainObligation, World};

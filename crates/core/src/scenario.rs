@@ -5,8 +5,10 @@
 //! and an optional fault plan. Every tenant runs the same NCCL-tests
 //! style loop — UCC's "init once and invoke multiple times" — on the
 //! executor its [`TenantMode`] names: the MCCS service or the NCCL-like
-//! library ([`crate::library`]). Worlds that also need a bespoke program
-//! or management calls mid-run call [`Scenario::build`] and carry on.
+//! library ([`crate::library`]). [`closed_loop`] writes that loop's
+//! script once, for a [`Tenant`] and for a replayed training trace
+//! (`mccs-workloads`) alike. Worlds that also need management calls
+//! mid-run call [`Scenario::build`] and carry on.
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::library::LibraryConfig;
@@ -54,43 +56,64 @@ pub enum TenantMode {
 }
 
 impl Tenant {
-    /// Rank `rank`'s service script over `comm`: `Alloc` slots 0 and 1,
-    /// `CommInit`, `SleepUntil(start)` if `start > 0`, then the loop body
-    /// — `Compute(compute)` if `compute > 0` and the collective from slot
-    /// 0 to slot 1 — with a `Repeat` of it if `iters > 1`.
+    /// Rank `rank`'s service script over `comm`: the [`closed_loop`] whose
+    /// body is `Compute(compute)` if `compute > 0` and the collective from
+    /// slot 0 to slot 1.
     pub(crate) fn program(&self, comm: CommunicatorId, rank: usize) -> ScriptedProgram {
-        let size = self.size;
-        let mut steps = vec![
-            ScriptStep::Alloc { size, slot: 0 },
-            ScriptStep::Alloc { size, slot: 1 },
-            ScriptStep::CommInit {
-                comm,
-                world: self.gpus.clone(),
-                rank,
-            },
-        ];
-        if self.start > Nanos::ZERO {
-            steps.push(ScriptStep::SleepUntil(self.start));
-        }
-        let head = steps.len();
+        let mut body = Vec::with_capacity(2);
         if self.compute > Nanos::ZERO {
-            steps.push(ScriptStep::Compute(self.compute));
+            body.push(ScriptStep::Compute(self.compute));
         }
-        steps.push(ScriptStep::Collective {
+        body.push(ScriptStep::Collective {
             comm,
             op: self.op,
-            size,
+            size: self.size,
             send_slot: 0,
             recv_slot: 1,
         });
-        if self.iters > 1 {
-            steps.push(ScriptStep::Repeat {
-                from_step: head,
-                times: self.iters - 1,
-            });
-        }
-        ScriptedProgram::new(format!("{}/r{rank}", self.name), steps)
+        closed_loop(
+            &self.name, comm, &self.gpus, rank, self.size, self.start, body, self.iters,
+        )
     }
+}
+
+/// The one closed-loop tenant program, rank `rank` of `gpus`: `Alloc`
+/// slots 0 and 1 of `size`, `CommInit` of `comm`, `SleepUntil(start)` if
+/// `start > 0`, then `body`, with a `Repeat` of it if `iters > 1`. It is
+/// named `"{name}/r{rank}"`. A [`Tenant`]'s body is `[Compute?,
+/// Collective]`; a training trace lowers its iteration into the body.
+#[allow(clippy::too_many_arguments)]
+pub fn closed_loop(
+    name: &str,
+    comm: CommunicatorId,
+    gpus: &[GpuId],
+    rank: usize,
+    size: Bytes,
+    start: Nanos,
+    body: Vec<ScriptStep>,
+    iters: usize,
+) -> ScriptedProgram {
+    let mut steps = vec![
+        ScriptStep::Alloc { size, slot: 0 },
+        ScriptStep::Alloc { size, slot: 1 },
+        ScriptStep::CommInit {
+            comm,
+            world: gpus.to_vec(),
+            rank,
+        },
+    ];
+    if start > Nanos::ZERO {
+        steps.push(ScriptStep::SleepUntil(start));
+    }
+    let head = steps.len();
+    steps.extend(body);
+    if iters > 1 {
+        steps.push(ScriptStep::Repeat {
+            from_step: head,
+            times: iters - 1,
+        });
+    }
+    ScriptedProgram::new(format!("{name}/r{rank}"), steps)
 }
 
 /// A closed-loop collective world.
@@ -215,5 +238,32 @@ mod tests {
             }
         }
         assert!(cluster.world.app_names.is_empty(), "nothing attached");
+    }
+
+    #[test]
+    fn a_refused_allocation_ends_its_tenant_and_spares_the_other() {
+        // The testbed's GPUs hold 24 GiB, so the frontend refuses the
+        // first buffer of "huge" with a typed error: its ranks stop there,
+        // and "fine", on the other GPUs, runs every collective.
+        let mut huge = tenant(vec![GpuId(1), GpuId(3)], 2);
+        huge.name = "huge".to_owned();
+        huge.size = Bytes::gib(32);
+        huge.mode = TenantMode::Service(CommunicatorId(2));
+        let fine = tenant(vec![GpuId(0), GpuId(2)], 3);
+        let mut cluster = Scenario {
+            topo: Arc::new(presets::testbed()),
+            config: ClusterConfig::with_seed(3),
+            tenants: vec![fine, huge],
+            faults: None,
+        }
+        .build();
+        cluster
+            .try_run_until_quiescent(Nanos::from_secs(10))
+            .expect("a refused tenant must not hang the world");
+        let fine = cluster.mgmt().tenant_outcomes(AppId(0));
+        assert_eq!(fine.len(), 3, "every collective of the other tenant");
+        assert!(fine.iter().all(|r| !r.failed), "{fine:?}");
+        let huge = cluster.mgmt().tenant_outcomes(AppId(1));
+        assert!(huge.is_empty(), "nothing issued after the refusal");
     }
 }

@@ -516,70 +516,73 @@ fn rooted_collectives_validate_buffers_per_rank() {
 #[test]
 fn rooted_collectives_still_reject_undersized_significant_buffers() {
     // The root's send buffer for Broadcast stays significant: shrinking it
-    // must still trip the service-side validation.
-    let size = Bytes::mib(1);
-    let mut cluster = testbed(33, Vec::new()).build();
-    let comm = CommunicatorId(1);
-    let gpus = [GpuId(0), GpuId(1)];
-    let progs: Vec<(GpuId, Box<dyn mccs_shim::AppProgram>)> = gpus
-        .iter()
-        .enumerate()
-        .map(|(rank, &gpu)| {
-            let send_size = if rank == 0 { Bytes::kib(4) } else { size };
-            let prog = ScriptedProgram::new(
-                format!("badroot/r{rank}"),
-                vec![
-                    ScriptStep::Alloc {
-                        size: send_size,
-                        slot: 0,
-                    },
-                    ScriptStep::Alloc { size, slot: 1 },
-                    ScriptStep::CommInit {
-                        comm,
-                        world: gpus.to_vec(),
-                        rank,
-                    },
-                    ScriptStep::Collective {
-                        comm,
-                        op: CollectiveOp::Broadcast { root: 0 },
-                        size,
-                        send_slot: 0,
-                        recv_slot: 1,
-                    },
-                ],
-            );
-            (gpu, Box::new(prog) as Box<dyn mccs_shim::AppProgram>)
-        })
-        .collect();
-    cluster.add_app("badroot", progs);
-    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        cluster.run_until_quiescent(Nanos::from_secs(5));
-    }))
-    .expect_err("root's undersized send buffer must be rejected");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_default();
+    // must still trip the service-side validation, answered to the root
+    // as a typed error.
+    let answers = issue_once(
+        33,
+        CollectiveOp::Broadcast { root: 0 },
+        &[
+            (GpuId(0), [Bytes::kib(4), Bytes::mib(1)]),
+            (GpuId(1), [Bytes::mib(1); 2]),
+        ],
+    );
+    let refused: Vec<_> = answers.iter().filter(|a| a.is_err()).collect();
     assert!(
-        msg.contains("buffer validation failed"),
-        "unexpected panic: {msg}"
+        matches!(refused[..], [Err((ErrorCode::InvalidArgument, m))]
+            if m.starts_with("buffer validation failed")),
+        "{answers:?}"
     );
 }
 
-/// One rank that allocates two buffers, joins `comm` and issues a single
-/// `op`, then records what the service answered: `Ok(seq)` for a launch,
-/// `Err(code)` for an error completion.
+/// What the service answered a collective: `Ok(seq)` for a launch,
+/// `Err((code, message))` for an error completion.
+type Answer = Result<u64, (ErrorCode, String)>;
+
+/// One rank that allocates a send and a receive buffer of the sizes in
+/// `alloc`, joins `comm` and issues a single 1 MiB `op`, then records
+/// what the service answered.
 struct IssueOnce {
     comm: CommunicatorId,
     world: Vec<GpuId>,
     rank: usize,
     op: CollectiveOp,
+    alloc: [Bytes; 2],
     /// The requests the current stage waits on.
     pending: Vec<ReqId>,
     buffers: Vec<MemHandle>,
     stage: usize,
-    answers: Arc<Mutex<Vec<Result<u64, ErrorCode>>>>,
+    answers: Arc<Mutex<Vec<Answer>>>,
+}
+
+/// Rank `r` of `op` on `ranks[r].0` of the testbed at `seed`, allocating
+/// `ranks[r].1`; the answers, in the order they arrived, once the world
+/// is quiet.
+fn issue_once(seed: u64, op: CollectiveOp, ranks: &[(GpuId, [Bytes; 2])]) -> Vec<Answer> {
+    let mut cluster = testbed(seed, Vec::new()).build();
+    let answers = Arc::new(Mutex::new(Vec::new()));
+    let world: Vec<GpuId> = ranks.iter().map(|&(gpu, _)| gpu).collect();
+    let progs = ranks
+        .iter()
+        .enumerate()
+        .map(|(rank, &(gpu, alloc))| {
+            let prog = IssueOnce {
+                comm: CommunicatorId(1),
+                world: world.clone(),
+                rank,
+                op,
+                alloc,
+                pending: Vec::new(),
+                buffers: Vec::new(),
+                stage: 0,
+                answers: Arc::clone(&answers),
+            };
+            (gpu, Box::new(prog) as Box<dyn AppProgram>)
+        })
+        .collect();
+    cluster.add_app("issue-once", progs);
+    cluster.run_until_quiescent(Nanos::from_secs(5));
+    let answers = answers.lock().unwrap().clone();
+    answers
 }
 
 impl AppProgram for IssueOnce {
@@ -588,7 +591,7 @@ impl AppProgram for IssueOnce {
         loop {
             api.pump();
             match self.stage {
-                0 => self.pending = vec![api.alloc(size), api.alloc(size)],
+                0 => self.pending = self.alloc.iter().map(|&b| api.alloc(b)).collect(),
                 1 => {
                     let Some(buffers) = self.pending.iter().map(|&r| api.alloc_result(r)).collect()
                     else {
@@ -609,7 +612,7 @@ impl AppProgram for IssueOnce {
                     let req = self.pending[0];
                     let answer = match (api.launched_seq(req), api.error_code(req)) {
                         (Some(seq), _) => Ok(seq),
-                        (_, Some(code)) => Err(code),
+                        (_, Some(code)) => Err((code, api.error(req).unwrap_or("").to_owned())),
                         _ => return AppStatus::Blocked,
                     };
                     self.answers.lock().unwrap().push(answer);
@@ -717,33 +720,19 @@ fn a_rooted_collective_with_an_out_of_range_root_is_refused() {
             kind: ReduceKind::Sum,
         },
     ] {
-        let mut cluster = testbed(35, Vec::new()).build();
-        let answers = Arc::new(Mutex::new(Vec::new()));
-        let world = vec![GpuId(0), GpuId(2)];
-        let progs = world
-            .iter()
-            .enumerate()
-            .map(|(rank, &gpu)| {
-                let prog = IssueOnce {
-                    comm: CommunicatorId(1),
-                    world: world.clone(),
-                    rank,
-                    op,
-                    pending: Vec::new(),
-                    buffers: Vec::new(),
-                    stage: 0,
-                    answers: Arc::clone(&answers),
-                };
-                (gpu, Box::new(prog) as Box<dyn AppProgram>)
-            })
-            .collect();
-        cluster.add_app("badroot", progs);
-        cluster.run_until_quiescent(Nanos::from_secs(5));
-        assert_eq!(
-            *answers.lock().unwrap(),
-            vec![Err(ErrorCode::InvalidArgument); 2],
-            "{op:?}"
+        let answers = issue_once(
+            35,
+            op,
+            &[
+                (GpuId(0), [Bytes::mib(1); 2]),
+                (GpuId(2), [Bytes::mib(1); 2]),
+            ],
         );
+        let refused = (
+            ErrorCode::InvalidArgument,
+            "root 2 out of range for 2 ranks".to_owned(),
+        );
+        assert_eq!(answers, vec![Err(refused); 2], "{op:?}");
     }
 }
 
@@ -916,57 +905,24 @@ fn malformed_traffic_windows_rejected_without_aborting() {
 #[test]
 fn invalid_buffer_is_rejected_by_the_service() {
     // A program that allocates too little for the collective it issues:
-    // the service's validation must reject it (error completion), and the
-    // scripted program panics on the surfaced error.
-    let mut cluster = testbed(9, Vec::new()).build();
-    let comm = CommunicatorId(1);
-    let gpus = [GpuId(0), GpuId(1)];
-    let progs: Vec<(GpuId, Box<dyn mccs_shim::AppProgram>)> = gpus
-        .iter()
-        .enumerate()
-        .map(|(rank, &gpu)| {
-            let prog = ScriptedProgram::new(
-                format!("bad/r{rank}"),
-                vec![
-                    ScriptStep::Alloc {
-                        size: Bytes::kib(4),
-                        slot: 0,
-                    },
-                    ScriptStep::Alloc {
-                        size: Bytes::kib(4),
-                        slot: 1,
-                    },
-                    ScriptStep::CommInit {
-                        comm,
-                        world: gpus.to_vec(),
-                        rank,
-                    },
-                    ScriptStep::Collective {
-                        comm,
-                        op: all_reduce_sum(),
-                        size: Bytes::mib(1), // larger than the 4K buffers
-                        send_slot: 0,
-                        recv_slot: 1,
-                    },
-                ],
-            );
-            (gpu, Box::new(prog) as Box<dyn mccs_shim::AppProgram>)
-        })
-        .collect();
-    cluster.add_app("bad", progs);
-    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        cluster.run_until_quiescent(Nanos::from_secs(5));
-    }))
-    .expect_err("validation must fire");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_default();
-    assert!(
-        msg.contains("buffer validation failed"),
-        "unexpected panic: {msg}"
+    // the service's validation must reject it with a typed error on every
+    // rank.
+    let answers = issue_once(
+        9,
+        all_reduce_sum(),
+        &[
+            (GpuId(0), [Bytes::kib(4); 2]),
+            (GpuId(1), [Bytes::kib(4); 2]),
+        ],
     );
+    assert_eq!(answers.len(), 2, "{answers:?}");
+    for answer in &answers {
+        assert!(
+            matches!(answer, Err((ErrorCode::InvalidArgument, m))
+                if m.starts_with("buffer validation failed")),
+            "{answers:?}"
+        );
+    }
 }
 
 #[test]

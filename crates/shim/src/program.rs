@@ -4,9 +4,9 @@
 //! polls it with a [`ShimApi`] until it reports [`AppStatus::Finished`].
 //! Programs are state machines — each poll does bounded work and returns.
 //!
-//! [`ScriptedProgram`] interprets a declarative step list, which covers
-//! most tests and examples; richer workloads (the trace-replaying traffic
-//! generator of `mccs-workloads`) implement the trait directly.
+//! [`ScriptedProgram`] interprets a declarative step list. It is the one
+//! tenant program: a closed-loop `Scenario` tenant and a replayed
+//! training trace (`mccs-workloads`) are both lowered to a script.
 
 use crate::api::ShimApi;
 use crate::session::ReqId;
@@ -82,6 +82,9 @@ pub enum ScriptStep {
     Compute(Nanos),
     /// Busy-wait (virtual) until the given absolute time.
     SleepUntil(Nanos),
+    /// Busy-wait (virtual) for this long from the instant the step is
+    /// reached: a training trace's idle phase.
+    Sleep(Nanos),
     /// Repeat the steps from `from_step` (inclusive) this many additional
     /// times.
     Repeat {
@@ -100,11 +103,11 @@ pub struct ScriptedProgram {
     slots: Vec<Option<MemHandle>>,
     pending: Option<ReqId>,
     repeats_left: Option<usize>,
-    /// The instant a `SleepUntil` armed its wake for: a blocked re-poll
-    /// arms nothing more (idle polls are pure, timers included).
+    /// The instant the current `SleepUntil` or `Sleep` armed its wake
+    /// for: a blocked re-poll arms nothing more (idle polls are pure,
+    /// timers included). Cleared when the step completes, so the next
+    /// sleep arms its own instant.
     sleep_armed: Option<Nanos>,
-    iterations_done: u64,
-    failed_collectives: u64,
 }
 
 impl ScriptedProgram {
@@ -131,20 +134,7 @@ impl ScriptedProgram {
             pending: None,
             repeats_left: None,
             sleep_armed: None,
-            iterations_done: 0,
-            failed_collectives: 0,
         }
-    }
-
-    /// Completed loop iterations (for test assertions).
-    pub fn iterations_done(&self) -> u64 {
-        self.iterations_done
-    }
-
-    /// Collectives the service cleanly failed back to this program (the
-    /// script proceeds past them, NCCL-tests style, and counts here).
-    pub fn failed_collectives(&self) -> u64 {
-        self.failed_collectives
     }
 
     fn slot(&self, idx: usize) -> MemHandle {
@@ -160,11 +150,14 @@ impl AppProgram for ScriptedProgram {
             if self.pc >= self.steps.len() {
                 return AppStatus::Finished;
             }
-            // Surface request errors instead of hanging forever.
-            if let Some(req) = self.pending {
-                if let Some(msg) = api.error(req) {
-                    panic!("script '{}' step {} failed: {msg}", self.name, self.pc);
-                }
+            // A refused request ends the program, as a tenant checking
+            // NCCL's return code exits: the service's answer is a typed
+            // error, and no later step can run without what this one
+            // would have made (a buffer, a communicator).
+            if self.pending.is_some_and(|req| api.error(req).is_some()) {
+                self.pending = None;
+                self.pc = self.steps.len();
+                return AppStatus::Finished;
             }
             let step = self.steps[self.pc].clone();
             match step {
@@ -222,7 +215,6 @@ impl AppProgram for ScriptedProgram {
                         // A cleanly failed collective is terminal too: the
                         // buffers are undefined but the program moves on.
                         if api.collective_failed(req).is_some() {
-                            self.failed_collectives += 1;
                             self.pending = None;
                             self.pc += 1;
                             progressed = true;
@@ -265,6 +257,7 @@ impl AppProgram for ScriptedProgram {
                 },
                 ScriptStep::SleepUntil(t) => {
                     if api.now() >= t {
+                        self.sleep_armed = None;
                         self.pc += 1;
                         progressed = true;
                         continue;
@@ -275,6 +268,21 @@ impl AppProgram for ScriptedProgram {
                     }
                     return AppStatus::Blocked;
                 }
+                ScriptStep::Sleep(d) => match self.sleep_armed {
+                    None => {
+                        let until = api.now() + d;
+                        api.schedule_wake(until);
+                        self.sleep_armed = Some(until);
+                        return AppStatus::Blocked;
+                    }
+                    Some(until) if api.now() >= until => {
+                        self.sleep_armed = None;
+                        self.pc += 1;
+                        progressed = true;
+                        continue;
+                    }
+                    Some(_) => return AppStatus::Blocked,
+                },
                 ScriptStep::Repeat { from_step, times } => {
                     assert!(from_step < self.pc, "Repeat must jump backwards");
                     let left = self.repeats_left.get_or_insert(times);
@@ -283,7 +291,6 @@ impl AppProgram for ScriptedProgram {
                         self.pc += 1;
                     } else {
                         *left -= 1;
-                        self.iterations_done += 1;
                         self.pc = from_step;
                     }
                     progressed = true;
@@ -360,7 +367,6 @@ mod tests {
         );
         let mut port = LoopbackPort::new();
         run_to_completion(&mut prog, &mut port);
-        assert_eq!(prog.iterations_done(), 4);
         // 5 collectives total (1 + 4 repeats)
         let colls = port
             .sent
@@ -404,6 +410,45 @@ mod tests {
             let mut api = ShimApi::new(&mut session, &mut port, GpuId(0));
             assert_eq!(prog.poll(&mut api), AppStatus::Finished);
         }
+    }
+
+    #[test]
+    fn a_refused_step_ends_the_script() {
+        let comm = CommunicatorId(1);
+        let mut prog = ScriptedProgram::new(
+            "refused",
+            vec![
+                ScriptStep::Alloc {
+                    size: Bytes::mib(1),
+                    slot: 0,
+                },
+                ScriptStep::CommInit {
+                    comm,
+                    world: vec![GpuId(0)],
+                    rank: 0,
+                },
+            ],
+        );
+        let mut port = LoopbackPort::new();
+        port.auto_reply = false;
+        let mut session = ShimSession::new();
+        {
+            let mut api = ShimApi::new(&mut session, &mut port, GpuId(0));
+            assert_eq!(prog.poll(&mut api), AppStatus::Blocked);
+        }
+        let req = match port.sent[..] {
+            [mccs_ipc::ShimCommand::MemAlloc { req, .. }] => req,
+            ref other => panic!("expected one alloc, sent {other:?}"),
+        };
+        port.inbox.push_back(mccs_ipc::ShimCompletion::Error {
+            req,
+            code: mccs_ipc::ErrorCode::InvalidArgument,
+            message: "allocation failed: out of memory".to_owned(),
+        });
+        let mut api = ShimApi::new(&mut session, &mut port, GpuId(0));
+        assert_eq!(prog.poll(&mut api), AppStatus::Finished);
+        assert_eq!(prog.poll(&mut api), AppStatus::Finished);
+        assert_eq!(port.sent.len(), 1, "nothing issued after the refusal");
     }
 
     #[test]

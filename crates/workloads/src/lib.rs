@@ -12,9 +12,8 @@
 //!   each constructor; only the *structure* (collective sizes and compute
 //!   gaps) matters for the network experiments.
 //! * [`generator`] — the traffic generator (the paper implements exactly
-//!   this "with Rust using the MCCS library"): an
-//!   [`AppProgram`](mccs_shim::AppProgram) replaying a trace through the
-//!   shim.
+//!   this "with Rust using the MCCS library"): a trace lowered to the
+//!   shim's script, one rank per GPU.
 //! * [`jobs`] — the §6.5 job generator: Poisson arrivals, 16/32-GPU jobs,
 //!   random vs. compact placement over a live occupancy map.
 
@@ -23,7 +22,6 @@ pub mod jobs;
 pub mod models;
 pub mod trace;
 
-pub use generator::TrafficGenerator;
 pub use jobs::{JobSpec, Placement, PlacementMap};
 pub use models::{gpt27b_tensor_parallel, resnet50_data_parallel, vgg19_data_parallel};
 pub use trace::{Breakdown, IterationTrace, TracePhase};

@@ -16,7 +16,7 @@
 use mccs_collectives::{connections, RingOrder};
 use mccs_core::config::RouteMap;
 use mccs_topology::{NicId, RouteId, Topology};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One job's connection set, as derived from its ring configuration.
 #[derive(Clone, Debug)]
@@ -40,7 +40,7 @@ impl JobFlows {
 /// (determinism).
 fn best_fit(
     topo: &Topology,
-    load: &mut HashMap<usize, f64>,
+    load: &mut Vec<f64>,
     src: NicId,
     dst: NicId,
     allowed: impl Fn(RouteId) -> bool,
@@ -55,10 +55,11 @@ fn best_fit(
     )
 }
 
-/// As [`best_fit`] but with an explicit demand estimate (bps).
+/// As [`best_fit`] but with an explicit demand estimate (bps). `load` is
+/// the demand placed so far per link index (none past its end).
 fn best_fit_with_demand(
     topo: &Topology,
-    load: &mut HashMap<usize, f64>,
+    load: &mut Vec<f64>,
     src: NicId,
     dst: NicId,
     demand: f64,
@@ -71,7 +72,7 @@ fn best_fit_with_demand(
             .links(id)
             .map(|l| {
                 let cap = topo.link(l).bandwidth.as_bps();
-                (load.get(&l.index()).copied().unwrap_or(0.0) + demand) / cap
+                (load.get(l.index()).copied().unwrap_or(0.0) + demand) / cap
             })
             .fold(0.0_f64, f64::max);
         if best.is_none_or(|(s, _)| score < s) {
@@ -82,7 +83,10 @@ fn best_fit_with_demand(
     // PFA degrades to FFA rather than starving a tenant).
     let id = best.map_or(RouteId(0), |(_, id)| id);
     for l in paths.links(id) {
-        *load.entry(l.index()).or_default() += demand;
+        if l.index() >= load.len() {
+            load.resize(l.index() + 1, 0.0);
+        }
+        load[l.index()] += demand;
     }
     id
 }
@@ -94,7 +98,7 @@ fn assign(
     order: &[usize],
 ) -> Vec<RouteMap> {
     let mut maps = vec![RouteMap::ecmp(); jobs.len()];
-    let mut load: HashMap<usize, f64> = HashMap::new();
+    let mut load = Vec::new();
     let mut cursors = vec![0usize; jobs.len()];
     // Round-robin between jobs (in the given job order) for fairness.
     loop {
@@ -154,7 +158,8 @@ pub fn pfa(topo: &Topology, jobs: &[JobFlows], reserved: &BTreeSet<RouteId>) -> 
 /// modelled: a job's load stays placed.
 #[derive(Default, Debug)]
 pub struct IncrementalFfa {
-    load: HashMap<usize, f64>,
+    /// Placed demand (bps) per link index.
+    load: Vec<f64>,
 }
 
 impl IncrementalFfa {
@@ -168,7 +173,7 @@ impl IncrementalFfa {
     /// job's own flows share that source NIC (channels over one NIC split
     /// its line rate).
     pub fn place_job(&mut self, topo: &Topology, flows: &[(usize, NicId, NicId)]) -> RouteMap {
-        let mut per_nic: HashMap<NicId, usize> = HashMap::new();
+        let mut per_nic: BTreeMap<NicId, usize> = BTreeMap::new();
         for &(_, src, _) in flows {
             *per_nic.entry(src).or_default() += 1;
         }
@@ -209,7 +214,7 @@ mod tests {
         let b = JobFlows::from_rings(&topo, &testbed_rings(&[GpuId(2), GpuId(6)]), 0);
         let maps = ffa(&topo, &[a.clone(), b.clone()]);
         // collect the spine (route id) used per direction per job
-        let mut per_direction: HashMap<bool, Vec<RouteId>> = HashMap::new();
+        let mut per_direction: BTreeMap<bool, Vec<RouteId>> = BTreeMap::new();
         for (job, map) in [(&a, &maps[0]), (&b, &maps[1])] {
             for &(ch, s, d) in &job.flows {
                 let id = map.get(ch, s, d).expect("pinned");
@@ -303,7 +308,7 @@ mod tests {
         let ring = RingOrder::new((0..8).map(GpuId).collect());
         let jf = JobFlows::from_rings(&topo, &[ring.clone(), ring], 0);
         let maps = ffa(&topo, std::slice::from_ref(&jf));
-        let mut per_direction: HashMap<bool, BTreeSet<RouteId>> = HashMap::new();
+        let mut per_direction: BTreeMap<bool, BTreeSet<RouteId>> = BTreeMap::new();
         for &(ch, s, d) in &jf.flows {
             // cross-rack flows only (H1<->H2 boundary and wrap-around)
             let cross = topo.nic(s).host != topo.nic(d).host

@@ -34,7 +34,7 @@
 //! ## Modeling notes (vs. the real system)
 //!
 //! * Collective completion is tracked by a shared progress registry
-//!   ([`world::CollectiveProgress`]) rather than per-rank kernel plumbing —
+//!   ([`progress::CollectiveProgress`]) rather than per-rank kernel plumbing —
 //!   the flow-level approximation the paper's own §6.5 simulator makes.
 //! * "Connections" are per-flow; reconfiguration teardown/re-setup cost is
 //!   modeled as a configurable pause ([`config::ServiceConfig`]).
@@ -52,6 +52,7 @@ pub mod health;
 pub mod library;
 pub mod messages;
 pub mod mgmt;
+pub mod progress;
 pub mod proxy;
 pub mod qos;
 pub mod reconfig;

@@ -25,6 +25,8 @@
 use crate::cluster::Cluster;
 use crate::config::{CollectiveConfig, RouteMap};
 use crate::error::ServiceError;
+use crate::flat::FlatMap;
+use crate::progress::ProgressId;
 use crate::scenario::Tenant;
 use crate::world::{resources, FlowOwner, World};
 use mccs_collectives::{CollectiveOp, CollectiveSchedule, EdgeTask, RingOrder};
@@ -33,7 +35,7 @@ use mccs_ipc::{AppId, CommunicatorId};
 use mccs_netsim::FlowSpec;
 use mccs_sim::{Bytes, Engine, Nanos, Poll, ResourceId, Rng};
 use mccs_topology::{GpuId, HostId, Topology};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Kernel-launch overhead per collective: all the overhead a library job
 /// pays, where a service tenant pays the IPC round trip.
@@ -129,7 +131,7 @@ pub(crate) fn attach(
         iters: t.iters,
         next_seq: 0,
         state: JobState::Idle,
-        streams: HashMap::new(),
+        streams: FlatMap::new(),
     }));
     Ok(app)
 }
@@ -153,9 +155,17 @@ fn random_host_ring(topo: &Topology, gpus: &[GpuId], rng: &mut Rng) -> RingOrder
 /// `Idle` is before the start instant and between two iterations.
 enum JobState {
     Idle,
-    Computing { until: Nanos },
-    LaunchingAt { at: Nanos },
-    Collecting { seq: u64 },
+    Computing {
+        until: Nanos,
+    },
+    LaunchingAt {
+        at: Nanos,
+    },
+    /// Waiting on the collective's progress entry; `trace` is its record.
+    Collecting {
+        progress: ProgressId,
+        trace: usize,
+    },
 }
 
 /// A whole library-mode job: from its start, `iters` times compute (if
@@ -176,7 +186,8 @@ struct LibraryJob {
     /// Collectives launched so far; the next one's sequence number.
     next_seq: u64,
     state: JobState,
-    streams: HashMap<(GpuId, usize), StreamId>,
+    /// Per `(GPU, channel)` stream of intra-host transfers, made on first use.
+    streams: FlatMap<(GpuId, usize), StreamId>,
 }
 
 impl LibraryJob {
@@ -187,22 +198,28 @@ impl LibraryJob {
         self.state = JobState::LaunchingAt { at };
     }
 
-    fn launch(&mut self, w: &mut World, issued: Nanos) -> u64 {
+    /// Launch the next collective; returns the state that waits for it.
+    fn launch(&mut self, w: &mut World, issued: Nanos) -> JobState {
         let (op, size) = (self.op, self.size);
         let seq = self.next_seq;
         self.next_seq += 1;
         let schedule = CollectiveSchedule::ring(&w.topo, op, size, &self.config.channel_rings);
-        let tokens = w.register_launch(self.comm, seq, 0, 1, schedule.task_count());
-        w.trace
+        let launch = w.register_launch(self.comm, seq, 0, 1, schedule.task_count());
+        let trace = w
+            .trace
             .issued(self.app, self.comm, 0, seq, op, size, issued);
-        w.trace.launched(self.comm, 0, seq, 0, w.clock);
-        for ((channel, task), token) in schedule.tasks().zip(tokens) {
+        w.trace.launched(trace, 0, w.clock);
+        for ((channel, task), token) in schedule.tasks().zip(launch.tokens) {
             match task {
                 EdgeTask::IntraHost { from, bytes, .. } => {
-                    let stream = *self
-                        .streams
-                        .entry((from, channel))
-                        .or_insert_with(|| w.devices.create_stream(from));
+                    let stream = match self.streams.get(&(from, channel)) {
+                        Some(&stream) => stream,
+                        None => {
+                            let stream = w.devices.create_stream(from);
+                            self.streams.insert((from, channel), stream);
+                            stream
+                        }
+                    };
                     w.enqueue_transfer(stream, bytes, token);
                 }
                 EdgeTask::InterHost {
@@ -227,20 +244,24 @@ impl LibraryJob {
                             tenant: self.app.0,
                         },
                     );
-                    w.flow_owner_nic.insert(id, FlowOwner::Library(self.app.0));
+                    w.flow_owner_nic
+                        .insert(id.0, FlowOwner::Library(self.app.0));
                 }
             }
         }
-        seq
+        JobState::Collecting {
+            progress: launch.progress,
+            trace,
+        }
     }
 }
 
 impl Engine<World> for LibraryJob {
     fn progress(&mut self, w: &mut World) -> Poll {
         // Route our flow completions into the shared progress registry.
-        let events = w
-            .library_flow_events
-            .remove(&self.app.0)
+        let events = (w.library_flow_events)
+            .get_mut(self.app.0 as usize)
+            .map(std::mem::take)
             .unwrap_or_default();
         let mut progressed = !events.is_empty();
         for c in events {
@@ -273,14 +294,13 @@ impl Engine<World> for LibraryJob {
                     if w.clock < at {
                         break;
                     }
-                    let seq = self.launch(w, at - LAUNCH_OVERHEAD);
-                    self.state = JobState::Collecting { seq };
+                    self.state = self.launch(w, at - LAUNCH_OVERHEAD);
                 }
-                JobState::Collecting { seq } => {
-                    let Some(done_at) = w.collective_completed_at(self.comm, seq) else {
+                JobState::Collecting { progress, trace } => {
+                    let Some(done_at) = w.progress.get(progress).completed_at else {
                         break;
                     };
-                    w.trace.completed(self.comm, 0, seq, done_at);
+                    w.trace.completed(trace, done_at);
                     self.state = JobState::Idle;
                 }
             }

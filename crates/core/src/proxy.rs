@@ -11,6 +11,7 @@ use crate::config::CollectiveConfig;
 use crate::error::ServiceError;
 use crate::health::FailureEvent;
 use crate::messages::{EdgeSend, ProxyMsg, TransportMsg};
+use crate::progress::ProgressId;
 use crate::reconfig::{Action, Gossip, Reconfig};
 use crate::world::{resources, World};
 use mccs_collectives::{CollectiveOp, CollectiveSchedule, EdgeTask, ScheduleKey};
@@ -45,6 +46,8 @@ pub struct PendingCollective {
     pub seq: u64,
     /// The invocation.
     pub coll: CollectiveRequest,
+    /// Its record in [`World::trace`](crate::world::World::trace).
+    pub trace: usize,
 }
 
 /// The collective currently executing on a communicator rank, from its
@@ -53,9 +56,10 @@ pub struct PendingCollective {
 pub struct Inflight {
     /// The collective.
     pub pending: PendingCollective,
-    /// Whether transfers have been launched (its app-stream dependency
-    /// cleared).
-    pub launched: bool,
+    /// The collective's entry in
+    /// [`World::progress`](crate::world::World::progress), set once its
+    /// transfers are launched (its app-stream dependency cleared).
+    pub progress: Option<ProgressId>,
     /// When transfers were launched (liveness timer base).
     pub launched_at: Option<Nanos>,
     /// Stall reports already escalated to the recovery engine.
@@ -376,9 +380,15 @@ impl ProxyEngine {
         let seq = rank.next_seq;
         rank.next_seq += 1;
         let (app, rank_idx, op, size) = (rank.app, rank.rank, coll.op, coll.size);
-        rank.queue.push_back(PendingCollective { req, seq, coll });
-        w.trace
+        let trace = w
+            .trace
             .issued(app, coll.comm, rank_idx, seq, op, size, w.clock);
+        rank.queue.push_back(PendingCollective {
+            req,
+            seq,
+            coll,
+            trace,
+        });
         w.send_completion(endpoint, ShimCompletion::CollectiveLaunched { req, seq });
     }
 
@@ -393,19 +403,21 @@ impl ProxyEngine {
         let mut progressed = false;
 
         // 1. Finalize a completed (or cleanly failed) launched collective.
-        let launched = rank.inflight.as_ref().filter(|i| i.launched);
-        if let Some(seq) = launched.map(|i| i.pending.seq) {
-            if let Some(done_at) = w.collective_completed_at(comm, seq) {
+        let launched = (rank.inflight.as_ref())
+            .and_then(|i| Some((i.pending.seq, i.pending.trace, i.progress?)));
+        if let Some((seq, trace, id)) = launched {
+            let prog = w.progress.get(id);
+            if let Some(done_at) = prog.completed_at {
                 // Record the communicator event so tenant streams
                 // waiting on it unblock.
                 let stream = ensure_stream(&mut rank, 0, w);
                 w.device_enqueue(stream, StreamOp::RecordEvent(rank.comm_event));
-                w.trace.completed(comm, rank.rank, seq, done_at);
+                w.trace.completed(trace, done_at);
                 w.send_completion(rank.endpoint, ShimCompletion::CollectiveDone { comm, seq });
                 rank.inflight = None;
                 progressed = true;
-            } else if w.collective_failed(comm, seq) {
-                fail_to_tenant(&mut rank, w, comm, seq);
+            } else if prog.failed {
+                fail_to_tenant(&mut rank, w, comm, seq, trace);
                 rank.inflight = None;
                 progressed = true;
             } else if let (true, Some(inf)) = (w.fault_plan.is_some(), rank.inflight.as_mut()) {
@@ -437,16 +449,19 @@ impl ProxyEngine {
         // 2. Launch an admitted collective whose dependency cleared —
         // unless another rank's transport already gave up on it, in which
         // case fail it locally too.
-        if let Some(inf) = rank.inflight.as_ref().filter(|i| !i.launched) {
-            let (seq, dependency) = (inf.pending.seq, inf.pending.coll.depends_on);
+        if let Some(inf) = rank.inflight.as_ref().filter(|i| i.progress.is_none()) {
+            let (seq, trace, dependency) = (
+                inf.pending.seq,
+                inf.pending.trace,
+                inf.pending.coll.depends_on,
+            );
             if w.collective_failed(comm, seq) {
-                fail_to_tenant(&mut rank, w, comm, seq);
+                fail_to_tenant(&mut rank, w, comm, seq, trace);
                 rank.inflight = None;
                 progressed = true;
             } else if dependency.is_none_or(|ev| w.devices.event_time(ev).is_some()) {
                 if let Some(mut inf) = rank.inflight.take() {
-                    launch_tasks(&mut rank, w, &inf.pending);
-                    inf.launched = true;
+                    inf.progress = Some(launch_tasks(&mut rank, w, &inf.pending));
                     inf.launched_at = Some(w.clock);
                     rank.inflight = Some(inf);
                 }
@@ -463,7 +478,7 @@ impl ProxyEngine {
                 rank.reconfig.launched(pending.seq);
                 rank.inflight = Some(Inflight {
                     pending,
-                    launched: false,
+                    progress: None,
                     launched_at: None,
                     stall_reports: 0,
                     liveness_armed: None,
@@ -490,12 +505,18 @@ fn reject_reconfig(w: &mut World, comm: CommunicatorId) {
 }
 
 /// Report a cleanly failed collective to the tenant (recovery exhausted).
-fn fail_to_tenant(rank: &mut CommRank, w: &mut World, comm: CommunicatorId, seq: u64) {
+fn fail_to_tenant(
+    rank: &mut CommRank,
+    w: &mut World,
+    comm: CommunicatorId,
+    seq: u64,
+    trace: usize,
+) {
     // Record the communicator event so tenant streams waiting on the
     // collective unblock instead of hanging on a result that never comes.
     let stream = ensure_stream(rank, 0, w);
     w.device_enqueue(stream, StreamOp::RecordEvent(rank.comm_event));
-    w.trace.failed(comm, rank.rank, seq, w.clock);
+    w.trace.failed(trace, w.clock);
     w.health.counters.collectives_failed += 1;
     w.send_completion(
         rank.endpoint,
@@ -528,7 +549,7 @@ fn ensure_stream(rank: &mut CommRank, channel: usize, w: &mut World) -> StreamId
 /// epoch bookkeeping: a reconfigured rank's new rings form a new key,
 /// while a rank still draining under the old epoch keys by its old rings
 /// and keeps hitting the old entry.
-fn launch_tasks(rank: &mut CommRank, w: &mut World, p: &PendingCollective) {
+fn launch_tasks(rank: &mut CommRank, w: &mut World, p: &PendingCollective) -> ProgressId {
     let epoch = rank.config.epoch;
     let topo = Arc::clone(&w.topo);
     let key = ScheduleKey::for_ring(&topo, p.coll.op, p.coll.size, &rank.config.channel_rings);
@@ -538,10 +559,9 @@ fn launch_tasks(rank: &mut CommRank, w: &mut World, p: &PendingCollective) {
             CollectiveSchedule::ring(&topo, p.coll.op, p.coll.size, &rank.config.channel_rings)
         })
         .tasks_from_gpu(rank.gpu);
-    let tokens = w.register_launch(p.coll.comm, p.seq, epoch, rank.size(), local.len());
-    w.trace
-        .launched(p.coll.comm, rank.rank, p.seq, rank.config.epoch, w.clock);
-    for ((channel, task), token) in local.into_iter().zip(tokens) {
+    let launch = w.register_launch(p.coll.comm, p.seq, epoch, rank.size(), local.len());
+    w.trace.launched(p.trace, rank.config.epoch, w.clock);
+    for ((channel, task), token) in local.into_iter().zip(launch.tokens) {
         match task {
             EdgeTask::IntraHost { bytes, .. } => {
                 let stream = ensure_stream(rank, channel, w);
@@ -571,6 +591,7 @@ fn launch_tasks(rank: &mut CommRank, w: &mut World, p: &PendingCollective) {
             }
         }
     }
+    launch.progress
 }
 
 impl Engine<World> for ProxyEngine {

@@ -418,7 +418,7 @@ impl RecoveryEngine {
                     // current progress first.
                     let finished = w
                         .progress
-                        .get(&(comm, seq))
+                        .lookup(comm, seq)
                         .is_some_and(|p| p.completed_at.is_some() || p.failed);
                     if finished {
                         continue;

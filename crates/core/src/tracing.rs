@@ -5,11 +5,15 @@
 //! controller's TS policy consumes these records to find a prioritized
 //! application's idle cycles; experiments use them for JCT and bandwidth
 //! accounting.
+//!
+//! [`TraceCollector::issued`] returns the new record's index, and the
+//! launcher (a proxy's queued collective, a library job's in-flight one)
+//! keeps it, so the later updates index the record directly.
 
+use crate::flat::FlatMap;
 use mccs_collectives::CollectiveOp;
 use mccs_ipc::{AppId, CommunicatorId};
 use mccs_sim::{Bytes, Nanos};
-use std::collections::HashMap;
 
 /// One rank's view of one collective.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -46,11 +50,14 @@ impl TraceRecord {
     }
 }
 
-/// Append-mostly store of trace records, indexed for updates.
+/// Append-mostly store of trace records, updated by record index.
 #[derive(Default, Debug)]
 pub struct TraceCollector {
     records: Vec<TraceRecord>,
-    index: HashMap<(CommunicatorId, usize, u64), usize>,
+    /// `(comm, rank) -> last seq issued`: a rank sequences its
+    /// collectives in increasing order, so a seq at or below it is a
+    /// duplicate.
+    last_seq: FlatMap<(CommunicatorId, usize), u64>,
 }
 
 impl TraceCollector {
@@ -59,7 +66,8 @@ impl TraceCollector {
         Self::default()
     }
 
-    /// Record a newly sequenced collective.
+    /// Record a newly sequenced collective; returns its record index,
+    /// which the later updates take.
     #[allow(clippy::too_many_arguments)]
     pub fn issued(
         &mut self,
@@ -70,13 +78,19 @@ impl TraceCollector {
         op: CollectiveOp,
         size: Bytes,
         at: Nanos,
-    ) {
-        let key = (comm, rank, seq);
-        assert!(
-            !self.index.contains_key(&key),
-            "duplicate trace issue for {comm} rank {rank} seq {seq}"
-        );
-        self.index.insert(key, self.records.len());
+    ) -> usize {
+        match self.last_seq.get_mut(&(comm, rank)) {
+            Some(last) => {
+                assert!(
+                    *last < seq,
+                    "duplicate trace issue for {comm} rank {rank} seq {seq}"
+                );
+                *last = seq;
+            }
+            None => {
+                self.last_seq.insert((comm, rank), seq);
+            }
+        }
         self.records.push(TraceRecord {
             app,
             comm,
@@ -90,18 +104,20 @@ impl TraceCollector {
             completed_at: None,
             failed_at: None,
         });
+        self.records.len() - 1
     }
 
-    /// Record a launch (and the epoch it executed under).
-    pub fn launched(&mut self, comm: CommunicatorId, rank: usize, seq: u64, epoch: u64, at: Nanos) {
-        let r = self.get_mut(comm, rank, seq);
+    /// Record the launch of record `idx` (and the epoch it executed
+    /// under).
+    pub fn launched(&mut self, idx: usize, epoch: u64, at: Nanos) {
+        let r = &mut self.records[idx];
         r.epoch = epoch;
         r.launched_at = Some(at);
     }
 
-    /// Record a completion.
-    pub fn completed(&mut self, comm: CommunicatorId, rank: usize, seq: u64, at: Nanos) {
-        let r = self.get_mut(comm, rank, seq);
+    /// Record the completion of record `idx`.
+    pub fn completed(&mut self, idx: usize, at: Nanos) {
+        let r = &mut self.records[idx];
         debug_assert!(r.launched_at.is_some(), "completed before launch");
         debug_assert!(r.failed_at.is_none(), "completed after clean failure");
         r.completed_at = Some(at);
@@ -109,19 +125,11 @@ impl TraceCollector {
 
     /// Record a clean failure (the collective may or may not have launched
     /// on this rank — a rank can fail a queued collective another rank's
-    /// transport already gave up on).
-    pub fn failed(&mut self, comm: CommunicatorId, rank: usize, seq: u64, at: Nanos) {
-        let r = self.get_mut(comm, rank, seq);
+    /// transport already gave up on) of record `idx`.
+    pub fn failed(&mut self, idx: usize, at: Nanos) {
+        let r = &mut self.records[idx];
         debug_assert!(r.completed_at.is_none(), "failed after completion");
         r.failed_at = Some(at);
-    }
-
-    fn get_mut(&mut self, comm: CommunicatorId, rank: usize, seq: u64) -> &mut TraceRecord {
-        let idx = *self
-            .index
-            .get(&(comm, rank, seq))
-            .unwrap_or_else(|| panic!("no trace record for {comm} rank {rank} seq {seq}"));
-        &mut self.records[idx]
     }
 
     /// All records.
@@ -173,7 +181,7 @@ mod tests {
         // (seq, issued_us, completed_us)
         let mut t = TraceCollector::new();
         for &(seq, iss, comp) in records {
-            t.issued(
+            let idx = t.issued(
                 AppId(0),
                 CommunicatorId(0),
                 0,
@@ -182,8 +190,8 @@ mod tests {
                 Bytes::mib(1),
                 Nanos::from_micros(iss),
             );
-            t.launched(CommunicatorId(0), 0, seq, 0, Nanos::from_micros(iss));
-            t.completed(CommunicatorId(0), 0, seq, Nanos::from_micros(comp));
+            t.launched(idx, 0, Nanos::from_micros(iss));
+            t.completed(idx, Nanos::from_micros(comp));
         }
         t
     }
@@ -200,7 +208,7 @@ mod tests {
     #[test]
     fn failed_collectives_record_their_failure() {
         let mut t = TraceCollector::new();
-        t.issued(
+        let idx = t.issued(
             AppId(0),
             CommunicatorId(0),
             0,
@@ -209,7 +217,7 @@ mod tests {
             Bytes::mib(1),
             Nanos::from_micros(10),
         );
-        t.failed(CommunicatorId(0), 0, 0, Nanos::from_micros(70));
+        t.failed(idx, Nanos::from_micros(70));
         let r = &t.records()[0];
         assert_eq!(r.latency(), None, "failed is not completed");
         assert_eq!(r.failed_at, Some(Nanos::from_micros(70)));
@@ -266,5 +274,93 @@ mod tests {
         );
         assert_eq!(t.for_app(AppId(0)).len(), 1);
         assert_eq!(t.timeline(AppId(1)).len(), 0, "incomplete records excluded");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate trace issue for comm3 rank 1 seq 4")]
+    fn a_seq_at_or_below_the_last_is_a_duplicate() {
+        let mut t = TraceCollector::new();
+        for seq in [2, 5, 4] {
+            t.issued(
+                AppId(0),
+                CommunicatorId(3),
+                1,
+                seq,
+                all_reduce_sum(),
+                Bytes::mib(1),
+                Nanos::ZERO,
+            );
+        }
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        proptest! {
+            /// Random issues (each rank's seqs increasing, ranks
+            /// interleaved), launches, completions and failures through
+            /// the returned indices leave every record equal to a model
+            /// keyed `(comm, rank, seq)` — the index the collector used
+            /// to keep.
+            #[test]
+            fn records_match_a_keyed_map(
+                ops in proptest::collection::vec((0u8..4, 0u64..3, 0usize..3, 0usize..8), 1..120)
+            ) {
+                let mut t = TraceCollector::new();
+                let mut model: BTreeMap<(CommunicatorId, usize, u64), TraceRecord> = BTreeMap::new();
+                let mut handles: Vec<((CommunicatorId, usize, u64), usize)> = Vec::new();
+                let mut next_seq: BTreeMap<(CommunicatorId, usize), u64> = BTreeMap::new();
+                for (step, &(op, comm, rank, pick)) in ops.iter().enumerate() {
+                    let at = Nanos::from_micros(step as u64);
+                    let comm = CommunicatorId(comm);
+                    if op == 0 || handles.is_empty() {
+                        let seq = next_seq.entry((comm, rank)).or_insert(0);
+                        *seq += pick as u64 % 2;
+                        let key = (comm, rank, *seq);
+                        *seq += 1;
+                        let idx = t.issued(AppId(0), comm, rank, key.2, all_reduce_sum(), Bytes::mib(1), at);
+                        handles.push((key, idx));
+                        model.insert(key, TraceRecord {
+                            app: AppId(0),
+                            comm,
+                            rank,
+                            seq: key.2,
+                            op: all_reduce_sum(),
+                            size: Bytes::mib(1),
+                            epoch: 0,
+                            issued_at: at,
+                            launched_at: None,
+                            completed_at: None,
+                            failed_at: None,
+                        });
+                    } else {
+                        let (key, idx) = handles[pick % handles.len()];
+                        let r = model.get_mut(&key).expect("issued");
+                        match op {
+                            1 if r.launched_at.is_none() => {
+                                t.launched(idx, step as u64, at);
+                                r.epoch = step as u64;
+                                r.launched_at = Some(at);
+                            }
+                            2 if r.launched_at.is_some() && r.completed_at.is_none() && r.failed_at.is_none() => {
+                                t.completed(idx, at);
+                                r.completed_at = Some(at);
+                            }
+                            3 if r.completed_at.is_none() && r.failed_at.is_none() => {
+                                t.failed(idx, at);
+                                r.failed_at = Some(at);
+                            }
+                            _ => {}
+                        }
+                    }
+                    let mut got: Vec<&TraceRecord> = t.records().iter().collect();
+                    got.sort_by_key(|r| (r.comm, r.rank, r.seq));
+                    let want: Vec<&TraceRecord> = model.values().collect();
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
     }
 }

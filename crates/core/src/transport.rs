@@ -189,7 +189,7 @@ impl TransportEngine {
         let now = w.clock;
         let id = w.net.start_flow(now, spec);
         w.flow_owner_nic
-            .insert(id, crate::world::FlowOwner::Transport(self.nic.index()));
+            .insert(id.0, crate::world::FlowOwner::Transport(self.nic.index()));
         self.active.insert(id, flow);
     }
 
@@ -344,7 +344,7 @@ impl TransportEngine {
                     // tear it down, so the retry avoids it.
                     let failing_route = w.net.flow_route(id).map(|r| r.id);
                     w.net.cancel_flow(now, id);
-                    w.flow_owner_nic.remove(id);
+                    w.flow_owner_nic.remove(id.0);
                     Self::schedule_retry(w, doorbell, retries, RetryEntry::after(f, failing_route));
                     progressed = true;
                     false

@@ -7,8 +7,10 @@
 
 use crate::comms::CommTable;
 use crate::config::{CollectiveConfig, ServiceConfig};
+use crate::flat::{FlatMap, IdWindow};
 use crate::health::HealthRegistry;
 use crate::messages::{ProxyMsg, TransportMsg};
+use crate::progress::{CollectiveProgress, ProgressId, ProgressTable};
 use crate::tracing::TraceCollector;
 use mccs_collectives::{CollectiveSchedule, RingOrder, ScheduleKey};
 use mccs_device::{
@@ -19,7 +21,10 @@ use mccs_netsim::{ControlFault, FaultEvent, FaultPlan, FlowCompletion, FlowId, N
 use mccs_shim::ShimPort;
 use mccs_sim::{Bytes, EventQueue, Nanos, ResourceId, Rng, WakeSource};
 use mccs_topology::{GpuId, LinkId, NicId, Topology};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+#[allow(clippy::disallowed_types)] // the schedule cache: lookup only, never iterated
+use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The world's wake-resource keying: every queue, channel, and event
@@ -65,7 +70,7 @@ pub mod resources {
     /// Device activity on one GPU: a stream of that GPU dispatched,
     /// completed (silently or not — inline-executed records included),
     /// or was unblocked by an event recorded elsewhere. Attribution
-    /// comes from [`mccs_device::DeviceFabric::take_touched_gpus`], so
+    /// comes from [`mccs_device::DeviceFabric::pop_touched_gpu`], so
     /// engines park against their own GPU instead of the whole fabric.
     pub const fn device_activity(gpu: u32) -> ResourceId {
         ResourceId::new(6, gpu)
@@ -118,44 +123,6 @@ pub(crate) enum FlowOwner {
     Library(u32),
 }
 
-/// Dense `flow id → owner` table. Flow ids are allocated sequentially by
-/// the network and each is inserted exactly once, so instead of hashing,
-/// the table is a sliding window (`VecDeque`) over the live id range:
-/// `base` trails the oldest live flow, completed prefixes are reclaimed on
-/// removal, and memory is bounded by the live-flow *span*, not by the
-/// total flow count of the run.
-#[derive(Default, Debug)]
-pub(crate) struct FlowOwners {
-    base: u64,
-    slots: VecDeque<Option<FlowOwner>>,
-}
-
-impl FlowOwners {
-    /// Register a flow's owner. Ids arrive in increasing order (they are
-    /// handed out by `Network::start_flow`), never below `base`.
-    pub fn insert(&mut self, id: FlowId, owner: FlowOwner) {
-        if self.slots.is_empty() {
-            self.base = id.0;
-        }
-        let idx = (id.0 - self.base) as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, None);
-        }
-        self.slots[idx] = Some(owner);
-    }
-
-    /// Deregister a flow (on completion, kill or cancel).
-    pub fn remove(&mut self, id: FlowId) -> Option<FlowOwner> {
-        let idx = usize::try_from(id.0.checked_sub(self.base)?).ok()?;
-        let out = self.slots.get_mut(idx)?.take();
-        while matches!(self.slots.front(), Some(None)) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        out
-    }
-}
-
 /// One tenant rank's IPC attachment point.
 pub struct Endpoint {
     /// Owning application.
@@ -174,53 +141,14 @@ pub struct Endpoint {
     pub rng: Rng,
 }
 
-/// Cluster-wide completion tracking for one collective — the flow-level
-/// shortcut standing in for per-rank kernel completion plumbing (the
-/// paper's §6.5 simulator makes the same approximation).
-#[derive(Debug)]
-pub struct CollectiveProgress {
-    /// Ranks expected to launch.
-    pub expected_ranks: usize,
-    /// Ranks that have launched their local tasks.
-    pub launched_ranks: usize,
-    /// Edge tasks still moving data.
-    pub outstanding_tasks: usize,
-    /// Configuration epoch of the first launch; every later launch must
-    /// agree (the exactly-once-under-one-epoch oracle).
-    pub epoch: u64,
-    /// First launch time.
-    pub first_launch_at: Nanos,
-    /// Set when every rank launched and every task finished.
-    pub completed_at: Option<Nanos>,
-    /// Set when recovery was exhausted: the collective will never
-    /// complete; every rank cleanly fails it to its tenant instead.
-    pub failed: bool,
-}
-
-impl CollectiveProgress {
-    fn new(expected_ranks: usize, epoch: u64, now: Nanos) -> Self {
-        CollectiveProgress {
-            expected_ranks,
-            launched_ranks: 0,
-            outstanding_tasks: 0,
-            epoch,
-            first_launch_at: now,
-            completed_at: None,
-            failed: false,
-        }
-    }
-
-    /// Mark complete if all ranks launched, nothing is outstanding, and
-    /// the collective was not failed.
-    fn maybe_complete(&mut self, now: Nanos) {
-        if self.completed_at.is_none()
-            && !self.failed
-            && self.launched_ranks == self.expected_ranks
-            && self.outstanding_tasks == 0
-        {
-            self.completed_at = Some(now);
-        }
-    }
+/// A rank's registered launch: the collective's progress entry and the
+/// task tokens handed out for its local tasks, one per task in order.
+#[derive(Clone, Debug)]
+pub struct Launch {
+    /// The collective's entry in [`World::progress`].
+    pub progress: ProgressId,
+    /// Fresh, contiguous task tokens.
+    pub tokens: Range<u64>,
 }
 
 /// The world-level schedule cache: derived [`CollectiveSchedule`]s keyed
@@ -234,6 +162,7 @@ impl CollectiveProgress {
 /// from its old rings and keeps hitting the old entry.
 #[derive(Debug, Default)]
 pub struct WorldScheduleCache {
+    #[allow(clippy::disallowed_types)] // lookup only, never iterated (dropped wholesale)
     by_key: HashMap<ScheduleKey, Arc<CollectiveSchedule>>,
     hits: u64,
     misses: u64,
@@ -308,13 +237,14 @@ pub struct DrainObligation {
 /// restart restores the last checkpoint and reconciles the gap.
 #[derive(Clone, Debug, Default)]
 pub struct ControllerState {
-    /// In-flight Fig-4 drain obligations per communicator.
-    pub issued: HashMap<CommunicatorId, DrainObligation>,
+    /// In-flight Fig-4 drain obligations per communicator, walked in id
+    /// order by the retirement sweep and by a restart's re-drive.
+    pub issued: BTreeMap<CommunicatorId, DrainObligation>,
     /// Communicators currently steered off their healthy-fabric plan.
     pub detoured: BTreeSet<CommunicatorId>,
     /// Pre-detour channel rings per communicator — the fail-back
     /// baselines a repair edge restores.
-    pub baselines: HashMap<CommunicatorId, Vec<RingOrder>>,
+    pub baselines: BTreeMap<CommunicatorId, Vec<RingOrder>>,
     /// Health-channel cursor at checkpoint time; the restarted engine
     /// resumes (or resyncs) from here.
     pub channel_seq: u64,
@@ -399,20 +329,22 @@ pub struct World {
     /// Per-NIC killed-flow notifications (fault-injected aborts); the
     /// transport retries these immediately.
     pub transport_flow_failures: Vec<Vec<FlowId>>,
-    /// Which NIC's transport owns each in-flight network flow (dense,
-    /// id-windowed — see [`FlowOwners`]).
-    pub(crate) flow_owner_nic: FlowOwners,
-    /// Completed flows owned by library-mode jobs, keyed by app id.
-    pub(crate) library_flow_events: HashMap<u32, Vec<FlowCompletion>>,
+    /// Who owns each in-flight network flow, by flow id. Ids are handed
+    /// out sequentially by the network and every flow retires, so the
+    /// window spans the live flows only.
+    pub(crate) flow_owner_nic: IdWindow<FlowOwner>,
+    /// Completed flows owned by library-mode jobs, indexed by app id.
+    pub(crate) library_flow_events: Vec<Vec<FlowCompletion>>,
     /// Communicator state, keyed `(comm, gpu)` — owned by proxy engines,
     /// world-resident so the management API can inspect it.
     pub comms: CommTable,
-    /// Cluster-wide collective progress, keyed `(comm, seq)`.
-    pub progress: HashMap<(CommunicatorId, u64), CollectiveProgress>,
+    /// Cluster-wide collective progress, by handle and by `(comm, seq)`.
+    pub progress: ProgressTable,
     /// World-level schedule cache, shared across communicators and ranks.
     pub schedule_cache: WorldScheduleCache,
-    /// Task-token -> collective routing.
-    token_targets: HashMap<u64, (CommunicatorId, u64)>,
+    /// Live task token -> its collective's progress entry. Tokens are
+    /// handed out in contiguous runs from `next_token`.
+    tokens: IdWindow<ProgressId>,
     next_token: u64,
     /// The installed fault schedule. `None` (production runs) keeps every
     /// fault code path inert: no timers, no events, no trace changes.
@@ -452,13 +384,20 @@ pub struct World {
 /// the full IPC round trip on top of the service's internal latency.
 #[derive(Default, Debug)]
 pub struct TenantLog {
-    /// (endpoint, req) -> communicator and push time of the collective
-    /// command.
-    pending_issue: HashMap<(usize, u64), (CommunicatorId, Nanos)>,
-    /// (endpoint, comm, seq) -> issue time (after the launch ack named the seq).
-    issued: HashMap<(usize, CommunicatorId, u64), Nanos>,
+    /// Collectives in flight at the tenant, indexed by endpoint.
+    endpoints: Vec<EndpointLog>,
     /// Finished records — completed *and* cleanly failed collectives.
     records: Vec<TenantRecord>,
+}
+
+/// One endpoint's collectives between the shim's push and the final
+/// completion, keyed by the monotone numbers the endpoint sees.
+#[derive(Default, Debug)]
+struct EndpointLog {
+    /// req -> communicator and push time of the collective command.
+    pending_issue: IdWindow<(CommunicatorId, Nanos)>,
+    /// comm -> seq -> issue time (after the launch ack named the seq).
+    issued: FlatMap<CommunicatorId, IdWindow<Nanos>>,
 }
 
 /// One finished collective as the tenant saw it: issue at the shim to
@@ -484,18 +423,30 @@ pub struct TenantRecord {
 }
 
 impl TenantLog {
+    fn endpoint(&mut self, endpoint: usize) -> &mut EndpointLog {
+        if endpoint >= self.endpoints.len() {
+            self.endpoints
+                .resize_with(endpoint + 1, EndpointLog::default);
+        }
+        &mut self.endpoints[endpoint]
+    }
+
     fn on_push(&mut self, endpoint: usize, cmd: &ShimCommand, now: Nanos) {
         if let ShimCommand::Collective { req, coll } = cmd {
-            self.pending_issue
-                .insert((endpoint, *req), (coll.comm, now));
+            self.endpoint(endpoint)
+                .pending_issue
+                .insert(*req, (coll.comm, now));
         }
     }
 
     fn on_pop(&mut self, endpoint: usize, app: AppId, comp: &ShimCompletion, now: Nanos) {
         match comp {
             ShimCompletion::CollectiveLaunched { req, seq } => {
-                if let Some((comm, t)) = self.pending_issue.remove(&(endpoint, *req)) {
-                    self.issued.insert((endpoint, comm, *seq), t);
+                let log = self.endpoint(endpoint);
+                if let Some((comm, t)) = log.pending_issue.remove(*req) {
+                    log.issued
+                        .get_or_insert(comm, IdWindow::default())
+                        .insert(*seq, t);
                 }
             }
             ShimCompletion::CollectiveDone { comm, seq } => {
@@ -503,6 +454,11 @@ impl TenantLog {
             }
             ShimCompletion::CollectiveFailed { comm, seq, .. } => {
                 self.finish(endpoint, app, *comm, *seq, now, true);
+            }
+            // A refused collective is never acknowledged: it leaves the
+            // log, or it would count as unfinished and pin the window.
+            ShimCompletion::Error { req, .. } => {
+                self.endpoint(endpoint).pending_issue.remove(*req);
             }
             _ => {}
         }
@@ -517,7 +473,12 @@ impl TenantLog {
         now: Nanos,
         failed: bool,
     ) {
-        if let Some(t) = self.issued.remove(&(endpoint, comm, seq)) {
+        let issued = self
+            .endpoints
+            .get_mut(endpoint)
+            .and_then(|log| log.issued.get_mut(&comm))
+            .and_then(|seqs| seqs.remove(seq));
+        if let Some(t) = issued {
             self.records.push(TenantRecord {
                 app,
                 endpoint,
@@ -568,7 +529,12 @@ impl TenantLog {
     /// at clean quiescence — a nonzero value there means a completion was
     /// lost, which the explorer reports as an oracle violation.
     pub fn unfinished(&self) -> usize {
-        self.pending_issue.len() + self.issued.len()
+        self.endpoints
+            .iter()
+            .map(|log| {
+                log.pending_issue.len() + log.issued.values().map(IdWindow::len).sum::<usize>()
+            })
+            .sum()
     }
 }
 
@@ -593,12 +559,12 @@ impl World {
             transport_inbox: (0..nic_count).map(|_| LatencyQueue::new(cap)).collect(),
             transport_flow_events: vec![Vec::new(); nic_count],
             transport_flow_failures: vec![Vec::new(); nic_count],
-            flow_owner_nic: FlowOwners::default(),
-            library_flow_events: HashMap::new(),
+            flow_owner_nic: IdWindow::default(),
+            library_flow_events: Vec::new(),
             comms: CommTable::new(gpu_count),
-            progress: HashMap::new(),
+            progress: ProgressTable::default(),
             schedule_cache: WorldScheduleCache::default(),
-            token_targets: HashMap::new(),
+            tokens: IdWindow::default(),
             next_token: 1,
             fault_plan: None,
             clamped_fault_events: 0,
@@ -730,7 +696,7 @@ impl World {
         for c in self.net.advance_to(t) {
             match self
                 .flow_owner_nic
-                .remove(c.id)
+                .remove(c.id.0)
                 .expect("completed flow has no registered owner")
             {
                 FlowOwner::Transport(nic) => {
@@ -739,7 +705,11 @@ impl World {
                 }
                 FlowOwner::Library(app) => {
                     self.signals.push(resources::library_job(app));
-                    self.library_flow_events.entry(app).or_default().push(c)
+                    let app = app as usize;
+                    if app >= self.library_flow_events.len() {
+                        self.library_flow_events.resize_with(app + 1, Vec::new);
+                    }
+                    self.library_flow_events[app].push(c)
                 }
             }
         }
@@ -751,7 +721,7 @@ impl World {
         // Device completions can be silent (token-0 kernels, inline
         // records): the fabric's touched-GPU set covers those too, with
         // per-GPU attribution so only that GPU's engines wake.
-        for gpu in self.devices.take_touched_gpus() {
+        while let Some(gpu) = self.devices.pop_touched_gpu() {
             self.signals.push(resources::device_activity(gpu));
         }
         while let Some((_, r)) = self.events.pop_due(t) {
@@ -842,7 +812,7 @@ impl World {
         for (id, _) in victims {
             match self
                 .flow_owner_nic
-                .remove(id)
+                .remove(id.0)
                 .expect("killed flow has no registered owner")
             {
                 FlowOwner::Transport(nic) => {
@@ -933,7 +903,7 @@ impl World {
     /// the fabric touched is signalled, not just the enqueue target.
     pub fn device_enqueue(&mut self, stream: StreamId, op: mccs_device::StreamOp) {
         self.devices.enqueue(stream, op);
-        for gpu in self.devices.take_touched_gpus() {
+        while let Some(gpu) = self.devices.pop_touched_gpu() {
             self.signal(resources::device_activity(gpu));
         }
     }
@@ -965,7 +935,8 @@ impl World {
     // ---- collective progress ------------------------------------------------
 
     /// Register a rank's launch: bumps the launched count, adds its local
-    /// task count, and returns fresh tokens for those tasks.
+    /// task count, and hands out a contiguous run of fresh tokens for
+    /// those tasks.
     pub fn register_launch(
         &mut self,
         comm: CommunicatorId,
@@ -973,12 +944,22 @@ impl World {
         epoch: u64,
         expected_ranks: usize,
         local_tasks: usize,
-    ) -> Vec<u64> {
+    ) -> Launch {
         let now = self.clock;
-        let prog = self
+        let id = self
             .progress
-            .entry((comm, seq))
-            .or_insert_with(|| CollectiveProgress::new(expected_ranks, epoch, now));
+            .find_or_insert(comm, seq, || CollectiveProgress {
+                comm,
+                seq,
+                expected_ranks,
+                launched_ranks: 0,
+                outstanding_tasks: 0,
+                epoch,
+                first_launch_at: now,
+                completed_at: None,
+                failed: false,
+            });
+        let prog = self.progress.get_mut(id);
         assert_eq!(
             prog.expected_ranks, expected_ranks,
             "ranks disagree on communicator size"
@@ -993,13 +974,6 @@ impl World {
             "more launches than ranks for {comm} seq {seq}"
         );
         prog.outstanding_tasks += local_tasks;
-        let tokens: Vec<u64> = (0..local_tasks)
-            .map(|i| self.next_token + i as u64)
-            .collect();
-        for &t in &tokens {
-            self.token_targets.insert(t, (comm, seq));
-        }
-        self.next_token += local_tasks as u64;
         prog.maybe_complete(now);
         // Launches and task completions are only observable through the
         // completed/failed predicates, so signal on those transitions
@@ -1008,47 +982,46 @@ impl World {
         if prog.completed_at.is_some() {
             self.signals.push(resources::progress(comm));
         }
-        tokens
+        let tokens = self.next_token..self.next_token + local_tasks as u64;
+        self.next_token = tokens.end;
+        for t in tokens.clone() {
+            self.tokens.insert(t, id);
+        }
+        Launch {
+            progress: id,
+            tokens,
+        }
+    }
+
+    /// Consume a live task token, returning its collective's entry.
+    fn take_token(&mut self, token: u64, what: &str) -> &mut CollectiveProgress {
+        let id = self
+            .tokens
+            .remove(token)
+            .unwrap_or_else(|| panic!("{what} for unknown token {token}"));
+        let prog = self.progress.get_mut(id);
+        assert!(prog.outstanding_tasks > 0, "token underflow");
+        prog.outstanding_tasks -= 1;
+        prog
     }
 
     /// Mark one task token finished at `at`.
     pub fn complete_token(&mut self, token: u64, at: Nanos) {
-        let (comm, seq) = self
-            .token_targets
-            .remove(&token)
-            .unwrap_or_else(|| panic!("completion for unknown token {token}"));
-        let prog = self
-            .progress
-            .get_mut(&(comm, seq))
-            .expect("progress entry exists while tokens are live");
-        assert!(prog.outstanding_tasks > 0, "token underflow");
-        prog.outstanding_tasks -= 1;
+        let prog = self.take_token(token, "completion");
         prog.maybe_complete(at);
         if prog.completed_at.is_some() {
+            let comm = prog.comm;
             self.signals.push(resources::progress(comm));
         }
-    }
-
-    /// When a collective completed (if it has).
-    pub fn collective_completed_at(&self, comm: CommunicatorId, seq: u64) -> Option<Nanos> {
-        self.progress.get(&(comm, seq)).and_then(|p| p.completed_at)
     }
 
     /// Mark the collective owning `token` as failed and consume the token
     /// (a transport exhausted its retries on the task's flow). Returns the
     /// collective so the caller can log it.
     pub fn fail_token(&mut self, token: u64) -> (CommunicatorId, u64) {
-        let (comm, seq) = self
-            .token_targets
-            .remove(&token)
-            .unwrap_or_else(|| panic!("failure for unknown token {token}"));
-        let prog = self
-            .progress
-            .get_mut(&(comm, seq))
-            .expect("progress entry exists while tokens are live");
-        assert!(prog.outstanding_tasks > 0, "token underflow");
-        prog.outstanding_tasks -= 1;
+        let prog = self.take_token(token, "failure");
         prog.failed = true;
+        let (comm, seq) = (prog.comm, prog.seq);
         self.signals.push(resources::progress(comm));
         (comm, seq)
     }
@@ -1056,15 +1029,15 @@ impl World {
     /// Force-fail a collective cluster-wide (recovery exhausted): it will
     /// never complete; every rank cleanly fails it to its tenant.
     pub fn abort_collective(&mut self, comm: CommunicatorId, seq: u64) {
-        if let Some(prog) = self.progress.get_mut(&(comm, seq)) {
-            prog.failed = true;
+        if let Some(id) = self.progress.find(comm, seq) {
+            self.progress.get_mut(id).failed = true;
             self.signals.push(resources::progress(comm));
         }
     }
 
     /// Whether a collective has been marked failed.
     pub fn collective_failed(&self, comm: CommunicatorId, seq: u64) -> bool {
-        self.progress.get(&(comm, seq)).is_some_and(|p| p.failed)
+        self.progress.lookup(comm, seq).is_some_and(|p| p.failed)
     }
 
     // ---- messaging helpers -------------------------------------------------
@@ -1256,21 +1229,31 @@ mod tests {
         assert_eq!(w.devices.gpu_count(), 8);
     }
 
+    fn completed_at(w: &World, comm: CommunicatorId, seq: u64) -> Option<Nanos> {
+        w.progress.lookup(comm, seq).and_then(|p| p.completed_at)
+    }
+
     #[test]
     fn progress_lifecycle() {
         let mut w = world();
         let comm = CommunicatorId(1);
-        let t0 = w.register_launch(comm, 0, 0, 2, 2);
-        assert_eq!(t0.len(), 2);
-        assert!(w.collective_completed_at(comm, 0).is_none());
-        let t1 = w.register_launch(comm, 0, 0, 2, 1);
-        assert_eq!(t1.len(), 1);
-        w.complete_token(t0[0], Nanos::from_micros(10));
-        w.complete_token(t0[1], Nanos::from_micros(20));
-        assert!(w.collective_completed_at(comm, 0).is_none());
-        w.complete_token(t1[0], Nanos::from_micros(30));
+        let l0 = w.register_launch(comm, 0, 0, 2, 2);
+        assert_eq!(l0.tokens, 1..3, "tokens count from 1");
+        assert!(completed_at(&w, comm, 0).is_none());
+        let l1 = w.register_launch(comm, 0, 0, 2, 1);
+        assert_eq!(l1.progress, l0.progress, "one entry per collective");
         assert_eq!(
-            w.collective_completed_at(comm, 0),
+            l1.tokens,
+            l0.tokens.end..l0.tokens.end + 1,
+            "contiguous tokens"
+        );
+        w.complete_token(l0.tokens.start, Nanos::from_micros(10));
+        w.complete_token(l0.tokens.start + 1, Nanos::from_micros(20));
+        assert!(completed_at(&w, comm, 0).is_none());
+        w.complete_token(l1.tokens.start, Nanos::from_micros(30));
+        assert_eq!(completed_at(&w, comm, 0), Some(Nanos::from_micros(30)));
+        assert_eq!(
+            w.progress.get(l0.progress).completed_at,
             Some(Nanos::from_micros(30))
         );
     }
@@ -1280,20 +1263,20 @@ mod tests {
         let mut w = world();
         let comm = CommunicatorId(2);
         w.register_launch(comm, 0, 0, 2, 0);
-        assert!(w.collective_completed_at(comm, 0).is_none());
+        assert!(completed_at(&w, comm, 0).is_none());
         w.register_launch(comm, 0, 0, 2, 0);
-        assert_eq!(w.collective_completed_at(comm, 0), Some(Nanos::ZERO));
+        assert_eq!(completed_at(&w, comm, 0), Some(Nanos::ZERO));
     }
 
     #[test]
     fn failed_collective_never_completes() {
         let mut w = world();
         let comm = CommunicatorId(3);
-        let t0 = w.register_launch(comm, 0, 0, 1, 2);
-        assert_eq!(w.fail_token(t0[0]), (comm, 0));
-        w.complete_token(t0[1], Nanos::from_micros(5));
+        let t0 = w.register_launch(comm, 0, 0, 1, 2).tokens;
+        assert_eq!(w.fail_token(t0.start), (comm, 0));
+        w.complete_token(t0.start + 1, Nanos::from_micros(5));
         assert!(w.collective_failed(comm, 0));
-        assert_eq!(w.collective_completed_at(comm, 0), None);
+        assert_eq!(completed_at(&w, comm, 0), None);
     }
 
     #[test]
@@ -1306,10 +1289,152 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown token")]
+    #[should_panic(expected = "completion for unknown token")]
     fn unknown_token_rejected() {
         let mut w = world();
         w.complete_token(999, Nanos::ZERO);
+    }
+
+    #[test]
+    fn a_refused_collective_is_not_left_unfinished() {
+        use mccs_collectives::op::all_reduce_sum;
+        use mccs_ipc::{CollectiveRequest, ErrorCode};
+        let mut log = TenantLog::default();
+        let push = |log: &mut TenantLog, req| {
+            let coll = CollectiveRequest {
+                comm: CommunicatorId(1),
+                op: all_reduce_sum(),
+                size: Bytes::mib(1),
+                send: (MemHandle(0), 0),
+                recv: (MemHandle(0), 0),
+                depends_on: None,
+            };
+            log.on_push(2, &ShimCommand::Collective { req, coll }, Nanos::ZERO);
+        };
+        push(&mut log, 4);
+        push(&mut log, 5);
+        assert_eq!(log.unfinished(), 2);
+        let refused = ShimCompletion::Error {
+            req: 4,
+            code: ErrorCode::InvalidArgument,
+            message: "buffer validation failed".to_owned(),
+        };
+        log.on_pop(2, AppId(0), &refused, Nanos(5));
+        let acked = ShimCompletion::CollectiveLaunched { req: 5, seq: 0 };
+        log.on_pop(2, AppId(0), &acked, Nanos(6));
+        let done = ShimCompletion::CollectiveDone {
+            comm: CommunicatorId(1),
+            seq: 0,
+        };
+        log.on_pop(2, AppId(0), &done, Nanos(9));
+        assert_eq!(log.unfinished(), 0);
+        assert_eq!(
+            log.latencies_of_endpoint(2),
+            vec![(0, Nanos::ZERO, Nanos(9))]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "completion for unknown token")]
+    fn a_token_completes_once() {
+        let mut w = world();
+        let t = w.register_launch(CommunicatorId(5), 0, 0, 1, 2).tokens;
+        w.complete_token(t.start, Nanos::ZERO);
+        w.complete_token(t.start, Nanos::ZERO);
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// The keyed maps the progress and token tables replaced:
+        /// `(comm, seq) -> (launched, outstanding, completed_at, failed)`
+        /// and `token -> (comm, seq)`.
+        type Model = (
+            BTreeMap<(u64, u64), (usize, usize, Option<Nanos>, bool)>,
+            BTreeMap<u64, (u64, u64)>,
+        );
+
+        fn assert_matches(w: &World, (progress, tokens): &Model) {
+            for comm in 0..3 {
+                for seq in 0..4 {
+                    let got = w.progress.lookup(CommunicatorId(comm), seq).map(|p| {
+                        assert_eq!((p.comm, p.seq), (CommunicatorId(comm), seq));
+                        (
+                            p.launched_ranks,
+                            p.outstanding_tasks,
+                            p.completed_at,
+                            p.failed,
+                        )
+                    });
+                    assert_eq!(got, progress.get(&(comm, seq)).copied());
+                }
+            }
+            assert_eq!(w.tokens.len(), tokens.len());
+            for (&t, &(comm, seq)) in tokens {
+                let p = w.progress.get(*w.tokens.get(t).expect("live token"));
+                assert_eq!((p.comm, p.seq), (CommunicatorId(comm), seq));
+            }
+        }
+
+        proptest! {
+            /// Random launches (two ranks per collective), token
+            /// completions and failures, and aborts keep the tables equal
+            /// to the keyed maps, token for token.
+            #[test]
+            fn tables_match_a_keyed_map(
+                ops in proptest::collection::vec((0u8..4, 0u64..3, 0u64..4, 0usize..4), 1..120)
+            ) {
+                let mut w = world();
+                let mut model: Model = Default::default();
+                for (step, &(op, comm, seq, k)) in ops.iter().enumerate() {
+                    let at = Nanos::from_micros(step as u64);
+                    w.clock = at;
+                    let live: Vec<u64> = model.1.keys().copied().collect();
+                    match op {
+                        0 => {
+                            let entry = model.0.entry((comm, seq)).or_insert((0, 0, None, false));
+                            if entry.0 == 2 {
+                                continue;
+                            }
+                            let launch = w.register_launch(CommunicatorId(comm), seq, 0, 2, k);
+                            entry.0 += 1;
+                            entry.1 += k;
+                            if entry.0 == 2 && entry.1 == 0 && !entry.3 && entry.2.is_none() {
+                                entry.2 = Some(at);
+                            }
+                            for t in launch.tokens {
+                                model.1.insert(t, (comm, seq));
+                            }
+                        }
+                        1 | 2 if !live.is_empty() => {
+                            let t = live[k % live.len()];
+                            let key = model.1.remove(&t).expect("live");
+                            let entry = model.0.get_mut(&key).expect("launched");
+                            entry.1 -= 1;
+                            if op == 1 {
+                                w.complete_token(t, at);
+                                if entry.0 == 2 && entry.1 == 0 && !entry.3 && entry.2.is_none() {
+                                    entry.2 = Some(at);
+                                }
+                            } else {
+                                prop_assert_eq!(w.fail_token(t), (CommunicatorId(key.0), key.1));
+                                entry.3 = true;
+                            }
+                        }
+                        3 => {
+                            w.abort_collective(CommunicatorId(comm), seq);
+                            if let Some(entry) = model.0.get_mut(&(comm, seq)) {
+                                entry.3 = true;
+                            }
+                        }
+                        _ => {}
+                    }
+                    assert_matches(&w, &model);
+                }
+            }
+        }
     }
 
     fn drain(w: &mut World) -> Vec<ResourceId> {

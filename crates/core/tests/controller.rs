@@ -28,6 +28,7 @@ use mccs_core::{
     ChaosAction, ChaosDriver, Cluster, ClusterConfig, CollectiveConfig, DetourPolicy, Explorer,
     ExplorerConfig, FailureEvent, HealthDelivery, RouteMap, Scenario,
 };
+use mccs_netsim::FaultPlan;
 use mccs_shim::{ScriptStep, ScriptedProgram};
 use mccs_sim::{Bytes, Nanos};
 use mccs_topology::presets;
@@ -678,4 +679,116 @@ fn explorer_reaches_controller_crashes() {
         crashes > 0,
         "no episode ever crashed the controller — the menu arm is dead"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Determinism with two obligations in play
+// ---------------------------------------------------------------------------
+
+/// Both four-host tenants of `common::two_tenants` on the testbed, under
+/// the eager checkpoint cadence. Spine 0 carries both communicators'
+/// cross-rack edges, so its outage forces one corrective drain each.
+fn two_comms(seed: u64, jitter: bool) -> Scenario {
+    let mut tenants = common::two_tenants(Bytes::mib(4), 4);
+    for t in &mut tenants {
+        // Idle ranks between collectives: a request reaching one starts
+        // its barrier at once, so request latencies show in the trace.
+        t.compute = Nanos::from_millis(40);
+    }
+    let mut s = common::testbed(seed, tenants);
+    s.config.service = eager_checkpoint_svc();
+    if !jitter {
+        s.config.service.control_jitter_frac = 0.0;
+        s.config.ipc.jitter_frac = 0.0;
+    }
+    s
+}
+
+/// Run `run` five times in this process and require one digest. Every
+/// run builds its maps afresh, so a walk in hash order shows up as runs
+/// that disagree.
+fn five_runs_agree(what: &str, run: impl Fn() -> u64) {
+    let digests: Vec<u64> = (0..5).map(|_| run()).collect();
+    assert!(
+        digests.iter().all(|&d| d == digests[0]),
+        "{what}: repetitions in one process diverged: {digests:x?}"
+    );
+}
+
+/// The recovery engine's retirement sweep finds both communicators'
+/// drains complete in one pass (no jitter, so both barriers settle at
+/// one instant) and retires them, then the repair fails both back. The
+/// run repeats exactly.
+#[test]
+fn two_drains_retiring_in_one_sweep_repeat_exactly() {
+    let run = || {
+        let mut cluster = two_comms(95, false).build();
+        let domain = cluster.world.topo.switch_links(SPINE0);
+        let mut driver = ChaosDriver::new(&mut cluster);
+        driver.run_until(Nanos::from_millis(10));
+        for &l in &domain {
+            driver.link_down(l);
+        }
+        let issued = |d: &ChaosDriver| d.cluster().world.controller.live.issued.len();
+        while issued(&driver) < 2 {
+            driver.step().expect("the outage must force two drains");
+        }
+        while issued(&driver) == 2 {
+            driver.step().expect("the drains must complete");
+        }
+        assert_eq!(issued(&driver), 0, "both drains retire in one sweep");
+        driver.run_until(Nanos::from_millis(120));
+        for &l in &domain {
+            driver.link_up(l);
+        }
+        driver
+            .run_to_quiescence(Nanos::from_secs(30))
+            .expect("outage and repair must quiesce");
+        let counters = cluster.mgmt().health_counters();
+        assert!(counters.recoveries >= 2, "one drain per communicator");
+        assert!(counters.failbacks >= 2, "one fail-back per communicator");
+        assert_eq!(counters.collectives_failed, 0);
+        cluster.observable_digest()
+    };
+    five_runs_agree("two drains retired in one sweep", run);
+}
+
+/// The controller crashes with both corrective drains in flight and
+/// restarts at once. Their requests (the first eight control messages)
+/// are lost, so reconciliation re-drives both checkpointed obligations
+/// for real, and each resend draws control-latency jitter: the order it
+/// walks them in is visible. The run repeats exactly.
+#[test]
+fn a_restart_with_two_obligations_in_flight_repeats_exactly() {
+    let run = || {
+        let mut s = two_comms(95, true);
+        s.faults = Some((0..8).fold(FaultPlan::new(), FaultPlan::drop_control));
+        let mut cluster = s.build();
+        let domain = cluster.world.topo.switch_links(SPINE0);
+        let mut driver = ChaosDriver::new(&mut cluster);
+        driver.run_until(Nanos::from_millis(10));
+        for &l in &domain {
+            driver.link_down(l);
+        }
+        while driver.cluster().world.controller.live.issued.len() < 2 {
+            driver.step().expect("the outage must force two drains");
+        }
+        driver.crash_controller();
+        let ckpt = (driver.cluster().world.controller.checkpoint.as_ref())
+            .expect("eager cadence leaves a checkpoint");
+        assert_eq!(ckpt.issued.len(), 2, "both obligations are checkpointed");
+        driver.restart_controller();
+        driver.run_until(Nanos::from_millis(120));
+        for &l in &domain {
+            driver.link_up(l);
+        }
+        driver
+            .run_to_quiescence(Nanos::from_secs(30))
+            .expect("crash, restart and repair must quiesce");
+        let stats = cluster.mgmt().controller_stats();
+        assert_eq!(stats.reconciliations, 1);
+        assert_eq!(cluster.mgmt().health_counters().collectives_failed, 0);
+        cluster.observable_digest()
+    };
+    five_runs_agree("restart re-driving two obligations", run);
 }

@@ -47,6 +47,8 @@
 //! A violation is reported with the shortest trace that reaches it, as a
 //! numbered list of steps.
 
+#![allow(clippy::disallowed_types)] // the search's visited set is test-side state
+
 use mccs_core::reconfig::{Action, Entries, Epoched, Gossip, Reconfig};
 use mccs_sim::Nanos;
 use std::collections::hash_map::DefaultHasher;

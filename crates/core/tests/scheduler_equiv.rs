@@ -169,7 +169,8 @@ fn idle_polls_leave_the_event_queue_alone() {
     let mut cluster = s.build();
     cluster.set_naive_scheduler(true);
     cluster.run_until(Nanos::from_millis(3));
-    let launched = |r: &mccs_core::proxy::CommRank| r.inflight.as_ref().is_some_and(|i| i.launched);
+    let launched =
+        |r: &mccs_core::proxy::CommRank| r.inflight.as_ref().is_some_and(|i| i.progress.is_some());
     assert!(cluster.world.comms.values().any(launched), "mid-collective");
     let pending = cluster.world.events.len();
     for _ in 0..3 {

@@ -13,7 +13,7 @@ use crate::alloc::GpuAllocator;
 use crate::config::{KERNEL_LAUNCH_OVERHEAD, MEMORY_CAPACITY};
 use crate::memory::{DevicePtr, MemError, MemHandle, MemoryTable};
 use crate::stream::{EventId, EventState, QueuedOp, Stream, StreamId, StreamOp};
-use mccs_sim::{Bytes, Nanos};
+use mccs_sim::{Bytes, Nanos, SlotSet};
 use mccs_topology::GpuId;
 
 /// Completion notices drained from [`DeviceFabric::advance_to`].
@@ -45,15 +45,16 @@ pub struct DeviceFabric {
     events: Vec<EventState>,
     clock: Nanos,
     pending: Vec<DeviceNotification>,
-    /// Streams blocked at an event wait, re-dispatched when the event is
-    /// recorded (keeps dispatch O(affected streams), not O(all streams)).
-    waiters: std::collections::HashMap<EventId, Vec<usize>>,
+    /// Streams blocked at an event wait, indexed by event id and
+    /// re-dispatched when the event is recorded (keeps dispatch
+    /// O(affected streams), not O(all streams)).
+    waiters: Vec<Vec<usize>>,
     /// Timed-op finish times, kept as a min-set for O(1)-ish next_time.
     running_finishes: std::collections::BTreeMap<(Nanos, usize), ()>,
     /// GPUs whose streams dispatched, completed, or unblocked since the
-    /// last [`Self::take_touched_gpus`] — the wake-scheduler's per-GPU
-    /// device-activity attribution.
-    touched: std::collections::BTreeSet<u32>,
+    /// last drain by [`Self::pop_touched_gpu`] — the wake-scheduler's
+    /// per-GPU device-activity attribution.
+    touched: SlotSet,
 }
 
 impl DeviceFabric {
@@ -69,9 +70,9 @@ impl DeviceFabric {
             events: Vec::new(),
             clock: Nanos::ZERO,
             pending: Vec::new(),
-            waiters: std::collections::HashMap::new(),
+            waiters: Vec::new(),
             running_finishes: std::collections::BTreeMap::new(),
-            touched: std::collections::BTreeSet::new(),
+            touched: SlotSet::new(),
         }
     }
 
@@ -136,6 +137,7 @@ impl DeviceFabric {
     pub fn create_event(&mut self) -> EventId {
         let id = EventId(self.events.len() as u64);
         self.events.push(EventState::default());
+        self.waiters.push(Vec::new());
         id
     }
 
@@ -175,11 +177,12 @@ impl DeviceFabric {
         self.streams[stream.0 as usize].is_idle()
     }
 
-    /// Drain the set of GPUs with stream activity (ops dispatched,
-    /// completed — silently or not — or unblocked) since the last drain.
-    /// The caller turns these into per-GPU wake signals.
-    pub fn take_touched_gpus(&mut self) -> std::collections::BTreeSet<u32> {
-        std::mem::take(&mut self.touched)
+    /// Take the lowest GPU with stream activity (ops dispatched,
+    /// completed — silently or not — or unblocked) since it was last
+    /// taken. Popping until `None` drains the set in ascending order; the
+    /// caller turns each GPU into a wake signal.
+    pub fn pop_touched_gpu(&mut self) -> Option<u32> {
+        self.touched.pop_first().map(|gpu| gpu as u32)
     }
 
     // ---- time ---------------------------------------------------------------
@@ -233,7 +236,7 @@ impl DeviceFabric {
     /// proportional to affected streams only.
     fn dispatch_streams(&mut self, mut work: Vec<usize>) {
         while let Some(i) = work.pop() {
-            self.touched.insert(self.streams[i].gpu.index() as u32);
+            self.touched.insert(self.streams[i].gpu.index());
             while self.streams[i].running.is_none() {
                 let Some(&head) = self.streams[i].queue.front() else {
                     break;
@@ -255,9 +258,7 @@ impl DeviceFabric {
                             event: ev,
                             at: self.clock,
                         });
-                        if let Some(ws) = self.waiters.remove(&ev) {
-                            work.extend(ws);
-                        }
+                        work.append(&mut self.waiters[ev.0 as usize]);
                     }
                     QueuedOp::WaitUntil {
                         event,
@@ -267,7 +268,7 @@ impl DeviceFabric {
                             self.streams[i].queue.pop_front();
                         } else {
                             // blocked: wake us when the event is recorded
-                            let ws = self.waiters.entry(event).or_default();
+                            let ws = &mut self.waiters[event.0 as usize];
                             if !ws.contains(&i) {
                                 ws.push(i);
                             }

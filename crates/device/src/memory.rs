@@ -15,6 +15,7 @@
 use crate::alloc::{AllocError, GpuAllocator};
 use mccs_sim::Bytes;
 use mccs_topology::GpuId;
+#[allow(clippy::disallowed_types)] // the handle table's map
 use std::collections::HashMap;
 
 /// An inter-process shareable handle to one device allocation.
@@ -40,6 +41,7 @@ struct Registration {
 /// Service-side registry of allocations across all GPUs of a host.
 #[derive(Debug, Default)]
 pub struct MemoryTable {
+    #[allow(clippy::disallowed_types)] // lookup only, never iterated
     handles: HashMap<MemHandle, Registration>,
     next_handle: u64,
 }

@@ -920,9 +920,9 @@ impl Network {
 #[cfg(test)]
 impl Network {
     /// The allocation problem for `ids`, built the allocating way
-    /// (hash-mapped link remap) independently of [`Self::fill_problem`].
+    /// (map-based link remap) independently of [`Self::fill_problem`].
     fn build_problem(&self, ids: &[FlowId]) -> (Vec<FlowDemand>, Vec<Bandwidth>) {
-        let mut compact: std::collections::HashMap<usize, usize> = Default::default();
+        let mut compact: std::collections::BTreeMap<usize, usize> = Default::default();
         let mut compact_caps: Vec<Bandwidth> = Vec::new();
         // (first tenant seen, shared across tenants?) per compact link
         let mut link_tenants: Vec<(u32, bool)> = Vec::new();

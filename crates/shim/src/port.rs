@@ -74,10 +74,13 @@ pub(crate) mod test_port {
         pub full: bool,
         pub rng: Rng,
         pub auto_reply: bool,
+        /// Instants passed to `schedule_wake`, in call order.
+        pub wakes: Vec<Nanos>,
+        /// When the app stream's last enqueued kernel ends.
+        pub stream_busy_until: Nanos,
         next_handle: u64,
         next_event: u64,
         next_seq: u64,
-        stream_busy_until: Nanos,
     }
 
     impl LoopbackPort {
@@ -93,6 +96,7 @@ pub(crate) mod test_port {
                 next_event: 50,
                 next_seq: 0,
                 stream_busy_until: Nanos::ZERO,
+                wakes: Vec::new(),
             }
         }
 
@@ -180,6 +184,8 @@ pub(crate) mod test_port {
         fn rng(&mut self) -> &mut Rng {
             &mut self.rng
         }
-        fn schedule_wake(&mut self, _at: Nanos) {}
+        fn schedule_wake(&mut self, at: Nanos) {
+            self.wakes.push(at);
+        }
     }
 }

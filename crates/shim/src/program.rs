@@ -165,6 +165,7 @@ impl AppProgram for ScriptedProgram {
                     None => {
                         self.pending = Some(api.alloc(size));
                         api.pump();
+                        progressed = true;
                     }
                     Some(req) => match api.alloc_result(req) {
                         Some(h) => {
@@ -181,6 +182,7 @@ impl AppProgram for ScriptedProgram {
                     None => {
                         self.pending = Some(api.comm_init_rank(comm, world, rank));
                         api.pump();
+                        progressed = true;
                     }
                     Some(req) => match api.comm_result(req) {
                         Some(_) => {
@@ -204,6 +206,7 @@ impl AppProgram for ScriptedProgram {
                         let recv = (self.slot(recv_slot), 0);
                         self.pending = Some(api.collective(comm, op, size, send, recv, None));
                         api.pump();
+                        progressed = true;
                     }
                     Some(req) => {
                         if api.collective_done(req) {
@@ -227,6 +230,7 @@ impl AppProgram for ScriptedProgram {
                     None => {
                         self.pending = Some(api.comm_destroy(comm));
                         api.pump();
+                        progressed = true;
                     }
                     Some(req) => {
                         if api.destroy_done(req) {
@@ -244,6 +248,7 @@ impl AppProgram for ScriptedProgram {
                         // mark "issued" with a sentinel: reuse pending None->Some
                         // by tracking via stream idleness instead.
                         self.pending = Some(ReqId(u64::MAX));
+                        progressed = true;
                     }
                     Some(_) => {
                         if api.stream_idle() {
@@ -265,15 +270,15 @@ impl AppProgram for ScriptedProgram {
                     if self.sleep_armed != Some(t) {
                         api.schedule_wake(t);
                         self.sleep_armed = Some(t);
+                        progressed = true;
                     }
-                    return AppStatus::Blocked;
                 }
                 ScriptStep::Sleep(d) => match self.sleep_armed {
                     None => {
                         let until = api.now() + d;
                         api.schedule_wake(until);
                         self.sleep_armed = Some(until);
-                        return AppStatus::Blocked;
+                        progressed = true;
                     }
                     Some(until) if api.now() >= until => {
                         self.sleep_armed = None;
@@ -281,7 +286,7 @@ impl AppProgram for ScriptedProgram {
                         progressed = true;
                         continue;
                     }
-                    Some(_) => return AppStatus::Blocked,
+                    Some(_) => {}
                 },
                 ScriptStep::Repeat { from_step, times } => {
                     assert!(from_step < self.pc, "Repeat must jump backwards");
@@ -386,6 +391,7 @@ mod tests {
         let mut session = ShimSession::new();
         {
             let mut api = ShimApi::new(&mut session, &mut port, GpuId(0));
+            assert_eq!(prog.poll(&mut api), AppStatus::Running, "enqueued");
             assert_eq!(prog.poll(&mut api), AppStatus::Blocked);
         }
         port.now = Nanos::from_micros(100);
@@ -403,6 +409,7 @@ mod tests {
         let mut session = ShimSession::new();
         {
             let mut api = ShimApi::new(&mut session, &mut port, GpuId(0));
+            assert_eq!(prog.poll(&mut api), AppStatus::Running, "armed");
             assert_eq!(prog.poll(&mut api), AppStatus::Blocked);
         }
         port.now = Nanos::from_millis(5);
@@ -434,7 +441,7 @@ mod tests {
         let mut session = ShimSession::new();
         {
             let mut api = ShimApi::new(&mut session, &mut port, GpuId(0));
-            assert_eq!(prog.poll(&mut api), AppStatus::Blocked);
+            assert_eq!(prog.poll(&mut api), AppStatus::Running);
         }
         let req = match port.sent[..] {
             [mccs_ipc::ShimCommand::MemAlloc { req, .. }] => req,
@@ -449,6 +456,94 @@ mod tests {
         assert_eq!(prog.poll(&mut api), AppStatus::Finished);
         assert_eq!(prog.poll(&mut api), AppStatus::Finished);
         assert_eq!(port.sent.len(), 1, "nothing issued after the refusal");
+    }
+
+    /// What a poll can do to the port: commands sent, wakes armed and
+    /// kernel time enqueued.
+    fn effects(port: &LoopbackPort) -> (usize, usize, Nanos) {
+        (port.sent.len(), port.wakes.len(), port.stream_busy_until)
+    }
+
+    /// Run `steps` with a replying service until `setup` commands were
+    /// sent, then silence the service: the next poll reaches the last
+    /// step, performs its one effect and reports `Running`; the poll
+    /// after it finds nothing new and reports `Blocked` with no effect.
+    fn last_step_progresses_then_idles(steps: Vec<ScriptStep>, setup: usize) {
+        let mut prog = ScriptedProgram::new("step", steps);
+        let mut port = LoopbackPort::new();
+        let mut session = ShimSession::new();
+        while port.sent.len() < setup {
+            let mut api = ShimApi::new(&mut session, &mut port, GpuId(0));
+            assert_eq!(prog.poll(&mut api), AppStatus::Running, "setup issues");
+        }
+        port.auto_reply = false;
+        let mut poll =
+            |port: &mut LoopbackPort| prog.poll(&mut ShimApi::new(&mut session, port, GpuId(0)));
+        assert_eq!(poll(&mut port), AppStatus::Running, "the step's effect");
+        let before = effects(&port);
+        assert_ne!(before, (setup, 0, Nanos::ZERO), "the step did something");
+        assert_eq!(poll(&mut port), AppStatus::Blocked);
+        assert_eq!(effects(&port), before, "an idle poll is pure");
+    }
+
+    fn alloc(slot: usize) -> ScriptStep {
+        ScriptStep::Alloc {
+            size: Bytes::mib(1),
+            slot,
+        }
+    }
+
+    fn comm_init() -> ScriptStep {
+        ScriptStep::CommInit {
+            comm: CommunicatorId(1),
+            world: vec![GpuId(0)],
+            rank: 0,
+        }
+    }
+
+    #[test]
+    fn issuing_an_alloc_is_progress() {
+        last_step_progresses_then_idles(vec![alloc(0)], 0);
+    }
+
+    #[test]
+    fn issuing_a_comm_init_is_progress() {
+        last_step_progresses_then_idles(vec![comm_init()], 0);
+    }
+
+    #[test]
+    fn issuing_a_collective_is_progress() {
+        let coll = ScriptStep::Collective {
+            comm: CommunicatorId(1),
+            op: all_reduce_sum(),
+            size: Bytes::mib(1),
+            send_slot: 0,
+            recv_slot: 1,
+        };
+        last_step_progresses_then_idles(vec![alloc(0), alloc(1), comm_init(), coll], 3);
+    }
+
+    #[test]
+    fn issuing_a_comm_destroy_is_progress() {
+        let destroy = ScriptStep::CommDestroy {
+            comm: CommunicatorId(1),
+        };
+        last_step_progresses_then_idles(vec![comm_init(), destroy], 1);
+    }
+
+    #[test]
+    fn enqueuing_compute_is_progress() {
+        last_step_progresses_then_idles(vec![ScriptStep::Compute(Nanos::from_micros(100))], 0);
+    }
+
+    #[test]
+    fn arming_a_sleep_until_is_progress() {
+        last_step_progresses_then_idles(vec![ScriptStep::SleepUntil(Nanos::from_millis(5))], 0);
+    }
+
+    #[test]
+    fn arming_a_sleep_is_progress() {
+        last_step_progresses_then_idles(vec![ScriptStep::Sleep(Nanos::from_millis(2))], 0);
     }
 
     #[test]

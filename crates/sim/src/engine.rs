@@ -35,8 +35,9 @@
 //! `World` holding the simulated network, devices and IPC queues); this
 //! crate stays agnostic of what engines act upon.
 
+use crate::slotset::SlotSet;
 use crate::waker::{ResourceId, WakeSource};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifies an engine within a [`RuntimePool`].
@@ -141,7 +142,7 @@ struct WaiterTable {
     /// (kind cardinality is tiny and fixed by the embedder).
     kinds: Vec<(u32, Vec<Vec<Waiter>>)>,
     /// Fallback for indices ≥ [`DENSE_WAITER_LIMIT`].
-    spill: HashMap<u64, Vec<Waiter>>,
+    spill: BTreeMap<u64, Vec<Waiter>>,
 }
 
 impl WaiterTable {
@@ -169,16 +170,21 @@ impl WaiterTable {
         list.push(w);
     }
 
-    /// Remove and return the whole waiter list of a signalled resource
-    /// (empty if nobody registered).
-    fn take(&mut self, r: ResourceId) -> Vec<Waiter> {
+    /// Move the whole waiter list of a signalled resource into `out`
+    /// (nothing if nobody registered). The list keeps its capacity for
+    /// the next parks, so a signal-and-repark cycle allocates nothing.
+    fn take_into(&mut self, r: ResourceId, out: &mut Vec<Waiter>) {
         let index = r.index() as usize;
         if index >= DENSE_WAITER_LIMIT {
-            return self.spill.remove(&r.0).unwrap_or_default();
+            if let Some(mut list) = self.spill.remove(&r.0) {
+                out.append(&mut list);
+            }
+            return;
         }
-        match self.kinds.iter_mut().find(|(k, _)| *k == r.kind()) {
-            Some((_, lists)) if index < lists.len() => std::mem::take(&mut lists[index]),
-            _ => Vec::new(),
+        if let Some((_, lists)) = self.kinds.iter_mut().find(|(k, _)| *k == r.kind()) {
+            if let Some(list) = lists.get_mut(index) {
+                out.append(list);
+            }
         }
     }
 
@@ -215,11 +221,16 @@ pub struct RuntimePool<Cx: ?Sized> {
     /// Monotone scheduler-call stamp (lazily resets per-slot spin guards).
     call_seq: u64,
     /// Engines to poll in the next round/call, in ascending slot order.
-    ready: BTreeSet<usize>,
+    ready: SlotSet,
+    /// The set a round sweeps, swapped with `ready` at each round's
+    /// start and left empty at its end, so no round allocates.
+    round: SlotSet,
     /// resource id → `(slot, generation)` entries of the engines parked on it.
     waiters: WaiterTable,
     /// Scratch for draining context signals without reallocating.
     signal_scratch: Vec<ResourceId>,
+    /// Scratch holding one signalled resource's waiter entries.
+    woken_scratch: Vec<Waiter>,
     /// Scratch `wake_when` fills on every park.
     wait_scratch: Vec<ResourceId>,
     /// Slots that returned [`Poll::Progressed`] in the current pass/round
@@ -248,9 +259,11 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
             wasted_polls: 0,
             wakes: 0,
             call_seq: 0,
-            ready: BTreeSet::new(),
+            ready: SlotSet::new(),
+            round: SlotSet::new(),
             waiters: WaiterTable::default(),
             signal_scratch: Vec::new(),
+            woken_scratch: Vec::new(),
             wait_scratch: Vec::new(),
             round_progressed: Vec::new(),
         }
@@ -411,10 +424,11 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
 
         let mut finished_now = 0;
         loop {
-            let mut round = std::mem::take(&mut self.ready);
-            if round.is_empty() {
+            if self.ready.is_empty() {
                 break;
             }
+            let mut round = std::mem::take(&mut self.round);
+            std::mem::swap(&mut round, &mut self.ready);
             let mut progressed_any = false;
             self.round_progressed.clear();
             // Sweep in slot order with a monotone cursor, exactly like a
@@ -474,6 +488,8 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
                     );
                 }
             }
+            // Swept empty: it is the next round's spare.
+            self.round = round;
             if !progressed_any {
                 // A full round of pure idles — the naive scheduler would
                 // stop here too. Engines left in `ready` keep their slot
@@ -523,15 +539,18 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
         &mut self,
         cx: &mut Cx,
         cursor: Option<usize>,
-        mut round: Option<&mut BTreeSet<usize>>,
+        mut round: Option<&mut SlotSet>,
     ) where
         Cx: WakeSource,
     {
         let mut sigs = std::mem::take(&mut self.signal_scratch);
+        let mut woken = std::mem::take(&mut self.woken_scratch);
         sigs.clear();
         cx.drain_signals(&mut sigs);
         for r in &sigs {
-            for (idx, gen) in self.waiters.take(*r) {
+            woken.clear();
+            self.waiters.take_into(*r, &mut woken);
+            for &(idx, gen) in &woken {
                 let slot = &mut self.slots[idx as usize];
                 // Stale: woken since (and maybe re-parked under a new gen).
                 if !slot.waits_as(gen) {
@@ -548,6 +567,7 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
             }
         }
         self.signal_scratch = sigs;
+        self.woken_scratch = woken;
     }
 
     /// Names of live engines, for debugging deadlocks.

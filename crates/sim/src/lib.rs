@@ -23,6 +23,8 @@
 //! * [`engine`] — the [`Engine`] trait, [`Poll`] status and [`RuntimePool`]
 //!   cooperative scheduler (wake-driven by default, with the naive
 //!   round-robin poller kept as a differential-testing oracle).
+//! * [`slotset`] — [`SlotSet`], the bitset of dense indices the pool's
+//!   ready and round sets and the device fabric's touched-GPU set use.
 //! * [`waker`] — [`ResourceId`]s and the [`WakeSource`] contract contexts
 //!   implement so parked engines can be woken by exactly the signals they
 //!   wait on (timed waits included — the pool itself has no clock).
@@ -32,6 +34,7 @@
 pub mod engine;
 pub mod event;
 pub mod rng;
+pub mod slotset;
 pub mod stats;
 pub mod time;
 pub mod timeline;
@@ -41,6 +44,7 @@ pub mod waker;
 pub use engine::{Engine, EngineId, Poll, RuntimePool};
 pub use event::{EventQueue, ShardedEventQueue};
 pub use rng::Rng;
+pub use slotset::SlotSet;
 pub use stats::Summary;
 pub use time::Nanos;
 pub use timeline::TimeSeries;

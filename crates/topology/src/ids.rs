@@ -81,6 +81,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_types)] // checks that the ids hash
     fn ids_are_ordered_and_hashable() {
         use std::collections::HashSet;
         let mut set = HashSet::new();

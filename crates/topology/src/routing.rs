@@ -28,6 +28,7 @@
 
 use crate::graph::{Endpoint, Topology};
 use crate::ids::{LinkId, NicId, SwitchId};
+#[allow(clippy::disallowed_types)] // the route memo's map
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -121,6 +122,7 @@ struct Segments {
 /// [`Topology`].
 #[derive(Default, Debug)]
 pub(crate) struct RouteMemo {
+    #[allow(clippy::disallowed_types)] // a memo: lookup only, never iterated
     segments: RwLock<HashMap<(SwitchId, SwitchId), Arc<Segments>>>,
 }
 
@@ -572,7 +574,7 @@ mod tests {
         let a = t.ecmp_route(NicId(0), NicId(1), 1);
         let b = t.ecmp_route(NicId(0), NicId(1), 1);
         assert_eq!(a, b);
-        let chosen: std::collections::HashSet<RouteId> = (0..32u64)
+        let chosen: std::collections::BTreeSet<RouteId> = (0..32u64)
             .map(|h| t.ecmp_route(NicId(0), NicId(1), h).id)
             .collect();
         assert_eq!(chosen.len(), 2, "hash never spread across both paths");

@@ -3,6 +3,7 @@
 
     python3 report.py <profile.out> [rows=30]
     FOCUS=<substring> python3 report.py <profile.out>
+    ROOT=<substring> python3 report.py <profile.out>
 
 Every address is mapped through the process maps the profile carries and
 the program headers of its file (`readelf -lW`), then symbolised with
@@ -13,9 +14,18 @@ are looked up one byte back, at the call. Prints:
 * self: samples whose innermost frame is the function;
 * inclusive: samples with the function anywhere on the stack (once per
   sample, however deep the recursion);
+* by layer: the samples each `mccs*` crate owns (the innermost frame
+  naming one; library frames count for the crate that called them), and
+  the samples with a B-tree, hash-map or allocator frame on the stack,
+  each with the crate functions that called into it;
 * with FOCUS set, the functions the outermost frame whose name contains
   FOCUS called, as shares of that frame's inclusive samples ("(self)"
   when it was the innermost frame).
+
+With ROOT set, only samples with a frame whose name contains ROOT count,
+and only that frame and what it called: every share is of the time under
+it (e.g. ROOT=mccsbench::run::drive leaves out the set-up and the digest
+taken after the timed loop).
 
 An address outside every mapped file prints as "[0x...]".
 
@@ -24,6 +34,7 @@ Needs only python3 and binutils.
 
 import collections
 import os
+import re
 import subprocess
 import sys
 
@@ -100,6 +111,54 @@ def symbolise(addrs_by_file):
     return names
 
 
+# Container families of the by-layer table: a sample counts for a family
+# when any frame of its stack matches.
+FAMILIES = [
+    ("B-tree", re.compile(r"alloc::collections::btree")),
+    ("hash", re.compile(r"hashbrown|core::hash::sip|std::collections::hash|SipHasher|RandomState")),
+    ("allocator", re.compile(
+        r"\bmalloc\b|\bfree\b|realloc|calloc|__rust_alloc|__rust_dealloc|__rust_realloc"
+        r"|alloc::alloc::|_int_malloc|_int_free|morecore|mccsbench::alloc")),
+]
+CRATE = re.compile(r"\b(mccs\w*)::")
+
+
+def crate_of(frames):
+    """The innermost crate frame's crate, or None (frames innermost first)."""
+    for f in frames:
+        m = CRATE.search(f)
+        if m:
+            return m.group(1), f
+    return None, None
+
+
+def layers(stacks, denom, rows):
+    """Print the by-layer tables for `stacks` (frame lists, innermost first)."""
+    crates, families, callers = collections.Counter(), collections.Counter(), {}
+    for fs in stacks:
+        crates[crate_of(fs)[0] or "(no crate frame)"] += 1
+        for name, pat in FAMILIES:
+            # The outermost matching frame: its caller entered the family.
+            hit = max((i for i, f in enumerate(fs) if pat.search(f)), default=None)
+            if hit is not None:
+                families[name] += 1
+                caller = crate_of(fs[hit + 1:])[1] or "(none)"
+                callers.setdefault(name, collections.Counter())[caller] += 1
+    print("by crate (%d samples; innermost crate frame)" % denom)
+    print("%8s %7s  %s" % ("samples", "share", "crate"))
+    for c, n in crates.most_common():
+        print("%8d %6.1f%%  %s" % (n, 100.0 * n / denom, c))
+    print()
+    print("by container family (%d samples; any frame on the stack)" % denom)
+    print("%8s %7s  %s" % ("samples", "share", "family / called from"))
+    for name, _ in FAMILIES:
+        n = families[name]
+        print("%8d %6.1f%%  %s" % (n, 100.0 * n / denom, name))
+        for fn, m in callers.get(name, collections.Counter()).most_common(min(rows, 8)):
+            print("%8d %6.1f%%      %s" % (m, 100.0 * m / denom, fn))
+    print()
+
+
 def main():
     if len(sys.argv) < 2:
         sys.exit(__doc__)
@@ -124,12 +183,26 @@ def main():
             out.extend(names.get((path, vaddr), ["[%#x]" % addr]))
         return out
 
-    total = len(samples)
+    root = os.environ.get("ROOT")
+    stacks = []
+    for stack in samples:
+        fs = frames(stack)
+        if root:
+            # Keep the outermost frame naming ROOT and what it called.
+            hit = next((i for i in range(len(fs) - 1, -1, -1) if root in fs[i]), None)
+            if hit is None:
+                continue
+            fs = fs[:hit + 1]
+        stacks.append(fs)
+    if not stacks:
+        sys.exit("ROOT=%s matched no frame" % root)
+    total = len(stacks)
+    if root:
+        print("ROOT=%s: %d of %d samples\n" % (root, total, len(samples)))
     self_count, incl_count = collections.Counter(), collections.Counter()
     focus = os.environ.get("FOCUS")
     callees, focus_total = collections.Counter(), 0
-    for stack in samples:
-        fs = frames(stack)
+    for fs in stacks:
         self_count[fs[0]] += 1
         incl_count.update(set(fs))
         if focus:
@@ -148,6 +221,7 @@ def main():
 
     table("self", self_count, total)
     table("inclusive", incl_count, total)
+    layers(stacks, total, rows)
     if focus:
         if focus_total == 0:
             print("FOCUS=%s matched no frame" % focus)

@@ -38,7 +38,9 @@ impl Engine<World> for AppEngine {
         };
         let mut api = ShimApi::new(&mut self.session, &mut port, gpu);
         match self.program.poll(&mut api) {
-            AppStatus::Running => Poll::Progressed,
+            // A program polls until it blocks, so after a poll that moved
+            // it a poll now would block too.
+            AppStatus::Running => Poll::Drained,
             AppStatus::Blocked => Poll::Idle,
             AppStatus::Finished => Poll::Finished,
         }
@@ -48,11 +50,11 @@ impl Engine<World> for AppEngine {
         // Visible completions from the service, and the timers the
         // program arms (SleepUntil-style waits signal the same resource).
         on.push(resources::endpoint_comp(self.endpoint as u32));
-        // Programs also block on device streams (compute kernels, event
-        // waits); the fabric attributes activity per GPU, so watch only
-        // this rank's device.
-        let gpu = w.endpoints[self.endpoint].gpu;
-        on.push(resources::device_activity(gpu.index() as u32));
+        // Programs also block on their stream (compute kernels, event
+        // waits): watch it alone, not the service streams on its GPU.
+        on.push(resources::stream_activity(
+            w.endpoints[self.endpoint].app_stream,
+        ));
         // Under command-queue back-pressure the session holds unsent
         // commands; the frontend signals when it frees space.
         if self.session.has_unsent() {

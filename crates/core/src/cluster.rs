@@ -14,7 +14,7 @@ use crate::world::{Endpoint, World};
 use mccs_ipc::{AppId, IpcConfig, LatencyQueue};
 use mccs_netsim::{FaultEvent, FaultPlan};
 use mccs_shim::AppProgram;
-use mccs_sim::{Nanos, RuntimePool};
+use mccs_sim::{Engine, EngineId, Nanos, RuntimePool};
 use mccs_topology::{GpuId, Topology};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -49,15 +49,17 @@ impl Default for ClusterConfig {
 /// "MCCS" in ASCII — the default master seed.
 const MCCS_DEFAULT_SEED: u64 = 0x4d43_4353;
 
-/// The cluster failed to quiesce by the deadline — the structured form of
-/// the hang detector, returned by
-/// [`Cluster::try_run_until_quiescent`] so explorers can treat a hang as
-/// a verdict instead of a panic.
+/// The cluster failed to quiesce by the deadline, or quiesced with
+/// tenants still waiting — the structured form of the hang detector,
+/// returned by [`Cluster::try_run_until_quiescent`] so explorers can treat
+/// a hang as a verdict instead of a panic.
 #[derive(Clone, Debug)]
 pub struct ClusterHang {
-    /// The next scheduled event past the deadline.
-    pub next_event: Nanos,
-    /// Names of the engines still live at the deadline.
+    /// The next scheduled event past the deadline; `None` when nothing
+    /// was left to happen while tenants were still live.
+    pub next_event: Option<Nanos>,
+    /// Names of the engines still live at the deadline, or of the tenant
+    /// engines (app ranks, library jobs) left waiting in a quiet world.
     pub live_engines: Vec<String>,
 }
 
@@ -65,7 +67,10 @@ pub struct ClusterHang {
 pub struct Cluster {
     /// The shared world (public for experiment harnesses and tests).
     pub world: World,
-    pub(crate) pool: RuntimePool<World>,
+    pool: RuntimePool<World>,
+    /// The tenant engines: app ranks and library jobs. A quiet world
+    /// with one of them live has a tenant blocked for good.
+    tenants: Vec<EngineId>,
 }
 
 impl Cluster {
@@ -85,7 +90,17 @@ impl Cluster {
             // plan is installed, so fault-free runs pay nothing for it.
             pool.spawn(Box::new(RecoveryEngine::new()));
         }
-        Cluster { world, pool }
+        Cluster {
+            world,
+            pool,
+            tenants: Vec::new(),
+        }
+    }
+
+    /// Spawn a tenant engine (an app rank or a library job).
+    pub(crate) fn spawn_tenant(&mut self, engine: Box<dyn Engine<World>>) {
+        let id = self.pool.spawn(engine);
+        self.tenants.push(id);
     }
 
     /// Attach a tenant application: one `(GPU, program)` pair per rank.
@@ -113,7 +128,7 @@ impl Cluster {
                 .entry(self.world.topo.host_of_gpu(gpu))
                 .or_default()
                 .push(endpoint);
-            self.pool.spawn(Box::new(AppEngine::new(endpoint, program)));
+            self.spawn_tenant(Box::new(AppEngine::new(endpoint, program)));
         }
         for (host, endpoints) in per_host {
             self.pool
@@ -269,7 +284,7 @@ impl Cluster {
         match self.try_run_until_quiescent(deadline) {
             Ok(t) => t,
             Err(hang) => panic!(
-                "cluster still active at deadline {deadline}: next event at {}; \
+                "cluster hung (deadline {deadline}): next event at {:?}; \
                  live engines: {:?}",
                 hang.next_event, hang.live_engines
             ),
@@ -278,6 +293,9 @@ impl Cluster {
 
     /// [`run_until_quiescent`](Self::run_until_quiescent) that reports a
     /// hang as data instead of panicking — the explorer's hang detector.
+    /// Quiet is not done: when nothing is left to happen but a tenant
+    /// engine is still live, that tenant waits forever, and the hang
+    /// names each such engine.
     pub fn try_run_until_quiescent(&mut self, deadline: Nanos) -> Result<Nanos, ClusterHang> {
         loop {
             self.pool.poll(&mut self.world);
@@ -286,7 +304,7 @@ impl Cluster {
                     if next > deadline {
                         self.sync_scheduler_stats();
                         return Err(ClusterHang {
-                            next_event: next,
+                            next_event: Some(next),
                             live_engines: self.live_engine_names(),
                         });
                     }
@@ -294,7 +312,16 @@ impl Cluster {
                 }
                 None => {
                     self.sync_scheduler_stats();
-                    return Ok(self.world.clock);
+                    let waiting: Vec<String> = (self.tenants.iter())
+                        .filter_map(|&id| self.pool.live_name(id))
+                        .collect();
+                    if waiting.is_empty() {
+                        return Ok(self.world.clock);
+                    }
+                    return Err(ClusterHang {
+                        next_event: None,
+                        live_engines: waiting,
+                    });
                 }
             }
         }

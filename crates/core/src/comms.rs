@@ -124,6 +124,13 @@ impl CommTable {
         &self.by_gpu[gpu.index()]
     }
 
+    /// The rank in `slot` (a slot from [`Self::on_gpu`]).
+    pub(crate) fn at(&self, slot: u32) -> &CommRank {
+        self.slots[slot as usize]
+            .as_deref()
+            .unwrap_or_else(|| panic!("comm slot {slot} is free or lent"))
+    }
+
     /// Take the rank out of `slot` for one step; [`Self::restore`] puts it
     /// back. While lent, the rank is invisible to every lookup.
     pub(crate) fn lend(&mut self, slot: u32) -> Box<CommRank> {
@@ -177,6 +184,7 @@ mod tests {
             inflight: None,
             reconfig: Reconfig::new(0, 1, 0, Nanos::ZERO),
             resume_at: Nanos::ZERO,
+            plan: Default::default(),
         }
     }
 

@@ -1,5 +1,4 @@
-//! Dense tables for small, hot maps: a sorted-vector map, and a window
-//! over monotone ids.
+//! Dense tables for small, hot maps: a sorted-vector map.
 //!
 //! The per-NIC transport tables hold a handful to a few dozen live flows
 //! each, but a 10k-GPU world carries ten thousand of these tables and the
@@ -9,13 +8,7 @@
 //! sweeps, and `O(n)` shifts on insert/remove that are cheap at these
 //! sizes. Iteration order is ascending key order, exactly like the
 //! `BTreeMap` it replaces, so digest-visible event ordering is unchanged.
-//!
-//! `IdWindow` is for keys handed out by a counter (flow ids, task
-//! tokens, request and sequence numbers): the live keys sit in a narrow
-//! band just behind the counter, so a deque of slots over that band is
-//! indexed by `key - base` with no hashing and no search.
-
-use std::collections::VecDeque;
+//! Keys handed out by a counter go in [`mccs_sim::IdWindow`] instead.
 
 /// A map backed by a single sorted vector. API mirrors the subset of
 /// `BTreeMap` the engines use, so it is a drop-in replacement at the type
@@ -135,69 +128,6 @@ impl<K: Ord, V> FlatMap<K, V> {
     }
 }
 
-/// A map over `u64` keys stored as a window of slots from the oldest
-/// live key (`base`) to the newest. Removing the oldest entries reclaims
-/// the slots in front, so memory follows the live-key *span*, not the
-/// number of keys ever inserted; a key below `base` grows the window at
-/// the front. A key that is never removed pins the window's front, so
-/// this suits tables whose entries all retire.
-#[derive(Debug)]
-pub(crate) struct IdWindow<T> {
-    base: u64,
-    slots: VecDeque<Option<T>>,
-}
-
-impl<T> Default for IdWindow<T> {
-    fn default() -> Self {
-        IdWindow {
-            base: 0,
-            slots: VecDeque::new(),
-        }
-    }
-}
-
-impl<T> IdWindow<T> {
-    /// Insert, returning the previous value for `id` if any.
-    pub fn insert(&mut self, id: u64, value: T) -> Option<T> {
-        if self.slots.is_empty() {
-            self.base = id;
-        } else if id < self.base {
-            for _ in id..self.base {
-                self.slots.push_front(None);
-            }
-            self.base = id;
-        }
-        let idx = (id - self.base) as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize_with(idx + 1, || None);
-        }
-        self.slots[idx].replace(value)
-    }
-
-    /// Remove and return `id`'s value.
-    pub fn remove(&mut self, id: u64) -> Option<T> {
-        let idx = usize::try_from(id.checked_sub(self.base)?).ok()?;
-        let out = self.slots.get_mut(idx)?.take();
-        while matches!(self.slots.front(), Some(None)) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        out
-    }
-
-    /// Shared access (the model tests' probe).
-    #[cfg(test)]
-    pub fn get(&self, id: u64) -> Option<&T> {
-        let idx = usize::try_from(id.checked_sub(self.base)?).ok()?;
-        self.slots.get(idx)?.as_ref()
-    }
-
-    /// Number of entries (O(window)).
-    pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,41 +181,5 @@ mod tests {
         assert_eq!(m.get(&1), Some(&"z"));
         assert!(m.contains_key(&3));
         assert_eq!(m.values().copied().collect::<Vec<_>>(), vec!["z", "c"]);
-    }
-
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Random inserts, overwrites and removes over a drifting key
-            /// band — keys below the current base included — agree with
-            /// a `BTreeMap`, and the window never spans more than the
-            /// live keys do.
-            #[test]
-            fn window_matches_a_keyed_map(
-                ops in proptest::collection::vec((0u8..3, 0u64..48), 1..200)
-            ) {
-                let mut w: IdWindow<usize> = IdWindow::default();
-                let mut model = BTreeMap::new();
-                for (step, &(op, k)) in ops.iter().enumerate() {
-                    // The band drifts upward like a counter's live keys.
-                    let id = k + step as u64 / 4;
-                    if op == 0 {
-                        prop_assert_eq!(w.remove(id), model.remove(&id));
-                    } else {
-                        prop_assert_eq!(w.insert(id, step), model.insert(id, step));
-                    }
-                    prop_assert_eq!(w.get(id), model.get(&id));
-                    prop_assert_eq!(w.len(), model.len());
-                    if let Some((&lo, _)) = model.first_key_value() {
-                        prop_assert_eq!(w.base, lo, "front trimmed to the oldest live key");
-                    }
-                }
-                for (&id, v) in &model {
-                    prop_assert_eq!(w.get(id), Some(v));
-                }
-            }
-        }
     }
 }

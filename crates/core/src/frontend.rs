@@ -191,8 +191,10 @@ impl Engine<World> for FrontendEngine {
                 w.signal(resources::endpoint_cmd_space(endpoint as u32));
             }
         }
+        // Every visible command was handled, and handling one pushes
+        // nothing back into these queues: a poll now would be idle.
         if progressed {
-            Poll::Progressed
+            Poll::Drained
         } else {
             Poll::Idle
         }

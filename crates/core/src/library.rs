@@ -120,7 +120,7 @@ pub(crate) fn attach(
     if let RingChoice::RandomHosts = lib.ring {
         cluster.world.rng.fork();
     }
-    cluster.pool.spawn(Box::new(LibraryJob {
+    cluster.spawn_tenant(Box::new(LibraryJob {
         app,
         comm: CommunicatorId(LIBRARY_COMM_BASE + u64::from(app.0)),
         config,

@@ -387,6 +387,20 @@ impl TransportEngine {
         }
     }
 
+    /// Whether a poll now would be idle, after one that ran every stage:
+    /// notices and the inbox are drained and window state is applied
+    /// with its next boundary armed. Under a fault plan a retry may be
+    /// due now (a stall found by this poll's sweep retries at once), and
+    /// a flow started after the sweep has no sweep armed for it yet.
+    fn drained(&self, w: &World) -> bool {
+        if w.fault_plan.is_none() {
+            return true;
+        }
+        let watched =
+            self.next_stall_check.is_some() || (self.active.is_empty() && self.retries.is_empty());
+        watched && self.retries.iter().all(|&(due, _)| due > w.clock)
+    }
+
     /// Apply window state to in-flight flows and pending sends.
     fn enforce_windows(&mut self, w: &mut World) -> bool {
         let now = w.clock;
@@ -558,10 +572,10 @@ impl Engine<World> for TransportEngine {
         }
         // QoS window enforcement.
         progressed |= self.enforce_windows(w);
-        if progressed {
-            Poll::Progressed
-        } else {
-            Poll::Idle
+        match (progressed, self.drained(w)) {
+            (false, _) => Poll::Idle,
+            (true, true) => Poll::Drained,
+            (true, false) => Poll::Progressed,
         }
     }
 

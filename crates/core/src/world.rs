@@ -7,7 +7,7 @@
 
 use crate::comms::CommTable;
 use crate::config::{CollectiveConfig, ServiceConfig};
-use crate::flat::{FlatMap, IdWindow};
+use crate::flat::FlatMap;
 use crate::health::HealthRegistry;
 use crate::messages::{ProxyMsg, TransportMsg};
 use crate::progress::{CollectiveProgress, ProgressId, ProgressTable};
@@ -19,7 +19,7 @@ use mccs_device::{
 use mccs_ipc::{AppId, CommunicatorId, IpcConfig, LatencyQueue, ShimCommand, ShimCompletion};
 use mccs_netsim::{ControlFault, FaultEvent, FaultPlan, FlowCompletion, FlowId, Network};
 use mccs_shim::ShimPort;
-use mccs_sim::{Bytes, EventQueue, Nanos, ResourceId, Rng, WakeSource};
+use mccs_sim::{Bytes, EventQueue, IdWindow, Nanos, ResourceId, Rng, WakeSource};
 use mccs_topology::{GpuId, LinkId, NicId, Topology};
 #[allow(clippy::disallowed_types)] // the schedule cache: lookup only, never iterated
 use std::collections::HashMap;
@@ -35,6 +35,7 @@ use std::sync::Arc;
 /// [`RuntimePool`](mccs_sim::RuntimePool) readies exactly the parked
 /// engines that watch them.
 pub mod resources {
+    use mccs_device::StreamId;
     use mccs_ipc::CommunicatorId;
     use mccs_sim::ResourceId;
 
@@ -67,13 +68,20 @@ pub mod resources {
         ResourceId::new(5, nic)
     }
 
-    /// Device activity on one GPU: a stream of that GPU dispatched,
-    /// completed (silently or not — inline-executed records included),
-    /// or was unblocked by an event recorded elsewhere. Attribution
-    /// comes from [`mccs_device::DeviceFabric::pop_touched_gpu`], so
-    /// engines park against their own GPU instead of the whole fabric.
-    pub const fn device_activity(gpu: u32) -> ResourceId {
+    /// A stream of one GPU recorded an event
+    /// ([`mccs_device::DeviceFabric::pop_recorded_gpu`]). A proxy waits on
+    /// it while a collective's dependency event is unrecorded: the tenant
+    /// may record it on any stream of the GPU.
+    pub const fn event_recorded(gpu: u32) -> ResourceId {
         ResourceId::new(6, gpu)
+    }
+
+    /// One stream's running op completed (silently or not), or an event
+    /// record unblocked it ([`mccs_device::DeviceFabric::pop_touched_stream`]):
+    /// a tenant rank waits on its own stream, so the service's streams on
+    /// its GPU do not wake it, nor does its own enqueue.
+    pub const fn stream_activity(stream: StreamId) -> ResourceId {
+        ResourceId::new(13, stream.0)
     }
 
     /// Cluster-wide progress of one communicator's collectives changed
@@ -719,11 +727,8 @@ impl World {
             }
         }
         // Device completions can be silent (token-0 kernels, inline
-        // records): the fabric's touched-GPU set covers those too, with
-        // per-GPU attribution so only that GPU's engines wake.
-        while let Some(gpu) = self.devices.pop_touched_gpu() {
-            self.signals.push(resources::device_activity(gpu));
-        }
+        // records): the fabric's touched sets cover those too.
+        self.signal_device_activity();
         while let Some((_, r)) = self.events.pop_due(t) {
             self.signals.push(r);
         }
@@ -899,12 +904,21 @@ impl World {
 
     /// Enqueue a device-stream op and raise device-activity signals so
     /// engines blocked on stream/event state re-poll. An inline-executed
-    /// record can unblock waiters on other GPUs' streams, so every GPU
-    /// the fabric touched is signalled, not just the enqueue target.
+    /// record can unblock waiters on other GPUs' streams, so every stream
+    /// it unblocked and the GPU it was recorded on are signalled.
     pub fn device_enqueue(&mut self, stream: StreamId, op: mccs_device::StreamOp) {
         self.devices.enqueue(stream, op);
-        while let Some(gpu) = self.devices.pop_touched_gpu() {
-            self.signal(resources::device_activity(gpu));
+        self.signal_device_activity();
+    }
+
+    /// Turn the streams the fabric touched and the GPUs it recorded an
+    /// event on into wake signals, each resource once.
+    fn signal_device_activity(&mut self) {
+        while let Some(stream) = self.devices.pop_touched_stream() {
+            self.signals.push(resources::stream_activity(stream));
+        }
+        while let Some(gpu) = self.devices.pop_recorded_gpu() {
+            self.signals.push(resources::event_recorded(gpu));
         }
     }
 
@@ -1491,8 +1505,10 @@ mod tests {
         w.advance_to(t);
         pool.poll(&mut w);
         assert_eq!(w.health.counters.reconfig_rejects, 1, "taken and handled");
-        // The poll that takes the message, and the idle one that parks.
-        assert_eq!(pool.poll_count() - parked, 2);
+        // The poll that takes the message answers Drained and parks: no
+        // idle poll follows it.
+        assert_eq!(pool.poll_count() - parked, 1);
+        assert_eq!(pool.wasted_poll_count(), 1, "only the first, empty poll");
     }
 
     #[test]

@@ -1104,3 +1104,47 @@ fn a_second_comm_init_of_a_rank_is_refused() {
         vec![Ok(()), Err(ErrorCode::InvalidUsage)],
     );
 }
+
+/// A rank whose `CommInit` is refused ends its script; its peer, whose
+/// init is accepted, waits for it in its first collective forever. The
+/// event queue empties with that peer live: a hang naming it, not `Ok`.
+#[test]
+fn a_quiet_world_with_a_blocked_tenant_is_a_hang() {
+    let comm = CommunicatorId(4);
+    let script = |world: Vec<GpuId>, rank: usize| {
+        let steps = vec![
+            ScriptStep::Alloc {
+                size: Bytes::mib(4),
+                slot: 0,
+            },
+            ScriptStep::CommInit { comm, world, rank },
+            ScriptStep::Collective {
+                comm,
+                op: all_reduce_sum(),
+                size: Bytes::mib(4),
+                send_slot: 0,
+                recv_slot: 0,
+            },
+        ];
+        Box::new(ScriptedProgram::new(format!("peer{rank}"), steps)) as Box<dyn AppProgram>
+    };
+    let mut cluster = Cluster::new(Arc::new(presets::testbed()), Default::default());
+    cluster.add_app(
+        "split",
+        vec![
+            // GPU 99 is not in the testbed: rank 0's init is refused.
+            (GpuId(0), script(vec![GpuId(0), GpuId(99)], 0)),
+            (GpuId(2), script(vec![GpuId(0), GpuId(2)], 1)),
+        ],
+    );
+    let hang = cluster
+        .try_run_until_quiescent(Nanos::from_secs(5))
+        .expect_err("the peer waits forever");
+    assert_eq!(hang.next_event, None, "nothing was left to happen");
+    assert_eq!(hang.live_engines.len(), 1, "{:?}", hang.live_engines);
+    assert!(
+        hang.live_engines[0].contains("peer1"),
+        "{:?}",
+        hang.live_engines
+    );
+}

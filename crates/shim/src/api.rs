@@ -237,6 +237,13 @@ impl<'a> ShimApi<'a> {
         self.session.error_code(req)
     }
 
+    /// Forget a request whose outcome has been read (see
+    /// [`ShimSession::retire`]): a program that retires what it has read
+    /// keeps its session bounded.
+    pub fn retire(&mut self, req: ReqId) {
+        self.session.retire(req);
+    }
+
     // ---- device (tenant-private compute) -----------------------------------------
 
     /// This rank's default compute stream.

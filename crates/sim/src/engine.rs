@@ -11,8 +11,9 @@
 //! Two schedulers share that contract:
 //!
 //! * **Wake-driven** (default, `RuntimePool::poll_ready`): engines that
-//!   return [`Poll::Idle`] declare the resources they wait on and are
-//!   parked until one of them is signalled. Each scheduler call costs
+//!   return [`Poll::Idle`] — or [`Poll::Drained`], work done and nothing
+//!   left — declare the resources they wait on and are parked until one
+//!   of them is signalled. Each scheduler call costs
 //!   O(ready work), not O(live engines). The pool has no clock: a timed
 //!   wait is a resource the embedder signals when its time comes.
 //! * **Naive round-robin** (`RuntimePool::poll_until_quiescent`): every
@@ -27,9 +28,11 @@
 //! same round, one woken by a higher-indexed engine waits for the next),
 //! so engines perform their observable actions in exactly the same order
 //! under both schedulers. The invariants this rests on — engines returning
-//! `Idle` have no observable effect, and every idle→ready transition is
-//! covered by a signal on a declared resource — are enforced by the
-//! digest-equivalence battery in the service crate.
+//! `Idle` have no observable effect, an engine returning `Drained` would
+//! answer `Idle` if polled again at once, and every idle→ready transition
+//! is covered by a signal on a declared resource — are enforced by the
+//! digest-equivalence battery in the service crate (the second one also
+//! by the debug-build check in the wake-driven pool).
 //!
 //! The context type `Cx` is chosen by the embedder (the MCCS service uses a
 //! `World` holding the simulated network, devices and IPC queues); this
@@ -53,8 +56,15 @@ impl fmt::Display for EngineId {
 /// Outcome of one `progress` call, mirroring future polling.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Poll {
-    /// The engine did some work; poll the pool again before sleeping.
+    /// The engine did some work; poll it again before sleeping.
     Progressed,
+    /// The engine did some work, and a poll now would answer
+    /// [`Poll::Idle`]: it is drained until one of the resources it waits
+    /// on is signalled. The wake-driven pool parks it at once instead of
+    /// re-polling it only to hear `Idle` (a future that returns `Pending`
+    /// has registered its waker); the naive oracle treats it as
+    /// [`Poll::Progressed`].
+    Drained,
     /// Nothing to do right now; the engine is waiting on external input.
     Idle,
     /// The engine has completed and can be dropped from its runtime.
@@ -71,15 +81,19 @@ pub enum Poll {
 ///
 /// An engine returning [`Poll::Idle`] must have had no observable effect in
 /// that call: the wake-driven scheduler relies on idle polls being pure so
-/// it can skip them entirely.
+/// it can skip them entirely. An engine returning [`Poll::Drained`] promises
+/// that a poll right after it would answer `Idle`; it is parked before the
+/// signals its own poll raised are delivered, so those still wake it. Debug
+/// builds of the wake-driven pool check the promise by polling once more.
 pub trait Engine<Cx: ?Sized> {
     /// Advance the engine's state machine as far as currently possible.
     fn progress(&mut self, cx: &mut Cx) -> Poll;
 
     /// What must be signalled for this engine to be worth polling again,
-    /// asked immediately after `progress` returns [`Poll::Idle`]: push
-    /// every resource to wait on into `on` (handed over empty). A signal
-    /// on any of them readies the engine; an empty list parks it forever.
+    /// asked immediately after `progress` returns [`Poll::Idle`] or
+    /// [`Poll::Drained`]: push every resource to wait on into `on`
+    /// (handed over empty). A signal on any of them readies the engine;
+    /// an empty list parks it forever.
     fn wake_when(&self, cx: &Cx, on: &mut Vec<ResourceId>);
 
     /// Diagnostic label.
@@ -380,7 +394,7 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
                 }
                 self.polls += 1;
                 match slot.engine.as_mut().expect("live engine").progress(cx) {
-                    Poll::Progressed => {
+                    Poll::Progressed | Poll::Drained => {
                         any_progress = true;
                         self.round_progressed.push(i);
                     }
@@ -464,6 +478,17 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
                         // like the naive scheduler's next pass.
                         self.ready.insert(idx);
                     }
+                    Poll::Drained => {
+                        progressed_any = true;
+                        self.round_progressed.push(idx);
+                        #[cfg(debug_assertions)]
+                        self.check_drained(idx, cx);
+                        // Parked before its own signals are delivered, so
+                        // a signal it raised on a resource it waits on
+                        // readies it like a progressing engine.
+                        self.park(idx, cx);
+                        self.absorb_signals(cx, cursor, Some(&mut round));
+                    }
                     Poll::Idle => {
                         self.wasted_polls += 1;
                         self.park(idx, cx);
@@ -513,6 +538,24 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
                 }
             })
             .collect()
+    }
+
+    /// The [`Poll::Drained`] contract, checked: poll `idx` once more and
+    /// panic, naming it, unless it answers [`Poll::Idle`]. The check poll
+    /// is not counted; an `Idle` answer has no effect, so the run goes on
+    /// exactly as in a release build.
+    #[cfg(debug_assertions)]
+    fn check_drained(&mut self, idx: usize, cx: &mut Cx) {
+        let slot = &mut self.slots[idx];
+        let engine = slot.engine.as_mut().expect("live engine");
+        let answer = engine.progress(cx);
+        assert!(
+            answer == Poll::Idle,
+            "{} {} answered Drained at poll {} but a poll right after it answered {answer:?}",
+            slot.id,
+            engine.name(),
+            self.polls
+        );
     }
 
     /// Park `idx` under a fresh generation on the resources it declares.
@@ -568,6 +611,12 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
         }
         self.signal_scratch = sigs;
         self.woken_scratch = woken;
+    }
+
+    /// The label of engine `id` while it is live.
+    pub fn live_name(&self, id: EngineId) -> Option<String> {
+        let slot = self.slots.get(id.0 as usize)?;
+        slot.engine.as_ref().map(|e| e.name())
     }
 
     /// Names of live engines, for debugging deadlocks.
@@ -944,6 +993,152 @@ mod tests {
         );
         assert_eq!(naive_wakes, 0, "the oracle never parks");
         assert!(wakes > 0);
+    }
+
+    // ---- drained answers ---------------------------------------------------
+
+    /// Does `work` steps, one per poll, signalling `RES_A` on each, and
+    /// answers `Drained` on the last (`Progressed` before it); then idles
+    /// until `RES_A`, when it finds `work` more steps to do. `lie` makes
+    /// it answer `Drained` with a step still left.
+    struct Batches {
+        work: u32,
+        left: u32,
+        batches: u32,
+        lie: bool,
+        polls: Rc<Cell<u32>>,
+    }
+
+    impl Engine<TestCx> for Batches {
+        fn progress(&mut self, cx: &mut TestCx) -> Poll {
+            self.polls.set(self.polls.get() + 1);
+            if self.left == 0 {
+                if self.batches == 0 || cx.total == 0 {
+                    return Poll::Idle;
+                }
+                cx.total -= 1;
+                self.batches -= 1;
+                self.left = self.work;
+            }
+            self.left -= 1;
+            if self.left == 0 || (self.lie && self.left == 1) {
+                Poll::Drained
+            } else {
+                Poll::Progressed
+            }
+        }
+        fn wake_when(&self, _: &TestCx, on: &mut Vec<ResourceId>) {
+            on.push(RES_A);
+        }
+        fn name(&self) -> String {
+            "batches".to_owned()
+        }
+    }
+
+    /// `(polls, wasted, wakes, engine polls)` after running three batches
+    /// of three steps, released one at a time through `cx.total`.
+    fn run_batches(naive: bool) -> (u64, u64, u64, u32) {
+        let mut pool: RuntimePool<TestCx> = RuntimePool::new();
+        pool.set_naive(naive);
+        let polls = Rc::new(Cell::new(0));
+        pool.spawn(Box::new(Batches {
+            work: 3,
+            left: 0,
+            batches: 3,
+            lie: false,
+            polls: Rc::clone(&polls),
+        }));
+        let mut cx = TestCx::default();
+        for _ in 0..3 {
+            cx.total = 1;
+            cx.signals.push(RES_A);
+            pool.poll(&mut cx);
+        }
+        let (p, w) = (pool.poll_count(), pool.wasted_poll_count());
+        (p, w, pool.wake_count(), polls.get())
+    }
+
+    #[test]
+    fn a_drained_engine_parks_without_a_trailing_idle_poll() {
+        let (polls, wasted, wakes, seen) = run_batches(false);
+        // Three batches of three useful polls and no idle one: the first
+        // batch runs as soon as the engine is spawned, each later one
+        // through a wake.
+        assert_eq!((polls, wasted), (9, 0));
+        assert_eq!(wakes, 2);
+        // The debug-build check polls once more after each Drained; that
+        // poll is not counted by the pool.
+        let checks = if cfg!(debug_assertions) { 3 } else { 0 };
+        assert_eq!(u64::from(seen), polls + checks);
+    }
+
+    #[test]
+    fn the_naive_oracle_treats_drained_as_progressed() {
+        let (polls, wasted, wakes, _) = run_batches(true);
+        let (wake_polls, wake_wasted, _, _) = run_batches(false);
+        assert_eq!(polls - wasted, wake_polls - wake_wasted, "useful polls");
+        // The oracle pays an idle poll after every batch.
+        assert_eq!(wasted, 3);
+        assert_eq!(wakes, 0);
+    }
+
+    #[test]
+    fn a_drained_engine_is_woken_by_its_own_signal() {
+        // Works once, raising RES_A, which it also waits on. It is parked
+        // before that signal is delivered, so the signal still wakes it
+        // (to an idle poll here); delivered first, it would be lost.
+        struct OneShot {
+            done: bool,
+            polls: Rc<Cell<u32>>,
+        }
+        impl Engine<TestCx> for OneShot {
+            fn progress(&mut self, cx: &mut TestCx) -> Poll {
+                self.polls.set(self.polls.get() + 1);
+                if self.done {
+                    return Poll::Idle;
+                }
+                self.done = true;
+                cx.signals.push(RES_A);
+                Poll::Drained
+            }
+            fn wake_when(&self, _: &TestCx, on: &mut Vec<ResourceId>) {
+                on.push(RES_A);
+            }
+        }
+        let mut pool: RuntimePool<TestCx> = RuntimePool::new();
+        pool.set_naive(false);
+        pool.spawn(Box::new(OneShot {
+            done: false,
+            polls: Rc::default(),
+        }));
+        pool.poll(&mut TestCx::default());
+        assert_eq!(pool.wake_count(), 1);
+        assert_eq!((pool.poll_count(), pool.wasted_poll_count()), (2, 1));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_drained_answer_with_work_left_panics_naming_the_engine() {
+        let mut pool: RuntimePool<TestCx> = RuntimePool::new();
+        pool.set_naive(false);
+        pool.spawn(Box::new(Batches {
+            work: 3,
+            left: 0,
+            batches: 1,
+            lie: true,
+            polls: Rc::default(),
+        }));
+        let mut cx = TestCx {
+            total: 1,
+            ..TestCx::default()
+        };
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.poll(&mut cx)))
+            .expect_err("the contract check must fire");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            msg.contains("engine#0 batches answered Drained at poll 2 but a poll right after"),
+            "panic was: {msg}"
+        );
     }
 
     // ---- waiter table ------------------------------------------------------

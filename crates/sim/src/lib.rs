@@ -24,7 +24,10 @@
 //!   cooperative scheduler (wake-driven by default, with the naive
 //!   round-robin poller kept as a differential-testing oracle).
 //! * [`slotset`] — [`SlotSet`], the bitset of dense indices the pool's
-//!   ready and round sets and the device fabric's touched-GPU set use.
+//!   ready and round sets and the device fabric's touched sets use.
+//! * [`idwindow`] — [`IdWindow`], a map over counter-issued ids (flow
+//!   ids, task tokens, request and sequence numbers) kept as a window of
+//!   slots over the live band.
 //! * [`waker`] — [`ResourceId`]s and the [`WakeSource`] contract contexts
 //!   implement so parked engines can be woken by exactly the signals they
 //!   wait on (timed waits included — the pool itself has no clock).
@@ -33,6 +36,7 @@
 
 pub mod engine;
 pub mod event;
+pub mod idwindow;
 pub mod rng;
 pub mod slotset;
 pub mod stats;
@@ -43,6 +47,7 @@ pub mod waker;
 
 pub use engine::{Engine, EngineId, Poll, RuntimePool};
 pub use event::{EventQueue, ShardedEventQueue};
+pub use idwindow::IdWindow;
 pub use rng::Rng;
 pub use slotset::SlotSet;
 pub use stats::Summary;

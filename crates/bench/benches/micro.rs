@@ -434,32 +434,13 @@ fn bench_completion_index(c: &mut Criterion) {
 
 fn bench_scheduler_event_loop(c: &mut Criterion) {
     // The fig13 regime in miniature: one active tenant, one parked, on
-    // the testbed. The naive scheduler polls every engine on every pass;
-    // the wake scheduler touches only ready engines.
+    // the testbed; the wake scheduler touches only ready engines.
     // One AllReduce per tenant; the second sleeps until 40 ms first.
     let mut world = mccs_bench::setups::two_tenant_testbed(9, Bytes::mib(4), 1);
     world.tenants[1].start = Nanos::from_millis(40);
-    let run = |naive: bool| {
-        let mut cluster = world.build();
-        cluster.set_naive_scheduler(naive);
-        cluster.run_until_quiescent(Nanos::from_secs(10));
-    };
-    for &(label, naive) in &[("wake", false), ("naive", true)] {
-        c.bench_function(&format!("scheduler/idle-heavy-testbed/{label}"), |b| {
-            b.iter(|| run(naive))
-        });
-    }
-    let median = |label: &str| {
-        c.results()
-            .iter()
-            .find(|r| r.name == format!("scheduler/idle-heavy-testbed/{label}"))
-            .expect("benched above")
-            .median_ns
-    };
-    println!(
-        "scheduler/idle-heavy-testbed wake speedup: {:.1}x",
-        median("naive") / median("wake")
-    );
+    c.bench_function("scheduler/idle-heavy-testbed/wake", |b| {
+        b.iter(|| world.build().run_until_quiescent(Nanos::from_secs(10)))
+    });
 }
 
 fn bench_shared_waiter(c: &mut Criterion) {
@@ -476,6 +457,9 @@ fn bench_shared_waiter(c: &mut Criterion) {
         fn drain_signals(&mut self, into: &mut Vec<ResourceId>) {
             into.append(&mut self.0);
         }
+        fn fingerprint(&self) -> u64 {
+            self.0.len() as u64
+        }
     }
     struct Parked(&'static [ResourceId]);
     impl Engine<Signals> for Parked {
@@ -491,7 +475,6 @@ fn bench_shared_waiter(c: &mut Criterion) {
     let sizes = [100usize, 1_023, 10_000];
     for n in sizes {
         let mut pool: RuntimePool<Signals> = RuntimePool::new();
-        pool.set_naive(false);
         for _ in 0..n {
             pool.spawn(Box::new(Parked(&[SHARED])));
         }

@@ -6,7 +6,10 @@
 //!
 //! The digest is `Cluster::observable_digest`: the full per-rank trace
 //! (issue/launch/complete/fail instants and epochs), the failure-event
-//! log, and the health counters.
+//! log, and the health counters. Every scenario runs under
+//! `Cluster::check_engine_contract`, which panics on an engine whose idle
+//! poll changed the world or whose wake was missed and changes nothing
+//! else, so the digests are those of an unchecked run.
 //!
 //! Run: `cargo run --release -p mccs-bench --bin fault_digest`
 
@@ -25,7 +28,10 @@ fn world(seed: u64, size: Bytes, policy: DegradationPolicy) -> Scenario {
 
 fn run(name: &str, mut s: Scenario, plan: FaultPlan) {
     s.faults = Some(plan);
-    let digest = s.run(Nanos::from_secs(60)).digest;
+    let mut cluster = s.build();
+    cluster.check_engine_contract();
+    cluster.run_until_quiescent(Nanos::from_secs(60));
+    let digest = cluster.observable_digest();
     println!("scenario={name} digest={digest:016x}");
 }
 

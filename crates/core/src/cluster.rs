@@ -312,9 +312,7 @@ impl Cluster {
                 }
                 None => {
                     self.sync_scheduler_stats();
-                    let waiting: Vec<String> = (self.tenants.iter())
-                        .filter_map(|&id| self.pool.live_name(id))
-                        .collect();
+                    let waiting = self.live_tenant_names();
                     if waiting.is_empty() {
                         return Ok(self.world.clock);
                     }
@@ -337,15 +335,12 @@ impl Cluster {
         s.wakes = self.pool.wake_count();
     }
 
-    /// Toggle the pool between the wake-driven scheduler and the naive
-    /// round-robin oracle (equivalence tests).
-    pub fn set_naive_scheduler(&mut self, naive: bool) {
-        self.pool.set_naive(naive);
-    }
-
-    /// Whether the pool currently runs the naive round-robin oracle.
-    pub fn naive_scheduler(&self) -> bool {
-        self.pool.is_naive()
+    /// Check the engine contract on every poll from now on, for good
+    /// ([`RuntimePool::check_contract`]): a panic names an engine whose
+    /// idle poll changed the world or whose wake the pool missed. The run
+    /// and its counters are those of an unchecked cluster.
+    pub fn check_engine_contract(&mut self) {
+        self.pool.check_contract();
     }
 
     /// Always 1: the scheduler is single-threaded. `mccsbench` (frozen
@@ -375,6 +370,13 @@ impl Cluster {
     /// Names of live engines (deadlock diagnostics).
     pub fn live_engine_names(&self) -> Vec<String> {
         self.pool.live_names().into_iter().map(|(_, n)| n).collect()
+    }
+
+    /// Names of the live tenant engines (app ranks, library jobs): in a
+    /// quiet world, the tenants blocked for good.
+    pub(crate) fn live_tenant_names(&self) -> Vec<String> {
+        let names = self.tenants.iter().map(|&id| self.pool.live_name(id));
+        names.flatten().collect()
     }
 }
 

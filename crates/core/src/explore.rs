@@ -17,8 +17,9 @@
 //!   same way on every rank, and nothing issued may be left unfinished
 //!   at quiescence;
 //! - **quiescence**: the run must go quiet before the configured
-//!   deadline, else it is reported as a [`Verdict::Hang`] with the live
-//!   engines named;
+//!   deadline with no tenant left waiting, else it is reported as a
+//!   [`Verdict::Hang`] with the live engines (or the waiting tenants)
+//!   named;
 //! - **post-restart pin convergence**: when the fabric ends healthy with
 //!   the controller up, every communicator the recovery engine ever
 //!   steered must sit on the policy's healthy-fabric plan — a controller
@@ -155,11 +156,13 @@ pub enum Verdict {
         /// `(comm, seq)` groups that failed cleanly on every rank.
         failed: usize,
     },
-    /// Still active at the deadline.
+    /// Still active at the deadline, or quiet with tenants still waiting.
     Hang {
-        /// The next scheduled event past the deadline.
-        next_event: Nanos,
-        /// Engines still live.
+        /// The next scheduled event past the deadline; `None` when nothing
+        /// was left to happen while tenants were still live.
+        next_event: Option<Nanos>,
+        /// Engines still live at the deadline, or the tenant engines left
+        /// waiting in a quiet world.
         live_engines: Vec<String>,
     },
     /// The completed-xor-failed oracle was violated.
@@ -270,11 +273,18 @@ impl<F: FnMut() -> Cluster> Explorer<F> {
             if let Some(t) = stepped {
                 if t > cfg.deadline {
                     break Verdict::Hang {
-                        next_event: t,
+                        next_event: Some(t),
                         live_engines: driver.cluster().live_engine_names(),
                     };
                 }
             } else if actions.is_empty() {
+                let waiting = driver.cluster().live_tenant_names();
+                if !waiting.is_empty() {
+                    break Verdict::Hang {
+                        next_event: None,
+                        live_engines: waiting,
+                    };
+                }
                 break oracle(driver.cluster());
             }
             for a in actions {

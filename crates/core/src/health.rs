@@ -181,7 +181,7 @@ impl FailureEvent {
 }
 
 /// Monotonic recovery counters the management API exposes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct HealthCounters {
     /// Flows restarted after a stall or kill.
     pub flow_retries: u64,

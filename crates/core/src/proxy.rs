@@ -457,6 +457,7 @@ impl ProxyEngine {
                     } else if inf.liveness_armed != Some(deadline) {
                         w.signal_at(deadline, self.doorbell());
                         inf.liveness_armed = Some(deadline);
+                        progressed = true;
                     }
                 }
             }

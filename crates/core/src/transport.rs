@@ -141,20 +141,22 @@ impl TransportEngine {
     }
 
     /// Arm a wake at the earliest next boundary of any gated application,
-    /// unless that instant is already armed.
-    fn arm_next_boundary(&mut self, w: &mut World) {
+    /// unless that instant is already armed. Returns whether it armed one.
+    fn arm_next_boundary(&mut self, w: &mut World) -> bool {
         let Some(b) = self
             .windows
             .values()
             .map(|win| win.next_boundary(w.clock))
             .min()
         else {
-            return;
+            return false;
         };
-        if self.scheduled_wake != Some(b) {
-            w.signal_at(b, self.doorbell());
-            self.scheduled_wake = Some(b);
+        if self.scheduled_wake == Some(b) {
+            return false;
         }
+        w.signal_at(b, self.doorbell());
+        self.scheduled_wake = Some(b);
+        true
     }
 
     fn start_send(&mut self, w: &mut World, send: EdgeSend) {
@@ -265,7 +267,9 @@ impl TransportEngine {
             let key = selection_key(entry.token, entry.attempts);
             let Some(idx) = policy.select(&weights, key) else {
                 // Nowhere to go right now: burn an attempt and try again
-                // later (the cap guarantees termination).
+                // later (the cap guarantees termination). Either way the
+                // world moves: a timer is armed or the collective fails.
+                progressed = true;
                 Self::schedule_retry(
                     w,
                     self.doorbell(),
@@ -353,9 +357,11 @@ impl TransportEngine {
             }
         });
         if !self.active.is_empty() || !self.retries.is_empty() {
+            // Arming the next sweep is work too: an idle poll arms nothing.
             let next = now + FLOW_TIMEOUT;
             w.signal_at(next, self.doorbell());
             self.next_stall_check = Some(next);
+            progressed = true;
         } else {
             self.next_stall_check = None;
         }
@@ -424,9 +430,9 @@ impl TransportEngine {
                 self.pending.push_back(send);
             }
         }
-        // Keep a wake-up armed while anything is gated.
+        // Keep a wake-up armed while anything is gated; arming one is work.
         if !self.active.is_empty() || !self.pending.is_empty() {
-            self.arm_next_boundary(w);
+            progressed |= self.arm_next_boundary(w);
         }
         progressed
     }

@@ -385,6 +385,8 @@ pub struct World {
     /// Wake-resource signals raised since the scheduler last drained them
     /// (edge events; duplicates are fine).
     signals: Vec<ResourceId>,
+    /// Device-stream ops enqueued so far.
+    device_enqueues: u64,
 }
 
 /// Tenant-side latency bookkeeping, fed by the endpoint ports: a real
@@ -585,12 +587,12 @@ impl World {
             tenant_log: TenantLog::default(),
             app_names: Vec::new(),
             signals: Vec::new(),
+            device_enqueues: 0,
         }
     }
 
     /// Raise a wake-resource signal (edge event; consumed by the pool on
-    /// its next drain). Harmless under the naive scheduler, which drains
-    /// and discards.
+    /// its next drain).
     pub fn signal(&mut self, r: ResourceId) {
         self.signals.push(r);
     }
@@ -908,6 +910,7 @@ impl World {
     /// it unblocked and the GPU it was recorded on are signalled.
     pub fn device_enqueue(&mut self, stream: StreamId, op: mccs_device::StreamOp) {
         self.devices.enqueue(stream, op);
+        self.device_enqueues += 1;
         self.signal_device_activity();
     }
 
@@ -937,8 +940,7 @@ impl World {
     /// on time: a message's visibility instant signals the receiving
     /// queue, an engine's timer signals its own doorbell. An `at` already
     /// reached signals at once. Either way the event is queued, so the
-    /// clock stops for it ([`Self::next_time`]): the naive scheduler
-    /// ignores signals and only ever sees time through those stops.
+    /// clock stops for it ([`Self::next_time`]).
     pub fn signal_at(&mut self, at: Nanos, resource: ResourceId) {
         if at <= self.clock {
             self.signals.push(resource);
@@ -1133,6 +1135,47 @@ impl WakeSource for World {
             self.signals.push(resources::health_channel());
         }
         into.append(&mut self.signals);
+    }
+
+    /// The event queue's length and head, pending signals, the RNG, queue
+    /// pushes and pops, device enqueues, netsim flow starts and cancels,
+    /// health records and counters, trace records, and flow notices left
+    /// to consume.
+    fn fingerprint(&self) -> u64 {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let mut h = DefaultHasher::new();
+        (self.events.next_time(), &self.rng, self.health.counters).hash(&mut h);
+        let counts = [
+            self.events.len(),
+            self.signals.len(),
+            self.device_enqueues as usize,
+            self.net.flows_started() as usize,
+            self.net.flow_count(),
+            self.health.events().len(),
+            self.trace.records().len(),
+        ];
+        counts.hash(&mut h);
+        // IPC queue ops only grow; flow notices only shrink in a poll.
+        for e in &self.endpoints {
+            (e.cmd.ops(), e.comp.ops()).hash(&mut h);
+        }
+        for q in &self.proxy_inbox {
+            q.ops().hash(&mut h);
+        }
+        for q in &self.transport_inbox {
+            q.ops().hash(&mut h);
+        }
+        for v in self
+            .transport_flow_events
+            .iter()
+            .chain(&self.library_flow_events)
+        {
+            v.len().hash(&mut h);
+        }
+        for v in &self.transport_flow_failures {
+            v.len().hash(&mut h);
+        }
+        h.finish()
     }
 }
 
@@ -1481,7 +1524,6 @@ mod tests {
         use mccs_sim::RuntimePool;
         let mut w = world();
         let mut pool: RuntimePool<World> = RuntimePool::new();
-        pool.set_naive(false);
         pool.spawn(Box::new(ProxyEngine::new(GpuId(0))));
         pool.poll(&mut w);
         assert_eq!(w.next_time(), None);

@@ -405,11 +405,6 @@ fn informational_events_do_not_wake_subscribers() {
     let mut cluster = s.build();
     cluster.install_fault_plan(FaultPlan::new());
     cluster.run_until_quiescent(Nanos::from_secs(20));
-    if cluster.naive_scheduler() {
-        // The naive oracle polls everything every round by design; the
-        // wake-edge property only exists on the wake-driven scheduler.
-        return;
-    }
     let spine = spine_links(&s)[0];
     let before = cluster.scheduler_stats();
     let now = cluster.now();

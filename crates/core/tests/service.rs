@@ -8,6 +8,7 @@ use common::{allreduce, testbed};
 use mccs_collectives::op::all_reduce_sum;
 use mccs_collectives::{bandwidth, CollectiveOp, ReduceKind, RingOrder};
 use mccs_core::config::RouteMap;
+use mccs_core::explore::{Explorer, ExplorerConfig, Verdict};
 use mccs_core::{Cluster, Record, Tenant, TrafficWindows};
 use mccs_device::MemHandle;
 use mccs_ipc::{AppId, CommunicatorId, ErrorCode};
@@ -1106,10 +1107,8 @@ fn a_second_comm_init_of_a_rank_is_refused() {
 }
 
 /// A rank whose `CommInit` is refused ends its script; its peer, whose
-/// init is accepted, waits for it in its first collective forever. The
-/// event queue empties with that peer live: a hang naming it, not `Ok`.
-#[test]
-fn a_quiet_world_with_a_blocked_tenant_is_a_hang() {
+/// init is accepted, waits for it in its first collective forever.
+fn split_world() -> Cluster {
     let comm = CommunicatorId(4);
     let script = |world: Vec<GpuId>, rank: usize| {
         let steps = vec![
@@ -1137,6 +1136,14 @@ fn a_quiet_world_with_a_blocked_tenant_is_a_hang() {
             (GpuId(2), script(vec![GpuId(0), GpuId(2)], 1)),
         ],
     );
+    cluster
+}
+
+/// The event queue of [`split_world`] empties with the peer live: a hang
+/// naming it, not `Ok`.
+#[test]
+fn a_quiet_world_with_a_blocked_tenant_is_a_hang() {
+    let mut cluster = split_world();
     let hang = cluster
         .try_run_until_quiescent(Nanos::from_secs(5))
         .expect_err("the peer waits forever");
@@ -1147,4 +1154,53 @@ fn a_quiet_world_with_a_blocked_tenant_is_a_hang() {
         "{:?}",
         hang.live_engines
     );
+}
+
+/// Waits for something nobody sends: blocked before it issues anything.
+struct Stuck;
+
+impl AppProgram for Stuck {
+    fn poll(&mut self, _: &mut ShimApi<'_>) -> AppStatus {
+        AppStatus::Blocked
+    }
+    fn name(&self) -> String {
+        "stuck".to_owned()
+    }
+}
+
+/// The explorer judges a quiet world like `try_run_until_quiescent`: a
+/// tenant blocked before it issued anything is a hang naming it. (In
+/// [`split_world`] the empty fault plan the explorer installs arms the
+/// peer's liveness timer, which fails its collective cleanly: no hang.)
+#[test]
+fn the_explorer_reports_a_quiet_world_with_a_blocked_tenant_as_a_hang() {
+    let cfg = ExplorerConfig {
+        inject_prob: 0.0,
+        ..ExplorerConfig::default()
+    };
+    let stuck = || {
+        let mut cluster = Cluster::new(Arc::new(presets::testbed()), Default::default());
+        cluster.add_app(
+            "idle",
+            vec![(GpuId(0), Box::new(Stuck) as Box<dyn AppProgram>)],
+        );
+        cluster
+    };
+    let report = Explorer::new(cfg, stuck).run_episode(1);
+    assert!(report.trace.is_empty(), "no fault was injected");
+    let Verdict::Hang {
+        next_event,
+        live_engines,
+    } = report.verdict
+    else {
+        panic!("a blocked tenant is a hang: {:?}", report.verdict);
+    };
+    assert_eq!(next_event, None, "nothing was left to happen");
+    assert_eq!(live_engines, ["app-rank(0, stuck)"]);
+    let split = Explorer::new(cfg, split_world).run_episode(1).verdict;
+    let failed = Verdict::Ok {
+        completed: 0,
+        failed: 1,
+    };
+    assert_eq!(split, failed, "liveness fails the stranded collective");
 }

@@ -14,16 +14,21 @@ use std::collections::VecDeque;
 #[derive(Debug)]
 pub struct LatencyQueue<T> {
     items: VecDeque<(Nanos, T)>,
-    capacity: usize,
+    /// 32-bit, with `ops`, so the counter costs the queue no space.
+    capacity: u32,
+    /// Pushes plus pops so far, wrapping.
+    ops: u32,
 }
 
 impl<T> LatencyQueue<T> {
     /// An empty queue holding at most `capacity` in-flight items.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
+        let capacity = u32::try_from(capacity).expect("queue capacity fits in 32 bits");
         LatencyQueue {
             items: VecDeque::new(),
             capacity,
+            ops: 0,
         }
     }
 
@@ -34,7 +39,7 @@ impl<T> LatencyQueue<T> {
     /// never delivered before its predecessor (visibility times are clamped
     /// monotone).
     pub fn push(&mut self, now: Nanos, latency: Nanos, item: T) -> Result<(), T> {
-        if self.items.len() >= self.capacity {
+        if self.items.len() >= self.capacity as usize {
             return Err(item);
         }
         let mut visible_at = now + latency;
@@ -42,12 +47,14 @@ impl<T> LatencyQueue<T> {
             visible_at = visible_at.max(prev);
         }
         self.items.push_back((visible_at, item));
+        self.ops = self.ops.wrapping_add(1);
         Ok(())
     }
 
     /// Pop the head if it is visible at `now`.
     pub fn pop(&mut self, now: Nanos) -> Option<T> {
         if self.items.front().is_some_and(|&(t, _)| t <= now) {
+            self.ops = self.ops.wrapping_add(1);
             self.items.pop_front().map(|(_, item)| item)
         } else {
             None
@@ -65,6 +72,12 @@ impl<T> LatencyQueue<T> {
     /// simulation's wake-up scheduling.
     pub fn next_visible(&self) -> Option<Nanos> {
         self.items.front().map(|&(t, _)| t)
+    }
+
+    /// Pushes plus pops so far, wrapping: it moves with every change of
+    /// the queue.
+    pub fn ops(&self) -> u32 {
+        self.ops
     }
 
     /// Items in flight (visible or not).

@@ -297,6 +297,11 @@ impl Network {
         self.flows.len()
     }
 
+    /// Number of flows ever started.
+    pub fn flows_started(&self) -> u64 {
+        self.next_id
+    }
+
     // ---- lifecycle --------------------------------------------------------
 
     /// Admit a flow at time `now`. Resolves the route (ECMP hash or pinned

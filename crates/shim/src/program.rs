@@ -151,8 +151,9 @@ impl ScriptedProgram {
 
 impl AppProgram for ScriptedProgram {
     fn poll(&mut self, api: &mut ShimApi<'_>) -> AppStatus {
-        api.pump();
-        let mut progressed = false;
+        // Completions the pump consumed are work done even when every
+        // step stays blocked: a launch ack, say.
+        let mut progressed = api.pump();
         loop {
             if self.pc >= self.steps.len() {
                 return AppStatus::Finished;
@@ -183,7 +184,7 @@ impl AppProgram for ScriptedProgram {
                             progressed = true;
                             continue;
                         }
-                        None => return AppStatus::Blocked,
+                        None => break,
                     },
                 },
                 ScriptStep::CommInit { comm, world, rank } => match self.pending {
@@ -200,7 +201,7 @@ impl AppProgram for ScriptedProgram {
                             progressed = true;
                             continue;
                         }
-                        None => return AppStatus::Blocked,
+                        None => break,
                     },
                 },
                 ScriptStep::Collective {
@@ -227,7 +228,7 @@ impl AppProgram for ScriptedProgram {
                             progressed = true;
                             continue;
                         }
-                        return AppStatus::Blocked;
+                        break;
                     }
                 },
                 ScriptStep::CommDestroy { comm } => match self.pending {
@@ -244,7 +245,7 @@ impl AppProgram for ScriptedProgram {
                             progressed = true;
                             continue;
                         }
-                        return AppStatus::Blocked;
+                        break;
                     }
                 },
                 ScriptStep::Compute(duration) => match self.pending {
@@ -262,7 +263,7 @@ impl AppProgram for ScriptedProgram {
                             progressed = true;
                             continue;
                         }
-                        return AppStatus::Blocked;
+                        break;
                     }
                 },
                 ScriptStep::SleepUntil(t) => {
@@ -307,11 +308,12 @@ impl AppProgram for ScriptedProgram {
                     continue;
                 }
             }
-            return if progressed {
-                AppStatus::Running
-            } else {
-                AppStatus::Blocked
-            };
+            break;
+        }
+        if progressed {
+            AppStatus::Running
+        } else {
+            AppStatus::Blocked
         }
     }
 
@@ -504,6 +506,41 @@ mod tests {
             world: vec![GpuId(0)],
             rank: 0,
         }
+    }
+
+    #[test]
+    fn consuming_a_launch_ack_is_progress() {
+        // The collective stays blocked on its completion, but the pump
+        // took the ack off the queue: that poll did work.
+        let collective = ScriptStep::Collective {
+            comm: CommunicatorId(1),
+            op: all_reduce_sum(),
+            size: Bytes::mib(1),
+            send_slot: 0,
+            recv_slot: 0,
+        };
+        let mut prog = ScriptedProgram::new("ack", vec![alloc(0), comm_init(), collective]);
+        let mut port = LoopbackPort::new();
+        let mut session = ShimSession::new();
+        let mut poll =
+            |port: &mut LoopbackPort| prog.poll(&mut ShimApi::new(&mut session, port, GpuId(0)));
+        while port.sent.len() < 2 {
+            assert_eq!(poll(&mut port), AppStatus::Running, "setup issues");
+        }
+        port.auto_reply = false;
+        assert_eq!(
+            poll(&mut port),
+            AppStatus::Running,
+            "the collective is issued"
+        );
+        let Some(&mccs_ipc::ShimCommand::Collective { req, .. }) = port.sent.last() else {
+            panic!("expected the collective last, sent {:?}", port.sent);
+        };
+        assert_eq!(poll(&mut port), AppStatus::Blocked);
+        let ack = mccs_ipc::ShimCompletion::CollectiveLaunched { req, seq: 0 };
+        port.inbox.push_back(ack);
+        assert_eq!(poll(&mut port), AppStatus::Running, "the ack was consumed");
+        assert_eq!(poll(&mut port), AppStatus::Blocked);
     }
 
     #[test]

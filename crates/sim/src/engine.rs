@@ -8,31 +8,20 @@
 //! drives its engines until the whole pool is quiescent, exactly like a set
 //! of executor threads draining ready futures before parking.
 //!
-//! Two schedulers share that contract:
+//! The pool is wake-driven: engines that return [`Poll::Idle`] — or
+//! [`Poll::Drained`], work done and nothing left — declare the resources
+//! they wait on and are parked until one of them is signalled, so a
+//! scheduler call costs O(ready work), not O(live engines). The pool has
+//! no clock: a timed wait is a resource the embedder signals when its time
+//! comes. Within one call the pool runs rounds in slot order: an engine
+//! woken by a lower-indexed engine still runs in the same round, one woken
+//! by a higher-indexed engine in the next.
 //!
-//! * **Wake-driven** (default, `RuntimePool::poll_ready`): engines that
-//!   return [`Poll::Idle`] — or [`Poll::Drained`], work done and nothing
-//!   left — declare the resources they wait on and are parked until one
-//!   of them is signalled. Each scheduler call costs
-//!   O(ready work), not O(live engines). The pool has no clock: a timed
-//!   wait is a resource the embedder signals when its time comes.
-//! * **Naive round-robin** (`RuntimePool::poll_until_quiescent`): every
-//!   live engine is re-polled every pass until a full pass is idle. Kept as
-//!   the oracle the wake-driven scheduler is differentially tested against
-//!   (`MCCS_SIM_NAIVE_POOL=1` flips the [`RuntimePool::poll`] dispatcher).
-//!
-//! The wake-driven scheduler is engineered to be *observably identical* to
-//! the oracle, not merely equivalent in outcome: within one scheduler call
-//! it runs rounds that mirror the naive passes (ready engines polled in
-//! slot order; an engine woken by a lower-indexed engine still runs in the
-//! same round, one woken by a higher-indexed engine waits for the next),
-//! so engines perform their observable actions in exactly the same order
-//! under both schedulers. The invariants this rests on — engines returning
-//! `Idle` have no observable effect, an engine returning `Drained` would
-//! answer `Idle` if polled again at once, and every idle→ready transition
-//! is covered by a signal on a declared resource — are enforced by the
-//! digest-equivalence battery in the service crate (the second one also
-//! by the debug-build check in the wake-driven pool).
+//! This rests on the engine contract: an `Idle` poll has no observable
+//! effect, a `Drained` engine would answer `Idle` if polled again at once,
+//! and every idle→ready transition is covered by a signal on a declared
+//! resource. Debug builds check the second on every `Drained` answer;
+//! [`RuntimePool::check_contract`] checks the first and the third in place.
 //!
 //! The context type `Cx` is chosen by the embedder (the MCCS service uses a
 //! `World` holding the simulated network, devices and IPC queues); this
@@ -62,8 +51,7 @@ pub enum Poll {
     /// [`Poll::Idle`]: it is drained until one of the resources it waits
     /// on is signalled. The wake-driven pool parks it at once instead of
     /// re-polling it only to hear `Idle` (a future that returns `Pending`
-    /// has registered its waker); the naive oracle treats it as
-    /// [`Poll::Progressed`].
+    /// has registered its waker).
     Drained,
     /// Nothing to do right now; the engine is waiting on external input.
     Idle,
@@ -80,11 +68,11 @@ pub enum Poll {
 /// and transport engines.
 ///
 /// An engine returning [`Poll::Idle`] must have had no observable effect in
-/// that call: the wake-driven scheduler relies on idle polls being pure so
-/// it can skip them entirely. An engine returning [`Poll::Drained`] promises
-/// that a poll right after it would answer `Idle`; it is parked before the
-/// signals its own poll raised are delivered, so those still wake it. Debug
-/// builds of the wake-driven pool check the promise by polling once more.
+/// that call: the pool relies on idle polls being pure so it can skip them
+/// entirely. An engine returning [`Poll::Drained`] promises that a poll
+/// right after it would answer `Idle`; it is parked before the signals its
+/// own poll raised are delivered, so those still wake it. Debug builds of
+/// the pool check the promise by polling once more.
 pub trait Engine<Cx: ?Sized> {
     /// Advance the engine's state machine as far as currently possible.
     fn progress(&mut self, cx: &mut Cx) -> Poll;
@@ -129,8 +117,6 @@ impl<Cx: ?Sized> Slot<Cx> {
 
 /// Polls one engine may receive within a single scheduler call before the
 /// pool declares it (or its progress-reporting peers) stuck in a spin.
-/// Matches the naive scheduler's pass limit: there, a spinning engine is
-/// polled once per pass for `pass_limit` passes.
 const SPIN_LIMIT: u32 = 100_000;
 
 /// Per-kind dense waiter tables cover resource indices below this bound;
@@ -202,11 +188,15 @@ impl WaiterTable {
         }
     }
 
-    fn clear(&mut self) {
-        for (_, lists) in &mut self.kinds {
-            lists.clear();
-        }
-        self.spill.clear();
+    /// The resources whose lists hold an entry `live` accepts.
+    fn resources_of(&self, live: impl Fn(Waiter) -> bool) -> Vec<ResourceId> {
+        let holds = |list: &Vec<Waiter>| list.iter().any(|&e| live(e));
+        let dense = self.kinds.iter().flat_map(|(kind, lists)| {
+            let on = lists.iter().enumerate().filter(|(_, l)| holds(l));
+            on.map(|(i, _)| ResourceId::new(*kind, i as u32))
+        });
+        let spill = self.spill.iter().filter(|(_, l)| holds(l));
+        dense.chain(spill.map(|(&r, _)| ResourceId(r))).collect()
     }
 }
 
@@ -214,23 +204,22 @@ impl WaiterTable {
 ///
 /// In the paper each runtime is a kernel thread and engines may share or
 /// dedicate runtimes; under virtual time the pool is a deterministic
-/// single-threaded scheduler (wake-driven by default, round-robin as the
-/// oracle).
+/// single-threaded wake-driven scheduler.
 pub struct RuntimePool<Cx: ?Sized> {
     slots: Vec<Slot<Cx>>,
     next_id: u32,
     /// Cached count of non-finished engines (kept in sync on spawn/finish
     /// so `live()` is O(1) — it sits in run-loop conditions).
     live: usize,
-    /// Use the naive round-robin oracle instead of the wake-driven
-    /// scheduler when dispatching through [`RuntimePool::poll`].
-    naive: bool,
+    /// The engine contract is checked around every poll
+    /// ([`RuntimePool::check_contract`]).
+    checked: bool,
     /// Total number of `progress` calls issued.
     polls: u64,
     /// `progress` calls that returned [`Poll::Idle`] (pure scheduler
-    /// overhead — the "wasted poll" ratio both schedulers are compared on).
+    /// overhead).
     wasted_polls: u64,
-    /// Parked→ready transitions performed by the wake-driven scheduler.
+    /// Parked→ready transitions.
     wakes: u64,
     /// Monotone scheduler-call stamp (lazily resets per-slot spin guards).
     call_seq: u64,
@@ -247,7 +236,7 @@ pub struct RuntimePool<Cx: ?Sized> {
     woken_scratch: Vec<Waiter>,
     /// Scratch `wake_when` fills on every park.
     wait_scratch: Vec<ResourceId>,
-    /// Slots that returned [`Poll::Progressed`] in the current pass/round
+    /// Slots that returned [`Poll::Progressed`] in the current round
     /// (diagnostics for the spin panic).
     round_progressed: Vec<usize>,
 }
@@ -259,16 +248,13 @@ impl<Cx: ?Sized> Default for RuntimePool<Cx> {
 }
 
 impl<Cx: ?Sized> RuntimePool<Cx> {
-    /// An empty pool. The scheduler defaults to wake-driven unless the
-    /// `MCCS_SIM_NAIVE_POOL` environment variable is set (to anything but
-    /// `0`), which selects the round-robin oracle for differential runs.
+    /// An empty pool.
     pub fn new() -> Self {
-        let naive = std::env::var_os("MCCS_SIM_NAIVE_POOL").is_some_and(|v| v != "0");
         RuntimePool {
             slots: Vec::new(),
             next_id: 0,
             live: 0,
-            naive,
+            checked: false,
             polls: 0,
             wasted_polls: 0,
             wakes: 0,
@@ -283,28 +269,16 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
         }
     }
 
-    /// Select the scheduler explicitly (overrides the environment default).
-    /// Switching to wake-driven re-readies every live engine so no parked
-    /// state is stranded.
-    pub fn set_naive(&mut self, naive: bool) {
-        if self.naive == naive {
-            return;
-        }
-        self.naive = naive;
-        if !naive {
-            for (i, slot) in self.slots.iter_mut().enumerate() {
-                slot.parked = false;
-                if !slot.finished {
-                    self.ready.insert(i);
-                }
-            }
-            self.waiters.clear();
-        }
-    }
-
-    /// Whether the naive round-robin oracle is selected.
-    pub fn is_naive(&self) -> bool {
-        self.naive
+    /// Check the engine contract from now on; there is no way back. Before
+    /// every poll the pool takes the context's
+    /// [`fingerprint`](WakeSource::fingerprint) and panics when a poll
+    /// answering [`Poll::Idle`] changed it. At the end of every scheduler
+    /// call it polls each parked engine once more and panics ("missed
+    /// wake") unless it answers `Idle` and leaves the fingerprint as it
+    /// was. Neither check counts its polls: the run and its counters are
+    /// those of an unchecked pool.
+    pub fn check_contract(&mut self) {
+        self.checked = true;
     }
 
     /// Add an engine; returns its id. The engine is polled starting with
@@ -343,91 +317,27 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
         self.wasted_polls
     }
 
-    /// Cumulative parked→ready transitions (wake-driven scheduler only;
-    /// the oracle never parks, so this stays 0 there).
+    /// Cumulative parked→ready transitions.
     pub fn wake_count(&self) -> u64 {
         self.wakes
     }
 
-    /// Drive the selected scheduler until the pool is quiescent. Returns
-    /// the number of engines that finished during this call.
+    /// Drive the pool until it is quiescent. Returns the number of engines
+    /// that finished during this call.
     pub fn poll(&mut self, cx: &mut Cx) -> usize
     where
         Cx: WakeSource,
     {
-        if self.naive {
-            // The oracle ignores wake signals; drain them so the context's
-            // buffer cannot grow without bound over a long run.
-            self.signal_scratch.clear();
-            cx.drain_signals(&mut self.signal_scratch);
-            self.signal_scratch.clear();
-            self.poll_until_quiescent(cx)
-        } else {
-            self.poll_ready(cx)
+        let finished = self.poll_ready(cx);
+        if self.checked {
+            self.sweep_parked(cx);
         }
+        finished
     }
 
-    /// Poll every live engine round-robin until a full pass makes no
-    /// progress (every engine returns [`Poll::Idle`]). Returns the number
-    /// of engines that finished during this call.
-    ///
-    /// This is the naive oracle scheduler: O(live engines) per pass no
-    /// matter how little happened. [`RuntimePool::poll`] dispatches here
-    /// only when naive mode is selected.
-    ///
-    /// Termination: each pass either observes progress (bounded by the
-    /// engines' own state machines, which are driven by finite queues and
-    /// a finite event horizon) or exits. A runaway engine that always
-    /// claims progress trips the `pass_limit` safety valve with a panic
-    /// naming the engines still reporting progress, which in practice
-    /// catches engine bugs immediately in tests.
-    fn poll_until_quiescent(&mut self, cx: &mut Cx) -> usize {
-        let pass_limit = SPIN_LIMIT;
-        let mut passes = 0;
-        let mut finished_now = 0;
-        loop {
-            let mut any_progress = false;
-            self.round_progressed.clear();
-            for (i, slot) in self.slots.iter_mut().enumerate() {
-                if slot.finished {
-                    continue;
-                }
-                self.polls += 1;
-                match slot.engine.as_mut().expect("live engine").progress(cx) {
-                    Poll::Progressed | Poll::Drained => {
-                        any_progress = true;
-                        self.round_progressed.push(i);
-                    }
-                    Poll::Idle => self.wasted_polls += 1,
-                    Poll::Finished => {
-                        slot.finished = true;
-                        slot.engine = None;
-                        self.live -= 1;
-                        finished_now += 1;
-                        any_progress = true;
-                    }
-                }
-            }
-            if !any_progress {
-                break;
-            }
-            passes += 1;
-            if passes >= pass_limit {
-                panic!(
-                    "engine pool failed to quiesce after {pass_limit} passes; \
-                     an engine is spinning (always reporting progress); \
-                     engines that progressed in the final pass: {:?}",
-                    self.spinner_names()
-                );
-            }
-        }
-        finished_now
-    }
-
-    /// Wake-driven scheduler: poll only engines that are ready — newly
-    /// spawned or signalled since they parked — in rounds that mirror the
-    /// naive passes. Returns the number of engines that finished during
-    /// this call.
+    /// Poll only engines that are ready — newly spawned or signalled since
+    /// they parked — in rounds, until a round makes no progress. Returns
+    /// the number of engines that finished during this call.
     fn poll_ready(&mut self, cx: &mut Cx) -> usize
     where
         Cx: WakeSource,
@@ -445,11 +355,9 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
             std::mem::swap(&mut round, &mut self.ready);
             let mut progressed_any = false;
             self.round_progressed.clear();
-            // Sweep in slot order with a monotone cursor, exactly like a
-            // naive pass restricted to ready engines. Engines woken during
-            // the sweep join this round if their slot is still ahead of
-            // the cursor, otherwise the next one — matching when the
-            // naive pass would reach them.
+            // Sweep in slot order with a monotone cursor. Engines woken
+            // during the sweep join this round if their slot is still
+            // ahead of the cursor, otherwise the next one.
             while let Some(idx) = round.pop_first() {
                 let cursor = Some(idx);
                 if self.slots[idx].finished {
@@ -466,16 +374,15 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
                 }
                 let over_limit = self.slots[idx].call_polls > SPIN_LIMIT;
                 self.polls += 1;
+                let before = self.checked.then(|| cx.fingerprint());
                 let engine = self.slots[idx].engine.as_mut().expect("live engine");
                 match engine.progress(cx) {
                     Poll::Progressed => {
                         progressed_any = true;
                         self.round_progressed.push(idx);
-                        // Its effects may ready parked peers; deliver them
-                        // with naive-pass ordering.
+                        // Its effects may ready parked peers.
                         self.absorb_signals(cx, cursor, Some(&mut round));
-                        // A progressing engine is re-polled next round,
-                        // like the naive scheduler's next pass.
+                        // A progressing engine is re-polled next round.
                         self.ready.insert(idx);
                     }
                     Poll::Drained => {
@@ -490,6 +397,9 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
                         self.absorb_signals(cx, cursor, Some(&mut round));
                     }
                     Poll::Idle => {
+                        if let Some(before) = before {
+                            self.assert_pure(idx, cx, Poll::Idle, before, "impure idle: ");
+                        }
                         self.wasted_polls += 1;
                         self.park(idx, cx);
                     }
@@ -516,17 +426,16 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
             // Swept empty: it is the next round's spare.
             self.round = round;
             if !progressed_any {
-                // A full round of pure idles — the naive scheduler would
-                // stop here too. Engines left in `ready` keep their slot
-                // for the next call.
+                // A full round of pure idles. Engines left in `ready` keep
+                // their slot for the next call.
                 break;
             }
         }
         finished_now
     }
 
-    /// Labels of the slots that progressed in the current pass/round, for
-    /// the spin panics.
+    /// Labels of the slots that progressed in the current round, for the
+    /// spin panics.
     fn spinner_names(&self) -> Vec<String> {
         self.round_progressed
             .iter()
@@ -558,6 +467,56 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
         );
     }
 
+    /// The checked mode's end-of-call sweep: with every signal delivered,
+    /// an engine still parked waits on nothing that is there, so a poll
+    /// now must answer [`Poll::Idle`] and change nothing.
+    fn sweep_parked(&mut self, cx: &mut Cx)
+    where
+        Cx: WakeSource,
+    {
+        // A pure poll leaves the fingerprint as it found it.
+        let before = cx.fingerprint();
+        for idx in 0..self.slots.len() {
+            if !self.slots[idx].parked {
+                continue;
+            }
+            let engine = self.slots[idx].engine.as_mut().expect("live engine");
+            let answer = engine.progress(cx);
+            self.assert_pure(idx, cx, answer, before, "missed wake: ");
+        }
+    }
+
+    /// Panic, naming engine `idx`, the poll number and, if it is parked,
+    /// what on, unless its poll answered [`Poll::Idle`] and left the
+    /// context's fingerprint at `before`.
+    fn assert_pure(&self, idx: usize, cx: &Cx, answer: Poll, before: u64, what: &str)
+    where
+        Cx: WakeSource,
+    {
+        let changed = cx.fingerprint() != before;
+        if answer == Poll::Idle && !changed {
+            return;
+        }
+        let slot = &self.slots[idx];
+        let on = (self.waiters).resources_of(|(s, gen)| s as usize == idx && slot.waits_as(gen));
+        let on: Vec<_> = on.iter().map(|r| (r.kind(), r.index())).collect();
+        let name = slot.engine.as_ref().map_or_else(String::new, |e| e.name());
+        let changed = if changed {
+            " and changed the context"
+        } else {
+            ""
+        };
+        let parked = if slot.parked {
+            format!("; parked on (kind, index) {on:?}")
+        } else {
+            String::new()
+        };
+        panic!(
+            "{what}{} {name} answered {answer:?} at poll {}{changed}{parked}",
+            slot.id, self.polls
+        );
+    }
+
     /// Park `idx` under a fresh generation on the resources it declares.
     fn park(&mut self, idx: usize, cx: &Cx) {
         let on = &mut self.wait_scratch;
@@ -576,8 +535,8 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
 
     /// Drain the context's signals and ready every engine parked on them.
     /// `cursor`/`round` place woken engines into the in-flight round when
-    /// the sweep has not passed their slot yet (naive-pass ordering);
-    /// outside a round both are `None` and wakes land in `self.ready`.
+    /// the sweep has not passed their slot yet; outside a round both are
+    /// `None` and wakes land in `self.ready`.
     fn absorb_signals(
         &mut self,
         cx: &mut Cx,
@@ -632,6 +591,66 @@ impl<Cx: ?Sized> RuntimePool<Cx> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<Cx: ?Sized> RuntimePool<Cx> {
+        /// Poll every live engine round-robin until a full pass makes no
+        /// progress (every engine returns [`Poll::Idle`]). Returns the number
+        /// of engines that finished during this call.
+        ///
+        /// The paper's round-robin runtime, kept as the reference the pool's
+        /// round ordering and poll counts are tested against: O(live engines)
+        /// per pass no matter how little happened. It never parks, so it
+        /// treats [`Poll::Drained`] as [`Poll::Progressed`].
+        ///
+        /// Termination: each pass either observes progress (bounded by the
+        /// engines' own state machines, which are driven by finite queues and
+        /// a finite event horizon) or exits. A runaway engine that always
+        /// claims progress trips the `pass_limit` safety valve with a panic
+        /// naming the engines still reporting progress, which in practice
+        /// catches engine bugs immediately in tests.
+        fn poll_until_quiescent(&mut self, cx: &mut Cx) -> usize {
+            let pass_limit = SPIN_LIMIT;
+            let mut passes = 0;
+            let mut finished_now = 0;
+            loop {
+                let mut any_progress = false;
+                self.round_progressed.clear();
+                for (i, slot) in self.slots.iter_mut().enumerate() {
+                    if slot.finished {
+                        continue;
+                    }
+                    self.polls += 1;
+                    match slot.engine.as_mut().expect("live engine").progress(cx) {
+                        Poll::Progressed | Poll::Drained => {
+                            any_progress = true;
+                            self.round_progressed.push(i);
+                        }
+                        Poll::Idle => self.wasted_polls += 1,
+                        Poll::Finished => {
+                            slot.finished = true;
+                            slot.engine = None;
+                            self.live -= 1;
+                            finished_now += 1;
+                            any_progress = true;
+                        }
+                    }
+                }
+                if !any_progress {
+                    break;
+                }
+                passes += 1;
+                if passes >= pass_limit {
+                    panic!(
+                        "engine pool failed to quiesce after {pass_limit} passes; \
+                         an engine is spinning (always reporting progress); \
+                         engines that progressed in the final pass: {:?}",
+                        self.spinner_names()
+                    );
+                }
+            }
+            finished_now
+        }
+    }
 
     /// Counts down; progresses once per poll until it finishes.
     struct Countdown {
@@ -764,17 +783,32 @@ mod tests {
 
     // ---- wake-driven scheduler ---------------------------------------------
 
-    /// Minimal context for wake-driven tests: a signal buffer and a shared
-    /// scratch counter engines communicate through.
+    /// Minimal context for wake-driven tests: a signal buffer, a shared
+    /// scratch counter engines communicate through, and armed timers.
     #[derive(Default)]
     struct TestCx {
         signals: Vec<ResourceId>,
         total: u32,
+        timers: u32,
     }
 
     impl WakeSource for TestCx {
         fn drain_signals(&mut self, into: &mut Vec<ResourceId>) {
             into.append(&mut self.signals);
+        }
+        fn fingerprint(&self) -> u64 {
+            let (signals, total, timers) = (self.signals.len() as u64, self.total, self.timers);
+            signals ^ u64::from(total) << 20 ^ u64::from(timers) << 40
+        }
+    }
+
+    /// One scheduler call: the round-robin reference when `naive`, else
+    /// the pool.
+    fn call(pool: &mut RuntimePool<TestCx>, cx: &mut TestCx, naive: bool) -> usize {
+        if naive {
+            pool.poll_until_quiescent(cx)
+        } else {
+            pool.poll(cx)
         }
     }
 
@@ -832,7 +866,6 @@ mod tests {
     #[test]
     fn wake_driven_runs_signalled_waiters() {
         let mut pool: RuntimePool<TestCx> = RuntimePool::new();
-        pool.set_naive(false);
         let polls = std::rc::Rc::new(std::cell::Cell::new(0));
         pool.spawn(Box::new(ResourceWaiter::on_a(3, polls.clone())));
         pool.spawn(Box::new(SignallingCountdown { left: 3 }));
@@ -846,7 +879,6 @@ mod tests {
     #[test]
     fn parked_engine_is_not_re_polled_without_its_resource() {
         let mut pool: RuntimePool<TestCx> = RuntimePool::new();
-        pool.set_naive(false);
         let polls = std::rc::Rc::new(std::cell::Cell::new(0));
         pool.spawn(Box::new(ResourceWaiter::on_a(100, polls.clone())));
         let mut cx = TestCx::default();
@@ -872,7 +904,6 @@ mod tests {
         let big = ResourceId::new(7, u32::MAX);
         assert!(big.index() as usize >= DENSE_WAITER_LIMIT);
         let mut pool: RuntimePool<TestCx> = RuntimePool::new();
-        pool.set_naive(false);
         let polls = std::rc::Rc::new(std::cell::Cell::new(0));
         pool.spawn(Box::new(ResourceWaiter {
             threshold: 1,
@@ -901,7 +932,6 @@ mod tests {
         let steps = 20;
         let run = |naive: bool| -> u64 {
             let mut pool: RuntimePool<TestCx> = RuntimePool::new();
-            pool.set_naive(naive);
             for _ in 0..n {
                 // Watch a resource nothing ever signals: these engines are
                 // pure idle ballast the wake-driven scheduler must skip.
@@ -912,8 +942,7 @@ mod tests {
                 }));
             }
             pool.spawn(Box::new(SignallingCountdown { left: steps }));
-            let mut cx = TestCx::default();
-            pool.poll(&mut cx);
+            call(&mut pool, &mut TestCx::default(), naive);
             pool.wasted_poll_count()
         };
         let naive_wasted = run(true);
@@ -950,7 +979,6 @@ mod tests {
             fn wake_when(&self, _: &TestCx, _: &mut Vec<ResourceId>) {}
         }
         let mut pool: RuntimePool<TestCx> = RuntimePool::new();
-        pool.set_naive(false);
         pool.spawn(Box::new(Spin));
         pool.poll_ready(&mut TestCx::default());
     }
@@ -959,7 +987,6 @@ mod tests {
     /// and return everything observable plus the scheduler counters.
     fn run_interleaved(naive: bool) -> (u32, u64, u64, u64) {
         let mut pool: RuntimePool<TestCx> = RuntimePool::new();
-        pool.set_naive(naive);
         for t in [2, 5, 1, 4, 3] {
             pool.spawn(Box::new(ResourceWaiter::on_a(
                 t,
@@ -968,7 +995,7 @@ mod tests {
         }
         pool.spawn(Box::new(SignallingCountdown { left: 5 }));
         let mut cx = TestCx::default();
-        pool.poll(&mut cx);
+        call(&mut pool, &mut cx, naive);
         assert_eq!(pool.live(), 0, "naive={naive}");
         (
             cx.total,
@@ -1039,7 +1066,6 @@ mod tests {
     /// of three steps, released one at a time through `cx.total`.
     fn run_batches(naive: bool) -> (u64, u64, u64, u32) {
         let mut pool: RuntimePool<TestCx> = RuntimePool::new();
-        pool.set_naive(naive);
         let polls = Rc::new(Cell::new(0));
         pool.spawn(Box::new(Batches {
             work: 3,
@@ -1052,7 +1078,7 @@ mod tests {
         for _ in 0..3 {
             cx.total = 1;
             cx.signals.push(RES_A);
-            pool.poll(&mut cx);
+            call(&mut pool, &mut cx, naive);
         }
         let (p, w) = (pool.poll_count(), pool.wasted_poll_count());
         (p, w, pool.wake_count(), polls.get())
@@ -1106,7 +1132,6 @@ mod tests {
             }
         }
         let mut pool: RuntimePool<TestCx> = RuntimePool::new();
-        pool.set_naive(false);
         pool.spawn(Box::new(OneShot {
             done: false,
             polls: Rc::default(),
@@ -1120,7 +1145,6 @@ mod tests {
     #[test]
     fn a_drained_answer_with_work_left_panics_naming_the_engine() {
         let mut pool: RuntimePool<TestCx> = RuntimePool::new();
-        pool.set_naive(false);
         pool.spawn(Box::new(Batches {
             work: 3,
             left: 0,
@@ -1139,6 +1163,110 @@ mod tests {
             msg.contains("engine#0 batches answered Drained at poll 2 but a poll right after"),
             "panic was: {msg}"
         );
+    }
+
+    // ---- checked mode ------------------------------------------------------
+
+    /// The panic message of running `f`, which must panic.
+    fn panic_of(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the contract check must fire");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn the_checks_change_no_count() {
+        let run = |checked: bool| {
+            let mut pool: RuntimePool<TestCx> = RuntimePool::new();
+            if checked {
+                pool.check_contract();
+            }
+            for t in [2, 5, 1, 4, 3] {
+                pool.spawn(Box::new(ResourceWaiter::on_a(t, Rc::default())));
+            }
+            pool.spawn(Box::new(SignallingCountdown { left: 5 }));
+            let mut cx = TestCx::default();
+            pool.poll(&mut cx);
+            let counts = (pool.poll_count(), pool.wasted_poll_count());
+            (cx.total, counts, pool.wake_count(), pool.live())
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn an_idle_poll_that_arms_a_timer_panics_naming_the_engine() {
+        struct EagerTimer;
+        impl Engine<TestCx> for EagerTimer {
+            fn progress(&mut self, cx: &mut TestCx) -> Poll {
+                cx.timers += 1;
+                Poll::Idle
+            }
+            fn wake_when(&self, _: &TestCx, on: &mut Vec<ResourceId>) {
+                on.push(RES_A);
+            }
+            fn name(&self) -> String {
+                "eager-timer".to_owned()
+            }
+        }
+        let mut pool: RuntimePool<TestCx> = RuntimePool::new();
+        pool.spawn(Box::new(SignallingCountdown { left: 1 }));
+        pool.spawn(Box::new(EagerTimer));
+        // Unchecked, the effect goes unseen.
+        pool.poll(&mut TestCx::default());
+        let mut pool: RuntimePool<TestCx> = RuntimePool::new();
+        pool.check_contract();
+        pool.spawn(Box::new(SignallingCountdown { left: 1 }));
+        pool.spawn(Box::new(EagerTimer));
+        let msg = panic_of(|| {
+            pool.poll(&mut TestCx::default());
+        });
+        assert!(
+            msg.contains("impure idle: engine#1 eager-timer answered Idle at poll 2 and changed"),
+            "panic was: {msg}"
+        );
+    }
+
+    #[test]
+    fn a_wait_list_missing_its_input_panics_as_a_missed_wake() {
+        // Consumes what the countdown adds to `total`, whose steps signal
+        // RES_A, but waits on RES_B: the countdown's steps never wake it.
+        struct Deaf {
+            seen: u32,
+        }
+        impl Engine<TestCx> for Deaf {
+            fn progress(&mut self, cx: &mut TestCx) -> Poll {
+                if cx.total == self.seen {
+                    return Poll::Idle;
+                }
+                self.seen = cx.total;
+                Poll::Progressed
+            }
+            fn wake_when(&self, _: &TestCx, on: &mut Vec<ResourceId>) {
+                on.push(ResourceId::new(2, 7));
+            }
+            fn name(&self) -> String {
+                "deaf".to_owned()
+            }
+        }
+        let run = |checked: bool| {
+            let mut pool: RuntimePool<TestCx> = RuntimePool::new();
+            if checked {
+                pool.check_contract();
+            }
+            pool.spawn(Box::new(Deaf { seen: 0 }));
+            pool.spawn(Box::new(SignallingCountdown { left: 2 }));
+            pool.poll(&mut TestCx::default());
+            pool.live()
+        };
+        assert_eq!(run(false), 1, "unchecked, the deaf engine sleeps on");
+        let msg = panic_of(|| {
+            run(true);
+        });
+        assert!(
+            msg.contains("missed wake: engine#0 deaf answered Progressed at poll 4"),
+            "panic was: {msg}"
+        );
+        assert!(msg.contains("parked on (kind, index) [(2, 7)]"), "{msg}");
     }
 
     // ---- waiter table ------------------------------------------------------
@@ -1193,7 +1321,6 @@ mod tests {
     /// a stale entry on the other; no stale entry ever readies it.
     fn stale_entry_never_wakes(a: ResourceId, b: ResourceId) {
         let mut pool: RuntimePool<TestCx> = RuntimePool::new();
-        pool.set_naive(false);
         let (on, polls) = spawn_parker(&mut pool, &[a, b]);
         let mut cx = TestCx::default();
         pool.poll_ready(&mut cx);
@@ -1242,7 +1369,6 @@ mod tests {
     fn never_signalled_list_stays_bounded(shared: ResourceId, parked: usize, cycles: u32) {
         let own = ResourceId::new(3, 0);
         let mut pool: RuntimePool<TestCx> = RuntimePool::new();
-        pool.set_naive(false);
         let idle: Vec<_> = (0..parked)
             .map(|_| spawn_parker(&mut pool, &[shared]).1)
             .collect();
@@ -1278,7 +1404,6 @@ mod tests {
     fn a_resource_declared_twice_wakes_once() {
         let a = ResourceId::new(1, 0);
         let mut pool: RuntimePool<TestCx> = RuntimePool::new();
-        pool.set_naive(false);
         let (_, polls) = spawn_parker(&mut pool, &[a, a]);
         let mut cx = TestCx::default();
         pool.poll_ready(&mut cx);

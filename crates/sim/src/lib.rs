@@ -20,9 +20,9 @@
 //! * [`event`] — the deterministic time-ordered [`EventQueue`].
 //! * [`rng`] — seedable xoshiro256++ [`Rng`] plus the distributions used by
 //!   the workload generators (uniform, exponential, shuffles).
-//! * [`engine`] — the [`Engine`] trait, [`Poll`] status and [`RuntimePool`]
-//!   cooperative scheduler (wake-driven by default, with the naive
-//!   round-robin poller kept as a differential-testing oracle).
+//! * [`engine`] — the [`Engine`] trait, [`Poll`] status and [`RuntimePool`],
+//!   the wake-driven cooperative scheduler, with a checked mode that
+//!   asserts the engine contract in place.
 //! * [`slotset`] — [`SlotSet`], the bitset of dense indices the pool's
 //!   ready and round sets and the device fabric's touched sets use.
 //! * [`idwindow`] — [`IdWindow`], a map over counter-issued ids (flow

@@ -15,7 +15,7 @@
 /// let mut b = Rng::seed_from(7);
 /// assert_eq!(a.next_u64(), b.next_u64()); // fully deterministic
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct Rng {
     s: [u64; 4],
 }

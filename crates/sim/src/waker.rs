@@ -1,9 +1,7 @@
 //! Resource signalling for wake-driven scheduling.
 //!
-//! The naive [`crate::RuntimePool`] scheduler re-polls every live engine on
-//! every pass until a whole pass is idle — O(engines × passes) per step even
-//! when a single message moved. Real executors park idle tasks and wake them
-//! through wakers; this module is the virtual-time equivalent. An engine
+//! Real executors park idle tasks and wake them through wakers; this module
+//! is the virtual-time equivalent for [`crate::RuntimePool`]. An engine
 //! returning [`crate::Poll::Idle`] declares the [`ResourceId`]s it waits on
 //! (mailboxes, queues, flow-event channels, its own timer doorbell —
 //! whatever the embedder keys them to), and the embedding context
@@ -38,8 +36,9 @@ impl ResourceId {
     }
 }
 
-/// The side of the embedding context the wake-driven scheduler talks to:
-/// the stream of resource signals raised since the last drain.
+/// The side of the embedding context the pool talks to: the stream of
+/// resource signals raised since the last drain, and a fingerprint of
+/// what engines can change.
 ///
 /// Signals are level-less edge events: the context appends a
 /// [`ResourceId`] whenever something becomes available on that resource
@@ -50,6 +49,12 @@ pub trait WakeSource {
     /// Move every signal raised since the last drain into `into`
     /// (appending; the implementation clears its own buffer).
     fn drain_signals(&mut self, into: &mut Vec<ResourceId>);
+
+    /// A value that moves whenever an engine changes the context
+    /// observably: a hash of counters and lengths of what engines write.
+    /// The pool in checked mode ([`crate::RuntimePool::check_contract`])
+    /// compares it around polls that must have had no effect.
+    fn fingerprint(&self) -> u64;
 }
 
 #[cfg(test)]

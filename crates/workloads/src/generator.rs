@@ -69,17 +69,18 @@ mod tests {
 
     #[test]
     fn blocked_polls_arm_no_more_timers() {
-        // The oracle polls every engine on every pass, so the late tenant
-        // sees many blocked polls beside the busy one: waiting for its
-        // start (`SleepUntil`) and inside an idle phase (`Sleep`), each
-        // rank keeps exactly one timer pending for its endpoint.
+        // The checked pool polls every parked engine at the end of every
+        // call, so the late tenant sees a blocked poll per call beside the
+        // busy one: waiting for its start (`SleepUntil`) and inside an
+        // idle phase (`Sleep`), each rank keeps exactly one timer pending
+        // for its endpoint.
         use mccs_core::world::resources::endpoint_comp;
         let start = Nanos::from_millis(1);
-        // Run to `until`; then (idle polls so far, the late ranks' timers).
+        // Run to `until` in 100 calls or more; then the late ranks' timers.
         let late_timers = |until: Nanos| {
             let mut cluster =
                 Cluster::new(Arc::new(presets::testbed()), ClusterConfig::with_seed(11));
-            cluster.set_naive_scheduler(true);
+            cluster.check_engine_contract();
             let busy = models::resnet50_data_parallel(1);
             let late = IterationTrace::new("late", vec![TracePhase::Idle(start * 4)], 1);
             for (name, comm, gpus, trace, at) in [
@@ -88,20 +89,23 @@ mod tests {
             ] {
                 spawn_traffic_app(&mut cluster, name, CommunicatorId(comm), &gpus, trace, at);
             }
-            cluster.run_until(until);
+            for i in 1..=100 {
+                cluster.run_until(until * i / 100);
+            }
             let mut timers = Vec::new();
             while let Some((at, r)) = cluster.world.events.pop() {
                 if r == endpoint_comp(2) || r == endpoint_comp(3) {
                     timers.push(at);
                 }
             }
-            (cluster.scheduler_stats().wasted_polls, timers)
+            timers
         };
-        let (blocked, timers) = late_timers(start / 2);
-        assert!(blocked > 20, "{blocked} blocked polls");
-        assert_eq!(timers, vec![start; 2], "waiting for the start");
-        let (blocked, timers) = late_timers(start * 3);
-        assert!(blocked > 20, "{blocked} blocked polls");
+        assert_eq!(
+            late_timers(start / 2),
+            vec![start; 2],
+            "waiting for the start"
+        );
+        let timers = late_timers(start * 3);
         assert_eq!(timers, vec![start * 5; 2], "inside the idle phase");
     }
 

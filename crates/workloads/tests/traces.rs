@@ -1,10 +1,12 @@
 //! Replayed training traces in whole worlds: a trace tenant gets past a
 //! collective the service cleanly failed, and trace worlds — lowered
-//! scripts with idle phases and many collectives per iteration — look
-//! the same under the wake-driven pool and the round-robin oracle.
+//! scripts with idle phases and many collectives per iteration — keep the
+//! engine contract ([`Cluster::check_engine_contract`]) and run the same
+//! checked as unchecked.
 
 use mccs_collectives::op::all_reduce_sum;
 use mccs_control::{apply_traffic_schedule, optimize_cluster, PolicySpec};
+use mccs_core::health::SchedulerStats;
 use mccs_core::{Cluster, ClusterConfig};
 use mccs_ipc::{AppId, CommunicatorId};
 use mccs_netsim::{FaultEvent, FaultPlan};
@@ -62,8 +64,8 @@ fn rack_uplinks(topo: &Topology, gpu: GpuId) -> Vec<LinkId> {
 
 /// `mixed_trace` on `GPUS` from 1 ms, with the second rack cut off for
 /// good at 12 ms: no repair, so every collective from then on fails.
-/// `naive` picks the round-robin oracle pool.
-fn cut_world(naive: bool) -> (Cluster, IterationTrace, AppId) {
+/// `checked` checks the engine contract.
+fn cut_world(checked: bool) -> (Cluster, IterationTrace, AppId) {
     let topo = Arc::new(presets::testbed());
     let trace = mixed_trace();
     let mut plan = FaultPlan::new();
@@ -71,7 +73,9 @@ fn cut_world(naive: bool) -> (Cluster, IterationTrace, AppId) {
         plan = plan.at(Nanos::from_millis(12), FaultEvent::LinkDown(l));
     }
     let mut cluster = Cluster::new(topo, ClusterConfig::with_seed(17));
-    cluster.set_naive_scheduler(naive);
+    if checked {
+        cluster.check_engine_contract();
+    }
     let app = spawn_traffic_app(
         &mut cluster,
         "cut",
@@ -86,7 +90,7 @@ fn cut_world(naive: bool) -> (Cluster, IterationTrace, AppId) {
 
 #[test]
 fn a_cleanly_failed_collective_does_not_hang_a_trace_tenant() {
-    let (mut cluster, trace, app) = cut_world(false);
+    let (mut cluster, trace, app) = cut_world(true);
     cluster
         .try_run_until_quiescent(Nanos::from_secs(60))
         .expect("a trace tenant moves past a failed collective");
@@ -115,9 +119,11 @@ fn a_cleanly_failed_collective_does_not_hang_a_trace_tenant() {
 
 /// The `multi_tenant_qos` world: VGG-19 on four GPUs, two GPT-2.7B
 /// tenants on two each, FFA at 2 ms and B over C by TS at 900 ms.
-fn qos_world(naive: bool) -> Cluster {
+fn qos_world(checked: bool) -> Cluster {
     let mut cluster = Cluster::new(Arc::new(presets::testbed()), ClusterConfig::default());
-    cluster.set_naive_scheduler(naive);
+    if checked {
+        cluster.check_engine_contract();
+    }
     let tenants = [
         ("A-vgg", vec![0, 1, 4, 5], vgg19_data_parallel(6), 20),
         ("B-gpt", vec![2, 6], gpt27b_tensor_parallel(3), 25),
@@ -146,23 +152,19 @@ fn qos_world(naive: bool) -> Cluster {
     cluster
 }
 
-/// Run `cluster` to quiescence: the observable digest and the useful
-/// polls (polls that progressed).
-fn finish(mut cluster: Cluster) -> (u64, u64) {
+/// Run `cluster` to quiescence: the observable digest and the scheduler
+/// counters.
+fn finish(mut cluster: Cluster) -> (u64, SchedulerStats) {
     cluster
         .try_run_until_quiescent(Nanos::from_secs(120))
         .expect("quiesces");
-    let stats = cluster.scheduler_stats();
-    (
-        cluster.observable_digest(),
-        stats.polls - stats.wasted_polls,
-    )
+    (cluster.observable_digest(), cluster.scheduler_stats())
 }
 
 #[test]
-fn trace_worlds_look_the_same_under_both_pools() {
-    let cut = |naive| finish(cut_world(naive).0);
-    assert_eq!(cut(false), cut(true), "cut world");
-    let qos = |naive| finish(qos_world(naive));
-    assert_eq!(qos(false), qos(true), "multi_tenant_qos world");
+fn trace_worlds_keep_the_engine_contract() {
+    let cut = |checked| finish(cut_world(checked).0);
+    assert_eq!(cut(true), cut(false), "cut world");
+    let qos = |checked| finish(qos_world(checked));
+    assert_eq!(qos(true), qos(false), "multi_tenant_qos world");
 }

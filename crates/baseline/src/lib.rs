@@ -5,30 +5,17 @@
 //! tenant, so the benchmark measures the engine the repository ships.
 //! Ledger (i)'s shim: the next `[benchmark]` PR deletes it.
 
-use mccs_collectives::CollectiveOp;
 use mccs_core::cluster::Cluster;
 use mccs_core::config::RouteMap;
 use mccs_core::library::{LibraryConfig, LAUNCH_OVERHEAD};
 use mccs_core::{Tenant, TenantMode};
 use mccs_ipc::AppId;
-use mccs_sim::{Bytes, Nanos};
+use mccs_sim::Nanos;
 use mccs_topology::GpuId;
 
 pub use mccs_core::library::RingChoice;
-
-/// One phase of a job's iteration, `[Compute(c)?, Collective { .. }]`.
-#[derive(Clone, Debug)]
-pub enum Phase {
-    /// Exposed compute for this long.
-    Compute(Nanos),
-    /// A collective over the whole job.
-    Collective {
-        /// The operation.
-        op: CollectiveOp,
-        /// Buffer size.
-        size: Bytes,
-    },
-}
+/// One phase of a job's iteration: a [`Tenant`]'s body step.
+pub use mccs_core::Work as Phase;
 
 /// `mccs_core::LibraryConfig` plus `launch_overhead`, which must be
 /// [`LAUNCH_OVERHEAD`].
@@ -64,11 +51,10 @@ pub struct BaselineJob;
 
 impl BaselineJob {
     /// `Cluster::add_tenant` of the library tenant these arguments
-    /// describe.
+    /// describe, whose body is `phases`.
     ///
     /// # Panics
-    /// On a phase list of another shape, another launch overhead, or a
-    /// tenant `add_tenant` refuses.
+    /// On another launch overhead, or a tenant `add_tenant` refuses.
     pub fn spawn(
         cluster: &mut Cluster,
         name: &str,
@@ -79,19 +65,12 @@ impl BaselineJob {
         start_at: Nanos,
     ) -> AppId {
         assert_eq!(cfg.launch_overhead, LAUNCH_OVERHEAD, "a constant");
-        let (compute, op, size) = match phases[..] {
-            [Phase::Collective { op, size }] => (Nanos::ZERO, op, size),
-            [Phase::Compute(compute), Phase::Collective { op, size }] => (compute, op, size),
-            _ => panic!("a job runs [Compute?, Collective], not {phases:?}"),
-        };
         let tenant = Tenant {
             name: name.to_owned(),
             gpus,
-            op,
-            size,
+            body: phases,
             iters: iterations,
             start: start_at,
-            compute,
             mode: TenantMode::Library(LibraryConfig {
                 channels: cfg.channels,
                 ring: cfg.ring,
@@ -110,6 +89,7 @@ mod tests {
     use super::*;
     use mccs_collectives::op::all_reduce_sum;
     use mccs_core::{ClusterConfig, Record, Scenario};
+    use mccs_sim::Bytes;
     use mccs_topology::presets;
     use std::sync::Arc;
 
@@ -136,6 +116,16 @@ mod tests {
     const SIZE: Bytes = Bytes::mib(8);
     const ITERS: usize = 3;
 
+    fn phases() -> Vec<Phase> {
+        vec![
+            Phase::Compute(COMPUTE),
+            Phase::Collective {
+                op: all_reduce_sum(),
+                size: SIZE,
+            },
+        ]
+    }
+
     #[test]
     fn the_adapter_builds_the_same_world_as_the_equal_tenants() {
         let topo = Arc::new(presets::testbed());
@@ -144,15 +134,8 @@ mod tests {
 
         let mut cluster = Cluster::new(Arc::clone(&topo), config.clone());
         for (i, (cfg, gpus, start)) in jobs().into_iter().enumerate() {
-            let phases = vec![
-                Phase::Compute(COMPUTE),
-                Phase::Collective {
-                    op: all_reduce_sum(),
-                    size: SIZE,
-                },
-            ];
             let name = format!("job{i}");
-            BaselineJob::spawn(&mut cluster, &name, cfg, gpus, phases, ITERS, start);
+            BaselineJob::spawn(&mut cluster, &name, cfg, gpus, phases(), ITERS, start);
         }
         let end = cluster.run_until_quiescent(deadline);
         let adapter = Record::of(&cluster, end);
@@ -163,11 +146,9 @@ mod tests {
             .map(|(i, (cfg, gpus, start))| Tenant {
                 name: format!("job{i}"),
                 gpus,
-                op: all_reduce_sum(),
-                size: SIZE,
+                body: phases(),
                 iters: ITERS,
                 start,
-                compute: COMPUTE,
                 mode: TenantMode::Library(LibraryConfig {
                     channels: cfg.channels,
                     ring: cfg.ring,
@@ -191,7 +172,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a job runs [Compute?, Collective]")]
+    #[should_panic(expected = "whose body is [Compute?, Collective]")]
     fn a_phase_list_of_another_shape_is_refused() {
         let mut cluster =
             Cluster::new(Arc::new(presets::testbed()), ClusterConfig::library_mode(3));

@@ -15,11 +15,10 @@ use mccs_bench::setups::multi_app_setup;
 use mccs_control::{
     apply_traffic_schedule, optimize_cluster, ChannelPolicy, FlowAssignment, PolicySpec,
 };
-use mccs_core::{Cluster, ClusterConfig};
-use mccs_ipc::CommunicatorId;
+use mccs_core::{ClusterConfig, Scenario};
+use mccs_ipc::{AppId, CommunicatorId};
 use mccs_sim::{Nanos, TimeSeries};
 use mccs_topology::{presets, RouteId};
-use mccs_workloads::generator::spawn_traffic_app;
 use mccs_workloads::{gpt27b_tensor_parallel, vgg19_data_parallel};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -33,34 +32,24 @@ const WINDOW: Nanos = Nanos::from_millis(500);
 
 fn main() {
     println!("== Figure 10: dynamic arrivals and policy changes ==\n");
-    let topo = Arc::new(presets::testbed());
-    let mut cluster = Cluster::new(Arc::clone(&topo), ClusterConfig::with_seed(10));
     let placements = multi_app_setup(3);
-
-    let a = spawn_traffic_app(
-        &mut cluster,
-        "A",
-        CommunicatorId(1),
-        &placements[0].gpus,
-        &vgg19_data_parallel(40),
-        Nanos::from_millis(20),
-    );
-    let b = spawn_traffic_app(
-        &mut cluster,
-        "B",
-        CommunicatorId(2),
-        &placements[1].gpus,
-        &gpt27b_tensor_parallel(16),
-        T1,
-    );
-    let c = spawn_traffic_app(
-        &mut cluster,
-        "C",
-        CommunicatorId(3),
-        &placements[2].gpus,
-        &gpt27b_tensor_parallel(12),
-        T2,
-    );
+    let mut cluster = Scenario {
+        topo: Arc::new(presets::testbed()),
+        config: ClusterConfig::with_seed(10),
+        tenants: vec![
+            vgg19_data_parallel(40).tenant(
+                "A",
+                CommunicatorId(1),
+                &placements[0].gpus,
+                Nanos::from_millis(20),
+            ),
+            gpt27b_tensor_parallel(16).tenant("B", CommunicatorId(2), &placements[1].gpus, T1),
+            gpt27b_tensor_parallel(12).tenant("C", CommunicatorId(3), &placements[2].gpus, T2),
+        ],
+        faults: None,
+    }
+    .build();
+    let (a, b, c) = (AppId(0), AppId(1), AppId(2));
     let apps = [a, b, c];
 
     // FFA from the start (recomputed at each arrival, as the controller

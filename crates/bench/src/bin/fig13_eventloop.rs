@@ -16,7 +16,7 @@
 
 use mccs_bench::report::{print_table, write_bench_json};
 use mccs_collectives::op::all_reduce_sum;
-use mccs_core::{ClusterConfig, Scenario, Tenant, TenantMode};
+use mccs_core::{ClusterConfig, Scenario, Tenant, TenantMode, Work};
 use mccs_ipc::{AppId, CommunicatorId};
 use mccs_sim::{Bandwidth, Bytes, Nanos};
 use mccs_topology::presets::{spine_leaf, SpineLeafConfig};
@@ -78,12 +78,13 @@ fn run() -> RunStats {
             name: format!("el-t{t}"),
             mode: TenantMode::Service(CommunicatorId(1 + t as u64)),
             gpus: tenant_gpus(t),
-            op: all_reduce_sum(),
-            size: SIZE,
+            body: vec![Work::Collective {
+                op: all_reduce_sum(),
+                size: SIZE,
+            }],
             iters: ITERS,
             // Staggered slots: while tenant t works, the other 15 idle.
             start: SLOT * (t as u64 + 1),
-            compute: Nanos::ZERO,
         })
         .collect();
     let mut cluster = Scenario {

@@ -13,7 +13,7 @@ use mccs_bench::report::{json_rows, print_csv, write_bench_json};
 use mccs_collectives::op::all_reduce_sum;
 use mccs_collectives::{algo_bandwidth, RingOrder};
 use mccs_core::config::RouteMap;
-use mccs_core::{ClusterConfig, Scenario, Tenant, TenantMode};
+use mccs_core::{ClusterConfig, Scenario, Tenant, TenantMode, Work};
 use mccs_ipc::{AppId, CommunicatorId};
 use mccs_netsim::FlowSpec;
 use mccs_sim::{Bandwidth, Bytes, Nanos, TimeSeries};
@@ -54,11 +54,12 @@ fn main() {
         name: "ar8".to_owned(),
         mode: TenantMode::Service(comm),
         gpus: (0..8).map(GpuId).collect(),
-        op: all_reduce_sum(),
-        size: SIZE,
+        body: vec![Work::Collective {
+            op: all_reduce_sum(),
+            size: SIZE,
+        }],
         iters: 4000, // more than fits in 20s; we cut the run at END
         start: Nanos::ZERO,
-        compute: Nanos::ZERO,
     };
     let mut cluster = Scenario {
         topo: Arc::new(ring_topology()),

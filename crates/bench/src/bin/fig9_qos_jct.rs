@@ -2,11 +2,13 @@
 //! (B, C) under ECMP / FFA / PFA / PFA+TS, setup 3, normalized to FFA.
 //!
 //! A has the highest priority (PFA dedicates it an inter-rack route);
-//! B is prioritized over C by traffic scheduling.
+//! B is prioritized over C by traffic scheduling. The slowdown columns
+//! divide each tenant's shared JCT by its JCT alone in the same trial
+//! (`run_alone`), the price of sharing under each strategy.
 //!
 //! Run: `cargo run --release -p mccs-bench --bin fig9_qos_jct [trials]`
 
-use mccs_bench::qos::{run_qos, QosStrategy};
+use mccs_bench::qos::{run_alone, run_qos, QosStrategy};
 use mccs_bench::report::{json_rows, print_csv, print_table, write_bench_json};
 use mccs_sim::stats::Summary;
 
@@ -22,6 +24,14 @@ fn main() {
     let names = ["VGG (A)", "GPT (B)", "GPT (C)"];
     let mut jcts: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); 3]; QosStrategy::ALL.len()];
     let mut failed: Vec<usize> = vec![0; QosStrategy::ALL.len()];
+    // Each tenant's JCT alone, per trial.
+    let alone: Vec<Vec<f64>> = (0..trials)
+        .map(|trial| {
+            let runs = run_alone(trial);
+            assert!(runs.iter().all(|r| r.failed == 0), "a fault-free run");
+            runs.iter().map(|r| r.jct.as_secs_f64()).collect()
+        })
+        .collect();
     for (si, &strategy) in QosStrategy::ALL.iter().enumerate() {
         for trial in 0..trials {
             let results = run_qos(strategy, trial);
@@ -50,27 +60,52 @@ fn main() {
         }
         cells.push(failed[si].to_string());
         csv_row.push(failed[si].to_string());
+        for (ai, shared) in jcts[si].iter().enumerate() {
+            let slowdown = shared.iter().zip(&alone).map(|(s, alone)| s / alone[ai]);
+            let mean = Summary::new(slowdown).mean();
+            cells.push(format!("{mean:.3}"));
+            csv_row.push(format!("{mean:.4}"));
+        }
         rows.push(cells);
         csv.push(csv_row);
     }
-    let headers = ["strategy", names[0], names[1], names[2], "failed"];
+    let headers = [
+        "strategy",
+        names[0],
+        names[1],
+        names[2],
+        "failed",
+        "slowdown A",
+        "slowdown B",
+        "slowdown C",
+    ];
     print_table(&headers, &rows);
     println!();
-    print_csv(
-        "fig9",
-        &["strategy", "vgg_a", "gpt_b", "gpt_c", "failed"],
-        &csv,
-    );
+    let columns = [
+        "strategy",
+        "vgg_a",
+        "gpt_b",
+        "gpt_c",
+        "failed",
+        "slowdown_a",
+        "slowdown_b",
+        "slowdown_c",
+    ];
+    print_csv("fig9", &columns, &csv);
     write_bench_json(
         "fig9_qos_jct",
         &format!(
-            "\"trials\":{trials},\"normalized_to\":\"ffa\",\"rows\":{}",
-            json_rows(&["strategy", "vgg_a", "gpt_b", "gpt_c", "failed"], &csv)
+            "\"trials\":{trials},\"normalized_to\":\"ffa\",\
+             \"slowdown\":\"mean over trials of shared JCT / alone JCT; alone is the \
+             same tenant, seed and start under FFA from 2 ms, and draws its own IPC \
+             jitter stream (EXPERIMENTS.md, deviation 4)\",\"rows\":{}",
+            json_rows(&columns, &csv)
         ),
     );
     println!(
         "\npaper shape: ECMP slows every workload vs FFA (18/22/14%); PFA\n\
          speeds A up further (13% vs FFA / 34% vs ECMP) at B/C's expense;\n\
-         PFA+TS then speeds B up (~16%) relative to PFA, paid by C."
+         PFA+TS then speeds B up (~16%) relative to PFA, paid by C.\n\
+         slowdown: shared JCT / the same tenant's JCT alone (FFA, same trial)."
     );
 }

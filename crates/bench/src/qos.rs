@@ -2,24 +2,26 @@
 //!
 //! Setup 3 of Figure 5b: tenant A trains VGG-19 (data parallel, 4 GPUs,
 //! 2 NICs/host), tenants B and C fine-tune GPT-2.7B (tensor parallel,
-//! 2 GPUs each, 1 NIC/host). Every rank replays a calibrated trace as a
-//! shim script (`spawn_traffic_app`); the controller applies one of four
-//! strategies:
+//! 2 GPUs each, 1 NIC/host). Each tenant replays a calibrated trace
+//! ([`IterationTrace::tenant`]) in one [`Scenario`]; the controller
+//! applies one of four strategies:
 //!
 //! * **ECMP** — optimal rings, hashed routing (MCCS(-FFA));
 //! * **FFA** — fair flow assignment;
 //! * **PFA** — one inter-rack route reserved for A;
 //! * **PFA+TS** — additionally, C is gated into B's idle windows.
+//!
+//! [`run_alone`] runs each tenant of a trial by itself, the
+//! counterfactual that prices what sharing cost it.
 
 use crate::setups::multi_app_setup;
 use mccs_control::{
     apply_traffic_schedule, optimize_cluster, ChannelPolicy, FlowAssignment, PolicySpec,
 };
-use mccs_core::{Cluster, ClusterConfig};
+use mccs_core::{Cluster, ClusterConfig, Scenario, Tenant, Work};
 use mccs_ipc::{AppId, CommunicatorId};
 use mccs_sim::Nanos;
 use mccs_topology::{presets, RouteId};
-use mccs_workloads::generator::spawn_traffic_app;
 use mccs_workloads::{gpt27b_tensor_parallel, vgg19_data_parallel, IterationTrace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -102,27 +104,35 @@ pub struct AppRun {
     pub failed: usize,
 }
 
+/// The world of trial `trial`: tenant `i` of setup 3 replays its trace
+/// over communicator `100 + 31 trial + i` on the testbed at seed
+/// `0xF19 + trial`.
+pub fn scenario(trial: u64) -> Scenario {
+    let tenants = multi_app_setup(3)
+        .iter()
+        .zip(traces())
+        .enumerate()
+        .map(|(i, (p, trace))| {
+            let comm = CommunicatorId(100 + 31 * trial + i as u64);
+            // Stagger B and C so their bursts decorrelate, as independent
+            // fine-tuning jobs would.
+            let start = START + Nanos::from_micros(7_300 * i as u64);
+            trace.tenant(p.name, comm, &p.gpus, start)
+        })
+        .collect();
+    Scenario {
+        topo: Arc::new(presets::testbed()),
+        config: ClusterConfig::with_seed(0xF19 + trial),
+        tenants,
+        faults: None,
+    }
+}
+
 /// One full run: returns per-app outcomes.
 pub fn run_qos(strategy: QosStrategy, trial: u64) -> Vec<AppRun> {
-    let topo = Arc::new(presets::testbed());
-    let mut cluster = Cluster::new(Arc::clone(&topo), ClusterConfig::with_seed(0xF19 + trial));
-    let placements = multi_app_setup(3);
-    let traces = traces();
-    let mut apps = Vec::new();
-    for (i, (p, trace)) in placements.iter().zip(&traces).enumerate() {
-        let comm = CommunicatorId(100 + 31 * trial + i as u64);
-        // Stagger B and C so their bursts decorrelate, as independent
-        // fine-tuning jobs would.
-        let start = START + Nanos::from_micros(7_300 * i as u64);
-        apps.push(spawn_traffic_app(
-            &mut cluster,
-            p.name,
-            comm,
-            &p.gpus,
-            trace,
-            start,
-        ));
-    }
+    let s = scenario(trial);
+    let mut cluster = s.build();
+    let apps: Vec<AppId> = (0..s.tenants.len() as u32).map(AppId).collect();
     // Registration, then the strategy.
     cluster.run_until(Nanos::from_millis(2));
     optimize_cluster(&mut cluster, &policy_for(strategy, &apps));
@@ -137,24 +147,56 @@ pub fn run_qos(strategy: QosStrategy, trial: u64) -> Vec<AppRun> {
 
     cluster.run_until_quiescent(Nanos::from_secs(600));
     apps.iter()
-        .zip(&traces)
-        .map(|(&app, trace)| {
-            let tl = cluster.mgmt().timeline(app);
-            let failed = cluster
-                .mgmt()
-                .tenant_outcomes(app)
-                .iter()
-                .filter(|r| r.failed)
-                .count();
-            assert_eq!(
-                tl.len() + failed,
-                trace.collectives_per_iteration() * trace.iterations,
-                "collectives lost without a completion or a clean failure"
-            );
-            let jct = tl.last().expect("ran").completed_at.expect("done") - START;
-            AppRun { jct, failed }
+        .zip(&s.tenants)
+        .map(|(&app, t)| outcome(&mut cluster, app, t))
+        .collect()
+}
+
+/// Each tenant of trial `trial` alone: the same tenant (communicator,
+/// trace, start) at the same seed, under FFA ([`PolicySpec::mccs`]) from
+/// 2 ms. With the shared run's outcome this gives the slowdown sharing
+/// cost it; the alone run draws its own IPC jitter stream (EXPERIMENTS.md,
+/// deviation 4).
+pub fn run_alone(trial: u64) -> Vec<AppRun> {
+    let shared = scenario(trial);
+    shared
+        .tenants
+        .iter()
+        .map(|t| {
+            let alone = Scenario {
+                tenants: vec![t.clone()],
+                ..shared.clone()
+            };
+            let mut cluster = alone.build();
+            cluster.run_until(Nanos::from_millis(2));
+            optimize_cluster(&mut cluster, &PolicySpec::mccs());
+            cluster.run_until_quiescent(Nanos::from_secs(600));
+            outcome(&mut cluster, AppId(0), t)
         })
         .collect()
+}
+
+/// The outcome of `app`, which runs `t`, in a quiescent `cluster`.
+fn outcome(cluster: &mut Cluster, app: AppId, t: &Tenant) -> AppRun {
+    let tl = cluster.mgmt().timeline(app);
+    let failed = cluster
+        .mgmt()
+        .tenant_outcomes(app)
+        .iter()
+        .filter(|r| r.failed)
+        .count();
+    let collectives = t
+        .body
+        .iter()
+        .filter(|w| matches!(w, Work::Collective { .. }))
+        .count();
+    assert_eq!(
+        tl.len() + failed,
+        collectives * t.iters,
+        "collectives lost without a completion or a clean failure"
+    );
+    let jct = tl.last().expect("ran").completed_at.expect("done") - START;
+    AppRun { jct, failed }
 }
 
 #[cfg(test)]
@@ -169,12 +211,25 @@ mod tests {
         let ffa = run_qos(QosStrategy::Ffa, 0);
         let pfa = run_qos(QosStrategy::Pfa, 0);
         let pfa_ts = run_qos(QosStrategy::PfaTs, 0);
+        let alone = run_alone(0);
 
-        for run in [&ecmp, &ffa, &pfa, &pfa_ts] {
+        for run in [&ecmp, &ffa, &pfa, &pfa_ts, &alone] {
             assert!(
                 run.iter().all(|r| r.failed == 0),
                 "fault-free QoS runs must not fail collectives"
             );
+        }
+        // Sharing costs every tenant time: none runs more than 2 % faster
+        // beside the others than alone.
+        for run in [&ecmp, &ffa, &pfa, &pfa_ts] {
+            for (i, (shared, alone)) in run.iter().zip(&alone).enumerate() {
+                assert!(
+                    shared.jct.as_secs_f64() >= alone.jct.as_secs_f64() * 0.98,
+                    "tenant {i} shared {} vs alone {}",
+                    shared.jct,
+                    alone.jct
+                );
+            }
         }
         let a = |r: &Vec<AppRun>| r[0].jct.as_secs_f64();
         let b = |r: &Vec<AppRun>| r[1].jct.as_secs_f64();

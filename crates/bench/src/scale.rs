@@ -16,7 +16,7 @@ use mccs_collectives::op::all_reduce_sum;
 use mccs_control::flow_policy::{IncrementalFfa, JobFlows};
 use mccs_control::{optimal_rings, ChannelPolicy};
 use mccs_core::config::RouteMap;
-use mccs_core::{ClusterConfig, LibraryConfig, RingChoice, Scenario, Tenant, TenantMode};
+use mccs_core::{ClusterConfig, LibraryConfig, RingChoice, Scenario, Tenant, TenantMode, Work};
 use mccs_ipc::AppId;
 use mccs_sim::{Bytes, Nanos, Rng};
 use mccs_topology::{GpuId, Topology};
@@ -245,11 +245,15 @@ pub fn scenario(
             Tenant {
                 name: format!("job{}", job.id),
                 gpus: job.gpus.clone(),
-                op: all_reduce_sum(),
-                size: cfg.collective,
+                body: vec![
+                    Work::Compute(cfg.compute),
+                    Work::Collective {
+                        op: all_reduce_sum(),
+                        size: cfg.collective,
+                    },
+                ],
                 iters: cfg.iterations,
                 start: job.start,
-                compute: cfg.compute,
                 mode: TenantMode::Library(LibraryConfig {
                     channels,
                     ring,

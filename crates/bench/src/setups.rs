@@ -11,7 +11,7 @@
 //! twice.
 
 use mccs_collectives::op::all_reduce_sum;
-use mccs_core::{ClusterConfig, Scenario, Tenant, TenantMode};
+use mccs_core::{ClusterConfig, Scenario, Tenant, TenantMode, Work};
 use mccs_ipc::CommunicatorId;
 use mccs_sim::{Bytes, Nanos};
 use mccs_topology::{presets, GpuId, SwitchId};
@@ -30,11 +30,12 @@ pub fn two_tenant_testbed(seed: u64, size: Bytes, iters: usize) -> Scenario {
         name: name.to_owned(),
         mode: TenantMode::Service(CommunicatorId(comm)),
         gpus: (0..4).map(|host| GpuId(2 * host + slot)).collect(),
-        op: all_reduce_sum(),
-        size,
+        body: vec![Work::Collective {
+            op: all_reduce_sum(),
+            size,
+        }],
         iters,
         start: Nanos::ZERO,
-        compute: Nanos::ZERO,
     };
     Scenario {
         topo: Arc::new(presets::testbed()),

@@ -11,7 +11,7 @@
 use crate::setups::AppPlacement;
 use mccs_collectives::CollectiveOp;
 use mccs_control::{optimal_rings, optimize_cluster, ChannelPolicy, PolicySpec};
-use mccs_core::{ClusterConfig, LibraryConfig, RingChoice, Scenario, Tenant, TenantMode};
+use mccs_core::{ClusterConfig, LibraryConfig, RingChoice, Scenario, Tenant, TenantMode, Work};
 use mccs_ipc::{AppId, CommunicatorId};
 use mccs_sim::{Bytes, Nanos};
 use mccs_topology::{presets, GpuId};
@@ -110,11 +110,12 @@ pub fn run_apps(variant: SystemVariant, apps: &[AppSpec], trial: u64) -> Vec<Vec
             Tenant {
                 name: spec.placement.name.to_owned(),
                 gpus: gpus.clone(),
-                op: spec.op,
-                size: spec.size,
+                body: vec![Work::Collective {
+                    op: spec.op,
+                    size: spec.size,
+                }],
                 iters: spec.iters,
                 start: WORKLOAD_START,
-                compute: Nanos::ZERO,
                 mode,
             }
         })

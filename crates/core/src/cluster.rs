@@ -140,7 +140,8 @@ impl Cluster {
     /// Attach `tenant` in its mode — the service: one shim program per
     /// rank through [`add_app`](Self::add_app); the library: one engine
     /// ([`crate::library`]). Refuses, before attaching anything, a tenant
-    /// without GPUs or iterations and a library config the job cannot run.
+    /// without GPUs, iterations or body, and a library job whose body or
+    /// config it cannot run.
     pub fn add_tenant(&mut self, tenant: &Tenant) -> Result<AppId, ServiceError> {
         let refuse =
             |cause| ServiceError::invalid_argument(format!("tenant '{}' {cause}", tenant.name));
@@ -148,7 +149,10 @@ impl Cluster {
             return Err(refuse("needs at least one GPU"));
         }
         if tenant.iters == 0 {
-            return Err(refuse("must run at least one collective (iters = 0)"));
+            return Err(refuse("must run at least one iteration (iters = 0)"));
+        }
+        if tenant.body.is_empty() {
+            return Err(refuse("has an empty body"));
         }
         match &tenant.mode {
             TenantMode::Service(comm) => {

@@ -18,7 +18,7 @@
 //!   edge tasks into network flows with explicit route pins (FFA/PFA) and
 //!   enforce time-window traffic schedules (TS);
 //! * **scenarios** ([`scenario`]) — a world as data: topology, config,
-//!   tenants running the NCCL-tests loop and a fault plan;
+//!   tenants each repeating one iteration of [`Work`], and a fault plan;
 //! * **library mode** ([`library`]) — the NCCL-like library a tenant links
 //!   in instead, the comparator the paper evaluates MCCS against: one
 //!   [`TenantMode`] of the same tenant description;
@@ -77,6 +77,6 @@ pub use library::{LibraryConfig, RingChoice};
 pub use mgmt::CommInfo;
 pub use qos::TrafficWindows;
 pub use recovery::{DetourPolicy, RecoveryEngine};
-pub use scenario::{closed_loop, Record, Scenario, Tenant, TenantMode};
+pub use scenario::{Record, Scenario, Tenant, TenantMode, Work};
 pub use tracing::{TraceCollector, TraceRecord};
 pub use world::{Controller, ControllerState, ControllerStats, DrainObligation, World};

@@ -27,7 +27,7 @@ use crate::config::{CollectiveConfig, RouteMap};
 use crate::error::ServiceError;
 use crate::flat::FlatMap;
 use crate::progress::ProgressId;
-use crate::scenario::Tenant;
+use crate::scenario::{Tenant, Work};
 use crate::world::{resources, FlowOwner, World};
 use mccs_collectives::{CollectiveOp, CollectiveSchedule, EdgeTask, RingOrder};
 use mccs_device::StreamId;
@@ -85,14 +85,25 @@ impl Default for LibraryConfig {
     }
 }
 
-/// Attach `t`, which has GPUs and iterations, as a library job. Refuses
-/// before attaching anything a configuration `CollectiveConfig::validate`
-/// rejects: no channel, a ring not over `t.gpus`, an unroutable pin.
+/// Attach `t`, which has GPUs, iterations and a body, as a library job.
+/// Refuses before attaching anything a body other than `[Compute?,
+/// Collective]` and a configuration `CollectiveConfig::validate` rejects:
+/// no channel, a ring not over `t.gpus`, an unroutable pin.
 pub(crate) fn attach(
     cluster: &mut Cluster,
     t: &Tenant,
     lib: &LibraryConfig,
 ) -> Result<AppId, ServiceError> {
+    let (compute, op, size) = match t.body[..] {
+        [Work::Collective { op, size }] => (Nanos::ZERO, op, size),
+        [Work::Compute(compute), Work::Collective { op, size }] => (compute, op, size),
+        _ => {
+            return Err(ServiceError::invalid_argument(format!(
+                "tenant '{}' runs a library job, whose body is [Compute?, Collective], not {:?}",
+                t.name, t.body
+            )))
+        }
+    };
     let topo = &cluster.world.topo;
     let channel_rings = match &lib.ring {
         RingChoice::RankOrder => vec![RingOrder::nccl_default(topo, &t.gpus); lib.channels],
@@ -124,9 +135,9 @@ pub(crate) fn attach(
         app,
         comm: CommunicatorId(LIBRARY_COMM_BASE + u64::from(app.0)),
         config,
-        op: t.op,
-        size: t.size,
-        compute: t.compute,
+        op,
+        size,
+        compute,
         start: t.start,
         iters: t.iters,
         next_seq: 0,
@@ -339,13 +350,20 @@ mod tests {
         Tenant {
             name: "job".to_owned(),
             gpus: gpus.iter().copied().map(GpuId).collect(),
-            op: all_reduce_sum(),
-            size,
+            body: vec![Work::Collective {
+                op: all_reduce_sum(),
+                size,
+            }],
             iters,
             start: Nanos::ZERO,
-            compute: Nanos::ZERO,
             mode: TenantMode::Library(lib),
         }
+    }
+
+    /// `t` with `compute` before each collective.
+    fn computing(mut t: Tenant, compute: Nanos) -> Tenant {
+        t.body.insert(0, Work::Compute(compute));
+        t
     }
 
     /// `tenants` on the testbed (2 racks x 2 hosts x 2 GPUs, two spines)
@@ -403,10 +421,10 @@ mod tests {
         // every collective is issued a compute gap after the previous one
         // completed (the first, a gap after the start).
         let compute = Nanos::from_millis(10);
-        let lib = Tenant {
+        let lib = computing(
+            job(&[0, 2], Bytes::mib(16), 2, LibraryConfig::default()),
             compute,
-            ..job(&[0, 2], Bytes::mib(16), 2, LibraryConfig::default())
-        };
+        );
         let svc = Tenant {
             mode: TenantMode::Service(CommunicatorId(1)),
             ..lib.clone()
@@ -471,8 +489,10 @@ mod tests {
         .into_iter()
         .map(|(gpus, mib, start_ms)| Tenant {
             start: Nanos::from_millis(start_ms),
-            compute: Nanos::from_micros(300),
-            ..job(gpus, Bytes::mib(mib), 3, LibraryConfig::default())
+            ..computing(
+                job(gpus, Bytes::mib(mib), 3, LibraryConfig::default()),
+                Nanos::from_micros(300),
+            )
         })
         .collect();
         let mut c = Scenario {
@@ -549,15 +569,11 @@ mod tests {
         assert_eq!(carrying(routes), vec![other]);
     }
 
-    /// The error attaching `lib` over GPUs 0 and 4 from 1 ms returns,
-    /// after checking that the world did not change.
-    fn refusal(lib: LibraryConfig) -> ServiceError {
+    /// The error attaching `t` returns, after checking that the world did
+    /// not change.
+    fn refused(t: Tenant) -> ServiceError {
         let mut c = testbed(Vec::new()).build();
         let rng = format!("{:?}", c.world.rng);
-        let t = Tenant {
-            start: Nanos::from_millis(1),
-            ..job(&[0, 4], Bytes::mib(1), 1, lib)
-        };
         let e = c.add_tenant(&t).expect_err("refused");
         assert!(c.world.app_names.is_empty(), "nothing attached");
         assert_eq!(c.world.events.len(), 0, "no timer armed");
@@ -567,6 +583,42 @@ mod tests {
             "no draw from the world RNG"
         );
         e
+    }
+
+    /// The error attaching `lib` over GPUs 0 and 4 from 1 ms returns.
+    fn refusal(lib: LibraryConfig) -> ServiceError {
+        refused(Tenant {
+            start: Nanos::from_millis(1),
+            ..job(&[0, 4], Bytes::mib(1), 1, lib)
+        })
+    }
+
+    #[test]
+    fn a_body_other_than_compute_then_collective_is_refused_at_attach() {
+        let coll = Work::Collective {
+            op: all_reduce_sum(),
+            size: Bytes::mib(1),
+        };
+        let sleep = Work::Sleep(Nanos::from_millis(1));
+        for body in [vec![sleep, coll], vec![coll, coll], vec![coll, sleep]] {
+            for ring in [RingChoice::RankOrder, RingChoice::RandomHosts] {
+                let lib = LibraryConfig {
+                    ring,
+                    ..Default::default()
+                };
+                let e = refused(Tenant {
+                    body: body.clone(),
+                    ..job(&[0, 4], Bytes::mib(1), 1, lib)
+                });
+                assert_eq!(e.code, mccs_ipc::ErrorCode::InvalidArgument);
+                assert!(
+                    e.message.contains(
+                        "tenant 'job' runs a library job, whose body is [Compute?, Collective]"
+                    ),
+                    "{e}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -749,7 +749,7 @@ impl Engine<World> for ProxyEngine {
 mod tests {
     use super::*;
     use crate::config::RouteMap;
-    use crate::scenario::{Scenario, Tenant, TenantMode};
+    use crate::scenario::{Scenario, Tenant, TenantMode, Work};
     use crate::Cluster;
     use mccs_collectives::{op::all_reduce_sum, ReduceKind, RingOrder};
     use mccs_topology::presets;
@@ -761,11 +761,9 @@ mod tests {
         let tenant = Tenant {
             name: "planned".to_owned(),
             gpus: vec![GpuId(0), GpuId(2), GpuId(4), GpuId(6)],
-            op,
-            size,
+            body: vec![Work::Collective { op, size }],
             iters: 60,
             start: Nanos::ZERO,
-            compute: Nanos::ZERO,
             mode: TenantMode::Service(comm),
         };
         let mut cluster = Scenario {

@@ -2,13 +2,13 @@
 //! world and the one way to build and run it.
 //!
 //! A [`Scenario`] is a topology, a cluster config, a list of [`Tenant`]s
-//! and an optional fault plan. Every tenant runs the same NCCL-tests
-//! style loop — UCC's "init once and invoke multiple times" — on the
+//! and an optional fault plan. Every tenant repeats one iteration, its
+//! [`Work`] body — UCC's "init once and invoke multiple times" — on the
 //! executor its [`TenantMode`] names: the MCCS service or the NCCL-like
-//! library ([`crate::library`]). [`closed_loop`] writes that loop's
-//! script once, for a [`Tenant`] and for a replayed training trace
-//! (`mccs-workloads`) alike. Worlds that also need management calls
-//! mid-run call [`Scenario::build`] and carry on.
+//! library ([`crate::library`]). A loop benchmark's body is
+//! `[Compute?, Collective]`; a replayed training trace (`mccs-workloads`)
+//! lowers its iteration into a body too. Worlds that also need management
+//! calls mid-run call [`Scenario::build`] and carry on.
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::library::LibraryConfig;
@@ -21,25 +21,38 @@ use mccs_sim::{Bytes, Nanos};
 use mccs_topology::{GpuId, Topology};
 use std::sync::Arc;
 
+/// One step of a tenant's iteration.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Work {
+    /// Exposed GPU work on the tenant's stream for this long (compute, or
+    /// a CPU <-> GPU copy).
+    Compute(Nanos),
+    /// No GPU work for this long (an input stall, a synchronization wait).
+    Sleep(Nanos),
+    /// One collective over the whole tenant.
+    Collective {
+        /// The operation.
+        op: CollectiveOp,
+        /// Buffer size.
+        size: Bytes,
+    },
+}
+
 /// One tenant: rank `r` runs on `gpus[r]`, and from `start` the tenant
-/// runs `iters` iterations of `compute` (if non-zero) followed by one
-/// `op` of `size` bytes.
+/// runs `iters` iterations of `body`.
 #[derive(Clone, Debug)]
 pub struct Tenant {
     /// Application name (service programs are named `"{name}/r{rank}"`).
     pub name: String,
     /// Rank -> GPU map (at least one GPU).
     pub gpus: Vec<GpuId>,
-    /// The collective every iteration issues.
-    pub op: CollectiveOp,
-    /// Buffer size.
-    pub size: Bytes,
+    /// One iteration, in order (at least one step). A library job runs
+    /// `[Compute?, Collective]` only.
+    pub body: Vec<Work>,
     /// Iterations (at least one).
     pub iters: usize,
     /// Virtual instant the first iteration waits for.
     pub start: Nanos,
-    /// Compute before each collective.
-    pub compute: Nanos,
     /// Which executor runs the collectives.
     pub mode: TenantMode,
 }
@@ -56,64 +69,58 @@ pub enum TenantMode {
 }
 
 impl Tenant {
-    /// Rank `rank`'s service script over `comm`: the [`closed_loop`] whose
-    /// body is `Compute(compute)` if `compute > 0` and the collective from
+    /// The size of both buffers: the largest collective of the body, or
+    /// 4 KiB if it has none.
+    fn buffer_size(&self) -> Bytes {
+        self.body
+            .iter()
+            .filter_map(|w| match w {
+                Work::Collective { size, .. } => Some(*size),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(Bytes::kib(4))
+    }
+
+    /// Rank `rank`'s service script over `comm`, the one closed-loop
+    /// tenant program: `Alloc` slots 0 and 1 of the buffer size,
+    /// `CommInit` of `comm`, `SleepUntil(start)` if `start > 0`, then the
+    /// body, with a `Repeat` of it if `iters > 1`. A collective goes from
     /// slot 0 to slot 1.
     pub(crate) fn program(&self, comm: CommunicatorId, rank: usize) -> ScriptedProgram {
-        let mut body = Vec::with_capacity(2);
-        if self.compute > Nanos::ZERO {
-            body.push(ScriptStep::Compute(self.compute));
+        let size = self.buffer_size();
+        let mut steps = vec![
+            ScriptStep::Alloc { size, slot: 0 },
+            ScriptStep::Alloc { size, slot: 1 },
+            ScriptStep::CommInit {
+                comm,
+                world: self.gpus.clone(),
+                rank,
+            },
+        ];
+        if self.start > Nanos::ZERO {
+            steps.push(ScriptStep::SleepUntil(self.start));
         }
-        body.push(ScriptStep::Collective {
-            comm,
-            op: self.op,
-            size: self.size,
-            send_slot: 0,
-            recv_slot: 1,
-        });
-        closed_loop(
-            &self.name, comm, &self.gpus, rank, self.size, self.start, body, self.iters,
-        )
+        let head = steps.len();
+        steps.extend(self.body.iter().map(|w| match *w {
+            Work::Compute(d) => ScriptStep::Compute(d),
+            Work::Sleep(d) => ScriptStep::Sleep(d),
+            Work::Collective { op, size } => ScriptStep::Collective {
+                comm,
+                op,
+                size,
+                send_slot: 0,
+                recv_slot: 1,
+            },
+        }));
+        if self.iters > 1 {
+            steps.push(ScriptStep::Repeat {
+                from_step: head,
+                times: self.iters - 1,
+            });
+        }
+        ScriptedProgram::new(format!("{}/r{rank}", self.name), steps)
     }
-}
-
-/// The one closed-loop tenant program, rank `rank` of `gpus`: `Alloc`
-/// slots 0 and 1 of `size`, `CommInit` of `comm`, `SleepUntil(start)` if
-/// `start > 0`, then `body`, with a `Repeat` of it if `iters > 1`. It is
-/// named `"{name}/r{rank}"`. A [`Tenant`]'s body is `[Compute?,
-/// Collective]`; a training trace lowers its iteration into the body.
-#[allow(clippy::too_many_arguments)]
-pub fn closed_loop(
-    name: &str,
-    comm: CommunicatorId,
-    gpus: &[GpuId],
-    rank: usize,
-    size: Bytes,
-    start: Nanos,
-    body: Vec<ScriptStep>,
-    iters: usize,
-) -> ScriptedProgram {
-    let mut steps = vec![
-        ScriptStep::Alloc { size, slot: 0 },
-        ScriptStep::Alloc { size, slot: 1 },
-        ScriptStep::CommInit {
-            comm,
-            world: gpus.to_vec(),
-            rank,
-        },
-    ];
-    if start > Nanos::ZERO {
-        steps.push(ScriptStep::SleepUntil(start));
-    }
-    let head = steps.len();
-    steps.extend(body);
-    if iters > 1 {
-        steps.push(ScriptStep::Repeat {
-            from_step: head,
-            times: iters - 1,
-        });
-    }
-    ScriptedProgram::new(format!("{name}/r{rank}"), steps)
 }
 
 /// A closed-loop collective world.
@@ -208,24 +215,28 @@ mod tests {
         Tenant {
             name: "idle".to_owned(),
             gpus,
-            op: all_reduce_sum(),
-            size: Bytes::mib(1),
+            body: vec![Work::Collective {
+                op: all_reduce_sum(),
+                size: Bytes::mib(1),
+            }],
             iters,
             start: Nanos::ZERO,
-            compute: Nanos::ZERO,
             mode: TenantMode::Service(CommunicatorId(1)),
         }
     }
 
     #[test]
-    fn a_tenant_without_iterations_or_gpus_is_refused() {
+    fn a_tenant_without_iterations_gpus_or_body_is_refused() {
         let mut cluster = Cluster::new(Arc::new(presets::testbed()), ClusterConfig::with_seed(1));
+        let rng = format!("{:?}", cluster.world.rng);
+        let empty = Tenant {
+            body: Vec::new(),
+            ..tenant(vec![GpuId(0)], 1)
+        };
         for (t, cause) in [
-            (
-                tenant(vec![GpuId(0)], 0),
-                "must run at least one collective",
-            ),
+            (tenant(vec![GpuId(0)], 0), "must run at least one iteration"),
             (tenant(Vec::new(), 1), "needs at least one GPU"),
+            (empty, "has an empty body"),
         ] {
             for mode in [
                 t.mode.clone(),
@@ -233,11 +244,13 @@ mod tests {
             ] {
                 let t = Tenant { mode, ..t.clone() };
                 let e = cluster.add_tenant(&t).expect_err("refused");
+                assert_eq!(e.code, mccs_ipc::ErrorCode::InvalidArgument);
                 assert!(e.message.contains("tenant 'idle'"), "{e}");
                 assert!(e.message.contains(cause), "{e}");
             }
         }
         assert!(cluster.world.app_names.is_empty(), "nothing attached");
+        assert_eq!(format!("{:?}", cluster.world.rng), rng, "no RNG draw");
     }
 
     #[test]
@@ -247,7 +260,10 @@ mod tests {
         // and "fine", on the other GPUs, runs every collective.
         let mut huge = tenant(vec![GpuId(1), GpuId(3)], 2);
         huge.name = "huge".to_owned();
-        huge.size = Bytes::gib(32);
+        huge.body = vec![Work::Collective {
+            op: all_reduce_sum(),
+            size: Bytes::gib(32),
+        }];
         huge.mode = TenantMode::Service(CommunicatorId(2));
         let fine = tenant(vec![GpuId(0), GpuId(2)], 3);
         let mut cluster = Scenario {

@@ -1193,20 +1193,21 @@ impl ShimPort for EndpointPort<'_> {
         self.world.clock
     }
 
+    /// A full queue refuses the push before anything is drawn or logged,
+    /// so a refused push leaves the world as it was.
     fn try_push(&mut self, cmd: ShimCommand) -> bool {
         let now = self.world.clock;
-        let cfg = self.world.ipc.clone();
-        self.world.tenant_log.on_push(self.idx, &cmd, now);
         let ep = &mut self.world.endpoints[self.idx];
-        let lat = cfg.sample_command_latency(&mut ep.rng);
-        match ep.cmd.push(now, lat, cmd) {
-            Ok(()) => {
-                self.world
-                    .signal_at(now + lat, resources::endpoint_cmd(self.idx as u32));
-                true
-            }
-            Err(_) => false,
+        if ep.cmd.is_full() {
+            return false;
         }
+        let lat = self.world.ipc.sample_command_latency(&mut ep.rng);
+        self.world.tenant_log.on_push(self.idx, &cmd, now);
+        let pushed = ep.cmd.push(now, lat, cmd);
+        debug_assert!(pushed.is_ok(), "room was checked");
+        self.world
+            .signal_at(now + lat, resources::endpoint_cmd(self.idx as u32));
+        true
     }
 
     fn try_pop(&mut self) -> Option<ShimCompletion> {
@@ -1389,6 +1390,55 @@ mod tests {
             log.latencies_of_endpoint(2),
             vec![(0, Nanos::ZERO, Nanos(9))]
         );
+    }
+
+    #[test]
+    fn a_refused_push_leaves_the_endpoint_rng_and_the_tenant_log_untouched() {
+        use crate::cluster::ClusterConfig;
+        use crate::scenario::{Scenario, Tenant, TenantMode, Work};
+        use mccs_collectives::op::all_reduce_sum;
+        use mccs_ipc::CollectiveRequest;
+        let mut config = ClusterConfig::with_seed(1);
+        config.ipc.queue_capacity = 1;
+        let (op, size) = (all_reduce_sum(), Bytes::mib(1));
+        let tenant = Tenant {
+            name: "full".to_owned(),
+            gpus: vec![GpuId(0)],
+            body: vec![Work::Collective { op, size }],
+            iters: 1,
+            start: Nanos::ZERO,
+            mode: TenantMode::Service(CommunicatorId(1)),
+        };
+        let mut cluster = Scenario {
+            topo: Arc::new(presets::testbed()),
+            config,
+            tenants: vec![tenant],
+            faults: None,
+        }
+        .build();
+        let mut port = EndpointPort {
+            world: &mut cluster.world,
+            idx: 0,
+        };
+        let cmd = |req| ShimCommand::Collective {
+            req,
+            coll: CollectiveRequest {
+                comm: CommunicatorId(1),
+                op,
+                size,
+                send: (MemHandle(0), 0),
+                recv: (MemHandle(0), 0),
+                depends_on: None,
+            },
+        };
+        let state = |w: &World| {
+            let rng = format!("{:?}", w.endpoints[0].rng);
+            (rng, format!("{:?}", w.tenant_log), w.events.len())
+        };
+        assert!(port.try_push(cmd(1)), "the queue holds one command");
+        let before = state(port.world);
+        assert!(!port.try_push(cmd(2)), "and refuses a second");
+        assert_eq!(state(port.world), before);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 #![allow(dead_code)]
 
 use mccs_collectives::op::all_reduce_sum;
-use mccs_core::{ClusterConfig, Scenario, Tenant, TenantMode};
+use mccs_core::{ClusterConfig, Scenario, Tenant, TenantMode, Work};
 use mccs_ipc::CommunicatorId;
 use mccs_sim::{Bytes, Nanos};
 use mccs_topology::graph::Endpoint;
@@ -44,11 +44,12 @@ pub fn allreduce(
         name: name.to_owned(),
         mode: TenantMode::Service(comm),
         gpus: gpus.to_vec(),
-        op: all_reduce_sum(),
-        size,
+        body: vec![Work::Collective {
+            op: all_reduce_sum(),
+            size,
+        }],
         iters,
         start: Nanos::ZERO,
-        compute: Nanos::ZERO,
     }
 }
 

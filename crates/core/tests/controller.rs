@@ -26,7 +26,7 @@ use mccs_core::config::ServiceConfig;
 use mccs_core::messages::ProxyMsg;
 use mccs_core::{
     ChaosAction, ChaosDriver, Cluster, ClusterConfig, CollectiveConfig, DetourPolicy, Explorer,
-    ExplorerConfig, FailureEvent, HealthDelivery, RouteMap, Scenario,
+    ExplorerConfig, FailureEvent, HealthDelivery, RouteMap, Scenario, Work,
 };
 use mccs_netsim::FaultPlan;
 use mccs_shim::{ScriptStep, ScriptedProgram};
@@ -693,7 +693,7 @@ fn two_comms(seed: u64, jitter: bool) -> Scenario {
     for t in &mut tenants {
         // Idle ranks between collectives: a request reaching one starts
         // its barrier at once, so request latencies show in the trace.
-        t.compute = Nanos::from_millis(40);
+        t.body.insert(0, Work::Compute(Nanos::from_millis(40)));
     }
     let mut s = common::testbed(seed, tenants);
     s.config.service = eager_checkpoint_svc();

@@ -12,8 +12,9 @@
 mod common;
 
 use common::{allreduce, testbed, two_tenants, COMM, GPUS, SPINE0};
+use mccs_collectives::op::all_reduce_sum;
 use mccs_core::health::SchedulerStats;
-use mccs_core::{DegradationPolicy, Scenario, TrafficWindows};
+use mccs_core::{DegradationPolicy, Scenario, TrafficWindows, Work};
 use mccs_ipc::AppId;
 use mccs_netsim::{FaultEvent, FaultPlan};
 use mccs_shim::{AppProgram, ScriptStep, ScriptedProgram};
@@ -260,7 +261,7 @@ proptest! {
         let (mib_a, iters_a) = ta;
         let (mib_b, iters_b) = tb;
         let mut s = world(seed, DegradationPolicy::default(), Bytes::mib(mib_a), iters_a);
-        s.tenants[1].size = Bytes::mib(mib_b);
+        s.tenants[1].body = vec![Work::Collective { op: all_reduce_sum(), size: Bytes::mib(mib_b) }];
         s.tenants[1].iters = iters_b;
         s.tenants[1].start = sleep_ms.map_or(Nanos::ZERO, Nanos::from_millis);
         s.faults = fault_ms.map(|ms| {

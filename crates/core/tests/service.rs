@@ -9,7 +9,7 @@ use mccs_collectives::op::all_reduce_sum;
 use mccs_collectives::{bandwidth, CollectiveOp, ReduceKind, RingOrder};
 use mccs_core::config::RouteMap;
 use mccs_core::explore::{Explorer, ExplorerConfig, Verdict};
-use mccs_core::{Cluster, Record, Tenant, TrafficWindows};
+use mccs_core::{Cluster, Record, Tenant, TrafficWindows, Work};
 use mccs_device::MemHandle;
 use mccs_ipc::{AppId, CommunicatorId, ErrorCode};
 use mccs_shim::{AppProgram, AppStatus, ReqId, ScriptStep, ScriptedProgram, ShimApi};
@@ -22,6 +22,7 @@ fn single_host_allreduce_uses_intra_host_channels_only() {
     let comm = CommunicatorId(1);
     let gpus = [GpuId(0), GpuId(1)];
     let mut cluster = testbed(1, vec![allreduce("local", comm, &gpus, Bytes::mib(16), 1)]).build();
+    cluster.check_engine_contract();
     let end = cluster.run_until_quiescent(Nanos::from_secs(5));
     assert!(end > Nanos::ZERO);
     // no network flows at all
@@ -45,6 +46,7 @@ fn four_host_allreduce_hits_line_rate() {
     let gpus = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
     let size = Bytes::mib(64);
     let mut cluster = testbed(2, vec![allreduce("ar4", comm, &gpus, size, 3)]).build();
+    cluster.check_engine_contract();
     cluster.run_until_quiescent(Nanos::from_secs(10));
     let tl = cluster.mgmt().timeline(AppId(0));
     assert_eq!(tl.len(), 3);
@@ -75,6 +77,7 @@ fn eight_gpu_two_channels_engage_both_nics() {
     let comm = CommunicatorId(2);
     let gpus: Vec<GpuId> = (0..8).map(GpuId).collect();
     let mut cluster = testbed(3, vec![allreduce("ar8", comm, &gpus, Bytes::mib(64), 1)]).build();
+    cluster.check_engine_contract();
     cluster.run_until_quiescent(Nanos::from_secs(10));
     let info = cluster.mgmt().communicator(comm).expect("registered");
     assert_eq!(info.channels, 2, "2 GPUs/host -> 2 channels");
@@ -94,11 +97,12 @@ fn allgather_latency_scales_with_op_factor() {
         let mut cluster = testbed(
             seed,
             vec![Tenant {
-                op,
+                body: vec![Work::Collective { op, size }],
                 ..allreduce("x", comm, &gpus, size, 1)
             }],
         )
         .build();
+        cluster.check_engine_contract();
         cluster.run_until_quiescent(Nanos::from_secs(20));
         cluster.mgmt().timeline(AppId(0))[0]
             .latency()
@@ -119,6 +123,7 @@ fn collectives_serialize_per_communicator() {
     let gpus = [GpuId(0), GpuId(2)];
     let size = Bytes::mib(32);
     let mut cluster = testbed(5, vec![allreduce("serial", comm, &gpus, size, 4)]).build();
+    cluster.check_engine_contract();
     cluster.run_until_quiescent(Nanos::from_secs(30));
     let tl = cluster.mgmt().timeline(AppId(0));
     assert_eq!(tl.len(), 4);
@@ -141,6 +146,7 @@ fn reconfiguration_is_safe_and_epochs_agree() {
     let size = Bytes::mib(32);
     let iters = 12;
     let mut cluster = testbed(6, vec![allreduce("reconf", comm, &gpus, size, iters)]).build();
+    cluster.check_engine_contract();
     // Let a few collectives through, then reverse the ring at runtime.
     cluster.run_until(Nanos::from_millis(40));
     let info = cluster.mgmt().communicator(comm).expect("registered");
@@ -187,6 +193,7 @@ fn assert_reconfiguration_refused(bad: impl FnOnce(&[RingOrder]) -> (Vec<RingOrd
         vec![allreduce("refused", comm, &gpus, Bytes::mib(32), iters)],
     )
     .build();
+    cluster.check_engine_contract();
     cluster.run_until(Nanos::from_millis(40));
     let info = cluster.mgmt().communicator(comm).expect("registered");
     let (rings, routes) = bad(&info.rings);
@@ -284,6 +291,7 @@ fn reconfiguration_survives_skewed_req_arrival() {
         );
         s.config.service.control_jitter_frac = 8.0;
         let mut cluster = s.build();
+        cluster.check_engine_contract();
         let app = AppId(0);
         cluster.run_until(Nanos::from_millis(20));
         let info = cluster.mgmt().communicator(comm).expect("registered");
@@ -314,6 +322,7 @@ fn back_to_back_reconfigurations_tolerate_late_gossip() {
     );
     s.config.service.control_jitter_frac = 8.0;
     let mut cluster = s.build();
+    cluster.check_engine_contract();
     let app = AppId(0);
     cluster.run_until(Nanos::from_millis(20));
     let info = cluster.mgmt().communicator(comm).expect("registered");
@@ -354,6 +363,7 @@ fn communicators_with_identical_ring_shape_share_one_cache_entry() {
     // the very first rank to launch derives it, every later launch — on
     // either communicator — hits.
     let mut cluster = testbed(41, Vec::new()).build();
+    cluster.check_engine_contract();
     let gpus = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
     let size = Bytes::mib(1);
     let progs: Vec<(GpuId, Box<dyn mccs_shim::AppProgram>)> = gpus
@@ -427,6 +437,7 @@ fn reconfiguration_keys_a_fresh_cache_entry() {
         vec![allreduce("reconf", comm, &gpus, Bytes::mib(16), 8)],
     )
     .build();
+    cluster.check_engine_contract();
     let app = AppId(0);
     cluster.run_until(Nanos::from_millis(20));
     let info = cluster.mgmt().communicator(comm).expect("registered");
@@ -455,6 +466,7 @@ fn rooted_collectives_validate_buffers_per_rank() {
     let size = Bytes::mib(1);
     let run = |op: CollectiveOp, small_send: bool| {
         let mut cluster = testbed(31, Vec::new()).build();
+        cluster.check_engine_contract();
         let comm = CommunicatorId(1);
         let gpus = [GpuId(0), GpuId(1)];
         let progs: Vec<(GpuId, Box<dyn mccs_shim::AppProgram>)> = gpus
@@ -539,6 +551,17 @@ fn rooted_collectives_still_reject_undersized_significant_buffers() {
 /// `Err((code, message))` for an error completion.
 type Answer = Result<u64, (ErrorCode, String)>;
 
+/// What a probe answers when it waits: `Running` if its pumps moved a
+/// command or a completion this poll (an idle poll changes nothing), else
+/// `Blocked`.
+fn waiting(moved: bool) -> AppStatus {
+    if moved {
+        AppStatus::Running
+    } else {
+        AppStatus::Blocked
+    }
+}
+
 /// One rank that allocates a send and a receive buffer of the sizes in
 /// `alloc`, joins `comm` and issues a single 1 MiB `op`, then records
 /// what the service answered.
@@ -560,6 +583,7 @@ struct IssueOnce {
 /// is quiet.
 fn issue_once(seed: u64, op: CollectiveOp, ranks: &[(GpuId, [Bytes; 2])]) -> Vec<Answer> {
     let mut cluster = testbed(seed, Vec::new()).build();
+    cluster.check_engine_contract();
     let answers = Arc::new(Mutex::new(Vec::new()));
     let world: Vec<GpuId> = ranks.iter().map(|&(gpu, _)| gpu).collect();
     let progs = ranks
@@ -589,14 +613,15 @@ fn issue_once(seed: u64, op: CollectiveOp, ranks: &[(GpuId, [Bytes; 2])]) -> Vec
 impl AppProgram for IssueOnce {
     fn poll(&mut self, api: &mut ShimApi<'_>) -> AppStatus {
         let size = Bytes::mib(1);
+        let mut moved = false;
         loop {
-            api.pump();
+            moved |= api.pump();
             match self.stage {
                 0 => self.pending = self.alloc.iter().map(|&b| api.alloc(b)).collect(),
                 1 => {
                     let Some(buffers) = self.pending.iter().map(|&r| api.alloc_result(r)).collect()
                     else {
-                        return AppStatus::Blocked;
+                        return waiting(moved);
                     };
                     self.buffers = buffers;
                     self.pending =
@@ -604,7 +629,7 @@ impl AppProgram for IssueOnce {
                 }
                 2 => {
                     if api.comm_result(self.pending[0]).is_none() {
-                        return AppStatus::Blocked;
+                        return waiting(moved);
                     }
                     let (send, recv) = ((self.buffers[0], 0), (self.buffers[1], 0));
                     self.pending = vec![api.collective(self.comm, self.op, size, send, recv, None)];
@@ -614,7 +639,7 @@ impl AppProgram for IssueOnce {
                     let answer = match (api.launched_seq(req), api.error_code(req)) {
                         (Some(seq), _) => Ok(seq),
                         (_, Some(code)) => Err((code, api.error(req).unwrap_or("").to_owned())),
-                        _ => return AppStatus::Blocked,
+                        _ => return waiting(moved),
                     };
                     self.answers.lock().unwrap().push(answer);
                     return AppStatus::Finished;
@@ -639,14 +664,15 @@ impl AppProgram for TwoCommsAtOnce {
     fn poll(&mut self, api: &mut ShimApi<'_>) -> AppStatus {
         let size = Bytes::mib(1);
         let comms = [CommunicatorId(1), CommunicatorId(2)];
+        let mut moved = false;
         loop {
-            api.pump();
+            moved |= api.pump();
             match self.stage {
                 0 => self.pending = vec![api.alloc(size), api.alloc(size)],
                 1 => {
                     let Some(buffers) = self.pending.iter().map(|&r| api.alloc_result(r)).collect()
                     else {
-                        return AppStatus::Blocked;
+                        return waiting(moved);
                     };
                     self.buffers = buffers;
                     self.pending = comms
@@ -656,7 +682,7 @@ impl AppProgram for TwoCommsAtOnce {
                 }
                 2 => {
                     if self.pending.iter().any(|&r| api.comm_result(r).is_none()) {
-                        return AppStatus::Blocked;
+                        return waiting(moved);
                     }
                     let (send, recv) = ((self.buffers[0], 0), (self.buffers[1], 0));
                     self.pending = comms
@@ -666,7 +692,7 @@ impl AppProgram for TwoCommsAtOnce {
                 }
                 _ => {
                     if !self.pending.iter().all(|&r| api.collective_done(r)) {
-                        return AppStatus::Blocked;
+                        return waiting(moved);
                     }
                     return AppStatus::Finished;
                 }
@@ -682,6 +708,7 @@ fn two_communicators_in_flight_on_one_endpoint_both_reach_the_tenant_log() {
     // used to key them by endpoint and seq alone, so one overwrote the
     // other and its record was lost.
     let mut cluster = testbed(36, Vec::new()).build();
+    cluster.check_engine_contract();
     let world = vec![GpuId(0), GpuId(2)];
     let progs = (0..world.len())
         .map(|rank| {
@@ -788,6 +815,7 @@ fn pinned_routes_beat_colliding_ecmp() {
             },
         ];
         let mut cluster = testbed(seed, tenants).build();
+        cluster.check_engine_contract();
         // wait for registration (collectives start only at 5 ms)
         cluster.run_until(Nanos::from_millis(1));
         if pin {
@@ -827,6 +855,7 @@ fn traffic_windows_gate_and_release_flows() {
     let gpus = [GpuId(0), GpuId(4)];
     let size = Bytes::mib(64);
     let mut cluster = testbed(8, vec![allreduce("gated", comm, &gpus, size, 2)]).build();
+    cluster.check_engine_contract();
     let app = AppId(0);
     // Gate the app to a 30%-duty window.
     cluster.run_until(Nanos::from_millis(1));
@@ -851,6 +880,7 @@ fn traffic_windows_gate_and_release_flows() {
 
     // Reference run without gating.
     let mut free = testbed(8, vec![allreduce("free", comm, &gpus, size, 2)]).build();
+    free.check_engine_contract();
     free.run_until_quiescent(Nanos::from_secs(60));
     let free_last = free
         .mgmt()
@@ -875,6 +905,7 @@ fn malformed_traffic_windows_rejected_without_aborting() {
     let comm = CommunicatorId(1);
     let gpus = [GpuId(0), GpuId(4)];
     let mut cluster = testbed(8, vec![allreduce("tenant", comm, &gpus, Bytes::mib(4), 2)]).build();
+    cluster.check_engine_contract();
     let app = AppId(0);
     // Construction refuses the bad schedule outright.
     let err = TrafficWindows::single(
@@ -931,6 +962,7 @@ fn management_sees_link_utilization() {
     let comm = CommunicatorId(1);
     let gpus = [GpuId(0), GpuId(4)];
     let mut cluster = testbed(21, vec![allreduce("util", comm, &gpus, Bytes::mib(256), 1)]).build();
+    cluster.check_engine_contract();
     // run into the middle of the transfer
     cluster.run_until(Nanos::from_millis(30));
     let hot = cluster.mgmt().hottest_link().expect("traffic in flight");
@@ -963,6 +995,7 @@ fn degraded_links_become_the_hottest() {
         )],
     )
     .build();
+    cluster.check_engine_contract();
     cluster.run_until(Nanos::from_millis(30));
     // Both ranks' NIC uplinks (one per direction of the ring): no route
     // avoids them, whatever recovery does.
@@ -999,6 +1032,7 @@ fn deterministic_across_identical_runs() {
         let gpus = [GpuId(0), GpuId(2), GpuId(4), GpuId(6)];
         let mut cluster =
             testbed(42, vec![allreduce("det", comm, &gpus, Bytes::mib(16), 5)]).build();
+        cluster.check_engine_contract();
         cluster.run_until_quiescent(Nanos::from_secs(30));
         cluster
             .mgmt()
@@ -1022,8 +1056,9 @@ struct InitEach {
 
 impl AppProgram for InitEach {
     fn poll(&mut self, api: &mut ShimApi<'_>) -> AppStatus {
+        let mut moved = false;
         loop {
-            api.pump();
+            moved |= api.pump();
             match self.pending {
                 None if self.answers.lock().unwrap().len() == self.inits => {
                     return AppStatus::Finished
@@ -1036,7 +1071,7 @@ impl AppProgram for InitEach {
                     let answer = match (api.comm_result(req), api.error_code(req)) {
                         (Some(_), _) => Ok(()),
                         (_, Some(code)) => Err(code),
-                        _ => return AppStatus::Blocked,
+                        _ => return waiting(moved),
                     };
                     self.answers.lock().unwrap().push(answer);
                     self.pending = None;
@@ -1063,6 +1098,7 @@ fn assert_init_refused(world: Vec<GpuId>, inits: usize, expect: Vec<Result<(), E
     s.config.ipc.jitter_frac = 0.0;
     let solo = s.run(Nanos::from_secs(5));
     let mut cluster = s.build();
+    cluster.check_engine_contract();
     let answers = Arc::new(Mutex::new(Vec::new()));
     let bad = InitEach {
         world,
@@ -1128,6 +1164,7 @@ fn split_world() -> Cluster {
         Box::new(ScriptedProgram::new(format!("peer{rank}"), steps)) as Box<dyn AppProgram>
     };
     let mut cluster = Cluster::new(Arc::new(presets::testbed()), Default::default());
+    cluster.check_engine_contract();
     cluster.add_app(
         "split",
         vec![
@@ -1180,6 +1217,7 @@ fn the_explorer_reports_a_quiet_world_with_a_blocked_tenant_as_a_hang() {
     };
     let stuck = || {
         let mut cluster = Cluster::new(Arc::new(presets::testbed()), Default::default());
+        cluster.check_engine_contract();
         cluster.add_app(
             "idle",
             vec![(GpuId(0), Box::new(Stuck) as Box<dyn AppProgram>)],

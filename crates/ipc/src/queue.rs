@@ -39,7 +39,7 @@ impl<T> LatencyQueue<T> {
     /// never delivered before its predecessor (visibility times are clamped
     /// monotone).
     pub fn push(&mut self, now: Nanos, latency: Nanos, item: T) -> Result<(), T> {
-        if self.items.len() >= self.capacity as usize {
+        if self.is_full() {
             return Err(item);
         }
         let mut visible_at = now + latency;
@@ -83,6 +83,11 @@ impl<T> LatencyQueue<T> {
     /// Items in flight (visible or not).
     pub fn len(&self) -> usize {
         self.items.len()
+    }
+
+    /// Whether a push would be refused.
+    pub fn is_full(&self) -> bool {
+        self.items.len() >= self.capacity as usize
     }
 
     /// Whether nothing is in flight.

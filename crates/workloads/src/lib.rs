@@ -4,20 +4,19 @@
 //!
 //! * [`trace`] — iteration traces: the `(compute, collective, memcpy,
 //!   idle)` phase sequences a training job repeats, plus the breakdown
-//!   analyzer behind Figure 2.
+//!   analyzer behind Figure 2. The paper's traffic generator
+//!   ("implemented with Rust using the MCCS library", §6.1) is a trace
+//!   lowered to a [`mccs_core::Tenant`] ([`IterationTrace::tenant`]), one
+//!   rank per GPU, in a [`mccs_core::Scenario`].
 //! * [`models`] — calibrated profiles substituting for the paper's
 //!   PyTorch/DeepSpeed/Megatron traces (repro gate: no GPUs here):
 //!   VGG-19 data-parallel, GPT-2.7B tensor-parallel, ResNet-50
 //!   data-parallel. Parameter counts and bucket sizes are documented at
 //!   each constructor; only the *structure* (collective sizes and compute
 //!   gaps) matters for the network experiments.
-//! * [`generator`] — the traffic generator (the paper implements exactly
-//!   this "with Rust using the MCCS library"): a trace lowered to the
-//!   shim's script, one rank per GPU.
 //! * [`jobs`] — the §6.5 job generator: Poisson arrivals, 16/32-GPU jobs,
 //!   random vs. compact placement over a live occupancy map.
 
-pub mod generator;
 pub mod jobs;
 pub mod models;
 pub mod trace;

@@ -1,9 +1,8 @@
 //! Iteration traces and the training-time breakdown analyzer.
 
 use mccs_collectives::CollectiveOp;
-use mccs_core::closed_loop;
+use mccs_core::{Tenant, TenantMode, Work};
 use mccs_ipc::CommunicatorId;
-use mccs_shim::{ScriptStep, ScriptedProgram};
 use mccs_sim::{Bytes, Nanos};
 use mccs_topology::GpuId;
 
@@ -67,44 +66,28 @@ impl IterationTrace {
             .count()
     }
 
-    /// Rank `rank`'s script replaying this trace over `comm` from `start`:
-    /// the [`closed_loop`] whose body is one iteration. Compute and memcpy
-    /// phases run on the app stream, an idle phase sleeps, and a
-    /// collective goes from slot 0 to slot 1. Both slots hold the largest
-    /// collective (4 KiB if there is none).
-    pub fn program(
-        &self,
-        name: &str,
-        comm: CommunicatorId,
-        gpus: &[GpuId],
-        rank: usize,
-        start: Nanos,
-    ) -> ScriptedProgram {
+    /// The service tenant `name` replaying this trace over `comm`, one
+    /// rank per GPU of `gpus`, from `start`: compute and memcpy phases
+    /// become [`Work::Compute`] on the tenant's stream, idle phases
+    /// [`Work::Sleep`].
+    pub fn tenant(&self, name: &str, comm: CommunicatorId, gpus: &[GpuId], start: Nanos) -> Tenant {
         let body = self
             .phases
             .iter()
             .map(|phase| match *phase {
-                TracePhase::Compute(d) | TracePhase::Memcpy(d) => ScriptStep::Compute(d),
-                TracePhase::Idle(d) => ScriptStep::Sleep(d),
-                TracePhase::Collective { op, size } => ScriptStep::Collective {
-                    comm,
-                    op,
-                    size,
-                    send_slot: 0,
-                    recv_slot: 1,
-                },
+                TracePhase::Compute(d) | TracePhase::Memcpy(d) => Work::Compute(d),
+                TracePhase::Idle(d) => Work::Sleep(d),
+                TracePhase::Collective { op, size } => Work::Collective { op, size },
             })
             .collect();
-        let size = self
-            .phases
-            .iter()
-            .filter_map(|phase| match phase {
-                TracePhase::Collective { size, .. } => Some(*size),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(Bytes::kib(4));
-        closed_loop(name, comm, gpus, rank, size, start, body, self.iterations)
+        Tenant {
+            name: name.to_owned(),
+            gpus: gpus.to_vec(),
+            body,
+            iters: self.iterations,
+            start,
+            mode: TenantMode::Service(comm),
+        }
     }
 }
 

@@ -9,7 +9,7 @@ use mccs::collectives::crossrack;
 use mccs::collectives::op::all_reduce_sum;
 use mccs::control::flow_policy::JobFlows;
 use mccs::control::{ffa, optimal_rings, ChannelPolicy};
-use mccs::service::{ClusterConfig, LibraryConfig, RingChoice, Scenario, Tenant, TenantMode};
+use mccs::service::{ClusterConfig, LibraryConfig, RingChoice, Scenario, Tenant, TenantMode, Work};
 use mccs::sim::{Bandwidth, Bytes, Nanos};
 use mccs::topology::{GpuId, PodId, SwitchRole, TopologyBuilder};
 use std::sync::Arc;
@@ -80,11 +80,12 @@ fn main() {
     let job = Tenant {
         name: "custom".to_owned(),
         gpus: scattered,
-        op: all_reduce_sum(),
-        size: Bytes::mib(64),
+        body: vec![Work::Collective {
+            op: all_reduce_sum(),
+            size: Bytes::mib(64),
+        }],
         iters: 4,
         start: Nanos::ZERO,
-        compute: Nanos::ZERO,
         mode: TenantMode::Library(LibraryConfig {
             channels: rings.len(),
             ring: RingChoice::Explicit(rings),

@@ -14,7 +14,7 @@ use mccs::collectives::{algo_bandwidth, RingOrder};
 use mccs::ipc::{AppId, CommunicatorId};
 use mccs::netsim::FlowSpec;
 use mccs::service::config::RouteMap;
-use mccs::service::{Cluster, ClusterConfig, Scenario, Tenant, TenantMode};
+use mccs::service::{Cluster, ClusterConfig, Scenario, Tenant, TenantMode, Work};
 use mccs::sim::{Bandwidth, Bytes, Nanos};
 use mccs::topology::{GpuId, NicId, PodId, SwitchRole, TopologyBuilder};
 use std::sync::Arc;
@@ -46,11 +46,12 @@ fn main() {
         name: "ar8".to_owned(),
         mode: TenantMode::Service(comm),
         gpus: (0..8).map(GpuId).collect(),
-        op: all_reduce_sum(),
-        size,
+        body: vec![Work::Collective {
+            op: all_reduce_sum(),
+            size,
+        }],
         iters: 300,
         start: Nanos::ZERO,
-        compute: Nanos::ZERO,
     };
     let mut cluster = Scenario {
         topo: Arc::new(ring_with_traffic_hosts()),

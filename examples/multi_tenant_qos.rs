@@ -11,45 +11,44 @@
 use mccs::control::{
     apply_traffic_schedule, optimize_cluster, ChannelPolicy, FlowAssignment, PolicySpec,
 };
-use mccs::ipc::CommunicatorId;
-use mccs::service::{Cluster, ClusterConfig};
+use mccs::ipc::{AppId, CommunicatorId};
+use mccs::service::{ClusterConfig, Scenario};
 use mccs::sim::Nanos;
 use mccs::topology::{presets, GpuId, RouteId};
-use mccs::workloads::generator::spawn_traffic_app;
 use mccs::workloads::{gpt27b_tensor_parallel, vgg19_data_parallel};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 fn main() {
-    let topo = Arc::new(presets::testbed());
-    let mut cluster = Cluster::new(Arc::clone(&topo), ClusterConfig::default());
-
     // Setup 3 of the paper's Figure 5b: A holds both GPUs of H0 and H2
     // (2 NICs/host); B and C hold one GPU each on H1 and H3.
-    let a = spawn_traffic_app(
-        &mut cluster,
-        "A-vgg",
-        CommunicatorId(1),
-        &[GpuId(0), GpuId(1), GpuId(4), GpuId(5)],
-        &vgg19_data_parallel(6),
-        Nanos::from_millis(20),
-    );
-    let b = spawn_traffic_app(
-        &mut cluster,
-        "B-gpt",
-        CommunicatorId(2),
-        &[GpuId(2), GpuId(6)],
-        &gpt27b_tensor_parallel(3),
-        Nanos::from_millis(25),
-    );
-    let c = spawn_traffic_app(
-        &mut cluster,
-        "C-gpt",
-        CommunicatorId(3),
-        &[GpuId(3), GpuId(7)],
-        &gpt27b_tensor_parallel(3),
-        Nanos::from_millis(31),
-    );
+    let mut cluster = Scenario {
+        topo: Arc::new(presets::testbed()),
+        config: ClusterConfig::default(),
+        tenants: vec![
+            vgg19_data_parallel(6).tenant(
+                "A-vgg",
+                CommunicatorId(1),
+                &[GpuId(0), GpuId(1), GpuId(4), GpuId(5)],
+                Nanos::from_millis(20),
+            ),
+            gpt27b_tensor_parallel(3).tenant(
+                "B-gpt",
+                CommunicatorId(2),
+                &[GpuId(2), GpuId(6)],
+                Nanos::from_millis(25),
+            ),
+            gpt27b_tensor_parallel(3).tenant(
+                "C-gpt",
+                CommunicatorId(3),
+                &[GpuId(3), GpuId(7)],
+                Nanos::from_millis(31),
+            ),
+        ],
+        faults: None,
+    }
+    .build();
+    let (a, b, c) = (AppId(0), AppId(1), AppId(2));
 
     // Let everyone register, then apply the baseline policy: locality
     // rings + fair flow assignment.

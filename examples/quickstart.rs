@@ -10,7 +10,7 @@
 use mccs::collectives::op::all_reduce_sum;
 use mccs::collectives::{algo_bandwidth, bus_bandwidth};
 use mccs::ipc::{AppId, CommunicatorId};
-use mccs::service::{ClusterConfig, Scenario, Tenant, TenantMode};
+use mccs::service::{ClusterConfig, Scenario, Tenant, TenantMode, Work};
 use mccs::sim::{Bytes, Nanos};
 use mccs::topology::{presets, GpuId};
 use std::sync::Arc;
@@ -24,11 +24,12 @@ fn main() {
         name: "quickstart".to_owned(),
         mode: TenantMode::Service(CommunicatorId(1)),
         gpus: vec![GpuId(0), GpuId(2), GpuId(4), GpuId(6)],
-        op: all_reduce_sum(),
-        size,
+        body: vec![Work::Collective {
+            op: all_reduce_sum(),
+            size,
+        }],
         iters: 5,
         start: Nanos::ZERO,
-        compute: Nanos::ZERO,
     };
     let ranks = tenant.gpus.len();
 

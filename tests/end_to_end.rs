@@ -7,7 +7,7 @@ use mccs::collectives::{algo_bandwidth, CollectiveOp};
 use mccs::control::{optimize_cluster, PolicySpec};
 use mccs::ipc::{AppId, CommunicatorId};
 use mccs::service::{
-    Cluster, ClusterConfig, LibraryConfig, RingChoice, Scenario, Tenant, TenantMode,
+    Cluster, ClusterConfig, LibraryConfig, RingChoice, Scenario, Tenant, TenantMode, Work,
 };
 use mccs::sim::{Bytes, Nanos};
 use mccs::topology::{presets, GpuId};
@@ -49,11 +49,12 @@ fn controller_rescues_bad_vm_order() {
             name: "t".to_owned(),
             mode: TenantMode::Service(CommunicatorId(5)),
             gpus: vm_order.clone(),
-            op: all_reduce_sum(),
-            size,
+            body: vec![Work::Collective {
+                op: all_reduce_sum(),
+                size,
+            }],
             iters: 3,
             start: Nanos::from_millis(10),
-            compute: Nanos::ZERO,
         };
         let mut cluster = testbed(vec![tenant]);
         let app = AppId(0);
@@ -87,11 +88,12 @@ fn service_and_library_tenants_coexist() {
     let svc = Tenant {
         name: "svc".to_owned(),
         gpus: vec![GpuId(0), GpuId(4)],
-        op: all_reduce_sum(),
-        size: Bytes::mib(64),
+        body: vec![Work::Collective {
+            op: all_reduce_sum(),
+            size: Bytes::mib(64),
+        }],
         iters: 3,
         start: Nanos::from_millis(5),
-        compute: Nanos::ZERO,
         mode: TenantMode::Service(CommunicatorId(1)),
     };
     let lib = Tenant {
@@ -118,11 +120,12 @@ fn memory_roundtrip_through_the_service() {
         name: "mem".to_owned(),
         mode: TenantMode::Service(CommunicatorId(1)),
         gpus: vec![GpuId(0), GpuId(1)],
-        op: all_reduce_sum(),
-        size: Bytes::mib(8),
+        body: vec![Work::Collective {
+            op: all_reduce_sum(),
+            size: Bytes::mib(8),
+        }],
         iters: 1,
         start: Nanos::ZERO,
-        compute: Nanos::ZERO,
     };
     let mut cluster = testbed(vec![tenant]);
     cluster.run_until_quiescent(Nanos::from_secs(10));
@@ -151,11 +154,9 @@ fn op_zoo_latency_ordering() {
             name: "ops".to_owned(),
             mode: TenantMode::Service(CommunicatorId(10 + i as u64)),
             gpus: vec![GpuId(0), GpuId(2), GpuId(4), GpuId(6)],
-            op,
-            size,
+            body: vec![Work::Collective { op, size }],
             iters: 1,
             start: Nanos::from_millis(5),
-            compute: Nanos::ZERO,
         };
         let mut cluster = testbed(vec![tenant]);
         let app = AppId(0);
@@ -187,11 +188,12 @@ fn facade_runs_are_deterministic() {
             name: "det".to_owned(),
             mode: TenantMode::Service(CommunicatorId(2)),
             gpus: vec![GpuId(0), GpuId(2), GpuId(4), GpuId(6)],
-            op: all_reduce_sum(),
-            size: Bytes::mib(32),
+            body: vec![Work::Collective {
+                op: all_reduce_sum(),
+                size: Bytes::mib(32),
+            }],
             iters: 4,
             start: Nanos::from_millis(5),
-            compute: Nanos::ZERO,
         };
         let mut cluster = testbed(vec![tenant]);
         let app = AppId(0);

@@ -49,7 +49,7 @@ use mccs::collectives::op::all_reduce_sum;
 use mccs::collectives::{CollectiveOp, ReduceKind};
 use mccs::ipc::{AppId, CommunicatorId, COMPLETION_LATENCY, ENGINE_HOP_LATENCY};
 use mccs::service::{
-    ClusterConfig, CollectiveConfig, LibraryConfig, RingChoice, Scenario, Tenant, TenantMode,
+    ClusterConfig, CollectiveConfig, LibraryConfig, RingChoice, Scenario, Tenant, TenantMode, Work,
 };
 use mccs::sim::{Bandwidth, Bytes, Nanos};
 use mccs::topology::presets::{self, SpineLeafConfig};
@@ -68,11 +68,12 @@ fn tenant(name: &str, comm: u64, gpus: Vec<GpuId>) -> Tenant {
         name: name.to_owned(),
         mode: TenantMode::Service(CommunicatorId(comm)),
         gpus,
-        op: all_reduce_sum(),
-        size: Bytes::mib(16),
+        body: vec![Work::Collective {
+            op: all_reduce_sum(),
+            size: Bytes::mib(16),
+        }],
         iters: 3,
         start: Nanos::ZERO,
-        compute: Nanos::ZERO,
     }
 }
 
@@ -287,8 +288,7 @@ fn r3_residual(mode: impl Fn(Scenario) -> Scenario) -> i64 {
         for size in [Bytes::kib(512), Bytes::mib(64)] {
             let [l1, l2, l4] = [1.0, 2.0, 4.0].map(|scale| {
                 let mut s = without_jitter(one_gpu_per_host(scale));
-                s.tenants[0].op = op;
-                s.tenants[0].size = size;
+                s.tenants[0].body = vec![Work::Collective { op, size }];
                 latencies(&mode(s))
             });
             for i in 0..l1.len() {
@@ -361,8 +361,7 @@ fn r5(s: Scenario, check: impl Fn(Nanos) -> bool) {
     for op in ops {
         for size in [Bytes::kib(8), Bytes::kib(512), Bytes::mib(64)] {
             let mut s = s.clone();
-            s.tenants[0].op = op;
-            s.tenants[0].size = size;
+            s.tenants[0].body = vec![Work::Collective { op, size }];
             for delta in surcharges(&s) {
                 assert!(check(delta), "{op:?} of {size}: surcharge {delta}");
             }

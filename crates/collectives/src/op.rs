@@ -36,7 +36,7 @@ impl DataType {
 }
 
 /// Reduction operators for reducing collectives.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub enum ReduceKind {
     /// Elementwise sum (the deep-learning gradient case).
     #[default]
@@ -54,7 +54,7 @@ pub enum ReduceKind {
 /// A collective operation kind.
 ///
 /// `root` ranks are indices within the communicator.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum CollectiveOp {
     /// Every rank ends with the elementwise reduction of all ranks' data.
     AllReduce(ReduceKind),

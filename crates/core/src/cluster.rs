@@ -17,6 +17,8 @@ use mccs_shim::AppProgram;
 use mccs_sim::{Engine, EngineId, Nanos, RuntimePool};
 use mccs_topology::{GpuId, Topology};
 use std::collections::BTreeMap;
+use std::fmt;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// Knobs for a cluster run.
@@ -198,13 +200,18 @@ impl Cluster {
     /// Two runs of the same scenario (same seed, same plan) must produce
     /// identical digests — the determinism gate CI enforces by running
     /// scenarios twice in separate processes and diffing the output.
+    ///
+    /// Each part is hashed as its `Debug` text, as `format!("{:?}",
+    /// part).hash(..)` would, but streamed into the hasher: the trace's
+    /// text runs to tens of MiB on a large world.
     pub fn observable_digest(&self) -> u64 {
-        use std::hash::{DefaultHasher, Hash, Hasher};
+        use std::hash::DefaultHasher;
         let w = &self.world;
         let mut h = DefaultHasher::new();
-        format!("{:?}", w.trace.records()).hash(&mut h);
-        format!("{:?}", w.health.events()).hash(&mut h);
-        format!("{:?}", w.health.counters).hash(&mut h);
+        let trace = fmt::from_fn(|f| f.debug_list().entries(w.trace.iter()).finish());
+        hash_debug(&mut h, &trace);
+        hash_debug(&mut h, &w.health.events());
+        hash_debug(&mut h, &w.health.counters);
         h.finish()
     }
 
@@ -405,4 +412,19 @@ impl ClusterConfig {
             ..Default::default()
         }
     }
+}
+
+/// Feed `v`'s `Debug` text to `h` exactly as hashing the formatted
+/// `String` would, without building it.
+fn hash_debug(h: &mut impl Hasher, v: &dyn fmt::Debug) {
+    struct Feed<'a, H>(&'a mut H);
+    impl<H: Hasher> fmt::Write for Feed<'_, H> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0.write(s.as_bytes());
+            Ok(())
+        }
+    }
+    fmt::write(&mut Feed(h), format_args!("{v:?}")).expect("a Debug impl failed");
+    // `str::hash` ends the text with this byte, which no UTF-8 text holds.
+    h.write_u8(0xff);
 }

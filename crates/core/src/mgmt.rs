@@ -137,17 +137,12 @@ impl<'a> Management<'a> {
 
     /// All trace records of an application (the §4.3 tracing API).
     pub fn trace(&self, app: AppId) -> Vec<TraceRecord> {
-        self.world.trace.for_app(app).into_iter().cloned().collect()
+        self.world.trace.for_app(app)
     }
 
     /// An application's rank-0 completed-collective timeline.
     pub fn timeline(&self, app: AppId) -> Vec<TraceRecord> {
-        self.world
-            .trace
-            .timeline(app)
-            .into_iter()
-            .cloned()
-            .collect()
+        self.world.trace.timeline(app)
     }
 
     /// The idle gaps of an application's collective timeline — what the

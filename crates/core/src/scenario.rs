@@ -186,13 +186,7 @@ impl Record {
     pub fn of(cluster: &Cluster, end: Nanos) -> Record {
         let traces = (0..cluster.world.app_names.len())
             .map(|app| {
-                let mut trace: Vec<TraceRecord> = cluster
-                    .world
-                    .trace
-                    .for_app(AppId(app as u32))
-                    .into_iter()
-                    .cloned()
-                    .collect();
+                let mut trace = cluster.world.trace.for_app(AppId(app as u32));
                 trace.sort_by_key(|r| (r.seq, r.rank));
                 trace
             })

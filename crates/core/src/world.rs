@@ -396,8 +396,11 @@ pub struct World {
 pub struct TenantLog {
     /// Collectives in flight at the tenant, indexed by endpoint.
     endpoints: Vec<EndpointLog>,
-    /// Finished records — completed *and* cleanly failed collectives.
-    records: Vec<TenantRecord>,
+    /// Finished rows — completed *and* cleanly failed collectives.
+    rows: Vec<TenantRow>,
+    /// Interned `(app, endpoint, comm)`, one per communicator an endpoint
+    /// had a collective acknowledged on.
+    lanes: Vec<(AppId, usize, CommunicatorId)>,
 }
 
 /// One endpoint's collectives between the shim's push and the final
@@ -406,8 +409,9 @@ pub struct TenantLog {
 struct EndpointLog {
     /// req -> communicator and push time of the collective command.
     pending_issue: IdWindow<(CommunicatorId, Nanos)>,
-    /// comm -> seq -> issue time (after the launch ack named the seq).
-    issued: FlatMap<CommunicatorId, IdWindow<Nanos>>,
+    /// comm -> its lane, and seq -> issue time (after the launch ack
+    /// named the seq).
+    issued: FlatMap<CommunicatorId, (u32, IdWindow<Nanos>)>,
 }
 
 /// One finished collective as the tenant saw it: issue at the shim to
@@ -432,6 +436,17 @@ pub struct TenantRecord {
     pub failed: bool,
 }
 
+/// A stored [`TenantRecord`] (32 B; the record is 48): its
+/// `(app, endpoint, comm)` is an index into [`TenantLog::lanes`].
+#[derive(Clone, Copy, Debug)]
+struct TenantRow {
+    lane: u32,
+    failed: bool,
+    seq: u64,
+    issued: Nanos,
+    finished: Nanos,
+}
+
 impl TenantLog {
     fn endpoint(&mut self, endpoint: usize) -> &mut EndpointLog {
         if endpoint >= self.endpoints.len() {
@@ -452,18 +467,22 @@ impl TenantLog {
     fn on_pop(&mut self, endpoint: usize, app: AppId, comp: &ShimCompletion, now: Nanos) {
         match comp {
             ShimCompletion::CollectiveLaunched { req, seq } => {
+                let next = self.lanes.len();
                 let log = self.endpoint(endpoint);
                 if let Some((comm, t)) = log.pending_issue.remove(*req) {
-                    log.issued
-                        .get_or_insert(comm, IdWindow::default())
-                        .insert(*seq, t);
+                    let fresh = u32::try_from(next).expect("more than u32::MAX tenant lanes");
+                    let (lane, seqs) = log.issued.get_or_insert(comm, (fresh, IdWindow::default()));
+                    seqs.insert(*seq, t);
+                    if *lane == fresh {
+                        self.lanes.push((app, endpoint, comm));
+                    }
                 }
             }
             ShimCompletion::CollectiveDone { comm, seq } => {
-                self.finish(endpoint, app, *comm, *seq, now, false);
+                self.finish(endpoint, *comm, *seq, now, false);
             }
             ShimCompletion::CollectiveFailed { comm, seq, .. } => {
-                self.finish(endpoint, app, *comm, *seq, now, true);
+                self.finish(endpoint, *comm, *seq, now, true);
             }
             // A refused collective is never acknowledged: it leaves the
             // log, or it would count as unfinished and pin the window.
@@ -477,7 +496,6 @@ impl TenantLog {
     fn finish(
         &mut self,
         endpoint: usize,
-        app: AppId,
         comm: CommunicatorId,
         seq: u64,
         now: Nanos,
@@ -487,18 +505,42 @@ impl TenantLog {
             .endpoints
             .get_mut(endpoint)
             .and_then(|log| log.issued.get_mut(&comm))
-            .and_then(|seqs| seqs.remove(seq));
-        if let Some(t) = issued {
-            self.records.push(TenantRecord {
-                app,
-                endpoint,
-                comm,
+            .and_then(|(lane, seqs)| Some((*lane, seqs.remove(seq)?)));
+        if let Some((lane, t)) = issued {
+            self.rows.push(TenantRow {
+                lane,
+                failed,
                 seq,
                 issued: t,
                 finished: now,
-                failed,
             });
         }
+    }
+
+    fn record(&self, r: &TenantRow) -> TenantRecord {
+        let (app, endpoint, comm) = self.lanes[r.lane as usize];
+        TenantRecord {
+            app,
+            endpoint,
+            comm,
+            seq: r.seq,
+            issued: r.issued,
+            finished: r.finished,
+            failed: r.failed,
+        }
+    }
+
+    /// Every finished collective of one endpoint — completed and failed —
+    /// in issue order.
+    pub fn outcomes_of_endpoint(&self, endpoint: usize) -> Vec<TenantRecord> {
+        let mut v: Vec<TenantRecord> = self
+            .rows
+            .iter()
+            .filter(|r| self.lanes[r.lane as usize].1 == endpoint)
+            .map(|r| self.record(r))
+            .collect();
+        v.sort_by_key(|r| r.issued);
+        v
     }
 
     /// Tenant-perceived `(seq, issued, done)` records of one endpoint's
@@ -506,33 +548,15 @@ impl TenantLog {
     /// view. Use [`Self::outcomes_of_endpoint`] when failed work must be
     /// counted too.
     pub fn latencies_of_endpoint(&self, endpoint: usize) -> Vec<(u64, Nanos, Nanos)> {
-        let mut v: Vec<(u64, Nanos, Nanos)> = self
-            .records
-            .iter()
-            .filter(|r| r.endpoint == endpoint && !r.failed)
-            .map(|r| (r.seq, r.issued, r.finished))
-            .collect();
-        v.sort_by_key(|&(_, t, _)| t);
-        v
-    }
-
-    /// Every finished collective of one endpoint — completed and failed —
-    /// in issue order.
-    pub fn outcomes_of_endpoint(&self, endpoint: usize) -> Vec<TenantRecord> {
-        let mut v: Vec<TenantRecord> = self
-            .records
-            .iter()
-            .filter(|r| r.endpoint == endpoint)
-            .copied()
-            .collect();
-        v.sort_by_key(|r| r.issued);
-        v
+        let outcomes = self.outcomes_of_endpoint(endpoint).into_iter();
+        let done = outcomes.filter(|r| !r.failed);
+        done.map(|r| (r.seq, r.issued, r.finished)).collect()
     }
 
     /// Every finished record, in completion order (the chaos explorer's
     /// oracle input).
-    pub fn records(&self) -> &[TenantRecord] {
-        &self.records
+    pub fn records(&self) -> Vec<TenantRecord> {
+        self.rows.iter().map(|r| self.record(r)).collect()
     }
 
     /// Collectives issued at the shim but not yet finished. Must be zero
@@ -542,7 +566,8 @@ impl TenantLog {
         self.endpoints
             .iter()
             .map(|log| {
-                log.pending_issue.len() + log.issued.values().map(IdWindow::len).sum::<usize>()
+                let acked = log.issued.values().map(|(_, seqs)| seqs.len());
+                log.pending_issue.len() + acked.sum::<usize>()
             })
             .sum()
     }
@@ -1152,7 +1177,7 @@ impl WakeSource for World {
             self.net.flows_started() as usize,
             self.net.flow_count(),
             self.health.events().len(),
-            self.trace.records().len(),
+            self.trace.len(),
         ];
         counts.hash(&mut h);
         // IPC queue ops only grow; flow notices only shrink in a poll.
@@ -1351,6 +1376,90 @@ mod tests {
     fn unknown_token_rejected() {
         let mut w = world();
         w.complete_token(999, Nanos::ZERO);
+    }
+
+    #[test]
+    fn a_tenant_row_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<TenantRow>(), 32);
+        assert_eq!(std::mem::size_of::<TenantRecord>(), 48, "what a row saves");
+    }
+
+    #[test]
+    fn tenant_rows_read_back_as_the_records_they_replace() {
+        let mut log = TenantLog::default();
+        let ack = |req, seq| ShimCompletion::CollectiveLaunched { req, seq };
+        let (a, b) = (CommunicatorId(3), CommunicatorId(8));
+        for (endpoint, app, req, comm, at) in [(1, 4, 0, a, 10), (1, 4, 1, b, 11), (0, 5, 0, a, 12)]
+        {
+            let coll = mccs_ipc::CollectiveRequest {
+                comm,
+                op: mccs_collectives::op::all_reduce_sum(),
+                size: Bytes::mib(1),
+                send: (MemHandle(0), 0),
+                recv: (MemHandle(0), 0),
+                depends_on: None,
+            };
+            log.on_push(endpoint, &ShimCommand::Collective { req, coll }, Nanos(at));
+            log.on_pop(endpoint, AppId(app), &ack(req, 6), Nanos(at + 1));
+        }
+        let failed = ShimCompletion::CollectiveFailed {
+            comm: b,
+            seq: 6,
+            code: mccs_ipc::ErrorCode::SystemError,
+            message: String::new(),
+        };
+        log.on_pop(1, AppId(4), &failed, Nanos(20));
+        log.on_pop(
+            0,
+            AppId(5),
+            &ShimCompletion::CollectiveDone { comm: a, seq: 6 },
+            Nanos(21),
+        );
+        log.on_pop(
+            1,
+            AppId(4),
+            &ShimCompletion::CollectiveDone { comm: a, seq: 6 },
+            Nanos(22),
+        );
+        assert_eq!(log.unfinished(), 0);
+        let got: Vec<_> = log.records().iter().map(|r| format!("{r:?}")).collect();
+        let want = [
+            TenantRecord {
+                app: AppId(4),
+                endpoint: 1,
+                comm: b,
+                seq: 6,
+                issued: Nanos(11),
+                finished: Nanos(20),
+                failed: true,
+            },
+            TenantRecord {
+                app: AppId(5),
+                endpoint: 0,
+                comm: a,
+                seq: 6,
+                issued: Nanos(12),
+                finished: Nanos(21),
+                failed: false,
+            },
+            TenantRecord {
+                app: AppId(4),
+                endpoint: 1,
+                comm: a,
+                seq: 6,
+                issued: Nanos(10),
+                finished: Nanos(22),
+                failed: false,
+            },
+        ];
+        assert_eq!(got, want.map(|r| format!("{r:?}")));
+        let ep1: Vec<_> = log
+            .outcomes_of_endpoint(1)
+            .iter()
+            .map(|r| r.issued)
+            .collect();
+        assert_eq!(ep1, [Nanos(10), Nanos(11)], "in issue order");
+        assert_eq!(log.latencies_of_endpoint(1), [(6, Nanos(10), Nanos(22))]);
     }
 
     #[test]

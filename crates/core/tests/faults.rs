@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{four_host, hottest_spine_at, testbed, two_tenants, COMM, GPUS, SPINE0};
+use common::{four_host, hottest_spine_at, spine_links, testbed, two_tenants, COMM, GPUS, SPINE0};
 use mccs_core::{Cluster, DegradationPolicy, FailureEvent, HealthDelivery};
 use mccs_ipc::AppId;
 use mccs_netsim::{FaultEvent, FaultPlan};
@@ -99,6 +99,33 @@ fn link_failure_recovery_is_deterministic() {
     let (a, _) = link_failure_run(22);
     let (b, _) = link_failure_run(22);
     assert_eq!(a.observable_digest(), b.observable_digest());
+}
+
+/// The digest streams each part's `Debug` text into the hasher; it must
+/// equal hashing the formatted strings, as it was first computed, on a
+/// world whose trace and failure log are both non-trivial.
+#[test]
+fn the_streamed_digest_equals_the_formatted_one() {
+    use std::hash::{DefaultHasher, Hash, Hasher};
+    // Every spine link dies for good: the rack-crossing ring has no
+    // route left, so recovery runs out and the collectives fail.
+    let mut s = four_host("faulty", 41, Bytes::mib(16), 3);
+    let mut plan = FaultPlan::new();
+    for link in spine_links(&s) {
+        plan = plan.at(Nanos::from_millis(6), FaultEvent::LinkDown(link));
+    }
+    s.faults = Some(plan);
+    let mut cluster = s.build();
+    cluster.run_until_quiescent(Nanos::from_secs(60));
+    let w = &cluster.world;
+    let records = w.trace.records();
+    assert!(records.iter().any(|r| r.failed_at.is_some()), "{records:?}");
+    assert!(!w.health.events().is_empty());
+    let mut h = DefaultHasher::new();
+    format!("{records:?}").hash(&mut h);
+    format!("{:?}", w.health.events()).hash(&mut h);
+    format!("{:?}", w.health.counters).hash(&mut h);
+    assert_eq!(cluster.observable_digest(), h.finish());
 }
 
 /// A lost corrective Req must not wedge the barrier: the rank that never

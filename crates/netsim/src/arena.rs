@@ -3,15 +3,13 @@
 //! [`FlowId`]s stay globally unique and monotonically increasing — that is
 //! what makes completion ordering, cross-run differential tests, and the
 //! digest canonical — but the hot state lives in no ordered map. An id
-//! indexes an O(1) flat translation table (`id_slot`) into a `Vec`-backed
-//! slot arena with a LIFO free list. Slots are recycled, ids never are: a
-//! dead id translates to `DEAD` forever, so nothing can reach a recycled
-//! slot through it.
+//! indexes an [`IdWindow`] translation table (`id_slot`) into a
+//! `Vec`-backed slot arena with a LIFO free list. Slots are recycled, ids
+//! never are: a dead id leaves the window, so nothing can reach a
+//! recycled slot through it, and the window spans only the live ids.
 
 use crate::flow::FlowId;
-
-/// Sentinel in the id→slot table: id is dead (or was never born).
-const DEAD: u32 = u32::MAX;
+use mccs_sim::IdWindow;
 
 /// Dense slot arena with a free list.
 #[derive(Debug)]
@@ -20,11 +18,8 @@ pub(crate) struct FlowStore<T> {
     slots: Vec<Option<T>>,
     /// Recycled slot indices, LIFO.
     free: Vec<u32>,
-    /// `id.0 -> slot` translation; `DEAD` for finished/cancelled ids.
-    /// Ids are sequential, so this is a flat vector, not a map.
-    id_slot: Vec<u32>,
-    /// Ids below this are all dead — bounds ordered scans under churn.
-    floor: usize,
+    /// `id.0 -> slot` for the live ids.
+    id_slot: IdWindow<u32>,
     len: usize,
 }
 
@@ -33,8 +28,7 @@ impl<T> Default for FlowStore<T> {
         FlowStore {
             slots: Vec::new(),
             free: Vec::new(),
-            id_slot: Vec::new(),
-            floor: 0,
+            id_slot: IdWindow::default(),
             len: 0,
         }
     }
@@ -42,15 +36,10 @@ impl<T> Default for FlowStore<T> {
 
 impl<T> FlowStore<T> {
     fn slot_of(&self, id: FlowId) -> Option<u32> {
-        let s = *self.id_slot.get(id.0 as usize)?;
-        (s != DEAD).then_some(s)
+        self.id_slot.get(id.0).copied()
     }
 
     pub(crate) fn insert(&mut self, id: FlowId, value: T) -> Option<T> {
-        let idx = id.0 as usize;
-        if idx >= self.id_slot.len() {
-            self.id_slot.resize(idx + 1, DEAD);
-        }
         if let Some(slot) = self.slot_of(id) {
             // Replacing a live id in place keeps the slot.
             return self.slots[slot as usize].replace(value);
@@ -63,39 +52,29 @@ impl<T> FlowStore<T> {
             }
         };
         self.slots[slot as usize] = Some(value);
-        self.id_slot[idx] = slot;
+        self.id_slot.insert(id.0, slot);
         self.len += 1;
         None
     }
 
     pub(crate) fn remove(&mut self, id: FlowId) -> Option<T> {
-        let slot = self.slot_of(id)?;
-        self.id_slot[id.0 as usize] = DEAD;
+        let slot = self.id_slot.remove(id.0)?;
         let out = self.slots[slot as usize].take();
         debug_assert!(out.is_some(), "live id pointed at an empty slot");
         self.free.push(slot);
         self.len -= 1;
-        // Advance the dead-prefix watermark (amortized O(1)): ordered
-        // scans then start at the oldest live id, so long-lived churn does
-        // not degrade iteration to O(total ids ever).
-        while self.floor < self.id_slot.len() && self.id_slot[self.floor] == DEAD {
-            self.floor += 1;
-        }
         out
     }
 
     /// Visit every live flow in ascending id order — the canonical order
-    /// for anything digest- or float-visible (dead prefix skipped via the
-    /// watermark maintained by `remove`).
+    /// for anything digest- or float-visible. The walk costs the live-id
+    /// span, not the flows ever started.
     pub(crate) fn for_each_ordered(&self, mut f: impl FnMut(FlowId, &T)) {
-        for idx in self.floor..self.id_slot.len() {
-            let slot = self.id_slot[idx];
-            if slot != DEAD {
-                let v = self.slots[slot as usize]
-                    .as_ref()
-                    .expect("live id pointed at an empty slot");
-                f(FlowId(idx as u64), v);
-            }
+        for (id, &slot) in self.id_slot.iter() {
+            let v = self.slots[slot as usize]
+                .as_ref()
+                .expect("live id pointed at an empty slot");
+            f(FlowId(id), v);
         }
     }
 
@@ -156,6 +135,19 @@ mod tests {
         assert_eq!(s.remove(FlowId(0)), None);
         assert_eq!(s.get(FlowId(1)), Some(&11));
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn the_id_table_spans_only_the_live_ids() {
+        let mut s: FlowStore<u64> = FlowStore::default();
+        for id in 0..1_000 {
+            s.insert(FlowId(id), id);
+            if id >= 2 {
+                s.remove(FlowId(id - 2));
+            }
+        }
+        assert_eq!(s.id_slot.span(), 2, "ids 998 and 999");
+        assert_eq!(s.slots.len(), 3, "slots are recycled");
     }
 
     #[test]

@@ -66,6 +66,13 @@ impl<T> IdWindow<T> {
         self.slots.get(self.index(id)?)?.as_ref()
     }
 
+    /// Live `(id, value)` pairs in ascending id order (O(window)).
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
+        let base = self.base;
+        let live = self.slots.iter().enumerate();
+        live.filter_map(move |(i, s)| Some((base + i as u64, s.as_ref()?)))
+    }
+
     /// Number of entries (O(window)).
     pub fn len(&self) -> usize {
         self.slots.iter().filter(|s| s.is_some()).count()
@@ -125,6 +132,9 @@ mod tests {
             for (&id, v) in &model {
                 prop_assert_eq!(w.get(id), Some(v));
             }
+            let walked: Vec<(u64, &usize)> = w.iter().collect();
+            let want: Vec<(u64, &usize)> = model.iter().map(|(&k, v)| (k, v)).collect();
+            prop_assert_eq!(walked, want, "iteration ascends over the live ids");
         }
     }
 }
